@@ -21,8 +21,6 @@ __all__ = [
     "Tape",
     "NonFiniteError",
     "EmptyValidSetError",
-    "tensor",
-    "constant",
     "parameter",
     "concat",
     "stack",
@@ -36,7 +34,6 @@ __all__ = [
     "backward",
     "grads",
     "finite_diff_check",
-    "set_checked",
     "checked_enabled",
     "checked",
 ]
@@ -62,10 +59,6 @@ def _checked() -> bool:
 
 def checked_enabled() -> bool:
     return _checked()
-
-
-def set_checked(flag: bool) -> None:
-    _state.checked = bool(flag)
 
 
 @contextmanager
@@ -418,14 +411,6 @@ def _as_tensor(x) -> Tensor:
     return Tensor(x)
 
 
-def tensor(data, requires_grad: bool = False) -> Tensor:
-    return Tensor(data, requires_grad=requires_grad)
-
-
-def constant(data) -> Tensor:
-    return Tensor(data)
-
-
 def parameter(data) -> Tensor:
     return Tensor(np.array(data, dtype=np.float64), requires_grad=True)
 
@@ -590,7 +575,7 @@ def backward(loss: Tensor, into: dict | None = None) -> None:
     Gradients accumulate into ``.grad`` of every reachable requires-grad leaf
     (repeated calls add up until leaves are zeroed). When ``into`` is given,
     gradients are accumulated into that id-keyed dict instead, leaving
-    ``.grad`` untouched (used for thread-safe batched accumulation).
+    ``.grad`` untouched (how :func:`grads` collects them).
     """
     if loss.data.size != 1:
         raise ValueError("backward requires a scalar loss")

@@ -4,6 +4,7 @@ and a JSON pair manifest. All multi-byte binary data is little-endian."""
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -30,19 +31,21 @@ def write_ppm(path, image: np.ndarray) -> None:
         f.write(np.moveaxis(quantized, 0, -1).tobytes())
 
 
+# magic, width, height and maxval separated by whitespace, then exactly one
+# whitespace byte: the payload may itself start with whitespace byte values
+_PPM_HEADER = re.compile(rb"P6\s+(\d+)\s+(\d+)\s+(\d+)\s")
+
+
 def read_ppm(path) -> np.ndarray:
     """Read binary P6 into a (3, H, W) float image in [0, 1]."""
     raw = Path(path).read_bytes()
-    parts = raw.split(maxsplit=4)
-    if len(parts) < 5 or parts[0] != b"P6":
+    header = _PPM_HEADER.match(raw)
+    if header is None:
         raise DataError(f"malformed PPM header in {path}")
-    try:
-        w, h, maxval = int(parts[1]), int(parts[2]), int(parts[3])
-    except ValueError as e:
-        raise DataError(f"malformed PPM header in {path}") from e
+    w, h, maxval = (int(x) for x in header.groups())
     if maxval != 255:
-        raise DataError("only maxval 255 PPM is supported")
-    pixels = np.frombuffer(parts[4][: w * h * 3], dtype=np.uint8)
+        raise DataError(f"only maxval 255 PPM is supported ({path})")
+    pixels = np.frombuffer(raw[header.end() : header.end() + w * h * 3], dtype=np.uint8)
     if pixels.size != w * h * 3:
         raise DataError(f"PPM payload size mismatch in {path}")
     img = pixels.reshape(h, w, 3).astype(np.float64) / 255.0

@@ -86,10 +86,6 @@ class Pose:
     def identity(cls) -> "Pose":
         return cls(np.eye(3), np.zeros(3), validate=False)
 
-    @classmethod
-    def from_twist(cls, twist) -> "Pose":
-        return se3_exp(twist)
-
     def twist(self) -> np.ndarray:
         return se3_log(self)
 
@@ -286,8 +282,14 @@ def pose_tensors(twist: Tensor) -> tuple[Tensor, Tensor]:
     return rotation_from_axis_angle(twist[3:6]), twist[0:3]
 
 
-def pose_to_tensors(pose: Pose) -> tuple[Tensor, Tensor]:
-    return Tensor(pose.rotation), Tensor(pose.translation)
+def as_pose_tensors(pose) -> tuple[Tensor, Tensor]:
+    """(rotation, translation) Tensors from a Pose, a twist Tensor of shape
+    (6,) (differentiable), or an (R, t) Tensor pair (returned as given)."""
+    if isinstance(pose, Pose):
+        return Tensor(pose.rotation), Tensor(pose.translation)
+    if isinstance(pose, Tensor):
+        return pose_tensors(pose)
+    return pose
 
 
 # ---- projection ----------------------------------------------------------------------
@@ -343,12 +345,7 @@ def warp_depth(depth, pose, k: CameraIntrinsics) -> WarpResult:
     if isinstance(depth, DepthMap):
         depth = depth.values
     d = depth if isinstance(depth, Tensor) else Tensor(depth)
-    if isinstance(pose, Pose):
-        r_t, t_t = pose_to_tensors(pose)
-    elif isinstance(pose, Tensor):
-        r_t, t_t = pose_tensors(pose)
-    else:
-        r_t, t_t = pose
+    r_t, t_t = as_pose_tensors(pose)
 
     u, v = pixel_grid(k)
     x = Tensor((u - k.cx) / k.fx) * d

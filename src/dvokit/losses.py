@@ -16,15 +16,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import EmptyValidSetError, Tensor, masked_mean
-from .geometry import (
-    CameraIntrinsics,
-    Pose,
-    as_depth_values,
-    bilinear_sample,
-    pose_tensors,
-    pose_to_tensors,
-    warp_depth,
-)
+from .geometry import CameraIntrinsics, as_depth_values, bilinear_sample, warp_depth
 
 _SSIM_C1 = 0.01**2
 _SSIM_C2 = 0.03**2
@@ -194,14 +186,7 @@ def total_loss(
     d_a = depth_a if isinstance(depth_a, Tensor) else Tensor(as_depth_values(depth_a))
     d_b = depth_b if isinstance(depth_b, Tensor) else Tensor(as_depth_values(depth_b))
 
-    if isinstance(pose, Pose):
-        rt = pose_to_tensors(pose)
-    elif isinstance(pose, Tensor):
-        rt = pose_tensors(pose)
-    else:
-        rt = pose
-
-    warp = warp_depth(d_a, rt, k)
+    warp = warp_depth(d_a, pose, k)
     valid = warp.valid
     if not valid.any():
         raise EmptyValidSetError("empty-valid-set")

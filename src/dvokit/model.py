@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -22,6 +23,7 @@ import numpy as np
 from . import autodiff as ad
 from . import nn
 from .autodiff import Tensor
+from .formats import DataError
 
 
 @dataclass
@@ -303,8 +305,9 @@ class DvoModel(nn.Module):
             outs.append(x)
         return outs
 
-    def depth_from_blocks(self, blocks: list[Tensor], rows: int, cols: int) -> Tensor:
-        return self.depth_head(blocks, rows, cols)
+    def depth(self, tgt: TokenGrid, ref: TokenGrid) -> Tensor:
+        """Depth map of the target frame, decoded with the reference frame."""
+        return self.depth_head(self.decode(tgt, ref), tgt.rows, tgt.cols)
 
 
 def forward_dvo(model: DvoModel, image_a, image_b) -> tuple[Tensor, Tensor, Tensor]:
@@ -315,8 +318,8 @@ def forward_dvo(model: DvoModel, image_a, image_b) -> tuple[Tensor, Tensor, Tens
     """
     grid_a = model.encode(image_a)
     grid_b = model.encode(image_b)
-    depth_a = model.depth_from_blocks(model.decode(grid_a, grid_b), grid_a.rows, grid_a.cols)
-    depth_b = model.depth_from_blocks(model.decode(grid_b, grid_a), grid_b.rows, grid_b.cols)
+    depth_a = model.depth(grid_a, grid_b)
+    depth_b = model.depth(grid_b, grid_a)
     twist = model.pose_head(grid_a.tokens, grid_b.tokens)
     return depth_a, depth_b, twist
 
@@ -347,18 +350,22 @@ def sample_mask(n_tokens: int, mask_ratio: float, rng: np.random.Generator):
     return np.sort(perm[:n_mask]), np.sort(perm[n_mask:])
 
 
-def pretrain_step(model: DvoModel, image_a, image_b, rng: np.random.Generator) -> Tensor:
-    """Reconstruction loss: predict the pixels of masked frame-a patches from
-    the visible patches plus the fully visible second frame."""
-    img = image_a if isinstance(image_a, Tensor) else Tensor(image_a)
-    rows, cols = model.grid_shape(img.shape)
-    masked, keep = sample_mask(rows * cols, model.cfg.mask_ratio, rng)
-    grid_a = model.encode(img, keep=keep)
+def completion_loss(model: DvoModel, image_a, image_b, masked: np.ndarray, keep: np.ndarray) -> Tensor:
+    """Reconstruction loss: predict the pixels of the `masked` frame-a patches
+    from the `keep` patches plus the fully visible second frame."""
+    grid_a = model.encode(image_a, keep=keep)
     grid_b = model.encode(image_b)
     blocks = model.decode(grid_a, grid_b)
     pred = model.pixel_head(blocks[-1])
-    targets = normalized_patch_targets(img, model.cfg.patch_size)
+    targets = normalized_patch_targets(image_a, model.cfg.patch_size)
     return masked_patch_mse(pred, targets, masked)
+
+
+def pretrain_step(model: DvoModel, image_a, image_b, rng: np.random.Generator) -> Tensor:
+    """Completion loss under a mask drawn from `rng` at the model's mask ratio."""
+    rows, cols = model.grid_shape(image_a.shape)
+    masked, keep = sample_mask(rows * cols, model.cfg.mask_ratio, rng)
+    return completion_loss(model, image_a, image_b, masked, keep)
 
 
 # ---- adapters / freezing / counting ------------------------------------------------------
@@ -438,45 +445,59 @@ _VERSION = 1
 
 
 def save_checkpoint(path, arrays: dict[str, np.ndarray], config: dict) -> None:
+    """Write to a sibling temporary file, then rename it over `path`, so a
+    crash mid-write never leaves a partial checkpoint under `path`."""
     blob = json.dumps(config, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as f:
-        f.write(_MAGIC)
-        f.write(struct.pack("<I", _VERSION))
-        f.write(struct.pack("<I", len(blob)))
-        f.write(blob)
-        for name in sorted(arrays):
-            data = np.ascontiguousarray(arrays[name], dtype="<f8")
-            encoded = name.encode("utf-8")
-            f.write(struct.pack("<I", len(encoded)))
-            f.write(encoded)
-            f.write(struct.pack("<I", data.ndim))
-            f.write(struct.pack(f"<{data.ndim}I", *data.shape))
-            f.write(data.tobytes())
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.write(_MAGIC)
+            f.write(struct.pack("<I", _VERSION))
+            f.write(struct.pack("<I", len(blob)))
+            f.write(blob)
+            for name in sorted(arrays):
+                data = np.ascontiguousarray(arrays[name], dtype="<f8")
+                encoded = name.encode("utf-8")
+                f.write(struct.pack("<I", len(encoded)))
+                f.write(encoded)
+                f.write(struct.pack("<I", data.ndim))
+                f.write(struct.pack(f"<{data.ndim}I", *data.shape))
+                f.write(data.tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        Path(tmp).unlink(missing_ok=True)
+        raise
 
 
 def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
+    """(config, arrays by name); a malformed or truncated file raises
+    DataError naming `path`."""
     raw = Path(path).read_bytes()
-    if raw[:4] != _MAGIC:
-        raise ValueError(f"{path} is not a checkpoint (bad magic)")
-    (version,) = struct.unpack_from("<I", raw, 4)
+    offset = 0
+
+    def take(n: int) -> bytes:
+        nonlocal offset
+        if offset + n > len(raw):
+            raise DataError(f"checkpoint {path} is truncated ({len(raw)} bytes)")
+        offset += n
+        return raw[offset - n : offset]
+
+    def u32(count: int = 1) -> tuple[int, ...]:
+        return struct.unpack(f"<{count}I", take(4 * count))
+
+    if take(4) != _MAGIC:
+        raise DataError(f"{path} is not a checkpoint (bad magic)")
+    (version,) = u32()
     if version != _VERSION:
-        raise ValueError(f"unsupported checkpoint version {version}")
-    (json_len,) = struct.unpack_from("<I", raw, 8)
-    offset = 12
-    config = json.loads(raw[offset : offset + json_len].decode("utf-8"))
-    offset += json_len
-    arrays: dict[str, np.ndarray] = {}
-    while offset < len(raw):
-        (name_len,) = struct.unpack_from("<I", raw, offset)
-        offset += 4
-        name = raw[offset : offset + name_len].decode("utf-8")
-        offset += name_len
-        (rank,) = struct.unpack_from("<I", raw, offset)
-        offset += 4
-        shape = struct.unpack_from(f"<{rank}I", raw, offset)
-        offset += 4 * rank
-        count = int(np.prod(shape)) if rank else 1
-        data = np.frombuffer(raw, dtype="<f8", count=count, offset=offset)
-        offset += 8 * count
-        arrays[name] = data.reshape(shape).astype(np.float64)
+        raise DataError(f"unsupported checkpoint version {version} in {path}")
+    try:
+        config = json.loads(take(u32()[0]).decode("utf-8"))
+        arrays: dict[str, np.ndarray] = {}
+        while offset < len(raw):
+            name = take(u32()[0]).decode("utf-8")
+            shape = u32(u32()[0])
+            data = np.frombuffer(take(8 * math.prod(shape)), dtype="<f8")
+            arrays[name] = data.reshape(shape).astype(np.float64)
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        raise DataError(f"malformed checkpoint {path}: {e}") from e
     return config, arrays

@@ -178,38 +178,36 @@ def raycast(scene: Scene, frame: int, origins: np.ndarray, dirs: np.ndarray):
     return t_best, obj
 
 
-def render(scene: Scene, frame: int, cam_to_world: Pose, k: CameraIntrinsics):
-    """Raycast an image. Returns (image (3, H, W) in [0, 1], depth (H, W), dyn mask).
+def _cast(scene: Scene, frame: int, cam_to_world: Pose, k: CameraIntrinsics, uv: np.ndarray):
+    """Raycast pixel coordinates `uv` of shape (..., 2). Returns (colors
+    (3, ...), depth (...), object ids (...)).
 
     Ray directions keep unit z in the camera frame, so the hit parameter t is
     the camera-frame z depth directly.
     """
-    u, v = pixel_grid(k)
-    dirs_cam = np.stack([(u - k.cx) / k.fx, (v - k.cy) / k.fy, np.ones_like(u)], axis=-1)
-    dirs = dirs_cam @ cam_to_world.rotation.T
-    origins = np.broadcast_to(cam_to_world.translation, dirs.shape)
-    t, obj = raycast(scene, frame, origins, dirs)
-    hits = origins + dirs * t[..., None]
-    img = albedo(hits, scene.texture_seed, scene.octaves, scene.base_freq)
-    dyn = np.zeros(t.shape, dtype=bool)
-    mi = scene.moving_index()
-    if mi is not None:
-        dyn = obj == mi
-    return np.moveaxis(img, -1, 0), t, dyn
-
-
-def render_at(scene: Scene, frame: int, cam_to_world: Pose, k: CameraIntrinsics, uv: np.ndarray):
-    """Continuous-coordinate render oracle: colors/depths at arbitrary (u, v)."""
-    uv = np.asarray(uv, dtype=np.float64)
     dirs_cam = np.stack(
         [(uv[..., 0] - k.cx) / k.fx, (uv[..., 1] - k.cy) / k.fy, np.ones(uv.shape[:-1])], axis=-1
     )
     dirs = dirs_cam @ cam_to_world.rotation.T
     origins = np.broadcast_to(cam_to_world.translation, dirs.shape)
-    t, _ = raycast(scene, frame, origins, dirs)
+    t, obj = raycast(scene, frame, origins, dirs)
     hits = origins + dirs * t[..., None]
     colors = albedo(hits, scene.texture_seed, scene.octaves, scene.base_freq)
-    return np.moveaxis(colors, -1, 0), t
+    return np.moveaxis(colors, -1, 0), t, obj
+
+
+def render(scene: Scene, frame: int, cam_to_world: Pose, k: CameraIntrinsics):
+    """Raycast an image. Returns (image (3, H, W) in [0, 1], depth (H, W), dyn mask)."""
+    img, t, obj = _cast(scene, frame, cam_to_world, k, np.stack(pixel_grid(k), axis=-1))
+    mi = scene.moving_index()
+    dyn = obj == mi if mi is not None else np.zeros(t.shape, dtype=bool)
+    return img, t, dyn
+
+
+def render_at(scene: Scene, frame: int, cam_to_world: Pose, k: CameraIntrinsics, uv: np.ndarray):
+    """Continuous-coordinate render oracle: colors/depths at arbitrary (u, v)."""
+    colors, t, _ = _cast(scene, frame, cam_to_world, k, np.asarray(uv, dtype=np.float64))
+    return colors, t
 
 
 # ---- frame pairs and trajectories --------------------------------------------------

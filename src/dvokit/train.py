@@ -5,18 +5,16 @@ checkpoints, and JSON run reports."""
 from __future__ import annotations
 
 import json
-import os
 import subprocess
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from . import __version__
 from . import autodiff as ad
-from .autodiff import NonFiniteError, Tensor
+from .autodiff import NonFiniteError
 from .evaluation import DepthEvalConfig, EvalReport, depth_metrics, mean_reports
 from .formats import load_pairs
 from .losses import LossWeights, total_loss
@@ -25,10 +23,8 @@ from .model import (
     ModelConfig,
     forward_dvo,
     load_state,
-    masked_patch_mse,
     model_state,
-    normalized_patch_targets,
-    sample_mask,
+    pretrain_step,
     save_checkpoint,
     load_checkpoint,
     toy_config,
@@ -48,15 +44,12 @@ class TrainingDivergence(RuntimeError):
 
 @dataclass
 class OptimizerConfig:
-    kind: str = "adamw"
     lr: float = 1e-3
     weight_decay: float = 0.0
     betas: tuple[float, float] = (0.9, 0.999)
 
     def __post_init__(self):
         self.betas = tuple(self.betas)
-        if self.kind != "adamw":
-            raise ValueError("only the adamw optimizer kind is supported")
         if self.lr <= 0:
             raise ValueError("lr must be positive")
 
@@ -92,38 +85,6 @@ class RunConfig:
             "out_dir": self.out_dir,
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "RunConfig":
-        d = dict(d)
-        d["model"] = ModelConfig.from_dict(d.get("model", {}))
-        d["loss"] = LossWeights(**d.get("loss", {}))
-        d["optimizer"] = OptimizerConfig(**d.get("optimizer", {}))
-        return cls(**d)
-
-    @classmethod
-    def from_json_file(cls, path) -> "RunConfig":
-        return cls.from_dict(json.loads(Path(path).read_text()))
-
-    def apply_overrides(self, pairs: list[str]) -> "RunConfig":
-        """Apply dotted-path overrides like ``optimizer.lr=3e-4``."""
-        data = self.to_dict()
-        for item in pairs:
-            if "=" not in item:
-                raise ValueError(f"override '{item}' is not of the form key=value")
-            key, _, raw = item.partition("=")
-            try:
-                value = json.loads(raw)
-            except json.JSONDecodeError:
-                value = raw
-            node = data
-            parts = key.split(".")
-            for part in parts[:-1]:
-                node = node[part]
-            if parts[-1] not in node:
-                raise KeyError(f"unknown config key '{key}'")
-            node[parts[-1]] = value
-        return RunConfig.from_dict(data)
-
 
 @dataclass
 class RunReport:
@@ -157,47 +118,27 @@ def version_string() -> str:
     return f"v{__version__}"
 
 
-def worker_count() -> int:
-    """Worker cap from DVO_THREADS (default 1 = sequential)."""
-    raw = os.environ.get("DVO_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 # ---- batched gradient accumulation ---------------------------------------------------
 
 
-def batch_gradients(model: DvoModel, jobs: list, loss_fn, workers: int | None = None):
-    """Evaluate `loss_fn(model, job)` per job, each on its own graph, and
-    reduce leaf gradients in job order (deterministic regardless of worker
-    count). Returns (list of per-job scalar dicts, grads-by-name).
+def batch_gradients(model: DvoModel, jobs: list, loss_fn):
+    """Evaluate `loss_fn(model, job)` per job in order, each on its own graph,
+    and average leaf gradients in job order. Returns (list of per-job scalar
+    dicts, grads-by-name).
 
     loss_fn returns (scalar Tensor, dict of floats to log).
     """
-    workers = workers or worker_count()
     named = [(n, p) for n, p in model.named_parameters() if p.requires_grad]
     params = [p for _, p in named]
-
-    def run_one(job):
+    scalar_list, total = [], None
+    for job in jobs:
         loss, scalars = loss_fn(model, job)
         gs = ad.grads(loss, params)
-        return scalars, gs
-
-    if workers == 1 or len(jobs) == 1:
-        results = [run_one(j) for j in jobs]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_one, jobs))
-
-    total: dict[str, np.ndarray] = {}
-    for _, gs in results:  # ordered reduction
-        for (name, _), g in zip(named, gs):
-            total[name] = total[name] + g if name in total else g
+        del loss  # frees this job's graph before the next job builds its own
+        total = gs if total is None else [t + g for t, g in zip(total, gs)]
+        scalar_list.append(scalars)
     scale = 1.0 / len(jobs)
-    grads_by_name = {n: g * scale for n, g in total.items()}
-    return [s for s, _ in results], grads_by_name
+    return scalar_list, {name: t * scale for (name, _), t in zip(named, total)}
 
 
 def apply_gradients(model: DvoModel, grads_by_name: dict[str, np.ndarray]) -> None:
@@ -234,9 +175,7 @@ def evaluate_depth(model: DvoModel, dataset: PairDataset, eval_cfg: DepthEvalCon
     eval_cfg = eval_cfg or DepthEvalConfig(cap=model.cfg.max_depth)
     reports = []
     for pair in dataset.pairs:
-        grid_a = model.encode(pair.image_a)
-        grid_b = model.encode(pair.image_b)
-        depth = model.depth_from_blocks(model.decode(grid_a, grid_b), grid_a.rows, grid_a.cols)
+        depth = model.depth(model.encode(pair.image_a), model.encode(pair.image_b))
         reports.append(depth_metrics(depth.data, pair.gt_depth_a.values, eval_cfg))
     return mean_reports(reports)
 
@@ -244,19 +183,12 @@ def evaluate_depth(model: DvoModel, dataset: PairDataset, eval_cfg: DepthEvalCon
 # ---- the two training phases ---------------------------------------------------------
 
 
-def _completion_loss(model, job):
-    pair, masked, keep = job
-    grid_a = model.encode(pair.image_a, keep=keep)
-    grid_b = model.encode(pair.image_b)
-    blocks = model.decode(grid_a, grid_b)
-    pred = model.pixel_head(blocks[-1])
-    targets = normalized_patch_targets(pair.image_a, model.cfg.patch_size)
-    loss = masked_patch_mse(pred, targets, masked)
+def _completion_loss(model, pair, rng):
+    loss = pretrain_step(model, pair.image_a, pair.image_b, rng)
     return loss, {"reconstruction": loss.item()}
 
 
-def _finetune_loss(model, job, weights: LossWeights):
-    pair = job
+def _finetune_loss(model, pair, weights: LossWeights):
     depth_a, depth_b, twist = forward_dvo(model, pair.image_a, pair.image_b)
     bd = total_loss(pair, depth_a, depth_b, twist, weights)
     return bd.l_total, bd.scalars()
@@ -274,18 +206,21 @@ def _save_epoch_checkpoint(out_dir: Path, cfg: RunConfig, phase, epoch, model, o
     return path
 
 
-def load_model_arrays(ckpt_path) -> tuple[dict, dict[str, np.ndarray]]:
-    """Model-parameter arrays (without the 'model.' prefix) from a checkpoint."""
-    config, arrays = load_checkpoint(ckpt_path)
+def _read_checkpoint(path, model_cfg: ModelConfig) -> tuple[dict, dict, dict]:
+    """(config, model arrays without the 'model.' prefix, optimizer arrays)
+    of a checkpoint that must have been written for `model_cfg`."""
+    config, arrays = load_checkpoint(path)
+    if config["model"] != model_cfg.to_dict():
+        raise ValueError("checkpoint/config mismatch: model configuration differs")
     model_arrays = {k[len("model.") :]: v for k, v in arrays.items() if k.startswith("model.")}
-    return config, model_arrays
+    return config, model_arrays, {k: v for k, v in arrays.items() if k.startswith("opt.")}
 
 
 def _run_phase(
     cfg: RunConfig,
     dataset: PairDataset,
     phase: str,
-    init_arrays: dict[str, np.ndarray] | None = None,
+    init_checkpoint: str | None = None,
     resume: str | None = None,
     eval_dataset: PairDataset | None = None,
     freeze_backbone: bool = False,
@@ -297,8 +232,8 @@ def _run_phase(
 
     model = DvoModel(cfg.model, np.random.default_rng(cfg.seed))
     start_epoch = 0
-    if init_arrays is not None:
-        load_state(model, init_arrays, strict=False)  # warm start; heads may stay fresh
+    if init_checkpoint is not None:  # warm start; heads may stay fresh
+        load_state(model, _read_checkpoint(init_checkpoint, cfg.model)[1], strict=False)
     if freeze_backbone:
         from .model import freeze_for_adapters
 
@@ -310,36 +245,27 @@ def _run_phase(
         weight_decay=cfg.optimizer.weight_decay,
     )
     if resume is not None:
-        ck_cfg, arrays = load_checkpoint(resume)
-        if ck_cfg["model"] != cfg.model.to_dict():
-            raise ValueError("checkpoint/config mismatch: model configuration differs")
-        load_state(model, {k[len("model.") :]: v for k, v in arrays.items() if k.startswith("model.")})
-        opt.load_state_arrays({k: v for k, v in arrays.items() if k.startswith("opt.")})
+        ck_cfg, model_arrays, opt_arrays = _read_checkpoint(resume, cfg.model)
+        load_state(model, model_arrays)
+        opt.load_state_arrays(opt_arrays)
         start_epoch = int(ck_cfg["extra"]["epoch"]) + 1
 
     curves: dict[str, list[float]] = {}
     snapshots: list[dict | None] = []
-    workers = worker_count()
 
     for epoch in range(start_epoch, cfg.epochs):
         rng = np.random.default_rng([cfg.seed, epoch])
         order = rng.permutation(len(dataset))
+        if phase == "pretrain":  # each job draws its mask from `rng`, in batch order
+            loss_fn = lambda m, pair: _completion_loss(m, pair, rng)
+        else:
+            loss_fn = lambda m, pair: _finetune_loss(m, pair, cfg.loss)
         epoch_scalars: dict[str, list[float]] = {}
         for lo in range(0, len(order), cfg.batch_size):
             idx = order[lo : lo + cfg.batch_size]
-            if phase == "pretrain":
-                jobs = []
-                for i in idx:
-                    pair = dataset[int(i)]
-                    rows, cols = model.grid_shape(pair.image_a.shape)
-                    masked, keep = sample_mask(rows * cols, cfg.model.mask_ratio, rng)
-                    jobs.append((pair, masked, keep))
-                loss_fn = _completion_loss
-            else:
-                jobs = [dataset[int(i)] for i in idx]
-                loss_fn = lambda m, job: _finetune_loss(m, job, cfg.loss)
+            jobs = [dataset[int(i)] for i in idx]
             try:
-                scalar_list, grads_by_name = batch_gradients(model, jobs, loss_fn, workers)
+                scalar_list, grads_by_name = batch_gradients(model, jobs, loss_fn)
             except (NonFiniteError, FloatingPointError) as e:
                 raise TrainingDivergence(epoch, int(idx[0]), e) from e
             opt.zero_grad()
@@ -388,16 +314,11 @@ def finetune_run(
     dataset = dataset or PairDataset.from_dir(cfg.train_data)
     if eval_dataset is None and cfg.eval_data:
         eval_dataset = PairDataset.from_dir(cfg.eval_data)
-    init_arrays = None
-    if init_checkpoint is not None:
-        ck_cfg, init_arrays = load_model_arrays(init_checkpoint)
-        if ck_cfg["model"] != cfg.model.to_dict():
-            raise ValueError("checkpoint/config mismatch: model configuration differs")
     return _run_phase(
         cfg,
         dataset,
         "finetune",
-        init_arrays=init_arrays,
+        init_checkpoint=init_checkpoint,
         resume=resume,
         eval_dataset=eval_dataset,
         freeze_backbone=freeze_backbone,
