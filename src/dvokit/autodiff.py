@@ -53,18 +53,14 @@ class EmptyValidSetError(ValueError):
 _state = threading.local()
 
 
-def _checked() -> bool:
-    return getattr(_state, "checked", True)
-
-
 def checked_enabled() -> bool:
-    return _checked()
+    return getattr(_state, "checked", True)
 
 
 @contextmanager
 def checked(flag: bool):
     """Temporarily enable/disable NaN/Inf trapping (e.g. off for benchmarks)."""
-    prev = _checked()
+    prev = checked_enabled()
     _state.checked = bool(flag)
     try:
         yield
@@ -73,7 +69,7 @@ def checked(flag: bool):
 
 
 def _verify_finite(data: np.ndarray, op: str) -> None:
-    if _checked() and not np.all(np.isfinite(data)):
+    if checked_enabled() and not np.all(np.isfinite(data)):
         raise NonFiniteError(f"non-finite value produced by op '{op}'")
 
 
@@ -93,18 +89,17 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 class Tensor:
     """Dense float64 array participating in reverse-mode differentiation.
 
-    Leaves created with ``requires_grad=True`` receive accumulated gradients
-    in ``.grad`` after :func:`backward`. Tensors are treated as immutable
-    after creation (gradient accumulation aside); optimizers update leaf
+    Gradients with respect to leaves created with ``requires_grad=True`` are
+    returned by :func:`backward` and :func:`grads`; no tensor stores one.
+    Tensors are treated as immutable after creation; optimizers update leaf
     ``.data`` only between graph constructions.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_grad_fn", "op")
+    __slots__ = ("data", "requires_grad", "_parents", "_grad_fn", "op")
 
     def __init__(self, data, requires_grad: bool = False, *, _parents=(), _grad_fn=None, op="leaf"):
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
-        self.grad: np.ndarray | None = None
         self._parents: tuple[Tensor, ...] = _parents
         self._grad_fn = _grad_fn
         self.op = op
@@ -123,10 +118,6 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
-    @property
-    def is_leaf(self) -> bool:
-        return not self._parents
-
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}, op={self.op!r}{flag})"
@@ -139,15 +130,6 @@ class Tensor:
     def detach(self) -> "Tensor":
         """Constant view of the current values; gradients do not flow past it."""
         return Tensor(self.data)
-
-    def grad_array(self) -> np.ndarray:
-        """Accumulated gradient, or zeros if backward never reached this leaf."""
-        if self.grad is None:
-            return np.zeros_like(self.data)
-        return self.grad
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     # ---- graph plumbing --------------------------------------------------------
 
@@ -196,7 +178,7 @@ class Tensor:
 
     def __truediv__(self, other):
         a, b = self, _as_tensor(other)
-        if _checked() and np.any(b.data == 0.0):
+        if checked_enabled() and np.any(b.data == 0.0):
             raise ZeroDivisionError("division with zero denominator")
         out = a.data / b.data
 
@@ -569,13 +551,11 @@ class Tape:
         return cls(order)
 
 
-def backward(loss: Tensor, into: dict | None = None) -> None:
+def backward(loss: Tensor) -> dict[int, np.ndarray]:
     """Backpropagate from a scalar loss.
 
-    Gradients accumulate into ``.grad`` of every reachable requires-grad leaf
-    (repeated calls add up until leaves are zeroed). When ``into`` is given,
-    gradients are accumulated into that id-keyed dict instead, leaving
-    ``.grad`` untouched (how :func:`grads` collects them).
+    Returns the gradient of every requires-grad leaf the loss reaches, keyed
+    by ``id(leaf)``; leaves it does not reach are absent.
     """
     if loss.data.size != 1:
         raise ValueError("backward requires a scalar loss")
@@ -583,34 +563,29 @@ def backward(loss: Tensor, into: dict | None = None) -> None:
         raise ValueError("loss does not require grad; nothing to backpropagate")
     tape = Tape.trace(loss)
     flow: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
+    leaf_grads: dict[int, np.ndarray] = {}
     for node in reversed(tape.nodes):
         g = flow.pop(id(node), None)
         if g is None:
             continue
-        if node._grad_fn is not None:
-            parent_grads = node._grad_fn(g)
-            for parent, pg in zip(node._parents, parent_grads):
-                if pg is None or not parent.requires_grad:
-                    continue
-                key = id(parent)
-                # accumulation is pure (never in place): grad functions may
-                # hand out views or shared arrays for sibling parents
-                flow[key] = flow[key] + pg if key in flow else pg
-        elif node.is_leaf:
-            if into is not None:
-                key = id(node)
-                into[key] = into[key] + g if key in into else np.array(g)
-            elif node.grad is None:
-                node.grad = np.array(g)
-            else:
-                node.grad = node.grad + g
+        if node._grad_fn is None:
+            leaf_grads[id(node)] = np.array(g)
+            continue
+        for parent, pg in zip(node._parents, node._grad_fn(g)):
+            if pg is None or not parent.requires_grad:
+                continue
+            key = id(parent)
+            # accumulation is pure (never in place): grad functions may
+            # hand out views or shared arrays for sibling parents
+            flow[key] = flow[key] + pg if key in flow else pg
+    return leaf_grads
 
 
 def grads(loss: Tensor, wrt: Iterable[Tensor]) -> list[np.ndarray]:
-    """Gradients of a scalar loss w.r.t. given leaves, without touching .grad."""
-    collected: dict[int, np.ndarray] = {}
-    backward(loss, into=collected)
-    return [collected.get(id(t), np.zeros_like(t.data)) for t in wrt]
+    """Gradients of a scalar loss w.r.t. the given leaves, in order; zeros
+    for a leaf the loss does not reach."""
+    found = backward(loss)
+    return [found.get(id(t), np.zeros_like(t.data)) for t in wrt]
 
 
 def finite_diff_check(

@@ -121,11 +121,8 @@ def optimize_direct(
             best_loss = value
             best_state = {name: var.data.copy() for name, var in variables}
         gs = grads(bd.l_total, [var for _, var in variables])
-        opt.zero_grad()
-        for (_, var), g in zip(variables, gs):
-            var.grad = g
         opt.lr = lr * 0.5 * (1.0 + math.cos(math.pi * it / iters))
-        opt.step()
+        opt.step({name: g for (name, _), g in zip(variables, gs)})
 
     for name, var in variables:
         var.data = best_state[name]

@@ -118,22 +118,16 @@ class Pose:
 
 @dataclass
 class DepthMap:
-    """Per-pixel depth in meters with an optional validity mask."""
+    """Per-pixel depth in meters; every value must be positive."""
 
     values: np.ndarray
-    validity: np.ndarray | None = None
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
         if self.values.ndim != 2:
             raise ValueError("depth map must be 2-D")
-        if self.validity is not None:
-            self.validity = np.asarray(self.validity, dtype=bool)
-            if self.validity.shape != self.values.shape:
-                raise ValueError("validity mask shape mismatch")
-        mask = self.validity if self.validity is not None else np.ones_like(self.values, dtype=bool)
-        if np.any(self.values[mask] <= 0):
-            raise ValueError("valid depth values must be positive")
+        if np.any(self.values <= 0):
+            raise ValueError("depth values must be positive")
 
     @property
     def shape(self) -> tuple[int, int]:

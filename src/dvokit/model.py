@@ -414,25 +414,20 @@ def model_state(model: DvoModel) -> dict[str, np.ndarray]:
     return {name: param.data.copy() for name, param in model.named_parameters()}
 
 
-def load_state(model: DvoModel, arrays: dict[str, np.ndarray], strict: bool = True) -> list[str]:
-    """Fill model parameters by name; returns names that stayed at init.
-
-    Shape mismatches always raise; missing names raise only when strict.
-    """
-    missing = []
-    for name, param in model.named_parameters():
-        if name in arrays:
-            src = arrays[name]
-            if src.shape != param.data.shape:
-                raise ValueError(
-                    f"checkpoint/config mismatch for '{name}': {src.shape} vs {param.data.shape}"
-                )
-            param.data = np.array(src, dtype=np.float64)
-        else:
-            missing.append(name)
-    if strict and missing:
+def load_state(model: DvoModel, arrays: dict[str, np.ndarray]) -> None:
+    """Fill every model parameter by name. A missing name or a shape
+    mismatch raises ValueError."""
+    params = list(model.named_parameters())
+    missing = [name for name, _ in params if name not in arrays]
+    if missing:
         raise ValueError(f"checkpoint missing parameters: {missing[:4]}{'...' if len(missing) > 4 else ''}")
-    return missing
+    for name, param in params:
+        src = arrays[name]
+        if src.shape != param.data.shape:
+            raise ValueError(
+                f"checkpoint/config mismatch for '{name}': {src.shape} vs {param.data.shape}"
+            )
+        param.data = np.array(src, dtype=np.float64)
 
 
 # ---- checkpoint file format ----------------------------------------------------------------

@@ -11,8 +11,9 @@ class AdamW:
     """Deterministic AdamW over (name, Tensor) pairs.
 
     Only parameters with ``requires_grad`` at construction time are stepped,
-    so frozen backbones stay bit-identical. State serializes to named arrays
-    for inclusion in checkpoints.
+    so frozen backbones stay bit-identical. Each step takes the gradients of
+    all of them by name. State serializes to named arrays for inclusion in
+    checkpoints.
     """
 
     def __init__(
@@ -34,19 +35,15 @@ class AdamW:
         self._m = {name: np.zeros_like(p.data) for name, p in self.params}
         self._v = {name: np.zeros_like(p.data) for name, p in self.params}
 
-    def zero_grad(self) -> None:
-        for _, p in self.params:
-            p.grad = None
-
-    def step(self) -> None:
+    def step(self, grads: dict[str, np.ndarray]) -> None:
+        """Update every stepped parameter from ``grads[name]``; a missing
+        name raises KeyError before anything changes."""
+        gs = [grads[name] for name, _ in self.params]
         self.step_count += 1
         b1, b2 = self.beta1, self.beta2
         bc1 = 1.0 - b1**self.step_count
         bc2 = 1.0 - b2**self.step_count
-        for name, p in self.params:
-            if p.grad is None:
-                continue
-            g = p.grad
+        for (name, p), g in zip(self.params, gs):
             m = self._m[name] = b1 * self._m[name] + (1.0 - b1) * g
             v = self._v[name] = b2 * self._v[name] + (1.0 - b2) * (g * g)
             update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)

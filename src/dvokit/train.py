@@ -16,7 +16,7 @@ from . import __version__
 from . import autodiff as ad
 from .autodiff import NonFiniteError
 from .evaluation import DepthEvalConfig, EvalReport, depth_metrics, mean_reports
-from .formats import load_pairs
+from .formats import DataError, load_pairs
 from .losses import LossWeights, total_loss
 from .model import (
     DvoModel,
@@ -123,8 +123,9 @@ def version_string() -> str:
 
 def batch_gradients(model: DvoModel, jobs: list, loss_fn):
     """Evaluate `loss_fn(model, job)` per job in order, each on its own graph,
-    and average leaf gradients in job order. Returns (list of per-job scalar
-    dicts, grads-by-name).
+    and average the gradients in job order. Returns (list of per-job scalar
+    dicts, mean gradient of every trainable parameter by name), the second
+    ready for `AdamW.step`; a parameter no loss reaches gets zeros.
 
     loss_fn returns (scalar Tensor, dict of floats to log).
     """
@@ -139,12 +140,6 @@ def batch_gradients(model: DvoModel, jobs: list, loss_fn):
         scalar_list.append(scalars)
     scale = 1.0 / len(jobs)
     return scalar_list, {name: t * scale for (name, _), t in zip(named, total)}
-
-
-def apply_gradients(model: DvoModel, grads_by_name: dict[str, np.ndarray]) -> None:
-    for name, p in model.named_parameters():
-        if name in grads_by_name:
-            p.grad = grads_by_name[name]
 
 
 # ---- datasets -------------------------------------------------------------------------
@@ -206,14 +201,23 @@ def _save_epoch_checkpoint(out_dir: Path, cfg: RunConfig, phase, epoch, model, o
     return path
 
 
-def _read_checkpoint(path, model_cfg: ModelConfig) -> tuple[dict, dict, dict]:
-    """(config, model arrays without the 'model.' prefix, optimizer arrays)
-    of a checkpoint that must have been written for `model_cfg`."""
+def _load_checkpoint_into(path, model: DvoModel, opt: AdamW | None = None) -> dict:
+    """Fill `model` (and `opt`) from a checkpoint that must have been written
+    for the model's configuration; returns the checkpoint's config. A file
+    lacking any of their arrays raises DataError naming `path`."""
     config, arrays = load_checkpoint(path)
-    if config["model"] != model_cfg.to_dict():
+    if config["model"] != model.cfg.to_dict():
         raise ValueError("checkpoint/config mismatch: model configuration differs")
-    model_arrays = {k[len("model.") :]: v for k, v in arrays.items() if k.startswith("model.")}
-    return config, model_arrays, {k: v for k, v in arrays.items() if k.startswith("opt.")}
+    needed = [f"model.{name}" for name, _ in model.named_parameters()]
+    if opt is not None:
+        needed += list(opt.state_arrays())
+    missing = [name for name in needed if name not in arrays]
+    if missing:
+        raise DataError(f"checkpoint {path} lacks {len(missing)} arrays, first '{missing[0]}'")
+    load_state(model, {k[len("model.") :]: v for k, v in arrays.items() if k.startswith("model.")})
+    if opt is not None:
+        opt.load_state_arrays(arrays)
+    return config
 
 
 def _run_phase(
@@ -232,8 +236,8 @@ def _run_phase(
 
     model = DvoModel(cfg.model, np.random.default_rng(cfg.seed))
     start_epoch = 0
-    if init_checkpoint is not None:  # warm start; heads may stay fresh
-        load_state(model, _read_checkpoint(init_checkpoint, cfg.model)[1], strict=False)
+    if init_checkpoint is not None:  # warm start
+        _load_checkpoint_into(init_checkpoint, model)
     if freeze_backbone:
         from .model import freeze_for_adapters
 
@@ -245,10 +249,7 @@ def _run_phase(
         weight_decay=cfg.optimizer.weight_decay,
     )
     if resume is not None:
-        ck_cfg, model_arrays, opt_arrays = _read_checkpoint(resume, cfg.model)
-        load_state(model, model_arrays)
-        opt.load_state_arrays(opt_arrays)
-        start_epoch = int(ck_cfg["extra"]["epoch"]) + 1
+        start_epoch = int(_load_checkpoint_into(resume, model, opt)["extra"]["epoch"]) + 1
 
     curves: dict[str, list[float]] = {}
     snapshots: list[dict | None] = []
@@ -256,21 +257,22 @@ def _run_phase(
     for epoch in range(start_epoch, cfg.epochs):
         rng = np.random.default_rng([cfg.seed, epoch])
         order = rng.permutation(len(dataset))
-        if phase == "pretrain":  # each job draws its mask from `rng`, in batch order
-            loss_fn = lambda m, pair: _completion_loss(m, pair, rng)
-        else:
-            loss_fn = lambda m, pair: _finetune_loss(m, pair, cfg.loss)
+        started_pairs: list[int] = []  # the last one is the job batch_gradients is on
+
+        def loss_fn(m, i):
+            started_pairs.append(i)
+            if phase == "pretrain":  # each job draws its mask from `rng`, in batch order
+                return _completion_loss(m, dataset[i], rng)
+            return _finetune_loss(m, dataset[i], cfg.loss)
+
         epoch_scalars: dict[str, list[float]] = {}
         for lo in range(0, len(order), cfg.batch_size):
-            idx = order[lo : lo + cfg.batch_size]
-            jobs = [dataset[int(i)] for i in idx]
+            jobs = [int(i) for i in order[lo : lo + cfg.batch_size]]
             try:
                 scalar_list, grads_by_name = batch_gradients(model, jobs, loss_fn)
             except (NonFiniteError, FloatingPointError) as e:
-                raise TrainingDivergence(epoch, int(idx[0]), e) from e
-            opt.zero_grad()
-            apply_gradients(model, grads_by_name)
-            opt.step()
+                raise TrainingDivergence(epoch, started_pairs[-1], e) from e
+            opt.step(grads_by_name)
             for scalars in scalar_list:
                 for key, value in scalars.items():
                     epoch_scalars.setdefault(key, []).append(value)

@@ -1,12 +1,15 @@
 """Training loops: resume equivalence, ordered gradient reduction, divergence
 reporting and checkpoint/config consistency."""
 
+import re
+
 import numpy as np
 import pytest
 
 from dvokit import autodiff as ad
 from dvokit import train
 from dvokit.autodiff import NonFiniteError
+from dvokit.formats import DataError
 from dvokit.losses import total_loss
 from dvokit.model import DvoModel, forward_dvo, toy_config
 from dvokit.synth import MotionSpec, default_intrinsics, generate_trajectory, make_pair, preset_scene
@@ -80,6 +83,46 @@ def test_divergence_names_the_epoch_and_the_pair(tmp_path, dataset, monkeypatch)
     assert info.value.epoch == 1
     assert dataset.pairs[info.value.pair_index] is seen[-1]
     assert isinstance(info.value.__cause__, NonFiniteError)
+
+
+def test_divergence_names_the_pair_whose_loss_raised(tmp_path, dataset, monkeypatch):
+    seen = []
+
+    def failing_loss(pair, *args, **kwargs):
+        seen.append(pair)
+        if len(seen) == 2:  # second job of the first batch of two
+            raise NonFiniteError("non-finite value produced by op 'div'")
+        return total_loss(pair, *args, **kwargs)
+
+    monkeypatch.setattr(train, "total_loss", failing_loss)
+    with pytest.raises(train.TrainingDivergence) as info:
+        train.finetune_run(_cfg(tmp_path, epochs=1), dataset)
+    assert info.value.epoch == 0
+    assert seen[0] is not seen[1]
+    assert dataset.pairs[info.value.pair_index] is seen[1]
+
+
+def _cut_before(path, name_prefix: bytes) -> None:
+    """Truncate a checkpoint at the first array whose name starts with the
+    prefix, so the file ends cleanly after the array before it."""
+    raw = path.read_bytes()
+    path.write_bytes(raw[: raw.index(name_prefix) - 4])  # each array opens with its u32 name length
+
+
+def test_warm_start_from_a_checkpoint_missing_model_arrays_raises(tmp_path, dataset):
+    train.pretrain_run(_cfg(tmp_path / "pre", epochs=1), dataset)
+    ckpt = tmp_path / "pre" / "checkpoint-epoch000.dvoc"
+    _cut_before(ckpt, b"model.pixel_head.")
+    with pytest.raises(DataError, match=re.escape(str(ckpt))):
+        train.finetune_run(_cfg(tmp_path / "fine", epochs=1), dataset, init_checkpoint=str(ckpt))
+
+
+def test_resume_from_a_checkpoint_missing_optimizer_arrays_raises(tmp_path, dataset):
+    train.finetune_run(_cfg(tmp_path / "first", epochs=1), dataset)
+    ckpt = tmp_path / "first" / "checkpoint-epoch000.dvoc"
+    _cut_before(ckpt, b"opt.")
+    with pytest.raises(DataError, match=re.escape(str(ckpt))):
+        train.finetune_run(_cfg(tmp_path / "resumed", epochs=2), dataset, resume=str(ckpt))
 
 
 @pytest.mark.parametrize("phase", ["finetune", "pretrain"])
