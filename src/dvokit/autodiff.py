@@ -28,6 +28,8 @@ __all__ = [
     "gather_hw",
     "row_scatter",
     "upsample_nearest",
+    "conv3x3",
+    "box3",
     "softmax",
     "layernorm",
     "masked_mean",
@@ -490,21 +492,103 @@ def upsample_nearest(t: Tensor, factor: int) -> Tensor:
     return Tensor._make(out, (t,), grad_fn, "upsample_nearest")
 
 
+def conv3x3(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
+    """3x3 convolution of a (C, H, W) map, zero padded, stride 1.
+
+    `weight` is (3, 3, C, C_out) and `bias` is (C_out,). The forward pass is
+    one GEMM over im2col rows; the backward pass folds the column gradient
+    back onto the input (col2im).
+    """
+    x, weight, bias = _as_tensor(x), _as_tensor(weight), _as_tensor(bias)
+    if x.ndim != 3:
+        raise ValueError("conv3x3 expects a (C, H, W) tensor")
+    c, h, w = x.shape
+    if weight.ndim != 4 or weight.shape[:3] != (3, 3, c):
+        raise ValueError(f"conv3x3 weight must be (3, 3, {c}, C_out), got {weight.shape}")
+    c_out = weight.shape[3]
+    if bias.shape != (c_out,):
+        raise ValueError(f"conv3x3 bias must be ({c_out},), got {bias.shape}")
+    xp = np.zeros((c, h + 2, w + 2))
+    xp[:, 1 : h + 1, 1 : w + 1] = x.data
+    cols = np.empty((9 * c, h * w))
+    for k in range(9):
+        dy, dx = divmod(k, 3)
+        cols[k * c : (k + 1) * c] = xp[:, dy : dy + h, dx : dx + w].reshape(c, h * w)
+    w2 = weight.data.reshape(9 * c, c_out)
+    out = (w2.T @ cols + bias.data[:, None]).reshape(c_out, h, w)
+
+    def grad_fn(g):
+        g2 = g.reshape(c_out, h * w)
+        gcols = w2 @ g2
+        gxp = np.zeros((c, h + 2, w + 2))
+        for k in range(9):
+            dy, dx = divmod(k, 3)
+            gxp[:, dy : dy + h, dx : dx + w] += gcols[k * c : (k + 1) * c].reshape(c, h, w)
+        return gxp[:, 1 : h + 1, 1 : w + 1], (cols @ g2.T).reshape(weight.shape), g2.sum(axis=1)
+
+    return Tensor._make(out, (x, weight, bias), grad_fn, "conv3x3")
+
+
+def box3(img: Tensor) -> Tensor:
+    """3x3 box filter of a (C, H, W) tensor with edge replication; the output
+    keeps the input size."""
+    img = _as_tensor(img)
+    if img.ndim != 3:
+        raise ValueError("box3 expects a (C, H, W) tensor")
+    c, h, w = img.shape
+    p = np.pad(img.data, ((0, 0), (1, 1), (1, 1)), mode="edge")
+    acc = p[:, 0:h, 0:w]
+    for k in range(1, 9):
+        dy, dx = divmod(k, 3)
+        acc = acc + p[:, dy : dy + h, dx : dx + w]
+    out = acc * (1.0 / 9.0)
+
+    def grad_fn(g):
+        g9 = g * (1.0 / 9.0)
+        gp = np.zeros((c, h + 2, w + 2))
+        for k in range(9):
+            dy, dx = divmod(k, 3)
+            gp[:, dy : dy + h, dx : dx + w] += g9
+        # replicated border rows, then columns, fold back onto the edge pixels
+        gp[:, 1, :] += gp[:, 0, :]
+        gp[:, h, :] += gp[:, h + 1, :]
+        gp[:, :, 1] += gp[:, :, 0]
+        gp[:, :, w] += gp[:, :, w + 1]
+        return (gp[:, 1 : h + 1, 1 : w + 1],)
+
+    return Tensor._make(out, (img,), grad_fn, "box3")
+
+
 def softmax(t: Tensor, axis: int = -1) -> Tensor:
     """Numerically-stable softmax; the max shift is treated as a constant."""
     t = _as_tensor(t)
-    shift = Tensor(t.data.max(axis=axis, keepdims=True))
-    e = (t - shift).exp()
-    return e / e.sum(axis=axis, keepdims=True)
+    e = np.exp(t.data - t.data.max(axis=axis, keepdims=True))
+    out = e / e.sum(axis=axis, keepdims=True)
+
+    def grad_fn(g):
+        return (out * (g - (g * out).sum(axis=axis, keepdims=True)),)
+
+    return Tensor._make(out, (t,), grad_fn, "softmax")
 
 
 def layernorm(t: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
     """Layer normalization over the last axis with learnable scale and shift."""
-    mu = t.mean(axis=-1, keepdims=True)
-    centred = t - mu
-    var = (centred * centred).mean(axis=-1, keepdims=True)
-    normed = centred / (var + eps).sqrt()
-    return normed * gamma + beta
+    t, gamma, beta = _as_tensor(t), _as_tensor(gamma), _as_tensor(beta)
+    centred = t.data - t.data.mean(axis=-1, keepdims=True)
+    std = np.sqrt((centred * centred).mean(axis=-1, keepdims=True) + eps)
+    normed = centred / std
+    out = normed * gamma.data + beta.data
+
+    def grad_fn(g):
+        gn = g * gamma.data
+        gt = (
+            gn
+            - gn.mean(axis=-1, keepdims=True)
+            - normed * (gn * normed).mean(axis=-1, keepdims=True)
+        ) / std
+        return gt, _unbroadcast(g * normed, gamma.shape), _unbroadcast(g, beta.shape)
+
+    return Tensor._make(out, (t, gamma, beta), grad_fn, "layernorm")
 
 
 def masked_mean(t: Tensor, mask: np.ndarray) -> Tensor:

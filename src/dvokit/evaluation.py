@@ -1,4 +1,4 @@
-"""Depth metrics (median-scaled, capped) and planar trajectory errors."""
+"""Depth metrics (median-scaled, capped) and ground-plane trajectory errors."""
 
 from __future__ import annotations
 
@@ -116,7 +116,8 @@ def accumulate_trajectory(relatives: list[Pose]) -> list[Pose]:
 
 
 def _yaw_deg(rotation: np.ndarray) -> float:
-    return float(np.degrees(np.arctan2(rotation[1, 0], rotation[0, 0])))
+    """Heading about the world's up axis, y."""
+    return float(np.degrees(np.arctan2(rotation[0, 2], rotation[2, 2])))
 
 
 def _wrap_deg(angle: float) -> float:
@@ -129,8 +130,9 @@ def trajectory_errors(pred: list[Pose], gt: list[Pose]) -> tuple[float, float]:
 
     Predictions are aligned to the ground truth by the first position
     (translation only; rotating the prediction would cancel exactly the
-    heading offset this metric reports). Positions are then projected to the
-    xy-plane; yaw differences are wrapped to [0, 180] degrees.
+    heading offset this metric reports). The world is y-up, as in `synth`:
+    positions are projected to the ground (xz) plane, yaw is the heading
+    about y, and yaw differences are wrapped to [0, 180] degrees.
     """
     if len(pred) != len(gt):
         raise ValueError(f"trajectory length mismatch: {len(pred)} vs {len(gt)}")
@@ -139,7 +141,7 @@ def trajectory_errors(pred: list[Pose], gt: list[Pose]) -> tuple[float, float]:
     shift = gt[0].translation - pred[0].translation
     trans_errs, rot_errs = [], []
     for p, g in zip(pred, gt):
-        dxy = (p.translation + shift - g.translation)[:2]
-        trans_errs.append(float(np.linalg.norm(dxy)))
+        dxz = (p.translation + shift - g.translation)[[0, 2]]
+        trans_errs.append(float(np.linalg.norm(dxz)))
         rot_errs.append(_wrap_deg(_yaw_deg(p.rotation) - _yaw_deg(g.rotation)))
     return float(np.mean(trans_errs)), float(np.mean(rot_errs))

@@ -78,23 +78,6 @@ def geometric_loss(d_diff_map: Tensor, valid: np.ndarray) -> Tensor:
     return masked_mean(d_diff_map, valid)
 
 
-def _pad_edge(img: Tensor) -> Tensor:
-    rows = ad.concat([img[:, :1, :], img, img[:, -1:, :]], axis=1)
-    return ad.concat([rows[:, :, :1], rows, rows[:, :, -1:]], axis=2)
-
-
-def _box3(img: Tensor) -> Tensor:
-    """3x3 box filter with edge replication; output keeps the input size."""
-    p = _pad_edge(img)
-    h, w = img.shape[1], img.shape[2]
-    acc = None
-    for dy in range(3):
-        for dx in range(3):
-            sl = p[:, dy : dy + h, dx : dx + w]
-            acc = sl if acc is None else acc + sl
-    return acc * (1.0 / 9.0)
-
-
 def ssim(a: Tensor, b: Tensor) -> Tensor:
     """Local structural similarity of two (C, H, W) images in [0, 1].
 
@@ -104,10 +87,10 @@ def ssim(a: Tensor, b: Tensor) -> Tensor:
     a, b = _as_t(a), _as_t(b)
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    mu_a, mu_b = _box3(a), _box3(b)
-    var_a = _box3(a * a) - mu_a * mu_a
-    var_b = _box3(b * b) - mu_b * mu_b
-    cov = _box3(a * b) - mu_a * mu_b
+    mu_a, mu_b = ad.box3(a), ad.box3(b)
+    var_a = ad.box3(a * a) - mu_a * mu_a
+    var_b = ad.box3(b * b) - mu_b * mu_b
+    cov = ad.box3(a * b) - mu_a * mu_b
     num = (2.0 * mu_a * mu_b + _SSIM_C1) * (2.0 * cov + _SSIM_C2)
     den = (mu_a * mu_a + mu_b * mu_b + _SSIM_C1) * (var_a + var_b + _SSIM_C2)
     return (num / den).mean(axis=0).clamp(-1.0, 1.0)

@@ -187,29 +187,15 @@ class DecoderBlock(Module):
 class Conv3x3(Module):
     """3x3 convolution on (C, H, W) maps, zero padded, stride 1.
 
-    Implemented as nine shifted 1x1 projections so gradients flow through
-    existing primitives; fine at desk scale.
+    One ``ad.conv3x3`` node: an im2col GEMM forward and a col2im backward.
     """
 
     def __init__(self, c_in, c_out, rng):
         self.weight = ad.parameter(_init(rng, (3, 3, c_in, c_out)))
         self.bias = ad.parameter(np.zeros(c_out))
-        self._c_out = c_out
 
     def __call__(self, x: Tensor) -> Tensor:
-        c, h, w = x.shape
-        zr = Tensor(np.zeros((c, 1, w)))
-        xp = ad.concat([zr, x, zr], axis=1)
-        zc = Tensor(np.zeros((c, h + 2, 1)))
-        xp = ad.concat([zc, xp, zc], axis=2)
-        acc = None
-        for dy in range(3):
-            for dx in range(3):
-                patch = xp[:, dy : dy + h, dx : dx + w]
-                term = patch.reshape(c, h * w).transpose(1, 0) @ self.weight[dy, dx]
-                acc = term if acc is None else acc + term
-        out = acc + self.bias  # (HW, c_out)
-        return out.transpose(1, 0).reshape(self._c_out, h, w)
+        return ad.conv3x3(x, self.weight, self.bias)
 
 
 class Conv1x1(Module):

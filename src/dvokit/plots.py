@@ -9,16 +9,17 @@ import numpy as np
 from .geometry import Pose
 
 
-def _polyline_points(xy: np.ndarray, to_px) -> str:
-    return " ".join(f"{to_px(p)[0]:.2f},{to_px(p)[1]:.2f}" for p in xy)
+def _polyline_points(xz: np.ndarray, to_px) -> str:
+    return " ".join(f"{to_px(p)[0]:.2f},{to_px(p)[1]:.2f}" for p in xz)
 
 
 def trajectory_svg(pred: list[Pose], gt: list[Pose], path, size: int = 480) -> None:
-    """Write an SVG overlaying the xy-projections of two trajectories
-    (ground truth blue, prediction orange)."""
-    pred_xy = np.array([p.translation[:2] for p in pred])
-    gt_xy = np.array([p.translation[:2] for p in gt])
-    allpts = np.vstack([pred_xy, gt_xy])
+    """Write an SVG overlaying the ground-plane (xz) projections of two
+    trajectories in the y-up world (ground truth blue, prediction orange),
+    x to the right and z up the page."""
+    pred_xz = np.array([p.translation[[0, 2]] for p in pred])
+    gt_xz = np.array([p.translation[[0, 2]] for p in gt])
+    allpts = np.vstack([pred_xz, gt_xz])
     lo = allpts.min(axis=0)
     hi = allpts.max(axis=0)
     span = max(float((hi - lo).max()), 1e-6)
@@ -27,7 +28,7 @@ def trajectory_svg(pred: list[Pose], gt: list[Pose], path, size: int = 480) -> N
 
     def to_px(p):
         x = margin + (p[0] - lo[0]) * scale
-        y = size - margin - (p[1] - lo[1]) * scale  # y up
+        y = size - margin - (p[1] - lo[1]) * scale  # z up the page
         return x, y
 
     parts = [
@@ -35,9 +36,9 @@ def trajectory_svg(pred: list[Pose], gt: list[Pose], path, size: int = 480) -> N
         f'viewBox="0 0 {size} {size}">',
         f'<rect x="1" y="1" width="{size - 2}" height="{size - 2}" '
         'fill="white" stroke="#888" stroke-width="1"/>',
-        f'<polyline points="{_polyline_points(gt_xy, to_px)}" '
+        f'<polyline points="{_polyline_points(gt_xz, to_px)}" '
         'fill="none" stroke="#1f4fbf" stroke-width="2"/>',
-        f'<polyline points="{_polyline_points(pred_xy, to_px)}" '
+        f'<polyline points="{_polyline_points(pred_xz, to_px)}" '
         'fill="none" stroke="#e88722" stroke-width="2"/>',
         f'<text x="{margin}" y="24" font-family="monospace" font-size="14" '
         'fill="#1f4fbf">ground truth</text>',

@@ -23,6 +23,11 @@ def static_pair_32():
 
 
 @pytest.fixture(scope="session")
+def static_pair_64():
+    return _static_pair(64)
+
+
+@pytest.fixture(scope="session")
 def dynamic_pair_32():
     from dvokit.synth import MotionSpec, generate_trajectory, make_pair
 

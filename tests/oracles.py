@@ -1,10 +1,14 @@
 """Independent reference implementations used to freeze expected test values.
 
 Everything here is deliberately loop-based and separate from the library's
-vectorized code paths.
+vectorized code paths, except the composites at the end: the fused autodiff
+ops are checked against them, built from primitive Tensor ops.
 """
 
 import numpy as np
+
+from dvokit import autodiff as ad
+from dvokit.autodiff import Tensor
 
 SSIM_C1 = 0.01**2
 SSIM_C2 = 0.03**2
@@ -63,3 +67,53 @@ def depth_metrics_reference(pred: np.ndarray, gt: np.ndarray):
         thr = 1.25**i
         deltas.append(sum(1 for p, g in zip(pred, gt) if max(p / g, g / p) < thr) / n)
     return abs_rel, rmse, tuple(deltas)
+
+
+# ---- composites the fused autodiff ops replaced ---------------------------------------
+
+
+def conv3x3_composite(x, weight, bias):
+    """3x3 zero-padded convolution as nine shifted 1x1 projections."""
+    c, h, w = x.shape
+    c_out = weight.shape[3]
+    zr = Tensor(np.zeros((c, 1, w)))
+    xp = ad.concat([zr, x, zr], axis=1)
+    zc = Tensor(np.zeros((c, h + 2, 1)))
+    xp = ad.concat([zc, xp, zc], axis=2)
+    acc = None
+    for dy in range(3):
+        for dx in range(3):
+            patch = xp[:, dy : dy + h, dx : dx + w]
+            term = patch.reshape(c, h * w).transpose(1, 0) @ weight[dy, dx]
+            acc = term if acc is None else acc + term
+    out = acc + bias  # (HW, c_out)
+    return out.transpose(1, 0).reshape(c_out, h, w)
+
+
+def softmax_composite(t, axis=-1):
+    """Max-shifted softmax from exp, sum and div nodes."""
+    shift = Tensor(t.data.max(axis=axis, keepdims=True))
+    e = (t - shift).exp()
+    return e / e.sum(axis=axis, keepdims=True)
+
+
+def layernorm_composite(t, gamma, beta, eps=1e-5):
+    """Layer normalization over the last axis from mean, sub, sqrt and div nodes."""
+    mu = t.mean(axis=-1, keepdims=True)
+    centred = t - mu
+    var = (centred * centred).mean(axis=-1, keepdims=True)
+    normed = centred / (var + eps).sqrt()
+    return normed * gamma + beta
+
+
+def box3_composite(img):
+    """3x3 edge-replicated box filter from slice, concat and add nodes."""
+    rows = ad.concat([img[:, :1, :], img, img[:, -1:, :]], axis=1)
+    p = ad.concat([rows[:, :, :1], rows, rows[:, :, -1:]], axis=2)
+    h, w = img.shape[1], img.shape[2]
+    acc = None
+    for dy in range(3):
+        for dx in range(3):
+            sl = p[:, dy : dy + h, dx : dx + w]
+            acc = sl if acc is None else acc + sl
+    return acc * (1.0 / 9.0)

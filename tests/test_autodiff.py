@@ -4,6 +4,8 @@ import pytest
 from dvokit import autodiff as ad
 from dvokit.autodiff import Tensor, finite_diff_check
 
+import oracles
+
 
 def test_exp_values_and_broadcast_add():
     x = Tensor([0.0, 1.0])
@@ -265,3 +267,70 @@ def test_tape_visits_each_op_once():
     assert len(ids) == len(set(ids))
     (g,) = ad.grads(z.sum(), [x])
     assert np.array_equal(g, [4.0, 4.0])
+
+
+# ---- fused ops: one graph node each, checked against the composites they replaced ----
+
+FUSED_OPS = {
+    # name: (fused op, composite oracle, input shapes, keyword arguments)
+    "conv3x3": (ad.conv3x3, oracles.conv3x3_composite, [(3, 5, 6), (3, 3, 3, 4), (4,)], {}),
+    "layernorm": (ad.layernorm, oracles.layernorm_composite, [(5, 8), (8,), (8,)], {}),
+    "softmax-axis-1": (ad.softmax, oracles.softmax_composite, [(3, 4, 5)], {"axis": -1}),
+    "softmax-axis0": (ad.softmax, oracles.softmax_composite, [(3, 4, 5)], {"axis": 0}),
+    "box3": (ad.box3, oracles.box3_composite, [(3, 6, 7)], {}),
+}
+
+FUSED_FD_CASES = [
+    ("conv3x3", 0), ("conv3x3", 1), ("conv3x3", 2),
+    ("layernorm", 0), ("layernorm", 1), ("layernorm", 2),
+    ("softmax-axis-1", 0), ("softmax-axis0", 0), ("box3", 0),
+]
+
+
+@pytest.mark.parametrize("name,wrt", FUSED_FD_CASES, ids=[f"{n}-wrt{i}" for n, i in FUSED_FD_CASES])
+def test_fused_op_passes_fd_at_ten_random_points(name, wrt):
+    op, _, shapes, kwargs = FUSED_OPS[name]
+    rng = np.random.default_rng(sum(map(ord, name)) + wrt)
+    for _ in range(10):
+        inputs = [rng.normal(scale=0.8, size=s) for s in shapes]
+        c = Tensor(rng.normal(size=op(*map(Tensor, inputs), **kwargs).shape))
+
+        def f(t):
+            args = [t if i == wrt else Tensor(a) for i, a in enumerate(inputs)]
+            return (op(*args, **kwargs) * c).sum()
+
+        err = finite_diff_check(f, inputs[wrt], h=1e-5)
+        assert err < 1e-4, f"{name} w.r.t. input {wrt}: fd error {err}"
+
+
+@pytest.mark.parametrize("name", list(FUSED_OPS))
+def test_fused_op_matches_the_composite_it_replaced(name):
+    op, composite, shapes, kwargs = FUSED_OPS[name]
+    rng = np.random.default_rng(sum(map(ord, name)))
+    inputs = [rng.normal(size=s) for s in shapes]
+    c = rng.normal(size=op(*map(Tensor, inputs), **kwargs).shape)
+
+    def run(fn):
+        leaves = [Tensor(a, requires_grad=True) for a in inputs]
+        out = fn(*leaves, **kwargs)
+        return [out.data] + ad.grads((out * Tensor(c)).sum(), leaves)
+
+    for new, old in zip(run(op), run(composite)):
+        assert new.shape == old.shape
+        assert np.abs(new - old).max() <= 1e-12 * max(1.0, np.abs(old).max())
+
+
+@pytest.mark.parametrize("name", list(FUSED_OPS))
+def test_fused_op_traps_nan_input_in_checked_mode(name):
+    op, _, shapes, kwargs = FUSED_OPS[name]
+    inputs = [np.ones(s) for s in shapes]
+    inputs[0][0, 0] = np.nan
+    tensors = [Tensor(a, requires_grad=True) for a in inputs]
+    op_name = name.split("-")[0]
+    with pytest.raises(ad.NonFiniteError, match=f"'{op_name}'"):
+        op(*tensors, **kwargs)
+    with ad.checked(False):
+        out = op(*tensors, **kwargs)
+    assert out.op == op_name
+    assert np.isnan(out.data).any()
+

@@ -140,8 +140,9 @@ def test_accumulate_inverse_roundtrip():
 
 
 def _walk(rng, n=12):
+    """Random walk in the y-up world: 3D steps, yaw about y."""
     rels = [se3_exp(np.concatenate([rng.normal(scale=0.2, size=3),
-                                    [0.0, 0.0, rng.normal(scale=0.1)]])) for _ in range(n - 1)]
+                                    [0.0, rng.normal(scale=0.1), 0.0]])) for _ in range(n - 1)]
     return accumulate_trajectory([Pose.identity()] + rels)
 
 
@@ -160,8 +161,8 @@ def test_trajectory_errors_alignment_removes_constant_shift():
 
 def test_trajectory_errors_pure_yaw_offset():
     gt = _walk(np.random.default_rng(7))
-    rz = se3_exp([0, 0, 0, 0, 0, np.radians(10.0)]).rotation
-    pred = [Pose(rz @ p.rotation, p.translation) for p in gt]
+    ry = se3_exp([0, 0, 0, 0, np.radians(10.0), 0]).rotation
+    pred = [Pose(ry @ p.rotation, p.translation) for p in gt]
     trans, rot = trajectory_errors(pred, gt)
     assert trans < 1e-12
     assert rot == pytest.approx(10.0, abs=1e-9)
@@ -173,12 +174,39 @@ def test_trajectory_errors_invariant_to_planar_rigid_transform():
     pred = [Pose(p.rotation, p.translation + rng.normal(scale=0.05, size=3)) for p in gt]
     base = trajectory_errors(pred, gt)
 
-    g = Pose(se3_exp([0, 0, 0, 0, 0, 0.7]).rotation, np.array([3.0, -2.0, 5.0]))
+    g = Pose(se3_exp([0, 0, 0, 0, 0.7, 0]).rotation, np.array([3.0, -2.0, 5.0]))
     pred_t = [g.compose(p) for p in pred]
     gt_t = [g.compose(p) for p in gt]
     moved = trajectory_errors(pred_t, gt_t)
     assert moved[0] == pytest.approx(base[0], abs=1e-9)
     assert moved[1] == pytest.approx(base[1], abs=1e-9)
+
+
+def _synth_line(n=5, step=0.1):
+    from dvokit.synth import MotionSpec, default_intrinsics, generate_trajectory, preset_scene
+
+    frames = generate_trajectory(preset_scene("room"), default_intrinsics(16), n,
+                                 MotionSpec(kind="line", step=(0.0, 0.0, step)),
+                                 np.random.default_rng(0))
+    return [f.cam_to_world for f in frames]
+
+
+def test_trajectory_errors_score_forward_motion_in_the_y_up_world():
+    gt = _synth_line()
+    still = [Pose.identity()] * len(gt)
+    trans, rot = trajectory_errors(still, gt)
+    assert trans == pytest.approx(0.2, abs=1e-12)  # mean of 0, 0.1, ..., 0.4 m
+    assert rot == 0.0
+
+
+def test_trajectory_svg_draws_forward_motion(tmp_path):
+    from dvokit.plots import trajectory_svg
+
+    gt = _synth_line()
+    out = tmp_path / "line.svg"
+    trajectory_svg([Pose.identity()] * len(gt), gt, out)
+    gt_points = out.read_text().split('<polyline points="')[1].split('"')[0].split()
+    assert len(set(gt_points)) == len(gt)
 
 
 def test_trajectory_errors_validation():

@@ -248,6 +248,21 @@ def test_forward_dvo_loss_differentiable_to_all_trainable_params(static_pair_32)
     assert np.abs(found[id(names["depth_head.fc2.weight"])]).max() > 0
 
 
+@pytest.mark.parametrize(
+    "pair_fixture,head_kind,bound",
+    [("static_pair_32", "linear", 1150), ("static_pair_64", "dpt", 1300)],
+)
+def test_finetune_loss_graph_node_count(pair_fixture, head_kind, bound, request):
+    # the fused conv3x3 / layernorm / softmax / box3 ops keep one finetune
+    # loss at 1,099 (32 px, linear head) and 1,261 (64 px, DPT head) nodes;
+    # their former composites took it to 1,656 and 2,892
+    pair = request.getfixturevalue(pair_fixture)
+    model = DvoModel(toy_config(head_kind=head_kind), np.random.default_rng(0))
+    d_a, d_b, twist = forward_dvo(model, pair.image_a, pair.image_b)
+    loss = total_loss(pair, d_a, d_b, twist).l_total
+    assert len(ad.Tape.trace(loss).nodes) <= bound
+
+
 def test_adapter_noop_at_init_and_count():
     # a block's AdaptMLP with zero up-projection matches the plain MLP bitwise
     cfg_ad = ModelConfig(patch_size=8, enc_dim=32, enc_depth=1, enc_heads=4,
