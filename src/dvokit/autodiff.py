@@ -3,12 +3,15 @@
 Every differentiable quantity in this package (losses, networks, warps) is a
 ``Tensor`` so gradients can be audited end to end against finite differences.
 Arrays are numpy float64 throughout; broadcasting follows numpy's
-trailing-dimension rules. A global "checked" flag (on by default) traps
+trailing-dimension rules, and the image ops take leading batch axes
+(``(..., C, H, W)``) the same way. An operand that does not require
+gradients gets none computed. A global "checked" flag (on by default) traps
 non-finite values and zero denominators as soon as they appear.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 from contextlib import contextmanager
 from typing import Callable, Iterable, Sequence
@@ -71,7 +74,7 @@ def checked(flag: bool):
 
 
 def _verify_finite(data: np.ndarray, op: str) -> None:
-    if checked_enabled() and not np.all(np.isfinite(data)):
+    if checked_enabled() and not np.isfinite(data).all():
         raise NonFiniteError(f"non-finite value produced by op '{op}'")
 
 
@@ -149,7 +152,8 @@ class Tensor:
         out = a.data + b.data
 
         def grad_fn(g):
-            return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
+            ga = _unbroadcast(g, a.shape) if a.requires_grad else None
+            return ga, _unbroadcast(g, b.shape) if b.requires_grad else None
 
         return Tensor._make(out, (a, b), grad_fn, "add")
 
@@ -160,7 +164,8 @@ class Tensor:
         out = a.data - b.data
 
         def grad_fn(g):
-            return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
+            ga = _unbroadcast(g, a.shape) if a.requires_grad else None
+            return ga, _unbroadcast(-g, b.shape) if b.requires_grad else None
 
         return Tensor._make(out, (a, b), grad_fn, "sub")
 
@@ -172,7 +177,8 @@ class Tensor:
         out = a.data * b.data
 
         def grad_fn(g):
-            return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
+            ga = _unbroadcast(g * b.data, a.shape) if a.requires_grad else None
+            return ga, _unbroadcast(g * a.data, b.shape) if b.requires_grad else None
 
         return Tensor._make(out, (a, b), grad_fn, "mul")
 
@@ -185,10 +191,10 @@ class Tensor:
         out = a.data / b.data
 
         def grad_fn(g):
-            return (
-                _unbroadcast(g / b.data, a.shape),
-                _unbroadcast(-g * a.data / (b.data * b.data), b.shape),
-            )
+            ga = _unbroadcast(g / b.data, a.shape) if a.requires_grad else None
+            if not b.requires_grad:
+                return ga, None
+            return ga, _unbroadcast(-g * a.data / (b.data * b.data), b.shape)
 
         return Tensor._make(out, (a, b), grad_fn, "div")
 
@@ -219,9 +225,12 @@ class Tensor:
         out = a.data @ b.data
 
         def grad_fn(g):
-            ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape)
-            gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape)
-            return ga, gb
+            ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape) if a.requires_grad else None
+            if not b.requires_grad:
+                return ga, None
+            if b.ndim == 2:  # a weight: one GEMM over every leading row of `a`
+                return ga, a.data.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+            return ga, _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape)
 
         return Tensor._make(out, (a, b), grad_fn, "matmul")
 
@@ -436,10 +445,8 @@ def where(cond: np.ndarray, a, b) -> Tensor:
     out = np.where(cond, ta.data, tb.data)
 
     def grad_fn(g):
-        return (
-            _unbroadcast(g * cond, ta.shape),
-            _unbroadcast(g * ~cond, tb.shape),
-        )
+        ga = _unbroadcast(g * cond, ta.shape) if ta.requires_grad else None
+        return ga, _unbroadcast(g * ~cond, tb.shape) if tb.requires_grad else None
 
     return Tensor._make(out, (ta, tb), grad_fn, "where")
 
@@ -463,68 +470,81 @@ def gather_hw(img: Tensor, iy: np.ndarray, ix: np.ndarray) -> Tensor:
 
 
 def row_scatter(base: Tensor, idx: np.ndarray, rows: Tensor) -> Tensor:
-    """Copy `base` (N, d) with rows at `idx` replaced by `rows` (K, d)."""
+    """Copy `base` (..., N, d) with rows at `idx` (on axis -2) replaced by
+    `rows` (..., K, d)."""
     base, rows = _as_tensor(base), _as_tensor(rows)
     idx = np.asarray(idx, dtype=np.int64)
     out = base.data.copy()
-    out[idx] = rows.data
+    out[..., idx, :] = rows.data
 
     def grad_fn(g):
         gb = g.copy()
-        gb[idx] = 0.0
-        return gb, g[idx]
+        gb[..., idx, :] = 0.0
+        return gb, g[..., idx, :]
 
     return Tensor._make(out, (base, rows), grad_fn, "row_scatter")
 
 
 def upsample_nearest(t: Tensor, factor: int) -> Tensor:
-    """Nearest-neighbor upsample of a (C, H, W) tensor by an integer factor."""
+    """Nearest-neighbor upsample of a (..., C, H, W) tensor by an integer factor."""
     t = _as_tensor(t)
-    if t.ndim != 3:
-        raise ValueError("upsample_nearest expects a (C, H, W) tensor")
+    if t.ndim < 3:
+        raise ValueError("upsample_nearest expects a (..., C, H, W) tensor")
     k = int(factor)
-    out = np.repeat(np.repeat(t.data, k, axis=1), k, axis=2)
-    c, h, w = t.shape
+    out = np.repeat(np.repeat(t.data, k, axis=-2), k, axis=-1)
+    *lead, h, w = t.shape
 
     def grad_fn(g):
-        return (g.reshape(c, h, k, w, k).sum(axis=(2, 4)),)
+        return (g.reshape(*lead, h, k, w, k).sum(axis=(-3, -1)),)
 
     return Tensor._make(out, (t,), grad_fn, "upsample_nearest")
 
 
 def conv3x3(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
-    """3x3 convolution of a (C, H, W) map, zero padded, stride 1.
+    """3x3 convolution of a (..., C, H, W) map, zero padded, stride 1.
 
     `weight` is (3, 3, C, C_out) and `bias` is (C_out,). The forward pass is
-    one GEMM over im2col rows; the backward pass folds the column gradient
-    back onto the input (col2im).
+    one GEMM over the im2col rows of every map in the batch. The backward
+    pass keeps only the padded input, not the nine times larger im2col
+    matrix: it rebuilds each tap's rows from it for that tap's weight
+    gradient GEMM, and folds each tap's column gradient back onto the input
+    (col2im) one tap at a time.
     """
     x, weight, bias = _as_tensor(x), _as_tensor(weight), _as_tensor(bias)
-    if x.ndim != 3:
-        raise ValueError("conv3x3 expects a (C, H, W) tensor")
-    c, h, w = x.shape
+    if x.ndim < 3:
+        raise ValueError("conv3x3 expects a (..., C, H, W) tensor")
+    *lead, c, h, w = x.shape
     if weight.ndim != 4 or weight.shape[:3] != (3, 3, c):
         raise ValueError(f"conv3x3 weight must be (3, 3, {c}, C_out), got {weight.shape}")
     c_out = weight.shape[3]
     if bias.shape != (c_out,):
         raise ValueError(f"conv3x3 bias must be ({c_out},), got {bias.shape}")
-    xp = np.zeros((c, h + 2, w + 2))
-    xp[:, 1 : h + 1, 1 : w + 1] = x.data
-    cols = np.empty((9 * c, h * w))
-    for k in range(9):
+    n = math.prod(lead)
+    # channel-major layout (C, n, H, W): each tap's rows are then one
+    # contiguous (C, n*H*W) block of the im2col matrix
+    xp = np.zeros((c, n, h + 2, w + 2))
+    xp[:, :, 1 : h + 1, 1 : w + 1] = x.data.reshape(n, c, h, w).transpose(1, 0, 2, 3)
+
+    def tap_rows(k: int) -> np.ndarray:
         dy, dx = divmod(k, 3)
-        cols[k * c : (k + 1) * c] = xp[:, dy : dy + h, dx : dx + w].reshape(c, h * w)
+        return xp[:, :, dy : dy + h, dx : dx + w].reshape(c, n * h * w)
+
+    cols = np.concatenate([tap_rows(k) for k in range(9)])
     w2 = weight.data.reshape(9 * c, c_out)
-    out = (w2.T @ cols + bias.data[:, None]).reshape(c_out, h, w)
+    out = (w2.T @ cols + bias.data[:, None]).reshape(c_out, n, h, w)
+    del cols
+    out = out.transpose(1, 0, 2, 3).reshape(*lead, c_out, h, w)
 
     def grad_fn(g):
-        g2 = g.reshape(c_out, h * w)
-        gcols = w2 @ g2
-        gxp = np.zeros((c, h + 2, w + 2))
+        g2 = g.reshape(n, c_out, h * w).transpose(1, 0, 2).reshape(c_out, n * h * w)
+        gxp = np.zeros((c, n, h + 2, w + 2))
+        gw = np.empty((9, c, c_out))
         for k in range(9):
             dy, dx = divmod(k, 3)
-            gxp[:, dy : dy + h, dx : dx + w] += gcols[k * c : (k + 1) * c].reshape(c, h, w)
-        return gxp[:, 1 : h + 1, 1 : w + 1], (cols @ g2.T).reshape(weight.shape), g2.sum(axis=1)
+            gw[k] = tap_rows(k) @ g2.T
+            gxp[:, :, dy : dy + h, dx : dx + w] += (w2[k * c : (k + 1) * c] @ g2).reshape(c, n, h, w)
+        gx = gxp[:, :, 1 : h + 1, 1 : w + 1].transpose(1, 0, 2, 3).reshape(*lead, c, h, w)
+        return gx, gw.reshape(weight.shape), g2.sum(axis=1)
 
     return Tensor._make(out, (x, weight, bias), grad_fn, "conv3x3")
 

@@ -15,7 +15,7 @@ import json
 import math
 import os
 import struct
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -97,7 +97,7 @@ def paper_scale_config() -> ModelConfig:
 
 @dataclass
 class TokenGrid:
-    """Per-patch features plus the grid geometry they came from.
+    """Per-patch features (..., N, D) plus the grid geometry they came from.
 
     `keep` lists the retained token positions when the frame was partially
     masked (pretraining); None means all rows*cols tokens are present.
@@ -113,17 +113,22 @@ class TokenGrid:
 
 
 def patchify(image: Tensor, patch: int) -> Tensor:
-    """(3, H, W) -> (N, patch*patch*3), rows-major patch order."""
-    c, h, w = image.shape
+    """(..., 3, H, W) -> (..., N, patch*patch*3), rows-major patch order."""
+    *lead, c, h, w = image.shape
+    nl = len(lead)
     gh, gw = h // patch, w // patch
-    x = image.reshape(c, gh, patch, gw, patch)
-    return x.transpose(1, 3, 2, 4, 0).reshape(gh * gw, patch * patch * c)
+    x = image.reshape(*lead, c, gh, patch, gw, patch)
+    x = x.transpose(*range(nl), nl + 1, nl + 3, nl + 2, nl + 4, nl)
+    return x.reshape(*lead, gh * gw, patch * patch * c)
 
 
 def unpatchify_map(tokens: Tensor, rows: int, cols: int, patch: int) -> Tensor:
-    """(N, patch*patch) -> (H, W)."""
-    x = tokens.reshape(rows, cols, patch, patch)
-    return x.transpose(0, 2, 1, 3).reshape(rows * patch, cols * patch)
+    """(..., N, patch*patch) -> (..., H, W)."""
+    lead = tokens.shape[:-2]
+    nl = len(lead)
+    x = tokens.reshape(*lead, rows, cols, patch, patch)
+    x = x.transpose(*range(nl), nl, nl + 2, nl + 1, nl + 3)
+    return x.reshape(*lead, rows * patch, cols * patch)
 
 
 def depth_from_raw(x: Tensor, min_depth: float, max_depth: float) -> Tensor:
@@ -170,12 +175,13 @@ class DptDepthHead(nn.Module):
         self._width = width
 
     def _reassemble(self, tokens: Tensor, rows: int, cols: int, tap_pos: int) -> Tensor:
+        lead = tokens.shape[:-2]
         fmap = self.projs[tap_pos](
-            self.norms[tap_pos](tokens).transpose(1, 0).reshape(self._cfg.dec_dim, rows, cols)
+            nn._swap_last(self.norms[tap_pos](tokens)).reshape(*lead, self._cfg.dec_dim, rows, cols)
         )
         scale = (4, 2, 1, 0)[tap_pos]  # 0 marks the 1/2 downsample
         if scale == 0:
-            return fmap[:, ::2, ::2]
+            return fmap[..., ::2, ::2]
         if scale == 1:
             return fmap
         return ad.upsample_nearest(fmap, scale)
@@ -190,7 +196,7 @@ class DptDepthHead(nn.Module):
         x = self.fuse[1](ad.upsample_nearest(x, 2) + feats[1])
         x = self.fuse[0](ad.upsample_nearest(x, 2) + feats[0])
         x = ad.upsample_nearest(x, self._cfg.patch_size // 4)
-        raw = self.head_out(self.head_conv(x).gelu())[0]
+        raw = self.head_out(self.head_conv(x).gelu())[..., 0, :, :]
         return depth_from_raw(raw, self._cfg.min_depth, self._cfg.max_depth)
 
 
@@ -200,7 +206,7 @@ class PoseHead(nn.Module):
     The first layer acts per patch pair (so local correspondence information
     survives), the result is mean-pooled over patches, and the final layer
     starts at zero with a 0.01 output scale so training begins at the
-    identity pose.
+    identity pose. Tokens (..., N, D) of both frames give twists (..., 6).
     """
 
     def __init__(self, cfg: ModelConfig, rng):
@@ -210,9 +216,10 @@ class PoseHead(nn.Module):
     def __call__(self, tokens_a: Tensor, tokens_b: Tensor) -> Tensor:
         if tokens_a.shape != tokens_b.shape:
             raise ValueError("token grids of both frames must match")
-        per_patch = self.fc1(ad.concat([tokens_a, tokens_b], axis=1)).gelu()
-        pooled = per_patch.mean(axis=0).reshape(1, -1)
-        return (self.fc2(pooled) * 0.01).reshape(6)
+        lead = tokens_a.shape[:-2]
+        per_patch = self.fc1(ad.concat([tokens_a, tokens_b], axis=-1)).gelu()
+        pooled = per_patch.mean(axis=-2).reshape(*lead, 1, -1)
+        return (self.fc2(pooled) * 0.01).reshape(*lead, 6)
 
 
 class PixelHead(nn.Module):
@@ -260,7 +267,7 @@ class DvoModel(nn.Module):
     # non-Tensor, non-Module values.
 
     def grid_shape(self, image_shape) -> tuple[int, int]:
-        _, h, w = image_shape
+        h, w = image_shape[-2:]
         p = self.cfg.patch_size
         if h % p or w % p:
             raise ValueError(f"image dims {h}x{w} not divisible by patch size {p}")
@@ -269,9 +276,11 @@ class DvoModel(nn.Module):
     def encode(self, image, keep: np.ndarray | None = None) -> TokenGrid:
         """Patch-embed + positional encoding + encoder blocks.
 
-        `keep` restricts processing to the listed token positions (masked
-        pretraining); position encodings are applied per grid position before
-        subsetting, so kept tokens are encoded identically either way.
+        `image` is (..., 3, H, W); the tokens are (..., N, enc_dim). `keep`
+        restricts processing to the listed token positions (masked
+        pretraining; it indexes axis -2); position encodings are applied per
+        grid position before subsetting, so kept tokens are encoded
+        identically either way.
         """
         img = image if isinstance(image, Tensor) else Tensor(image)
         rows, cols = self.grid_shape(img.shape)
@@ -282,7 +291,7 @@ class DvoModel(nn.Module):
             if keep.size == rows * cols:
                 keep = None  # keeping everything is the unmasked path
             else:
-                x = x[keep]
+                x = x[..., keep, :]
         for block in self.enc_blocks:
             x = block(x)
         return TokenGrid(tokens=self.enc_norm(x), rows=rows, cols=cols, keep=keep)
@@ -291,11 +300,12 @@ class DvoModel(nn.Module):
         """Run decoder blocks on the target tokens with cross-attention to the
         reference tokens; returns every block's output so heads can tap
         intermediate depths. Masked target positions are filled with the
-        learnable mask token."""
+        learnable mask token. Both grids may carry the same leading axes."""
         x = self.dec_proj(tgt.tokens)
         n_full = tgt.rows * tgt.cols
         if tgt.keep is not None:
-            base = self.mask_token.reshape(1, -1) * Tensor(np.ones((n_full, 1)))
+            lead = tgt.tokens.shape[:-2]
+            base = self.mask_token.reshape(1, -1) * Tensor(np.ones((*lead, n_full, 1)))
             x = ad.row_scatter(base, tgt.keep, x)
         x = x + Tensor(nn.posemb_2d(tgt.rows, tgt.cols, self.cfg.dec_dim))
         y = self.dec_proj(ref.tokens) + Tensor(nn.posemb_2d(ref.rows, ref.cols, self.cfg.dec_dim))
@@ -306,22 +316,22 @@ class DvoModel(nn.Module):
         return outs
 
     def depth(self, tgt: TokenGrid, ref: TokenGrid) -> Tensor:
-        """Depth map of the target frame, decoded with the reference frame."""
+        """Depth map (..., H, W) of the target frame, decoded with the
+        reference frame."""
         return self.depth_head(self.decode(tgt, ref), tgt.rows, tgt.cols)
 
 
 def forward_dvo(model: DvoModel, image_a, image_b) -> tuple[Tensor, Tensor, Tensor]:
     """Depth maps for both frames plus the twist taking frame a to frame b.
 
-    The encoder is shared; depth for each frame decodes with the other frame
-    as reference; the pose head consumes encoder tokens.
+    The shared encoder runs once over both frames as a batch of two; the
+    decoder and depth head then run once, each frame decoding with the other
+    frame as reference; the pose head consumes encoder tokens.
     """
-    grid_a = model.encode(image_a)
-    grid_b = model.encode(image_b)
-    depth_a = model.depth(grid_a, grid_b)
-    depth_b = model.depth(grid_b, grid_a)
-    twist = model.pose_head(grid_a.tokens, grid_b.tokens)
-    return depth_a, depth_b, twist
+    grids = model.encode(np.stack([image_a, image_b]))
+    depth = model.depth(grids, replace(grids, tokens=grids.tokens[::-1]))
+    twist = model.pose_head(grids.tokens[0], grids.tokens[1])
+    return depth[0], depth[1], twist
 
 
 # ---- masked cross-view completion pretraining -------------------------------------------
@@ -433,10 +443,13 @@ def load_state(model: DvoModel, arrays: dict[str, np.ndarray]) -> None:
 # ---- checkpoint file format ----------------------------------------------------------------
 # magic "DVOC", u32 version, u32 json length + UTF-8 JSON config, then blobs
 # (u32 name length, name, u32 rank, u32 extents…, little-endian f64 data)
-# ordered lexicographically by name. All integers little-endian.
+# ordered lexicographically by name, then a footer: end magic "DVOE" and the
+# u32 blob count, so a file cut between two blobs does not load. All integers
+# little-endian.
 
 _MAGIC = b"DVOC"
-_VERSION = 1
+_END_MAGIC = b"DVOE"
+_VERSION = 2
 
 
 def save_checkpoint(path, arrays: dict[str, np.ndarray], config: dict) -> None:
@@ -458,6 +471,8 @@ def save_checkpoint(path, arrays: dict[str, np.ndarray], config: dict) -> None:
                 f.write(struct.pack("<I", data.ndim))
                 f.write(struct.pack(f"<{data.ndim}I", *data.shape))
                 f.write(data.tobytes())
+            f.write(_END_MAGIC)
+            f.write(struct.pack("<I", len(arrays)))
         os.replace(tmp, path)
     except BaseException:
         Path(tmp).unlink(missing_ok=True)
@@ -468,11 +483,11 @@ def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
     """(config, arrays by name); a malformed or truncated file raises
     DataError naming `path`."""
     raw = Path(path).read_bytes()
-    offset = 0
+    offset, end = 0, len(raw)
 
     def take(n: int) -> bytes:
         nonlocal offset
-        if offset + n > len(raw):
+        if offset + n > end:
             raise DataError(f"checkpoint {path} is truncated ({len(raw)} bytes)")
         offset += n
         return raw[offset - n : offset]
@@ -485,14 +500,20 @@ def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
     (version,) = u32()
     if version != _VERSION:
         raise DataError(f"unsupported checkpoint version {version} in {path}")
+    end -= 8
+    if end < offset or raw[end : end + 4] != _END_MAGIC:
+        raise DataError(f"checkpoint {path} is truncated ({len(raw)} bytes): no end marker")
+    (count,) = struct.unpack("<I", raw[end + 4 :])
     try:
         config = json.loads(take(u32()[0]).decode("utf-8"))
         arrays: dict[str, np.ndarray] = {}
-        while offset < len(raw):
+        while offset < end:
             name = take(u32()[0]).decode("utf-8")
             shape = u32(u32()[0])
             data = np.frombuffer(take(8 * math.prod(shape)), dtype="<f8")
             arrays[name] = data.reshape(shape).astype(np.float64)
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise DataError(f"malformed checkpoint {path}: {e}") from e
+    if len(arrays) != count:
+        raise DataError(f"checkpoint {path} holds {len(arrays)} arrays, its footer says {count}")
     return config, arrays

@@ -100,17 +100,36 @@ class AdaptMlp(Module):
         return self.mlp(x) + self._scale * self.adapter_up(self.adapter_down(x).relu())
 
 
+def _swap_last(x: Tensor) -> Tensor:
+    """Swap the last two axes of a tensor of any rank."""
+    lead = tuple(range(x.ndim - 2))
+    return x.transpose(*lead, x.ndim - 1, x.ndim - 2)
+
+
 def _split_heads(x: Tensor, heads: int) -> Tensor:
-    n, d = x.shape
-    return x.reshape(n, heads, d // heads).transpose(1, 0, 2)  # (h, N, dh)
+    """(..., N, D) -> (..., h, N, D/h)."""
+    *lead, n, d = x.shape
+    nl = len(lead)
+    return x.reshape(*lead, n, heads, d // heads).transpose(*range(nl), nl + 1, nl, nl + 2)
 
 
 def _merge_heads(x: Tensor) -> Tensor:
-    h, n, dh = x.shape
-    return x.transpose(1, 0, 2).reshape(n, h * dh)
+    """(..., h, N, dh) -> (..., N, h*dh)."""
+    *lead, h, n, dh = x.shape
+    nl = len(lead)
+    return x.transpose(*range(nl), nl + 1, nl, nl + 2).reshape(*lead, n, h * dh)
+
+
+def _attend(q: Tensor, k: Tensor, v: Tensor, scale: float) -> Tensor:
+    """Scaled dot-product attention over (..., h, N, dh) heads, merged back
+    to (..., N, D)."""
+    attn = ad.softmax((q @ _swap_last(k)) * scale, axis=-1)
+    return _merge_heads(attn @ v)
 
 
 class SelfAttention(Module):
+    """Multi-head self-attention over (..., N, D) tokens."""
+
     def __init__(self, dim, heads, rng):
         if dim % heads:
             raise ValueError("dim must be divisible by heads")
@@ -120,14 +139,16 @@ class SelfAttention(Module):
         self._scale = (dim // heads) ** -0.5
 
     def __call__(self, x: Tensor) -> Tensor:
-        n, d = x.shape
-        qkv = self.qkv(x).reshape(n, 3, self._heads, d // self._heads).transpose(1, 2, 0, 3)
-        q, k, v = qkv[0], qkv[1], qkv[2]  # (h, N, dh)
-        attn = ad.softmax((q @ k.transpose(0, 2, 1)) * self._scale, axis=-1)
-        return self.proj(_merge_heads(attn @ v))
+        *lead, n, d = x.shape
+        nl = len(lead)
+        qkv = self.qkv(x).reshape(*lead, n, 3, self._heads, d // self._heads)
+        qkv = qkv.transpose(nl + 1, *range(nl), nl + 2, nl, nl + 3)  # (3, ..., h, N, dh)
+        return self.proj(_attend(qkv[0], qkv[1], qkv[2], self._scale))
 
 
 class CrossAttention(Module):
+    """Multi-head attention from (..., N, D) queries to (..., M, D) context."""
+
     def __init__(self, dim, heads, rng):
         if dim % heads:
             raise ValueError("dim must be divisible by heads")
@@ -138,12 +159,12 @@ class CrossAttention(Module):
         self._scale = (dim // heads) ** -0.5
 
     def __call__(self, x: Tensor, ctx: Tensor) -> Tensor:
-        m, d = ctx.shape
+        *lead, m, d = ctx.shape
+        nl = len(lead)
         q = _split_heads(self.q(x), self._heads)
-        kv = self.kv(ctx).reshape(m, 2, self._heads, d // self._heads).transpose(1, 2, 0, 3)
-        k, v = kv[0], kv[1]
-        attn = ad.softmax((q @ k.transpose(0, 2, 1)) * self._scale, axis=-1)
-        return self.proj(_merge_heads(attn @ v))
+        kv = self.kv(ctx).reshape(*lead, m, 2, self._heads, d // self._heads)
+        kv = kv.transpose(nl + 1, *range(nl), nl + 2, nl, nl + 3)  # (2, ..., h, M, dh)
+        return self.proj(_attend(q, kv[0], kv[1], self._scale))
 
 
 def _mlp_for(dim, hidden, adapter_dim, adapter_scale, rng):
@@ -185,7 +206,7 @@ class DecoderBlock(Module):
 
 
 class Conv3x3(Module):
-    """3x3 convolution on (C, H, W) maps, zero padded, stride 1.
+    """3x3 convolution on (..., C, H, W) maps, zero padded, stride 1.
 
     One ``ad.conv3x3`` node: an im2col GEMM forward and a col2im backward.
     """
@@ -199,15 +220,17 @@ class Conv3x3(Module):
 
 
 class Conv1x1(Module):
+    """Per-pixel projection of (..., C, H, W) maps."""
+
     def __init__(self, c_in, c_out, rng):
         self.weight = ad.parameter(_init(rng, (c_in, c_out)))
         self.bias = ad.parameter(np.zeros(c_out))
         self._c_out = c_out
 
     def __call__(self, x: Tensor) -> Tensor:
-        c, h, w = x.shape
-        out = x.reshape(c, h * w).transpose(1, 0) @ self.weight + self.bias
-        return out.transpose(1, 0).reshape(self._c_out, h, w)
+        *lead, c, h, w = x.shape
+        out = _swap_last(x.reshape(*lead, c, h * w)) @ self.weight + self.bias
+        return _swap_last(out).reshape(*lead, self._c_out, h, w)
 
 
 class ResidualConvUnit(Module):

@@ -7,7 +7,7 @@ from __future__ import annotations
 import json
 import subprocess
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -170,7 +170,9 @@ def evaluate_depth(model: DvoModel, dataset: PairDataset, eval_cfg: DepthEvalCon
     eval_cfg = eval_cfg or DepthEvalConfig(cap=model.cfg.max_depth)
     reports = []
     for pair in dataset.pairs:
-        depth = model.depth(model.encode(pair.image_a), model.encode(pair.image_b))
+        grids = model.encode(np.stack([pair.image_a, pair.image_b]))
+        tgt, ref = (replace(grids, tokens=grids.tokens[i]) for i in (0, 1))
+        depth = model.depth(tgt, ref)
         reports.append(depth_metrics(depth.data, pair.gt_depth_a.values, eval_cfg))
     return mean_reports(reports)
 

@@ -1,8 +1,10 @@
 """Independent reference implementations used to freeze expected test values.
 
 Everything here is deliberately loop-based and separate from the library's
-vectorized code paths, except the composites at the end: the fused autodiff
-ops are checked against them, built from primitive Tensor ops.
+vectorized code paths, except the composites and the per-frame forward at
+the end: the fused autodiff ops are checked against composites built from
+primitive Tensor ops, and the batched two-frame forward against one built
+from unbatched calls.
 """
 
 import numpy as np
@@ -73,7 +75,10 @@ def depth_metrics_reference(pred: np.ndarray, gt: np.ndarray):
 
 
 def conv3x3_composite(x, weight, bias):
-    """3x3 zero-padded convolution as nine shifted 1x1 projections."""
+    """3x3 zero-padded convolution as nine shifted 1x1 projections; a
+    (B, C, H, W) batch is convolved map by map."""
+    if x.ndim == 4:
+        return ad.stack([conv3x3_composite(x[i], weight, bias) for i in range(x.shape[0])])
     c, h, w = x.shape
     c_out = weight.shape[3]
     zr = Tensor(np.zeros((c, 1, w)))
@@ -117,3 +122,17 @@ def box3_composite(img):
             sl = p[:, dy : dy + h, dx : dx + w]
             acc = sl if acc is None else acc + sl
     return acc * (1.0 / 9.0)
+
+
+# ---- the two-frame forward before its frames were batched -----------------------------
+
+
+def forward_dvo_per_frame(model, image_a, image_b):
+    """`forward_dvo` from unbatched calls: two encoder passes, and a decoder
+    and depth-head pass per frame against the other frame."""
+    grid_a = model.encode(image_a)
+    grid_b = model.encode(image_b)
+    depth_a = model.depth(grid_a, grid_b)
+    depth_b = model.depth(grid_b, grid_a)
+    twist = model.pose_head(grid_a.tokens, grid_b.tokens)
+    return depth_a, depth_b, twist

@@ -227,11 +227,34 @@ def test_gather_and_scatter_gradients():
 
     assert finite_diff_check(s_rows, rng.normal(size=(2, 3)), h=1e-5) < 1e-4
 
+    # leading axes: rows are replaced on axis -2 of every batch entry
+    base_b = rng.normal(size=(2, 6, 3))
+    rows_b = rng.normal(size=(2, 2, 3))
+    out = ad.row_scatter(Tensor(base_b), np.array([1, 4]), Tensor(rows_b)).data
+    for i in range(2):
+        assert np.array_equal(out[i], ad.row_scatter(Tensor(base_b[i]), np.array([1, 4]), Tensor(rows_b[i])).data)
+
+    def s_batched(t):
+        return (ad.row_scatter(t, np.array([1, 4]), Tensor(rows_b)) ** 2.0).sum()
+
+    assert finite_diff_check(s_batched, base_b, h=1e-5) < 1e-4
+
+    def s_rows_batched(t):
+        return (ad.row_scatter(Tensor(base_b), np.array([1, 4]), t) ** 2.0).sum()
+
+    assert finite_diff_check(s_rows_batched, rows_b, h=1e-5) < 1e-4
+
 
 def test_upsample_nearest_and_where_gradients():
     rng = np.random.default_rng(9)
     x0 = rng.normal(size=(2, 3, 3))
     assert finite_diff_check(lambda t: ad.upsample_nearest(t, 2).mean(), x0, h=1e-5) < 1e-4
+    xb = rng.normal(size=(2, 2, 3, 4))
+    cb = Tensor(rng.normal(size=(2, 2, 9, 12)))
+    up = ad.upsample_nearest(Tensor(xb), 3).data
+    assert up.shape == (2, 2, 9, 12)
+    assert np.array_equal(up[1], ad.upsample_nearest(Tensor(xb[1]), 3).data)
+    assert finite_diff_check(lambda t: (ad.upsample_nearest(t, 3) * cb).sum(), xb, h=1e-5) < 1e-4
 
     mask = rng.random((3, 3)) > 0.5
 
@@ -258,6 +281,25 @@ def test_determinism_bit_identical():
     assert np.array_equal(g1, g2)
 
 
+@pytest.mark.parametrize("op", ["add", "sub", "mul", "div", "matmul", "where"])
+def test_no_gradient_is_computed_for_a_constant_operand(op):
+    rng = np.random.default_rng(11)
+    x = ad.parameter(rng.normal(size=(3, 3)))
+    c = Tensor(rng.normal(size=(3, 3)) + 3.0)
+    build = {
+        "add": lambda a, b: a + b,
+        "sub": lambda a, b: a - b,
+        "mul": lambda a, b: a * b,
+        "div": lambda a, b: a / b,
+        "matmul": lambda a, b: a @ b,
+        "where": lambda a, b: ad.where(np.eye(3, dtype=bool), a, b),
+    }[op]
+    for out, const_pos in ((build(x, c), 1), (build(c, x), 0)):
+        grads_out = out._grad_fn(np.ones(out.shape))
+        assert grads_out[const_pos] is None
+        assert grads_out[1 - const_pos].shape == x.shape
+
+
 def test_tape_visits_each_op_once():
     x = Tensor([1.0, 2.0], requires_grad=True)
     y = x * 2.0
@@ -274,6 +316,7 @@ def test_tape_visits_each_op_once():
 FUSED_OPS = {
     # name: (fused op, composite oracle, input shapes, keyword arguments)
     "conv3x3": (ad.conv3x3, oracles.conv3x3_composite, [(3, 5, 6), (3, 3, 3, 4), (4,)], {}),
+    "conv3x3-batched": (ad.conv3x3, oracles.conv3x3_composite, [(2, 3, 5, 6), (3, 3, 3, 4), (4,)], {}),
     "layernorm": (ad.layernorm, oracles.layernorm_composite, [(5, 8), (8,), (8,)], {}),
     "softmax-axis-1": (ad.softmax, oracles.softmax_composite, [(3, 4, 5)], {"axis": -1}),
     "softmax-axis0": (ad.softmax, oracles.softmax_composite, [(3, 4, 5)], {"axis": 0}),
@@ -282,6 +325,7 @@ FUSED_OPS = {
 
 FUSED_FD_CASES = [
     ("conv3x3", 0), ("conv3x3", 1), ("conv3x3", 2),
+    ("conv3x3-batched", 0), ("conv3x3-batched", 1), ("conv3x3-batched", 2),
     ("layernorm", 0), ("layernorm", 1), ("layernorm", 2),
     ("softmax-axis-1", 0), ("softmax-axis0", 0), ("box3", 0),
 ]

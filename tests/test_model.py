@@ -1,4 +1,5 @@
 import numpy as np
+import oracles
 import pytest
 
 from dvokit import autodiff as ad
@@ -84,6 +85,22 @@ def test_encode_shapes_and_keep_identity():
 
     with pytest.raises(ValueError):
         model.encode(np.zeros((3, 30, 32)))
+
+
+@pytest.mark.parametrize("keep", [None, np.array([0, 5, 6, 9, 15])], ids=["all", "kept"])
+def test_a_batch_of_frames_encodes_and_decodes_like_each_frame(keep):
+    model = _model()
+    images = [_image(30), _image(31)]
+    batched = model.encode(np.stack(images), keep=keep)
+    singles = [model.encode(img, keep=keep) for img in images]
+    ref = model.encode(np.stack(images[::-1]))
+    blocks = model.decode(batched, ref)
+    for i, single in enumerate(singles):
+        expected = single.tokens.data
+        assert np.abs(batched.tokens.data[i] - expected).max() <= 1e-12 * np.abs(expected).max()
+        # the decoder fills masked positions with the mask token per frame
+        expected = model.decode(single, model.encode(images[1 - i]))[-1].data
+        assert np.abs(blocks[-1].data[i] - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
 def test_encode_kept_token_permutation_equivariance():
@@ -248,14 +265,32 @@ def test_forward_dvo_loss_differentiable_to_all_trainable_params(static_pair_32)
     assert np.abs(found[id(names["depth_head.fc2.weight"])]).max() > 0
 
 
+@pytest.mark.parametrize("head_kind", ["linear", "dpt"])
+def test_forward_dvo_matches_the_per_frame_reference(head_kind, static_pair_32):
+    pair = static_pair_32
+    model = DvoModel(toy_config(head_kind=head_kind), np.random.default_rng(3))
+    # a live pose head, so the pose and its gradients are not the identity's
+    model.pose_head.fc2.weight.data = np.random.default_rng(4).normal(0.0, 0.5, (128, 6))
+    params = model.parameters()
+
+    def run(forward):
+        outs = forward(model, pair.image_a, pair.image_b)
+        loss = total_loss(pair, *outs).l_total
+        return [o.data for o in outs] + ad.grads(loss, params)
+
+    for new, ref in zip(run(forward_dvo), run(oracles.forward_dvo_per_frame)):
+        assert new.shape == ref.shape
+        assert np.abs(new - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
 @pytest.mark.parametrize(
     "pair_fixture,head_kind,bound",
-    [("static_pair_32", "linear", 1150), ("static_pair_64", "dpt", 1300)],
+    [("static_pair_32", "linear", 760), ("static_pair_64", "dpt", 860)],
 )
 def test_finetune_loss_graph_node_count(pair_fixture, head_kind, bound, request):
-    # the fused conv3x3 / layernorm / softmax / box3 ops keep one finetune
-    # loss at 1,099 (32 px, linear head) and 1,261 (64 px, DPT head) nodes;
-    # their former composites took it to 1,656 and 2,892
+    # one finetune loss is 737 (32 px, linear head) and 833 (64 px, DPT
+    # head) nodes with both frames batched through encoder, decoder and
+    # depth head; per-frame graphs took 1,099 and 1,261
     pair = request.getfixturevalue(pair_fixture)
     model = DvoModel(toy_config(head_kind=head_kind), np.random.default_rng(0))
     d_a, d_b, twist = forward_dvo(model, pair.image_a, pair.image_b)
@@ -359,7 +394,7 @@ def test_checkpoint_roundtrip_and_mismatch(tmp_path):
     # binary layout starts with the magic and little-endian version
     raw = path.read_bytes()
     assert raw[:4] == b"DVOC"
-    assert int.from_bytes(raw[4:8], "little") == 1
+    assert int.from_bytes(raw[4:8], "little") == 2
 
     model2 = _model(seed=8)
     load_state(model2, {k[len("model.") :]: v for k, v in arrays.items() if k.startswith("model.")})

@@ -1,6 +1,6 @@
 """Robustness of the on-disk readers and writers: PPM payloads that start with
-whitespace byte values, truncated or malformed checkpoints, and checkpoint
-writes that fail midway."""
+whitespace byte values, truncated or malformed checkpoints (a cut exactly
+between two arrays included), and checkpoint writes that fail midway."""
 
 import json
 
@@ -38,10 +38,16 @@ def _cuts():
     first_blob = 12 + json_len
     name = first_blob + 4
     array = name + len("a.weight") + 4 + 2 * 4
-    return {"header": 6, "json": 12 + json_len // 2, "name": name + 3, "array": array + 20}
+    return {
+        "header": 6,
+        "json": 12 + json_len // 2,
+        "name": name + 3,
+        "array": array + 20,
+        "between-arrays": array + 6 * 8,
+    }
 
 
-@pytest.mark.parametrize("where", ["header", "json", "name", "array"])
+@pytest.mark.parametrize("where", ["header", "json", "name", "array", "between-arrays"])
 def test_truncated_checkpoint_raises_data_error_naming_the_path(tmp_path, where):
     _, raw = _checkpoint(tmp_path)
     cut = tmp_path / f"cut-{where}.dvoc"
@@ -64,3 +70,19 @@ def test_failed_checkpoint_write_keeps_the_previous_file(tmp_path):
         save_checkpoint(path, {"0.bad": np.array(["not a number"]), **_ARRAYS}, _CONFIG)
     assert path.read_bytes() == raw
     assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+
+def test_checkpoint_of_an_older_version_is_refused(tmp_path):
+    _, raw = _checkpoint(tmp_path)
+    old = tmp_path / "v1.dvoc"
+    old.write_bytes(raw[:4] + (1).to_bytes(4, "little") + raw[8:-8])
+    with pytest.raises(DataError, match="unsupported checkpoint version 1 in .*v1.dvoc"):
+        load_checkpoint(old)
+
+
+def test_checkpoint_whose_footer_miscounts_its_arrays_raises(tmp_path):
+    _, raw = _checkpoint(tmp_path)
+    bad = tmp_path / "miscount.dvoc"
+    bad.write_bytes(raw[:-4] + (len(_ARRAYS) + 1).to_bytes(4, "little"))
+    with pytest.raises(DataError, match="miscount.dvoc"):
+        load_checkpoint(bad)
