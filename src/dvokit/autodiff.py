@@ -241,10 +241,6 @@ class Tensor:
         out = np.exp(a.data)
         return Tensor._make(out, (a,), lambda g: (g * out,), "exp")
 
-    def log(self):
-        a = self
-        return Tensor._make(np.log(a.data), (a,), lambda g: (g / a.data,), "log")
-
     def sqrt(self):
         a = self
         out = np.sqrt(a.data)
@@ -338,28 +334,6 @@ class Tensor:
             return (a._expand_reduced(np.asarray(g) / n, axis, keepdims).copy(),)
 
         return Tensor._make(out, (a,), grad_fn, "mean")
-
-    def _minmax(self, axis, keepdims, fn, op):
-        a = self
-        if a._reduce_count(axis) == 0:
-            raise EmptyValidSetError("empty-valid-set")
-        out = fn(a.data, axis=axis, keepdims=keepdims)
-
-        def grad_fn(g):
-            out_full = fn(a.data, axis=axis, keepdims=True)
-            mask = (a.data == out_full).astype(np.float64)
-            ties = mask.sum(axis=axis, keepdims=True)
-            gx = a._expand_reduced(np.asarray(g), axis, keepdims)
-            # split gradient evenly across ties: deterministic subgradient
-            return (gx * mask / ties,)
-
-        return Tensor._make(out, (a,), grad_fn, op)
-
-    def max(self, axis=None, keepdims: bool = False):
-        return self._minmax(axis, keepdims, np.max, "max")
-
-    def min(self, axis=None, keepdims: bool = False):
-        return self._minmax(axis, keepdims, np.min, "min")
 
     # ---- shape manipulation ----------------------------------------------------------
 

@@ -1,4 +1,4 @@
-"""Direct gradient descent of the self-supervised objective over pose and/or
+"""Direct gradient descent of the self-supervised objective over pose or
 per-pixel depth, with ground truth holding the other quantity fixed.
 
 This is the network-free sanity route on synthetic pairs with exact ground
@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import EmptyValidSetError, Tensor, grads
-from .geometry import pose_distance, se3_exp, warp_depth
+from .geometry import pose_distance, pose_from_twist, warp_depth
 from .losses import LossWeights, total_loss
 from .optim import AdamW
 from .synth import FramePair
@@ -34,17 +34,6 @@ class DirectResult:
     abs_rel: float | None = None
     curve: list[float] = field(default_factory=list)
 
-    def to_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "iters": self.iters,
-            "final_loss": self.final_loss,
-            "diverged": self.diverged,
-            "rot_err_deg": self.rot_err_deg,
-            "trans_err_m": self.trans_err_m,
-            "abs_rel": self.abs_rel,
-        }
-
 
 def perturbed_twist(gt_twist: np.ndarray, rng: np.random.Generator,
                     max_deg: float = 5.0, max_m: float = 0.1) -> np.ndarray:
@@ -56,7 +45,7 @@ def perturbed_twist(gt_twist: np.ndarray, rng: np.random.Generator,
     direction /= np.linalg.norm(direction)
     shift = rng.uniform(0.2, 1.0) * max_m
     delta = np.concatenate([direction * shift, axis * angle])
-    return se3_exp(delta).compose(se3_exp(gt_twist)).twist()
+    return pose_from_twist(delta).compose(pose_from_twist(gt_twist)).twist()
 
 
 def optimize_direct(
@@ -73,32 +62,27 @@ def optimize_direct(
     mode 'pose': optimize the 6-vector twist with ground-truth depths fixed.
     mode 'depth': optimize per-pixel log-depth of both frames with the
     ground-truth pose fixed (initialized at a constant `init_depth`).
-    mode 'both': optimize all of the above jointly.
 
     Parameters track the best (lowest-loss) iterate, so starting at a
     stationary point stays there. Reported errors compare the best iterate
     with the pair's ground truth (depth error on the final valid set).
     """
-    if mode not in ("pose", "depth", "both"):
+    if mode not in ("pose", "depth"):
         raise ValueError(f"unknown mode '{mode}'")
     gt_twist = pair.gt_pose.twist()
     h, w = pair.gt_depth_a.shape
 
-    variables: list[tuple[str, Tensor]] = []
-    if mode in ("pose", "both"):
+    if mode == "pose":
         start = gt_twist if init_twist is None else np.asarray(init_twist, dtype=np.float64)
         twist = Tensor(start.copy(), requires_grad=True)
-        variables.append(("twist", twist))
-    else:
-        twist = Tensor(gt_twist)
-
-    if mode in ("depth", "both"):
-        log_a = Tensor(np.full((h, w), math.log(init_depth)), requires_grad=True)
-        log_b = Tensor(np.full((h, w), math.log(init_depth)), requires_grad=True)
-        variables.extend([("log_depth_a", log_a), ("log_depth_b", log_b)])
-    else:
         log_a = Tensor(np.log(pair.gt_depth_a.values))
         log_b = Tensor(np.log(pair.gt_depth_b.values))
+        variables = [("twist", twist)]
+    else:
+        twist = Tensor(gt_twist)
+        log_a = Tensor(np.full((h, w), math.log(init_depth)), requires_grad=True)
+        log_b = Tensor(np.full((h, w), math.log(init_depth)), requires_grad=True)
+        variables = [("log_depth_a", log_a), ("log_depth_b", log_b)]
 
     def build_loss():
         return total_loss(pair, log_a.exp(), log_b.exp(), twist, weights)
@@ -134,13 +118,13 @@ def optimize_direct(
         diverged=diverged,
         curve=curve,
     )
-    if mode in ("pose", "both"):
-        rot, trans = pose_distance(se3_exp(twist.data), pair.gt_pose)
+    if mode == "pose":
+        rot, trans = pose_distance(pose_from_twist(twist.data), pair.gt_pose)
         result.rot_err_deg, result.trans_err_m = rot, trans
-    if mode in ("depth", "both"):
+    else:
         pred = np.exp(log_a.data)
         gt = pair.gt_depth_a.values
-        res = warp_depth(pred, se3_exp(twist.data), pair.intrinsics)
+        res = warp_depth(pred, pose_from_twist(twist.data), pair.intrinsics)
         if res.valid.any():
             # absolute scale is observable here (pose translation is metric),
             # so no median scaling: plain AbsRel over the valid set

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Pose, as_depth_values
+from .geometry import Pose
 
 
 @dataclass(frozen=True)
@@ -38,15 +38,11 @@ class EvalReport:
     def to_json(self) -> str:
         return json.dumps(self.__dict__, indent=2, sort_keys=True)
 
-    @classmethod
-    def from_json(cls, text: str) -> "EvalReport":
-        return cls(**json.loads(text))
-
 
 def median_scale(pred, gt, valid: np.ndarray):
     """Rescale predicted depth by s = median(gt) / median(pred) over `valid`."""
-    pred = as_depth_values(pred)
-    gt = as_depth_values(gt)
+    pred = np.asarray(pred, dtype=np.float64)
+    gt = np.asarray(gt, dtype=np.float64)
     valid = np.asarray(valid, dtype=bool)
     if not valid.any():
         raise ValueError("empty valid set")
@@ -59,8 +55,8 @@ def median_scale(pred, gt, valid: np.ndarray):
 
 def depth_metrics(pred, gt, cfg: DepthEvalConfig = DepthEvalConfig()) -> EvalReport:
     """AbsRel, RMSE and threshold accuracies over gt pixels in [min_valid, cap]."""
-    pred = as_depth_values(pred)
-    gt = as_depth_values(gt)
+    pred = np.asarray(pred, dtype=np.float64)
+    gt = np.asarray(gt, dtype=np.float64)
     if pred.shape != gt.shape:
         raise ValueError("prediction/ground-truth shape mismatch")
     valid = (gt >= cfg.min_valid) & (gt <= cfg.cap)

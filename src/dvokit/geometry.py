@@ -9,7 +9,8 @@ Conventions used throughout the package:
   pose maps camera coordinates into world coordinates; the relative pose
   between two cameras is ``invert(world_b) o world_a``.
 * Twist layout is (t_x, t_y, t_z, r_x, r_y, r_z): translation in meters plus
-  an axis-angle rotation. The map to a Pose is decoupled (Rodrigues rotation,
+  an axis-angle rotation. ``pose_from_twist`` maps a twist to a Pose and
+  ``Pose.twist`` maps back. The map is decoupled (Rodrigues rotation,
   translation copied verbatim), not the coupled SE(3) exponential.
 """
 
@@ -87,7 +88,8 @@ class Pose:
         return cls(np.eye(3), np.zeros(3), validate=False)
 
     def twist(self) -> np.ndarray:
-        return se3_log(self)
+        """Inverse of ``pose_from_twist``, for rotations below pi."""
+        return np.concatenate([self.translation, so3_log(self.rotation)])
 
     def compose(self, other: "Pose") -> "Pose":
         """self o other: apply `other` first, then `self`."""
@@ -132,15 +134,6 @@ class DepthMap:
     @property
     def shape(self) -> tuple[int, int]:
         return self.values.shape
-
-
-def as_depth_values(depth) -> np.ndarray:
-    """Accept DepthMap, Tensor or ndarray and return the raw H x W array."""
-    if isinstance(depth, DepthMap):
-        return depth.values
-    if isinstance(depth, Tensor):
-        return depth.data
-    return np.asarray(depth, dtype=np.float64)
 
 
 # ---- SO(3) / SE(3) -----------------------------------------------------------------
@@ -232,14 +225,10 @@ def rotation_angle(r: np.ndarray) -> float:
     return float(np.arccos(np.clip(c, -1.0, 1.0)))
 
 
-def se3_exp(twist) -> Pose:
+def pose_from_twist(twist) -> Pose:
     """Pose from a twist: Rodrigues rotation, translation copied directly."""
     v = np.asarray(twist, dtype=np.float64).reshape(6)
     return Pose(so3_exp(v[3:]), v[:3], validate=False)
-
-
-def se3_log(pose: Pose) -> np.ndarray:
-    return np.concatenate([pose.translation, so3_log(pose.rotation)])
 
 
 def pose_distance(a: Pose, b: Pose) -> tuple[float, float]:
@@ -271,38 +260,15 @@ def rotation_from_axis_angle(r: Tensor) -> Tensor:
     return Tensor(np.eye(3)) + a * k + b * (k @ k)
 
 
-def pose_tensors(twist: Tensor) -> tuple[Tensor, Tensor]:
-    """Split a twist Tensor into a differentiable (rotation, translation) pair."""
-    return rotation_from_axis_angle(twist[3:6]), twist[0:3]
-
-
-def as_pose_tensors(pose) -> tuple[Tensor, Tensor]:
-    """(rotation, translation) Tensors from a Pose, a twist Tensor of shape
-    (6,) (differentiable), or an (R, t) Tensor pair (returned as given)."""
+def pose_tensors(pose: Pose | Tensor) -> tuple[Tensor, Tensor]:
+    """(rotation, translation) Tensors: constants from a Pose, or the
+    differentiable Rodrigues rotation of a twist Tensor of shape (6,)."""
     if isinstance(pose, Pose):
         return Tensor(pose.rotation), Tensor(pose.translation)
-    if isinstance(pose, Tensor):
-        return pose_tensors(pose)
-    return pose
+    return rotation_from_axis_angle(pose[3:6]), pose[0:3]
 
 
 # ---- projection ----------------------------------------------------------------------
-
-
-def backproject(pix: tuple[float, float], depth: float, k: CameraIntrinsics) -> np.ndarray:
-    """Lift a pixel with known depth to a camera-frame 3D point."""
-    if depth <= 0:
-        raise ValueError("depth must be positive")
-    u, v = pix
-    return np.array([(u - k.cx) / k.fx * depth, (v - k.cy) / k.fy * depth, depth])
-
-
-def project(point, k: CameraIntrinsics) -> tuple[float, float, float]:
-    """Project a camera-frame point to (u, v, z); caller checks sign/bounds of z."""
-    x, y, z = np.asarray(point, dtype=np.float64).reshape(3)
-    if abs(z) < _VALID_EPS:
-        raise ValueError("behind-or-on-plane")
-    return (k.fx * x / z + k.cx, k.fy * y / z + k.cy, z)
 
 
 def pixel_grid(k: CameraIntrinsics) -> tuple[np.ndarray, np.ndarray]:
@@ -329,17 +295,15 @@ class WarpResult:
     valid: np.ndarray
 
 
-def warp_depth(depth, pose, k: CameraIntrinsics) -> WarpResult:
+def warp_depth(depth: Tensor | np.ndarray, pose: Pose | Tensor, k: CameraIntrinsics) -> WarpResult:
     """Backproject each pixel, apply the relative pose, reproject into the target.
 
-    `depth` may be a Tensor (differentiable path), DepthMap, or ndarray.
-    `pose` may be a Pose, a twist Tensor of shape (6,), or an (R, t) Tensor pair.
-    Invalid pixels are masked, never raised.
+    `depth` is a Tensor (differentiable path) or an ndarray. `pose` is a Pose
+    or a twist Tensor of shape (6,) (differentiable). Invalid pixels are
+    masked, never raised.
     """
-    if isinstance(depth, DepthMap):
-        depth = depth.values
     d = depth if isinstance(depth, Tensor) else Tensor(depth)
-    r_t, t_t = as_pose_tensors(pose)
+    r_t, t_t = pose_tensors(pose)
 
     u, v = pixel_grid(k)
     x = Tensor((u - k.cx) / k.fx) * d
@@ -363,12 +327,6 @@ def warp_depth(depth, pose, k: CameraIntrinsics) -> WarpResult:
     )
     flow = ad.stack([ut, vt], axis=-1)
     return WarpResult(depth=zt, flow=flow, valid=valid)
-
-
-def warp_depth_np(depth: np.ndarray, pose: Pose, k: CameraIntrinsics):
-    """Numpy-only warp: returns (warped depth, flow, valid) arrays."""
-    res = warp_depth(np.asarray(depth, dtype=np.float64), pose, k)
-    return res.depth.data, res.flow.data, res.valid
 
 
 def bilinear_sample(img: Tensor, coords: Tensor) -> Tensor:

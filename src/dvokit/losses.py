@@ -16,7 +16,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import EmptyValidSetError, Tensor, masked_mean
-from .geometry import CameraIntrinsics, as_depth_values, bilinear_sample, warp_depth
+from .geometry import CameraIntrinsics, Pose, bilinear_sample, warp_depth
 
 _SSIM_C1 = 0.01**2
 _SSIM_C2 = 0.03**2
@@ -60,14 +60,9 @@ class LossBreakdown:
         }
 
 
-def _as_t(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(as_depth_values(x) if not isinstance(x, np.ndarray) else x)
-
-
 def depth_diff(d_hat: Tensor, d_sampled: Tensor, valid: np.ndarray) -> Tensor:
     """Per-pixel normalized depth inconsistency |a - b| / (a + b); 0 outside
     the valid set. Both depths must be positive on the valid set."""
-    d_hat, d_sampled = _as_t(d_hat), _as_t(d_sampled)
     num = ad.where(valid, (d_hat - d_sampled).abs(), 0.0)
     den = ad.where(valid, d_hat + d_sampled, 1.0)
     return num / den
@@ -84,7 +79,6 @@ def ssim(a: Tensor, b: Tensor) -> Tensor:
     3x3 uniform window with edge replication, stability constants
     C1 = 0.01^2 and C2 = 0.03^2, channel-averaged to an (H, W) map in [-1, 1].
     """
-    a, b = _as_t(a), _as_t(b)
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
     mu_a, mu_b = ad.box3(a), ad.box3(b)
@@ -104,7 +98,6 @@ def photometric_loss(
     The map blends the channel-mean L1 difference with the SSIM dissimilarity
     (1 - SSIM)/2, weighted by lambda.
     """
-    image, synthesized = _as_t(image), _as_t(synthesized)
     l1 = (image - synthesized).abs().mean(axis=0)
     lam = weights.lambda_ssim
     if lam == 0.0:
@@ -128,7 +121,6 @@ def smoothness_loss(depth: Tensor, image: Tensor) -> Tensor:
     the mean over all interior terms of both directions. Normalizing by the
     mean depth keeps the penalty scale-free.
     """
-    depth, image = _as_t(depth), _as_t(image)
     d = depth / depth.mean()
     dx_d = d[:, 1:] - d[:, :-1]
     dy_d = d[1:, :] - d[:-1, :]
@@ -148,26 +140,25 @@ def combine_losses(l_p_masked: Tensor, l_g: Tensor, l_s: Tensor, weights: LossWe
 
 def total_loss(
     pair,
-    depth_a,
-    depth_b,
-    pose,
+    depth_a: Tensor | np.ndarray,
+    depth_b: Tensor | np.ndarray,
+    pose: Pose | Tensor,
     weights: LossWeights = LossWeights(),
     mask_override: np.ndarray | None = None,
 ) -> LossBreakdown:
     """Full self-supervised objective for one frame pair.
 
-    `depth_a`/`depth_b` are the predicted depths of both frames (Tensor,
-    DepthMap or array); `pose` maps frame-a camera coordinates to frame b
-    (Pose, twist Tensor, or (R, t) Tensor pair). Differentiable w.r.t. both
-    depths and the twist.
+    `depth_a`/`depth_b` are the predicted depths of both frames (Tensor or
+    array); `pose` maps frame-a camera coordinates to frame b (Pose or twist
+    Tensor). Differentiable w.r.t. both depths and the twist.
 
     The photometric weighting mask is gradient-stopped; `mask_override`
     substitutes a fixed mask array, which finite-difference audits use to
     probe the same function the backward pass differentiates.
     """
     k: CameraIntrinsics = pair.intrinsics
-    d_a = depth_a if isinstance(depth_a, Tensor) else Tensor(as_depth_values(depth_a))
-    d_b = depth_b if isinstance(depth_b, Tensor) else Tensor(as_depth_values(depth_b))
+    d_a = depth_a if isinstance(depth_a, Tensor) else Tensor(depth_a)
+    d_b = depth_b if isinstance(depth_b, Tensor) else Tensor(depth_b)
 
     warp = warp_depth(d_a, pose, k)
     valid = warp.valid

@@ -67,32 +67,10 @@ class ModelConfig:
         d["dpt_source_blocks"] = list(self.dpt_source_blocks)
         return d
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        return cls(**d)
-
 
 def toy_config(**overrides) -> ModelConfig:
     """Desk-scale default: trains in minutes on synthetic pairs."""
     return ModelConfig(**overrides)
-
-
-def paper_scale_config() -> ModelConfig:
-    """Full-scale dimensions, used only for construction and counting checks."""
-    return ModelConfig(
-        patch_size=16,
-        enc_dim=768,
-        enc_depth=12,
-        enc_heads=12,
-        dec_dim=512,
-        dec_depth=8,
-        dec_heads=8,
-        dpt_source_blocks=(2, 4, 6, 8),
-        adapter_dim=32,
-        head_kind="dpt",
-        min_depth=0.1,
-        max_depth=80.0,
-    )
 
 
 @dataclass
@@ -238,7 +216,7 @@ class PixelHead(nn.Module):
 
 
 class DvoModel(nn.Module):
-    def __init__(self, cfg: ModelConfig, rng: np.random.Generator | None):
+    def __init__(self, cfg: ModelConfig, rng: np.random.Generator):
         self.cfg = cfg
         p = cfg.patch_size
         self.patch_embed = nn.Linear(p * p * 3, cfg.enc_dim, rng)
@@ -378,7 +356,7 @@ def pretrain_step(model: DvoModel, image_a, image_b, rng: np.random.Generator) -
     return completion_loss(model, image_a, image_b, masked, keep)
 
 
-# ---- adapters / freezing / counting ------------------------------------------------------
+# ---- adapters / freezing / state ------------------------------------------------------
 
 _HEAD_PREFIXES = ("depth_head.", "pose_head.", "pixel_head.")
 
@@ -399,25 +377,6 @@ def freeze_for_adapters(model: DvoModel) -> int:
         param.requires_grad = trainable
         frozen += not trainable
     return frozen
-
-
-def adapter_params_per_layer(dim: int, bottleneck: int) -> int:
-    """Down W+b plus up W+b: d*d^ + d^ + d^*d + d."""
-    return 2 * dim * bottleneck + bottleneck + dim
-
-
-def adapter_param_count(cfg: ModelConfig) -> int:
-    if cfg.adapter_dim <= 0:
-        raise ValueError("adapters disabled in this config")
-    return cfg.enc_depth * adapter_params_per_layer(cfg.enc_dim, cfg.adapter_dim) + (
-        cfg.dec_depth * adapter_params_per_layer(cfg.dec_dim, cfg.adapter_dim)
-    )
-
-
-def count_parameters(model: DvoModel, trainable_only: bool = False) -> int:
-    return sum(
-        p.size for _, p in model.named_parameters() if p.requires_grad or not trainable_only
-    )
 
 
 def model_state(model: DvoModel) -> dict[str, np.ndarray]:

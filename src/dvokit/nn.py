@@ -1,8 +1,7 @@
 """Transformer building blocks on the in-house autodiff engine.
 
-Constructors take a numpy Generator for weight init; passing ``rng=None``
-builds zero-valued parameters, which is used for shape-only construction
-(parameter counting) without touching memory for large configs.
+Constructors take a numpy Generator and draw their weights from it in
+construction order, so one seed gives one set of initial weights.
 """
 
 from __future__ import annotations
@@ -16,8 +15,6 @@ from .autodiff import Tensor
 
 
 def _init(rng, shape, std=0.02):
-    if rng is None:
-        return np.zeros(shape)
     return rng.normal(0.0, std, size=shape)
 
 
@@ -31,9 +28,6 @@ class Module:
                 yield full, value
             elif isinstance(value, Module):
                 yield from value.named_parameters(f"{full}.")
-
-    def parameters(self):
-        return [p for _, p in self.named_parameters()]
 
 
 class ModuleList(Module):

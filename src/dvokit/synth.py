@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import CameraIntrinsics, DepthMap, Pose, pixel_grid, warp_depth_np
+from .geometry import CameraIntrinsics, DepthMap, Pose, pixel_grid, warp_depth
 
 _RAY_EPS = 1e-9
 
@@ -279,15 +279,13 @@ def preset_scene(name: str, seed: int = 0) -> Scene:
     raise ValueError(f"unknown scene preset '{name}'")
 
 
-SCENE_PRESETS = ("room", "cluttered-room", "dynamic-room")
-
-
 def covisible_fraction(
     depth_a: np.ndarray, depth_b: np.ndarray, rel_pose: Pose, k: CameraIntrinsics, tol: float = 0.02
 ) -> float:
     """Fraction of frame-a pixels that project validly into frame b with
     consistent depth (filters occlusions)."""
-    d_hat, flow, valid = warp_depth_np(depth_a, rel_pose, k)
+    res = warp_depth(depth_a, rel_pose, k)
+    d_hat, flow, valid = res.depth.data, res.flow.data, res.valid
     if valid.sum() == 0:
         return 0.0
     xs = np.clip(np.round(flow[..., 0]).astype(int), 0, k.width - 1)
@@ -372,23 +370,7 @@ def make_pair(frames: list[Frame], i: int, k: CameraIntrinsics) -> FramePair:
     )
 
 
-def render_pair(
-    scene: Scene,
-    k: CameraIntrinsics,
-    pose_a: Pose,
-    pose_b: Pose,
-    frame_a: int = 0,
-    frame_b: int = 1,
-) -> FramePair:
-    """Render a single pair at explicit camera poses."""
-    img_a, depth_a, dyn_a = render(scene, frame_a, pose_a, k)
-    img_b, depth_b, _ = render(scene, frame_b, pose_b, k)
-    return FramePair(
-        image_a=img_a,
-        image_b=img_b,
-        intrinsics=k,
-        gt_depth_a=DepthMap(depth_a),
-        gt_depth_b=DepthMap(depth_b),
-        gt_pose=pose_b.invert().compose(pose_a),
-        dynamic_mask_a=dyn_a if dyn_a.any() else None,
-    )
+def render_pair(scene: Scene, k: CameraIntrinsics, pose_a: Pose, pose_b: Pose) -> FramePair:
+    """Render frames 0 and 1 of the scene at explicit camera poses as a pair."""
+    frames = [Frame(*render(scene, i, pose, k), cam_to_world=pose) for i, pose in enumerate((pose_a, pose_b))]
+    return make_pair(frames, 0, k)

@@ -62,8 +62,6 @@ class RunConfig:
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
     epochs: int = 4
     batch_size: int = 2
-    train_data: str = ""
-    eval_data: str | None = None
     out_dir: str = ""
 
     def __post_init__(self):
@@ -71,19 +69,6 @@ class RunConfig:
             raise ValueError("batch_size must be >= 1")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
-
-    def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "model": self.model.to_dict(),
-            "loss": asdict(self.loss),
-            "optimizer": asdict(self.optimizer),
-            "epochs": self.epochs,
-            "batch_size": self.batch_size,
-            "train_data": self.train_data,
-            "eval_data": self.eval_data,
-            "out_dir": self.out_dir,
-        }
 
 
 @dataclass
@@ -97,10 +82,6 @@ class RunReport:
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "RunReport":
-        return cls(**json.loads(text))
 
 
 def version_string() -> str:
@@ -288,7 +269,7 @@ def _run_phase(
             _save_epoch_checkpoint(out_dir, cfg, phase, epoch, model, opt)
 
     report = RunReport(
-        config=cfg.to_dict(),
+        config=asdict(cfg),
         version=version_string(),
         wall_clock_sec=time.monotonic() - started,
         epochs=cfg.epochs,
@@ -300,24 +281,20 @@ def _run_phase(
     return model, report
 
 
-def pretrain_run(cfg: RunConfig, dataset: PairDataset | None = None, resume: str | None = None):
+def pretrain_run(cfg: RunConfig, dataset: PairDataset, resume: str | None = None):
     """Minimize the masked completion loss over the dataset pairs."""
-    dataset = dataset or PairDataset.from_dir(cfg.train_data)
     return _run_phase(cfg, dataset, "pretrain", resume=resume)
 
 
 def finetune_run(
     cfg: RunConfig,
-    dataset: PairDataset | None = None,
+    dataset: PairDataset,
     init_checkpoint: str | None = None,
     resume: str | None = None,
     eval_dataset: PairDataset | None = None,
     freeze_backbone: bool = False,
 ):
     """Minimize the self-supervised warping objective over the dataset pairs."""
-    dataset = dataset or PairDataset.from_dir(cfg.train_data)
-    if eval_dataset is None and cfg.eval_data:
-        eval_dataset = PairDataset.from_dir(cfg.eval_data)
     return _run_phase(
         cfg,
         dataset,

@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
 
-from dvokit.geometry import Pose, se3_exp
+from dvokit.geometry import Pose, pose_from_twist
 from dvokit.synth import default_intrinsics, preset_scene, render_pair
 
 
 def _static_pair(size, seed=21, twist=(0.05, -0.02, 0.04, 0.012, -0.008, 0.01)):
     scene = preset_scene("room", seed=seed)
     pose_a = Pose(np.eye(3), [0.1, -0.05, 0.2])
-    pose_b = pose_a.compose(se3_exp(twist))
+    pose_b = pose_a.compose(pose_from_twist(twist))
     return render_pair(scene, default_intrinsics(size), pose_a, pose_b)
 
 

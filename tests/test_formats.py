@@ -3,7 +3,7 @@ import pytest
 
 from dvokit import formats
 from dvokit.formats import DataError
-from dvokit.geometry import Pose, se3_exp
+from dvokit.geometry import Pose, pose_from_twist
 from dvokit.synth import MotionSpec, default_intrinsics, generate_trajectory, preset_scene
 
 
@@ -57,7 +57,7 @@ def test_tum_identity_line_and_roundtrip(tmp_path):
     assert line.split() == ["0.000000", "0", "0", "0", "0", "0", "0", "1"]
 
     rng = np.random.default_rng(2)
-    poses = [se3_exp(rng.normal(scale=0.5, size=6)) for _ in range(5)]
+    poses = [pose_from_twist(rng.normal(scale=0.5, size=6)) for _ in range(5)]
     formats.write_tum(path, poses)
     back, stamps = formats.read_tum(path)
     assert stamps == [float(i) for i in range(5)]

@@ -5,19 +5,13 @@ from dvokit.autodiff import Tensor, finite_diff_check
 from dvokit.geometry import (
     CameraIntrinsics,
     Pose,
-    backproject,
     bilinear_sample,
     pose_distance,
+    pose_from_twist,
     pose_tensors,
-    project,
     rotation_from_axis_angle,
-    se3_exp,
-    se3_log,
     warp_depth,
-    warp_depth_np,
 )
-
-K100 = CameraIntrinsics(fx=100.0, fy=100.0, cx=50.0, cy=50.0, width=101, height=101)
 
 
 def test_intrinsics_validation():
@@ -28,13 +22,13 @@ def test_intrinsics_validation():
 
 
 def test_se3_exp_zero_twist_is_identity():
-    p = se3_exp(np.zeros(6))
+    p = pose_from_twist(np.zeros(6))
     assert np.allclose(p.rotation, np.eye(3))
     assert np.allclose(p.translation, 0.0)
 
 
 def test_se3_exp_known_quarter_turn():
-    p = se3_exp([0, 0, 0, 0, 0, np.pi / 2])
+    p = pose_from_twist([0, 0, 0, 0, 0, np.pi / 2])
     assert np.allclose(p.apply([1.0, 0.0, 0.0]), [0.0, 1.0, 0.0], atol=1e-12)
 
 
@@ -45,21 +39,21 @@ def test_se3_log_roundtrip_random_twists():
         axis /= np.linalg.norm(axis)
         angle = rng.uniform(0.0, np.pi - 1e-3)
         twist = np.concatenate([rng.normal(size=3), axis * angle])
-        back = se3_log(se3_exp(twist))
+        back = pose_from_twist(twist).twist()
         assert np.abs(back - twist).max() < 1e-9
 
 
 def test_pose_invariants_after_exp():
     rng = np.random.default_rng(12)
     for _ in range(20):
-        p = se3_exp(rng.normal(scale=0.8, size=6))
+        p = pose_from_twist(rng.normal(scale=0.8, size=6))
         assert np.abs(p.rotation.T @ p.rotation - np.eye(3)).max() < 1e-9
         assert abs(np.linalg.det(p.rotation) - 1.0) < 1e-9
 
 
 def test_compose_invert_identity_and_associativity():
     rng = np.random.default_rng(13)
-    p = se3_exp(rng.normal(size=6))
+    p = pose_from_twist(rng.normal(size=6))
     pi = p.compose(p.invert())
     assert np.abs(pi.rotation - np.eye(3)).max() < 1e-12
     assert np.abs(pi.translation).max() < 1e-12
@@ -68,28 +62,10 @@ def test_compose_invert_identity_and_associativity():
     assert np.array_equal(q.rotation, p.rotation)
     assert np.array_equal(q.translation, p.translation)
 
-    a, b, c = (se3_exp(rng.normal(size=6)) for _ in range(3))
+    a, b, c = (pose_from_twist(rng.normal(size=6)) for _ in range(3))
     left = a.compose(b).compose(c)
     right = a.compose(b.compose(c))
     assert np.abs(left.matrix() - right.matrix()).max() < 1e-10
-
-
-def test_backproject_hand_case_and_errors():
-    pt = backproject((60.0, 30.0), 2.0, K100)
-    assert np.allclose(pt, [0.2, -0.4, 2.0])
-    assert np.allclose(backproject((50.0, 50.0), 3.5, K100), [0.0, 0.0, 3.5])
-    with pytest.raises(ValueError):
-        backproject((10.0, 10.0), 0.0, K100)
-
-
-def test_project_hand_case_and_roundtrip():
-    uvz = project([0.1, -0.2, 1.0], K100)
-    assert np.allclose(uvz, (60.0, 30.0, 1.0))
-    assert np.allclose(project([0.0, 0.0, 2.0], K100)[:2], (50.0, 50.0))
-    with pytest.raises(ValueError, match="behind-or-on-plane"):
-        project([0.1, 0.1, 0.0], K100)
-    u, v, _ = project(backproject((60.0, 30.0), 2.0, K100), K100)
-    assert abs(u - 60.0) < 1e-12 and abs(v - 30.0) < 1e-12
 
 
 def _small_k(n=16, fx=None):
@@ -101,7 +77,8 @@ def _small_k(n=16, fx=None):
 def test_warp_identity_pose_reproduces_grid():
     k = _small_k(8)
     depth = np.full((8, 8), 3.0)
-    d_hat, flow, valid = warp_depth_np(depth, Pose.identity(), k)
+    res = warp_depth(depth, Pose.identity(), k)
+    d_hat, flow, valid = res.depth.data, res.flow.data, res.valid
     u = np.arange(8.0)
     assert np.allclose(flow[..., 0], np.tile(u, (8, 1)), atol=1e-12)
     assert np.allclose(flow[..., 1], np.tile(u[:, None], (1, 8)), atol=1e-12)
@@ -117,16 +94,16 @@ def test_warp_forward_translation_toward_plane():
     k = _small_k(16)
     depth = np.full((16, 16), 5.0)
     pose = Pose(np.eye(3), [0.0, 0.0, -0.1])
-    d_hat, _, valid = warp_depth_np(depth, pose, k)
-    assert valid.sum() > 0
-    assert np.allclose(d_hat[valid], 4.9, atol=1e-12)
+    res = warp_depth(depth, pose, k)
+    assert res.valid.sum() > 0
+    assert np.allclose(res.depth.data[res.valid], 4.9, atol=1e-12)
 
 
 def test_warp_large_lateral_translation_shrinks_valid_set():
     k = _small_k(16)
     depth = np.full((16, 16), 2.0)
-    _, _, valid_small = warp_depth_np(depth, Pose(np.eye(3), [0.5, 0.0, 0.0]), k)
-    _, _, valid_id = warp_depth_np(depth, Pose.identity(), k)
+    valid_small = warp_depth(depth, Pose(np.eye(3), [0.5, 0.0, 0.0]), k).valid
+    valid_id = warp_depth(depth, Pose.identity(), k).valid
     assert valid_small.sum() < valid_id.sum()
     assert valid_small.sum() > 0
 
@@ -136,9 +113,9 @@ def test_valid_set_monotone_under_image_shrink():
     k_big = _small_k(20)
     k_small = CameraIntrinsics(fx=k_big.fx, fy=k_big.fy, cx=k_big.cx, cy=k_big.cy, width=16, height=16)
     depth = 2.0 + rng.random((20, 20))
-    pose = se3_exp([0.05, -0.02, 0.04, 0.01, -0.02, 0.015])
-    _, _, valid_big = warp_depth_np(depth, pose, k_big)
-    _, _, valid_small = warp_depth_np(depth[:16, :16], pose, k_small)
+    pose = pose_from_twist([0.05, -0.02, 0.04, 0.01, -0.02, 0.015])
+    valid_big = warp_depth(depth, pose, k_big).valid
+    valid_small = warp_depth(depth[:16, :16], pose, k_small).valid
     # shrinking the target image never adds valid pixels
     assert not np.any(valid_small & ~valid_big[:16, :16])
 
@@ -224,7 +201,7 @@ def test_warp_gradients_wrt_depth_and_twist():
 
 
 def test_pose_distance():
-    p = se3_exp([0.3, 0, 0, 0, 0, np.radians(10.0)])
+    p = pose_from_twist([0.3, 0, 0, 0, 0, np.radians(10.0)])
     rot, trans = pose_distance(p, Pose.identity())
     assert abs(rot - 10.0) < 1e-9
     assert abs(trans - 0.3) < 1e-12
@@ -233,6 +210,6 @@ def test_pose_distance():
 def test_pose_tensors_matches_pose():
     twist = np.array([0.1, -0.2, 0.3, 0.05, 0.02, -0.04])
     r_t, t_t = pose_tensors(Tensor(twist))
-    p = se3_exp(twist)
+    p = pose_from_twist(twist)
     assert np.abs(r_t.data - p.rotation).max() < 1e-12
     assert np.array_equal(t_t.data, p.translation)

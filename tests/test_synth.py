@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dvokit.autodiff import Tensor
-from dvokit.geometry import CameraIntrinsics, Pose, warp_depth, warp_depth_np, bilinear_sample
+from dvokit.geometry import CameraIntrinsics, Pose, warp_depth, bilinear_sample
 from dvokit.synth import (
     Box,
     MotionSpec,
@@ -100,7 +100,8 @@ def test_pair_warp_rerender_is_exact_on_static_covisible_pixels():
     pose_b = Pose(np.eye(3), [0.07, -0.03, 0.05])
     pair = render_pair(scene, k, pose_a, pose_b)
 
-    d_hat, flow, valid = warp_depth_np(pair.gt_depth_a.values, pair.gt_pose, k)
+    res = warp_depth(pair.gt_depth_a.values, pair.gt_pose, k)
+    d_hat, flow, valid = res.depth.data, res.flow.data, res.valid
     colors_b, depth_b_at = render_at(scene, 1, pose_b, k, flow)
     covis = valid & (np.abs(d_hat - depth_b_at) < 1e-6 * np.maximum(d_hat, 1.0))
     assert covis.sum() > 0.5 * valid.size
