@@ -285,9 +285,11 @@ class WarpResult:
     depth: transformed z per source pixel (H, W) Tensor
     flow: target (u', v') coordinates per source pixel, (H, W, 2) Tensor
     valid: source pixels with positive transformed depth whose target lands
-        strictly inside the image domain (excludes the border row/column so
-        bilinear gradients stay well defined). This is the valid set used by
-        every loss.
+        in the image domain [0, W-1] x [0, H-1], widened by 1e-9 px so that
+        round-off at the border (a pixel reprojected onto itself can land
+        1e-15 px outside) does not decide validity. ``bilinear_sample``
+        clamps to the domain, so border samples are well defined. This is
+        the valid set used by every loss.
     """
 
     depth: Tensor
@@ -320,10 +322,10 @@ def warp_depth(depth: Tensor | np.ndarray, pose: Pose | Tensor, k: CameraIntrins
 
     valid = (
         front
-        & (ut.data > 0.0)
-        & (ut.data < k.width - 1.0)
-        & (vt.data > 0.0)
-        & (vt.data < k.height - 1.0)
+        & (ut.data >= -_VALID_EPS)
+        & (ut.data <= k.width - 1.0 + _VALID_EPS)
+        & (vt.data >= -_VALID_EPS)
+        & (vt.data <= k.height - 1.0 + _VALID_EPS)
     )
     flow = ad.stack([ut, vt], axis=-1)
     return WarpResult(depth=zt, flow=flow, valid=valid)

@@ -141,7 +141,7 @@ def test_covisibility_counts_occlusions():
     scene = preset_scene("room", 0)
     img, depth, _ = render(scene, 0, Pose.identity(), k)
     frac = covisible_fraction(depth, depth, Pose.identity(), k)
-    assert frac > 0.8  # only the border row/column drops out
+    assert frac > 0.8
 
 
 def test_unknown_presets_raise():
