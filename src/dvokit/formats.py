@@ -188,15 +188,23 @@ def save_dataset(out_dir, frames, k: CameraIntrinsics, seed: int, scene_name: st
 
 
 def load_pairs(dataset_dir):
-    """Load a dataset directory into FramePair objects (in manifest order)."""
+    """Load a dataset directory into FramePair objects (in manifest order).
+
+    A frame entry without an image or depth file, a pair index that is not a
+    frame number, or a missing or malformed relative pose raises DataError
+    naming the manifest."""
     from .geometry import DepthMap
     from .synth import FramePair
 
     root = Path(dataset_dir)
-    manifest = read_manifest(root / "manifest.json")
+    path = root / "manifest.json"
+    manifest = read_manifest(path)
     k = CameraIntrinsics.from_dict(manifest["intrinsics"])
     images, depths, masks = [], [], []
-    for entry in manifest["frames"]:
+    for i, entry in enumerate(manifest["frames"]):
+        missing = [key for key in ("image", "depth") if key not in entry]
+        if missing:
+            raise DataError(f"manifest {path}: frame {i} lacks '{missing[0]}'")
         images.append(read_ppm(root / entry["image"]))
         depths.append(read_pfm(root / entry["depth"]))
         if "dynamic_mask" in entry:
@@ -204,12 +212,19 @@ def load_pairs(dataset_dir):
         else:
             masks.append(None)
     pairs = []
-    for p in manifest["pairs"]:
-        a, b = p["a"], p["b"]
-        rel = Pose(
-            rotation_from_quaternion(np.array(p["rel_pose"]["quaternion_xyzw"])),
-            p["rel_pose"]["translation"],
-        )
+    for j, p in enumerate(manifest["pairs"]):
+        a, b = p.get("a"), p.get("b")
+        for index in (a, b):
+            # type(), not isinstance(): JSON true/false load as bool, an int subclass
+            if type(index) is not int or not 0 <= index < len(images):
+                raise DataError(f"manifest {path}: pair {j} index {index!r} is not a frame number")
+        try:
+            rel = Pose(
+                rotation_from_quaternion(np.array(p["rel_pose"]["quaternion_xyzw"])),
+                p["rel_pose"]["translation"],
+            )
+        except (KeyError, TypeError, ValueError) as e:
+            raise DataError(f"manifest {path}: pair {j} has no valid rel_pose ({e!r})") from e
         pairs.append(
             FramePair(
                 image_a=images[a],

@@ -85,9 +85,12 @@ class RunReport:
 
 
 def version_string() -> str:
+    """Package version plus the git description of the checkout holding this
+    package (not of the caller's working directory), when there is one."""
     try:
         out = subprocess.run(
             ["git", "describe", "--always", "--dirty"],
+            cwd=Path(__file__).parent,
             capture_output=True,
             text=True,
             timeout=5,

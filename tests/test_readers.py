@@ -1,8 +1,11 @@
 """Robustness of the on-disk readers and writers: PPM payloads that start with
 whitespace byte values, truncated or malformed checkpoints (a cut exactly
-between two arrays included), and checkpoint writes that fail midway."""
+between two arrays included), checkpoint writes that fail midway, and
+malformed dataset manifest entries."""
 
 import json
+import re
+import shutil
 
 import numpy as np
 import pytest
@@ -86,3 +89,50 @@ def test_checkpoint_whose_footer_miscounts_its_arrays_raises(tmp_path):
     bad.write_bytes(raw[:-4] + (len(_ARRAYS) + 1).to_bytes(4, "little"))
     with pytest.raises(DataError, match="miscount.dvoc"):
         load_checkpoint(bad)
+
+
+@pytest.fixture(scope="module")
+def dataset_dir(tmp_path_factory):
+    from dvokit.synth import MotionSpec, default_intrinsics, generate_trajectory, preset_scene
+
+    k = default_intrinsics(16)
+    frames = generate_trajectory(
+        preset_scene("room", seed=1), k, 3, MotionSpec(kind="line", step=(0.01, 0.0, 0.05)),
+        np.random.default_rng(0),
+    )
+    root = tmp_path_factory.mktemp("dataset")
+    formats.save_dataset(root, frames, k, seed=1, scene_name="room")
+    return root
+
+
+def _negative_index(m):
+    m["pairs"][0]["a"] = -1  # would pair the last frame
+
+
+def _index_past_the_end(m):
+    m["pairs"][0]["b"] = len(m["frames"])
+
+
+def _float_index(m):
+    m["pairs"][0]["a"] = 0.0
+
+
+def _no_rel_pose(m):
+    del m["pairs"][0]["rel_pose"]
+
+
+def _frame_without_image(m):
+    del m["frames"][1]["image"]
+
+
+@pytest.mark.parametrize(
+    "corrupt", [_negative_index, _index_past_the_end, _float_index, _no_rel_pose, _frame_without_image]
+)
+def test_malformed_manifest_entry_raises_data_error_naming_the_manifest(tmp_path, dataset_dir, corrupt):
+    root = tmp_path / "copy"
+    shutil.copytree(dataset_dir, root)
+    manifest = json.loads((root / "manifest.json").read_text())
+    corrupt(manifest)
+    formats.write_manifest(root / "manifest.json", manifest)
+    with pytest.raises(DataError, match=re.escape(str(root / "manifest.json"))):
+        formats.load_pairs(root)

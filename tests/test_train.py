@@ -1,6 +1,8 @@
 """Training loops: resume equivalence, ordered gradient reduction, divergence
-reporting and checkpoint/config consistency."""
+reporting, checkpoint/config consistency, per-epoch evaluation and the
+version string."""
 
+import json
 import re
 
 import numpy as np
@@ -154,3 +156,17 @@ def test_gradients_keep_the_callers_checked_mode(dataset, monkeypatch):
     with ad.checked(False):
         train.batch_gradients(model, dataset.pairs[:2], loss_fn)
     assert seen == [False, False]
+
+
+def test_version_string_does_not_depend_on_the_working_directory(tmp_path, monkeypatch):
+    here = train.version_string()
+    monkeypatch.chdir(tmp_path)
+    assert train.version_string() == here
+
+
+def test_finetune_records_one_eval_snapshot_per_epoch(tmp_path, dataset):
+    eval_set = train.PairDataset(dataset.pairs[:2])
+    model, report = train.finetune_run(_cfg(tmp_path, epochs=2), dataset, eval_dataset=eval_set)
+    assert len(report.eval_snapshots) == 2
+    assert report.eval_snapshots[0] != report.eval_snapshots[1]
+    assert report.eval_snapshots[-1] == json.loads(train.evaluate_depth(model, eval_set).to_json())
