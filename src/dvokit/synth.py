@@ -256,7 +256,7 @@ def default_intrinsics(size: int = 32) -> CameraIntrinsics:
 
 
 def preset_scene(name: str, seed: int = 0) -> Scene:
-    """Named scene presets used by tests and the CLI."""
+    """Named scene presets used by tests and the benchmark."""
     room = Box((-3.0, -3.0, -1.5), (3.0, 3.0, 6.0))
     if name == "room":
         return Scene(room=room, texture_seed=seed)
