@@ -22,6 +22,8 @@ from .losses import LossWeights, total_loss
 from .optim import AdamW
 from .synth import FramePair
 
+_LR = 0.01
+
 
 @dataclass
 class DirectResult:
@@ -35,15 +37,15 @@ class DirectResult:
     curve: list[float] = field(default_factory=list)
 
 
-def perturbed_twist(gt_twist: np.ndarray, rng: np.random.Generator,
-                    max_deg: float = 5.0, max_m: float = 0.1) -> np.ndarray:
-    """Ground-truth twist composed with a bounded random rotation/translation."""
+def perturbed_twist(gt_twist: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Ground-truth twist composed with a random rotation of 1-5 degrees and
+    a random translation of 0.02-0.1 m, each about a uniformly drawn axis."""
     axis = rng.normal(size=3)
     axis /= np.linalg.norm(axis)
-    angle = math.radians(rng.uniform(0.2, 1.0) * max_deg)
+    angle = math.radians(rng.uniform(0.2, 1.0) * 5.0)
     direction = rng.normal(size=3)
     direction /= np.linalg.norm(direction)
-    shift = rng.uniform(0.2, 1.0) * max_m
+    shift = rng.uniform(0.2, 1.0) * 0.1
     delta = np.concatenate([direction * shift, axis * angle])
     return pose_from_twist(delta).compose(pose_from_twist(gt_twist)).twist()
 
@@ -52,7 +54,6 @@ def optimize_direct(
     pair: FramePair,
     mode: str,
     iters: int = 300,
-    lr: float = 0.01,
     weights: LossWeights = LossWeights(),
     init_twist: np.ndarray | None = None,
     init_depth: float = 2.5,
@@ -62,6 +63,9 @@ def optimize_direct(
     mode 'pose': optimize the 6-vector twist with ground-truth depths fixed.
     mode 'depth': optimize per-pixel log-depth of both frames with the
     ground-truth pose fixed (initialized at a constant `init_depth`).
+
+    AdamW steps at a learning rate of 0.01 that decays to 0 on a cosine
+    schedule over `iters`.
 
     Parameters track the best (lowest-loss) iterate, so starting at a
     stationary point stays there. Reported errors compare the best iterate
@@ -87,7 +91,7 @@ def optimize_direct(
     def build_loss():
         return total_loss(pair, log_a.exp(), log_b.exp(), twist, weights)
 
-    opt = AdamW(variables, lr=lr)
+    opt = AdamW(variables, lr=_LR)
     curve: list[float] = []
     best_loss = math.inf
     best_state = {name: var.data.copy() for name, var in variables}
@@ -105,7 +109,7 @@ def optimize_direct(
             best_loss = value
             best_state = {name: var.data.copy() for name, var in variables}
         gs = grads(bd.l_total, [var for _, var in variables])
-        opt.lr = lr * 0.5 * (1.0 + math.cos(math.pi * it / iters))
+        opt.lr = _LR * 0.5 * (1.0 + math.cos(math.pi * it / iters))
         opt.step({name: g for (name, _), g in zip(variables, gs)})
 
     for name, var in variables:

@@ -10,17 +10,20 @@ import numpy as np
 from .geometry import Pose
 
 
+MIN_VALID_DEPTH = 1e-3
+
+
 @dataclass(frozen=True)
 class DepthEvalConfig:
-    """Valid range and scaling policy for depth evaluation."""
+    """Valid range and scaling policy for depth evaluation: ground truth in
+    [MIN_VALID_DEPTH, cap] counts, MIN_VALID_DEPTH being 1e-3 m."""
 
     cap: float = 10.0
-    min_valid: float = 1e-3
     median_scaling: bool = True
 
     def __post_init__(self):
-        if not 0 < self.min_valid < self.cap:
-            raise ValueError("need 0 < min_valid < cap")
+        if not MIN_VALID_DEPTH < self.cap:
+            raise ValueError(f"need cap > {MIN_VALID_DEPTH}")
 
 
 @dataclass
@@ -32,8 +35,6 @@ class EvalReport:
     delta3: float
     n_pixels: int
     scale_s: float
-    trans_err_m: float | None = None
-    rot_err_deg: float | None = None
 
     def to_json(self) -> str:
         return json.dumps(self.__dict__, indent=2, sort_keys=True)
@@ -54,12 +55,12 @@ def median_scale(pred, gt, valid: np.ndarray):
 
 
 def depth_metrics(pred, gt, cfg: DepthEvalConfig = DepthEvalConfig()) -> EvalReport:
-    """AbsRel, RMSE and threshold accuracies over gt pixels in [min_valid, cap]."""
+    """AbsRel, RMSE and threshold accuracies over gt pixels in [MIN_VALID_DEPTH, cap]."""
     pred = np.asarray(pred, dtype=np.float64)
     gt = np.asarray(gt, dtype=np.float64)
     if pred.shape != gt.shape:
         raise ValueError("prediction/ground-truth shape mismatch")
-    valid = (gt >= cfg.min_valid) & (gt <= cfg.cap)
+    valid = (gt >= MIN_VALID_DEPTH) & (gt <= cfg.cap)
     if not valid.any():
         raise ValueError("empty valid set")
     s = 1.0

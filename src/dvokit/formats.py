@@ -9,7 +9,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .geometry import CameraIntrinsics, Pose, quaternion_from_rotation, rotation_from_quaternion
+from .geometry import CameraIntrinsics, DepthMap, Pose, quaternion_from_rotation, rotation_from_quaternion
+from .synth import FramePair, relative_pose
 
 
 class DataError(ValueError):
@@ -88,14 +89,14 @@ def read_pfm(path) -> np.ndarray:
 # line format: "t tx ty tz qx qy qz qw" with a unit, w-last quaternion
 
 
-def write_tum(path, poses: list[Pose], timestamps=None) -> None:
+def write_tum(path, poses: list[Pose]) -> None:
+    """One line per pose; the timestamp is the frame index."""
     lines = []
     for i, pose in enumerate(poses):
-        t = float(timestamps[i]) if timestamps is not None else float(i)
         q = quaternion_from_rotation(pose.rotation)
         tx, ty, tz = pose.translation
         lines.append(
-            f"{t:.6f} {tx:.17g} {ty:.17g} {tz:.17g} "
+            f"{i:.6f} {tx:.17g} {ty:.17g} {tz:.17g} "
             f"{q[0]:.17g} {q[1]:.17g} {q[2]:.17g} {q[3]:.17g}"
         )
     Path(path).write_text("\n".join(lines) + "\n")
@@ -144,8 +145,6 @@ def save_dataset(out_dir, frames, k: CameraIntrinsics, seed: int, scene_name: st
     """Write frames + trajectory + manifest under `out_dir`; returns the manifest."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    from .synth import relative_pose  # local import to avoid a cycle
-
     frame_entries = []
     for i, fr in enumerate(frames):
         img_name, depth_name = f"frame_{i:05d}.ppm", f"depth_{i:05d}.pfm"
@@ -190,27 +189,40 @@ def save_dataset(out_dir, frames, k: CameraIntrinsics, seed: int, scene_name: st
 def load_pairs(dataset_dir):
     """Load a dataset directory into FramePair objects (in manifest order).
 
-    A frame entry without an image or depth file, a pair index that is not a
-    frame number, or a missing or malformed relative pose raises DataError
-    naming the manifest."""
-    from .geometry import DepthMap
-    from .synth import FramePair
-
+    Missing or invalid intrinsics, a frame entry without an image or depth
+    file name or with a name that is not a string, a frame file that cannot
+    be read or whose size differs from the intrinsics, a pair index that is
+    not a frame number, or a missing or malformed relative pose raises
+    DataError naming the manifest, and the file when one is at fault."""
     root = Path(dataset_dir)
     path = root / "manifest.json"
     manifest = read_manifest(path)
-    k = CameraIntrinsics.from_dict(manifest["intrinsics"])
+    try:
+        k = CameraIntrinsics.from_dict(manifest["intrinsics"])
+    except (KeyError, TypeError, ValueError) as e:
+        raise DataError(f"manifest {path}: invalid intrinsics ({e!r})") from e
+
+    def read(reader, name) -> np.ndarray:
+        if not isinstance(name, str):
+            raise DataError(f"manifest {path}: file name {name!r} is not a string")
+        file = root / name
+        try:
+            data = reader(file)
+        except (OSError, DataError) as e:
+            raise DataError(f"manifest {path}: cannot read {file}: {e}") from e
+        h, w = data.shape[-2:]
+        if (h, w) != (k.height, k.width):
+            raise DataError(f"manifest {path}: {file} is {w}x{h} px, the intrinsics say {k.width}x{k.height}")
+        return data
+
     images, depths, masks = [], [], []
     for i, entry in enumerate(manifest["frames"]):
         missing = [key for key in ("image", "depth") if key not in entry]
         if missing:
             raise DataError(f"manifest {path}: frame {i} lacks '{missing[0]}'")
-        images.append(read_ppm(root / entry["image"]))
-        depths.append(read_pfm(root / entry["depth"]))
-        if "dynamic_mask" in entry:
-            masks.append(read_pfm(root / entry["dynamic_mask"]) > 0.5)
-        else:
-            masks.append(None)
+        images.append(read(read_ppm, entry["image"]))
+        depths.append(read(read_pfm, entry["depth"]))
+        masks.append(read(read_pfm, entry["dynamic_mask"]) > 0.5 if "dynamic_mask" in entry else None)
     pairs = []
     for j, p in enumerate(manifest["pairs"]):
         a, b = p.get("a"), p.get("b")

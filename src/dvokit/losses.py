@@ -90,22 +90,15 @@ def ssim(a: Tensor, b: Tensor) -> Tensor:
     return (num / den).mean(axis=0).clamp(-1.0, 1.0)
 
 
-def photometric_loss(
-    image: Tensor, synthesized: Tensor, valid: np.ndarray, weights: LossWeights = LossWeights()
-) -> tuple[Tensor, Tensor]:
-    """Per-pixel photometric map and its mean over the valid set.
-
-    The map blends the channel-mean L1 difference with the SSIM dissimilarity
-    (1 - SSIM)/2, weighted by lambda.
-    """
+def photometric_loss(image: Tensor, synthesized: Tensor, weights: LossWeights = LossWeights()) -> Tensor:
+    """Per-pixel photometric map (H, W): the channel-mean L1 difference
+    blended with the SSIM dissimilarity (1 - SSIM)/2, weighted by lambda."""
     l1 = (image - synthesized).abs().mean(axis=0)
     lam = weights.lambda_ssim
     if lam == 0.0:
-        lp_map = l1
-    else:
-        dssim = (1.0 - ssim(image, synthesized)) * 0.5
-        lp_map = (1.0 - lam) * l1 + lam * dssim
-    return lp_map, masked_mean(lp_map, valid)
+        return l1
+    dssim = (1.0 - ssim(image, synthesized)) * 0.5
+    return (1.0 - lam) * l1 + lam * dssim
 
 
 def masked_photometric_loss(lp_map: Tensor, m_s: Tensor, valid: np.ndarray) -> Tensor:
@@ -177,7 +170,7 @@ def total_loss(
     else:
         m_s = ad.where(valid, 1.0 - dd, 0.0).detach()  # gradient-stopped by design
 
-    lp_map, _ = photometric_loss(image_a, synthesized, valid, weights)
+    lp_map = photometric_loss(image_a, synthesized, weights)
     l_pm = masked_photometric_loss(lp_map, m_s, valid)
     l_s = smoothness_loss(d_a, image_a)
     l_total = combine_losses(l_pm, l_g, l_s, weights)

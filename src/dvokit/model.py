@@ -26,27 +26,29 @@ from .autodiff import Tensor
 from .formats import DataError
 
 
+# Fixed recipe: 8 px patches, 4 attention heads in every block, and CroCo's
+# 90 % patch mask for cross-view completion (arXiv 2210.10716).
+PATCH = 8
+HEADS = 4
+MASK_RATIO = 0.9
+
+
 @dataclass
 class ModelConfig:
-    patch_size: int = 8
     enc_dim: int = 64
     enc_depth: int = 4
-    enc_heads: int = 4
     dec_dim: int = 48
     dec_depth: int = 4
-    dec_heads: int = 4
     dpt_source_blocks: tuple[int, ...] = (1, 2, 3, 4)
     adapter_dim: int = 16
-    adapter_scale: float = 0.1
     head_kind: str = "linear"  # linear | dpt
     min_depth: float = 0.1
     max_depth: float = 10.0
-    mask_ratio: float = 0.9
 
     def __post_init__(self):
         self.dpt_source_blocks = tuple(self.dpt_source_blocks)
-        if self.enc_dim % self.enc_heads or self.dec_dim % self.dec_heads:
-            raise ValueError("model dims must be divisible by their head counts")
+        if self.enc_dim % HEADS or self.dec_dim % HEADS:
+            raise ValueError(f"model dims must be divisible by the head count {HEADS}")
         if len(self.dpt_source_blocks) != 4:
             raise ValueError("need exactly 4 tapped decoder blocks")
         if list(self.dpt_source_blocks) != sorted(self.dpt_source_blocks):
@@ -55,12 +57,8 @@ class ModelConfig:
             raise ValueError("tapped blocks must lie in [1, dec_depth]")
         if not 0 < self.min_depth < self.max_depth:
             raise ValueError("need 0 < min_depth < max_depth")
-        if not 0.0 < self.mask_ratio < 1.0:
-            raise ValueError("mask_ratio must be in (0, 1)")
         if self.head_kind not in ("linear", "dpt"):
             raise ValueError("head_kind must be 'linear' or 'dpt'")
-        if self.head_kind == "dpt" and self.patch_size % 4:
-            raise ValueError("the dpt head needs patch_size divisible by 4")
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -124,12 +122,12 @@ class LinearDepthHead(nn.Module):
     def __init__(self, cfg: ModelConfig, rng):
         self.norm = nn.LayerNorm(cfg.dec_dim)
         self.fc1 = nn.Linear(cfg.dec_dim, 128, rng)
-        self.fc2 = nn.Linear(128, cfg.patch_size**2, rng)
+        self.fc2 = nn.Linear(128, PATCH**2, rng)
         self._cfg = cfg
 
     def __call__(self, blocks: list[Tensor], rows: int, cols: int) -> Tensor:
         raw = self.fc2(self.fc1(self.norm(blocks[-1])).gelu())
-        grid = unpatchify_map(raw, rows, cols, self._cfg.patch_size)
+        grid = unpatchify_map(raw, rows, cols, PATCH)
         return depth_from_raw(grid, self._cfg.min_depth, self._cfg.max_depth)
 
 
@@ -173,7 +171,7 @@ class DptDepthHead(nn.Module):
         x = self.fuse[2](ad.upsample_nearest(x, 2) + feats[2])
         x = self.fuse[1](ad.upsample_nearest(x, 2) + feats[1])
         x = self.fuse[0](ad.upsample_nearest(x, 2) + feats[0])
-        x = ad.upsample_nearest(x, self._cfg.patch_size // 4)
+        x = ad.upsample_nearest(x, PATCH // 4)
         raw = self.head_out(self.head_conv(x).gelu())[..., 0, :, :]
         return depth_from_raw(raw, self._cfg.min_depth, self._cfg.max_depth)
 
@@ -206,7 +204,7 @@ class PixelHead(nn.Module):
     def __init__(self, cfg: ModelConfig, rng):
         self.norm = nn.LayerNorm(cfg.dec_dim)
         self.fc1 = nn.Linear(cfg.dec_dim, 128, rng)
-        self.fc2 = nn.Linear(128, cfg.patch_size**2 * 3, rng)
+        self.fc2 = nn.Linear(128, PATCH**2 * 3, rng)
 
     def __call__(self, tokens: Tensor) -> Tensor:
         return self.fc2(self.fc1(self.norm(tokens)).gelu())
@@ -218,22 +216,15 @@ class PixelHead(nn.Module):
 class DvoModel(nn.Module):
     def __init__(self, cfg: ModelConfig, rng: np.random.Generator):
         self.cfg = cfg
-        p = cfg.patch_size
-        self.patch_embed = nn.Linear(p * p * 3, cfg.enc_dim, rng)
+        self.patch_embed = nn.Linear(PATCH * PATCH * 3, cfg.enc_dim, rng)
         self.enc_blocks = nn.ModuleList(
-            [
-                nn.EncoderBlock(cfg.enc_dim, cfg.enc_heads, rng, cfg.adapter_dim, cfg.adapter_scale)
-                for _ in range(cfg.enc_depth)
-            ]
+            [nn.EncoderBlock(cfg.enc_dim, HEADS, rng, cfg.adapter_dim) for _ in range(cfg.enc_depth)]
         )
         self.enc_norm = nn.LayerNorm(cfg.enc_dim)
         self.dec_proj = nn.Linear(cfg.enc_dim, cfg.dec_dim, rng)
         self.mask_token = ad.parameter(nn._init(rng, (cfg.dec_dim,)))
         self.dec_blocks = nn.ModuleList(
-            [
-                nn.DecoderBlock(cfg.dec_dim, cfg.dec_heads, rng, cfg.adapter_dim, cfg.adapter_scale)
-                for _ in range(cfg.dec_depth)
-            ]
+            [nn.DecoderBlock(cfg.dec_dim, HEADS, rng, cfg.adapter_dim) for _ in range(cfg.dec_depth)]
         )
         self.depth_head = (
             DptDepthHead(cfg, rng) if cfg.head_kind == "dpt" else LinearDepthHead(cfg, rng)
@@ -246,10 +237,9 @@ class DvoModel(nn.Module):
 
     def grid_shape(self, image_shape) -> tuple[int, int]:
         h, w = image_shape[-2:]
-        p = self.cfg.patch_size
-        if h % p or w % p:
-            raise ValueError(f"image dims {h}x{w} not divisible by patch size {p}")
-        return h // p, w // p
+        if h % PATCH or w % PATCH:
+            raise ValueError(f"image dims {h}x{w} not divisible by patch size {PATCH}")
+        return h // PATCH, w // PATCH
 
     def encode(self, image, keep: np.ndarray | None = None) -> TokenGrid:
         """Patch-embed + positional encoding + encoder blocks.
@@ -262,7 +252,7 @@ class DvoModel(nn.Module):
         """
         img = image if isinstance(image, Tensor) else Tensor(image)
         rows, cols = self.grid_shape(img.shape)
-        x = self.patch_embed(patchify(img, self.cfg.patch_size))
+        x = self.patch_embed(patchify(img, PATCH))
         x = x + Tensor(nn.posemb_2d(rows, cols, self.cfg.enc_dim))
         if keep is not None:
             keep = np.asarray(keep, dtype=np.int64)
@@ -345,14 +335,14 @@ def completion_loss(model: DvoModel, image_a, image_b, masked: np.ndarray, keep:
     grid_b = model.encode(image_b)
     blocks = model.decode(grid_a, grid_b)
     pred = model.pixel_head(blocks[-1])
-    targets = normalized_patch_targets(image_a, model.cfg.patch_size)
+    targets = normalized_patch_targets(image_a, PATCH)
     return masked_patch_mse(pred, targets, masked)
 
 
 def pretrain_step(model: DvoModel, image_a, image_b, rng: np.random.Generator) -> Tensor:
-    """Completion loss under a mask drawn from `rng` at the model's mask ratio."""
+    """Completion loss under a mask drawn from `rng` at MASK_RATIO."""
     rows, cols = model.grid_shape(image_a.shape)
-    masked, keep = sample_mask(rows * cols, model.cfg.mask_ratio, rng)
+    masked, keep = sample_mask(rows * cols, MASK_RATIO, rng)
     return completion_loss(model, image_a, image_b, masked, keep)
 
 

@@ -14,8 +14,9 @@ from . import autodiff as ad
 from .autodiff import Tensor
 
 
-def _init(rng, shape, std=0.02):
-    return rng.normal(0.0, std, size=shape)
+def _init(rng, shape):
+    """Weights drawn from N(0, 0.02^2)."""
+    return rng.normal(0.0, 0.02, size=shape)
 
 
 class Module:
@@ -58,13 +59,12 @@ class Linear(Module):
 
 
 class LayerNorm(Module):
-    def __init__(self, dim, eps: float = 1e-5):
+    def __init__(self, dim):
         self.gamma = ad.parameter(np.ones(dim))
         self.beta = ad.parameter(np.zeros(dim))
-        self._eps = eps
 
     def __call__(self, x: Tensor) -> Tensor:
-        return ad.layernorm(x, self.gamma, self.beta, self._eps)
+        return ad.layernorm(x, self.gamma, self.beta)
 
 
 class Mlp(Module):
@@ -79,19 +79,21 @@ class Mlp(Module):
 class AdaptMlp(Module):
     """Frozen-capable MLP with a parallel bottleneck branch.
 
-    The branch (down-projection, ReLU, up-projection, fixed scale) adds to
-    the plain MLP output. The up-projection starts at zero so the module is
-    an exact no-op relative to the wrapped MLP at init.
+    The branch (down-projection, ReLU, up-projection, then a fixed scale of
+    0.1, AdaptFormer's, arXiv 2205.13535) adds to the plain MLP output. The
+    up-projection starts at zero so the module is an exact no-op relative to
+    the wrapped MLP at init.
     """
 
-    def __init__(self, dim, hidden, bottleneck, scale, rng):
+    SCALE = 0.1
+
+    def __init__(self, dim, hidden, bottleneck, rng):
         self.mlp = Mlp(dim, hidden, rng)
         self.adapter_down = Linear(dim, bottleneck, rng)
         self.adapter_up = Linear(bottleneck, dim, rng, zero=True)
-        self._scale = scale
 
     def __call__(self, x: Tensor) -> Tensor:
-        return self.mlp(x) + self._scale * self.adapter_up(self.adapter_down(x).relu())
+        return self.mlp(x) + self.SCALE * self.adapter_up(self.adapter_down(x).relu())
 
 
 def _swap_last(x: Tensor) -> Tensor:
@@ -161,20 +163,21 @@ class CrossAttention(Module):
         return self.proj(_attend(q, kv[0], kv[1], self._scale))
 
 
-def _mlp_for(dim, hidden, adapter_dim, adapter_scale, rng):
+def _mlp_for(dim, adapter_dim, rng):
+    """A 4x wide MLP, with an adapter branch when `adapter_dim` > 0."""
     if adapter_dim > 0:
-        return AdaptMlp(dim, hidden, adapter_dim, adapter_scale, rng)
-    return Mlp(dim, hidden, rng)
+        return AdaptMlp(dim, 4 * dim, adapter_dim, rng)
+    return Mlp(dim, 4 * dim, rng)
 
 
 class EncoderBlock(Module):
     """Pre-norm self-attention + MLP (optionally adapter-augmented)."""
 
-    def __init__(self, dim, heads, rng, adapter_dim=0, adapter_scale=0.1, mlp_ratio=4):
+    def __init__(self, dim, heads, rng, adapter_dim):
         self.norm1 = LayerNorm(dim)
         self.attn = SelfAttention(dim, heads, rng)
         self.norm2 = LayerNorm(dim)
-        self.mlp = _mlp_for(dim, mlp_ratio * dim, adapter_dim, adapter_scale, rng)
+        self.mlp = _mlp_for(dim, adapter_dim, rng)
 
     def __call__(self, x: Tensor) -> Tensor:
         x = x + self.attn(self.norm1(x))
@@ -184,14 +187,14 @@ class EncoderBlock(Module):
 class DecoderBlock(Module):
     """Pre-norm self-attention, cross-attention to the reference frame, MLP."""
 
-    def __init__(self, dim, heads, rng, adapter_dim=0, adapter_scale=0.1, mlp_ratio=4):
+    def __init__(self, dim, heads, rng, adapter_dim):
         self.norm1 = LayerNorm(dim)
         self.attn = SelfAttention(dim, heads, rng)
         self.norm_q = LayerNorm(dim)
         self.norm_kv = LayerNorm(dim)
         self.cross = CrossAttention(dim, heads, rng)
         self.norm2 = LayerNorm(dim)
-        self.mlp = _mlp_for(dim, mlp_ratio * dim, adapter_dim, adapter_scale, rng)
+        self.mlp = _mlp_for(dim, adapter_dim, rng)
 
     def __call__(self, x: Tensor, ctx: Tensor) -> Tensor:
         x = x + self.attn(self.norm1(x))

@@ -6,6 +6,10 @@ import numpy as np
 
 from .autodiff import Tensor
 
+# Adam's moment decay rates and denominator guard (arXiv 1412.6980)
+_BETA1, _BETA2 = 0.9, 0.999
+_EPS = 1e-8
+
 
 class AdamW:
     """Deterministic AdamW over (name, Tensor) pairs.
@@ -20,16 +24,12 @@ class AdamW:
         self,
         named_params: list[tuple[str, Tensor]],
         lr: float = 1e-3,
-        betas: tuple[float, float] = (0.9, 0.999),
-        eps: float = 1e-8,
         weight_decay: float = 0.0,
     ):
         if lr <= 0:
             raise ValueError("lr must be positive")
         self.params = [(name, p) for name, p in named_params if p.requires_grad]
         self.lr = lr
-        self.beta1, self.beta2 = betas
-        self.eps = eps
         self.weight_decay = weight_decay
         self.step_count = 0
         self._m = {name: np.zeros_like(p.data) for name, p in self.params}
@@ -40,13 +40,13 @@ class AdamW:
         name raises KeyError before anything changes."""
         gs = [grads[name] for name, _ in self.params]
         self.step_count += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = _BETA1, _BETA2
         bc1 = 1.0 - b1**self.step_count
         bc2 = 1.0 - b2**self.step_count
         for (name, p), g in zip(self.params, gs):
             m = self._m[name] = b1 * self._m[name] + (1.0 - b1) * g
             v = self._v[name] = b2 * self._v[name] + (1.0 - b2) * (g * g)
-            update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            update = (m / bc1) / (np.sqrt(v / bc2) + _EPS)
             if self.weight_decay:
                 update = update + self.weight_decay * p.data
             p.data = p.data - self.lr * update

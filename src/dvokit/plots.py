@@ -13,10 +13,11 @@ def _polyline_points(xz: np.ndarray, to_px) -> str:
     return " ".join(f"{to_px(p)[0]:.2f},{to_px(p)[1]:.2f}" for p in xz)
 
 
-def trajectory_svg(pred: list[Pose], gt: list[Pose], path, size: int = 480) -> None:
-    """Write an SVG overlaying the ground-plane (xz) projections of two
-    trajectories in the y-up world (ground truth blue, prediction orange),
-    x to the right and z up the page."""
+def trajectory_svg(pred: list[Pose], gt: list[Pose], path) -> None:
+    """Write a 480 x 480 px SVG overlaying the ground-plane (xz) projections
+    of two trajectories in the y-up world (ground truth blue, prediction
+    orange), x to the right and z up the page."""
+    size = 480
     pred_xz = np.array([p.translation[[0, 2]] for p in pred])
     gt_xz = np.array([p.translation[[0, 2]] for p in gt])
     allpts = np.vstack([pred_xz, gt_xz])

@@ -22,6 +22,7 @@ from .model import (
     DvoModel,
     ModelConfig,
     forward_dvo,
+    freeze_for_adapters,
     load_state,
     model_state,
     pretrain_step,
@@ -43,23 +44,10 @@ class TrainingDivergence(RuntimeError):
 
 
 @dataclass
-class OptimizerConfig:
-    lr: float = 1e-3
-    weight_decay: float = 0.0
-    betas: tuple[float, float] = (0.9, 0.999)
-
-    def __post_init__(self):
-        self.betas = tuple(self.betas)
-        if self.lr <= 0:
-            raise ValueError("lr must be positive")
-
-
-@dataclass
 class RunConfig:
     seed: int = 0
     model: ModelConfig = field(default_factory=toy_config)
     loss: LossWeights = field(default_factory=LossWeights)
-    optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
     epochs: int = 4
     batch_size: int = 2
     out_dir: str = ""
@@ -225,15 +213,8 @@ def _run_phase(
     if init_checkpoint is not None:  # warm start
         _load_checkpoint_into(init_checkpoint, model)
     if freeze_backbone:
-        from .model import freeze_for_adapters
-
         freeze_for_adapters(model)
-    opt = AdamW(
-        list(model.named_parameters()),
-        lr=cfg.optimizer.lr,
-        betas=cfg.optimizer.betas,
-        weight_decay=cfg.optimizer.weight_decay,
-    )
+    opt = AdamW(list(model.named_parameters()))
     if resume is not None:
         start_epoch = int(_load_checkpoint_into(resume, model, opt)["extra"]["epoch"]) + 1
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dvokit.evaluation import (
+    MIN_VALID_DEPTH,
     DepthEvalConfig,
     EvalReport,
     accumulate_trajectory,
@@ -19,7 +20,7 @@ from oracles import depth_metrics_reference
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        DepthEvalConfig(cap=1.0, min_valid=2.0)
+        DepthEvalConfig(cap=1e-4)
 
 
 def test_median_scale_cases():
@@ -97,6 +98,15 @@ def test_cap_monotonicity():
     assert large.n_pixels >= small.n_pixels
 
 
+def test_ground_truth_below_the_minimum_valid_depth_is_left_out():
+    gt = np.array([[2.0, 4.0, 5e-4]])
+    pred = np.array([[1.0, 5.0, 3.0]])
+    rep = depth_metrics(pred, gt, DepthEvalConfig(cap=80.0, median_scaling=False))
+    assert 5e-4 < MIN_VALID_DEPTH
+    assert rep.n_pixels == 2
+    assert rep.abs_rel == (0.5 + 0.25) / 2
+
+
 def test_depth_metrics_empty_valid_set():
     gt = np.full((3, 3), 100.0)
     with pytest.raises(ValueError):
@@ -104,11 +114,10 @@ def test_depth_metrics_empty_valid_set():
 
 
 def test_eval_report_json_roundtrip():
-    rep = EvalReport(0.1, 0.5, 0.9, 0.95, 0.99, 1234, 1.5, trans_err_m=0.2, rot_err_deg=3.0)
+    rep = EvalReport(0.1, 0.5, 0.9, 0.95, 0.99, 1234, 1.5)
     text = rep.to_json()
     assert EvalReport(**json.loads(text)) == rep
-    for field in ("abs_rel", "rmse", "delta1", "delta2", "delta3", "n_pixels", "scale_s",
-                  "trans_err_m", "rot_err_deg"):
+    for field in ("abs_rel", "rmse", "delta1", "delta2", "delta3", "n_pixels", "scale_s"):
         assert f'"{field}"' in text
 
 

@@ -25,8 +25,8 @@ from dvokit.model import (
 from dvokit.optim import AdamW
 
 
-TINY = ModelConfig(patch_size=8, enc_dim=32, enc_depth=2, enc_heads=4,
-                   dec_dim=32, dec_depth=2, dec_heads=4, dpt_source_blocks=(1, 1, 2, 2),
+TINY = ModelConfig(enc_dim=32, enc_depth=2,
+                   dec_dim=32, dec_depth=2, dpt_source_blocks=(1, 1, 2, 2),
                    adapter_dim=8)
 
 
@@ -40,7 +40,7 @@ def _image(seed=1, size=32):
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        ModelConfig(enc_dim=30, enc_heads=4)
+        ModelConfig(enc_dim=30)
     with pytest.raises(ValueError):
         ModelConfig(dpt_source_blocks=(1, 2, 3))
     with pytest.raises(ValueError):
@@ -49,8 +49,6 @@ def test_config_validation():
         ModelConfig(dpt_source_blocks=(1, 2, 3, 9))
     with pytest.raises(ValueError):
         ModelConfig(min_depth=2.0, max_depth=1.0)
-    with pytest.raises(ValueError):
-        ModelConfig(mask_ratio=1.0)
     with pytest.raises(ValueError):
         ModelConfig(head_kind="conv")
     cfg = toy_config()
@@ -181,8 +179,8 @@ def test_encoder_weight_sharing():
 
 
 def test_dpt_head_shapes_toy_and_paper_construction():
-    cfg = ModelConfig(patch_size=8, enc_dim=32, enc_depth=2, enc_heads=4,
-                      dec_dim=32, dec_depth=4, dec_heads=4,
+    cfg = ModelConfig(enc_dim=32, enc_depth=2,
+                      dec_dim=32, dec_depth=4,
                       dpt_source_blocks=(1, 2, 3, 4), adapter_dim=0, head_kind="dpt")
     model = DvoModel(cfg, np.random.default_rng(1))
     img = _image(18, size=64)
@@ -192,8 +190,8 @@ def test_dpt_head_shapes_toy_and_paper_construction():
 
 
 def test_dpt_taps_are_all_live():
-    cfg = ModelConfig(patch_size=8, enc_dim=32, enc_depth=2, enc_heads=4,
-                      dec_dim=32, dec_depth=4, dec_heads=4,
+    cfg = ModelConfig(enc_dim=32, enc_depth=2,
+                      dec_dim=32, dec_depth=4,
                       dpt_source_blocks=(1, 2, 3, 4), adapter_dim=0, head_kind="dpt")
     model = DvoModel(cfg, np.random.default_rng(2))
     img = _image(20, size=32)
@@ -292,8 +290,8 @@ def test_finetune_loss_graph_node_count(pair_fixture, head_kind, bound, request)
 
 def test_adapter_noop_at_init_and_count():
     # a block's AdaptMLP with zero up-projection matches the plain MLP bitwise
-    cfg_ad = ModelConfig(patch_size=8, enc_dim=32, enc_depth=1, enc_heads=4,
-                         dec_dim=32, dec_depth=1, dec_heads=4,
+    cfg_ad = ModelConfig(enc_dim=32, enc_depth=1,
+                         dec_dim=32, dec_depth=1,
                          dpt_source_blocks=(1, 1, 1, 1), adapter_dim=8)
     cfg_plain = ModelConfig(**{**cfg_ad.to_dict(), "adapter_dim": 0})
     m_ad = DvoModel(cfg_ad, np.random.default_rng(5))

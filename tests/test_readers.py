@@ -1,7 +1,7 @@
 """Robustness of the on-disk readers and writers: PPM payloads that start with
 whitespace byte values, truncated or malformed checkpoints (a cut exactly
 between two arrays included), checkpoint writes that fail midway, and
-malformed dataset manifest entries."""
+malformed dataset manifests and frame files."""
 
 import json
 import re
@@ -125,8 +125,30 @@ def _frame_without_image(m):
     del m["frames"][1]["image"]
 
 
+def _frame_file_name_not_a_string(m):
+    m["frames"][0]["image"] = 5
+
+
+def _intrinsics_without_fx(m):
+    del m["intrinsics"]["fx"]
+
+
+def _negative_focal_length(m):
+    m["intrinsics"]["fx"] = -1.0
+
+
 @pytest.mark.parametrize(
-    "corrupt", [_negative_index, _index_past_the_end, _float_index, _no_rel_pose, _frame_without_image]
+    "corrupt",
+    [
+        _negative_index,
+        _index_past_the_end,
+        _float_index,
+        _no_rel_pose,
+        _frame_without_image,
+        _frame_file_name_not_a_string,
+        _intrinsics_without_fx,
+        _negative_focal_length,
+    ],
 )
 def test_malformed_manifest_entry_raises_data_error_naming_the_manifest(tmp_path, dataset_dir, corrupt):
     root = tmp_path / "copy"
@@ -136,3 +158,24 @@ def test_malformed_manifest_entry_raises_data_error_naming_the_manifest(tmp_path
     formats.write_manifest(root / "manifest.json", manifest)
     with pytest.raises(DataError, match=re.escape(str(root / "manifest.json"))):
         formats.load_pairs(root)
+
+
+
+def _deleted_frame(root):
+    (root / "frame_00002.ppm").unlink()
+    return "frame_00002.ppm"
+
+
+def _smaller_frame(root):
+    formats.write_ppm(root / "frame_00001.ppm", np.full((3, 8, 8), 0.5))  # the intrinsics say 16 px
+    return "frame_00001.ppm"
+
+
+@pytest.mark.parametrize("corrupt", [_deleted_frame, _smaller_frame])
+def test_bad_frame_file_raises_data_error_naming_the_manifest_and_the_file(tmp_path, dataset_dir, corrupt):
+    root = tmp_path / "copy"
+    shutil.copytree(dataset_dir, root)
+    bad_file = root / corrupt(root)
+    with pytest.raises(DataError, match=re.escape(str(root / "manifest.json"))) as err:
+        formats.load_pairs(root)
+    assert str(bad_file) in str(err.value)

@@ -4,6 +4,7 @@ import pytest
 from dvokit.autodiff import Tensor
 from dvokit.geometry import CameraIntrinsics, Pose, warp_depth, bilinear_sample
 from dvokit.synth import (
+    MIN_OVERLAP,
     Box,
     MotionSpec,
     Scene,
@@ -89,7 +90,7 @@ def test_random_walk_satisfies_covisibility_bound():
     for i in range(49):
         rel = relative_pose(frames[i], frames[i + 1])
         frac = covisible_fraction(frames[i].depth, frames[i + 1].depth, rel, k)
-        assert frac >= spec.min_overlap
+        assert frac >= MIN_OVERLAP
 
 
 def test_pair_warp_rerender_is_exact_on_static_covisible_pixels():

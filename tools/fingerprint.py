@@ -1,0 +1,123 @@
+"""Digest what dvokit computes, so a refactor can show that its outputs are
+bit-identical to those of its parent.
+
+Usage:
+
+    python3 tools/fingerprint.py <src-dir> > digests.json
+
+`<src-dir>` is the directory that holds the `dvokit` package (a checkout's
+`src/`). The script prints one JSON object mapping item names to sha256
+digests (first 16 hex digits). Run it on the parent's and the change's
+checkouts and compare the two outputs key by key: every item is digested on
+its own, so a difference names what changed (say, a checkpoint's config
+header while its arrays stay the same).
+
+What it runs, all seeded and on the `dynamic-room` scene:
+  - random-walk trajectories of 4 frames at 32 and 64 px (images, depths,
+    dynamic masks, camera poses)
+  - every file `save_dataset` writes for the 32 px trajectory
+  - 2-epoch finetune and pretrain runs on the 3 pairs of each trajectory,
+    with the linear head at 32 px and the DPT head at 64 px: the last
+    checkpoint's arrays and config, the loss curves, and `evaluate_depth`
+    on the same pairs (its JSON and, apart, its metric values)
+  - 20-iteration `optimize_direct` pose and depth runs on a 32 px pair from
+    `perturbed_twist` starts (curves and results)
+
+It writes only to a temporary directory and takes about 6 s on a 2-core host.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import sys
+import tempfile
+from dataclasses import asdict
+from pathlib import Path
+
+import numpy as np
+
+_METRICS = ("abs_rel", "rmse", "delta1", "delta2", "delta3", "n_pixels", "scale_s")
+
+
+def _digest(*parts) -> str:
+    h = hashlib.sha256()
+    for part in parts:
+        if isinstance(part, np.ndarray):
+            h.update(str(part.shape).encode())
+            h.update(np.ascontiguousarray(part, dtype="<f8").tobytes())
+        elif isinstance(part, bytes):
+            h.update(part)
+        else:
+            h.update(json.dumps(part, sort_keys=True).encode())
+    return h.hexdigest()[:16]
+
+
+def _frames(synth, size: int):
+    k = synth.default_intrinsics(size)
+    scene = synth.preset_scene("dynamic-room", seed=0)
+    frames = synth.generate_trajectory(scene, k, 4, synth.MotionSpec(), np.random.default_rng(size))
+    return frames, k
+
+
+def fingerprint(tmp: Path) -> dict[str, str]:
+    from dvokit import direct, formats, synth, train
+    from dvokit.model import load_checkpoint, toy_config
+
+    out: dict[str, str] = {}
+    trajectories = {size: _frames(synth, size) for size in (32, 64)}
+    for size, (frames, _) in trajectories.items():
+        out[f"frames-{size}"] = _digest(
+            *(part for fr in frames for part in (fr.image, fr.depth, fr.dynamic_mask.astype(float))),
+            *(fr.cam_to_world.matrix() for fr in frames),
+        )
+
+    frames, k = trajectories[32]
+    data_dir = tmp / "dataset"
+    formats.save_dataset(data_dir, frames, k, 0, "dynamic-room")
+    for path in sorted(data_dir.iterdir()):
+        out[f"dataset/{path.name}"] = _digest(path.read_bytes())
+
+    for size, head in ((32, "linear"), (64, "dpt")):
+        frames, k = trajectories[size]
+        dataset = train.PairDataset([synth.make_pair(frames, i, k) for i in range(len(frames) - 1)])
+        for phase, run in (("finetune", train.finetune_run), ("pretrain", train.pretrain_run)):
+            name = f"{phase}-{size}-{head}"
+            run_dir = tmp / name
+            cfg = train.RunConfig(
+                seed=0, model=toy_config(head_kind=head), epochs=2, batch_size=2, out_dir=str(run_dir)
+            )
+            model, report = run(cfg, dataset)
+            config, arrays = load_checkpoint(run_dir / f"checkpoint-epoch{cfg.epochs - 1:03d}.dvoc")
+            out[f"{name}/checkpoint.arrays"] = _digest(*(part for key in sorted(arrays) for part in (key, arrays[key])))
+            out[f"{name}/checkpoint.config"] = _digest(config)
+            out[f"{name}/curves"] = _digest(report.curves)
+            scores = train.evaluate_depth(model, dataset)
+            out[f"{name}/eval.json"] = _digest(scores.to_json())
+            out[f"{name}/eval.metrics"] = _digest({key: getattr(scores, key) for key in _METRICS})
+
+    frames, k = trajectories[32]
+    pair = synth.make_pair(frames, 0, k)
+    rng = np.random.default_rng(0)
+    for i in range(2):
+        start = direct.perturbed_twist(pair.gt_pose.twist(), rng)
+        out[f"direct/pose-{i}"] = _digest(asdict(direct.optimize_direct(pair, "pose", iters=20, init_twist=start)))
+    for depth in (2.0, 3.0):
+        result = direct.optimize_direct(pair, "depth", iters=20, init_depth=depth)
+        out[f"direct/depth-{depth}"] = _digest(asdict(result))
+    return out
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 2 or not (Path(argv[1]) / "dvokit" / "__init__.py").is_file():
+        print("usage: python3 tools/fingerprint.py <directory holding the dvokit package>", file=sys.stderr)
+        return 2
+    sys.path.insert(0, str(Path(argv[1]).resolve()))
+    with tempfile.TemporaryDirectory() as tmp:
+        digests = fingerprint(Path(tmp))
+    print(json.dumps(digests, indent=1, sort_keys=True))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv))
