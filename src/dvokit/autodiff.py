@@ -5,8 +5,9 @@ Every differentiable quantity in this package (losses, networks, warps) is a
 Arrays are numpy float64 throughout; broadcasting follows numpy's
 trailing-dimension rules, and the image ops take leading batch axes
 (``(..., C, H, W)``) the same way. An operand that does not require
-gradients gets none computed. A global "checked" flag (on by default) traps
-non-finite values and zero denominators as soon as they appear.
+gradients gets none computed. A per-thread "checked" flag (on by default)
+traps non-finite values and zero denominators as soon as they appear, and
+inside ``no_grad()`` ops record no graph.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ __all__ = [
     "row_scatter",
     "upsample_nearest",
     "conv3x3",
+    "conv3x3_up2",
     "box3",
     "softmax",
     "layernorm",
@@ -41,6 +43,7 @@ __all__ = [
     "finite_diff_check",
     "checked_enabled",
     "checked",
+    "no_grad",
 ]
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
@@ -55,22 +58,40 @@ class EmptyValidSetError(ValueError):
     """A reduction was asked to aggregate zero elements."""
 
 
-_state = threading.local()
+class _ThreadState(threading.local):
+    checked = True  # trap non-finite values
+    grad = True  # record the graph
+
+
+_state = _ThreadState()
 
 
 def checked_enabled() -> bool:
-    return getattr(_state, "checked", True)
+    return _state.checked
 
 
 @contextmanager
 def checked(flag: bool):
     """Temporarily enable/disable NaN/Inf trapping (e.g. off for benchmarks)."""
-    prev = checked_enabled()
+    prev = _state.checked
     _state.checked = bool(flag)
     try:
         yield
     finally:
         _state.checked = prev
+
+
+@contextmanager
+def no_grad():
+    """Record no graph in this thread: every op result is a constant (no
+    parents, ``requires_grad`` False), so nothing it was computed from is
+    kept alive by it. Values are unchanged and checked mode still traps."""
+    prev = _state.grad
+    _state.grad = False
+    try:
+        yield
+    finally:
+        _state.grad = prev
 
 
 def _verify_finite(data: np.ndarray, op: str) -> None:
@@ -141,7 +162,7 @@ class Tensor:
     @staticmethod
     def _make(data, parents: Sequence["Tensor"], grad_fn, op: str) -> "Tensor":
         _verify_finite(np.asarray(data), op)
-        if any(p.requires_grad for p in parents):
+        if _state.grad and any(p.requires_grad for p in parents):
             return Tensor(data, requires_grad=True, _parents=tuple(parents), _grad_fn=grad_fn, op=op)
         return Tensor(data, op=op)
 
@@ -470,6 +491,60 @@ def upsample_nearest(t: Tensor, factor: int) -> Tensor:
     return Tensor._make(out, (t,), grad_fn, "upsample_nearest")
 
 
+def _conv_operands(op: str, x, weight, bias):
+    """Tensors and sizes of a 3x3 conv call: (x, weight, bias, lead, c, h, w, c_out)."""
+    x, weight, bias = _as_tensor(x), _as_tensor(weight), _as_tensor(bias)
+    if x.ndim < 3:
+        raise ValueError(f"{op} expects a (..., C, H, W) tensor")
+    *lead, c, h, w = x.shape
+    if weight.ndim != 4 or weight.shape[:3] != (3, 3, c):
+        raise ValueError(f"{op} weight must be (3, 3, {c}, C_out), got {weight.shape}")
+    c_out = weight.shape[3]
+    if bias.shape != (c_out,):
+        raise ValueError(f"{op} bias must be ({c_out},), got {bias.shape}")
+    return x, weight, bias, lead, c, h, w, c_out
+
+
+def _pad_channel_major(x: np.ndarray, n: int, c: int, h: int, w: int) -> np.ndarray:
+    """(..., C, h, w) maps zero padded by one pixel into the channel-major
+    layout (C, n, h+2, w+2): each tap's rows are then one contiguous
+    (C, n*h*w) block of the im2col matrix."""
+    xp = np.zeros((c, n, h + 2, w + 2))
+    xp[:, :, 1 : h + 1, 1 : w + 1] = x.reshape(n, c, h, w).transpose(1, 0, 2, 3)
+    return xp
+
+
+def _unpad_channel_major(gxp: np.ndarray, lead, c: int, h: int, w: int) -> np.ndarray:
+    return gxp[:, :, 1 : h + 1, 1 : w + 1].transpose(1, 0, 2, 3).reshape(*lead, c, h, w)
+
+
+def _tap_rows(xp: np.ndarray, dy: int, dx: int, h: int, w: int) -> np.ndarray:
+    c, n = xp.shape[:2]
+    return xp[:, :, dy : dy + h, dx : dx + w].reshape(c, n * h * w)
+
+
+def _taps_forward(xp: np.ndarray, w2: np.ndarray, taps, h: int, w: int) -> np.ndarray:
+    """(C_out, n*h*w): one GEMM of `w2` (len(taps)*C, C_out) over the im2col
+    rows of the padded map read at the (dy, dx) offsets `taps`."""
+    cols = np.concatenate([_tap_rows(xp, dy, dx, h, w) for dy, dx in taps])
+    return w2.T @ cols
+
+
+def _taps_backward(xp, w2, taps, g2: np.ndarray, gxp: np.ndarray, h: int, w: int) -> np.ndarray:
+    """Backward of `_taps_forward` for the output gradient g2 (C_out, n*h*w):
+    returns the weight gradient (len(taps), C, C_out) and adds the input
+    gradient into the padded `gxp` (col2im), one tap at a time."""
+    c, n = xp.shape[:2]
+    gw = np.empty((len(taps), c, w2.shape[1]))
+    for k, (dy, dx) in enumerate(taps):
+        gw[k] = _tap_rows(xp, dy, dx, h, w) @ g2.T
+        gxp[:, :, dy : dy + h, dx : dx + w] += (w2[k * c : (k + 1) * c] @ g2).reshape(c, n, h, w)
+    return gw
+
+
+_TAPS_3X3 = [divmod(k, 3) for k in range(9)]
+
+
 def conv3x3(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     """3x3 convolution of a (..., C, H, W) map, zero padded, stride 1.
 
@@ -480,43 +555,73 @@ def conv3x3(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     gradient GEMM, and folds each tap's column gradient back onto the input
     (col2im) one tap at a time.
     """
-    x, weight, bias = _as_tensor(x), _as_tensor(weight), _as_tensor(bias)
-    if x.ndim < 3:
-        raise ValueError("conv3x3 expects a (..., C, H, W) tensor")
-    *lead, c, h, w = x.shape
-    if weight.ndim != 4 or weight.shape[:3] != (3, 3, c):
-        raise ValueError(f"conv3x3 weight must be (3, 3, {c}, C_out), got {weight.shape}")
-    c_out = weight.shape[3]
-    if bias.shape != (c_out,):
-        raise ValueError(f"conv3x3 bias must be ({c_out},), got {bias.shape}")
+    x, weight, bias, lead, c, h, w, c_out = _conv_operands("conv3x3", x, weight, bias)
     n = math.prod(lead)
-    # channel-major layout (C, n, H, W): each tap's rows are then one
-    # contiguous (C, n*H*W) block of the im2col matrix
-    xp = np.zeros((c, n, h + 2, w + 2))
-    xp[:, :, 1 : h + 1, 1 : w + 1] = x.data.reshape(n, c, h, w).transpose(1, 0, 2, 3)
-
-    def tap_rows(k: int) -> np.ndarray:
-        dy, dx = divmod(k, 3)
-        return xp[:, :, dy : dy + h, dx : dx + w].reshape(c, n * h * w)
-
-    cols = np.concatenate([tap_rows(k) for k in range(9)])
+    xp = _pad_channel_major(x.data, n, c, h, w)
     w2 = weight.data.reshape(9 * c, c_out)
-    out = (w2.T @ cols + bias.data[:, None]).reshape(c_out, n, h, w)
-    del cols
+    out = (_taps_forward(xp, w2, _TAPS_3X3, h, w) + bias.data[:, None]).reshape(c_out, n, h, w)
     out = out.transpose(1, 0, 2, 3).reshape(*lead, c_out, h, w)
 
     def grad_fn(g):
         g2 = g.reshape(n, c_out, h * w).transpose(1, 0, 2).reshape(c_out, n * h * w)
-        gxp = np.zeros((c, n, h + 2, w + 2))
-        gw = np.empty((9, c, c_out))
-        for k in range(9):
-            dy, dx = divmod(k, 3)
-            gw[k] = tap_rows(k) @ g2.T
-            gxp[:, :, dy : dy + h, dx : dx + w] += (w2[k * c : (k + 1) * c] @ g2).reshape(c, n, h, w)
-        gx = gxp[:, :, 1 : h + 1, 1 : w + 1].transpose(1, 0, 2, 3).reshape(*lead, c, h, w)
-        return gx, gw.reshape(weight.shape), g2.sum(axis=1)
+        gxp = np.zeros_like(xp)
+        gw = _taps_backward(xp, w2, _TAPS_3X3, g2, gxp, h, w)
+        return _unpad_channel_major(gxp, lead, c, h, w), gw.reshape(weight.shape), g2.sum(axis=1)
 
     return Tensor._make(out, (x, weight, bias), grad_fn, "conv3x3")
+
+
+# A x2 nearest upsample followed by a 3x3 tap reads, for output row 2r + p,
+# coarse rows r - 1 + p + t (t = 0, 1) only. _UP2_FOLD_1D[p][t] marks the
+# 3x3 kernel rows that land on coarse row t of phase p; the Kronecker product
+# of a row and a column phase folds the (9, ...) kernel onto that phase's
+# 2x2 kernel. Rows of _UP2_FOLD are (phase row, phase column, tap row, tap
+# column), columns the nine 3x3 taps; _UP2_PHASES lists each phase with the
+# offsets its taps read in the padded coarse map, in the same order.
+_UP2_FOLD_1D = np.array([[[1, 0, 0], [0, 1, 1]], [[1, 1, 0], [0, 0, 1]]], dtype=np.float64)
+_UP2_FOLD = np.concatenate([np.kron(fy, fx) for fy in _UP2_FOLD_1D for fx in _UP2_FOLD_1D])
+_UP2_PHASES = [
+    ((py, px), [(py + ty, px + tx) for ty in (0, 1) for tx in (0, 1)]) for py in (0, 1) for px in (0, 1)
+]
+
+
+def conv3x3_up2(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
+    """``conv3x3(upsample_nearest(x, 2), weight, bias)``, computed on the
+    coarse map: a (..., C, H, W) input gives (..., C_out, 2H, 2W).
+
+    Each of the four output phases (row and column parity) is a 2x2
+    convolution of the zero-padded coarse map, whose kernel is the 3x3
+    kernel folded onto the coarse pixels its taps read (sub-pixel
+    convolution, arXiv 1609.05158). One im2col GEMM per phase writes that
+    phase's strided slots of the output: 4 instead of 9 multiply-adds per
+    output pixel and channel pair, and neither the upsampled map nor its
+    im2col matrix is built. The backward pass keeps only the padded coarse
+    input, as `conv3x3` does, and folds the phase-kernel gradients back onto
+    the 3x3 weight.
+    """
+    x, weight, bias, lead, c, h, w, c_out = _conv_operands("conv3x3_up2", x, weight, bias)
+    n = math.prod(lead)
+    xp = _pad_channel_major(x.data, n, c, h, w)
+    kernels = (_UP2_FOLD @ weight.data.reshape(9, c * c_out)).reshape(4, 4 * c, c_out)
+    out = np.empty((n, c_out, 2 * h, 2 * w))
+    for ((py, px), taps), k2 in zip(_UP2_PHASES, kernels):
+        phase = (_taps_forward(xp, k2, taps, h, w) + bias.data[:, None]).reshape(c_out, n, h, w)
+        out[:, :, py::2, px::2] = phase.transpose(1, 0, 2, 3)
+
+    def grad_fn(g):
+        g = g.reshape(n, c_out, 2 * h, 2 * w)
+        # one copy into (phase row, phase column, C_out, n, H, W), so each
+        # phase's (C_out, n*H*W) gradient is a contiguous block
+        phases = g.reshape(n, c_out, h, 2, w, 2).transpose(3, 5, 1, 0, 2, 4).copy()
+        gxp = np.zeros_like(xp)
+        gk = np.empty((4, 4, c, c_out))
+        for i, (((py, px), taps), k2) in enumerate(zip(_UP2_PHASES, kernels)):
+            g2 = phases[py, px].reshape(c_out, n * h * w)
+            gk[i] = _taps_backward(xp, k2, taps, g2, gxp, h, w)
+        gw = _UP2_FOLD.T @ gk.reshape(16, c * c_out)
+        return _unpad_channel_major(gxp, lead, c, h, w), gw.reshape(weight.shape), g.sum(axis=(0, 2, 3))
+
+    return Tensor._make(out.reshape(*lead, c_out, 2 * h, 2 * w), (x, weight, bias), grad_fn, "conv3x3_up2")
 
 
 def box3(img: Tensor) -> Tensor:

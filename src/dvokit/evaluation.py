@@ -28,6 +28,10 @@ class DepthEvalConfig:
 
 @dataclass
 class EvalReport:
+    """Depth metrics; `abs_rel_constant` is the AbsRel over the same pixels
+    of a constant map at the ground truth's median, which any constant map
+    scores under median scaling: the figure a depth head must beat."""
+
     abs_rel: float
     rmse: float
     delta1: float
@@ -35,6 +39,7 @@ class EvalReport:
     delta3: float
     n_pixels: int
     scale_s: float
+    abs_rel_constant: float
 
     def to_json(self) -> str:
         return json.dumps(self.__dict__, indent=2, sort_keys=True)
@@ -55,7 +60,8 @@ def median_scale(pred, gt, valid: np.ndarray):
 
 
 def depth_metrics(pred, gt, cfg: DepthEvalConfig = DepthEvalConfig()) -> EvalReport:
-    """AbsRel, RMSE and threshold accuracies over gt pixels in [MIN_VALID_DEPTH, cap]."""
+    """AbsRel, RMSE and threshold accuracies over gt pixels in [MIN_VALID_DEPTH,
+    cap], and the AbsRel of the constant map at their median."""
     pred = np.asarray(pred, dtype=np.float64)
     gt = np.asarray(gt, dtype=np.float64)
     if pred.shape != gt.shape:
@@ -68,6 +74,7 @@ def depth_metrics(pred, gt, cfg: DepthEvalConfig = DepthEvalConfig()) -> EvalRep
         pred, s = median_scale(pred, gt, valid)
     p, g = pred[valid], gt[valid]
     abs_rel = float(np.mean(np.abs(p - g) / g))
+    abs_rel_constant = float(np.mean(np.abs(np.median(g) - g) / g))
     rmse = float(np.sqrt(np.mean((p - g) ** 2)))
     ratio = np.maximum(p / g, g / p)
     d1, d2, d3 = (float(np.mean(ratio < 1.25**i)) for i in (1, 2, 3))
@@ -79,6 +86,7 @@ def depth_metrics(pred, gt, cfg: DepthEvalConfig = DepthEvalConfig()) -> EvalRep
         delta3=d3,
         n_pixels=int(valid.sum()),
         scale_s=s,
+        abs_rel_constant=abs_rel_constant,
     )
 
 
@@ -95,6 +103,7 @@ def mean_reports(reports: list[EvalReport]) -> EvalReport:
         delta3=sum(r.delta3 for r in reports) / n,
         n_pixels=sum(r.n_pixels for r in reports),
         scale_s=sum(r.scale_s for r in reports) / n,
+        abs_rel_constant=sum(r.abs_rel_constant for r in reports) / n,
     )
 
 

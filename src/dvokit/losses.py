@@ -148,10 +148,22 @@ def total_loss(
     The photometric weighting mask is gradient-stopped; `mask_override`
     substitutes a fixed mask array, which finite-difference audits use to
     probe the same function the backward pass differentiates.
+
+    Images must be (3, H, W) and depths (H, W) at the intrinsics' size;
+    anything else raises ValueError (sampling would clamp to the wrong image).
     """
     k: CameraIntrinsics = pair.intrinsics
     d_a = depth_a if isinstance(depth_a, Tensor) else Tensor(depth_a)
     d_b = depth_b if isinstance(depth_b, Tensor) else Tensor(depth_b)
+    hw = (k.height, k.width)
+    for name, shape, want in (
+        ("image_a", np.shape(pair.image_a), (3, *hw)),
+        ("image_b", np.shape(pair.image_b), (3, *hw)),
+        ("depth_a", d_a.shape, hw),
+        ("depth_b", d_b.shape, hw),
+    ):
+        if shape != want:
+            raise ValueError(f"{name} has shape {shape}, the intrinsics need {want}")
 
     warp = warp_depth(d_a, pose, k)
     valid = warp.valid

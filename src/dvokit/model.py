@@ -137,7 +137,10 @@ class DptDepthHead(nn.Module):
     Tapped token grids are reshaped to 2D maps, projected to a common width,
     resized to {4, 2, 1, 1/2} x the token grid (shallow taps get the higher
     resolutions), fused coarse-to-fine with residual 3x3 conv units and 2x
-    nearest upsampling, then upsampled to full image resolution.
+    nearest upsampling, then upsampled x2 to full image resolution by
+    `head_conv`, a 3x3 conv to 128 channels. That conv runs polyphase
+    (`ad.conv3x3_up2`): the same function as upsampling and then convolving,
+    at a quarter of the pixels.
     """
 
     def __init__(self, cfg: ModelConfig, rng):
@@ -171,8 +174,9 @@ class DptDepthHead(nn.Module):
         x = self.fuse[2](ad.upsample_nearest(x, 2) + feats[2])
         x = self.fuse[1](ad.upsample_nearest(x, 2) + feats[1])
         x = self.fuse[0](ad.upsample_nearest(x, 2) + feats[0])
-        x = ad.upsample_nearest(x, PATCH // 4)
-        raw = self.head_out(self.head_conv(x).gelu())[..., 0, :, :]
+        # the fused map has 4 px per token, half of PATCH = 8: one x2 step left
+        x = ad.conv3x3_up2(x, self.head_conv.weight, self.head_conv.bias)
+        raw = self.head_out(x.gelu())[..., 0, :, :]
         return depth_from_raw(raw, self._cfg.min_depth, self._cfg.max_depth)
 
 

@@ -138,13 +138,15 @@ class PairDataset:
 
 
 def evaluate_depth(model: DvoModel, dataset: PairDataset, eval_cfg: DepthEvalConfig | None = None) -> EvalReport:
-    """Mean per-image depth metrics of the frame-a predictions."""
+    """Mean per-image depth metrics of the frame-a predictions; the forward
+    passes record no graph."""
     eval_cfg = eval_cfg or DepthEvalConfig(cap=model.cfg.max_depth)
     reports = []
     for pair in dataset.pairs:
-        grids = model.encode(np.stack([pair.image_a, pair.image_b]))
-        tgt, ref = (replace(grids, tokens=grids.tokens[i]) for i in (0, 1))
-        depth = model.depth(tgt, ref)
+        with ad.no_grad():
+            grids = model.encode(np.stack([pair.image_a, pair.image_b]))
+            tgt, ref = (replace(grids, tokens=grids.tokens[i]) for i in (0, 1))
+            depth = model.depth(tgt, ref)
         reports.append(depth_metrics(depth.data, pair.gt_depth_a.values, eval_cfg))
     return mean_reports(reports)
 

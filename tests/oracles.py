@@ -95,6 +95,11 @@ def conv3x3_composite(x, weight, bias):
     return out.transpose(1, 0).reshape(c_out, h, w)
 
 
+def conv3x3_up2_composite(x, weight, bias):
+    """x2 nearest upsampling, then the 3x3 convolution at full resolution."""
+    return ad.conv3x3(ad.upsample_nearest(x, 2), weight, bias)
+
+
 def softmax_composite(t, axis=-1):
     """Max-shifted softmax from exp, sum and div nodes."""
     shift = Tensor(t.data.max(axis=axis, keepdims=True))

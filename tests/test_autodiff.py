@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -314,6 +316,10 @@ FUSED_OPS = {
     # name: (fused op, composite oracle, input shapes, keyword arguments)
     "conv3x3": (ad.conv3x3, oracles.conv3x3_composite, [(3, 5, 6), (3, 3, 3, 4), (4,)], {}),
     "conv3x3-batched": (ad.conv3x3, oracles.conv3x3_composite, [(2, 3, 5, 6), (3, 3, 3, 4), (4,)], {}),
+    "conv3x3_up2": (ad.conv3x3_up2, oracles.conv3x3_up2_composite, [(3, 3, 5), (3, 3, 3, 4), (4,)], {}),
+    "conv3x3_up2-batched": (
+        ad.conv3x3_up2, oracles.conv3x3_up2_composite, [(2, 2, 3, 3, 5), (3, 3, 3, 2), (2,)], {}
+    ),
     "layernorm": (ad.layernorm, oracles.layernorm_composite, [(5, 8), (8,), (8,)], {}),
     "softmax-axis-1": (ad.softmax, oracles.softmax_composite, [(3, 4, 5)], {"axis": -1}),
     "softmax-axis0": (ad.softmax, oracles.softmax_composite, [(3, 4, 5)], {"axis": 0}),
@@ -323,6 +329,8 @@ FUSED_OPS = {
 FUSED_FD_CASES = [
     ("conv3x3", 0), ("conv3x3", 1), ("conv3x3", 2),
     ("conv3x3-batched", 0), ("conv3x3-batched", 1), ("conv3x3-batched", 2),
+    ("conv3x3_up2", 0), ("conv3x3_up2", 1), ("conv3x3_up2", 2),
+    ("conv3x3_up2-batched", 0), ("conv3x3_up2-batched", 1), ("conv3x3_up2-batched", 2),
     ("layernorm", 0), ("layernorm", 1), ("layernorm", 2),
     ("softmax-axis-1", 0), ("softmax-axis0", 0), ("box3", 0),
 ]
@@ -375,3 +383,78 @@ def test_fused_op_traps_nan_input_in_checked_mode(name):
     assert out.op == op_name
     assert np.isnan(out.data).any()
 
+
+@pytest.mark.parametrize("op", [ad.conv3x3, ad.conv3x3_up2], ids=["conv3x3", "conv3x3_up2"])
+def test_conv_ops_check_their_operands(op):
+    name = op.__name__
+    with pytest.raises(ValueError, match=f"{name} expects"):
+        op(Tensor(np.ones((4, 4))), Tensor(np.ones((3, 3, 4, 2))), Tensor(np.ones(2)))
+    with pytest.raises(ValueError, match=rf"{name} weight must be \(3, 3, 2, C_out\)"):
+        op(Tensor(np.ones((2, 4, 4))), Tensor(np.ones((3, 3, 3, 2))), Tensor(np.ones(2)))
+    with pytest.raises(ValueError, match=rf"{name} bias must be \(2,\)"):
+        op(Tensor(np.ones((2, 4, 4))), Tensor(np.ones((3, 3, 2, 2))), Tensor(np.ones(3)))
+
+
+# ---- no_grad: ops record no graph -------------------------------------------------------
+
+
+def _graph_op(x):
+    return ad.conv3x3(x.reshape(1, 2, 3), Tensor(np.ones((3, 3, 1, 2))), Tensor(np.zeros(2))).exp() * 2.0
+
+
+def test_no_grad_results_are_constants_with_the_same_values():
+    x = ad.parameter(np.arange(6.0) / 6.0)
+    with_graph = _graph_op(x)
+    with ad.no_grad():
+        without = _graph_op(x)
+    assert with_graph.requires_grad and with_graph._parents
+    assert not without.requires_grad
+    assert without._parents == () and without._grad_fn is None
+    assert np.array_equal(without.data, with_graph.data)
+    with pytest.raises(ValueError, match="does not require grad"):
+        ad.backward(without.sum())
+
+
+def test_no_grad_is_restored_after_nesting_and_after_an_exception():
+    x = ad.parameter(np.ones(3))
+    with ad.no_grad():
+        with ad.no_grad():
+            assert not (x * 2.0).requires_grad
+        assert not (x * 2.0).requires_grad  # the inner exit keeps the outer context
+    assert (x * 2.0).requires_grad
+    with pytest.raises(RuntimeError, match="inside"):
+        with ad.no_grad():
+            raise RuntimeError("inside")
+    assert (x * 2.0).requires_grad
+
+
+def test_no_grad_does_not_reach_another_thread():
+    x = ad.parameter(np.ones(3))
+    seen = []
+    inside, done = threading.Event(), threading.Event()
+
+    def other():
+        inside.wait(timeout=10)
+        seen.append((x * 2.0).requires_grad)
+        done.set()
+
+    worker = threading.Thread(target=other)
+    worker.start()
+    with ad.no_grad():
+        inside.set()
+        assert done.wait(timeout=10)
+        assert not (x * 2.0).requires_grad
+    worker.join(timeout=10)
+    assert not worker.is_alive()
+    assert seen == [True]
+
+
+def test_no_grad_keeps_trapping_non_finite_values():
+    with ad.no_grad():
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(ad.NonFiniteError, match="'sqrt'"):
+                ad.parameter([-1.0]).sqrt()
+        bad = np.ones((1, 2, 2))
+        bad[0, 0, 0] = np.nan
+        with pytest.raises(ad.NonFiniteError, match="'conv3x3_up2'"):
+            ad.conv3x3_up2(Tensor(bad), ad.parameter(np.ones((3, 3, 1, 1))), ad.parameter(np.zeros(1)))

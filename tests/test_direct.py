@@ -1,6 +1,7 @@
 """Direct optimisation of the self-supervised objective (no network)."""
 
 import numpy as np
+import pytest
 
 from dvokit.direct import optimize_direct, perturbed_twist
 
@@ -12,3 +13,12 @@ def test_pose_mode_recovers_a_perturbed_pose(static_pair_32):
     assert result.trans_err_m < 0.01
     assert result.rot_err_deg < 0.1
     assert result.final_loss <= result.curve[0]
+
+
+@pytest.mark.parametrize("init_depth", [2.0, 3.0])
+def test_depth_mode_ends_in_the_documented_abs_rel_range(static_pair_32, init_depth):
+    # the module docstring's range: 0.642 from 2 m, 0.473 from 3 m
+    result = optimize_direct(static_pair_32, "depth", iters=300, init_depth=init_depth)
+    assert not result.diverged
+    assert 0.45 < result.abs_rel < 0.65
+    assert result.final_loss < result.curve[0]

@@ -114,19 +114,43 @@ def test_depth_metrics_empty_valid_set():
 
 
 def test_eval_report_json_roundtrip():
-    rep = EvalReport(0.1, 0.5, 0.9, 0.95, 0.99, 1234, 1.5)
+    rep = EvalReport(0.1, 0.5, 0.9, 0.95, 0.99, 1234, 1.5, 0.3)
     text = rep.to_json()
     assert EvalReport(**json.loads(text)) == rep
-    for field in ("abs_rel", "rmse", "delta1", "delta2", "delta3", "n_pixels", "scale_s"):
+    for field in ("abs_rel", "rmse", "delta1", "delta2", "delta3", "n_pixels", "scale_s", "abs_rel_constant"):
         assert f'"{field}"' in text
 
 
 def test_mean_reports():
-    a = EvalReport(0.1, 1.0, 0.8, 0.9, 1.0, 10, 1.0)
-    b = EvalReport(0.3, 2.0, 0.6, 0.7, 0.8, 30, 2.0)
+    a = EvalReport(0.1, 1.0, 0.8, 0.9, 1.0, 10, 1.0, 0.2)
+    b = EvalReport(0.3, 2.0, 0.6, 0.7, 0.8, 30, 2.0, 0.4)
     m = mean_reports([a, b])
     assert m.abs_rel == pytest.approx(0.2)
+    assert m.abs_rel_constant == pytest.approx(0.3)
     assert m.n_pixels == 40
+
+
+def _gt_with_invalid_pixels():
+    gt = np.random.default_rng(12).uniform(0.5, 8.0, (7, 9))
+    gt[0, :3] = 50.0  # beyond the cap: left out of every figure
+    return gt
+
+
+@pytest.mark.parametrize("value", [0.3, 2.0, 9.5])
+def test_a_constant_map_scores_abs_rel_constant_under_median_scaling(value):
+    gt = _gt_with_invalid_pixels()
+    rep = depth_metrics(np.full_like(gt, value), gt)
+    assert abs(rep.abs_rel - rep.abs_rel_constant) <= 1e-12
+    assert rep.abs_rel_constant > 0.0
+
+
+def test_a_perfect_prediction_beats_the_constant_baseline():
+    gt = _gt_with_invalid_pixels()
+    rep = depth_metrics(gt.copy(), gt)
+    assert rep.abs_rel == 0.0 < rep.abs_rel_constant
+    valid = gt <= 10.0
+    g = gt[valid]
+    assert rep.abs_rel_constant == pytest.approx(np.mean(np.abs(np.median(g) - g) / g), rel=1e-15)
 
 
 def test_accumulate_identity_and_forward_steps():

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -252,6 +254,36 @@ def test_empty_valid_set_propagates(static_pair_16):
     away = Pose(np.eye(3), [0.0, 0.0, -50.0])
     with pytest.raises(EmptyValidSetError):
         total_loss(pair, pair.gt_depth_a.values, pair.gt_depth_b.values, away)
+
+
+def _crop_8(a):
+    return a[..., :8, :8]
+
+
+def _pad_20(a):
+    return np.pad(a, [(0, 0)] * (a.ndim - 2) + [(2, 2), (2, 2)], mode="edge")
+
+
+@pytest.mark.parametrize(
+    "field,resize",
+    [
+        ("image_b", _crop_8),
+        ("image_b", _pad_20),
+        ("image_a", _crop_8),
+        ("depth_a", _crop_8),
+        ("depth_b", _pad_20),
+    ],
+    ids=["image_b-8px", "image_b-20px", "image_a-8px", "depth_a-8px", "depth_b-20px"],
+)
+def test_total_loss_rejects_frames_not_at_the_intrinsics_size(static_pair_16, field, resize):
+    pair = static_pair_16
+    args = {"depth_a": pair.gt_depth_a.values, "depth_b": pair.gt_depth_b.values}
+    if field in args:
+        args[field] = resize(args[field])
+    else:
+        pair = dataclasses.replace(pair, **{field: resize(getattr(pair, field))})
+    with pytest.raises(ValueError, match=rf"{field} has shape \(.*\), the intrinsics need \(.*16, 16\)"):
+        total_loss(pair, args["depth_a"], args["depth_b"], pair.gt_pose)
 
 
 def _perturbed(pair, rng, scale=0.03):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import oracles
 import pytest
@@ -203,6 +205,40 @@ def test_dpt_taps_are_all_live():
     zeroed[0] = Tensor(np.zeros_like(blocks[0].data))
     changed = model.depth_head(zeroed, ga.rows, ga.cols).data
     assert np.abs(base - changed).max() > 1e-12
+
+
+def test_dpt_head_matches_upsampling_then_convolving(static_pair_32, monkeypatch):
+    # the polyphase head conv against the path it replaced, on the same weights
+    model = DvoModel(toy_config(head_kind="dpt"), np.random.default_rng(6))
+    pair = static_pair_32
+    params = [p for _, p in model.depth_head.named_parameters()]
+
+    def run():
+        grids = model.encode(np.stack([pair.image_a, pair.image_b]))
+        depth = model.depth(grids, grids)
+        c = np.random.default_rng(7).normal(size=depth.shape)
+        return [depth.data] + ad.grads((depth * Tensor(c)).sum(), params)
+
+    new = run()
+    monkeypatch.setattr(ad, "conv3x3_up2", oracles.conv3x3_up2_composite)
+    for a, b in zip(new, run()):
+        assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+
+
+@pytest.mark.parametrize("head_kind", ["linear", "dpt"])
+def test_depth_is_bit_identical_without_a_graph(head_kind, static_pair_32):
+    model = DvoModel(toy_config(head_kind=head_kind), np.random.default_rng(8))
+    pair = static_pair_32
+
+    def depth():
+        grids = model.encode(np.stack([pair.image_a, pair.image_b]))
+        return model.depth(grids, replace(grids, tokens=grids.tokens[::-1]))
+
+    with_graph = depth()
+    with ad.no_grad():
+        without = depth()
+    assert with_graph.requires_grad and not without.requires_grad
+    assert np.array_equal(with_graph.data, without.data)
 
 
 def test_pretrain_mask_count_and_errors():

@@ -19,7 +19,9 @@ What it runs, all seeded and on the `dynamic-room` scene:
   - 2-epoch finetune and pretrain runs on the 3 pairs of each trajectory,
     with the linear head at 32 px and the DPT head at 64 px: the last
     checkpoint's arrays and config, the loss curves, and `evaluate_depth`
-    on the same pairs (its JSON and, apart, its metric values)
+    on the same pairs (its JSON and, apart, its metric values), and each
+    pair's predicted depth map, computed as `evaluate_depth` does with
+    `model.depth` under `autodiff.no_grad` (where the sources have it)
   - 20-iteration `optimize_direct` pose and depth runs on a 32 px pair from
     `perturbed_twist` starts (curves and results)
 
@@ -28,11 +30,12 @@ It writes only to a temporary directory and takes about 6 s on a 2-core host.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import sys
 import tempfile
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -61,8 +64,11 @@ def _frames(synth, size: int):
 
 
 def fingerprint(tmp: Path) -> dict[str, str]:
-    from dvokit import direct, formats, synth, train
+    from dvokit import autodiff, direct, formats, synth, train
     from dvokit.model import load_checkpoint, toy_config
+
+    # sources older than no_grad record the graph; the depth values are the same
+    no_grad = getattr(autodiff, "no_grad", contextlib.nullcontext)
 
     out: dict[str, str] = {}
     trajectories = {size: _frames(synth, size) for size in (32, 64)}
@@ -95,6 +101,11 @@ def fingerprint(tmp: Path) -> dict[str, str]:
             scores = train.evaluate_depth(model, dataset)
             out[f"{name}/eval.json"] = _digest(scores.to_json())
             out[f"{name}/eval.metrics"] = _digest({key: getattr(scores, key) for key in _METRICS})
+            with no_grad():
+                for i, pair in enumerate(dataset.pairs):
+                    grids = model.encode(np.stack([pair.image_a, pair.image_b]))
+                    depth = model.depth(*(replace(grids, tokens=grids.tokens[j]) for j in (0, 1)))
+                    out[f"{name}/eval.depth-{i}"] = _digest(depth.data)
 
     frames, k = trajectories[32]
     pair = synth.make_pair(frames, 0, k)
