@@ -27,7 +27,6 @@ __all__ = [
     "EmptyValidSetError",
     "parameter",
     "concat",
-    "stack",
     "where",
     "gather_hw",
     "row_scatter",
@@ -417,16 +416,6 @@ def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
         return tuple(gs)
 
     return Tensor._make(out, tuple(parts), grad_fn, "concat")
-
-
-def stack(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
-    parts = [_as_tensor(p) for p in parts]
-    out = np.stack([p.data for p in parts], axis=axis)
-
-    def grad_fn(g):
-        return tuple(np.take(g, i, axis=axis) for i in range(len(parts)))
-
-    return Tensor._make(out, tuple(parts), grad_fn, "stack")
 
 
 def where(cond: np.ndarray, a, b) -> Tensor:

@@ -77,6 +77,8 @@ def read_pfm(path) -> np.ndarray:
         scale = float(parts[2])
     except ValueError as e:
         raise DataError(f"malformed PFM header in {path}") from e
+    if w <= 0 or h <= 0:
+        raise DataError(f"PFM size {w}x{h} is not positive in {path}")
     if scale >= 0:
         raise DataError("only little-endian PFM (negative scale) is supported")
     data = np.frombuffer(parts[3][: w * h * 4], dtype="<f4")
@@ -115,6 +117,8 @@ def read_tum(path) -> tuple[list[Pose], list[float]]:
             vals = [float(x) for x in fields]
         except ValueError as e:
             raise DataError(f"{path}:{ln}: non-numeric field") from e
+        if not np.isfinite(vals).all():
+            raise DataError(f"{path}:{ln}: non-finite field")
         q = np.array(vals[4:8])
         if abs(np.linalg.norm(q) - 1.0) > 1e-6:
             raise DataError(f"{path}:{ln}: quaternion is not unit (norm {np.linalg.norm(q):.6f})")
@@ -130,14 +134,26 @@ def write_manifest(path, manifest: dict) -> None:
     Path(path).write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
+def _reject_constant(name: str):
+    raise ValueError(f"non-finite number {name}")
+
+
 def read_manifest(path) -> dict:
+    """Parse a manifest: a JSON object (NaN and Infinity refused) whose
+    `frames` and `pairs` are lists of objects, with `intrinsics`."""
     try:
-        manifest = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as e:
+        manifest = json.loads(Path(path).read_text(), parse_constant=_reject_constant)
+    except (OSError, ValueError) as e:  # JSONDecodeError is a ValueError
         raise DataError(f"cannot read manifest {path}: {e}") from e
+    if not isinstance(manifest, dict):
+        raise DataError(f"manifest {path} is not a JSON object")
     for key in ("intrinsics", "frames", "pairs"):
         if key not in manifest:
             raise DataError(f"manifest {path} missing '{key}'")
+    for key in ("frames", "pairs"):
+        entries = manifest[key]
+        if not (isinstance(entries, list) and all(isinstance(e, dict) for e in entries)):
+            raise DataError(f"manifest {path}: '{key}' is not a list of objects")
     return manifest
 
 
@@ -189,11 +205,13 @@ def save_dataset(out_dir, frames, k: CameraIntrinsics, seed: int, scene_name: st
 def load_pairs(dataset_dir):
     """Load a dataset directory into FramePair objects (in manifest order).
 
-    Missing or invalid intrinsics, a frame entry without an image or depth
-    file name or with a name that is not a string, a frame file that cannot
-    be read or whose size differs from the intrinsics, a pair index that is
-    not a frame number, or a missing or malformed relative pose raises
-    DataError naming the manifest, and the file when one is at fault."""
+    Missing or invalid intrinsics, `frames` or `pairs` that is not a list
+    of objects, a frame entry without an image or depth file name or with a
+    name that is not a string, a frame file that cannot be read or whose
+    size differs from the intrinsics, a depth that is not finite and
+    positive, a pair index that is not a frame number, or a missing or
+    malformed relative pose raises DataError naming the manifest, and the
+    file when one is at fault."""
     root = Path(dataset_dir)
     path = root / "manifest.json"
     manifest = read_manifest(path)
@@ -202,13 +220,13 @@ def load_pairs(dataset_dir):
     except (KeyError, TypeError, ValueError) as e:
         raise DataError(f"manifest {path}: invalid intrinsics ({e!r})") from e
 
-    def read(reader, name) -> np.ndarray:
+    def read(reader, name):
         if not isinstance(name, str):
             raise DataError(f"manifest {path}: file name {name!r} is not a string")
         file = root / name
         try:
             data = reader(file)
-        except (OSError, DataError) as e:
+        except (OSError, ValueError) as e:  # DataError, or DepthMap's refusal
             raise DataError(f"manifest {path}: cannot read {file}: {e}") from e
         h, w = data.shape[-2:]
         if (h, w) != (k.height, k.width):
@@ -221,7 +239,7 @@ def load_pairs(dataset_dir):
         if missing:
             raise DataError(f"manifest {path}: frame {i} lacks '{missing[0]}'")
         images.append(read(read_ppm, entry["image"]))
-        depths.append(read(read_pfm, entry["depth"]))
+        depths.append(read(lambda file: DepthMap(read_pfm(file)), entry["depth"]))
         masks.append(read(read_pfm, entry["dynamic_mask"]) > 0.5 if "dynamic_mask" in entry else None)
     pairs = []
     for j, p in enumerate(manifest["pairs"]):
@@ -242,8 +260,8 @@ def load_pairs(dataset_dir):
                 image_a=images[a],
                 image_b=images[b],
                 intrinsics=k,
-                gt_depth_a=DepthMap(depths[a]),
-                gt_depth_b=DepthMap(depths[b]),
+                gt_depth_a=depths[a],
+                gt_depth_b=depths[b],
                 gt_pose=rel,
                 dynamic_mask_a=masks[a],
             )

@@ -38,6 +38,8 @@ class CameraIntrinsics:
     height: int
 
     def __post_init__(self):
+        if not np.isfinite([self.fx, self.fy, self.cx, self.cy]).all():
+            raise ValueError("focal lengths and principal point must be finite")
         if self.fx <= 0 or self.fy <= 0:
             raise ValueError("focal lengths must be positive")
         if self.width < 2 or self.height < 2:
@@ -77,6 +79,8 @@ class Pose:
             self._validate()
 
     def _validate(self):
+        if not (np.isfinite(self.rotation).all() and np.isfinite(self.translation).all()):
+            raise ValueError("pose is not finite")
         err = np.abs(self.rotation.T @ self.rotation - np.eye(3)).max()
         if err > 1e-8:
             raise ValueError(f"rotation is not orthonormal (err {err:.2e})")
@@ -120,7 +124,7 @@ class Pose:
 
 @dataclass
 class DepthMap:
-    """Per-pixel depth in meters; every value must be positive."""
+    """Per-pixel depth in meters; every value must be finite and positive."""
 
     values: np.ndarray
 
@@ -128,8 +132,8 @@ class DepthMap:
         self.values = np.asarray(self.values, dtype=np.float64)
         if self.values.ndim != 2:
             raise ValueError("depth map must be 2-D")
-        if np.any(self.values <= 0):
-            raise ValueError("depth values must be positive")
+        if not (np.isfinite(self.values) & (self.values > 0)).all():
+            raise ValueError("depth values must be finite and positive")
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -137,31 +141,6 @@ class DepthMap:
 
 
 # ---- SO(3) / SE(3) -----------------------------------------------------------------
-
-
-def _skew(w: np.ndarray) -> np.ndarray:
-    return np.array(
-        [
-            [0.0, -w[2], w[1]],
-            [w[2], 0.0, -w[0]],
-            [-w[1], w[0], 0.0],
-        ]
-    )
-
-
-def so3_exp(axis_angle) -> np.ndarray:
-    """Rodrigues rotation from an axis-angle vector (Taylor branch near zero)."""
-    w = np.asarray(axis_angle, dtype=np.float64).reshape(3)
-    theta_sq = float(w @ w)
-    k = _skew(w)
-    if theta_sq < 1e-12:
-        a = 1.0 - theta_sq / 6.0 + theta_sq * theta_sq / 120.0
-        b = 0.5 - theta_sq / 24.0 + theta_sq * theta_sq / 720.0
-    else:
-        theta = np.sqrt(theta_sq)
-        a = np.sin(theta) / theta
-        b = (1.0 - np.cos(theta)) / theta_sq
-    return np.eye(3) + a * k + b * (k @ k)
 
 
 def quaternion_from_rotation(r: np.ndarray) -> np.ndarray:
@@ -228,7 +207,7 @@ def rotation_angle(r: np.ndarray) -> float:
 def pose_from_twist(twist) -> Pose:
     """Pose from a twist: Rodrigues rotation, translation copied directly."""
     v = np.asarray(twist, dtype=np.float64).reshape(6)
-    return Pose(so3_exp(v[3:]), v[:3], validate=False)
+    return Pose(rotation_from_axis_angle(Tensor(v[3:])).data, v[:3], validate=False)
 
 
 def pose_distance(a: Pose, b: Pose) -> tuple[float, float]:
@@ -240,13 +219,14 @@ def pose_distance(a: Pose, b: Pose) -> tuple[float, float]:
 
 # ---- differentiable rotation from a twist ------------------------------------------
 
-_E0 = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]])
-_E1 = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
-_E2 = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+# row i is the flattened skew matrix [e_i]_x, whose column j is e_i x e_j, so
+# r @ _SKEW is [r]_x flattened
+_SKEW = np.cross(np.eye(3)[:, None], np.eye(3)).transpose(0, 2, 1).reshape(3, 9)
 
 
 def rotation_from_axis_angle(r: Tensor) -> Tensor:
-    """Differentiable Rodrigues rotation from an axis-angle Tensor of shape (3,)."""
+    """Rodrigues rotation from an axis-angle Tensor of shape (3,), with a
+    Taylor branch near zero; differentiable when `r` requires grad."""
     theta_sq = (r * r).sum()
     if theta_sq.item() < 1e-12:
         # series in theta^2 keeps the gradient finite through the origin
@@ -256,7 +236,7 @@ def rotation_from_axis_angle(r: Tensor) -> Tensor:
         theta = theta_sq.sqrt()
         a = theta.sin() / theta
         b = (1.0 - theta.cos()) / theta_sq
-    k = r[0] * Tensor(_E0) + r[1] * Tensor(_E1) + r[2] * Tensor(_E2)
+    k = (r.reshape(1, 3) @ Tensor(_SKEW)).reshape(3, 3)
     return Tensor(np.eye(3)) + a * k + b * (k @ k)
 
 
@@ -300,35 +280,32 @@ class WarpResult:
 def warp_depth(depth: Tensor | np.ndarray, pose: Pose | Tensor, k: CameraIntrinsics) -> WarpResult:
     """Backproject each pixel, apply the relative pose, reproject into the target.
 
+    The pixels form one (3, H*W) point matrix: the constant ray matrix, whose
+    column for pixel (u, v) is ((u - cx)/fx, (v - cy)/fy, 1), times the
+    depth row. The pose maps it with one matmul, ``R @ P + t``, and the
+    projection is one broadcast multiply, divide and add over its x, y rows.
+
     `depth` is a Tensor (differentiable path) or an ndarray. `pose` is a Pose
     or a twist Tensor of shape (6,) (differentiable). Invalid pixels are
     masked, never raised.
     """
     d = depth if isinstance(depth, Tensor) else Tensor(depth)
     r_t, t_t = pose_tensors(pose)
+    h, w = k.height, k.width
 
     u, v = pixel_grid(k)
-    x = Tensor((u - k.cx) / k.fx) * d
-    y = Tensor((v - k.cy) / k.fy) * d
+    rays = np.stack([(u - k.cx) / k.fx, (v - k.cy) / k.fy, np.ones((h, w))]).reshape(3, h * w)
+    points = r_t @ (Tensor(rays) * d.reshape(1, h * w)) + t_t.reshape(3, 1)
 
-    xt = r_t[0, 0] * x + r_t[0, 1] * y + r_t[0, 2] * d + t_t[0]
-    yt = r_t[1, 0] * x + r_t[1, 1] * y + r_t[1, 2] * d + t_t[1]
-    zt = r_t[2, 0] * x + r_t[2, 1] * y + r_t[2, 2] * d + t_t[2]
+    z = points[2]
+    front = z.data > _VALID_EPS
+    z_safe = ad.where(front, z, 1.0)
+    uv = points[:2] * np.array([[k.fx], [k.fy]]) / z_safe + np.array([[k.cx], [k.cy]])
 
-    front = zt.data > _VALID_EPS
-    z_safe = ad.where(front, zt, 1.0)
-    ut = (xt * k.fx) / z_safe + k.cx
-    vt = (yt * k.fy) / z_safe + k.cy
-
-    valid = (
-        front
-        & (ut.data >= -_VALID_EPS)
-        & (ut.data <= k.width - 1.0 + _VALID_EPS)
-        & (vt.data >= -_VALID_EPS)
-        & (vt.data <= k.height - 1.0 + _VALID_EPS)
-    )
-    flow = ad.stack([ut, vt], axis=-1)
-    return WarpResult(depth=zt, flow=flow, valid=valid)
+    upper = np.array([[w - 1.0], [h - 1.0]]) + _VALID_EPS
+    valid = front & ((uv.data >= -_VALID_EPS) & (uv.data <= upper)).all(axis=0)
+    flow = uv.transpose().reshape(h, w, 2)
+    return WarpResult(depth=z.reshape(h, w), flow=flow, valid=valid.reshape(h, w))
 
 
 def bilinear_sample(img: Tensor, coords: Tensor) -> Tensor:
@@ -353,6 +330,7 @@ def bilinear_sample(img: Tensor, coords: Tensor) -> Tensor:
     v10 = ad.gather_hw(img, y0 + 1, x0)
     v11 = ad.gather_hw(img, y0 + 1, x0 + 1)
 
-    top = v00 * (1.0 - wx) + v01 * wx
-    bot = v10 * (1.0 - wx) + v11 * wx
+    wx1 = 1.0 - wx
+    top = v00 * wx1 + v01 * wx
+    bot = v10 * wx1 + v11 * wx
     return top * (1.0 - wy) + bot * wy

@@ -34,8 +34,8 @@ class LossWeights:
     def __post_init__(self):
         if not 0.0 <= self.lambda_ssim <= 1.0:
             raise ValueError("lambda_ssim must be in [0, 1]")
-        if self.beta < 0 or self.gamma < 0:
-            raise ValueError("beta and gamma must be non-negative")
+        if not (0.0 <= self.beta < np.inf and 0.0 <= self.gamma < np.inf):
+            raise ValueError("beta and gamma must be finite and non-negative")
 
 
 @dataclass

@@ -78,7 +78,7 @@ def conv3x3_composite(x, weight, bias):
     """3x3 zero-padded convolution as nine shifted 1x1 projections; a
     (B, C, H, W) batch is convolved map by map."""
     if x.ndim == 4:
-        return ad.stack([conv3x3_composite(x[i], weight, bias) for i in range(x.shape[0])])
+        return ad.concat([conv3x3_composite(x[i], weight, bias)[None] for i in range(x.shape[0])])
     c, h, w = x.shape
     c_out = weight.shape[3]
     zr = Tensor(np.zeros((c, 1, w)))

@@ -195,7 +195,7 @@ def test_structural_ops_gradients():
     def via_structs(t):
         a = t.reshape(2, 12).transpose(1, 0)  # (12, 2)
         b = ad.concat([a, a * 2.0], axis=1)  # (12, 4)
-        c = ad.stack([b, b + 1.0], axis=0)  # (2, 12, 4)
+        c = ad.concat([b.reshape(1, 12, 4), (b + 1.0).reshape(1, 12, 4)], axis=0)  # (2, 12, 4)
         d = c[0, 2:9, :3]
         return (d * d).sum()
 

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from scipy.spatial.transform import Rotation
 
 from dvokit.autodiff import Tensor, finite_diff_check
 from dvokit.geometry import (
     CameraIntrinsics,
+    DepthMap,
     Pose,
     bilinear_sample,
     pose_distance,
@@ -19,6 +21,24 @@ def test_intrinsics_validation():
         CameraIntrinsics(fx=-1.0, fy=1.0, cx=0, cy=0, width=4, height=4)
     with pytest.raises(ValueError):
         CameraIntrinsics(fx=1.0, fy=1.0, cx=0, cy=0, width=1, height=4)
+    for bad in ({"fx": np.nan}, {"fy": np.inf}, {"cx": np.inf}, {"cy": np.nan}):
+        with pytest.raises(ValueError, match="finite"):
+            CameraIntrinsics(**{"fx": 1.0, "fy": 1.0, "cx": 0.0, "cy": 0.0, "width": 4, "height": 4, **bad})
+
+
+def test_pose_and_depth_map_refuse_non_finite_values():
+    # NaN fails every comparison, so an error bound alone lets it through
+    nan_rotation = np.eye(3)
+    nan_rotation[0, 1] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        Pose(nan_rotation, np.zeros(3))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            Pose(np.eye(3), [0.0, bad, 0.0])
+        with pytest.raises(ValueError, match="finite and positive"):
+            DepthMap(np.where(np.eye(3, dtype=bool), bad, 1.0))
+    with pytest.raises(ValueError, match="finite and positive"):
+        DepthMap(np.zeros((2, 2)))
 
 
 def test_se3_exp_zero_twist_is_identity():
@@ -166,14 +186,12 @@ def test_bilinear_gradient_wrt_coords_and_image():
     assert finite_diff_check(f_img, img, h=1e-6) < 1e-5
 
 
-def test_rotation_from_axis_angle_matches_numpy_and_fd():
+def test_rotation_from_axis_angle_matches_scipy_and_fd():
     rng = np.random.default_rng(17)
-    for scale in (1e-9, 0.3, 1.5):
+    for scale in (1e-9, 0.3, 1.5):  # the Taylor branch, then the closed form
         w = rng.normal(scale=scale, size=3)
         r_t = rotation_from_axis_angle(Tensor(w))
-        from dvokit.geometry import so3_exp
-
-        assert np.abs(r_t.data - so3_exp(w)).max() < 1e-12
+        assert np.abs(r_t.data - Rotation.from_rotvec(w).as_matrix()).max() < 1e-12
 
     def f(t):
         return (rotation_from_axis_angle(t) * Tensor(np.arange(9.0).reshape(3, 3))).sum()

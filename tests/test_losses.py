@@ -26,6 +26,9 @@ def test_loss_weights_validation():
         LossWeights(lambda_ssim=1.2)
     with pytest.raises(ValueError):
         LossWeights(beta=-0.1)
+    for bad in ({"lambda_ssim": np.nan}, {"beta": np.nan}, {"gamma": np.nan}, {"beta": np.inf}):
+        with pytest.raises(ValueError):
+            LossWeights(**bad)
 
 
 def test_depth_diff_cases():
@@ -310,6 +313,18 @@ def test_total_loss_gradient_wrt_depths_fd(static_pair_16):
         return total_loss(pair, Tensor(da), t, twist, mask_override=ms0).l_total
 
     assert finite_diff_check(f_db, db, h=1e-6) < 1e-4
+
+
+def test_total_loss_graph_node_count(static_pair_32):
+    # the direct route's graph: leaf log-depths of both frames and a twist
+    # leaf. 139 nodes; 172 before the warp ran as one (3, H*W) point matrix,
+    # one matmul rotation and one Rodrigues with a matmul skew matrix
+    pair = static_pair_32
+    log_a = Tensor(np.log(pair.gt_depth_a.values), requires_grad=True)
+    log_b = Tensor(np.log(pair.gt_depth_b.values), requires_grad=True)
+    twist = Tensor(pair.gt_pose.twist() + 0.01, requires_grad=True)
+    loss = total_loss(pair, log_a.exp(), log_b.exp(), twist).l_total
+    assert len(ad.Tape.trace(loss).nodes) <= 139
 
 
 def _flow_kink_margin(pair, depth_a, twist):

@@ -1,7 +1,8 @@
 """Robustness of the on-disk readers and writers: PPM payloads that start with
 whitespace byte values, truncated or malformed checkpoints (a cut exactly
-between two arrays included), checkpoint writes that fail midway, and
-malformed dataset manifests and frame files."""
+between two arrays included), checkpoint writes that fail midway, malformed
+dataset manifests and frame files, and NaN or infinite values in manifests,
+depth maps and trajectories."""
 
 import json
 import re
@@ -137,6 +138,30 @@ def _negative_focal_length(m):
     m["intrinsics"]["fx"] = -1.0
 
 
+def _nan_focal_length(m):
+    m["intrinsics"]["fx"] = float("nan")  # written as JSON NaN
+
+
+def _infinite_translation(m):
+    m["pairs"][0]["rel_pose"]["translation"][0] = float("inf")  # written as JSON Infinity
+
+
+def _frames_not_a_list(m):
+    m["frames"] = 3
+
+
+def _pairs_not_a_list(m):
+    m["pairs"] = {"0": m["pairs"][0]}
+
+
+def _pair_not_an_object(m):
+    m["pairs"][0] = [0, 1]
+
+
+def _frame_not_an_object(m):
+    m["frames"][0] = "image depth"  # `"image" in entry` holds for this string
+
+
 @pytest.mark.parametrize(
     "corrupt",
     [
@@ -148,6 +173,12 @@ def _negative_focal_length(m):
         _frame_file_name_not_a_string,
         _intrinsics_without_fx,
         _negative_focal_length,
+        _nan_focal_length,
+        _infinite_translation,
+        _frames_not_a_list,
+        _pairs_not_a_list,
+        _pair_not_an_object,
+        _frame_not_an_object,
     ],
 )
 def test_malformed_manifest_entry_raises_data_error_naming_the_manifest(tmp_path, dataset_dir, corrupt):
@@ -171,7 +202,28 @@ def _smaller_frame(root):
     return "frame_00001.ppm"
 
 
-@pytest.mark.parametrize("corrupt", [_deleted_frame, _smaller_frame])
+def _zero_depth(root):
+    depth = formats.read_pfm(root / "depth_00001.pfm")
+    depth[3, 4] = 0.0
+    formats.write_pfm(root / "depth_00001.pfm", depth)
+    return "depth_00001.pfm"
+
+
+def _nan_depth(root):
+    depth = formats.read_pfm(root / "depth_00002.pfm")
+    depth[0, 0] = np.nan
+    formats.write_pfm(root / "depth_00002.pfm", depth)
+    return "depth_00002.pfm"
+
+
+def _negative_pfm_size(root):
+    (root / "depth_00000.pfm").write_bytes(b"Pf\n-2 -2\n-1.0\n" + np.ones(4, dtype="<f4").tobytes())
+    return "depth_00000.pfm"
+
+
+@pytest.mark.parametrize(
+    "corrupt", [_deleted_frame, _smaller_frame, _zero_depth, _nan_depth, _negative_pfm_size]
+)
 def test_bad_frame_file_raises_data_error_naming_the_manifest_and_the_file(tmp_path, dataset_dir, corrupt):
     root = tmp_path / "copy"
     shutil.copytree(dataset_dir, root)
@@ -179,3 +231,19 @@ def test_bad_frame_file_raises_data_error_naming_the_manifest_and_the_file(tmp_p
     with pytest.raises(DataError, match=re.escape(str(root / "manifest.json"))) as err:
         formats.load_pairs(root)
     assert str(bad_file) in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "0 nan 0 0 0 0 0 1",  # translation
+        "0 0 0 inf 0 0 0 1",
+        "0 0 0 0 nan 0 0 1",  # quaternion: the unit-norm check alone passes NaN
+        "nan 0 0 0 0 0 0 1",  # timestamp
+    ],
+)
+def test_non_finite_trajectory_field_raises_data_error_naming_the_line(tmp_path, line):
+    path = tmp_path / "traj.tum"
+    path.write_text("0 0 0 0 0 0 0 1\n" + line + "\n")
+    with pytest.raises(DataError, match=re.escape(f"{path}:2")):
+        formats.read_tum(path)

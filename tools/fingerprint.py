@@ -1,16 +1,20 @@
 """Digest what dvokit computes, so a refactor can show that its outputs are
-bit-identical to those of its parent.
+bit-identical to those of its parent, or how far they moved.
 
 Usage:
 
     python3 tools/fingerprint.py <src-dir> > digests.json
+    python3 tools/fingerprint.py --compare parent.json change.json
 
 `<src-dir>` is the directory that holds the `dvokit` package (a checkout's
 `src/`). The script prints one JSON object mapping item names to sha256
-digests (first 16 hex digits). Run it on the parent's and the change's
-checkouts and compare the two outputs key by key: every item is digested on
-its own, so a difference names what changed (say, a checkpoint's config
-header while its arrays stay the same).
+digests (first 16 hex digits). Every item is digested on its own, so a
+difference names what changed (say, a checkpoint's config header while its
+arrays stay the same). The numbers behind the loss curves, the eval metrics
+and the direct runs are also printed as they are, under `values/<item>`.
+`--compare` lists the items that differ between two such outputs and, for
+each `values/` item, the largest relative difference of its numbers, so a
+change that moves outputs by round-off shows by how much.
 
 What it runs, all seeded and on the `dynamic-room` scene:
   - random-walk trajectories of 4 frames at 32 and 64 px (images, depths,
@@ -33,6 +37,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import json
+import math
 import sys
 import tempfile
 from dataclasses import asdict, replace
@@ -63,14 +68,19 @@ def _frames(synth, size: int):
     return frames, k
 
 
-def fingerprint(tmp: Path) -> dict[str, str]:
+def fingerprint(tmp: Path) -> dict:
     from dvokit import autodiff, direct, formats, synth, train
     from dvokit.model import load_checkpoint, toy_config
 
     # sources older than no_grad record the graph; the depth values are the same
     no_grad = getattr(autodiff, "no_grad", contextlib.nullcontext)
 
-    out: dict[str, str] = {}
+    out: dict = {}
+
+    def record(item: str, value) -> None:
+        out[item] = _digest(value)
+        out[f"values/{item}"] = value
+
     trajectories = {size: _frames(synth, size) for size in (32, 64)}
     for size, (frames, _) in trajectories.items():
         out[f"frames-{size}"] = _digest(
@@ -97,10 +107,10 @@ def fingerprint(tmp: Path) -> dict[str, str]:
             config, arrays = load_checkpoint(run_dir / f"checkpoint-epoch{cfg.epochs - 1:03d}.dvoc")
             out[f"{name}/checkpoint.arrays"] = _digest(*(part for key in sorted(arrays) for part in (key, arrays[key])))
             out[f"{name}/checkpoint.config"] = _digest(config)
-            out[f"{name}/curves"] = _digest(report.curves)
+            record(f"{name}/curves", report.curves)
             scores = train.evaluate_depth(model, dataset)
             out[f"{name}/eval.json"] = _digest(scores.to_json())
-            out[f"{name}/eval.metrics"] = _digest({key: getattr(scores, key) for key in _METRICS})
+            record(f"{name}/eval.metrics", {key: getattr(scores, key) for key in _METRICS})
             with no_grad():
                 for i, pair in enumerate(dataset.pairs):
                     grids = model.encode(np.stack([pair.image_a, pair.image_b]))
@@ -112,16 +122,68 @@ def fingerprint(tmp: Path) -> dict[str, str]:
     rng = np.random.default_rng(0)
     for i in range(2):
         start = direct.perturbed_twist(pair.gt_pose.twist(), rng)
-        out[f"direct/pose-{i}"] = _digest(asdict(direct.optimize_direct(pair, "pose", iters=20, init_twist=start)))
+        record(f"direct/pose-{i}", asdict(direct.optimize_direct(pair, "pose", iters=20, init_twist=start)))
     for depth in (2.0, 3.0):
-        result = direct.optimize_direct(pair, "depth", iters=20, init_depth=depth)
-        out[f"direct/depth-{depth}"] = _digest(asdict(result))
+        record(f"direct/depth-{depth}", asdict(direct.optimize_direct(pair, "depth", iters=20, init_depth=depth)))
     return out
 
 
+def _numbers(value, path=""):
+    """(path, number) for every int or float leaf of a JSON value."""
+    if isinstance(value, dict):
+        for key in sorted(value):
+            yield from _numbers(value[key], f"{path}/{key}")
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from _numbers(item, f"{path}/{i}")
+    elif isinstance(value, (int, float)) and not isinstance(value, bool):
+        yield path, float(value)
+
+
+def _largest_relative_difference(a, b) -> float:
+    """Largest |x - y| / max(|x|, |y|) over the numbers of two JSON values
+    of the same layout; inf when the layouts differ or one side alone is
+    NaN or infinite."""
+    xs, ys = dict(_numbers(a)), dict(_numbers(b))
+    if xs.keys() != ys.keys():
+        return math.inf
+    worst = 0.0
+    for key, x in xs.items():
+        y = ys[key]
+        if x == y or (math.isnan(x) and math.isnan(y)):
+            continue
+        rel = abs(x - y) / max(abs(x), abs(y))
+        worst = max(worst, rel if math.isfinite(rel) else math.inf)
+    return worst
+
+
+def compare(parent: dict, change: dict) -> list[str]:
+    """One line per item that differs or exists on one side only."""
+    lines = []
+    for item in sorted(parent.keys() | change.keys()):
+        if item not in parent or item not in change:
+            lines.append(f"{item}: only in {'change' if item in change else 'parent'}")
+        elif parent[item] != change[item]:
+            if item.startswith("values/"):
+                rel = _largest_relative_difference(parent[item], change[item])
+                lines.append(f"{item}: largest relative difference {rel:.3g}")
+            else:
+                lines.append(f"{item}: differs")
+    return lines
+
+
 def main(argv: list[str]) -> int:
+    if len(argv) == 4 and argv[1] == "--compare":
+        parent, change = (json.loads(Path(p).read_text()) for p in argv[2:])
+        lines = compare(parent, change)
+        print("\n".join(lines) if lines else f"all {len(parent)} items identical")
+        return 0
     if len(argv) != 2 or not (Path(argv[1]) / "dvokit" / "__init__.py").is_file():
-        print("usage: python3 tools/fingerprint.py <directory holding the dvokit package>", file=sys.stderr)
+        print(
+            "usage: python3 tools/fingerprint.py <directory holding the dvokit package>\n"
+            "       python3 tools/fingerprint.py --compare <parent.json> <change.json>",
+            file=sys.stderr,
+        )
         return 2
     sys.path.insert(0, str(Path(argv[1]).resolve()))
     with tempfile.TemporaryDirectory() as tmp:
