@@ -28,7 +28,6 @@ __all__ = [
     "parameter",
     "concat",
     "where",
-    "gather_hw",
     "row_scatter",
     "upsample_nearest",
     "conv3x3",
@@ -36,7 +35,6 @@ __all__ = [
     "box3",
     "softmax",
     "layernorm",
-    "masked_mean",
     "backward",
     "grads",
     "finite_diff_check",
@@ -431,24 +429,6 @@ def where(cond: np.ndarray, a, b) -> Tensor:
     return Tensor._make(out, (ta, tb), grad_fn, "where")
 
 
-def gather_hw(img: Tensor, iy: np.ndarray, ix: np.ndarray) -> Tensor:
-    """Gather pixels of a (C, H, W) tensor at integer index maps (no bounds wrap)."""
-    img = _as_tensor(img)
-    if img.ndim != 3:
-        raise ValueError("gather_hw expects a (C, H, W) tensor")
-    iy = np.asarray(iy, dtype=np.int64)
-    ix = np.asarray(ix, dtype=np.int64)
-    out = img.data[:, iy, ix]
-    c_idx = np.arange(img.shape[0]).reshape((-1,) + (1,) * iy.ndim)
-
-    def grad_fn(g):
-        gx = np.zeros_like(img.data)
-        np.add.at(gx, (c_idx, iy[None], ix[None]), g)
-        return (gx,)
-
-    return Tensor._make(out, (img,), grad_fn, "gather_hw")
-
-
 def row_scatter(base: Tensor, idx: np.ndarray, rows: Tensor) -> Tensor:
     """Copy `base` (..., N, d) with rows at `idx` (on axis -2) replaced by
     `rows` (..., K, d)."""
@@ -677,15 +657,6 @@ def layernorm(t: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
         return gt, _unbroadcast(g * normed, gamma.shape), _unbroadcast(g, beta.shape)
 
     return Tensor._make(out, (t, gamma, beta), grad_fn, "layernorm")
-
-
-def masked_mean(t: Tensor, mask: np.ndarray) -> Tensor:
-    """Mean over elements selected by a constant boolean mask.
-
-    Raises EmptyValidSetError when the mask selects nothing.
-    """
-    mask = np.asarray(mask, dtype=bool)
-    return t[mask].mean()
 
 
 # ---- backward pass ------------------------------------------------------------------

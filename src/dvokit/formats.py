@@ -209,9 +209,9 @@ def load_pairs(dataset_dir):
     of objects, a frame entry without an image or depth file name or with a
     name that is not a string, a frame file that cannot be read or whose
     size differs from the intrinsics, a depth that is not finite and
-    positive, a pair index that is not a frame number, or a missing or
-    malformed relative pose raises DataError naming the manifest, and the
-    file when one is at fault."""
+    positive, a dynamic mask that is not finite, a pair index that is not a
+    frame number, or a missing or malformed relative pose raises DataError
+    naming the manifest, and the file when one is at fault."""
     root = Path(dataset_dir)
     path = root / "manifest.json"
     manifest = read_manifest(path)
@@ -233,6 +233,12 @@ def load_pairs(dataset_dir):
             raise DataError(f"manifest {path}: {file} is {w}x{h} px, the intrinsics say {k.width}x{k.height}")
         return data
 
+    def read_mask(file):
+        values = read_pfm(file)
+        if not np.isfinite(values).all():
+            raise DataError("the dynamic mask is not finite")
+        return values > 0.5
+
     images, depths, masks = [], [], []
     for i, entry in enumerate(manifest["frames"]):
         missing = [key for key in ("image", "depth") if key not in entry]
@@ -240,7 +246,7 @@ def load_pairs(dataset_dir):
             raise DataError(f"manifest {path}: frame {i} lacks '{missing[0]}'")
         images.append(read(read_ppm, entry["image"]))
         depths.append(read(lambda file: DepthMap(read_pfm(file)), entry["depth"]))
-        masks.append(read(read_pfm, entry["dynamic_mask"]) > 0.5 if "dynamic_mask" in entry else None)
+        masks.append(read(read_mask, entry["dynamic_mask"]) if "dynamic_mask" in entry else None)
     pairs = []
     for j, p in enumerate(manifest["pairs"]):
         a, b = p.get("a"), p.get("b")

@@ -42,6 +42,10 @@ class CameraIntrinsics:
             raise ValueError("focal lengths and principal point must be finite")
         if self.fx <= 0 or self.fy <= 0:
             raise ValueError("focal lengths must be positive")
+        for extent in (self.width, self.height):
+            # JSON true/false load as bool, an int subclass
+            if isinstance(extent, bool) or not isinstance(extent, (int, np.integer)):
+                raise ValueError(f"image extents must be integers, got {extent!r}")
         if self.width < 2 or self.height < 2:
             raise ValueError("image extents must be at least 2 pixels")
 
@@ -62,8 +66,8 @@ class CameraIntrinsics:
             fy=float(d["fy"]),
             cx=float(d["cx"]),
             cy=float(d["cy"]),
-            width=int(d["width"]),
-            height=int(d["height"]),
+            width=d["width"],
+            height=d["height"],
         )
 
 
@@ -325,10 +329,10 @@ def bilinear_sample(img: Tensor, coords: Tensor) -> Tensor:
     wx = x - Tensor(x0.astype(np.float64))
     wy = y - Tensor(y0.astype(np.float64))
 
-    v00 = ad.gather_hw(img, y0, x0)
-    v01 = ad.gather_hw(img, y0, x0 + 1)
-    v10 = ad.gather_hw(img, y0 + 1, x0)
-    v11 = ad.gather_hw(img, y0 + 1, x0 + 1)
+    v00 = img[:, y0, x0]
+    v01 = img[:, y0, x0 + 1]
+    v10 = img[:, y0 + 1, x0]
+    v11 = img[:, y0 + 1, x0 + 1]
 
     wx1 = 1.0 - wx
     top = v00 * wx1 + v01 * wx

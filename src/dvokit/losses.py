@@ -1,11 +1,13 @@
 """Self-supervised objective: masked photometric, geometric-consistency, and
 edge-aware smoothness terms combined into one differentiable total.
 
-All terms are averaged over the valid set (pixels whose reprojection lands
-inside the target image with positive depth). The self-discovered mask
-``1 - depth_difference`` down-weights dynamic and occluded regions in the
-photometric term; it is gradient-stopped there so inflating the depth
-inconsistency can never zero the photometric loss.
+The photometric and geometric terms are means over the valid set (pixels
+whose reprojection lands inside the target image with positive depth); they
+read those pixels by boolean index, and frame b's depth is sampled only
+there. The self-discovered mask ``1 - depth_difference`` down-weights
+dynamic and occluded regions in the photometric term; it is
+gradient-stopped there so inflating the depth inconsistency can never zero
+the photometric loss.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import EmptyValidSetError, Tensor, masked_mean
+from .autodiff import EmptyValidSetError, Tensor
 from .geometry import CameraIntrinsics, Pose, bilinear_sample, warp_depth
 
 _SSIM_C1 = 0.01**2
@@ -60,17 +62,9 @@ class LossBreakdown:
         }
 
 
-def depth_diff(d_hat: Tensor, d_sampled: Tensor, valid: np.ndarray) -> Tensor:
-    """Per-pixel normalized depth inconsistency |a - b| / (a + b); 0 outside
-    the valid set. Both depths must be positive on the valid set."""
-    num = ad.where(valid, (d_hat - d_sampled).abs(), 0.0)
-    den = ad.where(valid, d_hat + d_sampled, 1.0)
-    return num / den
-
-
-def geometric_loss(d_diff_map: Tensor, valid: np.ndarray) -> Tensor:
-    """Mean depth inconsistency over the valid set."""
-    return masked_mean(d_diff_map, valid)
+def depth_diff(d_hat: Tensor, d_sampled: Tensor) -> Tensor:
+    """Normalized depth inconsistency |a - b| / (a + b) of two positive depths."""
+    return (d_hat - d_sampled).abs() / (d_hat + d_sampled)
 
 
 def ssim(a: Tensor, b: Tensor) -> Tensor:
@@ -95,15 +89,8 @@ def photometric_loss(image: Tensor, synthesized: Tensor, weights: LossWeights = 
     blended with the SSIM dissimilarity (1 - SSIM)/2, weighted by lambda."""
     l1 = (image - synthesized).abs().mean(axis=0)
     lam = weights.lambda_ssim
-    if lam == 0.0:
-        return l1
     dssim = (1.0 - ssim(image, synthesized)) * 0.5
     return (1.0 - lam) * l1 + lam * dssim
-
-
-def masked_photometric_loss(lp_map: Tensor, m_s: Tensor, valid: np.ndarray) -> Tensor:
-    """Mean of the mask-weighted photometric map over the valid set."""
-    return masked_mean(m_s * lp_map, valid)
 
 
 def smoothness_loss(depth: Tensor, image: Tensor) -> Tensor:
@@ -123,12 +110,6 @@ def smoothness_loss(depth: Tensor, image: Tensor) -> Tensor:
     term_y = ((-gy_i).exp() * dy_d) ** 2.0
     n = term_x.size + term_y.size
     return (term_x.sum() + term_y.sum()) / float(n)
-
-
-def combine_losses(l_p_masked: Tensor, l_g: Tensor, l_s: Tensor, weights: LossWeights) -> Tensor:
-    """Weighted sum; the identity total = photometric + beta*geometric +
-    gamma*smoothness holds exactly by construction."""
-    return l_p_masked + weights.beta * l_g + weights.gamma * l_s
 
 
 def total_loss(
@@ -172,28 +153,31 @@ def total_loss(
 
     image_a = Tensor(pair.image_a)
     synthesized = bilinear_sample(Tensor(pair.image_b), warp.flow)
-    h, w = d_a.shape
-    d_b_sampled = bilinear_sample(d_b.reshape(1, h, w), warp.flow)[0]
+    d_b_sampled = bilinear_sample(d_b.reshape(1, *hw), warp.flow[valid])[0]
 
-    dd = depth_diff(warp.depth, d_b_sampled, valid)
-    l_g = geometric_loss(dd, valid)
+    dd = depth_diff(warp.depth[valid], d_b_sampled)
+    l_g = dd.mean()
     if mask_override is not None:
-        m_s = Tensor(mask_override)
+        m_s = Tensor(mask_override[valid])
     else:
-        m_s = ad.where(valid, 1.0 - dd, 0.0).detach()  # gradient-stopped by design
+        # gradient-stopped by design: a live mask could zero the photometric
+        # term by inflating the depth inconsistency
+        m_s = (1.0 - dd).detach()
 
     lp_map = photometric_loss(image_a, synthesized, weights)
-    l_pm = masked_photometric_loss(lp_map, m_s, valid)
+    l_pm = (m_s * lp_map[valid]).mean()
     l_s = smoothness_loss(d_a, image_a)
-    l_total = combine_losses(l_pm, l_g, l_s, weights)
+    l_total = l_pm + weights.beta * l_g + weights.gamma * l_s
 
+    d_map, m_map = np.zeros(hw), np.zeros(hw)
+    d_map[valid], m_map[valid] = dd.data, m_s.data
     return LossBreakdown(
         l_p_masked=l_pm,
         l_g=l_g,
         l_s=l_s,
         l_total=l_total,
-        d_diff=dd.data.copy(),
-        m_s=m_s.data.copy(),
+        d_diff=d_map,
+        m_s=m_map,
         valid=valid,
         valid_count=int(valid.sum()),
     )

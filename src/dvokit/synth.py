@@ -328,9 +328,9 @@ def generate_trajectory(
     yaw, pitch = 0.0, 0.0
     pose = _camera_pose_at(pos, yaw, pitch)
 
+    rendered = render(scene, 0, pose, k)
     for idx in range(n_frames):
-        img, depth, dyn = render(scene, idx, pose, k)
-        frames.append(Frame(image=img, depth=depth, dynamic_mask=dyn, cam_to_world=pose))
+        frames.append(Frame(*rendered, cam_to_world=pose))
         if idx == n_frames - 1:
             break
         for attempt in range(_MAX_RETRIES + 1):
@@ -348,8 +348,8 @@ def generate_trajectory(
             new_pos = np.clip(new_pos, [-2.0, -2.0, -1.0], [2.0, 2.0, 1.6])
             cand = _camera_pose_at(new_pos, new_yaw, new_pitch)
             rel = cand.invert().compose(pose)  # current frame into next frame
-            _, next_depth, _ = render(scene, idx + 1, cand, k)
-            frac = covisible_fraction(frames[-1].depth, next_depth, rel, k)
+            rendered = render(scene, idx + 1, cand, k)  # the next frame, if accepted
+            frac = covisible_fraction(frames[-1].depth, rendered[1], rel, k)
             if frac >= MIN_OVERLAP:
                 pos, yaw, pitch, pose = new_pos, new_yaw, new_pitch, cand
                 break

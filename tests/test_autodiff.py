@@ -76,7 +76,7 @@ def test_mean_and_empty_reduction():
     with pytest.raises(ad.EmptyValidSetError, match="empty-valid-set"):
         empty.sum()
     with pytest.raises(ad.EmptyValidSetError):
-        ad.masked_mean(Tensor(np.ones((4, 4))), np.zeros((4, 4), dtype=bool))
+        Tensor(np.ones((4, 4)))[np.zeros((4, 4), dtype=bool)].mean()
 
 
 def test_mean_gradient_is_uniform():
@@ -208,8 +208,8 @@ def test_gather_and_scatter_gradients():
     iy = np.array([[0, 4], [2, 2]])
     ix = np.array([[1, 3], [2, 2]])  # repeated index exercises accumulation
 
-    def g(t):
-        return (ad.gather_hw(t, iy, ix) * 1.7).sum()
+    def g(t):  # the advanced getitem bilinear_sample reads its corners with
+        return (t[:, iy, ix] * 1.7).sum()
 
     assert finite_diff_check(g, img0, h=1e-5) < 1e-4
 

@@ -24,6 +24,10 @@ def test_intrinsics_validation():
     for bad in ({"fx": np.nan}, {"fy": np.inf}, {"cx": np.inf}, {"cy": np.nan}):
         with pytest.raises(ValueError, match="finite"):
             CameraIntrinsics(**{"fx": 1.0, "fy": 1.0, "cx": 0.0, "cy": 0.0, "width": 4, "height": 4, **bad})
+    for bad in ({"width": 32.5}, {"height": 4.0}, {"width": True}, {"height": "4"}):
+        with pytest.raises(ValueError, match="integers"):
+            CameraIntrinsics(**{"fx": 1.0, "fy": 1.0, "cx": 0.0, "cy": 0.0, "width": 4, "height": 4, **bad})
+    assert CameraIntrinsics(fx=1.0, fy=1.0, cx=0.0, cy=0.0, width=np.int64(4), height=4).width == 4
 
 
 def test_pose_and_depth_map_refuse_non_finite_values():

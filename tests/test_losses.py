@@ -7,10 +7,7 @@ from dvokit import autodiff as ad
 from dvokit.autodiff import EmptyValidSetError, Tensor, finite_diff_check, grads
 from dvokit.losses import (
     LossWeights,
-    combine_losses,
     depth_diff,
-    geometric_loss,
-    masked_photometric_loss,
     photometric_loss,
     smoothness_loss,
     ssim,
@@ -32,35 +29,46 @@ def test_loss_weights_validation():
 
 
 def test_depth_diff_cases():
-    valid = np.ones((2, 2), dtype=bool)
-    same = depth_diff(Tensor(np.full((2, 2), 2.0)), Tensor(np.full((2, 2), 2.0)), valid)
+    same = depth_diff(Tensor(np.full((2, 2), 2.0)), Tensor(np.full((2, 2), 2.0)))
     assert np.all(same.data == 0.0)
 
-    dd = depth_diff(Tensor(np.full((2, 2), 3.0)), Tensor(np.full((2, 2), 1.0)), valid)
+    dd = depth_diff(Tensor(np.full((2, 2), 3.0)), Tensor(np.full((2, 2), 1.0)))
     assert np.allclose(dd.data, 0.5)
 
     rng = np.random.default_rng(0)
     a = Tensor(rng.uniform(0.1, 9.0, (8, 8)))
     b = Tensor(rng.uniform(0.1, 9.0, (8, 8)))
-    dd = depth_diff(a, b, np.ones((8, 8), dtype=bool)).data
+    dd = depth_diff(a, b).data
     assert np.all(dd >= 0.0) and np.all(dd < 1.0)
 
-    partial = np.zeros((2, 2), dtype=bool)
-    partial[0, 0] = True
-    dd = depth_diff(Tensor(np.full((2, 2), 3.0)), Tensor(np.full((2, 2), 1.0)), partial)
-    assert dd.data[0, 0] == 0.5 and np.all(dd.data[~partial] == 0.0)
+    # the valid pixels only, as total_loss passes them
+    picked = depth_diff(Tensor(np.array([3.0, 1.0])), Tensor(np.array([1.0, 1.0])))
+    assert np.array_equal(picked.data, [0.5, 0.0])
+
+
+def _identity_pair_16():
+    from dvokit.geometry import Pose
+    from dvokit.synth import default_intrinsics, preset_scene, render_pair
+
+    return render_pair(preset_scene("room", 3), default_intrinsics(16), Pose.identity(), Pose.identity())
 
 
 def test_geometric_loss_cases():
-    valid = np.ones((4, 4), dtype=bool)
-    assert geometric_loss(Tensor(np.zeros((4, 4))), valid).item() == 0.0
+    # at the identity pose every pixel is valid and samples frame b at its
+    # own grid point, so l_g is the mean of |a - b| / (a + b) over the image
+    from dvokit.geometry import Pose
 
-    half = np.zeros((4, 4))
-    half[:2] = 0.5
-    assert geometric_loss(Tensor(half), valid).item() == 0.25
+    pair = _identity_pair_16()
+    depth = pair.gt_depth_a.values
+    assert total_loss(pair, depth, depth, Pose.identity()).l_g.item() == 0.0
 
-    with pytest.raises(EmptyValidSetError, match="empty-valid-set"):
-        geometric_loss(Tensor(half), np.zeros((4, 4), dtype=bool))
+    bd = total_loss(pair, depth, 3.0 * depth, Pose.identity())
+    assert bd.valid.all()
+    assert bd.l_g.item() == pytest.approx(0.5, abs=1e-12)
+
+    half = depth.copy()
+    half[:8] *= 3.0
+    assert total_loss(pair, depth, half, Pose.identity()).l_g.item() == pytest.approx(0.25, abs=1e-9)
 
 
 def test_ssim_identity_and_shape_check():
@@ -94,7 +102,7 @@ def test_photometric_zero_for_identical_images():
     rng = np.random.default_rng(3)
     img = rng.random((3, 8, 8))
     valid = np.ones((8, 8), dtype=bool)
-    scalar = ad.masked_mean(photometric_loss(Tensor(img), Tensor(img.copy())), valid)
+    scalar = photometric_loss(Tensor(img), Tensor(img.copy()))[valid].mean()
     assert abs(scalar.item()) < 1e-12
 
 
@@ -108,7 +116,7 @@ def test_photometric_constant_images_hand_case():
     valid = np.ones((8, 8), dtype=bool)
     w = LossWeights()
 
-    scalar = ad.masked_mean(photometric_loss(Tensor(a), Tensor(b), w), valid)
+    scalar = photometric_loss(Tensor(a), Tensor(b), w)[valid].mean()
     ssim_val = ssim_reference(a, b)[0, 0]  # spatially constant
     expected = 0.15 * 0.1 + 0.85 * (1.0 - ssim_val) / 2.0
     assert abs(scalar.item() - expected) < 1e-12
@@ -120,21 +128,36 @@ def test_photometric_lambda_zero_is_pure_l1():
     rng = np.random.default_rng(4)
     a, b = rng.random((3, 8, 8)), rng.random((3, 8, 8))
     valid = rng.random((8, 8)) > 0.3
-    scalar = ad.masked_mean(photometric_loss(Tensor(a), Tensor(b), LossWeights(lambda_ssim=0.0)), valid)
+    scalar = photometric_loss(Tensor(a), Tensor(b), LossWeights(lambda_ssim=0.0))[valid].mean()
     expected = np.abs(a - b).mean(axis=0)[valid].mean()
     assert abs(scalar.item() - expected) < 1e-12
 
 
-def test_masked_photometric_limits_and_linearity():
-    rng = np.random.default_rng(5)
-    lp = Tensor(rng.random((8, 8)))
-    valid = rng.random((8, 8)) > 0.2
-    full = masked_photometric_loss(lp, Tensor(np.ones((8, 8))), valid).item()
-    unmasked = ad.masked_mean(lp, valid).item()
-    assert full == unmasked
-    assert masked_photometric_loss(lp, Tensor(np.zeros((8, 8))), valid).item() == 0.0
-    half = masked_photometric_loss(lp, Tensor(np.full((8, 8), 0.5)), valid).item()
-    assert abs(half - 0.5 * unmasked) < 1e-15
+def _unmasked_photometric(pair, depth_a, pose):
+    """Mean of the photometric map over the valid set, with no mask."""
+    from dvokit.geometry import bilinear_sample, warp_depth
+
+    warp = warp_depth(Tensor(depth_a), pose, pair.intrinsics)
+    synth = bilinear_sample(Tensor(pair.image_b), warp.flow)
+    return photometric_loss(Tensor(pair.image_a), synth)[warp.valid].mean().item()
+
+
+def test_masked_photometric_limits_and_linearity(static_pair_16):
+    pair = static_pair_16
+    da, db = _perturbed(pair, np.random.default_rng(5))
+    valid = total_loss(pair, da, db, pair.gt_pose).valid
+    assert valid.any() and not valid.all()
+
+    def l_pm(mask):
+        return total_loss(pair, da, db, pair.gt_pose, mask_override=mask).l_p_masked.item()
+
+    unmasked = _unmasked_photometric(pair, da, pair.gt_pose)
+    ones = np.ones(valid.shape)
+    assert l_pm(ones) == unmasked
+    assert l_pm(np.zeros(valid.shape)) == 0.0
+    assert abs(l_pm(np.full(valid.shape, 0.5)) - 0.5 * unmasked) < 1e-15
+    # the override is read on the valid set only
+    assert l_pm(np.where(valid, ones, 7.0)) == unmasked
 
 
 def test_smoothness_constant_depth_is_zero():
@@ -162,9 +185,11 @@ def test_smoothness_aligned_edges_reduce_loss():
     assert low == pytest.approx(smoothness_reference(depth, edgy), rel=1e-12)
 
 
-def test_combine_losses_paper_weights():
-    out = combine_losses(Tensor([1.0]), Tensor([2.0]), Tensor([3.0]), LossWeights())
-    assert out.data[0] == 1.0 + 0.5 * 2.0 + 0.1 * 3.0 == 2.3
+def test_total_loss_uses_the_paper_weights(static_pair_32):
+    pair = static_pair_32
+    assert LossWeights() == LossWeights(lambda_ssim=0.85, beta=0.5, gamma=0.1)
+    bd = total_loss(pair, pair.gt_depth_a.values, pair.gt_depth_b.values, pair.gt_pose)
+    assert bd.l_total.item() == bd.l_p_masked.item() + 0.5 * bd.l_g.item() + 0.1 * bd.l_s.item()
 
 
 def test_total_loss_identity_holds_exactly(static_pair_32):
@@ -188,17 +213,17 @@ def test_total_loss_mask_properties(static_pair_32):
     ms_valid = bd.m_s[bd.valid]
     assert np.all(ms_valid >= 0.0) and np.all(ms_valid <= 1.0)
     assert np.array_equal(bd.m_s[bd.valid], 1.0 - bd.d_diff[bd.valid])
+    assert not bd.valid.all()
+    assert np.all(bd.d_diff[~bd.valid] == 0.0) and np.all(bd.m_s[~bd.valid] == 0.0)
     agree = bd.valid & (bd.d_diff == 0.0)
     if agree.any():
         assert np.all(bd.m_s[agree] == 1.0)
 
 
 def test_mask_identity_pose_exact_ones():
-    rng = np.random.default_rng(8)
     from dvokit.geometry import Pose
-    from dvokit.synth import default_intrinsics, preset_scene, render_pair
 
-    pair = render_pair(preset_scene("room", 3), default_intrinsics(16), Pose.identity(), Pose.identity())
+    pair = _identity_pair_16()
     bd = total_loss(pair, pair.gt_depth_a.values, pair.gt_depth_a.values, Pose.identity())
     assert np.all(bd.m_s[bd.valid] == 1.0)
     assert bd.l_g.item() == 0.0
@@ -229,13 +254,7 @@ def test_masked_photometric_never_exceeds_unmasked(static_pair_32):
     rng = np.random.default_rng(10)
     noisy_a = pair.gt_depth_a.values * np.exp(rng.normal(scale=0.15, size=pair.gt_depth_a.shape))
     bd = total_loss(pair, noisy_a, pair.gt_depth_b.values, pair.gt_pose)
-
-    from dvokit.geometry import bilinear_sample, warp_depth
-
-    warp = warp_depth(Tensor(noisy_a), pair.gt_pose, pair.intrinsics)
-    synth = bilinear_sample(Tensor(pair.image_b), warp.flow)
-    lp_unmasked = ad.masked_mean(photometric_loss(Tensor(pair.image_a), synth), warp.valid)
-    assert bd.l_p_masked.item() <= lp_unmasked.item() + 1e-15
+    assert bd.l_p_masked.item() <= _unmasked_photometric(pair, noisy_a, pair.gt_pose) + 1e-15
 
 
 def test_lambda_swap_changes_only_photometric(static_pair_32):
@@ -255,7 +274,7 @@ def test_empty_valid_set_propagates(static_pair_16):
     from dvokit.geometry import Pose
 
     away = Pose(np.eye(3), [0.0, 0.0, -50.0])
-    with pytest.raises(EmptyValidSetError):
+    with pytest.raises(EmptyValidSetError, match="empty-valid-set"):
         total_loss(pair, pair.gt_depth_a.values, pair.gt_depth_b.values, away)
 
 
@@ -317,14 +336,15 @@ def test_total_loss_gradient_wrt_depths_fd(static_pair_16):
 
 def test_total_loss_graph_node_count(static_pair_32):
     # the direct route's graph: leaf log-depths of both frames and a twist
-    # leaf. 139 nodes; 172 before the warp ran as one (3, H*W) point matrix,
-    # one matmul rotation and one Rodrigues with a matmul skew matrix
+    # leaf. 138 nodes; 139 before the terms picked the valid pixels by index,
+    # 172 before the warp ran as one (3, H*W) point matrix, one matmul
+    # rotation and one Rodrigues with a matmul skew matrix
     pair = static_pair_32
     log_a = Tensor(np.log(pair.gt_depth_a.values), requires_grad=True)
     log_b = Tensor(np.log(pair.gt_depth_b.values), requires_grad=True)
     twist = Tensor(pair.gt_pose.twist() + 0.01, requires_grad=True)
     loss = total_loss(pair, log_a.exp(), log_b.exp(), twist).l_total
-    assert len(ad.Tape.trace(loss).nodes) <= 139
+    assert len(ad.Tape.trace(loss).nodes) <= 138
 
 
 def _flow_kink_margin(pair, depth_a, twist):

@@ -2,7 +2,7 @@
 whitespace byte values, truncated or malformed checkpoints (a cut exactly
 between two arrays included), checkpoint writes that fail midway, malformed
 dataset manifests and frame files, and NaN or infinite values in manifests,
-depth maps and trajectories."""
+depth maps, dynamic masks and trajectories."""
 
 import json
 import re
@@ -98,11 +98,11 @@ def dataset_dir(tmp_path_factory):
 
     k = default_intrinsics(16)
     frames = generate_trajectory(
-        preset_scene("room", seed=1), k, 3, MotionSpec(kind="line", step=(0.01, 0.0, 0.05)),
+        preset_scene("dynamic-room", seed=1), k, 3, MotionSpec(kind="line", step=(0.01, 0.0, 0.05)),
         np.random.default_rng(0),
     )
     root = tmp_path_factory.mktemp("dataset")
-    formats.save_dataset(root, frames, k, seed=1, scene_name="room")
+    formats.save_dataset(root, frames, k, seed=1, scene_name="dynamic-room")
     return root
 
 
@@ -146,6 +146,14 @@ def _infinite_translation(m):
     m["pairs"][0]["rel_pose"]["translation"][0] = float("inf")  # written as JSON Infinity
 
 
+def _fractional_width(m):
+    m["intrinsics"]["width"] = 16.7  # int() would load it as 16
+
+
+def _boolean_height(m):
+    m["intrinsics"]["height"] = True
+
+
 def _frames_not_a_list(m):
     m["frames"] = 3
 
@@ -175,6 +183,8 @@ def _frame_not_an_object(m):
         _negative_focal_length,
         _nan_focal_length,
         _infinite_translation,
+        _fractional_width,
+        _boolean_height,
         _frames_not_a_list,
         _pairs_not_a_list,
         _pair_not_an_object,
@@ -216,13 +226,20 @@ def _nan_depth(root):
     return "depth_00002.pfm"
 
 
+def _nan_dynamic_mask(root):
+    mask = formats.read_pfm(root / "dynmask_00000.pfm")
+    mask[:] = np.nan  # `> 0.5` would load it as all static
+    formats.write_pfm(root / "dynmask_00000.pfm", mask)
+    return "dynmask_00000.pfm"
+
+
 def _negative_pfm_size(root):
     (root / "depth_00000.pfm").write_bytes(b"Pf\n-2 -2\n-1.0\n" + np.ones(4, dtype="<f4").tobytes())
     return "depth_00000.pfm"
 
 
 @pytest.mark.parametrize(
-    "corrupt", [_deleted_frame, _smaller_frame, _zero_depth, _nan_depth, _negative_pfm_size]
+    "corrupt", [_deleted_frame, _smaller_frame, _zero_depth, _nan_depth, _nan_dynamic_mask, _negative_pfm_size]
 )
 def test_bad_frame_file_raises_data_error_naming_the_manifest_and_the_file(tmp_path, dataset_dir, corrupt):
     root = tmp_path / "copy"

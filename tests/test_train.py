@@ -1,9 +1,10 @@
 """Training loops: resume equivalence, ordered gradient reduction, divergence
-reporting, checkpoint/config consistency, per-epoch evaluation and the
-version string."""
+reporting, adapter finetuning with a frozen backbone, checkpoint/config
+consistency, per-epoch evaluation and the version string."""
 
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from dvokit import train
 from dvokit.autodiff import NonFiniteError
 from dvokit.formats import DataError
 from dvokit.losses import total_loss
-from dvokit.model import DvoModel, forward_dvo, toy_config
+from dvokit.model import DvoModel, forward_dvo, load_checkpoint, model_state, save_checkpoint, toy_config
 from dvokit.synth import MotionSpec, default_intrinsics, generate_trajectory, make_pair, preset_scene
 
 
@@ -104,26 +105,52 @@ def test_divergence_names_the_pair_whose_loss_raised(tmp_path, dataset, monkeypa
     assert dataset.pairs[info.value.pair_index] is seen[1]
 
 
-def _cut_before(path, name_prefix: bytes) -> None:
-    """Truncate a checkpoint at the first array whose name starts with the
-    prefix, so the file ends cleanly after the array before it."""
-    raw = path.read_bytes()
-    path.write_bytes(raw[: raw.index(name_prefix) - 4])  # each array opens with its u32 name length
+@pytest.fixture(scope="module")
+def frozen_run(tmp_path_factory, dataset):
+    """One epoch of adapter finetuning: the backbone frozen, the adapters and
+    task heads trained. Returns the initial state, the model and the
+    checkpoint."""
+    cfg = _cfg(tmp_path_factory.mktemp("frozen"), epochs=1)
+    initial = model_state(DvoModel(cfg.model, np.random.default_rng(cfg.seed)))
+    model, _ = train.finetune_run(cfg, dataset, freeze_backbone=True)
+    return initial, model, Path(cfg.out_dir) / "checkpoint-epoch000.dvoc"
+
+
+def test_frozen_finetune_moves_only_adapters_and_depth_and_pose_heads(frozen_run):
+    initial, model, _ = frozen_run
+    frozen = {name for name, p in model.named_parameters() if not p.requires_grad}
+    moved = {name for name, p in model.named_parameters() if not np.array_equal(p.data, initial[name])}
+    assert len(frozen) == 143 and not frozen & moved
+    # the pixel head is trainable but the warping objective does not reach it
+    assert moved == {
+        name
+        for name in initial
+        if name.startswith(("depth_head.", "pose_head.")) or ".adapter_down." in name or ".adapter_up." in name
+    }
+
+
+def test_frozen_finetune_resumes_bit_identically(tmp_path, dataset, frozen_run):
+    _, _, first = frozen_run
+    train.finetune_run(_cfg(tmp_path / "full", epochs=2), dataset, freeze_backbone=True)
+    train.finetune_run(_cfg(tmp_path / "resumed", epochs=2), dataset, resume=str(first), freeze_backbone=True)
+    full = (tmp_path / "full" / "checkpoint-epoch001.dvoc").read_bytes()
+    assert (tmp_path / "resumed" / "checkpoint-epoch001.dvoc").read_bytes() == full
 
 
 def test_warm_start_from_a_checkpoint_missing_model_arrays_raises(tmp_path, dataset):
     train.pretrain_run(_cfg(tmp_path / "pre", epochs=1), dataset)
-    ckpt = tmp_path / "pre" / "checkpoint-epoch000.dvoc"
-    _cut_before(ckpt, b"model.pixel_head.")
-    with pytest.raises(DataError, match=re.escape(str(ckpt))):
+    config, arrays = load_checkpoint(tmp_path / "pre" / "checkpoint-epoch000.dvoc")
+    ckpt = tmp_path / "no-pixel-head.dvoc"  # a complete file, written without the pixel head
+    save_checkpoint(ckpt, {k: v for k, v in arrays.items() if not k.startswith("model.pixel_head.")}, config)
+    with pytest.raises(DataError, match=re.escape(f"checkpoint {ckpt} lacks 6 arrays, first 'model.pixel_head.")):
         train.finetune_run(_cfg(tmp_path / "fine", epochs=1), dataset, init_checkpoint=str(ckpt))
 
 
-def test_resume_from_a_checkpoint_missing_optimizer_arrays_raises(tmp_path, dataset):
-    train.finetune_run(_cfg(tmp_path / "first", epochs=1), dataset)
-    ckpt = tmp_path / "first" / "checkpoint-epoch000.dvoc"
-    _cut_before(ckpt, b"opt.")
-    with pytest.raises(DataError, match=re.escape(str(ckpt))):
+def test_resume_from_a_checkpoint_missing_optimizer_arrays_raises(tmp_path, dataset, frozen_run):
+    # a frozen run keeps optimizer state for the trained tensors only, so
+    # resuming it without freezing lacks the backbone's moments
+    _, _, ckpt = frozen_run
+    with pytest.raises(DataError, match=re.escape(f"checkpoint {ckpt} lacks 286 arrays, first 'opt.m.")):
         train.finetune_run(_cfg(tmp_path / "resumed", epochs=2), dataset, resume=str(ckpt))
 
 

@@ -26,6 +26,9 @@ What it runs, all seeded and on the `dynamic-room` scene:
     on the same pairs (its JSON and, apart, its metric values), and each
     pair's predicted depth map, computed as `evaluate_depth` does with
     `model.depth` under `autodiff.no_grad` (where the sources have it)
+  - one `total_loss` on the first 32 px pair, at perturbed depths and
+    pose: its scalars, its `d_diff`, `m_s` and `valid` maps, and its
+    gradients w.r.t. both depths and the twist
   - 20-iteration `optimize_direct` pose and depth runs on a 32 px pair from
     `perturbed_twist` starts (curves and results)
 
@@ -69,7 +72,7 @@ def _frames(synth, size: int):
 
 
 def fingerprint(tmp: Path) -> dict:
-    from dvokit import autodiff, direct, formats, synth, train
+    from dvokit import autodiff, direct, formats, losses, synth, train
     from dvokit.model import load_checkpoint, toy_config
 
     # sources older than no_grad record the graph; the depth values are the same
@@ -119,6 +122,20 @@ def fingerprint(tmp: Path) -> dict:
 
     frames, k = trajectories[32]
     pair = synth.make_pair(frames, 0, k)
+    noise = np.random.default_rng(1)
+    starts = {
+        "depth_a": pair.gt_depth_a.values * np.exp(noise.normal(scale=0.05, size=pair.gt_depth_a.shape)),
+        "depth_b": pair.gt_depth_b.values * np.exp(noise.normal(scale=0.05, size=pair.gt_depth_b.shape)),
+        "twist": pair.gt_pose.twist() + noise.normal(scale=0.01, size=6),
+    }
+    leaves = {name: autodiff.Tensor(value, requires_grad=True) for name, value in starts.items()}
+    breakdown = losses.total_loss(pair, leaves["depth_a"], leaves["depth_b"], leaves["twist"])
+    record("loss/scalars", {**breakdown.scalars(), "valid_count": breakdown.valid_count})
+    for name in ("d_diff", "m_s", "valid"):
+        out[f"loss/{name}"] = _digest(getattr(breakdown, name).astype(float))
+    for name, grad in zip(leaves, autodiff.grads(breakdown.l_total, list(leaves.values()))):
+        out[f"loss/grad.{name}"] = _digest(grad)
+
     rng = np.random.default_rng(0)
     for i in range(2):
         start = direct.perturbed_twist(pair.gt_pose.twist(), rng)
