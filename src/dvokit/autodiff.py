@@ -8,6 +8,15 @@ trailing-dimension rules, and the image ops take leading batch axes
 gradients gets none computed. A per-thread "checked" flag (on by default)
 traps non-finite values and zero denominators as soon as they appear, and
 inside ``no_grad()`` ops record no graph.
+
+Checked mode by replay, as training steps, evaluation forwards and direct
+iterations run: ``replayed(fn, tested)`` runs ``fn()`` unchecked with
+numpy's floating-point warnings off and tests the arrays ``tested(result)``
+names for finiteness once. If that pass raised anything or left a tested
+array non-finite, ``fn()`` runs again checked under the caller's
+``np.errstate``: the checked path exactly, so it raises what a checked run
+raises, naming the op. A non-finite array that the checked replay does not
+trap (a gradient) raises ``NonFiniteError`` naming it.
 """
 
 from __future__ import annotations
@@ -15,7 +24,7 @@ from __future__ import annotations
 import math
 import threading
 from contextlib import contextmanager
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
 import numpy as np
 from scipy.special import erf as _erf
@@ -41,6 +50,7 @@ __all__ = [
     "checked_enabled",
     "checked",
     "no_grad",
+    "replayed",
 ]
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
@@ -69,7 +79,8 @@ def checked_enabled() -> bool:
 
 @contextmanager
 def checked(flag: bool):
-    """Temporarily enable/disable NaN/Inf trapping (e.g. off for benchmarks)."""
+    """Temporarily enable/disable NaN/Inf trapping (``replayed`` turns it
+    off for a first pass and on for a replay)."""
     prev = _state.checked
     _state.checked = bool(flag)
     try:
@@ -91,8 +102,39 @@ def no_grad():
         _state.grad = prev
 
 
+_Result = TypeVar("_Result")
+
+
+def replayed(fn: Callable[[], _Result], tested: Callable[[_Result], Mapping[str, np.ndarray]]) -> _Result:
+    """``fn()`` run unchecked, replayed checked if it failed (module docstring).
+
+    ``tested(result)`` maps a description to each array that must be finite.
+    ``fn`` must compute the same on each call, so it restores any state it
+    consumes, such as an rng, first. Any error of the first pass is replayed,
+    since a NaN can surface as another error (``EmptyValidSetError``); if
+    the replay raises nothing and leaves every array finite, that error is
+    raised again.
+    """
+    try:
+        with checked(False), np.errstate(all="ignore"):
+            result = fn()
+        if all(np.isfinite(value).all() for value in tested(result).values()):
+            return result
+        first_error = None
+    except Exception as error:  # any failure of the first pass is replayed
+        first_error = error
+    with checked(True):
+        result = fn()
+    for name, value in tested(result).items():
+        if not np.isfinite(value).all():
+            raise NonFiniteError(f"non-finite {name}, which checked mode does not trap")
+    if first_error is not None:
+        raise first_error
+    return result
+
+
 def _verify_finite(data: np.ndarray, op: str) -> None:
-    if checked_enabled() and not np.isfinite(data).all():
+    if not np.isfinite(data).all():
         raise NonFiniteError(f"non-finite value produced by op '{op}'")
 
 
@@ -158,7 +200,8 @@ class Tensor:
 
     @staticmethod
     def _make(data, parents: Sequence["Tensor"], grad_fn, op: str) -> "Tensor":
-        _verify_finite(np.asarray(data), op)
+        if _state.checked:
+            _verify_finite(np.asarray(data), op)
         if _state.grad and any(p.requires_grad for p in parents):
             return Tensor(data, requires_grad=True, _parents=tuple(parents), _grad_fn=grad_fn, op=op)
         return Tensor(data, op=op)

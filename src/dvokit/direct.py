@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import EmptyValidSetError, Tensor, grads
+from .autodiff import EmptyValidSetError, Tensor, grads, replayed
 from .geometry import pose_distance, pose_from_twist, warp_depth
 from .losses import LossWeights, total_loss
 from .optim import AdamW
@@ -71,6 +71,10 @@ def optimize_direct(
     Parameters track the best (lowest-loss) iterate, so starting at a
     stationary point stays there. Reported errors compare the best iterate
     with the pair's ground truth (depth error on the final valid set).
+
+    Each iteration's loss and gradients run unchecked; one that raises or
+    leaves either non-finite is replayed checked (``autodiff.replayed``),
+    so the error names the op, or the variable whose gradient is not finite.
     """
     if mode not in ("pose", "depth"):
         raise ValueError(f"unknown mode '{mode}'")
@@ -89,8 +93,13 @@ def optimize_direct(
         log_b = Tensor(np.full((h, w), math.log(init_depth)), requires_grad=True)
         variables = [("log_depth_a", log_a), ("log_depth_b", log_b)]
 
-    def build_loss():
-        return total_loss(pair, log_a.exp(), log_b.exp(), twist, weights)
+    def loss_and_grads():
+        bd = total_loss(pair, log_a.exp(), log_b.exp(), twist, weights)
+        return bd, grads(bd.l_total, [var for _, var in variables])
+
+    def tested(step):
+        bd, gs = step
+        return {"loss": bd.l_total.data, **{f"gradient of '{name}'": g for (name, _), g in zip(variables, gs)}}
 
     opt = AdamW(variables, lr=_LR)
     curve: list[float] = []
@@ -100,7 +109,7 @@ def optimize_direct(
 
     for it in range(iters):
         try:
-            bd = build_loss()
+            bd, gs = replayed(loss_and_grads, tested)
         except EmptyValidSetError:
             diverged = True
             break
@@ -109,7 +118,6 @@ def optimize_direct(
         if value < best_loss:
             best_loss = value
             best_state = {name: var.data.copy() for name, var in variables}
-        gs = grads(bd.l_total, [var for _, var in variables])
         opt.lr = _LR * 0.5 * (1.0 + math.cos(math.pi * it / iters))
         opt.step({name: g for (name, _), g in zip(variables, gs)})
 

@@ -352,7 +352,7 @@ def pretrain_step(model: DvoModel, image_a, image_b, rng: np.random.Generator) -
 
 # ---- adapters / freezing / state ------------------------------------------------------
 
-_HEAD_PREFIXES = ("depth_head.", "pose_head.", "pixel_head.")
+_HEAD_PREFIXES = ("depth_head.", "pose_head.")
 
 
 def _is_adapter(name: str) -> bool:
@@ -360,7 +360,8 @@ def _is_adapter(name: str) -> bool:
 
 
 def freeze_for_adapters(model: DvoModel) -> int:
-    """Mark everything except adapter branches and task heads non-trainable.
+    """Mark everything except adapter branches and the depth and pose heads
+    non-trainable.
 
     Returns the number of frozen parameter tensors."""
     if model.cfg.adapter_dim <= 0:

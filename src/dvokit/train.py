@@ -4,6 +4,7 @@ checkpoints, and JSON run reports."""
 
 from __future__ import annotations
 
+import functools
 import json
 import subprocess
 import time
@@ -72,9 +73,11 @@ class RunReport:
         return json.dumps(asdict(self), indent=2, sort_keys=True)
 
 
+@functools.cache
 def version_string() -> str:
     """Package version plus the git description of the checkout holding this
-    package (not of the caller's working directory), when there is one."""
+    package (not of the caller's working directory), when there is one.
+    Computed once per process."""
     try:
         out = subprocess.run(
             ["git", "describe", "--always", "--dirty"],
@@ -137,17 +140,23 @@ class PairDataset:
         return cls(pairs)
 
 
+def _predicted_depth_a(model: DvoModel, pair: FramePair) -> np.ndarray:
+    with ad.no_grad():
+        grids = model.encode(np.stack([pair.image_a, pair.image_b]))
+        tgt, ref = (replace(grids, tokens=grids.tokens[i]) for i in (0, 1))
+        return model.depth(tgt, ref).data
+
+
 def evaluate_depth(model: DvoModel, dataset: PairDataset, eval_cfg: DepthEvalConfig | None = None) -> EvalReport:
-    """Mean per-image depth metrics of the frame-a predictions; the forward
-    passes record no graph."""
+    """Mean per-image depth metrics of the frame-a predictions. Each pair's
+    forward records no graph and runs unchecked; a forward that raises or
+    gives a non-finite depth map is replayed checked (``ad.replayed``), so
+    the error names the op."""
     eval_cfg = eval_cfg or DepthEvalConfig(cap=model.cfg.max_depth)
     reports = []
     for pair in dataset.pairs:
-        with ad.no_grad():
-            grids = model.encode(np.stack([pair.image_a, pair.image_b]))
-            tgt, ref = (replace(grids, tokens=grids.tokens[i]) for i in (0, 1))
-            depth = model.depth(tgt, ref)
-        reports.append(depth_metrics(depth.data, pair.gt_depth_a.values, eval_cfg))
+        depth = ad.replayed(functools.partial(_predicted_depth_a, model, pair), lambda d: {"depth map": d})
+        reports.append(depth_metrics(depth, pair.gt_depth_a.values, eval_cfg))
     return mean_reports(reports)
 
 
@@ -163,6 +172,19 @@ def _finetune_loss(model, pair, weights: LossWeights):
     depth_a, depth_b, twist = forward_dvo(model, pair.image_a, pair.image_b)
     bd = total_loss(pair, depth_a, depth_b, twist, weights)
     return bd.l_total, bd.scalars()
+
+
+def _step_values(step) -> dict[str, np.ndarray]:
+    """What a training step must leave finite: its loss terms and gradients."""
+    scalar_list, grads_by_name = step
+    values = {"loss": np.array([v for scalars in scalar_list for v in scalars.values()])}
+    values.update((f"gradient of '{name}'", g) for name, g in grads_by_name.items())
+    return values
+
+
+# The tensors no loss of a phase reaches. The phase does not step them, so
+# AdamW gets no zero gradients for them and checkpoints hold no moments.
+_UNREACHED = {"finetune": ("pixel_head.", "mask_token"), "pretrain": ("depth_head.", "pose_head.")}
 
 
 def _checkpoint_config(cfg: RunConfig, phase: str, epoch: int) -> dict:
@@ -205,6 +227,12 @@ def _run_phase(
     eval_dataset: PairDataset | None = None,
     freeze_backbone: bool = False,
 ) -> tuple[DvoModel, RunReport]:
+    """Train one phase. Each step runs unchecked and tests its loss terms and
+    gradients for finiteness once; a failing step is replayed checked
+    (``ad.replayed``) from the same inputs and epoch rng state, so
+    ``TrainingDivergence`` names the op, the epoch and the pair. A
+    non-finite gradient behind finite losses, which checked mode does not
+    trap, is named by parameter, with the batch's last pair."""
     started = time.monotonic()
     out_dir = Path(cfg.out_dir) if cfg.out_dir else None
     if out_dir:
@@ -216,6 +244,9 @@ def _run_phase(
         _load_checkpoint_into(init_checkpoint, model)
     if freeze_backbone:
         freeze_for_adapters(model)
+    for name, param in model.named_parameters():
+        if name.startswith(_UNREACHED[phase]):
+            param.requires_grad = False
     opt = AdamW(list(model.named_parameters()))
     if resume is not None:
         start_epoch = int(_load_checkpoint_into(resume, model, opt)["extra"]["epoch"]) + 1
@@ -237,8 +268,15 @@ def _run_phase(
         epoch_scalars: dict[str, list[float]] = {}
         for lo in range(0, len(order), cfg.batch_size):
             jobs = [int(i) for i in order[lo : lo + cfg.batch_size]]
+            rng_state = rng.bit_generator.state
+
+            def step():
+                rng.bit_generator.state = rng_state  # a replay redraws the same masks
+                started_pairs.clear()
+                return batch_gradients(model, jobs, loss_fn)
+
             try:
-                scalar_list, grads_by_name = batch_gradients(model, jobs, loss_fn)
+                scalar_list, grads_by_name = ad.replayed(step, _step_values)
             except (NonFiniteError, FloatingPointError) as e:
                 raise TrainingDivergence(epoch, started_pairs[-1], e) from e
             opt.step(grads_by_name)

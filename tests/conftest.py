@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,18 @@ def _static_pair(size, seed=21, twist=(0.05, -0.02, 0.04, 0.012, -0.008, 0.01)):
     pose_a = Pose(np.eye(3), [0.1, -0.05, 0.2])
     pose_b = pose_a.compose(pose_from_twist(twist))
     return render_pair(scene, default_intrinsics(size), pose_a, pose_b)
+
+
+@pytest.fixture(scope="session")
+def with_nan_pixel():
+    """f(pair): a copy of the pair with one NaN pixel in its second image."""
+
+    def f(pair):
+        image_b = pair.image_b.copy()
+        image_b[0, 5, 7] = np.nan
+        return replace(pair, image_b=image_b)
+
+    return f
 
 
 @pytest.fixture(scope="session")

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from dvokit import autodiff as ad
+from dvokit import direct
 from dvokit.direct import optimize_direct, perturbed_twist
 
 
@@ -22,3 +24,26 @@ def test_depth_mode_ends_in_the_documented_abs_rel_range(static_pair_32, init_de
     assert not result.diverged
     assert 0.45 < result.abs_rel < 0.65
     assert result.final_loss < result.curve[0]
+
+
+def test_a_nan_input_raises_what_a_checked_iteration_raises(static_pair_32, with_nan_pixel, monkeypatch):
+    bad = with_nan_pixel(static_pair_32)
+    with pytest.raises(ad.NonFiniteError, match="op '") as replayed:
+        optimize_direct(bad, "pose", iters=2)
+    monkeypatch.setattr(direct, "replayed", lambda fn, tested: fn())  # every iteration checked
+    with pytest.raises(ad.NonFiniteError) as checked:
+        optimize_direct(bad, "pose", iters=2)
+    assert str(replayed.value) == str(checked.value)
+
+
+def test_unchecked_iterations_make_no_finiteness_call(static_pair_32, monkeypatch):
+    calls = []
+    monkeypatch.setattr(ad, "_verify_finite", lambda data, op: calls.append(op))
+
+    def count(iters):
+        calls.clear()
+        optimize_direct(static_pair_32, "depth", iters=iters)
+        return len(calls)
+
+    # the checked calls are the set-up's and the result's, not the iterations'
+    assert count(2) == count(5)

@@ -3,6 +3,8 @@ import json
 import numpy as np
 import pytest
 
+from dvokit import autodiff as ad
+from dvokit import train
 from dvokit.evaluation import (
     MIN_VALID_DEPTH,
     DepthEvalConfig,
@@ -14,8 +16,20 @@ from dvokit.evaluation import (
     trajectory_errors,
 )
 from dvokit.geometry import Pose, pose_from_twist
+from dvokit.model import DvoModel, toy_config
 
 from oracles import depth_metrics_reference
+
+
+def test_evaluate_depth_raises_what_a_checked_forward_raises(static_pair_32, with_nan_pixel, monkeypatch):
+    model = DvoModel(toy_config(), np.random.default_rng(0))
+    bad = train.PairDataset([static_pair_32, with_nan_pixel(static_pair_32)])
+    with pytest.raises(ad.NonFiniteError, match="op '") as replayed:
+        train.evaluate_depth(model, bad)
+    monkeypatch.setattr(ad, "replayed", lambda fn, tested: fn())  # every forward checked
+    with pytest.raises(ad.NonFiniteError) as checked:
+        train.evaluate_depth(model, bad)
+    assert str(replayed.value) == str(checked.value)
 
 
 def test_config_validation():

@@ -352,7 +352,7 @@ def test_freeze_for_adapters_contract():
     assert frozen > 0
     for name, p in model.named_parameters():
         is_trainable = (".adapter_down." in name or ".adapter_up." in name
-                        or name.startswith(("depth_head.", "pose_head.", "pixel_head.")))
+                        or name.startswith(("depth_head.", "pose_head.")))
         assert p.requires_grad == is_trainable
 
     before = {n: p.data.copy() for n, p in model.named_parameters() if not p.requires_grad}

@@ -4,17 +4,28 @@ consistency, per-epoch evaluation and the version string."""
 
 import json
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from dvokit import autodiff as ad
+from dvokit import model as model_module
 from dvokit import train
 from dvokit.autodiff import NonFiniteError
 from dvokit.formats import DataError
 from dvokit.losses import total_loss
-from dvokit.model import DvoModel, forward_dvo, load_checkpoint, model_state, save_checkpoint, toy_config
+from dvokit.model import (
+    DvoModel,
+    forward_dvo,
+    load_checkpoint,
+    model_state,
+    pretrain_step,
+    sample_mask,
+    save_checkpoint,
+    toy_config,
+)
 from dvokit.synth import MotionSpec, default_intrinsics, generate_trajectory, make_pair, preset_scene
 
 
@@ -105,6 +116,72 @@ def test_divergence_names_the_pair_whose_loss_raised(tmp_path, dataset, monkeypa
     assert dataset.pairs[info.value.pair_index] is seen[1]
 
 
+def _nan_at(dataset, index, with_nan_pixel):
+    return train.PairDataset([with_nan_pixel(p) if i == index else p for i, p in enumerate(dataset.pairs)])
+
+
+def _divergence(run, cfg, dataset):
+    with pytest.raises(train.TrainingDivergence) as info:
+        run(cfg, dataset)
+    return str(info.value), info.value.epoch, info.value.pair_index
+
+
+@pytest.mark.parametrize("phase", ["finetune", "pretrain"])
+def test_a_nan_input_diverges_as_a_checked_run_does(tmp_path, dataset, phase, monkeypatch, with_nan_pixel):
+    bad = _nan_at(dataset, 1, with_nan_pixel)
+    replayed = _divergence(_run(phase), _cfg(tmp_path / "replayed", epochs=1), bad)
+    monkeypatch.setattr(ad, "replayed", lambda fn, tested: fn())  # every step checked
+    checked = _divergence(_run(phase), _cfg(tmp_path / "checked", epochs=1), bad)
+    assert replayed == checked
+    assert "op '" in replayed[0] and replayed[2] == 1
+
+
+def test_the_pretraining_replay_redraws_the_first_pass_masks(tmp_path, dataset, monkeypatch, with_nan_pixel):
+    cfg = _cfg(tmp_path, epochs=1)
+    second = int(np.random.default_rng([cfg.seed, 0]).permutation(len(dataset))[1])
+    drawn = []
+
+    def recording_sample_mask(*args):
+        masks = sample_mask(*args)
+        drawn.append((ad.checked_enabled(), masks))
+        return masks
+
+    monkeypatch.setattr(model_module, "sample_mask", recording_sample_mask)
+    with pytest.raises(train.TrainingDivergence):
+        train.pretrain_run(cfg, _nan_at(dataset, second, with_nan_pixel))
+    first = [masks for checked, masks in drawn if not checked]
+    replay = [masks for checked, masks in drawn if checked]
+    assert len(first) == len(replay) == 2  # the failing pair is the batch's second job
+    for (masked, keep), (masked_again, keep_again) in zip(first, replay):
+        assert np.array_equal(masked, masked_again) and np.array_equal(keep, keep_again)
+
+
+def test_a_nan_gradient_behind_a_finite_loss_names_the_parameter(tmp_path, dataset, monkeypatch):
+    def loss_with_nan_gradient(pair, depth_a, *args, **kwargs):
+        bd = total_loss(pair, depth_a, *args, **kwargs)
+        # finite forward (sqrt(0) = 0), but the backward of sqrt at 0 is 0/0
+        return replace(bd, l_total=bd.l_total + 0 * (depth_a.mean() * 0).sqrt())
+
+    monkeypatch.setattr(train, "total_loss", loss_with_nan_gradient)
+    with np.errstate(divide="ignore", invalid="ignore"), pytest.raises(train.TrainingDivergence) as info:
+        train.finetune_run(_cfg(tmp_path, epochs=1), dataset)
+    assert info.value.epoch == 0
+    assert isinstance(info.value.__cause__, NonFiniteError)
+    name = re.search(r"non-finite gradient of '(.+)', which checked mode does not trap", str(info.value)).group(1)
+    assert name in dict(DvoModel(toy_config(), np.random.default_rng(0)).named_parameters())
+
+
+def test_unchecked_steps_make_no_finiteness_call(tmp_path, dataset, monkeypatch):
+    calls = []
+    monkeypatch.setattr(ad, "_verify_finite", lambda data, op: calls.append(op))
+    ad.Tensor([1.0]) + 1.0  # a checked op calls it
+    assert calls == ["add"]
+    calls.clear()
+    train.finetune_run(_cfg(tmp_path, epochs=1), dataset, eval_dataset=train.PairDataset(dataset.pairs[:1]))
+    train.pretrain_run(_cfg(tmp_path, epochs=1), dataset)
+    assert calls == []
+
+
 @pytest.fixture(scope="module")
 def frozen_run(tmp_path_factory, dataset):
     """One epoch of adapter finetuning: the backbone frozen, the adapters and
@@ -120,8 +197,7 @@ def test_frozen_finetune_moves_only_adapters_and_depth_and_pose_heads(frozen_run
     initial, model, _ = frozen_run
     frozen = {name for name, p in model.named_parameters() if not p.requires_grad}
     moved = {name for name, p in model.named_parameters() if not np.array_equal(p.data, initial[name])}
-    assert len(frozen) == 143 and not frozen & moved
-    # the pixel head is trainable but the warping objective does not reach it
+    assert len(frozen) == 149 and not frozen & moved
     assert moved == {
         name
         for name in initial
@@ -150,8 +226,42 @@ def test_resume_from_a_checkpoint_missing_optimizer_arrays_raises(tmp_path, data
     # a frozen run keeps optimizer state for the trained tensors only, so
     # resuming it without freezing lacks the backbone's moments
     _, _, ckpt = frozen_run
-    with pytest.raises(DataError, match=re.escape(f"checkpoint {ckpt} lacks 286 arrays, first 'opt.m.")):
+    with pytest.raises(DataError, match=re.escape(f"checkpoint {ckpt} lacks 284 arrays, first 'opt.m.")):
         train.finetune_run(_cfg(tmp_path / "resumed", epochs=2), dataset, resume=str(ckpt))
+
+
+@pytest.mark.parametrize("phase", ["finetune", "pretrain"])
+def test_a_phase_steps_exactly_the_tensors_its_loss_reaches(tmp_path, dataset, phase):
+    cfg = _cfg(tmp_path, epochs=1)
+    _run(phase)(cfg, dataset)
+    _, arrays = load_checkpoint(tmp_path / "checkpoint-epoch000.dvoc")
+    model = DvoModel(cfg.model, np.random.default_rng(cfg.seed))
+    pair = dataset.pairs[0]
+    if phase == "pretrain":
+        loss = pretrain_step(model, pair.image_a, pair.image_b, np.random.default_rng(0))
+    else:
+        loss = _loss(model, pair)[0]
+    leaves = ad.backward(loss)
+    reached = {name for name, p in model.named_parameters() if id(p) in leaves}
+    for moment in ("opt.m.", "opt.v."):
+        assert {key[len(moment) :] for key in arrays if key.startswith(moment)} == reached
+
+
+def test_a_checkpoint_with_moments_for_unreached_tensors_resumes_bit_identically(tmp_path, dataset):
+    # finetune checkpoints once also held the all-zero moments of the pixel
+    # head and the mask token; resuming ignores them
+    train.finetune_run(_cfg(tmp_path / "first", epochs=1), dataset)
+    first = tmp_path / "first" / "checkpoint-epoch000.dvoc"
+    config, arrays = load_checkpoint(first)
+    unreached = [name for name in arrays if name.startswith(("model.pixel_head.", "model.mask_token"))]
+    assert len(unreached) == 7
+    older = tmp_path / "older.dvoc"
+    zeros = {f"opt.{m}.{name[len('model.') :]}": np.zeros_like(arrays[name]) for name in unreached for m in "mv"}
+    save_checkpoint(older, {**arrays, **zeros}, config)
+    for ckpt, out in ((first, "resumed"), (older, "resumed-older")):
+        train.finetune_run(_cfg(tmp_path / out, epochs=2), dataset, resume=str(ckpt))
+    resumed = (tmp_path / "resumed" / "checkpoint-epoch001.dvoc").read_bytes()
+    assert (tmp_path / "resumed-older" / "checkpoint-epoch001.dvoc").read_bytes() == resumed
 
 
 @pytest.mark.parametrize("phase", ["finetune", "pretrain"])

@@ -31,6 +31,9 @@ What it runs, all seeded and on the `dynamic-room` scene:
     gradients w.r.t. both depths and the twist
   - 20-iteration `optimize_direct` pose and depth runs on a 32 px pair from
     `perturbed_twist` starts (curves and results)
+  - the failure path: 32 px linear finetune and pretrain runs whose last
+    pair has one NaN pixel in its second image (the `TrainingDivergence`
+    text, epoch and pair)
 
 It writes only to a temporary directory and takes about 6 s on a 2-core host.
 """
@@ -121,6 +124,19 @@ def fingerprint(tmp: Path) -> dict:
                     out[f"{name}/eval.depth-{i}"] = _digest(depth.data)
 
     frames, k = trajectories[32]
+    pairs = [synth.make_pair(frames, i, k) for i in range(len(frames) - 1)]
+    image_b = pairs[-1].image_b.copy()
+    image_b[0, 5, 7] = np.nan
+    pairs[-1] = replace(pairs[-1], image_b=image_b)
+    for phase, run in (("finetune", train.finetune_run), ("pretrain", train.pretrain_run)):
+        cfg = train.RunConfig(seed=0, model=toy_config(), epochs=2, batch_size=2)
+        try:
+            run(cfg, train.PairDataset(pairs))
+            failure = None
+        except train.TrainingDivergence as e:
+            failure = {"text": str(e), "epoch": e.epoch, "pair": e.pair_index}
+        record(f"divergence/{phase}-32-linear", failure)
+
     pair = synth.make_pair(frames, 0, k)
     noise = np.random.default_rng(1)
     starts = {
