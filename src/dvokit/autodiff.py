@@ -3,8 +3,8 @@
 Every differentiable quantity in this package (losses, networks, warps) is a
 ``Tensor`` so gradients can be audited end to end against finite differences.
 Arrays are numpy float64 throughout; broadcasting follows numpy's
-trailing-dimension rules, and the image ops take leading batch axes
-(``(..., C, H, W)``) the same way. An operand that does not require
+trailing-dimension rules, and the conv and upsample ops take leading batch
+axes (``(..., C, H, W)``) the same way. An operand that does not require
 gradients gets none computed. A per-thread "checked" flag (on by default)
 traps non-finite values and zero denominators as soon as they appear, and
 inside ``no_grad()`` ops record no graph.
@@ -41,7 +41,8 @@ __all__ = [
     "upsample_nearest",
     "conv3x3",
     "conv3x3_up2",
-    "box3",
+    "ssim",
+    "bilinear_sample",
     "softmax",
     "layernorm",
     "backward",
@@ -416,11 +417,13 @@ class Tensor:
         if not isinstance(idx, tuple):
             idx = (idx,)
         out = a.data[idx]
-        advanced = any(isinstance(i, (np.ndarray, list)) for i in idx)
+        # integer arrays can repeat an element, which only np.add.at sums;
+        # slices and boolean masks pick each at most once
+        repeats = any(isinstance(i, list) or (isinstance(i, np.ndarray) and i.dtype != bool) for i in idx)
 
         def grad_fn(g):
             gx = np.zeros_like(a.data)
-            if advanced:
+            if repeats:
                 np.add.at(gx, idx, g)
             else:
                 gx[idx] += g
@@ -636,34 +639,92 @@ def conv3x3_up2(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     return Tensor._make(out.reshape(*lead, c_out, 2 * h, 2 * w), (x, weight, bias), grad_fn, "conv3x3_up2")
 
 
-def box3(img: Tensor) -> Tensor:
-    """3x3 box filter of a (C, H, W) tensor with edge replication; the output
-    keeps the input size."""
-    img = _as_tensor(img)
-    if img.ndim != 3:
-        raise ValueError("box3 expects a (C, H, W) tensor")
-    c, h, w = img.shape
-    p = np.pad(img.data, ((0, 0), (1, 1), (1, 1)), mode="edge")
-    acc = p[:, 0:h, 0:w]
-    for k in range(1, 9):
-        dy, dx = divmod(k, 3)
-        acc = acc + p[:, dy : dy + h, dx : dx + w]
-    out = acc * (1.0 / 9.0)
+def _box3(x: np.ndarray) -> np.ndarray:
+    """3x3 box mean over the last two axes, edge replicated; the taps are
+    summed row by row. It is its own adjoint (each axis's edge-replicated
+    3-sum is a symmetric matrix)."""
+    h, w = x.shape[-2:]
+    p = np.concatenate([x[..., :1, :], x, x[..., -1:, :]], axis=-2)
+    p = np.concatenate([p[..., :1], p, p[..., -1:]], axis=-1)
+    acc = p[..., 0:h, 0:w].copy()
+    for dy, dx in _TAPS_3X3[1:]:
+        acc += p[..., dy : dy + h, dx : dx + w]
+    return acc * (1.0 / 9.0)
+
+
+_SSIM_C1, _SSIM_C2 = 0.01**2, 0.03**2
+
+
+def ssim(a: Tensor, b: Tensor) -> Tensor:
+    """Channel-mean SSIM map (H, W) of two (C, H, W) images, clamped to
+    [-1, 1]: 3x3 window (``_box3``), C1 = 0.01^2, C2 = 0.03^2. The forward
+    pass filters the moments a, b, a*a, b*b, a*b as one stack; the backward
+    pass filters back, as one stack, the moment gradients that an input
+    requiring grad needs."""
+    a, b = _as_tensor(a), _as_tensor(b)
+    if a.shape != b.shape or a.ndim != 3:
+        raise ValueError(f"ssim expects two (C, H, W) tensors of one shape, got {a.shape} and {b.shape}")
+    x, y = a.data, b.data
+    mu_a, mu_b, e_aa, e_bb, e_ab = _box3(np.stack([x, y, x * x, y * y, x * y]))
+    var_a = e_aa - mu_a * mu_a
+    var_b = e_bb - mu_b * mu_b
+    cov = e_ab - mu_a * mu_b
+    n1, n2 = 2.0 * mu_a * mu_b + _SSIM_C1, 2.0 * cov + _SSIM_C2
+    d1, d2 = mu_a * mu_a + mu_b * mu_b + _SSIM_C1, var_a + var_b + _SSIM_C2
+    s = (n1 * n2) / (d1 * d2)
+    mean = s.mean(axis=0)
 
     def grad_fn(g):
-        g9 = g * (1.0 / 9.0)
-        gp = np.zeros((c, h + 2, w + 2))
-        for k in range(9):
-            dy, dx = divmod(k, 3)
-            gp[:, dy : dy + h, dx : dx + w] += g9
-        # replicated border rows, then columns, fold back onto the edge pixels
-        gp[:, 1, :] += gp[:, 0, :]
-        gp[:, h, :] += gp[:, h + 1, :]
-        gp[:, :, 1] += gp[:, :, 0]
-        gp[:, :, w] += gp[:, :, w + 1]
-        return (gp[:, 1 : h + 1, 1 : w + 1],)
+        gs = g * ((mean >= -1.0) & (mean <= 1.0)) / s.shape[0]
+        q, r = gs / (d1 * d2), gs * s
+        # with s = n1 n2 / (d1 d2), the gradients of the filtered moments:
+        # e_aa and e_bb (one array), e_ab, then mu_a and mu_b, which enter
+        # n1 and n2 through 2 mu_a mu_b and d1 and d2 through their squares
+        u, v = q * (n2 - n1), r / d2 - r / d1
+        moments = [-r / d2, 2.0 * q * n1]
+        moments += [2.0 * (mu_b * u + mu_a * v)] if a.requires_grad else []
+        moments += [2.0 * (mu_a * u + mu_b * v)] if b.requires_grad else []
+        g_sq, g_ab, *g_mu = _box3(np.stack(moments))  # filtered back: _box3 is its own adjoint
+        ga = g_mu[0] + 2.0 * x * g_sq + y * g_ab if a.requires_grad else None
+        return ga, g_mu[-1] + 2.0 * y * g_sq + x * g_ab if b.requires_grad else None
 
-    return Tensor._make(out, (img,), grad_fn, "box3")
+    return Tensor._make(np.clip(mean, -1.0, 1.0), (a, b), grad_fn, "ssim")
+
+
+def bilinear_sample(img: Tensor, coords: Tensor) -> Tensor:
+    """Sample a (C, H, W) image at continuous (x, y) coords (..., 2), giving
+    (C, ...). Coordinates clamp to the image, where their gradient stops.
+    The backward pass sums the coordinate gradient over channels and the
+    image gradient of all four corners with one ``np.bincount``."""
+    img, coords = _as_tensor(img), _as_tensor(coords)
+    c, h, w = img.shape
+    upper = np.array([w - 1.0, h - 1.0])
+    xy = np.clip(coords.data, 0.0, upper)
+    cell = np.clip(np.floor(xy), 0, upper - 1.0).astype(np.int64)
+    wx, wy = np.moveaxis(xy - cell, -1, 0)
+    idx = cell[..., 1] * w + cell[..., 0]
+    flat = img.data.reshape(c, h * w)
+    v00, v01, v10, v11 = flat[:, idx], flat[:, idx + 1], flat[:, idx + w], flat[:, idx + w + 1]
+    wx1 = 1.0 - wx
+    top = v00 * wx1 + v01 * wx
+    bot = v10 * wx1 + v11 * wx
+
+    def grad_fn(g):
+        gi = gc = None
+        if img.requires_grad:
+            corners = np.concatenate([idx, idx + 1, idx + w, idx + w + 1], axis=None)
+            corners = (np.arange(c) * (h * w))[:, None] + corners  # flat index per channel
+            gt, gb = g * (1.0 - wy), g * wy
+            parts = (gt * wx1, gt * wx, gb * wx1, gb * wx)
+            blend = np.concatenate([part.reshape(c, -1) for part in parts], axis=1)
+            gi = np.bincount(corners.ravel(), blend.ravel(), c * h * w).reshape(img.shape)
+        if coords.requires_grad:
+            gx = (g * ((v01 - v00) * (1.0 - wy) + (v11 - v10) * wy)).sum(axis=0)
+            inside = (coords.data >= 0.0) & (coords.data <= upper)
+            gc = np.stack([gx, (g * (bot - top)).sum(axis=0)], axis=-1) * inside
+        return gi, gc
+
+    return Tensor._make(top * (1.0 - wy) + bot * wy, (img, coords), grad_fn, "bilinear_sample")
 
 
 def softmax(t: Tensor, axis: int = -1) -> Tensor:

@@ -313,28 +313,8 @@ def warp_depth(depth: Tensor | np.ndarray, pose: Pose | Tensor, k: CameraIntrins
 
 
 def bilinear_sample(img: Tensor, coords: Tensor) -> Tensor:
-    """Sample a (C, H, W) image at continuous (x, y) coords of shape (..., 2).
-
-    Out-of-bounds coordinates clamp to the border (callers mask them out
-    via the warp's valid set). Differentiable w.r.t. both image and coords.
-    """
-    img = img if isinstance(img, Tensor) else Tensor(img)
-    coords = coords if isinstance(coords, Tensor) else Tensor(coords)
-    _, h, w = img.shape
-
-    x = coords[..., 0].clamp(0.0, w - 1.0)
-    y = coords[..., 1].clamp(0.0, h - 1.0)
-    x0 = np.clip(np.floor(x.data), 0, w - 2).astype(np.int64)
-    y0 = np.clip(np.floor(y.data), 0, h - 2).astype(np.int64)
-    wx = x - Tensor(x0.astype(np.float64))
-    wy = y - Tensor(y0.astype(np.float64))
-
-    v00 = img[:, y0, x0]
-    v01 = img[:, y0, x0 + 1]
-    v10 = img[:, y0 + 1, x0]
-    v11 = img[:, y0 + 1, x0 + 1]
-
-    wx1 = 1.0 - wx
-    top = v00 * wx1 + v01 * wx
-    bot = v10 * wx1 + v11 * wx
-    return top * (1.0 - wy) + bot * wy
+    """Sample a (C, H, W) image at continuous (x, y) coords of shape (..., 2):
+    one graph node, ``autodiff.bilinear_sample``. Out-of-bounds coordinates
+    clamp to the border (callers mask them out via the warp's valid set).
+    Differentiable w.r.t. both image and coords."""
+    return ad.bilinear_sample(img, coords)

@@ -16,12 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import autodiff as ad
-from .autodiff import EmptyValidSetError, Tensor
+from .autodiff import EmptyValidSetError, Tensor, ssim
 from .geometry import CameraIntrinsics, Pose, bilinear_sample, warp_depth
-
-_SSIM_C1 = 0.01**2
-_SSIM_C2 = 0.03**2
 
 
 @dataclass(frozen=True)
@@ -67,23 +63,6 @@ def depth_diff(d_hat: Tensor, d_sampled: Tensor) -> Tensor:
     return (d_hat - d_sampled).abs() / (d_hat + d_sampled)
 
 
-def ssim(a: Tensor, b: Tensor) -> Tensor:
-    """Local structural similarity of two (C, H, W) images in [0, 1].
-
-    3x3 uniform window with edge replication, stability constants
-    C1 = 0.01^2 and C2 = 0.03^2, channel-averaged to an (H, W) map in [-1, 1].
-    """
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    mu_a, mu_b = ad.box3(a), ad.box3(b)
-    var_a = ad.box3(a * a) - mu_a * mu_a
-    var_b = ad.box3(b * b) - mu_b * mu_b
-    cov = ad.box3(a * b) - mu_a * mu_b
-    num = (2.0 * mu_a * mu_b + _SSIM_C1) * (2.0 * cov + _SSIM_C2)
-    den = (mu_a * mu_a + mu_b * mu_b + _SSIM_C1) * (var_a + var_b + _SSIM_C2)
-    return (num / den).mean(axis=0).clamp(-1.0, 1.0)
-
-
 def photometric_loss(image: Tensor, synthesized: Tensor, weights: LossWeights = LossWeights()) -> Tensor:
     """Per-pixel photometric map (H, W): the channel-mean L1 difference
     blended with the SSIM dissimilarity (1 - SSIM)/2, weighted by lambda."""
@@ -99,15 +78,17 @@ def smoothness_loss(depth: Tensor, image: Tensor) -> Tensor:
     Forward differences along x and y; each term is
     (exp(-|channel-mean image gradient|) * depth gradient)^2 and the result is
     the mean over all interior terms of both directions. Normalizing by the
-    mean depth keeps the penalty scale-free.
+    mean depth keeps the penalty scale-free. The edge weights are computed
+    in numpy: no caller differentiates the image, so none flows to it.
     """
+    img = image.data
     d = depth / depth.mean()
     dx_d = d[:, 1:] - d[:, :-1]
     dy_d = d[1:, :] - d[:-1, :]
-    gx_i = (image[:, :, 1:] - image[:, :, :-1]).abs().mean(axis=0)
-    gy_i = (image[:, 1:, :] - image[:, :-1, :]).abs().mean(axis=0)
-    term_x = ((-gx_i).exp() * dx_d) ** 2.0
-    term_y = ((-gy_i).exp() * dy_d) ** 2.0
+    edge_x = np.exp(-np.abs(img[:, :, 1:] - img[:, :, :-1]).mean(axis=0))
+    edge_y = np.exp(-np.abs(img[:, 1:, :] - img[:, :-1, :]).mean(axis=0))
+    term_x = (Tensor(edge_x) * dx_d) ** 2.0
+    term_y = (Tensor(edge_y) * dy_d) ** 2.0
     n = term_x.size + term_y.size
     return (term_x.sum() + term_y.sum()) / float(n)
 

@@ -129,6 +129,33 @@ def box3_composite(img):
     return acc * (1.0 / 9.0)
 
 
+def ssim_composite(a, b):
+    """SSIM map from four box filters and elementwise nodes, in the fused
+    op's order of arithmetic."""
+    mu_a, mu_b = box3_composite(a), box3_composite(b)
+    var_a = box3_composite(a * a) - mu_a * mu_a
+    var_b = box3_composite(b * b) - mu_b * mu_b
+    cov = box3_composite(a * b) - mu_a * mu_b
+    num = (2.0 * mu_a * mu_b + SSIM_C1) * (2.0 * cov + SSIM_C2)
+    den = (mu_a * mu_a + mu_b * mu_b + SSIM_C1) * (var_a + var_b + SSIM_C2)
+    return (num / den).mean(axis=0).clamp(-1.0, 1.0)
+
+
+def bilinear_sample_composite(img, coords):
+    """Bilinear sampling from clamp, advanced-getitem and elementwise nodes."""
+    _, h, w = img.shape
+    x = coords[..., 0].clamp(0.0, w - 1.0)
+    y = coords[..., 1].clamp(0.0, h - 1.0)
+    x0 = np.clip(np.floor(x.data), 0, w - 2).astype(np.int64)
+    y0 = np.clip(np.floor(y.data), 0, h - 2).astype(np.int64)
+    wx = x - Tensor(x0.astype(np.float64))
+    wy = y - Tensor(y0.astype(np.float64))
+    wx1 = 1.0 - wx
+    top = img[:, y0, x0] * wx1 + img[:, y0, x0 + 1] * wx
+    bot = img[:, y0 + 1, x0] * wx1 + img[:, y0 + 1, x0 + 1] * wx
+    return top * (1.0 - wy) + bot * wy
+
+
 # ---- the two-frame forward before its frames were batched -----------------------------
 
 

@@ -202,13 +202,25 @@ def test_structural_ops_gradients():
     assert finite_diff_check(via_structs, x0, h=1e-5) < 1e-4
 
 
+def test_boolean_mask_getitem_backward_equals_np_add_at_bitwise():
+    rng = np.random.default_rng(9)
+    x = Tensor(rng.normal(size=(5, 6, 2)), requires_grad=True)
+    mask = rng.random((5, 6)) < 0.5
+    c = rng.normal(size=(int(mask.sum()), 2))
+    c[0, 0], c[2], c[-1, 1] = -0.0, -0.0, -0.0
+    got = ad.grads((x[mask] * Tensor(c)).sum(), [x])[0]
+    want = np.zeros(x.shape)
+    np.add.at(want, (mask,), c)
+    assert got.tobytes() == want.tobytes()
+
+
 def test_gather_and_scatter_gradients():
     rng = np.random.default_rng(8)
     img0 = rng.normal(size=(2, 5, 5))
     iy = np.array([[0, 4], [2, 2]])
     ix = np.array([[1, 3], [2, 2]])  # repeated index exercises accumulation
 
-    def g(t):  # the advanced getitem bilinear_sample reads its corners with
+    def g(t):  # integer-array getitem: repeated elements sum with np.add.at
         return (t[:, iy, ix] * 1.7).sum()
 
     assert finite_diff_check(g, img0, h=1e-5) < 1e-4
@@ -312,8 +324,26 @@ def test_tape_visits_each_op_once():
 
 # ---- fused ops: one graph node each, checked against the composites they replaced ----
 
+def _coords_off_grid(rng):
+    """(4, 3, 2) sample coordinates for a (..., 5, 6) image, in and around
+    it, each at least 0.05 px from an integer: finite differences of the
+    sampler are one-sided at integers and at the clamped borders."""
+    xy = rng.uniform([-1.5, -1.5], [6.5, 5.5], size=(4, 3, 2))
+    near = np.abs(xy - np.round(xy)) < 0.05
+    return np.where(near, xy + 0.1, xy)
+
+
+def _coords_on_grid(_rng):
+    """Sample coordinates for a (..., 5, 6) image at exact integers, both
+    borders of each axis (0 and W-1, 0 and H-1), outside and between."""
+    return np.array(
+        [[0.0, 0.0], [5.0, 4.0], [0.0, 4.0], [5.0, 0.0], [2.0, 3.0], [3.0, 2.5],
+         [-0.7, 1.0], [6.3, 5.2], [1.5, -2.0], [4.0, 1.25], [2.5, 0.0], [5.0, 2.75]]
+    )
+
+
 FUSED_OPS = {
-    # name: (fused op, composite oracle, input shapes, keyword arguments)
+    # name: (fused op, composite oracle, input shapes or draw(rng), keyword arguments)
     "conv3x3": (ad.conv3x3, oracles.conv3x3_composite, [(3, 5, 6), (3, 3, 3, 4), (4,)], {}),
     "conv3x3-batched": (ad.conv3x3, oracles.conv3x3_composite, [(2, 3, 5, 6), (3, 3, 3, 4), (4,)], {}),
     "conv3x3_up2": (ad.conv3x3_up2, oracles.conv3x3_up2_composite, [(3, 3, 5), (3, 3, 3, 4), (4,)], {}),
@@ -323,7 +353,11 @@ FUSED_OPS = {
     "layernorm": (ad.layernorm, oracles.layernorm_composite, [(5, 8), (8,), (8,)], {}),
     "softmax-axis-1": (ad.softmax, oracles.softmax_composite, [(3, 4, 5)], {"axis": -1}),
     "softmax-axis0": (ad.softmax, oracles.softmax_composite, [(3, 4, 5)], {"axis": 0}),
-    "box3": (ad.box3, oracles.box3_composite, [(3, 6, 7)], {}),
+    "ssim": (ad.ssim, oracles.ssim_composite, [(3, 6, 7), (3, 6, 7)], {}),
+    "bilinear_sample": (ad.bilinear_sample, oracles.bilinear_sample_composite, [(2, 5, 6), _coords_off_grid], {}),
+    "bilinear_sample-on-grid": (
+        ad.bilinear_sample, oracles.bilinear_sample_composite, [(2, 5, 6), _coords_on_grid], {}
+    ),
 }
 
 FUSED_FD_CASES = [
@@ -332,8 +366,13 @@ FUSED_FD_CASES = [
     ("conv3x3_up2", 0), ("conv3x3_up2", 1), ("conv3x3_up2", 2),
     ("conv3x3_up2-batched", 0), ("conv3x3_up2-batched", 1), ("conv3x3_up2-batched", 2),
     ("layernorm", 0), ("layernorm", 1), ("layernorm", 2),
-    ("softmax-axis-1", 0), ("softmax-axis0", 0), ("box3", 0),
+    ("softmax-axis-1", 0), ("softmax-axis0", 0),
+    ("ssim", 0), ("ssim", 1), ("bilinear_sample", 0), ("bilinear_sample", 1),
 ]
+
+
+def _draw(shapes, rng, scale=1.0):
+    return [shape(rng) if callable(shape) else rng.normal(scale=scale, size=shape) for shape in shapes]
 
 
 @pytest.mark.parametrize("name,wrt", FUSED_FD_CASES, ids=[f"{n}-wrt{i}" for n, i in FUSED_FD_CASES])
@@ -341,7 +380,7 @@ def test_fused_op_passes_fd_at_ten_random_points(name, wrt):
     op, _, shapes, kwargs = FUSED_OPS[name]
     rng = np.random.default_rng(sum(map(ord, name)) + wrt)
     for _ in range(10):
-        inputs = [rng.normal(scale=0.8, size=s) for s in shapes]
+        inputs = _draw(shapes, rng, scale=0.8)
         c = Tensor(rng.normal(size=op(*map(Tensor, inputs), **kwargs).shape))
 
         def f(t):
@@ -356,7 +395,7 @@ def test_fused_op_passes_fd_at_ten_random_points(name, wrt):
 def test_fused_op_matches_the_composite_it_replaced(name):
     op, composite, shapes, kwargs = FUSED_OPS[name]
     rng = np.random.default_rng(sum(map(ord, name)))
-    inputs = [rng.normal(size=s) for s in shapes]
+    inputs = _draw(shapes, rng)
     c = rng.normal(size=op(*map(Tensor, inputs), **kwargs).shape)
 
     def run(fn):
@@ -372,7 +411,7 @@ def test_fused_op_matches_the_composite_it_replaced(name):
 @pytest.mark.parametrize("name", list(FUSED_OPS))
 def test_fused_op_traps_nan_input_in_checked_mode(name):
     op, _, shapes, kwargs = FUSED_OPS[name]
-    inputs = [np.ones(s) for s in shapes]
+    inputs = [shape(np.random.default_rng(0)) if callable(shape) else np.ones(shape) for shape in shapes]
     inputs[0][0, 0] = np.nan
     tensors = [Tensor(a, requires_grad=True) for a in inputs]
     op_name = name.split("-")[0]

@@ -311,14 +311,15 @@ def test_forward_dvo_matches_the_per_frame_reference(head_kind, static_pair_32):
 
 @pytest.mark.parametrize(
     "pair_fixture,head_kind,bound",
-    [("static_pair_32", "linear", 703), ("static_pair_64", "dpt", 798)],
+    [("static_pair_32", "linear", 645), ("static_pair_64", "dpt", 740)],
 )
 def test_finetune_loss_graph_node_count(pair_fixture, head_kind, bound, request):
-    # one finetune loss is 703 (32 px, linear head) and 798 (64 px, DPT
+    # one finetune loss is 645 (32 px, linear head) and 740 (64 px, DPT
     # head) nodes with both frames batched through encoder, decoder and
-    # depth head; picking the valid pixels by index in the loss took 1 node
-    # off 704 and 799, the warp as matrix algebra 33 off 737 and 832, and
-    # per-frame graphs took 1,099 and 1,261
+    # depth head; one-node SSIM and bilinear sampling took 58 off 703 and
+    # 798, picking the valid pixels by index in the loss 1 off 704 and 799,
+    # the warp as matrix algebra 33 off 737 and 832, and per-frame graphs
+    # took 1,099 and 1,261
     pair = request.getfixturevalue(pair_fixture)
     model = DvoModel(toy_config(head_kind=head_kind), np.random.default_rng(0))
     d_a, d_b, twist = forward_dvo(model, pair.image_a, pair.image_b)
