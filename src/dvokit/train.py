@@ -36,10 +36,10 @@ from .synth import FramePair
 
 
 class TrainingDivergence(RuntimeError):
-    """Non-finite loss; carries the offending epoch and pair index."""
+    """A non-finite loss or gradient; carries the offending epoch and pair index."""
 
     def __init__(self, epoch: int, pair_index: int, cause: Exception):
-        super().__init__(f"non-finite loss at epoch {epoch}, pair {pair_index}: {cause}")
+        super().__init__(f"training diverged at epoch {epoch}, pair {pair_index}: {cause}")
         self.epoch = epoch
         self.pair_index = pair_index
 
@@ -100,7 +100,10 @@ def batch_gradients(model: DvoModel, jobs: list, loss_fn):
     """Evaluate `loss_fn(model, job)` per job in order, each on its own graph,
     and average the gradients in job order. Returns (list of per-job scalar
     dicts, mean gradient of every trainable parameter by name), the second
-    ready for `AdamW.step`; a parameter no loss reaches gets zeros.
+    ready for `AdamW.step`; a parameter no loss reaches gets zeros. In
+    checked mode each job's gradients are tested as they are computed, so a
+    non-finite one raises NonFiniteError naming the parameter while its job
+    is the last one started.
 
     loss_fn returns (scalar Tensor, dict of floats to log).
     """
@@ -110,6 +113,10 @@ def batch_gradients(model: DvoModel, jobs: list, loss_fn):
     for job in jobs:
         loss, scalars = loss_fn(model, job)
         gs = ad.grads(loss, params)
+        if ad.checked_enabled():
+            for (name, _), g in zip(named, gs):
+                if not np.isfinite(g).all():
+                    raise NonFiniteError(f"non-finite gradient of '{name}', which checked mode does not trap")
         del loss  # frees this job's graph before the next job builds its own
         total = gs if total is None else [t + g for t, g in zip(total, gs)]
         scalar_list.append(scalars)
@@ -232,7 +239,7 @@ def _run_phase(
     (``ad.replayed``) from the same inputs and epoch rng state, so
     ``TrainingDivergence`` names the op, the epoch and the pair. A
     non-finite gradient behind finite losses, which checked mode does not
-    trap, is named by parameter, with the batch's last pair."""
+    trap, is named by parameter, with the pair whose gradient it is."""
     started = time.monotonic()
     out_dir = Path(cfg.out_dir) if cfg.out_dir else None
     if out_dir:

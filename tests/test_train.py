@@ -171,6 +171,26 @@ def test_a_nan_gradient_behind_a_finite_loss_names_the_parameter(tmp_path, datas
     assert name in dict(DvoModel(toy_config(), np.random.default_rng(0)).named_parameters())
 
 
+def test_a_nan_gradient_is_named_with_the_pair_whose_gradient_it_is(tmp_path, dataset, monkeypatch):
+    seen = []
+
+    def first_job_nan_gradient(pair, depth_a, *args, **kwargs):
+        seen.append(pair)
+        bd = total_loss(pair, depth_a, *args, **kwargs)
+        if len(seen) % 2 == 1:  # the first job of a batch of two, in each pass
+            return replace(bd, l_total=bd.l_total + 0 * (depth_a.mean() * 0).sqrt())
+        return bd
+
+    monkeypatch.setattr(train, "total_loss", first_job_nan_gradient)
+    with np.errstate(divide="ignore", invalid="ignore"), pytest.raises(train.TrainingDivergence) as info:
+        train.finetune_run(_cfg(tmp_path, epochs=1), dataset)
+    assert str(info.value).startswith("training diverged at epoch 0, pair ")
+    assert "non-finite gradient of '" in str(info.value)
+    assert len(seen) == 3  # both jobs of the first pass, the first of the replay
+    assert seen[0] is not seen[1] and seen[2] is seen[0]
+    assert dataset.pairs[info.value.pair_index] is seen[0]
+
+
 def test_unchecked_steps_make_no_finiteness_call(tmp_path, dataset, monkeypatch):
     calls = []
     monkeypatch.setattr(ad, "_verify_finite", lambda data, op: calls.append(op))
