@@ -29,6 +29,10 @@ What it runs, all seeded and on the `dynamic-room` scene:
   - one `total_loss` on the first 32 px pair, at perturbed depths and
     pose: its scalars, its `d_diff`, `m_s` and `valid` maps, and its
     gradients w.r.t. both depths and the twist
+  - `losses.ssim` and `geometry.bilinear_sample` on fixed seeded inputs
+    (sample coordinates off the grid, at integers, 1e-12 px below integers,
+    on both borders and outside): one item per op, digesting its output and
+    the gradient of a weighted sum of it w.r.t. each input
   - 20-iteration `optimize_direct` pose and depth runs on a 32 px pair from
     `perturbed_twist` starts (curves and results)
   - the failure path: 32 px linear finetune and pretrain runs whose last
@@ -75,7 +79,7 @@ def _frames(synth, size: int):
 
 
 def fingerprint(tmp: Path) -> dict:
-    from dvokit import autodiff, direct, formats, losses, synth, train
+    from dvokit import autodiff, direct, formats, geometry, losses, synth, train
     from dvokit.model import load_checkpoint, toy_config
 
     # sources older than no_grad record the graph; the depth values are the same
@@ -151,6 +155,18 @@ def fingerprint(tmp: Path) -> dict:
         out[f"loss/{name}"] = _digest(getattr(breakdown, name).astype(float))
     for name, grad in zip(leaves, autodiff.grads(breakdown.l_total, list(leaves.values()))):
         out[f"loss/grad.{name}"] = _digest(grad)
+
+    rng = np.random.default_rng(2)
+    grid = np.stack(np.meshgrid(np.arange(-1.0, 10.0), np.arange(-1.0, 9.0)), axis=-1)
+    coords = np.concatenate([grid, grid - 1e-12, rng.uniform(-1.0, 10.0, size=grid.shape)]).reshape(-1, 2)
+    for name, op, inputs in (
+        ("ssim", losses.ssim, [rng.random((3, 8, 9)), rng.random((3, 8, 9))]),
+        ("bilinear_sample", geometry.bilinear_sample, [rng.random((2, 8, 9)), coords]),
+    ):
+        leaves = [autodiff.Tensor(value, requires_grad=True) for value in inputs]
+        result = op(*leaves)
+        weighted = (result * autodiff.Tensor(rng.normal(size=result.shape))).sum()
+        out[f"op/{name}"] = _digest(result.data, *autodiff.grads(weighted, leaves))
 
     rng = np.random.default_rng(0)
     for i in range(2):
