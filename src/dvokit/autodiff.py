@@ -691,16 +691,18 @@ def ssim(a: Tensor, b: Tensor) -> Tensor:
     return Tensor._make(np.clip(mean, -1.0, 1.0), (a, b), grad_fn, "ssim")
 
 
-def bilinear_sample(img: Tensor, coords: Tensor) -> Tensor:
+def bilinear_sample(img: Tensor, coords: Tensor, tol: float) -> Tensor:
     """Sample a (C, H, W) image at continuous (x, y) coords (..., 2), giving
-    (C, ...). Coordinates clamp to the image, where their gradient stops.
-    The backward pass sums the coordinate gradient over channels and the
-    image gradient of all four corners with one ``np.bincount``."""
+    (C, ...). Coordinates clamp to the image; their gradient stops more than
+    `tol` outside it. A coordinate within `tol` below an integer takes that
+    integer's cell, so round-off cannot pick the side of a one-sided
+    gradient. The backward pass sums the coordinate gradient over channels
+    and the image gradient of all four corners with one ``np.bincount``."""
     img, coords = _as_tensor(img), _as_tensor(coords)
     c, h, w = img.shape
     upper = np.array([w - 1.0, h - 1.0])
     xy = np.clip(coords.data, 0.0, upper)
-    cell = np.clip(np.floor(xy), 0, upper - 1.0).astype(np.int64)
+    cell = np.clip(np.floor(xy + tol), 0, upper - 1.0).astype(np.int64)
     wx, wy = np.moveaxis(xy - cell, -1, 0)
     idx = cell[..., 1] * w + cell[..., 0]
     flat = img.data.reshape(c, h * w)
@@ -720,7 +722,7 @@ def bilinear_sample(img: Tensor, coords: Tensor) -> Tensor:
             gi = np.bincount(corners.ravel(), blend.ravel(), c * h * w).reshape(img.shape)
         if coords.requires_grad:
             gx = (g * ((v01 - v00) * (1.0 - wy) + (v11 - v10) * wy)).sum(axis=0)
-            inside = (coords.data >= 0.0) & (coords.data <= upper)
+            inside = (coords.data >= -tol) & (coords.data <= upper + tol)
             gc = np.stack([gx, (g * (bot - top)).sum(axis=0)], axis=-1) * inside
         return gi, gc
 

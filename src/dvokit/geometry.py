@@ -313,8 +313,8 @@ def warp_depth(depth: Tensor | np.ndarray, pose: Pose | Tensor, k: CameraIntrins
 
 
 def bilinear_sample(img: Tensor, coords: Tensor) -> Tensor:
-    """Sample a (C, H, W) image at continuous (x, y) coords of shape (..., 2):
-    one graph node, ``autodiff.bilinear_sample``. Out-of-bounds coordinates
-    clamp to the border (callers mask them out via the warp's valid set).
-    Differentiable w.r.t. both image and coords."""
-    return ad.bilinear_sample(img, coords)
+    """Sample a (C, H, W) image at continuous (x, y) coords (..., 2) with one
+    graph node, ``autodiff.bilinear_sample``, at the warp's 1e-9 px
+    tolerance. Out-of-bounds coordinates clamp to the border (callers mask
+    them out via the warp's valid set)."""
+    return ad.bilinear_sample(img, coords, _VALID_EPS)

@@ -141,13 +141,16 @@ def ssim_composite(a, b):
     return (num / den).mean(axis=0).clamp(-1.0, 1.0)
 
 
-def bilinear_sample_composite(img, coords):
-    """Bilinear sampling from clamp, advanced-getitem and elementwise nodes."""
+def bilinear_sample_composite(img, coords, tol):
+    """Bilinear sampling from clamp, advanced-getitem and elementwise nodes.
+    `tol` moves the cell choice as in the fused op, but the clamp stops the
+    coordinate gradient right outside the image: the two agree unless a
+    coordinate lies within `tol` outside it."""
     _, h, w = img.shape
     x = coords[..., 0].clamp(0.0, w - 1.0)
     y = coords[..., 1].clamp(0.0, h - 1.0)
-    x0 = np.clip(np.floor(x.data), 0, w - 2).astype(np.int64)
-    y0 = np.clip(np.floor(y.data), 0, h - 2).astype(np.int64)
+    x0 = np.clip(np.floor(x.data + tol), 0, w - 2).astype(np.int64)
+    y0 = np.clip(np.floor(y.data + tol), 0, h - 2).astype(np.int64)
     wx = x - Tensor(x0.astype(np.float64))
     wy = y - Tensor(y0.astype(np.float64))
     wx1 = 1.0 - wx

@@ -354,9 +354,11 @@ FUSED_OPS = {
     "softmax-axis-1": (ad.softmax, oracles.softmax_composite, [(3, 4, 5)], {"axis": -1}),
     "softmax-axis0": (ad.softmax, oracles.softmax_composite, [(3, 4, 5)], {"axis": 0}),
     "ssim": (ad.ssim, oracles.ssim_composite, [(3, 6, 7), (3, 6, 7)], {}),
-    "bilinear_sample": (ad.bilinear_sample, oracles.bilinear_sample_composite, [(2, 5, 6), _coords_off_grid], {}),
+    "bilinear_sample": (
+        ad.bilinear_sample, oracles.bilinear_sample_composite, [(2, 5, 6), _coords_off_grid], {"tol": 1e-9}
+    ),
     "bilinear_sample-on-grid": (
-        ad.bilinear_sample, oracles.bilinear_sample_composite, [(2, 5, 6), _coords_on_grid], {}
+        ad.bilinear_sample, oracles.bilinear_sample_composite, [(2, 5, 6), _coords_on_grid], {"tol": 1e-9}
     ),
 }
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.spatial.transform import Rotation
 
-from dvokit.autodiff import Tensor, finite_diff_check
+from dvokit.autodiff import Tensor, finite_diff_check, grads
 from dvokit.geometry import (
     CameraIntrinsics,
     DepthMap,
@@ -188,6 +188,22 @@ def test_bilinear_gradient_wrt_coords_and_image():
         return (bilinear_sample(t, Tensor(base)) ** 2.0).sum()
 
     assert finite_diff_check(f_img, img, h=1e-6) < 1e-5
+
+
+def test_bilinear_gradient_is_unmoved_by_round_off_at_integers_and_borders():
+    img = np.random.default_rng(18).random((2, 5, 6))
+    exact = np.array([[0.0, 0.0], [5.0, 4.0], [2.0, 3.0], [0.0, 4.0], [5.0, 1.0]])
+    below = exact - 1e-12  # on the left and top borders: within 1e-9 outside
+
+    def run(coords):
+        leaves = [Tensor(img, requires_grad=True), Tensor(coords, requires_grad=True)]
+        out = bilinear_sample(*leaves)
+        return [out.data] + grads((out * Tensor(np.arange(out.size).reshape(out.shape))).sum(), leaves)
+
+    for moved, fixed in zip(run(below), run(exact)):
+        assert np.abs(moved - fixed).max() <= 1e-10 * np.abs(fixed).max()
+    # farther outside than the tolerance, the clamped coordinate gets no gradient
+    assert not run(np.array([[-1e-6, 2.0], [2.0, 4.0 + 1e-6]]))[2][[0, 1], [0, 1]].any()
 
 
 def test_rotation_from_axis_angle_matches_scipy_and_fd():

@@ -349,6 +349,24 @@ def test_total_loss_graph_node_count(static_pair_32):
     assert len(ad.Tape.trace(loss).nodes) <= 80
 
 
+@pytest.mark.parametrize("pair_fixture", ["static_pair_32", "static_pair_64"])
+def test_twist_gradient_at_the_identity_does_not_depend_on_round_off(pair_fixture, request):
+    # at the identity twist every warped coordinate is an integer up to
+    # round-off; depths scaled by 1 +- 4e-16 move only that round-off, which
+    # moved this gradient by 0.21 (32 px) and 0.041 (64 px) relative when
+    # the sampler picked its cell with a plain floor
+    pair = request.getfixturevalue(pair_fixture)
+
+    def twist_gradient(scale):
+        twist = Tensor(np.zeros(6), requires_grad=True)
+        depths = (pair.gt_depth_a.values * scale, pair.gt_depth_b.values * scale)
+        return ad.grads(total_loss(pair, *depths, twist).l_total, [twist])[0]
+
+    base = twist_gradient(1.0)
+    for scale in (1.0 + 4e-16, 1.0 - 4e-16):
+        assert np.abs(twist_gradient(scale) - base).max() <= 1e-12 * np.abs(base).max()
+
+
 def _flow_kink_margin(pair, depth_a, twist):
     """Distance of the warped coordinates from bilinear kinks (integer grid
     lines) and from the valid-set boundary; finite differences are only
