@@ -341,12 +341,23 @@ class Tensor:
     def gelu(self):
         """Exact (erf-based) GELU."""
         a = self
-        cdf = 0.5 * (1.0 + _erf(a.data * _INV_SQRT2))
+        # in place, in the order of 0.5 * (1 + erf(x / sqrt 2)) and
+        # g * (cdf + x * exp(-0.5 * x * x) / sqrt(2 pi))
+        cdf = a.data * _INV_SQRT2
+        _erf(cdf, out=cdf)
+        cdf += 1.0
+        cdf *= 0.5
         out = a.data * cdf
 
         def grad_fn(g):
-            pdf = np.exp(-0.5 * a.data * a.data) * _INV_SQRT2PI
-            return (g * (cdf + a.data * pdf),)
+            d = a.data * -0.5
+            d *= a.data
+            np.exp(d, out=d)
+            d *= _INV_SQRT2PI
+            d *= a.data
+            d += cdf
+            d *= g
+            return (d,)
 
         return Tensor._make(out, (a,), grad_fn, "gelu")
 
@@ -539,10 +550,14 @@ def _tap_rows(xp: np.ndarray, dy: int, dx: int, h: int, w: int) -> np.ndarray:
 
 
 def _taps_forward(xp: np.ndarray, w2: np.ndarray, taps, h: int, w: int) -> np.ndarray:
-    """(C_out, n*h*w): one GEMM of `w2` (len(taps)*C, C_out) over the im2col
-    rows of the padded map read at the (dy, dx) offsets `taps`."""
+    """(n, C_out, h*w): `w2` (len(taps)*C, C_out) applied to the im2col rows
+    of the padded maps read at the (dy, dx) offsets `taps`, one GEMM per map.
+    Each map's output is then the same, bit for bit, whatever else is in the
+    batch: one GEMM over all maps can change BLAS kernel with the batch size
+    (OpenBLAS takes its small-matrix kernel below about 1e6 multiply-adds),
+    and with it the rounding."""
     cols = np.concatenate([_tap_rows(xp, dy, dx, h, w) for dy, dx in taps])
-    return w2.T @ cols
+    return w2.T @ cols.reshape(len(cols), xp.shape[1], h * w).transpose(1, 0, 2)
 
 
 def _taps_backward(xp, w2, taps, g2: np.ndarray, gxp: np.ndarray, h: int, w: int) -> np.ndarray:
@@ -564,18 +579,16 @@ def conv3x3(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     """3x3 convolution of a (..., C, H, W) map, zero padded, stride 1.
 
     `weight` is (3, 3, C, C_out) and `bias` is (C_out,). The forward pass is
-    one GEMM over the im2col rows of every map in the batch. The backward
-    pass keeps only the padded input, not the nine times larger im2col
-    matrix: it rebuilds each tap's rows from it for that tap's weight
-    gradient GEMM, and folds each tap's column gradient back onto the input
-    (col2im) one tap at a time.
+    one GEMM per map over its im2col rows. The backward pass keeps only the
+    padded input, not the nine times larger im2col matrix: it rebuilds each
+    tap's rows from it for that tap's weight gradient GEMM, and folds each
+    tap's column gradient back onto the input (col2im) one tap at a time.
     """
     x, weight, bias, lead, c, h, w, c_out = _conv_operands("conv3x3", x, weight, bias)
     n = math.prod(lead)
     xp = _pad_channel_major(x.data, n, c, h, w)
     w2 = weight.data.reshape(9 * c, c_out)
-    out = (_taps_forward(xp, w2, _TAPS_3X3, h, w) + bias.data[:, None]).reshape(c_out, n, h, w)
-    out = out.transpose(1, 0, 2, 3).reshape(*lead, c_out, h, w)
+    out = (_taps_forward(xp, w2, _TAPS_3X3, h, w) + bias.data[:, None]).reshape(*lead, c_out, h, w)
 
     def grad_fn(g):
         g2 = g.reshape(n, c_out, h * w).transpose(1, 0, 2).reshape(c_out, n * h * w)
@@ -607,10 +620,10 @@ def conv3x3_up2(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     Each of the four output phases (row and column parity) is a 2x2
     convolution of the zero-padded coarse map, whose kernel is the 3x3
     kernel folded onto the coarse pixels its taps read (sub-pixel
-    convolution, arXiv 1609.05158). One im2col GEMM per phase writes that
-    phase's strided slots of the output: 4 instead of 9 multiply-adds per
-    output pixel and channel pair, and neither the upsampled map nor its
-    im2col matrix is built. The backward pass keeps only the padded coarse
+    convolution, arXiv 1609.05158). One im2col GEMM per phase and map
+    writes that phase's strided slots of the output: 4 instead of 9
+    multiply-adds per output pixel and channel pair, and neither the
+    upsampled map nor its im2col matrix is built. The backward pass keeps only the padded coarse
     input, as `conv3x3` does, and folds the phase-kernel gradients back onto
     the 3x3 weight.
     """
@@ -620,8 +633,8 @@ def conv3x3_up2(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     kernels = (_UP2_FOLD @ weight.data.reshape(9, c * c_out)).reshape(4, 4 * c, c_out)
     out = np.empty((n, c_out, 2 * h, 2 * w))
     for ((py, px), taps), k2 in zip(_UP2_PHASES, kernels):
-        phase = (_taps_forward(xp, k2, taps, h, w) + bias.data[:, None]).reshape(c_out, n, h, w)
-        out[:, :, py::2, px::2] = phase.transpose(1, 0, 2, 3)
+        phase = _taps_forward(xp, k2, taps, h, w) + bias.data[:, None]
+        out[:, :, py::2, px::2] = phase.reshape(n, c_out, h, w)
 
     def grad_fn(g):
         g = g.reshape(n, c_out, 2 * h, 2 * w)
@@ -834,7 +847,7 @@ def grads(loss: Tensor, wrt: Iterable[Tensor]) -> list[np.ndarray]:
     """Gradients of a scalar loss w.r.t. the given leaves, in order; zeros
     for a leaf the loss does not reach."""
     found = backward(loss)
-    return [found.get(id(t), np.zeros_like(t.data)) for t in wrt]
+    return [found[id(t)] if id(t) in found else np.zeros_like(t.data) for t in wrt]
 
 
 def finite_diff_check(

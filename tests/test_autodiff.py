@@ -436,6 +436,18 @@ def test_conv_ops_check_their_operands(op):
         op(Tensor(np.ones((2, 4, 4))), Tensor(np.ones((3, 3, 2, 2))), Tensor(np.ones(3)))
 
 
+@pytest.mark.parametrize("op", [ad.conv3x3, ad.conv3x3_up2], ids=["conv3x3", "conv3x3_up2"])
+def test_conv_ops_give_each_map_of_a_batch_what_it_gets_alone(op):
+    # 12 maps of 48 channels at 4x4 px: a GEMM over the whole batch would take
+    # OpenBLAS's large-matrix kernel (> 1e6 multiply-adds), one map's alone
+    # its small-matrix kernel, which rounds differently
+    rng = np.random.default_rng(5)
+    x, weight, bias = rng.normal(size=(3, 4, 48, 4, 4)), rng.normal(size=(3, 3, 48, 48)), rng.normal(size=48)
+    batched = op(Tensor(x), Tensor(weight), Tensor(bias)).data
+    for i in np.ndindex(3, 4):
+        assert np.array_equal(batched[i], op(Tensor(x[i]), Tensor(weight), Tensor(bias)).data)
+
+
 # ---- no_grad: ops record no graph -------------------------------------------------------
 
 

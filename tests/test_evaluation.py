@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,13 +18,64 @@ from dvokit.evaluation import (
 )
 from dvokit.geometry import Pose, pose_from_twist
 from dvokit.model import DvoModel, toy_config
+from dvokit.synth import MotionSpec, default_intrinsics, generate_trajectory, make_pair, preset_scene
 
 from oracles import depth_metrics_reference
 
 
+def _trajectory_pairs(size: int, n_pairs: int):
+    """Consecutive pairs of one trajectory, sharing frame arrays as
+    `make_pair` hands them out."""
+    k = default_intrinsics(size)
+    scene = preset_scene("dynamic-room", seed=0)
+    frames = generate_trajectory(scene, k, n_pairs + 1, MotionSpec(), np.random.default_rng(size))
+    return [make_pair(frames, i, k) for i in range(n_pairs)]
+
+
+@pytest.mark.parametrize("head", ["linear", "dpt"])
+def test_evaluate_depth_gives_each_pair_what_its_own_forward_gives(head, monkeypatch):
+    size = 64
+    pairs = _trajectory_pairs(size, train.EVAL_CHUNK_PIXELS // size**2 + 1)  # one pair past a chunk
+    model = DvoModel(toy_config(head_kind=head), np.random.default_rng(3))
+    seen = []
+
+    def spy(pred, gt, cfg):
+        seen.append((pred, depth_metrics(pred, gt, cfg)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(train, "depth_metrics", spy)
+    report = train.evaluate_depth(model, train.PairDataset(pairs))
+    assert len(seen) == len(pairs)
+    cfg = DepthEvalConfig(cap=model.cfg.max_depth)
+    for pair, (depth, metrics) in zip(pairs, seen):
+        with ad.no_grad():
+            grids = model.encode(np.stack([pair.image_a, pair.image_b]))
+            alone = model.depth(*(replace(grids, tokens=grids.tokens[j]) for j in (0, 1))).data
+        assert np.array_equal(depth, alone)
+        assert metrics == depth_metrics(alone, pair.gt_depth_a.values, cfg)
+    assert report == mean_reports([metrics for _, metrics in seen])
+
+
+def test_evaluate_depth_encodes_each_frame_of_a_chunk_once(monkeypatch):
+    pairs = _trajectory_pairs(32, 3)
+    assert len(pairs) * 32**2 <= train.EVAL_CHUNK_PIXELS
+    model = DvoModel(toy_config(), np.random.default_rng(0))
+    encoded, encode = [], DvoModel.encode
+
+    def counting(self, image, keep=None):
+        encoded.append(len(image))
+        return encode(self, image, keep)
+
+    monkeypatch.setattr(DvoModel, "encode", counting)
+    train.evaluate_depth(model, train.PairDataset(pairs))
+    assert encoded == [len(pairs) + 1]
+
+
 def test_evaluate_depth_raises_what_a_checked_forward_raises(static_pair_32, with_nan_pixel, monkeypatch):
     model = DvoModel(toy_config(), np.random.default_rng(0))
-    bad = train.PairDataset([static_pair_32, with_nan_pixel(static_pair_32)])
+    # the NaN pair sits in the middle of one chunk
+    bad = train.PairDataset([static_pair_32, with_nan_pixel(static_pair_32), static_pair_32])
+    assert len(bad) * 32**2 <= train.EVAL_CHUNK_PIXELS
     with pytest.raises(ad.NonFiniteError, match="op '") as replayed:
         train.evaluate_depth(model, bad)
     monkeypatch.setattr(ad, "replayed", lambda fn, tested: fn())  # every forward checked

@@ -10,11 +10,14 @@ Usage:
 `src/`). The script prints one JSON object mapping item names to sha256
 digests (first 16 hex digits). Every item is digested on its own, so a
 difference names what changed (say, a checkpoint's config header while its
-arrays stay the same). The numbers behind the loss curves, the eval metrics
-and the direct runs are also printed as they are, under `values/<item>`.
-`--compare` lists the items that differ between two such outputs and, for
-each `values/` item, the largest relative difference of its numbers, so a
-change that moves outputs by round-off shows by how much.
+arrays stay the same). The numbers behind every item but the frames, the
+dataset files, the checkpoints, `eval.json` (its numbers are those of
+`eval.metrics`) and the `valid` map are also printed as they are, under
+`values/<item>`; checkpoint arrays stay digest-only, because they are too
+large for JSON. `--compare` lists the items that differ between two
+such outputs and, for each `values/` item, the largest relative difference
+of its numbers, so a change that moves outputs by round-off shows by how
+much.
 
 What it runs, all seeded and on the `dynamic-room` scene:
   - random-walk trajectories of 4 frames at 32 and 64 px (images, depths,
@@ -24,8 +27,10 @@ What it runs, all seeded and on the `dynamic-room` scene:
     with the linear head at 32 px and the DPT head at 64 px: the last
     checkpoint's arrays and config, the loss curves, and `evaluate_depth`
     on the same pairs (its JSON and, apart, its metric values), and each
-    pair's predicted depth map, computed as `evaluate_depth` does with
-    `model.depth` under `autodiff.no_grad` (where the sources have it)
+    pair's predicted depth map, computed one pair at a time with
+    `model.encode` and `model.depth` under `autodiff.no_grad` (where the
+    sources have it), so these items cross-check the chunked forward of
+    `evaluate_depth`, whose metrics the items above digest
   - one `total_loss` on the first 32 px pair, at perturbed depths and
     pose: its scalars, its `d_diff`, `m_s` and `valid` maps, and its
     gradients w.r.t. both depths and the twist
@@ -87,9 +92,10 @@ def fingerprint(tmp: Path) -> dict:
 
     out: dict = {}
 
-    def record(item: str, value) -> None:
-        out[item] = _digest(value)
-        out[f"values/{item}"] = value
+    def record(item: str, *parts) -> None:
+        out[item] = _digest(*parts)
+        values = [part.tolist() if isinstance(part, np.ndarray) else part for part in parts]
+        out[f"values/{item}"] = values[0] if len(values) == 1 else values
 
     trajectories = {size: _frames(synth, size) for size in (32, 64)}
     for size, (frames, _) in trajectories.items():
@@ -125,7 +131,7 @@ def fingerprint(tmp: Path) -> dict:
                 for i, pair in enumerate(dataset.pairs):
                     grids = model.encode(np.stack([pair.image_a, pair.image_b]))
                     depth = model.depth(*(replace(grids, tokens=grids.tokens[j]) for j in (0, 1)))
-                    out[f"{name}/eval.depth-{i}"] = _digest(depth.data)
+                    record(f"{name}/eval.depth-{i}", depth.data)
 
     frames, k = trajectories[32]
     pairs = [synth.make_pair(frames, i, k) for i in range(len(frames) - 1)]
@@ -151,10 +157,11 @@ def fingerprint(tmp: Path) -> dict:
     leaves = {name: autodiff.Tensor(value, requires_grad=True) for name, value in starts.items()}
     breakdown = losses.total_loss(pair, leaves["depth_a"], leaves["depth_b"], leaves["twist"])
     record("loss/scalars", {**breakdown.scalars(), "valid_count": breakdown.valid_count})
-    for name in ("d_diff", "m_s", "valid"):
-        out[f"loss/{name}"] = _digest(getattr(breakdown, name).astype(float))
+    for name in ("d_diff", "m_s"):
+        record(f"loss/{name}", getattr(breakdown, name).astype(float))
+    out["loss/valid"] = _digest(breakdown.valid.astype(float))
     for name, grad in zip(leaves, autodiff.grads(breakdown.l_total, list(leaves.values()))):
-        out[f"loss/grad.{name}"] = _digest(grad)
+        record(f"loss/grad.{name}", grad)
 
     rng = np.random.default_rng(2)
     grid = np.stack(np.meshgrid(np.arange(-1.0, 10.0), np.arange(-1.0, 9.0)), axis=-1)
@@ -166,7 +173,7 @@ def fingerprint(tmp: Path) -> dict:
         leaves = [autodiff.Tensor(value, requires_grad=True) for value in inputs]
         result = op(*leaves)
         weighted = (result * autodiff.Tensor(rng.normal(size=result.shape))).sum()
-        out[f"op/{name}"] = _digest(result.data, *autodiff.grads(weighted, leaves))
+        record(f"op/{name}", result.data, *autodiff.grads(weighted, leaves))
 
     rng = np.random.default_rng(0)
     for i in range(2):
