@@ -263,10 +263,6 @@ class Tensor:
     def __rtruediv__(self, other):
         return _as_tensor(other).__truediv__(self)
 
-    def __neg__(self):
-        a = self
-        return Tensor._make(-a.data, (a,), lambda g: (-g,), "neg")
-
     def __pow__(self, exponent):
         if not isinstance(exponent, (int, float)):
             raise TypeError("only scalar exponents are supported")

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -95,16 +95,8 @@ def mean_reports(reports: list[EvalReport]) -> EvalReport:
     if not reports:
         raise ValueError("no reports to average")
     n = len(reports)
-    return EvalReport(
-        abs_rel=sum(r.abs_rel for r in reports) / n,
-        rmse=sum(r.rmse for r in reports) / n,
-        delta1=sum(r.delta1 for r in reports) / n,
-        delta2=sum(r.delta2 for r in reports) / n,
-        delta3=sum(r.delta3 for r in reports) / n,
-        n_pixels=sum(r.n_pixels for r in reports),
-        scale_s=sum(r.scale_s for r in reports) / n,
-        abs_rel_constant=sum(r.abs_rel_constant for r in reports) / n,
-    )
+    sums = {f.name: sum(getattr(r, f.name) for r in reports) for f in fields(EvalReport)}
+    return EvalReport(**{name: total if name == "n_pixels" else total / n for name, total in sums.items()})
 
 
 def accumulate_trajectory(relatives: list[Pose]) -> list[Pose]:

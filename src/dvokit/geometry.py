@@ -16,7 +16,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -50,14 +50,7 @@ class CameraIntrinsics:
             raise ValueError("image extents must be at least 2 pixels")
 
     def to_dict(self) -> dict:
-        return {
-            "fx": self.fx,
-            "fy": self.fy,
-            "cx": self.cx,
-            "cy": self.cy,
-            "width": self.width,
-            "height": self.height,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "CameraIntrinsics":
@@ -111,11 +104,6 @@ class Pose:
         rt = self.rotation.T
         return Pose(rt, -rt @ self.translation, validate=False)
 
-    def apply(self, points: np.ndarray) -> np.ndarray:
-        """Transform points of shape (..., 3)."""
-        pts = np.asarray(points, dtype=np.float64)
-        return pts @ self.rotation.T + self.translation
-
     def matrix(self) -> np.ndarray:
         m = np.eye(4)
         m[:3, :3] = self.rotation
@@ -153,25 +141,21 @@ def quaternion_from_rotation(r: np.ndarray) -> np.ndarray:
     tr = np.trace(r)
     if tr > 0:
         s = np.sqrt(tr + 1.0) * 2.0
-        qw = 0.25 * s
         qx = (r[2, 1] - r[1, 2]) / s
         qy = (r[0, 2] - r[2, 0]) / s
         qz = (r[1, 0] - r[0, 1]) / s
+        q = np.array([qx, qy, qz, 0.25 * s])
     else:
+        # i: the largest diagonal entry; j < k the other two; (a, b) cyclic after i
         i = int(np.argmax(np.diag(r)))
-        if i == 0:
-            s = np.sqrt(1.0 + r[0, 0] - r[1, 1] - r[2, 2]) * 2.0
-            qx, qy, qz = 0.25 * s, (r[0, 1] + r[1, 0]) / s, (r[0, 2] + r[2, 0]) / s
-            qw = (r[2, 1] - r[1, 2]) / s
-        elif i == 1:
-            s = np.sqrt(1.0 + r[1, 1] - r[0, 0] - r[2, 2]) * 2.0
-            qx, qy, qz = (r[0, 1] + r[1, 0]) / s, 0.25 * s, (r[1, 2] + r[2, 1]) / s
-            qw = (r[0, 2] - r[2, 0]) / s
-        else:
-            s = np.sqrt(1.0 + r[2, 2] - r[0, 0] - r[1, 1]) * 2.0
-            qx, qy, qz = (r[0, 2] + r[2, 0]) / s, (r[1, 2] + r[2, 1]) / s, 0.25 * s
-            qw = (r[1, 0] - r[0, 1]) / s
-    q = np.array([qx, qy, qz, qw])
+        j, k = (m for m in range(3) if m != i)
+        a, b = (i + 1) % 3, (i + 2) % 3
+        s = np.sqrt(1.0 + r[i, i] - r[j, j] - r[k, k]) * 2.0
+        q = np.empty(4)
+        q[i] = 0.25 * s
+        q[j] = (r[i, j] + r[j, i]) / s
+        q[k] = (r[i, k] + r[k, i]) / s
+        q[3] = (r[b, a] - r[a, b]) / s
     return q / np.linalg.norm(q)
 
 

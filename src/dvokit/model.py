@@ -39,31 +39,21 @@ class ModelConfig:
     enc_depth: int = 4
     dec_dim: int = 48
     dec_depth: int = 4
-    dpt_source_blocks: tuple[int, ...] = (1, 2, 3, 4)
     adapter_dim: int = 16
     head_kind: str = "linear"  # linear | dpt
     min_depth: float = 0.1
     max_depth: float = 10.0
 
     def __post_init__(self):
-        self.dpt_source_blocks = tuple(self.dpt_source_blocks)
         if self.enc_dim % HEADS or self.dec_dim % HEADS:
             raise ValueError(f"model dims must be divisible by the head count {HEADS}")
-        if len(self.dpt_source_blocks) != 4:
-            raise ValueError("need exactly 4 tapped decoder blocks")
-        if list(self.dpt_source_blocks) != sorted(self.dpt_source_blocks):
-            raise ValueError("tapped blocks must be sorted")
-        if self.dpt_source_blocks[0] < 1 or self.dpt_source_blocks[-1] > self.dec_depth:
-            raise ValueError("tapped blocks must lie in [1, dec_depth]")
         if not 0 < self.min_depth < self.max_depth:
             raise ValueError("need 0 < min_depth < max_depth")
         if self.head_kind not in ("linear", "dpt"):
             raise ValueError("head_kind must be 'linear' or 'dpt'")
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        d["dpt_source_blocks"] = list(self.dpt_source_blocks)
-        return d
+        return asdict(self)
 
 
 def toy_config(**overrides) -> ModelConfig:
@@ -88,23 +78,23 @@ class TokenGrid:
 # ---- patch plumbing ---------------------------------------------------------------
 
 
-def patchify(image: Tensor, patch: int) -> Tensor:
-    """(..., 3, H, W) -> (..., N, patch*patch*3), rows-major patch order."""
+def patchify(image: Tensor) -> Tensor:
+    """(..., 3, H, W) -> (..., N, PATCH*PATCH*3), rows-major patch order."""
     *lead, c, h, w = image.shape
     nl = len(lead)
-    gh, gw = h // patch, w // patch
-    x = image.reshape(*lead, c, gh, patch, gw, patch)
+    gh, gw = h // PATCH, w // PATCH
+    x = image.reshape(*lead, c, gh, PATCH, gw, PATCH)
     x = x.transpose(*range(nl), nl + 1, nl + 3, nl + 2, nl + 4, nl)
-    return x.reshape(*lead, gh * gw, patch * patch * c)
+    return x.reshape(*lead, gh * gw, PATCH * PATCH * c)
 
 
-def unpatchify_map(tokens: Tensor, rows: int, cols: int, patch: int) -> Tensor:
-    """(..., N, patch*patch) -> (..., H, W)."""
+def unpatchify_map(tokens: Tensor, rows: int, cols: int) -> Tensor:
+    """(..., N, PATCH*PATCH) -> (..., H, W)."""
     lead = tokens.shape[:-2]
     nl = len(lead)
-    x = tokens.reshape(*lead, rows, cols, patch, patch)
+    x = tokens.reshape(*lead, rows, cols, PATCH, PATCH)
     x = x.transpose(*range(nl), nl, nl + 2, nl + 1, nl + 3)
-    return x.reshape(*lead, rows * patch, cols * patch)
+    return x.reshape(*lead, rows * PATCH, cols * PATCH)
 
 
 def depth_from_raw(x: Tensor, min_depth: float, max_depth: float) -> Tensor:
@@ -127,12 +117,16 @@ class LinearDepthHead(nn.Module):
 
     def __call__(self, blocks: list[Tensor], rows: int, cols: int) -> Tensor:
         raw = self.fc2(self.fc1(self.norm(blocks[-1])).gelu())
-        grid = unpatchify_map(raw, rows, cols, PATCH)
+        grid = unpatchify_map(raw, rows, cols)
         return depth_from_raw(grid, self._cfg.min_depth, self._cfg.max_depth)
 
 
 class DptDepthHead(nn.Module):
     """Multi-scale fusion head tapping four decoder blocks.
+
+    Of D decoder blocks it taps blocks ceil(k*D/4) for k = 1..4, the rule
+    by which DPT (arXiv 2103.13413) taps blocks 3, 6, 9 and 12 of ViT-B's
+    12: (1, 2, 3, 4) at D = 4, (1, 1, 2, 2) at D = 2.
 
     Tapped token grids are reshaped to 2D maps, projected to a common width,
     resized to {4, 2, 1, 1/2} x the token grid (shallow taps get the higher
@@ -151,7 +145,7 @@ class DptDepthHead(nn.Module):
         self.head_conv = nn.Conv3x3(width, 128, rng)
         self.head_out = nn.Conv1x1(128, 1, rng)
         self._cfg = cfg
-        self._width = width
+        self._taps = [math.ceil(k * cfg.dec_depth / 4) for k in range(1, 5)]
 
     def _reassemble(self, tokens: Tensor, rows: int, cols: int, tap_pos: int) -> Tensor:
         lead = tokens.shape[:-2]
@@ -168,7 +162,7 @@ class DptDepthHead(nn.Module):
     def __call__(self, blocks: list[Tensor], rows: int, cols: int) -> Tensor:
         if rows % 2 or cols % 2:
             raise ValueError("dpt head needs an even token grid")
-        taps = [blocks[i - 1] for i in self._cfg.dpt_source_blocks]
+        taps = [blocks[i - 1] for i in self._taps]
         feats = [self._reassemble(t, rows, cols, i) for i, t in enumerate(taps)]
         x = self.fuse[3](feats[3])
         x = self.fuse[2](ad.upsample_nearest(x, 2) + feats[2])
@@ -256,7 +250,7 @@ class DvoModel(nn.Module):
         """
         img = image if isinstance(image, Tensor) else Tensor(image)
         rows, cols = self.grid_shape(img.shape)
-        x = self.patch_embed(patchify(img, PATCH))
+        x = self.patch_embed(patchify(img))
         x = x + Tensor(nn.posemb_2d(rows, cols, self.cfg.enc_dim))
         if keep is not None:
             keep = np.asarray(keep, dtype=np.int64)
@@ -309,10 +303,10 @@ def forward_dvo(model: DvoModel, image_a, image_b) -> tuple[Tensor, Tensor, Tens
 # ---- masked cross-view completion pretraining -------------------------------------------
 
 
-def normalized_patch_targets(image, patch: int) -> np.ndarray:
+def normalized_patch_targets(image) -> np.ndarray:
     """Per-patch pixel targets normalized to zero mean / unit variance."""
     img = image if isinstance(image, Tensor) else Tensor(image)
-    flat = patchify(img, patch).data
+    flat = patchify(img).data
     mu = flat.mean(axis=1, keepdims=True)
     var = flat.var(axis=1, keepdims=True)
     return (flat - mu) / np.sqrt(var + 1e-6)
@@ -339,7 +333,7 @@ def completion_loss(model: DvoModel, image_a, image_b, masked: np.ndarray, keep:
     grid_b = model.encode(image_b)
     blocks = model.decode(grid_a, grid_b)
     pred = model.pixel_head(blocks[-1])
-    targets = normalized_patch_targets(image_a, PATCH)
+    targets = normalized_patch_targets(image_a)
     return masked_patch_mse(pred, targets, masked)
 
 

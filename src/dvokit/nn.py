@@ -6,7 +6,7 @@ construction order, so one seed gives one set of initial weights.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cache
 
 import numpy as np
 
@@ -239,8 +239,10 @@ class ResidualConvUnit(Module):
         return x + self.conv2(self.conv1(x.relu()).relu())
 
 
-@lru_cache(maxsize=32)
-def _posemb_cached(rows: int, cols: int, dim: int) -> bytes:
+@cache
+def posemb_2d(rows: int, cols: int, dim: int) -> np.ndarray:
+    """Fixed 2D sine-cosine positional embedding, (rows*cols, dim); one
+    read-only array per grid."""
     if dim % 4:
         raise ValueError("positional embedding needs dim divisible by 4")
 
@@ -254,10 +256,6 @@ def _posemb_cached(rows: int, cols: int, dim: int) -> bytes:
     grid = np.zeros((rows, cols, dim))
     grid[..., : dim // 2] = ey[:, None, :]
     grid[..., dim // 2 :] = ex[None, :, :]
-    return grid.reshape(rows * cols, dim).tobytes()
-
-
-def posemb_2d(rows: int, cols: int, dim: int) -> np.ndarray:
-    """Fixed 2D sine-cosine positional embedding, (rows*cols, dim)."""
-    raw = _posemb_cached(rows, cols, dim)
-    return np.frombuffer(raw, dtype=np.float64).reshape(rows * cols, dim).copy()
+    grid = grid.reshape(rows * cols, dim)
+    grid.flags.writeable = False
+    return grid

@@ -11,6 +11,7 @@ from dvokit.geometry import (
     pose_distance,
     pose_from_twist,
     pose_tensors,
+    quaternion_from_rotation,
     rotation_from_axis_angle,
     warp_depth,
 )
@@ -53,7 +54,7 @@ def test_se3_exp_zero_twist_is_identity():
 
 def test_se3_exp_known_quarter_turn():
     p = pose_from_twist([0, 0, 0, 0, 0, np.pi / 2])
-    assert np.allclose(p.apply([1.0, 0.0, 0.0]), [0.0, 1.0, 0.0], atol=1e-12)
+    assert np.allclose(p.rotation @ [1.0, 0.0, 0.0] + p.translation, [0.0, 1.0, 0.0], atol=1e-12)
 
 
 def test_se3_log_roundtrip_random_twists():
@@ -204,6 +205,18 @@ def test_bilinear_gradient_is_unmoved_by_round_off_at_integers_and_borders():
         assert np.abs(moved - fixed).max() <= 1e-10 * np.abs(fixed).max()
     # farther outside than the tolerance, the clamped coordinate gets no gradient
     assert not run(np.array([[-1e-6, 2.0], [2.0, 4.0 + 1e-6]]))[2][[0, 1], [0, 1]].any()
+
+
+@pytest.mark.parametrize("axis", [0, 1, 2], ids=["x", "y", "z"])
+def test_quaternion_from_rotation_matches_scipy_for_each_diagonal_maximum(axis):
+    # about 170 deg about a slightly tilted axis: a negative trace, and the
+    # largest diagonal entry is that of the axis
+    tilt = np.random.default_rng(axis).normal(scale=0.1, size=3)
+    rotvec = np.radians(170.0) * (np.eye(3)[axis] + tilt) / np.linalg.norm(np.eye(3)[axis] + tilt)
+    r = Rotation.from_rotvec(rotvec).as_matrix()
+    assert np.trace(r) < 0 and np.argmax(np.diag(r)) == axis
+    q, expected = quaternion_from_rotation(r), Rotation.from_matrix(r).as_quat()
+    assert min(np.abs(q - expected).max(), np.abs(q + expected).max()) < 1e-12
 
 
 def test_rotation_from_axis_angle_matches_scipy_and_fd():

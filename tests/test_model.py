@@ -5,9 +5,11 @@ import oracles
 import pytest
 
 from dvokit import autodiff as ad
+from dvokit import nn
 from dvokit.autodiff import Tensor, grads
 from dvokit.losses import total_loss
 from dvokit.model import (
+    DptDepthHead,
     DvoModel,
     ModelConfig,
     forward_dvo,
@@ -28,8 +30,7 @@ from dvokit.optim import AdamW
 
 
 TINY = ModelConfig(enc_dim=32, enc_depth=2,
-                   dec_dim=32, dec_depth=2, dpt_source_blocks=(1, 1, 2, 2),
-                   adapter_dim=8)
+                   dec_dim=32, dec_depth=2, adapter_dim=8)
 
 
 def _model(cfg=TINY, seed=0):
@@ -44,12 +45,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         ModelConfig(enc_dim=30)
     with pytest.raises(ValueError):
-        ModelConfig(dpt_source_blocks=(1, 2, 3))
-    with pytest.raises(ValueError):
-        ModelConfig(dpt_source_blocks=(1, 2, 5, 3))
-    with pytest.raises(ValueError):
-        ModelConfig(dpt_source_blocks=(1, 2, 3, 9))
-    with pytest.raises(ValueError):
         ModelConfig(min_depth=2.0, max_depth=1.0)
     with pytest.raises(ValueError):
         ModelConfig(head_kind="conv")
@@ -59,12 +54,12 @@ def test_config_validation():
 
 def test_patchify_roundtrip():
     img = Tensor(_image())
-    tokens = patchify(img, 8)
+    tokens = patchify(img)
     assert tokens.shape == (16, 192)
     # single-channel roundtrip through the map unpatchifier
     mono = Tensor(_image()[0:1])
-    tok = patchify(mono, 8)  # (16, 64)
-    back = unpatchify_map(tok, 4, 4, 8)
+    tok = patchify(mono)  # (16, 64)
+    back = unpatchify_map(tok, 4, 4)
     assert np.array_equal(back.data, mono.data[0])
 
 
@@ -182,8 +177,7 @@ def test_encoder_weight_sharing():
 
 def test_dpt_head_shapes_toy_and_paper_construction():
     cfg = ModelConfig(enc_dim=32, enc_depth=2,
-                      dec_dim=32, dec_depth=4,
-                      dpt_source_blocks=(1, 2, 3, 4), adapter_dim=0, head_kind="dpt")
+                      dec_dim=32, dec_depth=4, adapter_dim=0, head_kind="dpt")
     model = DvoModel(cfg, np.random.default_rng(1))
     img = _image(18, size=64)
     d, _, _ = forward_dvo(model, img, _image(19, size=64))
@@ -193,8 +187,7 @@ def test_dpt_head_shapes_toy_and_paper_construction():
 
 def test_dpt_taps_are_all_live():
     cfg = ModelConfig(enc_dim=32, enc_depth=2,
-                      dec_dim=32, dec_depth=4,
-                      dpt_source_blocks=(1, 2, 3, 4), adapter_dim=0, head_kind="dpt")
+                      dec_dim=32, dec_depth=4, adapter_dim=0, head_kind="dpt")
     model = DvoModel(cfg, np.random.default_rng(2))
     img = _image(20, size=32)
     ga, gb = model.encode(img), model.encode(_image(21, size=32))
@@ -205,6 +198,32 @@ def test_dpt_taps_are_all_live():
     zeroed[0] = Tensor(np.zeros_like(blocks[0].data))
     changed = model.depth_head(zeroed, ga.rows, ga.cols).data
     assert np.abs(base - changed).max() > 1e-12
+
+
+@pytest.mark.parametrize("dec_depth, taps", [(1, [1, 1, 1, 1]), (2, [1, 1, 2, 2]), (4, [1, 2, 3, 4]), (12, [3, 6, 9, 12])])
+def test_dpt_head_taps_decoder_blocks_by_dpts_rule(dec_depth, taps, monkeypatch):
+    cfg = ModelConfig(enc_dim=16, enc_depth=1, dec_dim=16, dec_depth=dec_depth, adapter_dim=0, head_kind="dpt")
+    head = DptDepthHead(cfg, np.random.default_rng(0))
+    rng = np.random.default_rng(1)
+    blocks = [Tensor(rng.normal(size=(4, cfg.dec_dim))) for _ in range(dec_depth)]
+    seen = []
+    reassemble = DptDepthHead._reassemble
+
+    def recording(self, tokens, rows, cols, tap_pos):
+        seen.append(next(i for i, block in enumerate(blocks, 1) if block is tokens))
+        return reassemble(self, tokens, rows, cols, tap_pos)
+
+    monkeypatch.setattr(DptDepthHead, "_reassemble", recording)
+    head(blocks, 2, 2)
+    assert seen == taps
+
+
+def test_posemb_2d_is_one_read_only_array_per_grid():
+    emb = nn.posemb_2d(2, 3, 8)
+    assert nn.posemb_2d(2, 3, 8) is emb and emb.shape == (6, 8)
+    assert nn.posemb_2d(3, 2, 8) is not emb
+    with pytest.raises(ValueError, match="read-only"):
+        emb[0, 0] = 1.0
 
 
 def test_dpt_head_matches_upsampling_then_convolving(static_pair_32, monkeypatch):
@@ -253,7 +272,7 @@ def test_pretrain_mask_count_and_errors():
 
 def test_pretrain_exact_prediction_gives_zero_loss():
     img = _image(22)
-    targets = normalized_patch_targets(img, 8)
+    targets = normalized_patch_targets(img)
     masked = np.array([0, 3, 7])
     loss = masked_patch_mse(Tensor(targets), targets, masked)
     assert loss.item() == 0.0
@@ -330,8 +349,7 @@ def test_finetune_loss_graph_node_count(pair_fixture, head_kind, bound, request)
 def test_adapter_noop_at_init_and_count():
     # a block's AdaptMLP with zero up-projection matches the plain MLP bitwise
     cfg_ad = ModelConfig(enc_dim=32, enc_depth=1,
-                         dec_dim=32, dec_depth=1,
-                         dpt_source_blocks=(1, 1, 1, 1), adapter_dim=8)
+                         dec_dim=32, dec_depth=1, adapter_dim=8)
     cfg_plain = ModelConfig(**{**cfg_ad.to_dict(), "adapter_dim": 0})
     m_ad = DvoModel(cfg_ad, np.random.default_rng(5))
     m_plain = DvoModel(cfg_plain, np.random.default_rng(5))
