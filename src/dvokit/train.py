@@ -234,15 +234,33 @@ def _save_epoch_checkpoint(out_dir: Path, cfg: RunConfig, phase, epoch, model, o
     return path
 
 
-def _load_checkpoint_into(path, model: DvoModel, opt: AdamW | None = None) -> dict:
-    """Fill `model` (and `opt`) from a checkpoint that must have been written
-    for the model's configuration; returns the checkpoint's config. A file
-    lacking any of their arrays raises DataError naming `path`."""
+def _load_checkpoint_into(path, model: DvoModel, opt: AdamW | None = None) -> int | None:
+    """Fill `model` (and `opt`, on resume) from a checkpoint that must have
+    been written for the model's configuration; on resume, return the epoch
+    it was written after. A config header that is not an object with a
+    model configuration (and, on resume, an integer `extra.epoch`), or a
+    file lacking any needed array, raises DataError naming `path`; another
+    model configuration raises ValueError naming `path` and the keys that
+    differ."""
     config, arrays = load_checkpoint(path)
-    if config["model"] != model.cfg.to_dict():
-        raise ValueError("checkpoint/config mismatch: model configuration differs")
+    saved = config.get("model") if isinstance(config, dict) else None
+    if not isinstance(saved, dict):
+        raise DataError(f"checkpoint {path} has no model configuration")
+    ours = model.cfg.to_dict()
+    if saved != ours:
+        differ = [
+            f"{key} (checkpoint {saved.get(key, 'absent')}, model {ours.get(key, 'absent')})"
+            for key in sorted(saved.keys() | ours.keys())
+            if key not in saved or key not in ours or saved[key] != ours[key]
+        ]
+        raise ValueError(f"checkpoint/config mismatch: {path} differs from the model in {', '.join(differ)}")
+    epoch = None
     needed = [f"model.{name}" for name, _ in model.named_parameters()]
     if opt is not None:
+        extra = config.get("extra")
+        epoch = extra.get("epoch") if isinstance(extra, dict) else None
+        if isinstance(epoch, bool) or not isinstance(epoch, int) or epoch < 0:
+            raise DataError(f"checkpoint {path} has no integer extra.epoch to resume after")
         needed += list(opt.state_arrays())
     missing = [name for name in needed if name not in arrays]
     if missing:
@@ -250,7 +268,7 @@ def _load_checkpoint_into(path, model: DvoModel, opt: AdamW | None = None) -> di
     load_state(model, {k[len("model.") :]: v for k, v in arrays.items() if k.startswith("model.")})
     if opt is not None:
         opt.load_state_arrays(arrays)
-    return config
+    return epoch
 
 
 def _run_phase(
@@ -284,7 +302,7 @@ def _run_phase(
             param.requires_grad = False
     opt = AdamW(list(model.named_parameters()))
     if resume is not None:
-        start_epoch = int(_load_checkpoint_into(resume, model, opt)["extra"]["epoch"]) + 1
+        start_epoch = _load_checkpoint_into(resume, model, opt) + 1
 
     curves: dict[str, list[float]] = {}
     snapshots: list[dict | None] = []

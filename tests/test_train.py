@@ -288,7 +288,8 @@ def test_a_checkpoint_with_moments_for_unreached_tensors_resumes_bit_identically
 def test_resume_with_a_different_model_config_raises(tmp_path, dataset, phase):
     _run(phase)(_cfg(tmp_path / "first", epochs=1), dataset)
     ckpt = str(tmp_path / "first" / "checkpoint-epoch000.dvoc")
-    with pytest.raises(ValueError, match="mismatch"):
+    expected = f"checkpoint/config mismatch: {ckpt} differs from the model in enc_depth (checkpoint 4, model 2)"
+    with pytest.raises(ValueError, match=re.escape(expected)):
         _run(phase)(_cfg(tmp_path / "resumed", epochs=2, enc_depth=2), dataset, resume=ckpt)
 
 
@@ -297,6 +298,48 @@ def test_init_checkpoint_with_a_different_model_config_raises(tmp_path, dataset)
     ckpt = str(tmp_path / "pre" / "checkpoint-epoch000.dvoc")
     with pytest.raises(ValueError, match="mismatch"):
         train.finetune_run(_cfg(tmp_path / "fine", epochs=1, adapter_dim=8), dataset, init_checkpoint=ckpt)
+
+
+@pytest.fixture(scope="module")
+def finetune_checkpoint(tmp_path_factory, dataset):
+    """The config header and arrays of a one-epoch finetune checkpoint."""
+    cfg = _cfg(tmp_path_factory.mktemp("finetune"), epochs=1)
+    train.finetune_run(cfg, dataset)
+    return load_checkpoint(Path(cfg.out_dir) / "checkpoint-epoch000.dvoc")
+
+
+def test_a_checkpoint_written_with_dpt_source_blocks_names_the_key(tmp_path, dataset, finetune_checkpoint):
+    # checkpoints once recorded the DPT head's tapped blocks, now derived from dec_depth
+    config, arrays = finetune_checkpoint
+    ckpt = tmp_path / "older.dvoc"
+    save_checkpoint(ckpt, arrays, {**config, "model": {**config["model"], "dpt_source_blocks": [1, 2, 3, 4]}})
+    expected = f"{ckpt} differs from the model in dpt_source_blocks (checkpoint [1, 2, 3, 4], model absent)"
+    with pytest.raises(ValueError, match=re.escape(f"checkpoint/config mismatch: {expected}")):
+        train.finetune_run(_cfg(tmp_path / "fine", epochs=1), dataset, init_checkpoint=str(ckpt))
+
+
+_MALFORMED_HEADERS = {
+    "not-an-object": (lambda config: [config], "has no model configuration"),
+    "no-model": (lambda config: {"extra": config["extra"]}, "has no model configuration"),
+    "no-epoch": (lambda config: {**config, "extra": {"phase": "finetune"}}, "has no integer extra.epoch"),
+    "text-epoch": (lambda config: {**config, "extra": {**config["extra"], "epoch": "first"}}, "has no integer extra.epoch"),
+}
+
+
+@pytest.mark.parametrize(
+    "route, case",
+    [("init_checkpoint", "not-an-object"), ("init_checkpoint", "no-model")]
+    + [("resume", case) for case in _MALFORMED_HEADERS],
+)
+def test_a_malformed_checkpoint_config_raises_data_error_naming_the_path(
+    tmp_path, dataset, finetune_checkpoint, route, case
+):
+    config, arrays = finetune_checkpoint
+    header, message = _MALFORMED_HEADERS[case]
+    ckpt = tmp_path / "malformed.dvoc"
+    save_checkpoint(ckpt, arrays, header(config))
+    with pytest.raises(DataError, match=re.escape(f"checkpoint {ckpt} {message}")):
+        train.finetune_run(_cfg(tmp_path / "run", epochs=2), dataset, **{route: str(ckpt)})
 
 
 def test_gradients_keep_the_callers_checked_mode(dataset, monkeypatch):
