@@ -38,6 +38,9 @@ What it runs, all seeded and on the `dynamic-room` scene:
     (sample coordinates off the grid, at integers, 1e-12 px below integers,
     on both borders and outside): one item per op, digesting its output and
     the gradient of a weighted sum of it w.r.t. each input
+  - `geometry.quaternion_from_rotation` on seeded rotations: 5 by less
+    than 90 degrees (positive trace) and 5 by about 170 degrees about each
+    of x, y and z (negative trace, that axis's diagonal entry the largest)
   - 20-iteration `optimize_direct` pose and depth runs on a 32 px pair from
     `perturbed_twist` starts (curves and results)
   - the failure path: 32 px linear finetune and pretrain runs whose last
@@ -59,6 +62,7 @@ from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
+from scipy.spatial.transform import Rotation
 
 _METRICS = ("abs_rel", "rmse", "delta1", "delta2", "delta3", "n_pixels", "scale_s")
 
@@ -174,6 +178,13 @@ def fingerprint(tmp: Path) -> dict:
         result = op(*leaves)
         weighted = (result * autodiff.Tensor(rng.normal(size=result.shape))).sum()
         record(f"op/{name}", result.data, *autodiff.grads(weighted, leaves))
+    rotvecs = [rng.normal(size=3) for _ in range(5)]
+    rotvecs = [v / np.linalg.norm(v) * rng.uniform(0.1, 1.5) for v in rotvecs]
+    for axis in np.eye(3):
+        tilted = [axis + rng.normal(scale=0.1, size=3) for _ in range(5)]
+        rotvecs += [v / np.linalg.norm(v) * np.radians(rng.uniform(165.0, 175.0)) for v in tilted]
+    rotations = Rotation.from_rotvec(rotvecs).as_matrix()
+    record("op/quaternion_from_rotation", np.array([geometry.quaternion_from_rotation(r) for r in rotations]))
 
     rng = np.random.default_rng(0)
     for i in range(2):
