@@ -44,6 +44,8 @@ __all__ = [
     "ssim",
     "bilinear_sample",
     "softmax",
+    "linear",
+    "attention",
     "layernorm",
     "backward",
     "grads",
@@ -738,16 +740,99 @@ def bilinear_sample(img: Tensor, coords: Tensor, tol: float) -> Tensor:
     return Tensor._make(top * (1.0 - wy) + bot * wy, (img, coords), grad_fn, "bilinear_sample")
 
 
+def _softmax(x: np.ndarray, axis: int) -> np.ndarray:
+    e = np.exp(x - x.max(axis=axis, keepdims=True))
+    return e / e.sum(axis=axis, keepdims=True)
+
+
+def _softmax_grad(out: np.ndarray, g: np.ndarray, axis: int) -> np.ndarray:
+    return out * (g - (g * out).sum(axis=axis, keepdims=True))
+
+
 def softmax(t: Tensor, axis: int = -1) -> Tensor:
     """Numerically-stable softmax; the max shift is treated as a constant."""
     t = _as_tensor(t)
-    e = np.exp(t.data - t.data.max(axis=axis, keepdims=True))
-    out = e / e.sum(axis=axis, keepdims=True)
+    out = _softmax(t.data, axis)
+    return Tensor._make(out, (t,), lambda g: (_softmax_grad(out, g, axis),), "softmax")
+
+
+def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
+    """``x @ weight + bias`` for (..., D) rows, a (D, D') weight and a (D',)
+    bias, as one node. The backward pass runs the GEMMs of the matmul and
+    add nodes it replaced: the weight gradient is one GEMM over every
+    leading row of ``x``."""
+    x, weight, bias = _as_tensor(x), _as_tensor(weight), _as_tensor(bias)
+    if x.ndim < 2 or weight.ndim != 2 or x.shape[-1] != weight.shape[0] or bias.shape != weight.shape[1:]:
+        raise ValueError(f"linear expects (..., D), (D, D') and (D',), got {x.shape}, {weight.shape} and {bias.shape}")
+    out = x.data @ weight.data
+    out += bias.data
 
     def grad_fn(g):
-        return (out * (g - (g * out).sum(axis=axis, keepdims=True)),)
+        gx = g @ weight.data.T if x.requires_grad else None
+        gw = x.data.reshape(-1, x.shape[-1]).T @ g.reshape(-1, g.shape[-1]) if weight.requires_grad else None
+        return gx, gw, _unbroadcast(g, bias.shape) if bias.requires_grad else None
 
-    return Tensor._make(out, (t,), grad_fn, "softmax")
+    return Tensor._make(out, (x, weight, bias), grad_fn, "linear")
+
+
+def _head_slots(packed: np.ndarray, dim: int, heads: int) -> np.ndarray:
+    """(..., T, parts*dim) projections viewed, without a copy, as
+    (parts, ..., h, T, dim/h): one slot of heads per packed part."""
+    *lead, t, width = packed.shape
+    nl = len(lead)
+    split = packed.reshape(*lead, t, width // dim, heads, dim // heads)
+    return split.transpose(nl + 1, *range(nl), nl + 2, nl, nl + 3)
+
+
+def attention(*packed: Tensor, heads: int) -> Tensor:
+    """Scaled dot-product attention over ``heads`` heads, merged back to
+    (..., N, D), from packed projections: the (..., N, 3D) qkv of
+    self-attention, or the (..., N, D) q and (..., M, 2D) kv of
+    cross-attention. The scale is (D/heads)^-0.5.
+
+    q, k and v are strided views of the projections, and the products run
+    on those views as the composite of matmul, softmax and reshape nodes
+    did. The backward pass keeps only the views and the softmax
+    probabilities, and adds each part's gradient into one zeroed array per
+    projection."""
+    packed = tuple(_as_tensor(p) for p in packed)
+    dim = packed[0].shape[-1] // (3 if len(packed) == 1 else 1)
+    if (
+        [p.shape[-1] for p in packed] not in ([3 * dim], [dim, 2 * dim])
+        or dim % heads
+        or any(p.ndim < 2 or p.shape[:-2] != packed[0].shape[:-2] for p in packed)
+    ):
+        shapes = " and ".join(str(p.shape) for p in packed)
+        raise ValueError(
+            f"attention expects (..., N, 3D), or (..., N, D) and (..., M, 2D), with D divisible by {heads}, got {shapes}"
+        )
+    *lead, n, _ = packed[0].shape
+    scale = (dim // heads) ** -0.5
+    views = [_head_slots(p.data, dim, heads) for p in packed]
+    q, k, v = (slot for view in views for slot in view)
+    probs = _softmax((q @ np.swapaxes(k, -1, -2)) * scale, -1)
+    out = np.swapaxes(probs @ v, -3, -2).reshape(*lead, n, dim)
+
+    def grad_fn(g):
+        go = np.swapaxes(g.reshape(*lead, n, heads, dim // heads), -3, -2)
+        gs = _softmax_grad(probs, go @ np.swapaxes(v, -1, -2), -1) * scale
+        slot_grads = (
+            lambda: gs @ k,
+            lambda: np.swapaxes(np.swapaxes(q, -1, -2) @ gs, -1, -2),
+            lambda: np.swapaxes(probs, -1, -2) @ go,
+        )
+        grads, first = [], 0
+        for p, view in zip(packed, views):
+            gp = None
+            if p.requires_grad:
+                gp = np.zeros(p.shape)
+                for slot, slot_grad in zip(_head_slots(gp, dim, heads), slot_grads[first:]):
+                    slot += slot_grad()
+            grads.append(gp)
+            first += len(view)
+        return tuple(grads)
+
+    return Tensor._make(out, packed, grad_fn, "attention")
 
 
 _LAYERNORM_EPS = 1e-5

@@ -50,12 +50,15 @@ class ModuleList(Module):
 
 
 class Linear(Module):
+    """Affine map of (..., in_dim) rows to (..., out_dim): one ``ad.linear``
+    node. With ``zero`` the weight starts at zero."""
+
     def __init__(self, in_dim, out_dim, rng, zero: bool = False):
         self.weight = ad.parameter(np.zeros((in_dim, out_dim)) if zero else _init(rng, (in_dim, out_dim)))
         self.bias = ad.parameter(np.zeros(out_dim))
 
     def __call__(self, x: Tensor) -> Tensor:
-        return x @ self.weight + self.bias
+        return ad.linear(x, self.weight, self.bias)
 
 
 class LayerNorm(Module):
@@ -102,29 +105,10 @@ def _swap_last(x: Tensor) -> Tensor:
     return x.transpose(*lead, x.ndim - 1, x.ndim - 2)
 
 
-def _split_heads(x: Tensor, heads: int) -> Tensor:
-    """(..., N, D) -> (..., h, N, D/h)."""
-    *lead, n, d = x.shape
-    nl = len(lead)
-    return x.reshape(*lead, n, heads, d // heads).transpose(*range(nl), nl + 1, nl, nl + 2)
-
-
-def _merge_heads(x: Tensor) -> Tensor:
-    """(..., h, N, dh) -> (..., N, h*dh)."""
-    *lead, h, n, dh = x.shape
-    nl = len(lead)
-    return x.transpose(*range(nl), nl + 1, nl, nl + 2).reshape(*lead, n, h * dh)
-
-
-def _attend(q: Tensor, k: Tensor, v: Tensor, scale: float) -> Tensor:
-    """Scaled dot-product attention over (..., h, N, dh) heads, merged back
-    to (..., N, D)."""
-    attn = ad.softmax((q @ _swap_last(k)) * scale, axis=-1)
-    return _merge_heads(attn @ v)
-
-
 class SelfAttention(Module):
-    """Multi-head self-attention over (..., N, D) tokens."""
+    """Multi-head self-attention over (..., N, D) tokens: the packed qkv
+    projection, one ``ad.attention`` node and the output projection, three
+    graph nodes."""
 
     def __init__(self, dim, heads, rng):
         if dim % heads:
@@ -132,18 +116,15 @@ class SelfAttention(Module):
         self.qkv = Linear(dim, 3 * dim, rng)
         self.proj = Linear(dim, dim, rng)
         self._heads = heads
-        self._scale = (dim // heads) ** -0.5
 
     def __call__(self, x: Tensor) -> Tensor:
-        *lead, n, d = x.shape
-        nl = len(lead)
-        qkv = self.qkv(x).reshape(*lead, n, 3, self._heads, d // self._heads)
-        qkv = qkv.transpose(nl + 1, *range(nl), nl + 2, nl, nl + 3)  # (3, ..., h, N, dh)
-        return self.proj(_attend(qkv[0], qkv[1], qkv[2], self._scale))
+        return self.proj(ad.attention(self.qkv(x), heads=self._heads))
 
 
 class CrossAttention(Module):
-    """Multi-head attention from (..., N, D) queries to (..., M, D) context."""
+    """Multi-head attention from (..., N, D) queries to (..., M, D) context:
+    the q and packed kv projections, one ``ad.attention`` node and the
+    output projection, four graph nodes."""
 
     def __init__(self, dim, heads, rng):
         if dim % heads:
@@ -152,15 +133,9 @@ class CrossAttention(Module):
         self.kv = Linear(dim, 2 * dim, rng)
         self.proj = Linear(dim, dim, rng)
         self._heads = heads
-        self._scale = (dim // heads) ** -0.5
 
     def __call__(self, x: Tensor, ctx: Tensor) -> Tensor:
-        *lead, m, d = ctx.shape
-        nl = len(lead)
-        q = _split_heads(self.q(x), self._heads)
-        kv = self.kv(ctx).reshape(*lead, m, 2, self._heads, d // self._heads)
-        kv = kv.transpose(nl + 1, *range(nl), nl + 2, nl, nl + 3)  # (2, ..., h, M, dh)
-        return self.proj(_attend(q, kv[0], kv[1], self._scale))
+        return self.proj(ad.attention(self.q(x), self.kv(ctx), heads=self._heads))
 
 
 def _mlp_for(dim, adapter_dim, rng):
@@ -226,7 +201,7 @@ class Conv1x1(Module):
 
     def __call__(self, x: Tensor) -> Tensor:
         *lead, c, h, w = x.shape
-        out = _swap_last(x.reshape(*lead, c, h * w)) @ self.weight + self.bias
+        out = ad.linear(_swap_last(x.reshape(*lead, c, h * w)), self.weight, self.bias)
         return _swap_last(out).reshape(*lead, self._c_out, h, w)
 
 

@@ -159,6 +159,55 @@ def bilinear_sample_composite(img, coords, tol):
     return top * (1.0 - wy) + bot * wy
 
 
+def linear_composite(x, weight, bias):
+    """An affine map from a matmul and an add node."""
+    return x @ weight + bias
+
+
+def swap_last(x):
+    """Swap the last two axes of a tensor of any rank."""
+    lead = tuple(range(x.ndim - 2))
+    return x.transpose(*lead, x.ndim - 1, x.ndim - 2)
+
+
+def _split_heads(x, heads):
+    """(..., N, D) -> (..., h, N, D/h)."""
+    *lead, n, d = x.shape
+    nl = len(lead)
+    return x.reshape(*lead, n, heads, d // heads).transpose(*range(nl), nl + 1, nl, nl + 2)
+
+
+def _merge_heads(x):
+    """(..., h, N, dh) -> (..., N, h*dh)."""
+    *lead, h, n, dh = x.shape
+    nl = len(lead)
+    return x.transpose(*range(nl), nl + 1, nl, nl + 2).reshape(*lead, n, h * dh)
+
+
+def _attend(q, k, v, scale):
+    attn = ad.softmax((q @ swap_last(k)) * scale, axis=-1)
+    return _merge_heads(attn @ v)
+
+
+def attention_composite(*packed, heads):
+    """Multi-head attention from reshape, transpose, getitem, matmul, mul,
+    softmax nodes, as `nn.SelfAttention` (one (..., N, 3D) qkv) and
+    `nn.CrossAttention` (a (..., N, D) q and a (..., M, 2D) kv) built it."""
+    if len(packed) == 1:
+        (qkv,) = packed
+        *lead, n, width = qkv.shape
+        d, nl = width // 3, len(lead)
+        qkv = qkv.reshape(*lead, n, 3, heads, d // heads)
+        qkv = qkv.transpose(nl + 1, *range(nl), nl + 2, nl, nl + 3)  # (3, ..., h, N, dh)
+        return _attend(qkv[0], qkv[1], qkv[2], (d // heads) ** -0.5)
+    q, kv = packed
+    *lead, m, width = kv.shape
+    d, nl = width // 2, len(lead)
+    kv = kv.reshape(*lead, m, 2, heads, d // heads)
+    kv = kv.transpose(nl + 1, *range(nl), nl + 2, nl, nl + 3)  # (2, ..., h, M, dh)
+    return _attend(_split_heads(q, heads), kv[0], kv[1], (d // heads) ** -0.5)
+
+
 # ---- the two-frame forward before its frames were batched -----------------------------
 
 

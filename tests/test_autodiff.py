@@ -342,8 +342,29 @@ def _coords_on_grid(_rng):
     )
 
 
+def _frozen_weight(op):
+    """`op` with its second input, the weight, a constant."""
+    return lambda x, weight, bias: op(x, weight.detach(), bias)
+
+
+def _swapped_rows(op):
+    """`op` on its first input with the last two axes swapped, the strided
+    view `nn.Conv1x1` projects."""
+    return lambda x, *rest: op(oracles.swap_last(x), *rest)
+
+
 FUSED_OPS = {
     # name: (fused op, composite oracle, input shapes or draw(rng), keyword arguments)
+    "linear": (ad.linear, oracles.linear_composite, [(5, 6), (6, 4), (4,)], {}),
+    "linear-batched": (ad.linear, oracles.linear_composite, [(2, 5, 6), (6, 4), (4,)], {}),
+    "linear-frozen-weight": (
+        _frozen_weight(ad.linear), _frozen_weight(oracles.linear_composite), [(2, 5, 6), (6, 4), (4,)], {}
+    ),
+    "attention-self": (ad.attention, oracles.attention_composite, [(5, 12)], {"heads": 2}),
+    "attention-self-batched": (ad.attention, oracles.attention_composite, [(2, 5, 12)], {"heads": 2}),
+    "attention-self-7-tokens": (ad.attention, oracles.attention_composite, [(7, 24)], {"heads": 4}),
+    "attention-cross": (ad.attention, oracles.attention_composite, [(5, 4), (6, 8)], {"heads": 2}),
+    "attention-cross-batched": (ad.attention, oracles.attention_composite, [(2, 5, 4), (2, 6, 8)], {"heads": 2}),
     "conv3x3": (ad.conv3x3, oracles.conv3x3_composite, [(3, 5, 6), (3, 3, 3, 4), (4,)], {}),
     "conv3x3-batched": (ad.conv3x3, oracles.conv3x3_composite, [(2, 3, 5, 6), (3, 3, 3, 4), (4,)], {}),
     "conv3x3_up2": (ad.conv3x3_up2, oracles.conv3x3_up2_composite, [(3, 3, 5), (3, 3, 3, 4), (4,)], {}),
@@ -363,6 +384,11 @@ FUSED_OPS = {
 }
 
 FUSED_FD_CASES = [
+    ("linear", 0), ("linear", 1), ("linear", 2),
+    ("linear-batched", 0), ("linear-batched", 1), ("linear-batched", 2),
+    ("linear-frozen-weight", 0), ("linear-frozen-weight", 2),
+    ("attention-self", 0), ("attention-self-batched", 0), ("attention-self-7-tokens", 0),
+    ("attention-cross", 0), ("attention-cross", 1), ("attention-cross-batched", 0), ("attention-cross-batched", 1),
     ("conv3x3", 0), ("conv3x3", 1), ("conv3x3", 2),
     ("conv3x3-batched", 0), ("conv3x3-batched", 1), ("conv3x3-batched", 2),
     ("conv3x3_up2", 0), ("conv3x3_up2", 1), ("conv3x3_up2", 2),
@@ -408,6 +434,54 @@ def test_fused_op_matches_the_composite_it_replaced(name):
     for new, old in zip(run(op), run(composite)):
         assert new.shape == old.shape
         assert np.abs(new - old).max() <= 1e-12 * max(1.0, np.abs(old).max())
+
+
+# The shapes the toy model runs (enc_dim 64, dec_dim 48, 4 heads; both frames
+# batched, 16 tokens a frame at 32 px and 64 at 64 px; the masked encoder of
+# 64 px pretraining keeps 7 tokens of one frame), on which the fused ops
+# must give what the composites gave, bit for bit.
+MODEL_SHAPE_CASES = {
+    "linear-encoder-qkv": (ad.linear, oracles.linear_composite, [(2, 16, 64), (64, 192), (192,)], {}),
+    "linear-frozen-decoder-mlp": (
+        _frozen_weight(ad.linear), _frozen_weight(oracles.linear_composite), [(2, 64, 48), (48, 192), (192,)], {}
+    ),
+    "linear-dpt-projection": (
+        _swapped_rows(ad.linear), _swapped_rows(oracles.linear_composite), [(2, 48, 256), (48, 48), (48,)], {}
+    ),
+    "attention-encoder-32px": (ad.attention, oracles.attention_composite, [(2, 16, 192)], {"heads": 4}),
+    "attention-masked-encoder-64px": (ad.attention, oracles.attention_composite, [(7, 192)], {"heads": 4}),
+    "attention-decoder-self-64px": (ad.attention, oracles.attention_composite, [(2, 64, 144)], {"heads": 4}),
+    "attention-decoder-cross-64px": (
+        ad.attention, oracles.attention_composite, [(2, 64, 48), (2, 64, 96)], {"heads": 4}
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(MODEL_SHAPE_CASES))
+def test_fused_op_is_bit_identical_to_the_composite_at_the_models_shapes(name):
+    op, composite, shapes, kwargs = MODEL_SHAPE_CASES[name]
+    rng = np.random.default_rng(sum(map(ord, name)))
+    inputs = _draw(shapes, rng)
+    c = rng.normal(size=op(*map(Tensor, inputs), **kwargs).shape)
+
+    def run(fn):
+        leaves = [Tensor(a, requires_grad=True) for a in inputs]
+        out = fn(*leaves, **kwargs)
+        return [out.data] + ad.grads((out * Tensor(c)).sum(), leaves)
+
+    for new, old in zip(run(op), run(composite)):
+        assert new.shape == old.shape
+        assert np.array_equal(new, old)
+
+
+def test_fused_layers_check_their_operands():
+    with pytest.raises(ValueError, match=r"linear expects \(\.\.\., D\), \(D, D'\) and \(D',\)"):
+        ad.linear(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 5))), Tensor(np.ones(5)))
+    with pytest.raises(ValueError, match="linear expects"):
+        ad.linear(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 5))), Tensor(np.ones(4)))
+    for packed in ([(5, 10)], [(5, 4), (6, 4)], [(2, 5, 4), (3, 6, 8)], [(5, 6), (6, 12)]):
+        with pytest.raises(ValueError, match="attention expects"):
+            ad.attention(*(Tensor(np.ones(shape)) for shape in packed), heads=4)
 
 
 @pytest.mark.parametrize("name", list(FUSED_OPS))

@@ -330,12 +330,13 @@ def test_forward_dvo_matches_the_per_frame_reference(head_kind, static_pair_32):
 
 @pytest.mark.parametrize(
     "pair_fixture,head_kind,bound",
-    [("static_pair_32", "linear", 645), ("static_pair_64", "dpt", 740)],
+    [("static_pair_32", "linear", 442), ("static_pair_64", "dpt", 534)],
 )
 def test_finetune_loss_graph_node_count(pair_fixture, head_kind, bound, request):
-    # one finetune loss is 645 (32 px, linear head) and 740 (64 px, DPT
+    # one finetune loss is 442 (32 px, linear head) and 534 (64 px, DPT
     # head) nodes with both frames batched through encoder, decoder and
-    # depth head; one-node SSIM and bilinear sampling took 58 off 703 and
+    # depth head; one-node linear layers and attention took 203 off 645
+    # and 206 off 740, one-node SSIM and bilinear sampling 58 off 703 and
     # 798, picking the valid pixels by index in the loss 1 off 704 and 799,
     # the warp as matrix algebra 33 off 737 and 832, and per-frame graphs
     # took 1,099 and 1,261
@@ -344,6 +345,14 @@ def test_finetune_loss_graph_node_count(pair_fixture, head_kind, bound, request)
     d_a, d_b, twist = forward_dvo(model, pair.image_a, pair.image_b)
     loss = total_loss(pair, d_a, d_b, twist).l_total
     assert len(ad.Tape.trace(loss).nodes) <= bound
+
+
+def test_pretrain_loss_graph_node_count(static_pair_32):
+    # one masked completion loss is 411 nodes; one-node linear layers and
+    # attention took 270 off 681
+    model = DvoModel(toy_config(), np.random.default_rng(0))
+    loss = pretrain_step(model, static_pair_32.image_a, static_pair_32.image_b, np.random.default_rng(0))
+    assert len(ad.Tape.trace(loss).nodes) <= 411
 
 
 def test_adapter_noop_at_init_and_count():
