@@ -238,10 +238,11 @@ def _load_checkpoint_into(path, model: DvoModel, opt: AdamW | None = None) -> in
     """Fill `model` (and `opt`, on resume) from a checkpoint that must have
     been written for the model's configuration; on resume, return the epoch
     it was written after. A config header that is not an object with a
-    model configuration (and, on resume, an integer `extra.epoch`), or a
-    file lacking any needed array, raises DataError naming `path`; another
-    model configuration raises ValueError naming `path` and the keys that
-    differ."""
+    model configuration (and, on resume, an integer `extra.epoch`), a file
+    lacking any needed array or holding one of another shape, or (on
+    resume) an `opt.step` that is not a non-negative integer, raises
+    DataError naming `path`; another model configuration raises ValueError
+    naming `path` and the keys that differ."""
     config, arrays = load_checkpoint(path)
     saved = config.get("model") if isinstance(config, dict) else None
     if not isinstance(saved, dict):
@@ -255,16 +256,23 @@ def _load_checkpoint_into(path, model: DvoModel, opt: AdamW | None = None) -> in
         ]
         raise ValueError(f"checkpoint/config mismatch: {path} differs from the model in {', '.join(differ)}")
     epoch = None
-    needed = [f"model.{name}" for name, _ in model.named_parameters()]
+    needed = {f"model.{name}": param.shape for name, param in model.named_parameters()}
     if opt is not None:
         extra = config.get("extra")
         epoch = extra.get("epoch") if isinstance(extra, dict) else None
         if isinstance(epoch, bool) or not isinstance(epoch, int) or epoch < 0:
             raise DataError(f"checkpoint {path} has no integer extra.epoch to resume after")
-        needed += list(opt.state_arrays())
+        needed.update((name, value.shape) for name, value in opt.state_arrays().items())
     missing = [name for name in needed if name not in arrays]
     if missing:
         raise DataError(f"checkpoint {path} lacks {len(missing)} arrays, first '{missing[0]}'")
+    for name, shape in needed.items():
+        if arrays[name].shape != shape:
+            raise DataError(f"checkpoint {path} holds '{name}' of shape {arrays[name].shape}, the model needs {shape}")
+    if opt is not None:
+        (step,) = arrays["opt.step"]
+        if not (np.isfinite(step) and step >= 0 and step == np.floor(step)):
+            raise DataError(f"checkpoint {path} holds 'opt.step' {step}, not a non-negative integer")
     load_state(model, {k[len("model.") :]: v for k, v in arrays.items() if k.startswith("model.")})
     if opt is not None:
         opt.load_state_arrays(arrays)

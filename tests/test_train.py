@@ -342,6 +342,39 @@ def test_a_malformed_checkpoint_config_raises_data_error_naming_the_path(
         train.finetune_run(_cfg(tmp_path / "run", epochs=2), dataset, **{route: str(ckpt)})
 
 
+_MISSHAPEN = {
+    # case: (route, array, stored value from the written one, message after the path)
+    "moment-shape": (
+        "resume", "opt.m.dec_blocks.0.attn.proj.bias", lambda a: a[:1],
+        "holds 'opt.m.dec_blocks.0.attn.proj.bias' of shape (1,), the model needs (48,)",
+    ),
+    "model-shape-resume": (
+        "resume", "model.enc_blocks.1.attn.qkv.weight", lambda a: a[:, :-1],
+        "holds 'model.enc_blocks.1.attn.qkv.weight' of shape (64, 191), the model needs (64, 192)",
+    ),
+    "model-shape-warm-start": (
+        "init_checkpoint", "model.dec_proj.bias", lambda a: a[None],
+        "holds 'model.dec_proj.bias' of shape (1, 48), the model needs (48,)",
+    ),
+    "nan-step": ("resume", "opt.step", lambda a: a * np.nan, "holds 'opt.step' nan, not a non-negative integer"),
+    "negative-step": ("resume", "opt.step", lambda a: -a, "holds 'opt.step' -2.0, not a non-negative integer"),
+    "fractional-step": ("resume", "opt.step", lambda a: a + 0.5, "holds 'opt.step' 2.5, not a non-negative integer"),
+    "step-shape": ("resume", "opt.step", lambda a: np.zeros(2), "holds 'opt.step' of shape (2,), the model needs (1,)"),
+}
+
+
+@pytest.mark.parametrize("case", list(_MISSHAPEN))
+def test_a_checkpoint_array_of_the_wrong_shape_or_step_raises_data_error_naming_it(
+    tmp_path, dataset, finetune_checkpoint, case
+):
+    route, name, stored, message = _MISSHAPEN[case]
+    config, arrays = finetune_checkpoint
+    ckpt = tmp_path / "misshapen.dvoc"
+    save_checkpoint(ckpt, {**arrays, name: stored(arrays[name])}, config)
+    with pytest.raises(DataError, match=re.escape(f"checkpoint {ckpt} {message}")):
+        train.finetune_run(_cfg(tmp_path / "run", epochs=2), dataset, **{route: str(ckpt)})
+
+
 def test_gradients_keep_the_callers_checked_mode(dataset, monkeypatch):
     # DVO_THREADS once selected a thread pool whose workers did not see the
     # caller's thread-local checked mode; it must change nothing now.
