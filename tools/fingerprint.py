@@ -38,6 +38,14 @@ What it runs, all seeded and on the `dynamic-room` scene:
     (sample coordinates off the grid, at integers, 1e-12 px below integers,
     on both borders and outside): one item per op, digesting its output and
     the gradient of a weighted sum of it w.r.t. each input
+  - the `nn` layers that run on the fused `autodiff.linear` and
+    `autodiff.attention`: `SelfAttention`, `CrossAttention`, `Linear` (its
+    weight trained and frozen), `Conv1x1` and `AdaptMlp`, on seeded
+    parameters and inputs of 7 tokens (or 7 x 3 maps) without and with a
+    leading axis of 2: one item each, digesting the output and the gradient
+    of a weighted sum of it w.r.t. each input and trained parameter. Sources
+    whose layer cannot run an item (an older constructor, or no leading
+    axes) leave that item out
   - `geometry.quaternion_from_rotation` on seeded rotations: 5 by less
     than 90 degrees (positive trace) and 5 by about 170 degrees about each
     of x, y and z (negative trace, that axis's diagonal entry the largest)
@@ -87,8 +95,43 @@ def _frames(synth, size: int):
     return frames, k
 
 
+def _pair_depth(model, pair):
+    """Frame a's depth map, decoded with frame b as reference. Both frames
+    are encoded as one batch; sources whose encoder takes one image at a
+    time (before fbf13c1) encode them one by one, and sources without
+    `model.depth` (before 1bc6f91) decode and run the head themselves."""
+    try:
+        grids = model.encode(np.stack([pair.image_a, pair.image_b]))
+        tgt, ref = (replace(grids, tokens=grids.tokens[j]) for j in (0, 1))
+    except ValueError:
+        tgt, ref = model.encode(pair.image_a), model.encode(pair.image_b)
+    if hasattr(model, "depth"):
+        return model.depth(tgt, ref)
+    return model.depth_from_blocks(model.decode(tgt, ref), tgt.rows, tgt.cols)
+
+
+def _layer_parts(autodiff, build, shapes, lead, rng):
+    """Output of the layer `build(rng)` on inputs of `shapes` behind the
+    `lead` axes, and the gradients of a weighted sum of it w.r.t. each input
+    and each parameter that requires grad; every parameter is redrawn from
+    `rng` first (scale 0.3, so an adapter branch is live). None where the
+    sources' layer cannot run it."""
+    try:
+        layer = build(rng)
+        params = [p for _, p in layer.named_parameters()]
+        for p in params:
+            p.data = rng.normal(scale=0.3, size=p.data.shape)
+        inputs = [autodiff.Tensor(rng.normal(size=(*lead, *shape)), requires_grad=True) for shape in shapes]
+        out = layer(*inputs)
+    except (TypeError, ValueError):
+        return None
+    weighted = (out * autodiff.Tensor(rng.normal(size=out.shape))).sum()
+    leaves = inputs + [p for p in params if p.requires_grad]
+    return [out.data, *autodiff.grads(weighted, leaves)]
+
+
 def fingerprint(tmp: Path) -> dict:
-    from dvokit import autodiff, direct, formats, geometry, losses, synth, train
+    from dvokit import autodiff, direct, formats, geometry, losses, nn, synth, train
     from dvokit.model import load_checkpoint, toy_config
 
     # sources older than no_grad record the graph; the depth values are the same
@@ -133,9 +176,7 @@ def fingerprint(tmp: Path) -> dict:
             record(f"{name}/eval.metrics", {key: getattr(scores, key) for key in _METRICS})
             with no_grad():
                 for i, pair in enumerate(dataset.pairs):
-                    grids = model.encode(np.stack([pair.image_a, pair.image_b]))
-                    depth = model.depth(*(replace(grids, tokens=grids.tokens[j]) for j in (0, 1)))
-                    record(f"{name}/eval.depth-{i}", depth.data)
+                    record(f"{name}/eval.depth-{i}", _pair_depth(model, pair).data)
 
     frames, k = trajectories[32]
     pairs = [synth.make_pair(frames, i, k) for i in range(len(frames) - 1)]
@@ -178,6 +219,27 @@ def fingerprint(tmp: Path) -> dict:
         result = op(*leaves)
         weighted = (result * autodiff.Tensor(rng.normal(size=result.shape))).sum()
         record(f"op/{name}", result.data, *autodiff.grads(weighted, leaves))
+    def frozen_linear(rng):
+        layer = nn.Linear(24, 12, rng)
+        layer.weight.requires_grad = False
+        return layer
+
+    # width 24 and 4 heads: the attention scale 6^-0.5 is not a power of two,
+    # so applying it elsewhere would round differently
+    layers = {
+        "SelfAttention": (lambda rng: nn.SelfAttention(24, 4, rng), [(7, 24)]),
+        "CrossAttention": (lambda rng: nn.CrossAttention(24, 4, rng), [(7, 24), (9, 24)]),
+        "Linear": (lambda rng: nn.Linear(24, 12, rng), [(7, 24)]),
+        "Linear-frozen-weight": (frozen_linear, [(7, 24)]),
+        "Conv1x1": (lambda rng: nn.Conv1x1(24, 12, rng), [(24, 7, 3)]),
+        "AdaptMlp": (lambda rng: nn.AdaptMlp(24, 96, 4, rng), [(7, 24)]),
+    }
+    for name, (build, shapes) in layers.items():
+        for lead, suffix in (((), ""), ((2,), "-batched")):
+            item = f"nn/{name}{suffix}"
+            parts = _layer_parts(autodiff, build, shapes, lead, np.random.default_rng(sum(map(ord, item))))
+            if parts is not None:
+                record(item, *parts)
     rotvecs = [rng.normal(size=3) for _ in range(5)]
     rotvecs = [v / np.linalg.norm(v) * rng.uniform(0.1, 1.5) for v in rotvecs]
     for axis in np.eye(3):
