@@ -763,7 +763,9 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     leading row of ``x``."""
     x, weight, bias = _as_tensor(x), _as_tensor(weight), _as_tensor(bias)
     if x.ndim < 2 or weight.ndim != 2 or x.shape[-1] != weight.shape[0] or bias.shape != weight.shape[1:]:
-        raise ValueError(f"linear expects (..., D), (D, D') and (D',), got {x.shape}, {weight.shape} and {bias.shape}")
+        raise ValueError(
+            f"linear expects (..., D), (D, D') and (D',), got {x.shape}, {weight.shape} and {bias.shape}"
+        )
     out = x.data @ weight.data
     out += bias.data
 
@@ -796,17 +798,14 @@ def attention(*packed: Tensor, heads: int) -> Tensor:
     probabilities, and adds each part's gradient into one zeroed array per
     projection."""
     packed = tuple(_as_tensor(p) for p in packed)
-    dim = packed[0].shape[-1] // (3 if len(packed) == 1 else 1)
-    if (
-        [p.shape[-1] for p in packed] not in ([3 * dim], [dim, 2 * dim])
-        or dim % heads
-        or any(p.ndim < 2 or p.shape[:-2] != packed[0].shape[:-2] for p in packed)
-    ):
+    *lead, n, width = packed[0].shape
+    dim = width // 3 if len(packed) == 1 else width
+    widths = [p.shape[-1] for p in packed]
+    if widths not in ([3 * dim], [dim, 2 * dim]) or dim % heads or any(p.shape[:-2] != tuple(lead) for p in packed):
         shapes = " and ".join(str(p.shape) for p in packed)
         raise ValueError(
-            f"attention expects (..., N, 3D), or (..., N, D) and (..., M, 2D), with D divisible by {heads}, got {shapes}"
+            f"attention expects (..., N, 3D), or (..., N, D) and (..., M, 2D), got {shapes}, {heads} heads"
         )
-    *lead, n, _ = packed[0].shape
     scale = (dim // heads) ** -0.5
     views = [_head_slots(p.data, dim, heads) for p in packed]
     q, k, v = (slot for view in views for slot in view)

@@ -292,7 +292,7 @@ def test_determinism_bit_identical():
     assert np.array_equal(g1, g2)
 
 
-@pytest.mark.parametrize("op", ["add", "sub", "mul", "div", "matmul", "where"])
+@pytest.mark.parametrize("op", ["add", "sub", "mul", "div", "matmul", "where", "linear"])
 def test_no_gradient_is_computed_for_a_constant_operand(op):
     rng = np.random.default_rng(11)
     x = ad.parameter(rng.normal(size=(3, 3)))
@@ -304,6 +304,7 @@ def test_no_gradient_is_computed_for_a_constant_operand(op):
         "div": lambda a, b: a / b,
         "matmul": lambda a, b: a @ b,
         "where": lambda a, b: ad.where(np.eye(3, dtype=bool), a, b),
+        "linear": lambda a, b: ad.linear(a, b, Tensor(np.zeros(3))),
     }[op]
     for out, const_pos in ((build(x, c), 1), (build(c, x), 0)):
         grads_out = out._grad_fn(np.ones(out.shape))
@@ -342,9 +343,10 @@ def _coords_on_grid(_rng):
     )
 
 
-def _frozen_weight(op):
-    """`op` with its second input, the weight, a constant."""
-    return lambda x, weight, bias: op(x, weight.detach(), bias)
+def _frozen(op, frozen):
+    """`op` with its input number `frozen` a constant (a frozen weight, or a
+    projection that needs no gradient)."""
+    return lambda *inputs, **kwargs: op(*(t.detach() if i == frozen else t for i, t in enumerate(inputs)), **kwargs)
 
 
 def _swapped_rows(op):
@@ -358,13 +360,19 @@ FUSED_OPS = {
     "linear": (ad.linear, oracles.linear_composite, [(5, 6), (6, 4), (4,)], {}),
     "linear-batched": (ad.linear, oracles.linear_composite, [(2, 5, 6), (6, 4), (4,)], {}),
     "linear-frozen-weight": (
-        _frozen_weight(ad.linear), _frozen_weight(oracles.linear_composite), [(2, 5, 6), (6, 4), (4,)], {}
+        _frozen(ad.linear, 1), _frozen(oracles.linear_composite, 1), [(2, 5, 6), (6, 4), (4,)], {}
     ),
     "attention-self": (ad.attention, oracles.attention_composite, [(5, 12)], {"heads": 2}),
     "attention-self-batched": (ad.attention, oracles.attention_composite, [(2, 5, 12)], {"heads": 2}),
     "attention-self-7-tokens": (ad.attention, oracles.attention_composite, [(7, 24)], {"heads": 4}),
     "attention-cross": (ad.attention, oracles.attention_composite, [(5, 4), (6, 8)], {"heads": 2}),
     "attention-cross-batched": (ad.attention, oracles.attention_composite, [(2, 5, 4), (2, 6, 8)], {"heads": 2}),
+    "attention-cross-frozen-q": (
+        _frozen(ad.attention, 0), _frozen(oracles.attention_composite, 0), [(5, 4), (6, 8)], {"heads": 2}
+    ),
+    "attention-cross-frozen-kv": (
+        _frozen(ad.attention, 1), _frozen(oracles.attention_composite, 1), [(5, 4), (6, 8)], {"heads": 2}
+    ),
     "conv3x3": (ad.conv3x3, oracles.conv3x3_composite, [(3, 5, 6), (3, 3, 3, 4), (4,)], {}),
     "conv3x3-batched": (ad.conv3x3, oracles.conv3x3_composite, [(2, 3, 5, 6), (3, 3, 3, 4), (4,)], {}),
     "conv3x3_up2": (ad.conv3x3_up2, oracles.conv3x3_up2_composite, [(3, 3, 5), (3, 3, 3, 4), (4,)], {}),
@@ -389,6 +397,7 @@ FUSED_FD_CASES = [
     ("linear-frozen-weight", 0), ("linear-frozen-weight", 2),
     ("attention-self", 0), ("attention-self-batched", 0), ("attention-self-7-tokens", 0),
     ("attention-cross", 0), ("attention-cross", 1), ("attention-cross-batched", 0), ("attention-cross-batched", 1),
+    ("attention-cross-frozen-q", 1), ("attention-cross-frozen-kv", 0),
     ("conv3x3", 0), ("conv3x3", 1), ("conv3x3", 2),
     ("conv3x3-batched", 0), ("conv3x3-batched", 1), ("conv3x3-batched", 2),
     ("conv3x3_up2", 0), ("conv3x3_up2", 1), ("conv3x3_up2", 2),
@@ -443,7 +452,7 @@ def test_fused_op_matches_the_composite_it_replaced(name):
 MODEL_SHAPE_CASES = {
     "linear-encoder-qkv": (ad.linear, oracles.linear_composite, [(2, 16, 64), (64, 192), (192,)], {}),
     "linear-frozen-decoder-mlp": (
-        _frozen_weight(ad.linear), _frozen_weight(oracles.linear_composite), [(2, 64, 48), (48, 192), (192,)], {}
+        _frozen(ad.linear, 1), _frozen(oracles.linear_composite, 1), [(2, 64, 48), (48, 192), (192,)], {}
     ),
     "linear-dpt-projection": (
         _swapped_rows(ad.linear), _swapped_rows(oracles.linear_composite), [(2, 48, 256), (48, 48), (48,)], {}
