@@ -38,6 +38,9 @@ What it runs, all seeded and on the `dynamic-room` scene:
     (sample coordinates off the grid, at integers, 1e-12 px below integers,
     on both borders and outside): one item per op, digesting its output and
     the gradient of a weighted sum of it w.r.t. each input
+  - `geometry.quaternion_from_rotation` on seeded rotations: 5 by less
+    than 90 degrees (positive trace) and 5 by about 170 degrees about each
+    of x, y and z (negative trace, that axis's diagonal entry the largest)
   - the `nn` layers that run on the fused `autodiff.linear` and
     `autodiff.attention`: `SelfAttention`, `CrossAttention`, `Linear` (its
     weight trained and frozen), `Conv1x1` and `AdaptMlp`, on seeded
@@ -46,9 +49,6 @@ What it runs, all seeded and on the `dynamic-room` scene:
     of a weighted sum of it w.r.t. each input and trained parameter. Sources
     whose layer cannot run an item (an older constructor, or no leading
     axes) leave that item out
-  - `geometry.quaternion_from_rotation` on seeded rotations: 5 by less
-    than 90 degrees (positive trace) and 5 by about 170 degrees about each
-    of x, y and z (negative trace, that axis's diagonal entry the largest)
   - 20-iteration `optimize_direct` pose and depth runs on a 32 px pair from
     `perturbed_twist` starts (curves and results)
   - the failure path: 32 px linear finetune and pretrain runs whose last
@@ -219,6 +219,14 @@ def fingerprint(tmp: Path) -> dict:
         result = op(*leaves)
         weighted = (result * autodiff.Tensor(rng.normal(size=result.shape))).sum()
         record(f"op/{name}", result.data, *autodiff.grads(weighted, leaves))
+    rotvecs = [rng.normal(size=3) for _ in range(5)]
+    rotvecs = [v / np.linalg.norm(v) * rng.uniform(0.1, 1.5) for v in rotvecs]
+    for axis in np.eye(3):
+        tilted = [axis + rng.normal(scale=0.1, size=3) for _ in range(5)]
+        rotvecs += [v / np.linalg.norm(v) * np.radians(rng.uniform(165.0, 175.0)) for v in tilted]
+    rotations = Rotation.from_rotvec(rotvecs).as_matrix()
+    record("op/quaternion_from_rotation", np.array([geometry.quaternion_from_rotation(r) for r in rotations]))
+
     def frozen_linear(rng):
         layer = nn.Linear(24, 12, rng)
         layer.weight.requires_grad = False
@@ -240,13 +248,6 @@ def fingerprint(tmp: Path) -> dict:
             parts = _layer_parts(autodiff, build, shapes, lead, np.random.default_rng(sum(map(ord, item))))
             if parts is not None:
                 record(item, *parts)
-    rotvecs = [rng.normal(size=3) for _ in range(5)]
-    rotvecs = [v / np.linalg.norm(v) * rng.uniform(0.1, 1.5) for v in rotvecs]
-    for axis in np.eye(3):
-        tilted = [axis + rng.normal(scale=0.1, size=3) for _ in range(5)]
-        rotvecs += [v / np.linalg.norm(v) * np.radians(rng.uniform(165.0, 175.0)) for v in tilted]
-    rotations = Rotation.from_rotvec(rotvecs).as_matrix()
-    record("op/quaternion_from_rotation", np.array([geometry.quaternion_from_rotation(r) for r in rotations]))
 
     rng = np.random.default_rng(0)
     for i in range(2):
