@@ -19,7 +19,7 @@ import numpy as np
 
 from .autodiff import EmptyValidSetError, Tensor, grads, replayed
 from .geometry import pose_distance, pose_from_twist, warp_depth
-from .losses import LossWeights, total_loss
+from .losses import total_loss
 from .optim import AdamW
 from .synth import FramePair
 
@@ -55,7 +55,6 @@ def optimize_direct(
     pair: FramePair,
     mode: str,
     iters: int = 300,
-    weights: LossWeights = LossWeights(),
     init_twist: np.ndarray | None = None,
     init_depth: float = 2.5,
 ) -> DirectResult:
@@ -94,7 +93,7 @@ def optimize_direct(
         variables = [("log_depth_a", log_a), ("log_depth_b", log_b)]
 
     def loss_and_grads():
-        bd = total_loss(pair, log_a.exp(), log_b.exp(), twist, weights)
+        bd = total_loss(pair, log_a.exp(), log_b.exp(), twist)
         return bd, grads(bd.l_total, [var for _, var in variables])
 
     def tested(step):

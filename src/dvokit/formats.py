@@ -90,6 +90,8 @@ def read_pfm(path) -> np.ndarray:
 # ---- TUM trajectories --------------------------------------------------------------
 # line format: "t tx ty tz qx qy qz qw" with a unit, w-last quaternion
 
+_UNIT_NORM_TOL = 1e-6  # how far from 1 a stored quaternion's norm may be, here and in manifests
+
 
 def write_tum(path, poses: list[Pose]) -> None:
     """One line per pose; the timestamp is the frame index."""
@@ -120,7 +122,7 @@ def read_tum(path) -> tuple[list[Pose], list[float]]:
         if not np.isfinite(vals).all():
             raise DataError(f"{path}:{ln}: non-finite field")
         q = np.array(vals[4:8])
-        if abs(np.linalg.norm(q) - 1.0) > 1e-6:
+        if abs(np.linalg.norm(q) - 1.0) > _UNIT_NORM_TOL:
             raise DataError(f"{path}:{ln}: quaternion is not unit (norm {np.linalg.norm(q):.6f})")
         poses.append(Pose(rotation_from_quaternion(q), vals[1:4]))
         stamps.append(vals[0])
@@ -136,6 +138,14 @@ def write_manifest(path, manifest: dict) -> None:
 
 def _reject_constant(name: str):
     raise ValueError(f"non-finite number {name}")
+
+
+def _numbers(values) -> list[float]:
+    """JSON numbers as floats; a bool or a string, which float() takes, raises ValueError."""
+    # type(), not isinstance(): JSON true/false load as bool, an int subclass
+    if any(type(x) not in (int, float) for x in values):
+        raise ValueError(f"{values!r} holds a value that is not a number")
+    return [float(x) for x in values]
 
 
 def read_manifest(path) -> dict:
@@ -211,13 +221,16 @@ def load_pairs(dataset_dir):
     size differs from the intrinsics, a depth that is not finite and
     positive, a dynamic mask that is not finite, a pair index that is not a
     frame number, or a missing or malformed relative pose raises DataError
-    naming the manifest, and the file when one is at fault."""
+    naming the manifest, and the file when one is at fault. Intrinsics and
+    pose entries must be JSON numbers (not bools or strings), and a pose
+    quaternion unit within `read_tum`'s tolerance."""
     root = Path(dataset_dir)
     path = root / "manifest.json"
     manifest = read_manifest(path)
     try:
-        k = CameraIntrinsics.from_dict(manifest["intrinsics"])
-    except (KeyError, TypeError, ValueError) as e:
+        d = manifest["intrinsics"]
+        k = CameraIntrinsics(*_numbers([d[key] for key in ("fx", "fy", "cx", "cy")]), d["width"], d["height"])
+    except (KeyError, TypeError, ValueError, OverflowError) as e:  # float() of a huge int overflows
         raise DataError(f"manifest {path}: invalid intrinsics ({e!r})") from e
 
     def read(reader, name):
@@ -255,11 +268,11 @@ def load_pairs(dataset_dir):
             if type(index) is not int or not 0 <= index < len(images):
                 raise DataError(f"manifest {path}: pair {j} index {index!r} is not a frame number")
         try:
-            rel = Pose(
-                rotation_from_quaternion(np.array(p["rel_pose"]["quaternion_xyzw"])),
-                p["rel_pose"]["translation"],
-            )
-        except (KeyError, TypeError, ValueError) as e:
+            q, t = (_numbers(p["rel_pose"][key]) for key in ("quaternion_xyzw", "translation"))
+            if abs(np.linalg.norm(q) - 1.0) > _UNIT_NORM_TOL:
+                raise ValueError(f"quaternion is not unit (norm {np.linalg.norm(q):.6f})")
+            rel = Pose(rotation_from_quaternion(np.array(q)), t)
+        except (KeyError, TypeError, ValueError, OverflowError) as e:
             raise DataError(f"manifest {path}: pair {j} has no valid rel_pose ({e!r})") from e
         pairs.append(
             FramePair(

@@ -52,17 +52,6 @@ class CameraIntrinsics:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "CameraIntrinsics":
-        return cls(
-            fx=float(d["fx"]),
-            fy=float(d["fy"]),
-            cx=float(d["cx"]),
-            cy=float(d["cy"]),
-            width=d["width"],
-            height=d["height"],
-        )
-
 
 class Pose:
     """Rigid transform: ``x_out = rotation @ x_in + translation``."""

@@ -372,22 +372,6 @@ def model_state(model: DvoModel) -> dict[str, np.ndarray]:
     return {name: param.data.copy() for name, param in model.named_parameters()}
 
 
-def load_state(model: DvoModel, arrays: dict[str, np.ndarray]) -> None:
-    """Fill every model parameter by name. A missing name or a shape
-    mismatch raises ValueError."""
-    params = list(model.named_parameters())
-    missing = [name for name, _ in params if name not in arrays]
-    if missing:
-        raise ValueError(f"checkpoint missing parameters: {missing[:4]}{'...' if len(missing) > 4 else ''}")
-    for name, param in params:
-        src = arrays[name]
-        if src.shape != param.data.shape:
-            raise ValueError(
-                f"checkpoint/config mismatch for '{name}': {src.shape} vs {param.data.shape}"
-            )
-        param.data = np.array(src, dtype=np.float64)
-
-
 # ---- checkpoint file format ----------------------------------------------------------------
 # magic "DVOC", u32 version, u32 json length + UTF-8 JSON config, then blobs
 # (u32 name length, name, u32 rank, u32 extents…, little-endian f64 data)

@@ -111,8 +111,6 @@ class SelfAttention(Module):
     graph nodes."""
 
     def __init__(self, dim, heads, rng):
-        if dim % heads:
-            raise ValueError("dim must be divisible by heads")
         self.qkv = Linear(dim, 3 * dim, rng)
         self.proj = Linear(dim, dim, rng)
         self._heads = heads
@@ -127,8 +125,6 @@ class CrossAttention(Module):
     output projection, four graph nodes."""
 
     def __init__(self, dim, heads, rng):
-        if dim % heads:
-            raise ValueError("dim must be divisible by heads")
         self.q = Linear(dim, dim, rng)
         self.kv = Linear(dim, 2 * dim, rng)
         self.proj = Linear(dim, dim, rng)

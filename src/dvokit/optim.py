@@ -1,4 +1,6 @@
-"""Adam with decoupled weight decay, on named parameter lists."""
+"""Adam on named parameter lists, with no weight decay: no route uses it.
+The optimizer keeps the name ``AdamW`` because benchmarks trace
+``optim.AdamW.step`` by that name."""
 
 from __future__ import annotations
 
@@ -12,7 +14,8 @@ _EPS = 1e-8
 
 
 class AdamW:
-    """Deterministic AdamW over (name, Tensor) pairs.
+    """Deterministic Adam (AdamW without weight decay) over (name, Tensor)
+    pairs.
 
     Only parameters with ``requires_grad`` at construction time are stepped,
     so frozen backbones stay bit-identical. Each step takes the gradients of
@@ -20,17 +23,11 @@ class AdamW:
     checkpoints.
     """
 
-    def __init__(
-        self,
-        named_params: list[tuple[str, Tensor]],
-        lr: float = 1e-3,
-        weight_decay: float = 0.0,
-    ):
+    def __init__(self, named_params: list[tuple[str, Tensor]], lr: float = 1e-3):
         if lr <= 0:
             raise ValueError("lr must be positive")
         self.params = [(name, p) for name, p in named_params if p.requires_grad]
         self.lr = lr
-        self.weight_decay = weight_decay
         self.step_count = 0
         self._m = {name: np.zeros_like(p.data) for name, p in self.params}
         self._v = {name: np.zeros_like(p.data) for name, p in self.params}
@@ -46,10 +43,7 @@ class AdamW:
         for (name, p), g in zip(self.params, gs):
             m = self._m[name] = b1 * self._m[name] + (1.0 - b1) * g
             v = self._v[name] = b2 * self._v[name] + (1.0 - b2) * (g * g)
-            update = (m / bc1) / (np.sqrt(v / bc2) + _EPS)
-            if self.weight_decay:
-                update = update + self.weight_decay * p.data
-            p.data = p.data - self.lr * update
+            p.data = p.data - self.lr * ((m / bc1) / (np.sqrt(v / bc2) + _EPS))
 
     # ---- checkpoint support ----
 

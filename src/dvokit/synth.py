@@ -377,9 +377,3 @@ def make_pair(frames: list[Frame], i: int, k: CameraIntrinsics) -> FramePair:
         gt_pose=relative_pose(a, b),
         dynamic_mask_a=dyn,
     )
-
-
-def render_pair(scene: Scene, k: CameraIntrinsics, pose_a: Pose, pose_b: Pose) -> FramePair:
-    """Render frames 0 and 1 of the scene at explicit camera poses as a pair."""
-    frames = [Frame(*render(scene, i, pose, k), cam_to_world=pose) for i, pose in enumerate((pose_a, pose_b))]
-    return make_pair(frames, 0, k)

@@ -24,7 +24,6 @@ from .model import (
     ModelConfig,
     forward_dvo,
     freeze_for_adapters,
-    load_state,
     model_state,
     pretrain_step,
     save_checkpoint,
@@ -273,7 +272,8 @@ def _load_checkpoint_into(path, model: DvoModel, opt: AdamW | None = None) -> in
         (step,) = arrays["opt.step"]
         if not (np.isfinite(step) and step >= 0 and step == np.floor(step)):
             raise DataError(f"checkpoint {path} holds 'opt.step' {step}, not a non-negative integer")
-    load_state(model, {k[len("model.") :]: v for k, v in arrays.items() if k.startswith("model.")})
+    for name, param in model.named_parameters():
+        param.data = arrays[f"model.{name}"]
     if opt is not None:
         opt.load_state_arrays(arrays)
     return epoch

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from dvokit.geometry import Pose, pose_from_twist
-from dvokit.synth import default_intrinsics, preset_scene, render_pair
+from dvokit.synth import default_intrinsics, preset_scene
+
+from oracles import render_pair
 
 
 def _static_pair(size, seed=21, twist=(0.05, -0.02, 0.04, 0.012, -0.008, 0.01)):

@@ -4,16 +4,59 @@ Everything here is deliberately loop-based and separate from the library's
 vectorized code paths, except the composites and the per-frame forward at
 the end: the fused autodiff ops are checked against composites built from
 primitive Tensor ops, and the batched two-frame forward against one built
-from unbatched calls.
+from unbatched calls. The finite-difference gradient audit and the pair
+renderer at explicit poses serve the tests alone, so they live here too.
 """
+
+from typing import Callable
 
 import numpy as np
 
 from dvokit import autodiff as ad
-from dvokit.autodiff import Tensor
+from dvokit.autodiff import Tensor, grads
+from dvokit.geometry import CameraIntrinsics, Pose
+from dvokit.synth import Frame, FramePair, Scene, make_pair, render
 
 SSIM_C1 = 0.01**2
 SSIM_C2 = 0.03**2
+
+
+def finite_diff_check(
+    f: Callable[[Tensor], Tensor],
+    x: np.ndarray | Tensor,
+    h: float = 1e-5,
+) -> float:
+    """Compare the analytic gradient of scalar ``f(x)`` with central differences.
+
+    Every coordinate of ``x`` is checked; the result is the maximum over them
+    of ``|analytic - numeric| / max(1, |analytic|, |numeric|)``. ``f`` must
+    be deterministic and scalar-valued.
+    """
+    x0 = np.array(x.data if isinstance(x, Tensor) else x, dtype=np.float64)
+    leaf = Tensor(x0.copy(), requires_grad=True)
+    analytic = grads(f(leaf), [leaf])[0].reshape(-1)
+
+    worst = 0.0
+    flat = x0.reshape(-1)
+    for i in range(x0.size):
+        orig = flat[i]
+        flat[i] = orig + h
+        fp = f(Tensor(x0.copy())).item()
+        flat[i] = orig - h
+        fm = f(Tensor(x0.copy())).item()
+        flat[i] = orig
+        numeric = (fp - fm) / (2.0 * h)
+        a = analytic[i]
+        rel = abs(a - numeric) / max(1.0, abs(a), abs(numeric))
+        if rel > worst:
+            worst = rel
+    return worst
+
+
+def render_pair(scene: Scene, k: CameraIntrinsics, pose_a: Pose, pose_b: Pose) -> FramePair:
+    """Render frames 0 and 1 of the scene at explicit camera poses as a pair."""
+    frames = [Frame(*render(scene, i, pose, k), cam_to_world=pose) for i, pose in enumerate((pose_a, pose_b))]
+    return make_pair(frames, 0, k)
 
 
 def ssim_reference(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -116,6 +159,12 @@ def layernorm_composite(t, gamma, beta, eps=1e-5):
     return normed * gamma + beta
 
 
+def clamp_composite(t, lo, hi):
+    """Clamp from one `where` node: the values of ``np.clip``, the gradient
+    passed inside [lo, hi] and zero outside."""
+    return ad.where((t.data >= lo) & (t.data <= hi), t, np.clip(t.data, lo, hi))
+
+
 def box3_composite(img):
     """3x3 edge-replicated box filter from slice, concat and add nodes."""
     rows = ad.concat([img[:, :1, :], img, img[:, -1:, :]], axis=1)
@@ -138,7 +187,7 @@ def ssim_composite(a, b):
     cov = box3_composite(a * b) - mu_a * mu_b
     num = (2.0 * mu_a * mu_b + SSIM_C1) * (2.0 * cov + SSIM_C2)
     den = (mu_a * mu_a + mu_b * mu_b + SSIM_C1) * (var_a + var_b + SSIM_C2)
-    return (num / den).mean(axis=0).clamp(-1.0, 1.0)
+    return clamp_composite((num / den).mean(axis=0), -1.0, 1.0)
 
 
 def bilinear_sample_composite(img, coords, tol):
@@ -147,8 +196,8 @@ def bilinear_sample_composite(img, coords, tol):
     coordinate gradient right outside the image: the two agree unless a
     coordinate lies within `tol` outside it."""
     _, h, w = img.shape
-    x = coords[..., 0].clamp(0.0, w - 1.0)
-    y = coords[..., 1].clamp(0.0, h - 1.0)
+    x = clamp_composite(coords[..., 0], 0.0, w - 1.0)
+    y = clamp_composite(coords[..., 1], 0.0, h - 1.0)
     x0 = np.clip(np.floor(x.data + tol), 0, w - 2).astype(np.int64)
     y0 = np.clip(np.floor(y.data + tol), 0, h - 2).astype(np.int64)
     wx = x - Tensor(x0.astype(np.float64))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.spatial.transform import Rotation
 
-from dvokit.autodiff import Tensor, finite_diff_check, grads
+from dvokit.autodiff import Tensor, grads
 from dvokit.geometry import (
     CameraIntrinsics,
     DepthMap,
@@ -15,6 +15,8 @@ from dvokit.geometry import (
     rotation_from_axis_angle,
     warp_depth,
 )
+
+from oracles import finite_diff_check
 
 
 def test_intrinsics_validation():

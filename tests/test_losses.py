@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dvokit import autodiff as ad
-from dvokit.autodiff import EmptyValidSetError, Tensor, finite_diff_check, grads
+from dvokit.autodiff import EmptyValidSetError, Tensor, grads
 from dvokit.losses import (
     LossWeights,
     depth_diff,
@@ -14,7 +14,7 @@ from dvokit.losses import (
     total_loss,
 )
 
-from oracles import smoothness_reference, ssim_reference
+from oracles import finite_diff_check, render_pair, smoothness_reference, ssim_reference
 
 
 def test_loss_weights_validation():
@@ -48,7 +48,7 @@ def test_depth_diff_cases():
 
 def _identity_pair_16():
     from dvokit.geometry import Pose
-    from dvokit.synth import default_intrinsics, preset_scene, render_pair
+    from dvokit.synth import default_intrinsics, preset_scene
 
     return render_pair(preset_scene("room", 3), default_intrinsics(16), Pose.identity(), Pose.identity())
 

@@ -154,6 +154,30 @@ def _boolean_height(m):
     m["intrinsics"]["height"] = True
 
 
+def _boolean_focal_length(m):
+    m["intrinsics"]["fx"] = True  # float() would load it as 1.0
+
+
+def _string_focal_length(m):
+    m["intrinsics"]["fx"] = str(m["intrinsics"]["fx"])
+
+
+def _huge_integer_translation(m):
+    m["pairs"][0]["rel_pose"]["translation"] = [10**400, 0, 0]  # float() overflows
+
+
+def _string_translation(m):
+    m["pairs"][0]["rel_pose"]["translation"] = ["0.1", "0", "0"]
+
+
+def _boolean_quaternion(m):
+    m["pairs"][0]["rel_pose"]["quaternion_xyzw"] = [False, False, False, True]
+
+
+def _quaternion_of_norm_5(m):
+    m["pairs"][0]["rel_pose"]["quaternion_xyzw"] = [0.0, 0.0, 3.0, 4.0]  # read_tum refuses it too
+
+
 def _frames_not_a_list(m):
     m["frames"] = 3
 
@@ -185,6 +209,12 @@ def _frame_not_an_object(m):
         _infinite_translation,
         _fractional_width,
         _boolean_height,
+        _boolean_focal_length,
+        _string_focal_length,
+        _string_translation,
+        _huge_integer_translation,
+        _boolean_quaternion,
+        _quaternion_of_norm_5,
         _frames_not_a_list,
         _pairs_not_a_list,
         _pair_not_an_object,

@@ -16,8 +16,9 @@ from dvokit.synth import (
     relative_pose,
     render,
     render_at,
-    render_pair,
 )
+
+from oracles import render_pair
 
 
 def _wall_scene(z=5.0, seed=3):

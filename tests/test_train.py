@@ -233,6 +233,21 @@ def test_frozen_finetune_resumes_bit_identically(tmp_path, dataset, frozen_run):
     assert (tmp_path / "resumed" / "checkpoint-epoch001.dvoc").read_bytes() == full
 
 
+def test_a_warm_start_fills_the_model_from_the_checkpoint(tmp_path, dataset):
+    cfg = _cfg(tmp_path / "pre", epochs=1)
+    train.pretrain_run(cfg, dataset)
+    ckpt = tmp_path / "pre" / "checkpoint-epoch000.dvoc"
+    _, arrays = load_checkpoint(ckpt)
+    fine = _cfg(tmp_path / "fine", epochs=1)
+    model, _ = train.finetune_run(fine, dataset, init_checkpoint=str(ckpt), freeze_backbone=True)
+    initial = model_state(DvoModel(cfg.model, np.random.default_rng(cfg.seed)))
+    frozen = [(name, p) for name, p in model.named_parameters() if not p.requires_grad]
+    assert len(frozen) == 149
+    assert all(np.array_equal(p.data, arrays[f"model.{name}"]) for name, p in frozen)
+    # pretraining moved the backbone, so a model left at its initial draw fails above
+    assert any(not np.array_equal(p.data, initial[name]) for name, p in frozen)
+
+
 def test_warm_start_from_a_checkpoint_missing_model_arrays_raises(tmp_path, dataset):
     train.pretrain_run(_cfg(tmp_path / "pre", epochs=1), dataset)
     config, arrays = load_checkpoint(tmp_path / "pre" / "checkpoint-epoch000.dvoc")

@@ -17,7 +17,8 @@ dataset files, the checkpoints, `eval.json` (its numbers are those of
 large for JSON. `--compare` lists the items that differ between two
 such outputs and, for each `values/` item, the largest relative difference
 of its numbers, so a change that moves outputs by round-off shows by how
-much.
+much. It exits 1 when any item differs or exists on one side only and 0
+when all are identical, so a script can gate a refactor on it.
 
 What it runs, all seeded and on the `dynamic-room` scene:
   - random-walk trajectories of 4 frames at 32 and 64 px (images, depths,
@@ -307,7 +308,7 @@ def main(argv: list[str]) -> int:
         parent, change = (json.loads(Path(p).read_text()) for p in argv[2:])
         lines = compare(parent, change)
         print("\n".join(lines) if lines else f"all {len(parent)} items identical")
-        return 0
+        return 1 if lines else 0
     if len(argv) != 2 or not (Path(argv[1]) / "dvokit" / "__init__.py").is_file():
         print(
             "usage: python3 tools/fingerprint.py <directory holding the dvokit package>\n"
