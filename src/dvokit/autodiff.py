@@ -202,10 +202,13 @@ class Tensor:
 
     @staticmethod
     def _make(data, parents: Sequence["Tensor"], grad_fn, op: str) -> "Tensor":
-        if _state.checked:
+        state = _state
+        if state.checked:
             _verify_finite(np.asarray(data), op)
-        if _state.grad and any(p.requires_grad for p in parents):
-            return Tensor(data, requires_grad=True, _parents=tuple(parents), _grad_fn=grad_fn, op=op)
+        if state.grad:
+            for p in parents:
+                if p.requires_grad:
+                    return Tensor(data, requires_grad=True, _parents=tuple(parents), _grad_fn=grad_fn, op=op)
         return Tensor(data, op=op)
 
     # ---- arithmetic -------------------------------------------------------------
@@ -768,12 +771,15 @@ def bilinear_sample(img: Tensor, coords: Tensor, tol: float) -> Tensor:
 
 
 def _softmax(x: np.ndarray, axis: int) -> np.ndarray:
-    e = np.exp(x - x.max(axis=axis, keepdims=True))
-    return e / e.sum(axis=axis, keepdims=True)
+    e = x - np.maximum.reduce(x, axis=axis, keepdims=True)  # ufunc reduce: .max without its Python wrapper
+    np.exp(e, out=e)
+    return np.divide(e, np.add.reduce(e, axis=axis, keepdims=True), out=e)
 
 
 def _softmax_grad(out: np.ndarray, g: np.ndarray, axis: int) -> np.ndarray:
-    return out * (g - (g * out).sum(axis=axis, keepdims=True))
+    t = g * out  # out * (g - sum(g * out)), in the product's buffer
+    np.subtract(g, np.add.reduce(t, axis=axis, keepdims=True), out=t)
+    return np.multiply(t, out, out=t)
 
 
 def softmax(t: Tensor, axis: int = -1) -> Tensor:
@@ -880,19 +886,21 @@ def layernorm(t: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Layer normalization over the last axis with learnable scale and shift;
     the variance is stabilised by adding 1e-5."""
     t, gamma, beta = _as_tensor(t), _as_tensor(gamma), _as_tensor(beta)
-    centred = t.data - t.data.mean(axis=-1, keepdims=True)
-    std = np.sqrt((centred * centred).mean(axis=-1, keepdims=True) + _LAYERNORM_EPS)
-    normed = centred / std
-    out = normed * gamma.data + beta.data
+    d = t.shape[-1]
+    normed = t.data - np.add.reduce(t.data, axis=-1, keepdims=True) / d  # centred, then normed in place
+    out = normed * normed  # the squares' buffer holds the output
+    std = np.sqrt(np.add.reduce(out, axis=-1, keepdims=True) / d + _LAYERNORM_EPS)
+    normed /= std
+    np.add(np.multiply(normed, gamma.data, out=out), beta.data, out=out)
 
     def grad_fn(g):
-        gn = g * gamma.data
-        gt = (
-            gn
-            - gn.mean(axis=-1, keepdims=True)
-            - normed * (gn * normed).mean(axis=-1, keepdims=True)
-        ) / std
-        return gt, _unbroadcast(g * normed, gamma.shape), _unbroadcast(g, beta.shape)
+        gt = g * gamma.data  # ((gn - mean(gn)) - normed * mean(gn * normed)) / std, in gn
+        prod = gt * normed
+        gt -= np.add.reduce(gt, axis=-1, keepdims=True) / d
+        gt -= np.multiply(normed, np.add.reduce(prod, axis=-1, keepdims=True) / d, out=prod)
+        gt /= std
+        gg = _unbroadcast(g * normed, gamma.shape) if gamma.requires_grad else None
+        return gt, gg, _unbroadcast(g, beta.shape) if beta.requires_grad else None
 
     return Tensor._make(out, (t, gamma, beta), grad_fn, "layernorm")
 
@@ -914,21 +922,18 @@ class Tape:
 
     @classmethod
     def trace(cls, root: Tensor) -> "Tape":
-        order: list[Tensor] = []
-        seen: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(root, False)]
+        # post-order DFS, parents last to first: the order fixes how 3+ gradients into a tensor add up
+        order, seen, stack = [], {id(root)}, [(root, reversed(root._parents))]
         while stack:
-            node, expanded = stack.pop()
-            if expanded:
-                order.append(node)
-                continue
-            if id(node) in seen:
-                continue
-            seen.add(id(node))
-            stack.append((node, True))
-            for parent in node._parents:
+            node, parents = stack[-1]
+            for parent in parents:
                 if parent.requires_grad and id(parent) not in seen:
-                    stack.append((parent, False))
+                    seen.add(id(parent))
+                    stack.append((parent, reversed(parent._parents)))
+                    break
+            else:
+                stack.pop()
+                order.append(node)
         return cls(order)
 
 

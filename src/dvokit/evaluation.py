@@ -45,6 +45,13 @@ class EvalReport:
         return json.dumps(self.__dict__, indent=2, sort_keys=True)
 
 
+def _median_ratio(gt_median: float, pred_valid: np.ndarray) -> float:
+    med_pred = float(np.median(pred_valid))
+    if med_pred == 0.0:
+        raise ValueError("zero median in prediction")
+    return gt_median / med_pred
+
+
 def median_scale(pred, gt, valid: np.ndarray):
     """Rescale predicted depth by s = median(gt) / median(pred) over `valid`."""
     pred = np.asarray(pred, dtype=np.float64)
@@ -52,10 +59,7 @@ def median_scale(pred, gt, valid: np.ndarray):
     valid = np.asarray(valid, dtype=bool)
     if not valid.any():
         raise ValueError("empty valid set")
-    med_pred = float(np.median(pred[valid]))
-    if med_pred == 0.0:
-        raise ValueError("zero median in prediction")
-    s = float(np.median(gt[valid])) / med_pred
+    s = _median_ratio(float(np.median(gt[valid])), pred[valid])
     return pred * s, s
 
 
@@ -69,12 +73,12 @@ def depth_metrics(pred, gt, cfg: DepthEvalConfig = DepthEvalConfig()) -> EvalRep
     valid = (gt >= MIN_VALID_DEPTH) & (gt <= cfg.cap)
     if not valid.any():
         raise ValueError("empty valid set")
-    s = 1.0
-    if cfg.median_scaling:
-        pred, s = median_scale(pred, gt, valid)
     p, g = pred[valid], gt[valid]
+    g_median = float(np.median(g))
+    s = _median_ratio(g_median, p) if cfg.median_scaling else 1.0
+    p = p * s  # median_scale's map, at the valid pixels alone (exact at s = 1)
     abs_rel = float(np.mean(np.abs(p - g) / g))
-    abs_rel_constant = float(np.mean(np.abs(np.median(g) - g) / g))
+    abs_rel_constant = float(np.mean(np.abs(g_median - g) / g))
     rmse = float(np.sqrt(np.mean((p - g) ** 2)))
     ratio = np.maximum(p / g, g / p)
     d1, d2, d3 = (float(np.mean(ratio < 1.25**i)) for i in (1, 2, 3))

@@ -402,7 +402,7 @@ def save_checkpoint(path, arrays: dict[str, np.ndarray], config: dict) -> None:
                 f.write(encoded)
                 f.write(struct.pack("<I", data.ndim))
                 f.write(struct.pack(f"<{data.ndim}I", *data.shape))
-                f.write(data.tobytes())
+                f.write(data.view())  # no bytes copy; numpy's export record dies with the view, not a live array
             f.write(_END_MAGIC)
             f.write(struct.pack("<I", len(arrays)))
         os.replace(tmp, path)

@@ -19,9 +19,9 @@ class AdamW:
 
     Only parameters with ``requires_grad`` at construction time are stepped,
     so frozen backbones stay bit-identical. Each step takes the gradients of
-    all of them by name. State serializes to named arrays for inclusion in
-    checkpoints.
-    """
+    all of them by name and updates the moments in place. State serializes
+    to named arrays for checkpoints: ``state_arrays()`` copies them,
+    ``state_views()`` hands out the live moments."""
 
     def __init__(self, named_params: list[tuple[str, Tensor]], lr: float = 1e-3):
         if lr <= 0:
@@ -41,18 +41,28 @@ class AdamW:
         bc1 = 1.0 - b1**self.step_count
         bc2 = 1.0 - b2**self.step_count
         for (name, p), g in zip(self.params, gs):
-            m = self._m[name] = b1 * self._m[name] + (1.0 - b1) * g
-            v = self._v[name] = b2 * self._v[name] + (1.0 - b2) * (g * g)
-            p.data = p.data - self.lr * ((m / bc1) / (np.sqrt(v / bc2) + _EPS))
+            # in place, in the order of m*b1 + (1-b1)*g, v*b2 + (1-b2)*(g*g), p - lr*((m/bc1) / (sqrt(v/bc2) + eps))
+            m, v, scratch = self._m[name], self._v[name], g * (1.0 - b1)
+            np.add(np.multiply(m, b1, out=m), scratch, out=m)
+            np.multiply(np.multiply(g, g, out=scratch), 1.0 - b2, out=scratch)
+            np.add(np.multiply(v, b2, out=v), scratch, out=v)
+            den = np.divide(v, bc2)
+            np.add(np.sqrt(den, out=den), _EPS, out=den)
+            np.multiply(np.divide(np.divide(m, bc1, out=scratch), den, out=scratch), self.lr, out=scratch)
+            p.data = np.subtract(p.data, scratch, out=den)
 
     # ---- checkpoint support ----
 
-    def state_arrays(self) -> dict[str, np.ndarray]:
+    def state_views(self) -> dict[str, np.ndarray]:
+        """The step count and the live moments (the next step changes them) by name."""
         out = {"opt.step": np.array([float(self.step_count)])}
         for name, _ in self.params:
-            out[f"opt.m.{name}"] = self._m[name].copy()
-            out[f"opt.v.{name}"] = self._v[name].copy()
+            out[f"opt.m.{name}"] = self._m[name]
+            out[f"opt.v.{name}"] = self._v[name]
         return out
+
+    def state_arrays(self) -> dict[str, np.ndarray]:
+        return {name: value.copy() for name, value in self.state_views().items()}
 
     def load_state_arrays(self, arrays: dict[str, np.ndarray]) -> None:
         self.step_count = int(arrays["opt.step"][0])

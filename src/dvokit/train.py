@@ -24,7 +24,6 @@ from .model import (
     ModelConfig,
     forward_dvo,
     freeze_for_adapters,
-    model_state,
     pretrain_step,
     save_checkpoint,
     load_checkpoint,
@@ -117,10 +116,11 @@ def batch_gradients(model: DvoModel, jobs: list, loss_fn):
                 if not np.isfinite(g).all():
                     raise NonFiniteError(f"non-finite gradient of '{name}', which checked mode does not trap")
         del loss  # frees this job's graph before the next job builds its own
-        total = gs if total is None else [t + g for t, g in zip(total, gs)]
+        # summed and scaled in place: `ad.grads` hands out copies or fresh zeros
+        total = gs if total is None else [np.add(t, g, out=t) for t, g in zip(total, gs)]
         scalar_list.append(scalars)
     scale = 1.0 / len(jobs)
-    return scalar_list, {name: t * scale for (name, _), t in zip(named, total)}
+    return scalar_list, {name: np.multiply(t, scale, out=t) for (name, _), t in zip(named, total)}
 
 
 # ---- datasets -------------------------------------------------------------------------
@@ -226,8 +226,8 @@ def _checkpoint_config(cfg: RunConfig, phase: str, epoch: int) -> dict:
 
 
 def _save_epoch_checkpoint(out_dir: Path, cfg: RunConfig, phase, epoch, model, opt) -> Path:
-    arrays = {f"model.{k}": v for k, v in model_state(model).items()}
-    arrays.update(opt.state_arrays())
+    arrays = {f"model.{name}": param.data for name, param in model.named_parameters()}
+    arrays.update(opt.state_views())  # written before the next step changes them
     path = out_dir / f"checkpoint-epoch{epoch:03d}.dvoc"
     save_checkpoint(path, arrays, _checkpoint_config(cfg, phase, epoch))
     return path
@@ -261,7 +261,8 @@ def _load_checkpoint_into(path, model: DvoModel, opt: AdamW | None = None) -> in
         epoch = extra.get("epoch") if isinstance(extra, dict) else None
         if isinstance(epoch, bool) or not isinstance(epoch, int) or epoch < 0:
             raise DataError(f"checkpoint {path} has no integer extra.epoch to resume after")
-        needed.update((name, value.shape) for name, value in opt.state_arrays().items())
+        needed["opt.step"] = (1,)  # and each moment has its parameter's shape
+        needed.update((f"opt.{kind}.{name}", param.shape) for name, param in opt.params for kind in "mv")
     missing = [name for name in needed if name not in arrays]
     if missing:
         raise DataError(f"checkpoint {path} lacks {len(missing)} arrays, first '{missing[0]}'")

@@ -1,18 +1,23 @@
 """Independent reference implementations used to freeze expected test values.
 
 Everything here is deliberately loop-based and separate from the library's
-vectorized code paths, except the composites and the per-frame forward at
-the end: the fused autodiff ops are checked against composites built from
-primitive Tensor ops, and the batched two-frame forward against one built
-from unbatched calls. The finite-difference gradient audit and the pair
-renderer at explicit poses serve the tests alone, so they live here too.
+vectorized code paths, except the composites, the per-frame forward and the
+previous kernels at the end: the fused autodiff ops are checked against
+composites built from primitive Tensor ops, the batched two-frame forward
+against one built from unbatched calls, and the kernels of the training hot
+path that now work in place against their previous code, bit for bit. The
+finite-difference gradient audit and the pair renderer at explicit poses
+serve the tests alone, so they live here too.
 """
 
+import json
+import struct
 from typing import Callable
 
 import numpy as np
 
 from dvokit import autodiff as ad
+from dvokit import model as model_module
 from dvokit.autodiff import Tensor, grads
 from dvokit.geometry import CameraIntrinsics, Pose
 from dvokit.synth import Frame, FramePair, Scene, make_pair, render
@@ -277,3 +282,103 @@ def forward_dvo_per_frame(model, image_a, image_b):
     depth_b = model.depth(grid_b, grid_a)
     twist = model.pose_head(grid_a.tokens, grid_b.tokens)
     return depth_a, depth_b, twist
+
+
+# ---- the training hot path's kernels before they worked in place ----------------------
+
+
+def layernorm_previous(t, gamma, beta):
+    """`autodiff.layernorm` as it was: ``.mean`` reductions and a new array
+    for each step of the arithmetic."""
+    centred = t.data - t.data.mean(axis=-1, keepdims=True)
+    std = np.sqrt((centred * centred).mean(axis=-1, keepdims=True) + 1e-5)
+    normed = centred / std
+    out = normed * gamma.data + beta.data
+
+    def grad_fn(g):
+        gn = g * gamma.data
+        gt = (gn - gn.mean(axis=-1, keepdims=True) - normed * (gn * normed).mean(axis=-1, keepdims=True)) / std
+        return gt, ad._unbroadcast(g * normed, gamma.shape), ad._unbroadcast(g, beta.shape)
+
+    return Tensor._make(out, (t, gamma, beta), grad_fn, "layernorm")
+
+
+def softmax_previous(x, axis):
+    """`autodiff._softmax` as it was."""
+    e = np.exp(x - x.max(axis=axis, keepdims=True))
+    return e / e.sum(axis=axis, keepdims=True)
+
+
+def softmax_grad_previous(out, g, axis):
+    """`autodiff._softmax_grad` as it was."""
+    return out * (g - (g * out).sum(axis=axis, keepdims=True))
+
+
+def tape_trace_previous(root):
+    """The node order of `autodiff.Tape.trace` as it was: a stack of (node,
+    expanded) entries, each node's parents pushed first to last."""
+    order, seen, stack = [], set(), [(root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            order.append(node)
+            continue
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.append((node, True))
+        for parent in node._parents:
+            if parent.requires_grad and id(parent) not in seen:
+                stack.append((parent, False))
+    return order
+
+
+def adam_step_previous(opt, grads_by_name):
+    """`optim.AdamW.step` as it was: new moment arrays each step."""
+    opt.step_count += 1
+    b1, b2, eps = 0.9, 0.999, 1e-8
+    bc1, bc2 = 1.0 - b1**opt.step_count, 1.0 - b2**opt.step_count
+    for name, p in opt.params:
+        g = grads_by_name[name]
+        m = opt._m[name] = b1 * opt._m[name] + (1.0 - b1) * g
+        v = opt._v[name] = b2 * opt._v[name] + (1.0 - b2) * (g * g)
+        p.data = p.data - opt.lr * ((m / bc1) / (np.sqrt(v / bc2) + eps))
+
+
+def save_checkpoint_previous(path, arrays, config):
+    """`model.save_checkpoint`'s bytes as it wrote them, each array through
+    ``tobytes()`` (without the temporary file and rename)."""
+    blob = json.dumps(config, sort_keys=True).encode("utf-8")
+    with open(path, "wb") as f:
+        f.write(model_module._MAGIC)
+        f.write(struct.pack("<I", model_module._VERSION))
+        f.write(struct.pack("<I", len(blob)))
+        f.write(blob)
+        for name in sorted(arrays):
+            data = np.ascontiguousarray(arrays[name], dtype="<f8")
+            encoded = name.encode("utf-8")
+            f.write(struct.pack("<I", len(encoded)))
+            f.write(encoded)
+            f.write(struct.pack("<I", data.ndim))
+            f.write(struct.pack(f"<{data.ndim}I", *data.shape))
+            f.write(data.tobytes())
+        f.write(model_module._END_MAGIC)
+        f.write(struct.pack("<I", len(arrays)))
+
+
+def depth_metrics_previous(pred, gt, cap=10.0, median_scaling=True):
+    """`evaluation.depth_metrics` as it was, as a tuple in `EvalReport`'s
+    field order: the whole map median-scaled before indexing, and the
+    ground truth's median taken twice."""
+    valid = (gt >= 1e-3) & (gt <= cap)
+    s = 1.0
+    if median_scaling:
+        s = float(np.median(gt[valid])) / float(np.median(pred[valid]))
+        pred = pred * s
+    p, g = pred[valid], gt[valid]
+    abs_rel = float(np.mean(np.abs(p - g) / g))
+    abs_rel_constant = float(np.mean(np.abs(np.median(g) - g) / g))
+    rmse = float(np.sqrt(np.mean((p - g) ** 2)))
+    ratio = np.maximum(p / g, g / p)
+    d1, d2, d3 = (float(np.mean(ratio < 1.25**i)) for i in (1, 2, 3))
+    return abs_rel, rmse, d1, d2, d3, int(valid.sum()), s, abs_rel_constant

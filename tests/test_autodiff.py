@@ -598,6 +598,78 @@ def test_conv_ops_give_each_map_of_a_batch_what_it_gets_alone(op):
         assert np.array_equal(batched[i], op(Tensor(x[i]), Tensor(weight), Tensor(bias)).data)
 
 
+# ---- the in-place kernels give what the previous ones gave, bit for bit ------------------
+
+
+def _bits(arrays):
+    """Each array's bytes: equal bytes are equal values, signs of zero included."""
+    return [a.tobytes() for a in arrays]
+
+
+@pytest.mark.parametrize("shape", [(2, 16, 64), (64, 64), (7, 64), (2, 64, 48)], ids=str)
+def test_layernorm_is_bit_identical_to_the_previous_kernel(shape):
+    rng = np.random.default_rng(shape[-2] * shape[-1])
+    d = shape[-1]
+    x, c = rng.normal(size=shape), rng.normal(size=shape)
+    x.reshape(-1, d)[0] = 0.7  # a constant row, centred to zeros
+    c.reshape(-1, d)[1] = 0.0  # a row that gets no gradient
+    c.reshape(-1, d)[2, ::2] = -0.0
+    gamma, beta = rng.normal(size=d), rng.normal(size=d)
+    gamma[:2], beta[:2] = (0.0, -0.0), (-0.0, 0.0)
+
+    def run(op):
+        leaves = [Tensor(a, requires_grad=True) for a in (x, gamma, beta)]
+        out = op(*leaves)
+        return [out.data] + ad.grads((out * Tensor(c)).sum(), leaves)
+
+    assert _bits(run(ad.layernorm)) == _bits(run(oracles.layernorm_previous))
+
+
+def _softmax_case(shape, axis):
+    rng = np.random.default_rng(sum(shape) - axis)
+    x, c = rng.normal(scale=3.0, size=shape), rng.normal(size=shape)
+    x[1] = 0.25  # a constant slice along every axis but the first
+    c[0] = 0.0
+    c[-1, ..., ::3] = -0.0
+    return x, c
+
+
+@pytest.mark.parametrize("axis", [-1, 0])
+@pytest.mark.parametrize("shape", [(2, 4, 16, 16), (4, 64, 64), (4, 7, 7)], ids=str)
+def test_softmax_is_bit_identical_to_the_previous_kernels(shape, axis, monkeypatch):
+    x, c = _softmax_case(shape, axis)
+
+    def run():
+        leaf = Tensor(x, requires_grad=True)
+        out = ad.softmax(leaf, axis=axis)
+        return [out.data] + ad.grads((out * Tensor(c)).sum(), [leaf])
+
+    new = run()
+    monkeypatch.setattr(ad, "_softmax", oracles.softmax_previous)
+    monkeypatch.setattr(ad, "_softmax_grad", oracles.softmax_grad_previous)
+    assert _bits(new) == _bits(run())
+
+
+@pytest.mark.parametrize(
+    "shapes", [[(2, 64, 144)], [(2, 64, 48), (2, 64, 96)], [(7, 192)]], ids=["self-64px", "cross-64px", "masked-64px"]
+)
+def test_attention_is_bit_identical_with_the_previous_softmax_kernels(shapes, monkeypatch):
+    # the decoder's self- and cross-attention at 64 px, and the masked encoder's
+    rng = np.random.default_rng(len(shapes) * shapes[0][-1])
+    inputs = [rng.normal(size=shape) for shape in shapes]
+    c = rng.normal(size=ad.attention(*map(Tensor, inputs), heads=4).shape)
+
+    def run():
+        leaves = [Tensor(a, requires_grad=True) for a in inputs]
+        out = ad.attention(*leaves, heads=4)
+        return [out.data] + ad.grads((out * Tensor(c)).sum(), leaves)
+
+    new = run()
+    monkeypatch.setattr(ad, "_softmax", oracles.softmax_previous)
+    monkeypatch.setattr(ad, "_softmax_grad", oracles.softmax_grad_previous)
+    assert _bits(new) == _bits(run())
+
+
 # ---- no_grad: ops record no graph -------------------------------------------------------
 
 

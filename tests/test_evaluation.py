@@ -1,5 +1,5 @@
 import json
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -20,6 +20,7 @@ from dvokit.geometry import Pose, pose_from_twist
 from dvokit.model import DvoModel, toy_config
 from dvokit.synth import MotionSpec, default_intrinsics, generate_trajectory, make_pair, preset_scene
 
+import oracles
 from oracles import depth_metrics_reference
 
 
@@ -87,6 +88,19 @@ def test_evaluate_depth_raises_what_a_checked_forward_raises(static_pair_32, wit
 def test_config_validation():
     with pytest.raises(ValueError):
         DepthEvalConfig(cap=1e-4)
+
+
+@pytest.mark.parametrize("median_scaling", [True, False], ids=["median-scaled", "unscaled"])
+def test_depth_metrics_equal_the_previous_implementation_bit_for_bit(median_scaling):
+    rng = np.random.default_rng(8)
+    cfg = DepthEvalConfig(median_scaling=median_scaling)
+    for _ in range(5):
+        gt = rng.uniform(0.5, 12.0, size=(32, 32))  # some beyond the cap
+        gt[:2] = 0.0  # and some missing
+        pred = 1.7 * gt * np.exp(rng.normal(scale=0.3, size=gt.shape))
+        got = astuple(depth_metrics(pred, gt, cfg))
+        want = oracles.depth_metrics_previous(pred, gt, cfg.cap, median_scaling)
+        assert [float(v).hex() for v in got] == [float(v).hex() for v in want]
 
 
 def test_median_scale_cases():

@@ -354,6 +354,22 @@ def test_pretrain_loss_graph_node_count(static_pair_32):
     assert len(ad.Tape.trace(loss).nodes) <= 411
 
 
+@pytest.mark.parametrize("pair_fixture,phase", [("static_pair_32", "finetune"), ("static_pair_64", "pretrain")])
+def test_tape_trace_keeps_the_previous_node_order(pair_fixture, phase, request):
+    # the order sets how three or more gradients flowing into one tensor are
+    # summed, so the walk must give the very same order, not just any
+    # topological one
+    pair = request.getfixturevalue(pair_fixture)
+    model = DvoModel(toy_config(), np.random.default_rng(0))
+    if phase == "finetune":
+        loss = total_loss(pair, *forward_dvo(model, pair.image_a, pair.image_b)).l_total
+    else:
+        loss = pretrain_step(model, pair.image_a, pair.image_b, np.random.default_rng(0))
+    new, old = ad.Tape.trace(loss).nodes, oracles.tape_trace_previous(loss)
+    assert len(new) == len(old)
+    assert all(a is b for a, b in zip(new, old))
+
+
 def test_adapter_noop_at_init_and_count():
     # a block's AdaptMLP with zero up-projection matches the plain MLP bitwise
     cfg_ad = ModelConfig(enc_dim=32, enc_depth=1,
@@ -408,6 +424,25 @@ def test_adamw_step_takes_every_stepped_gradient_by_name():
     assert np.array_equal(b.data, [3.0])  # zero gradient, no weight decay
 
 
+def test_adamw_steps_as_the_previous_formula_and_hands_out_copies():
+    rng = np.random.default_rng(3)
+    models = [DvoModel(toy_config(), np.random.default_rng(0)) for _ in range(2)]
+    new, old = (AdamW(list(m.named_parameters())) for m in models)
+    for _ in range(5):
+        grads = {name: rng.normal(size=p.shape) for name, p in models[0].named_parameters()}
+        new.step(grads)
+        oracles.adam_step_previous(old, grads)
+    for (name, p), (_, q) in zip(*(m.named_parameters() for m in models)):
+        assert p.data.tobytes() == q.data.tobytes(), name
+    state = new.state_arrays()
+    assert list(state) == list(old.state_arrays())
+    assert all(state[k].tobytes() == v.tobytes() for k, v in old.state_arrays().items())
+    # copies: changing them changes neither the optimizer nor a later copy
+    for value in state.values():
+        value += 1.0
+    assert all(np.array_equal(v, new.state_views()[k]) for k, v in old.state_arrays().items())
+
+
 def test_checkpoint_roundtrip_and_mismatch(tmp_path):
     model = _model(seed=7)
     state = {f"model.{k}": v for k, v in model_state(model).items()}
@@ -425,6 +460,21 @@ def test_checkpoint_roundtrip_and_mismatch(tmp_path):
     raw = path.read_bytes()
     assert raw[:4] == b"DVOC"
     assert int.from_bytes(raw[4:8], "little") == 2
+
+
+def test_save_checkpoint_writes_the_previous_writers_bytes(tmp_path):
+    rng = np.random.default_rng(4)
+    arrays = {
+        "model.scalar": np.array(2.5),
+        "model.transposed": rng.normal(size=(5, 3)).T,
+        "model.float32": rng.normal(size=(2, 3)).astype(np.float32),
+        "model.big-endian": rng.normal(size=(4, 2)).astype(">f8"),
+        "opt.step": np.array([3.0]),
+    }
+    config = {"model": TINY.to_dict(), "extra": {"epoch": 0}}
+    save_checkpoint(tmp_path / "new.dvoc", arrays, config)
+    oracles.save_checkpoint_previous(tmp_path / "old.dvoc", arrays, config)
+    assert (tmp_path / "new.dvoc").read_bytes() == (tmp_path / "old.dvoc").read_bytes()
 
 
 def test_checkpoint_bytes_deterministic(tmp_path):

@@ -42,8 +42,14 @@ What it runs, all seeded and on the `dynamic-room` scene:
   - the DPT head's kernels, the same way, on seeded maps with a leading
     axis of 2: `autodiff.conv3x3`, `autodiff.conv3x3_up2` and
     `autodiff.upsample_nearest` by 2 and by 4 (`op/upsample_nearest-k2`,
-    `-k4`). Sources without an op, or whose op takes no leading axes,
-    leave its item out
+    `-k4`); and the transformer's, on seeded tokens: `autodiff.layernorm`
+    (its input, scale and shift) and `autodiff.softmax` along the last and
+    the first axis (`op/softmax-axis-1`, `-axis0`). Sources without an op,
+    or whose op takes no leading axes, leave its item out
+  - `optim.AdamW`: 5 steps on three seeded parameters with seeded
+    gradients (`optim/adamw`), digesting the parameters and the state
+    (step count and moments). Sources whose step takes no gradients leave
+    it out
   - `geometry.quaternion_from_rotation` on seeded rotations: 5 by less
     than 90 degrees (positive trace) and 5 by about 170 degrees about each
     of x, y and z (negative trace, that axis's diagonal entry the largest)
@@ -62,7 +68,7 @@ What it runs, all seeded and on the `dynamic-room` scene:
     pair has one NaN pixel in its second image (the `TrainingDivergence`
     text, epoch and pair)
 
-On the current sources it prints 135 items: 82 digests and the 53
+On the current sources it prints 143 items: 86 digests and the 57
 `values/` entries beside them. It writes only to a temporary directory and
 takes about 6 s on a 2-core host.
 """
@@ -153,7 +159,7 @@ def _layer_parts(autodiff, build, shapes, lead, rng):
 
 
 def fingerprint(tmp: Path) -> dict:
-    from dvokit import autodiff, direct, formats, geometry, losses, nn, synth, train
+    from dvokit import autodiff, direct, formats, geometry, losses, nn, optim, synth, train
     from dvokit.model import load_checkpoint, toy_config
 
     # sources older than no_grad record the graph; the depth values are the same
@@ -246,13 +252,18 @@ def fingerprint(tmp: Path) -> dict:
     rotations = Rotation.from_rotvec(rotvecs).as_matrix()
     record("op/quaternion_from_rotation", np.array([geometry.quaternion_from_rotation(r) for r in rotations]))
 
-    # the DPT head's kernels, on maps with a leading axis of 2
+    # the DPT head's kernels, on maps with a leading axis of 2, and the
+    # transformer's layernorm and softmax
     conv_shapes = [(2, 6, 5, 7), (3, 3, 6, 4), (4,)]
+    softmax = getattr(autodiff, "softmax", None)
     kernels = {
         "conv3x3": (getattr(autodiff, "conv3x3", None), conv_shapes),
         "conv3x3_up2": (getattr(autodiff, "conv3x3_up2", None), conv_shapes),
         "upsample_nearest-k2": (lambda t: autodiff.upsample_nearest(t, 2), [(2, 3, 5, 6)]),
         "upsample_nearest-k4": (lambda t: autodiff.upsample_nearest(t, 4), [(2, 3, 5, 6)]),
+        "layernorm": (getattr(autodiff, "layernorm", None), [(2, 7, 24), (24,), (24,)]),
+        "softmax-axis-1": (softmax and (lambda t: softmax(t, axis=-1)), [(2, 4, 7, 7)]),
+        "softmax-axis0": (softmax and (lambda t: softmax(t, axis=0)), [(2, 4, 7, 7)]),
     }
     for name, (op, shapes) in kernels.items():
         item = f"op/{name}"
@@ -260,6 +271,20 @@ def fingerprint(tmp: Path) -> dict:
         parts = None if op is None else _op_parts(autodiff, op, [op_rng.normal(size=s) for s in shapes], op_rng)
         if parts is not None:
             record(item, *parts)
+
+    # AdamW, 5 steps on seeded parameters and gradients
+    opt_rng = np.random.default_rng(sum(map(ord, "optim/adamw")))
+    shapes = [(24, 12), (12,), (3, 3, 4, 5)]
+    params = [(f"p{i}", autodiff.Tensor(opt_rng.normal(size=s), requires_grad=True)) for i, s in enumerate(shapes)]
+    opt = optim.AdamW(params)
+    try:
+        for _ in range(5):
+            opt.step({name: opt_rng.normal(size=p.shape) for name, p in params})
+    except TypeError:  # a step that reads the gradients from the tensors
+        pass
+    else:
+        state = opt.state_arrays()
+        record("optim/adamw", *(p.data for _, p in params), *(state[key] for key in sorted(state)))
 
     def frozen_linear(rng):
         layer = nn.Linear(24, 12, rng)
