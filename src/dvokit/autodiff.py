@@ -41,6 +41,7 @@ __all__ = [
     "upsample_nearest",
     "conv3x3",
     "conv3x3_up2",
+    "ssim_moments",
     "ssim",
     "bilinear_sample",
     "softmax",
@@ -696,17 +697,23 @@ def _box3(x: np.ndarray) -> np.ndarray:
 _SSIM_C1, _SSIM_C2 = 0.01**2, 0.03**2
 
 
-def ssim(a: Tensor, b: Tensor) -> Tensor:
+def ssim_moments(a: np.ndarray) -> np.ndarray:
+    """a's filtered moments (mu_a, E[a*a]) as ``ssim`` filters them."""
+    return _box3(np.stack([a, a * a]))
+
+
+def ssim(a: Tensor, b: Tensor, moments_a: np.ndarray | None = None) -> Tensor:
     """Channel-mean SSIM map (H, W) of two (C, H, W) images, clamped to
     [-1, 1]: 3x3 window (``_box3``), C1 = 0.01^2, C2 = 0.03^2. The forward
-    pass filters the moments a, b, a*a, b*b, a*b as one stack; the backward
-    pass filters back, as one stack, the moment gradients that an input
-    requiring grad needs."""
+    pass filters the moments b, b*b, a*b as one stack (a's, unless given as
+    `moments_a`, as another); the backward pass filters back, as one stack,
+    the moment gradients that an input requiring grad needs."""
     a, b = _as_tensor(a), _as_tensor(b)
     if a.shape != b.shape or a.ndim != 3:
         raise ValueError(f"ssim expects two (C, H, W) tensors of one shape, got {a.shape} and {b.shape}")
     x, y = a.data, b.data
-    mu_a, mu_b, e_aa, e_bb, e_ab = _box3(np.stack([x, y, x * x, y * y, x * y]))
+    mu_a, e_aa = ssim_moments(x) if moments_a is None else moments_a
+    mu_b, e_bb, e_ab = _box3(np.stack([y, y * y, x * y]))
     var_a = e_aa - mu_a * mu_a
     var_b = e_bb - mu_b * mu_b
     cov = e_ab - mu_a * mu_b

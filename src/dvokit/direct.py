@@ -19,7 +19,7 @@ import numpy as np
 
 from .autodiff import EmptyValidSetError, Tensor, grads, replayed
 from .geometry import pose_distance, pose_from_twist, warp_depth
-from .losses import total_loss
+from .losses import PairObjective, total_loss
 from .optim import AdamW
 from .synth import FramePair
 
@@ -71,6 +71,10 @@ def optimize_direct(
     stationary point stays there. Reported errors compare the best iterate
     with the pair's ground truth (depth error on the final valid set).
 
+    Built once per call, as no iteration changes them: the pair's
+    ``losses.PairObjective``, in pose mode the depth Tensors with frame a's
+    point matrix and smoothness term, in depth mode the ground-truth Pose.
+
     Each iteration's loss and gradients run unchecked; one that raises or
     leaves either non-finite is replayed checked (``autodiff.replayed``),
     so the error names the op, or the variable whose gradient is not finite.
@@ -82,18 +86,20 @@ def optimize_direct(
 
     if mode == "pose":
         start = gt_twist if init_twist is None else np.asarray(init_twist, dtype=np.float64)
-        twist = Tensor(start.copy(), requires_grad=True)
-        log_a = Tensor(np.log(pair.gt_depth_a.values))
-        log_b = Tensor(np.log(pair.gt_depth_b.values))
-        variables = [("twist", twist)]
+        pose = Tensor(start.copy(), requires_grad=True)
+        depth_a, depth_b = (Tensor(np.log(d.values)).exp() for d in (pair.gt_depth_a, pair.gt_depth_b))
+        objective = PairObjective(pair, fixed_depth_a=depth_a)
+        variables = [("twist", pose)]
     else:
-        twist = Tensor(gt_twist)
+        pose = pose_from_twist(gt_twist)
         log_a = Tensor(np.full((h, w), math.log(init_depth)), requires_grad=True)
         log_b = Tensor(np.full((h, w), math.log(init_depth)), requires_grad=True)
+        objective = PairObjective(pair)
         variables = [("log_depth_a", log_a), ("log_depth_b", log_b)]
 
     def loss_and_grads():
-        bd = total_loss(pair, log_a.exp(), log_b.exp(), twist)
+        depths = (depth_a, depth_b) if mode == "pose" else (log_a.exp(), log_b.exp())
+        bd = total_loss(objective, *depths, pose)
         return bd, grads(bd.l_total, [var for _, var in variables])
 
     def tested(step):
@@ -131,12 +137,12 @@ def optimize_direct(
         curve=curve,
     )
     if mode == "pose":
-        rot, trans = pose_distance(pose_from_twist(twist.data), pair.gt_pose)
+        rot, trans = pose_distance(pose_from_twist(pose.data), pair.gt_pose)
         result.rot_err_deg, result.trans_err_m = rot, trans
     else:
         pred = np.exp(log_a.data)
         gt = pair.gt_depth_a.values
-        res = warp_depth(pred, pose_from_twist(twist.data), pair.intrinsics)
+        res = warp_depth(pred, pose, pair.intrinsics)
         if res.valid.any():
             # absolute scale is observable here (pose translation is metric),
             # so no median scaling: plain AbsRel over the valid set

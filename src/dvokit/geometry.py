@@ -202,19 +202,37 @@ _SKEW = np.cross(np.eye(3)[:, None], np.eye(3)).transpose(0, 2, 1).reshape(3, 9)
 
 
 def rotation_from_axis_angle(r: Tensor) -> Tensor:
-    """Rodrigues rotation from an axis-angle Tensor of shape (3,), with a
-    Taylor branch near zero; differentiable when `r` requires grad."""
-    theta_sq = (r * r).sum()
-    if theta_sq.item() < 1e-12:
-        # series in theta^2 keeps the gradient finite through the origin
-        a = 1.0 - theta_sq * (1.0 / 6.0) + theta_sq * theta_sq * (1.0 / 120.0)
-        b = 0.5 - theta_sq * (1.0 / 24.0) + theta_sq * theta_sq * (1.0 / 720.0)
+    """Rodrigues rotation I + a K + b K^2, K = [r]x, of an axis-angle Tensor
+    of shape (3,), as one graph node: with t = |r|, a = sin t / t and
+    b = (1 - cos t) / t^2, or below t^2 = 1e-12 their series in t^2, which
+    keeps the gradient finite through the origin. Forward and backward run
+    the arithmetic of the primitive-node composite it replaced
+    (``tests/oracles.py``) in its order, so they give its values bit for bit."""
+    x = r.data
+    t2 = (x * x).sum()
+    if t2 < 1e-12:
+        a = 1.0 - t2 * (1.0 / 6.0) + t2 * t2 * (1.0 / 120.0)
+        b = 0.5 - t2 * (1.0 / 24.0) + t2 * t2 * (1.0 / 720.0)
     else:
-        theta = theta_sq.sqrt()
-        a = theta.sin() / theta
-        b = (1.0 - theta.cos()) / theta_sq
-    k = (r.reshape(1, 3) @ Tensor(_SKEW)).reshape(3, 3)
-    return Tensor(np.eye(3)) + a * k + b * (k @ k)
+        t = np.sqrt(t2)
+        sin, cos = np.sin(t), np.cos(t)
+        a, b = sin / t, (1.0 - cos) / t2
+    k = (x.reshape(1, 3) @ _SKEW).reshape(3, 3)
+    kk = k @ k
+
+    def grad_fn(g):
+        g_a, g_b, g_kk = (g * k).sum(axis=(0, 1)), (g * kk).sum(axis=(0, 1)), g * b
+        g_k = g * a + g_kk @ np.swapaxes(k, -1, -2) + k.reshape(-1, 3).T @ g_kk.reshape(-1, 3)
+        # each sum in the order backpropagation through the composite adds it
+        if t2 < 1e-12:  # a's, then b's: the t2 term, then the t2 * t2 term once per factor
+            g_t2 = -g_a * (1.0 / 6.0) + g_a * (1.0 / 120.0) * t2 + g_a * (1.0 / 120.0) * t2
+            g_t2 = g_t2 + -g_b * (1.0 / 24.0) + g_b * (1.0 / 720.0) * t2 + g_b * (1.0 / 720.0) * t2
+        else:  # t: as sin t / t's divisor, through sin, through cos; t2: as b's divisor, through t
+            g_t = -g_a * sin / (t * t) + g_a / t * cos + g_b / t2 * sin
+            g_t2 = -g_b * (1.0 - cos) / (t2 * t2) + g_t / (2.0 * t)
+        return (g_t2 * x + g_t2 * x + (g_k.reshape(1, 9) @ np.swapaxes(_SKEW, -1, -2)).reshape(3),)  # r*r, then K
+
+    return Tensor._make(np.eye(3) + a * k + b * kk, (r,), grad_fn, "rotation_from_axis_angle")
 
 
 def pose_tensors(pose: Pose | Tensor) -> tuple[Tensor, Tensor]:
@@ -254,25 +272,30 @@ class WarpResult:
     valid: np.ndarray
 
 
-def warp_depth(depth: Tensor | np.ndarray, pose: Pose | Tensor, k: CameraIntrinsics) -> WarpResult:
+def ray_matrix(k: CameraIntrinsics) -> np.ndarray:
+    """(3, H*W) rays: the column for pixel (u, v) is ((u - cx)/fx, (v - cy)/fy, 1)."""
+    u, v = pixel_grid(k)
+    return np.stack([(u - k.cx) / k.fx, (v - k.cy) / k.fy, np.ones((k.height, k.width))]).reshape(3, -1)
+
+
+def warp_depth(depth: Tensor | np.ndarray, pose: Pose | Tensor, k: CameraIntrinsics, points=None) -> WarpResult:
     """Backproject each pixel, apply the relative pose, reproject into the target.
 
-    The pixels form one (3, H*W) point matrix: the constant ray matrix, whose
-    column for pixel (u, v) is ((u - cx)/fx, (v - cy)/fy, 1), times the
-    depth row. The pose maps it with one matmul, ``R @ P + t``, and the
-    projection is one broadcast multiply, divide and add over its x, y rows.
+    The pixels form one (3, H*W) point matrix: the ray matrix times the
+    depth row, or `points`, that matrix as the caller built it. The pose
+    maps it with one matmul, ``R @ P + t``, and the projection is one
+    broadcast multiply, divide and add over its x, y rows.
 
     `depth` is a Tensor (differentiable path) or an ndarray. `pose` is a Pose
     or a twist Tensor of shape (6,) (differentiable). Invalid pixels are
     masked, never raised.
     """
-    d = depth if isinstance(depth, Tensor) else Tensor(depth)
     r_t, t_t = pose_tensors(pose)
     h, w = k.height, k.width
-
-    u, v = pixel_grid(k)
-    rays = np.stack([(u - k.cx) / k.fx, (v - k.cy) / k.fy, np.ones((h, w))]).reshape(3, h * w)
-    points = r_t @ (Tensor(rays) * d.reshape(1, h * w)) + t_t.reshape(3, 1)
+    if points is None:
+        d = depth if isinstance(depth, Tensor) else Tensor(depth)
+        points = Tensor(ray_matrix(k)) * d.reshape(1, h * w)
+    points = r_t @ points + t_t.reshape(3, 1)
 
     z = points[2]
     front = z.data > _VALID_EPS

@@ -8,6 +8,10 @@ there. The self-discovered mask ``1 - depth_difference`` down-weights
 dynamic and occluded regions in the photometric term; it is
 gradient-stopped there so inflating the depth inconsistency can never zero
 the photometric loss.
+
+``PairObjective`` holds what no depth or pose changes, built once per pair;
+``total_loss`` builds one per call when handed a frame pair, so training
+and direct descent run one code path.
 """
 
 from __future__ import annotations
@@ -16,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import EmptyValidSetError, Tensor, ssim
-from .geometry import CameraIntrinsics, Pose, bilinear_sample, warp_depth
+from .autodiff import EmptyValidSetError, Tensor, ssim, ssim_moments
+from .geometry import Pose, bilinear_sample, ray_matrix, warp_depth
 
 
 @dataclass(frozen=True)
@@ -63,13 +67,20 @@ def depth_diff(d_hat: Tensor, d_sampled: Tensor) -> Tensor:
     return (d_hat - d_sampled).abs() / (d_hat + d_sampled)
 
 
-def photometric_loss(image: Tensor, synthesized: Tensor, weights: LossWeights = LossWeights()) -> Tensor:
+def photometric_loss(image: Tensor, synthesized: Tensor, weights: LossWeights = LossWeights(), moments=None) -> Tensor:
     """Per-pixel photometric map (H, W): the channel-mean L1 difference
-    blended with the SSIM dissimilarity (1 - SSIM)/2, weighted by lambda."""
+    blended with the SSIM dissimilarity (1 - SSIM)/2, weighted by lambda.
+    `moments` are ``ssim_moments`` of `image`, if the caller keeps them."""
     l1 = (image - synthesized).abs().mean(axis=0)
     lam = weights.lambda_ssim
-    dssim = (1.0 - ssim(image, synthesized)) * 0.5
+    dssim = (1.0 - ssim(image, synthesized, moments)) * 0.5
     return (1.0 - lam) * l1 + lam * dssim
+
+
+def edge_weights(image: np.ndarray) -> tuple[Tensor, Tensor]:
+    """exp(-|channel-mean image gradient|) along x and y, as constants: no
+    caller differentiates the image."""
+    return tuple(Tensor(np.exp(-np.abs(np.diff(image, axis=axis)).mean(axis=0))) for axis in (2, 1))
 
 
 def smoothness_loss(depth: Tensor, image: Tensor) -> Tensor:
@@ -78,19 +89,39 @@ def smoothness_loss(depth: Tensor, image: Tensor) -> Tensor:
     Forward differences along x and y; each term is
     (exp(-|channel-mean image gradient|) * depth gradient)^2 and the result is
     the mean over all interior terms of both directions. Normalizing by the
-    mean depth keeps the penalty scale-free. The edge weights are computed
-    in numpy: no caller differentiates the image, so none flows to it.
+    mean depth keeps the penalty scale-free.
     """
-    img = image.data
+    return smoothness(depth, edge_weights(image.data))
+
+
+def smoothness(depth: Tensor, edges: tuple[Tensor, Tensor]) -> Tensor:
+    """``smoothness_loss`` given the image's ``edge_weights``."""
     d = depth / depth.mean()
-    dx_d = d[:, 1:] - d[:, :-1]
-    dy_d = d[1:, :] - d[:-1, :]
-    edge_x = np.exp(-np.abs(img[:, :, 1:] - img[:, :, :-1]).mean(axis=0))
-    edge_y = np.exp(-np.abs(img[:, 1:, :] - img[:, :-1, :]).mean(axis=0))
-    term_x = (Tensor(edge_x) * dx_d) ** 2.0
-    term_y = (Tensor(edge_y) * dy_d) ** 2.0
-    n = term_x.size + term_y.size
-    return (term_x.sum() + term_y.sum()) / float(n)
+    term_x = (edges[0] * (d[:, 1:] - d[:, :-1])) ** 2.0
+    term_y = (edges[1] * (d[1:, :] - d[:-1, :])) ** 2.0
+    return (term_x.sum() + term_y.sum()) / float(term_x.size + term_y.size)
+
+
+class PairObjective:
+    """What ``total_loss`` needs of one pair that no depth or pose changes:
+    the image Tensors, ray matrix, edge weights and image a's SSIM moments;
+    for `fixed_depth_a`, a constant depth Tensor of frame a, also its point
+    matrix and smoothness term, used when ``total_loss`` gets that Tensor."""
+
+    def __init__(self, pair, fixed_depth_a: Tensor | None = None):
+        k = self.intrinsics = pair.intrinsics
+        want = (3, k.height, k.width)
+        for name in ("image_a", "image_b"):
+            if np.shape(getattr(pair, name)) != want:
+                raise ValueError(f"{name} has shape {np.shape(getattr(pair, name))}, the intrinsics need {want}")
+        self.image_a, self.image_b = Tensor(pair.image_a), Tensor(pair.image_b)
+        self.rays = Tensor(ray_matrix(k))
+        self.edges = edge_weights(self.image_a.data)
+        self.moments_a = ssim_moments(self.image_a.data)
+        self.fixed_depth_a = fixed_depth_a
+        if fixed_depth_a is not None:
+            self.fixed_points = self.rays * fixed_depth_a.reshape(1, -1)
+            self.fixed_l_s = smoothness(fixed_depth_a, self.edges)
 
 
 def total_loss(
@@ -103,9 +134,11 @@ def total_loss(
 ) -> LossBreakdown:
     """Full self-supervised objective for one frame pair.
 
-    `depth_a`/`depth_b` are the predicted depths of both frames (Tensor or
-    array); `pose` maps frame-a camera coordinates to frame b (Pose or twist
-    Tensor). Differentiable w.r.t. both depths and the twist.
+    `pair` is a frame pair or its ``PairObjective``, which a caller that
+    evaluates one pair many times builds once. `depth_a`/`depth_b` are the
+    predicted depths of both frames (Tensor or array); `pose` maps frame-a
+    camera coordinates to frame b (Pose or twist Tensor). Differentiable
+    w.r.t. both depths and the twist.
 
     The photometric weighting mask is gradient-stopped; `mask_override`
     substitutes a fixed mask array, which finite-difference audits use to
@@ -114,26 +147,23 @@ def total_loss(
     Images must be (3, H, W) and depths (H, W) at the intrinsics' size;
     anything else raises ValueError (sampling would clamp to the wrong image).
     """
-    k: CameraIntrinsics = pair.intrinsics
+    objective = pair if isinstance(pair, PairObjective) else PairObjective(pair)
+    k = objective.intrinsics
     d_a = depth_a if isinstance(depth_a, Tensor) else Tensor(depth_a)
     d_b = depth_b if isinstance(depth_b, Tensor) else Tensor(depth_b)
     hw = (k.height, k.width)
-    for name, shape, want in (
-        ("image_a", np.shape(pair.image_a), (3, *hw)),
-        ("image_b", np.shape(pair.image_b), (3, *hw)),
-        ("depth_a", d_a.shape, hw),
-        ("depth_b", d_b.shape, hw),
-    ):
-        if shape != want:
-            raise ValueError(f"{name} has shape {shape}, the intrinsics need {want}")
+    for name, shape in (("depth_a", d_a.shape), ("depth_b", d_b.shape)):
+        if shape != hw:
+            raise ValueError(f"{name} has shape {shape}, the intrinsics need {hw}")
+    fixed = d_a is objective.fixed_depth_a
 
-    warp = warp_depth(d_a, pose, k)
+    points = objective.fixed_points if fixed else objective.rays * d_a.reshape(1, -1)
+    warp = warp_depth(d_a, pose, k, points)
     valid = warp.valid
     if not valid.any():
         raise EmptyValidSetError("empty-valid-set")
 
-    image_a = Tensor(pair.image_a)
-    synthesized = bilinear_sample(Tensor(pair.image_b), warp.flow)
+    synthesized = bilinear_sample(objective.image_b, warp.flow)
     d_b_sampled = bilinear_sample(d_b.reshape(1, *hw), warp.flow[valid])[0]
 
     dd = depth_diff(warp.depth[valid], d_b_sampled)
@@ -145,9 +175,9 @@ def total_loss(
         # term by inflating the depth inconsistency
         m_s = (1.0 - dd).detach()
 
-    lp_map = photometric_loss(image_a, synthesized, weights)
+    lp_map = photometric_loss(objective.image_a, synthesized, weights, objective.moments_a)
     l_pm = (m_s * lp_map[valid]).mean()
-    l_s = smoothness_loss(d_a, image_a)
+    l_s = objective.fixed_l_s if fixed else smoothness(d_a, objective.edges)
     l_total = l_pm + weights.beta * l_g + weights.gamma * l_s
 
     d_map, m_map = np.zeros(hw), np.zeros(hw)

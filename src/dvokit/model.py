@@ -413,39 +413,45 @@ def save_checkpoint(path, arrays: dict[str, np.ndarray], config: dict) -> None:
 
 def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
     """(config, arrays by name); a malformed or truncated file raises
-    DataError naming `path`."""
-    raw = Path(path).read_bytes()
-    offset, end = 0, len(raw)
+    DataError naming `path`. Each array is read once, straight into its own
+    buffer."""
+    with open(path, "rb") as f:
+        size = end = f.seek(0, os.SEEK_END)
+        offset = f.seek(0)
 
-    def take(n: int) -> bytes:
-        nonlocal offset
-        if offset + n > end:
-            raise DataError(f"checkpoint {path} is truncated ({len(raw)} bytes)")
-        offset += n
-        return raw[offset - n : offset]
+        def take(n: int) -> int:  # n, once the n bytes from offset are known to be there
+            nonlocal offset
+            if offset + n > end:
+                raise DataError(f"checkpoint {path} is truncated ({size} bytes)")
+            offset += n
+            return n
 
-    def u32(count: int = 1) -> tuple[int, ...]:
-        return struct.unpack(f"<{count}I", take(4 * count))
+        def u32(count: int = 1) -> tuple[int, ...]:
+            return struct.unpack(f"<{count}I", f.read(take(4 * count)))
 
-    if take(4) != _MAGIC:
-        raise DataError(f"{path} is not a checkpoint (bad magic)")
-    (version,) = u32()
-    if version != _VERSION:
-        raise DataError(f"unsupported checkpoint version {version} in {path}")
-    end -= 8
-    if end < offset or raw[end : end + 4] != _END_MAGIC:
-        raise DataError(f"checkpoint {path} is truncated ({len(raw)} bytes): no end marker")
-    (count,) = struct.unpack("<I", raw[end + 4 :])
-    try:
-        config = json.loads(take(u32()[0]).decode("utf-8"))
-        arrays: dict[str, np.ndarray] = {}
-        while offset < end:
-            name = take(u32()[0]).decode("utf-8")
-            shape = u32(u32()[0])
-            data = np.frombuffer(take(8 * math.prod(shape)), dtype="<f8")
-            arrays[name] = data.reshape(shape).astype(np.float64)
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
-        raise DataError(f"malformed checkpoint {path}: {e}") from e
+        if f.read(take(4)) != _MAGIC:
+            raise DataError(f"{path} is not a checkpoint (bad magic)")
+        (version,) = u32()
+        if version != _VERSION:
+            raise DataError(f"unsupported checkpoint version {version} in {path}")
+        end -= 8
+        f.seek(max(end, offset))
+        footer = f.read(8)
+        if end < offset or footer[:4] != _END_MAGIC:
+            raise DataError(f"checkpoint {path} is truncated ({size} bytes): no end marker")
+        (count,) = struct.unpack("<I", footer[4:])
+        f.seek(offset)
+        try:
+            config = json.loads(f.read(take(u32()[0])).decode("utf-8"))
+            arrays: dict[str, np.ndarray] = {}
+            while offset < end:
+                name = f.read(take(u32()[0])).decode("utf-8")
+                shape = u32(u32()[0])
+                take(8 * math.prod(shape))  # before allocating: a malformed shape can be huge
+                arrays[name] = np.empty(shape, dtype="<f8")
+                f.readinto(arrays[name])
+        except (UnicodeDecodeError, json.JSONDecodeError) as e:
+            raise DataError(f"malformed checkpoint {path}: {e}") from e
     if len(arrays) != count:
         raise DataError(f"checkpoint {path} holds {len(arrays)} arrays, its footer says {count}")
     return config, arrays

@@ -65,7 +65,9 @@ class AdamW:
         return {name: value.copy() for name, value in self.state_views().items()}
 
     def load_state_arrays(self, arrays: dict[str, np.ndarray]) -> None:
+        """Take the step count and adopt the moment arrays, without a copy:
+        the next step changes them in place."""
         self.step_count = int(arrays["opt.step"][0])
         for name, _ in self.params:
-            self._m[name] = np.array(arrays[f"opt.m.{name}"])
-            self._v[name] = np.array(arrays[f"opt.v.{name}"])
+            self._m[name] = arrays[f"opt.m.{name}"]
+            self._v[name] = arrays[f"opt.v.{name}"]

@@ -19,7 +19,7 @@ import numpy as np
 from dvokit import autodiff as ad
 from dvokit import model as model_module
 from dvokit.autodiff import Tensor, grads
-from dvokit.geometry import CameraIntrinsics, Pose
+from dvokit.geometry import _SKEW, CameraIntrinsics, Pose
 from dvokit.synth import Frame, FramePair, Scene, make_pair, render
 
 SSIM_C1 = 0.01**2
@@ -219,6 +219,22 @@ def bilinear_sample_composite(img, coords, tol):
     top = img[:, y0, x0] * wx1 + img[:, y0, x0 + 1] * wx
     bot = img[:, y0 + 1, x0] * wx1 + img[:, y0 + 1, x0 + 1] * wx
     return top * (1.0 - wy) + bot * wy
+
+
+def rotation_from_axis_angle_composite(r):
+    """Rodrigues rotation I + a K + b K^2, K = [r]x, from primitive nodes,
+    with the Taylor branch below |r|^2 = 1e-12."""
+    theta_sq = (r * r).sum()
+    if theta_sq.item() < 1e-12:
+        # series in theta^2 keeps the gradient finite through the origin
+        a = 1.0 - theta_sq * (1.0 / 6.0) + theta_sq * theta_sq * (1.0 / 120.0)
+        b = 0.5 - theta_sq * (1.0 / 24.0) + theta_sq * theta_sq * (1.0 / 720.0)
+    else:
+        theta = theta_sq.sqrt()
+        a = theta.sin() / theta
+        b = (1.0 - theta.cos()) / theta_sq
+    k = (r.reshape(1, 3) @ Tensor(_SKEW)).reshape(3, 3)
+    return Tensor(np.eye(3)) + a * k + b * (k @ k)
 
 
 def linear_composite(x, weight, bias):

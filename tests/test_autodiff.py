@@ -6,6 +6,7 @@ import pytest
 from dvokit import autodiff as ad
 from dvokit import nn
 from dvokit.autodiff import Tensor
+from dvokit.geometry import rotation_from_axis_angle
 
 import oracles
 from oracles import finite_diff_check
@@ -370,6 +371,13 @@ def _coords_on_grid(_rng):
     )
 
 
+def _rotvec_in_the_series(rng):
+    """An axis-angle vector of |r| = 1e-7, in the Taylor branch of
+    `rotation_from_axis_angle` (|r|^2 < 1e-12); differences of 1e-5 leave it."""
+    axis = rng.normal(size=3)
+    return axis / np.linalg.norm(axis) * 1e-7
+
+
 def _frozen(op, frozen):
     """`op` with its input number `frozen` a constant (a frozen weight, or a
     projection that needs no gradient)."""
@@ -416,6 +424,10 @@ FUSED_OPS = {
     "bilinear_sample-on-grid": (
         ad.bilinear_sample, oracles.bilinear_sample_composite, [(2, 5, 6), _coords_on_grid], {"tol": 1e-9}
     ),
+    "rotation_from_axis_angle": (rotation_from_axis_angle, oracles.rotation_from_axis_angle_composite, [(3,)], {}),
+    "rotation_from_axis_angle-taylor": (
+        rotation_from_axis_angle, oracles.rotation_from_axis_angle_composite, [_rotvec_in_the_series], {}
+    ),
 }
 
 FUSED_FD_CASES = [
@@ -432,6 +444,7 @@ FUSED_FD_CASES = [
     ("layernorm", 0), ("layernorm", 1), ("layernorm", 2),
     ("softmax-axis-1", 0), ("softmax-axis0", 0),
     ("ssim", 0), ("ssim", 1), ("bilinear_sample", 0), ("bilinear_sample", 1),
+    ("rotation_from_axis_angle", 0), ("rotation_from_axis_angle-taylor", 0),
 ]
 
 
@@ -564,7 +577,7 @@ def test_fused_layers_check_their_operands():
 def test_fused_op_traps_nan_input_in_checked_mode(name):
     op, _, shapes, kwargs = FUSED_OPS[name]
     inputs = [shape(np.random.default_rng(0)) if callable(shape) else np.ones(shape) for shape in shapes]
-    inputs[0][0, 0] = np.nan
+    inputs[0][(0, 0)[: inputs[0].ndim]] = np.nan  # [0, 0], or [0] of a vector
     tensors = [Tensor(a, requires_grad=True) for a in inputs]
     op_name = name.split("-")[0]
     with pytest.raises(ad.NonFiniteError, match=f"'{op_name}'"):

@@ -1,12 +1,16 @@
 import dataclasses
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from dvokit import autodiff as ad
+from dvokit import geometry, losses
 from dvokit.autodiff import EmptyValidSetError, Tensor, grads
+from dvokit.direct import optimize_direct
 from dvokit.losses import (
     LossWeights,
+    PairObjective,
     depth_diff,
     photometric_loss,
     smoothness_loss,
@@ -335,18 +339,60 @@ def test_total_loss_gradient_wrt_depths_fd(static_pair_16):
 
 
 def test_total_loss_graph_node_count(static_pair_32):
-    # the direct route's graph: leaf log-depths of both frames and a twist
-    # leaf. 80 nodes; 138 before SSIM and bilinear sampling became one node
-    # each and the smoothness edge weights constants, 139 before the terms
-    # picked the valid pixels by index, 172 before the warp ran as one
-    # (3, H*W) point matrix, one matmul rotation and one Rodrigues with a
-    # matmul skew matrix
+    # leaf log-depths of both frames and a twist leaf: 65 nodes; 80 before
+    # the Rodrigues rotation became one node, 138 before SSIM and bilinear
+    # sampling became one node each and the smoothness edge weights
+    # constants, 139 before the terms picked the valid pixels by index, 172
+    # before the warp ran as one (3, H*W) point matrix, one matmul rotation
+    # and one Rodrigues with a matmul skew matrix
     pair = static_pair_32
     log_a = Tensor(np.log(pair.gt_depth_a.values), requires_grad=True)
     log_b = Tensor(np.log(pair.gt_depth_b.values), requires_grad=True)
     twist = Tensor(pair.gt_pose.twist() + 0.01, requires_grad=True)
     loss = total_loss(pair, log_a.exp(), log_b.exp(), twist).l_total
-    assert len(ad.Tape.trace(loss).nodes) <= 80
+    assert len(ad.Tape.trace(loss).nodes) <= 65
+
+
+def test_pose_mode_graph_node_count(static_pair_32):
+    # direct pose descent's graph, a twist leaf with both depths constant:
+    # 41 nodes; 56 before the Rodrigues rotation became one node
+    pair = static_pair_32
+    depth_a, depth_b = (Tensor(np.log(d.values)).exp() for d in (pair.gt_depth_a, pair.gt_depth_b))
+    twist = Tensor(pair.gt_pose.twist() + 0.01, requires_grad=True)
+    loss = total_loss(PairObjective(pair, fixed_depth_a=depth_a), depth_a, depth_b, twist).l_total
+    assert len(ad.Tape.trace(loss).nodes) <= 41
+
+
+@pytest.mark.parametrize(
+    "mode,builders",
+    [
+        ("pose", ["ray_matrix", "edge_weights", "ssim_moments", "smoothness", "exp"]),
+        ("depth", ["ray_matrix", "edge_weights", "ssim_moments", "rotation_from_axis_angle"]),
+    ],
+)
+def test_direct_descent_builds_each_problem_constant_once(static_pair_32, monkeypatch, mode, builders):
+    # what no iteration changes (in pose mode the exp of both fixed depths
+    # and frame a's smoothness term, in depth mode the fixed pose's rotation)
+    # is built by the set-up alone, so 2 and 5 iterations build it alike
+    owners = {"exp": Tensor, "rotation_from_axis_angle": geometry}
+    calls = Counter()
+    for name in builders:
+        owner = owners.get(name, losses)
+
+        def counted(*args, _name=name, _original=getattr(owner, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    def count(iters):
+        calls.clear()
+        optimize_direct(static_pair_32, mode, iters=iters)
+        return dict(calls)
+
+    builds = count(2)
+    assert set(builds) == set(builders)
+    assert count(5) == builds
 
 
 @pytest.mark.parametrize("pair_fixture", ["static_pair_32", "static_pair_64"])

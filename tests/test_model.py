@@ -329,12 +329,14 @@ def test_forward_dvo_matches_the_per_frame_reference(head_kind, static_pair_32):
 
 @pytest.mark.parametrize(
     "pair_fixture,head_kind,bound",
-    [("static_pair_32", "linear", 442), ("static_pair_64", "dpt", 534)],
+    [("static_pair_32", "linear", 423), ("static_pair_64", "dpt", 515)],
 )
 def test_finetune_loss_graph_node_count(pair_fixture, head_kind, bound, request):
-    # one finetune loss is 442 (32 px, linear head) and 534 (64 px, DPT
+    # one finetune loss is 423 (32 px, linear head) and 515 (64 px, DPT
     # head) nodes with both frames batched through encoder, decoder and
-    # depth head; one-node linear layers and attention took 203 off 645
+    # depth head; the one-node Rodrigues rotation took 19 off 442 and 534
+    # (the twist is zero at init, where the composite took its 20-node
+    # series branch), one-node linear layers and attention took 203 off 645
     # and 206 off 740, one-node SSIM and bilinear sampling 58 off 703 and
     # 798, picking the valid pixels by index in the loss 1 off 704 and 799,
     # the warp as matrix algebra 33 off 737 and 832, and per-frame graphs

@@ -53,6 +53,10 @@ What it runs, all seeded and on the `dynamic-room` scene:
   - `geometry.quaternion_from_rotation` on seeded rotations: 5 by less
     than 90 degrees (positive trace) and 5 by about 170 degrees about each
     of x, y and z (negative trace, that axis's diagonal entry the largest)
+  - `geometry.rotation_from_axis_angle` on seeded axes at |r| = 1e-7
+    (the Taylor branch), 0, 0.3 and 1.5 (`op/rotation_from_axis_angle-taylor`,
+    `-zero`, `-0.3`, `-1.5`): the rotation and the gradient of a weighted
+    sum of it
   - the `nn` layers that run on the fused `autodiff.linear` and
     `autodiff.attention`: `SelfAttention`, `CrossAttention`, `Linear` (its
     weight trained and frozen), `Conv1x1` (to 12 channels, and to 1 as
@@ -68,7 +72,7 @@ What it runs, all seeded and on the `dynamic-room` scene:
     pair has one NaN pixel in its second image (the `TrainingDivergence`
     text, epoch and pair)
 
-On the current sources it prints 143 items: 86 digests and the 57
+On the current sources it prints 151 items: 90 digests and the 61
 `values/` entries beside them. It writes only to a temporary directory and
 takes about 6 s on a 2-core host.
 """
@@ -251,6 +255,15 @@ def fingerprint(tmp: Path) -> dict:
         rotvecs += [v / np.linalg.norm(v) * np.radians(rng.uniform(165.0, 175.0)) for v in tilted]
     rotations = Rotation.from_rotvec(rotvecs).as_matrix()
     record("op/quaternion_from_rotation", np.array([geometry.quaternion_from_rotation(r) for r in rotations]))
+
+    # the Rodrigues rotation on both branches: the series below |r|^2 = 1e-12
+    # (at |r| = 1e-7 and at zero) and the closed form above it
+    for name, norm in (("taylor", 1e-7), ("zero", 0.0), ("0.3", 0.3), ("1.5", 1.5)):
+        item = f"op/rotation_from_axis_angle-{name}"
+        op_rng = np.random.default_rng(sum(map(ord, item)))
+        axis = op_rng.normal(size=3)
+        rotvec = axis / np.linalg.norm(axis) * norm
+        record(item, *_op_parts(autodiff, geometry.rotation_from_axis_angle, [rotvec], op_rng))
 
     # the DPT head's kernels, on maps with a leading axis of 2, and the
     # transformer's layernorm and softmax
