@@ -46,6 +46,7 @@ __all__ = [
     "bilinear_sample",
     "softmax",
     "linear",
+    "gelu_linear",
     "attention",
     "layernorm",
     "backward",
@@ -139,6 +140,27 @@ def replayed(fn: Callable[[], _Result], tested: Callable[[_Result], Mapping[str,
 def _verify_finite(data: np.ndarray, op: str) -> None:
     if not np.isfinite(data).all():
         raise NonFiniteError(f"non-finite value produced by op '{op}'")
+
+
+# GELU's kernels, in place, in the order of 0.5 * (1 + erf(x / sqrt 2)) and
+# g * (cdf + x * exp(-0.5 * x * x) / sqrt(2 pi)); each result has x's layout
+def _gelu_cdf(x: np.ndarray) -> np.ndarray:
+    cdf = x * _INV_SQRT2
+    _erf(cdf, out=cdf)
+    cdf += 1.0
+    cdf *= 0.5
+    return cdf
+
+
+def _gelu_grad(x: np.ndarray, cdf: np.ndarray, g: np.ndarray) -> np.ndarray:
+    d = x * -0.5
+    d *= x
+    np.exp(d, out=d)
+    d *= _INV_SQRT2PI
+    d *= x
+    d += cdf
+    d *= g
+    return d
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -306,23 +328,10 @@ class Tensor:
         out = np.exp(a.data)
         return Tensor._make(out, (a,), lambda g: (g * out,), "exp")
 
-    def sqrt(self):
-        a = self
-        out = np.sqrt(a.data)
-        return Tensor._make(out, (a,), lambda g: (g / (2.0 * out),), "sqrt")
-
     def abs(self):
         a = self
         # subgradient at 0 is 0 (np.sign(0) == 0)
         return Tensor._make(np.abs(a.data), (a,), lambda g: (g * np.sign(a.data),), "abs")
-
-    def sin(self):
-        a = self
-        return Tensor._make(np.sin(a.data), (a,), lambda g: (g * np.cos(a.data),), "sin")
-
-    def cos(self):
-        a = self
-        return Tensor._make(np.cos(a.data), (a,), lambda g: (-g * np.sin(a.data),), "cos")
 
     def sigmoid(self):
         a = self
@@ -337,25 +346,8 @@ class Tensor:
     def gelu(self):
         """Exact (erf-based) GELU."""
         a = self
-        # in place, in the order of 0.5 * (1 + erf(x / sqrt 2)) and
-        # g * (cdf + x * exp(-0.5 * x * x) / sqrt(2 pi))
-        cdf = a.data * _INV_SQRT2
-        _erf(cdf, out=cdf)
-        cdf += 1.0
-        cdf *= 0.5
-        out = a.data * cdf
-
-        def grad_fn(g):
-            d = a.data * -0.5
-            d *= a.data
-            np.exp(d, out=d)
-            d *= _INV_SQRT2PI
-            d *= a.data
-            d += cdf
-            d *= g
-            return (d,)
-
-        return Tensor._make(out, (a,), grad_fn, "gelu")
+        cdf = _gelu_cdf(a.data)
+        return Tensor._make(a.data * cdf, (a,), lambda g: (_gelu_grad(a.data, cdf, g),), "gelu")
 
     # ---- reductions ---------------------------------------------------------------
 
@@ -606,20 +598,21 @@ def conv3x3(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     """3x3 convolution of a (..., C, H, W) map, zero padded, stride 1.
 
     `weight` is (3, 3, C, C_out) and `bias` is (C_out,). The forward pass is
-    one GEMM per map over its im2col rows. The backward pass keeps only the
-    padded input, not the nine times larger im2col matrix: it rebuilds each
-    tap's rows from it for that tap's weight gradient GEMM, and folds each
-    tap's column gradient back onto the input (col2im) one tap at a time.
+    one GEMM per map over its im2col rows. The node keeps only its operands:
+    the backward pass pads the input again, channel-major, and rebuilds
+    each tap's rows from that copy for the tap's weight gradient GEMM (not
+    the nine times larger im2col matrix), then folds each tap's column
+    gradient back onto the input (col2im) one tap at a time.
     """
     x, weight, bias, lead, c, h, w, c_out = _conv_operands("conv3x3", x, weight, bias)
     n = math.prod(lead)
-    xp = _pad_channel_major(x.data, n, c, h, w)
     w2 = weight.data.reshape(9 * c, c_out)
-    out = _taps_forward(xp, w2, _TAPS_3X3, h, w)
+    out = _taps_forward(_pad_channel_major(x.data, n, c, h, w), w2, _TAPS_3X3, h, w)
     out += bias.data[:, None]
 
     def grad_fn(g):
         g2 = g.reshape(n, c_out, h * w).transpose(1, 0, 2).reshape(c_out, n * h * w)
+        xp = _pad_channel_major(x.data, n, c, h, w)
         gxp = np.zeros_like(xp)
         gw = _taps_backward(xp, w2, _TAPS_3X3, g2, gxp, h, w)
         return _unpad_channel_major(gxp, lead, c, h, w), gw.reshape(weight.shape), g2.sum(axis=1)
@@ -651,14 +644,19 @@ def conv3x3_up2(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     convolution, arXiv 1609.05158). One im2col GEMM per phase and map
     writes that phase's strided slots of the output: 4 instead of 9
     multiply-adds per output pixel and channel pair, and neither the
-    upsampled map nor its im2col matrix is built. The backward pass keeps only the padded coarse
-    input, as `conv3x3` does, and folds the phase-kernel gradients back onto
-    the 3x3 weight.
+    upsampled map nor its im2col matrix is built. The node keeps only its
+    operands, as `conv3x3` does: the backward pass rebuilds the padded
+    coarse input and the phase kernels, and folds the phase-kernel
+    gradients back onto the 3x3 weight.
     """
     x, weight, bias, lead, c, h, w, c_out = _conv_operands("conv3x3_up2", x, weight, bias)
     n = math.prod(lead)
-    xp = _pad_channel_major(x.data, n, c, h, w)
-    kernels = (_UP2_FOLD @ weight.data.reshape(9, c * c_out)).reshape(4, 4 * c, c_out)
+
+    def operands():  # the padded coarse maps and the four phase kernels
+        kernels = _UP2_FOLD @ weight.data.reshape(9, c * c_out)
+        return _pad_channel_major(x.data, n, c, h, w), kernels.reshape(4, 4 * c, c_out)
+
+    xp, kernels = operands()
     out = np.empty((n, c_out, 2 * h, 2 * w))
     for ((py, px), taps), k2 in zip(_UP2_PHASES, kernels):
         phase = _taps_forward(xp, k2, taps, h, w)
@@ -670,6 +668,7 @@ def conv3x3_up2(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
         # one copy into (phase row, phase column, C_out, n, H, W), so each
         # phase's (C_out, n*H*W) gradient is a contiguous block
         phases = g.reshape(n, c_out, h, 2, w, 2).transpose(3, 5, 1, 0, 2, 4).copy()
+        xp, kernels = operands()
         gxp = np.zeros_like(xp)
         gk = np.empty((4, 4, c, c_out))
         for i, (((py, px), taps), k2) in enumerate(zip(_UP2_PHASES, kernels)):
@@ -796,37 +795,73 @@ def softmax(t: Tensor, axis: int = -1) -> Tensor:
     return Tensor._make(out, (t,), lambda g: (_softmax_grad(out, g, axis),), "softmax")
 
 
+def _linear_operands(op: str, x, weight, bias):
+    x, weight, bias = _as_tensor(x), _as_tensor(weight), _as_tensor(bias)
+    if x.ndim < 2 or weight.ndim != 2 or x.shape[-1] != weight.shape[0] or bias.shape != weight.shape[1:]:
+        raise ValueError(
+            f"{op} expects (..., D), (D, D') and (D',), got {x.shape}, {weight.shape} and {bias.shape}"
+        )
+    return x, weight, bias
+
+
+def _linear_input_grad(x: np.ndarray, weight: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """``g @ weight.T`` in the layout of ``x``, so that the gradient handed
+    on to the op before a transposed view (last two axes swapped, as
+    `nn.Conv1x1` projects channel-major maps) is a contiguous map, not one
+    strided by D: one broadcast product at D' = 1, else ``W @ g^T`` swapped.
+    Each element is the sum of the same D' products as ``g @ W.T``, bit for
+    bit."""
+    if weight.shape[1] == 1:
+        return np.multiply(g, weight[:, 0], out=np.empty_like(x))
+    if not x.flags.c_contiguous and np.swapaxes(x, -1, -2).flags.c_contiguous:
+        return np.swapaxes(weight @ np.swapaxes(g, -1, -2), -1, -2)
+    return g @ weight.T
+
+
 def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     """``x @ weight + bias`` for (..., D) rows, a (D, D') weight and a (D',)
     bias, as one node. The backward pass runs the GEMMs of the matmul and
     add nodes it replaced: the weight gradient is one GEMM over every
-    leading row of ``x``.
-
-    When ``x`` is a transposed view (its last two axes swapped, as
-    `nn.Conv1x1` projects channel-major maps), the input gradient comes back
-    in that layout, ``W @ g^T`` swapped, so the gradient handed on to the op
-    before is a contiguous map rather than one strided by D. Each element
-    is still the sum of the same D' products (one product at D' = 1, the
-    `head_out` case); tests hold it to ``g @ W.T`` bit for bit."""
-    x, weight, bias = _as_tensor(x), _as_tensor(weight), _as_tensor(bias)
-    if x.ndim < 2 or weight.ndim != 2 or x.shape[-1] != weight.shape[0] or bias.shape != weight.shape[1:]:
-        raise ValueError(
-            f"linear expects (..., D), (D, D') and (D',), got {x.shape}, {weight.shape} and {bias.shape}"
-        )
+    leading row of ``x``, the input gradient comes back in ``x``'s layout
+    (`_linear_input_grad`)."""
+    x, weight, bias = _linear_operands("linear", x, weight, bias)
     out = x.data @ weight.data
     out += bias.data
 
     def grad_fn(g):
-        if not x.requires_grad:
-            gx = None
-        elif not x.data.flags.c_contiguous and np.swapaxes(x.data, -1, -2).flags.c_contiguous:
-            gx = np.swapaxes(weight.data @ np.swapaxes(g, -1, -2), -1, -2)
-        else:
-            gx = g @ weight.data.T
+        gx = _linear_input_grad(x.data, weight.data, g) if x.requires_grad else None
         gw = x.data.reshape(-1, x.shape[-1]).T @ g.reshape(-1, g.shape[-1]) if weight.requires_grad else None
         return gx, gw, _unbroadcast(g, bias.shape) if bias.requires_grad else None
 
     return Tensor._make(out, (x, weight, bias), grad_fn, "linear")
+
+
+_GELU_LINEAR_ROWS = 1024
+
+
+def gelu_linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
+    """``linear(x.gelu(), weight, bias)`` as one node that keeps GELU's cdf
+    but not the activation: the forward pass forms it 1024 rows (axis -2)
+    at a time for the GEMM, the backward pass again, in ``x``'s layout, for
+    the weight gradient, and takes the input gradient through GELU's
+    derivative in that layout too. Output and gradients are the composite's,
+    bit for bit. Every GELU of the model that feeds a projection runs it."""
+    x, weight, bias = _linear_operands("gelu_linear", x, weight, bias)
+    cdf = _gelu_cdf(x.data)
+    out = np.empty((*x.shape[:-1], weight.shape[1]))
+    for r in range(0, x.shape[-2], _GELU_LINEAR_ROWS):
+        rows = slice(r, r + _GELU_LINEAR_ROWS)
+        np.matmul(x.data[..., rows, :] * cdf[..., rows, :], weight.data, out=out[..., rows, :])
+    out += bias.data
+
+    def grad_fn(g):
+        gw = None
+        if weight.requires_grad:  # first, so the activation and its token-major copy are gone before gx
+            gw = (x.data * cdf).reshape(-1, x.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+        gx = _gelu_grad(x.data, cdf, _linear_input_grad(x.data, weight.data, g)) if x.requires_grad else None
+        return gx, gw, _unbroadcast(g, bias.shape) if bias.requires_grad else None
+
+    return Tensor._make(out, (x, weight, bias), grad_fn, "gelu_linear")
 
 
 def _head_slots(packed: np.ndarray, dim: int, heads: int) -> np.ndarray:

@@ -116,7 +116,7 @@ class LinearDepthHead(nn.Module):
         self._cfg = cfg
 
     def __call__(self, blocks: list[Tensor], rows: int, cols: int) -> Tensor:
-        raw = self.fc2(self.fc1(self.norm(blocks[-1])).gelu())
+        raw = ad.gelu_linear(self.fc1(self.norm(blocks[-1])), self.fc2.weight, self.fc2.bias)
         grid = unpatchify_map(raw, rows, cols)
         return depth_from_raw(grid, self._cfg.min_depth, self._cfg.max_depth)
 
@@ -134,7 +134,10 @@ class DptDepthHead(nn.Module):
     nearest upsampling, then upsampled x2 to full image resolution by
     `head_conv`, a 3x3 conv to 128 channels. That conv runs polyphase
     (`ad.conv3x3_up2`): the same function as upsampling and then convolving,
-    at a quarter of the pixels.
+    at a quarter of the pixels. GELU and `head_out`, the 1x1 projection to
+    one channel, are one ``ad.gelu_linear`` node on the swapped channel view
+    `nn.Conv1x1` projects, which keeps the full-resolution map and GELU's
+    cdf but not the activation.
     """
 
     def __init__(self, cfg: ModelConfig, rng):
@@ -170,8 +173,9 @@ class DptDepthHead(nn.Module):
         x = self.fuse[0](ad.upsample_nearest(x, 2) + feats[0])
         # the fused map has 4 px per token, half of PATCH = 8: one x2 step left
         x = ad.conv3x3_up2(x, self.head_conv.weight, self.head_conv.bias)
-        raw = self.head_out(x.gelu())[..., 0, :, :]
-        return depth_from_raw(raw, self._cfg.min_depth, self._cfg.max_depth)
+        *lead, c, h, w = x.shape
+        raw = ad.gelu_linear(nn._swap_last(x.reshape(*lead, c, h * w)), self.head_out.weight, self.head_out.bias)
+        return depth_from_raw(raw.reshape(*lead, h, w), self._cfg.min_depth, self._cfg.max_depth)
 
 
 class PoseHead(nn.Module):
@@ -205,7 +209,7 @@ class PixelHead(nn.Module):
         self.fc2 = nn.Linear(128, PATCH**2 * 3, rng)
 
     def __call__(self, tokens: Tensor) -> Tensor:
-        return self.fc2(self.fc1(self.norm(tokens)).gelu())
+        return ad.gelu_linear(self.fc1(self.norm(tokens)), self.fc2.weight, self.fc2.bias)
 
 
 # ---- the model -------------------------------------------------------------------------

@@ -76,7 +76,7 @@ class Mlp(Module):
         self.fc2 = Linear(hidden, dim, rng)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return self.fc2(self.fc1(x).gelu())
+        return ad.gelu_linear(self.fc1(x), self.fc2.weight, self.fc2.bias)
 
 
 class AdaptMlp(Module):

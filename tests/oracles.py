@@ -1,7 +1,8 @@
 """Independent reference implementations used to freeze expected test values.
 
 Everything here is deliberately loop-based and separate from the library's
-vectorized code paths, except the composites, the per-frame forward and the
+vectorized code paths, except the pointwise sqrt, sin and cos nodes that
+no library code calls, the composites, the per-frame forward and the
 previous kernels at the end: the fused autodiff ops are checked against
 composites built from primitive Tensor ops, the batched two-frame forward
 against one built from unbatched calls, and the kernels of the training hot
@@ -37,7 +38,8 @@ def finite_diff_check(
     of ``|analytic - numeric| / max(1, |analytic|, |numeric|)``. ``f`` must
     be deterministic and scalar-valued.
     """
-    x0 = np.array(x.data if isinstance(x, Tensor) else x, dtype=np.float64)
+    # C order, so that `flat` below is a view of x0 whatever the layout of x
+    x0 = np.array(x.data if isinstance(x, Tensor) else x, dtype=np.float64, order="C")
     leaf = Tensor(x0.copy(), requires_grad=True)
     analytic = grads(f(leaf), [leaf])[0].reshape(-1)
 
@@ -119,6 +121,22 @@ def depth_metrics_reference(pred: np.ndarray, gt: np.ndarray):
     return abs_rel, rmse, tuple(deltas)
 
 
+# ---- pointwise nodes with no caller in the library --------------------------------------
+
+
+def sqrt(t):
+    out = np.sqrt(t.data)
+    return Tensor._make(out, (t,), lambda g: (g / (2.0 * out),), "sqrt")
+
+
+def sin(t):
+    return Tensor._make(np.sin(t.data), (t,), lambda g: (g * np.cos(t.data),), "sin")
+
+
+def cos(t):
+    return Tensor._make(np.cos(t.data), (t,), lambda g: (-g * np.sin(t.data),), "cos")
+
+
 # ---- composites the fused autodiff ops replaced ---------------------------------------
 
 
@@ -168,7 +186,7 @@ def layernorm_composite(t, gamma, beta, eps=1e-5):
     mu = t.mean(axis=-1, keepdims=True)
     centred = t - mu
     var = (centred * centred).mean(axis=-1, keepdims=True)
-    normed = centred / (var + eps).sqrt()
+    normed = centred / sqrt(var + eps)
     return normed * gamma + beta
 
 
@@ -230,9 +248,9 @@ def rotation_from_axis_angle_composite(r):
         a = 1.0 - theta_sq * (1.0 / 6.0) + theta_sq * theta_sq * (1.0 / 120.0)
         b = 0.5 - theta_sq * (1.0 / 24.0) + theta_sq * theta_sq * (1.0 / 720.0)
     else:
-        theta = theta_sq.sqrt()
-        a = theta.sin() / theta
-        b = (1.0 - theta.cos()) / theta_sq
+        theta = sqrt(theta_sq)
+        a = sin(theta) / theta
+        b = (1.0 - cos(theta)) / theta_sq
     k = (r.reshape(1, 3) @ Tensor(_SKEW)).reshape(3, 3)
     return Tensor(np.eye(3)) + a * k + b * (k @ k)
 
@@ -240,6 +258,11 @@ def rotation_from_axis_angle_composite(r):
 def linear_composite(x, weight, bias):
     """An affine map from a matmul and an add node."""
     return x @ weight + bias
+
+
+def gelu_linear_composite(x, weight, bias):
+    """GELU, then the affine map: a gelu and a linear node."""
+    return ad.linear(x.gelu(), weight, bias)
 
 
 def swap_last(x):

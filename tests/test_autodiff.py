@@ -48,7 +48,7 @@ def test_div_by_zero_checked_mode():
 def test_nan_trap():
     with np.errstate(invalid="ignore"):
         with pytest.raises(ad.NonFiniteError):
-            _ = Tensor([-1.0]).sqrt()
+            _ = oracles.sqrt(Tensor([-1.0]))
 
 
 def test_matmul_identity_and_hand_case():
@@ -168,11 +168,11 @@ ELEMENTWISE_CASES = [
     ("mul", lambda t, c: (t * c).sum()),
     ("div", lambda t, c: (t / (c * c + 0.5)).sum()),
     ("exp", lambda t, c: (t * 0.3).exp().sum()),
-    ("sqrt", lambda t, c: (t * t + 0.7).sqrt().sum()),
+    ("sqrt", lambda t, c: oracles.sqrt(t * t + 0.7).sum()),
     ("abs", lambda t, c: (t + 0.173).abs().sum()),
     ("pow", lambda t, c: ((t * t + 0.2) ** 1.5).sum()),
-    ("sin", lambda t, c: t.sin().sum()),
-    ("cos", lambda t, c: t.cos().mean()),
+    ("sin", lambda t, c: oracles.sin(t).sum()),
+    ("cos", lambda t, c: oracles.cos(t).mean()),
     ("sigmoid", lambda t, c: t.sigmoid().sum()),
     ("relu", lambda t, c: (t + 0.31).relu().sum()),
     ("gelu", lambda t, c: t.gelu().sum()),
@@ -320,7 +320,7 @@ def test_determinism_bit_identical():
     assert np.array_equal(g1, g2)
 
 
-@pytest.mark.parametrize("op", ["add", "sub", "mul", "div", "matmul", "where", "linear"])
+@pytest.mark.parametrize("op", ["add", "sub", "mul", "div", "matmul", "where", "linear", "gelu_linear"])
 def test_no_gradient_is_computed_for_a_constant_operand(op):
     rng = np.random.default_rng(11)
     x = ad.parameter(rng.normal(size=(3, 3)))
@@ -333,6 +333,7 @@ def test_no_gradient_is_computed_for_a_constant_operand(op):
         "matmul": lambda a, b: a @ b,
         "where": lambda a, b: ad.where(np.eye(3, dtype=bool), a, b),
         "linear": lambda a, b: ad.linear(a, b, Tensor(np.zeros(3))),
+        "gelu_linear": lambda a, b: ad.gelu_linear(a, b, Tensor(np.zeros(3))),
     }[op]
     for out, const_pos in ((build(x, c), 1), (build(c, x), 0)):
         grads_out = out._grad_fn(np.ones(out.shape))
@@ -390,12 +391,23 @@ def _swapped_rows(op):
     return lambda x, *rest: op(oracles.swap_last(x), *rest)
 
 
+def _swapped_draw(shape):
+    """A draw of `shape` seen with its last two axes swapped: the strided
+    view `nn.Conv1x1` projects, as an input array."""
+    return lambda rng: np.swapaxes(rng.normal(size=shape), -1, -2)
+
+
 FUSED_OPS = {
     # name: (fused op, composite oracle, input shapes or draw(rng), keyword arguments)
     "linear": (ad.linear, oracles.linear_composite, [(5, 6), (6, 4), (4,)], {}),
     "linear-batched": (ad.linear, oracles.linear_composite, [(2, 5, 6), (6, 4), (4,)], {}),
     "linear-frozen-weight": (
         _frozen(ad.linear, 1), _frozen(oracles.linear_composite, 1), [(2, 5, 6), (6, 4), (4,)], {}
+    ),
+    "gelu_linear": (ad.gelu_linear, oracles.gelu_linear_composite, [(5, 6), (6, 4), (4,)], {}),
+    "gelu_linear-batched": (ad.gelu_linear, oracles.gelu_linear_composite, [(2, 5, 6), (6, 4), (4,)], {}),
+    "gelu_linear-swapped-to-1": (
+        ad.gelu_linear, oracles.gelu_linear_composite, [_swapped_draw((2, 6, 5)), (6, 1), (1,)], {}
     ),
     "attention-self": (ad.attention, oracles.attention_composite, [(5, 12)], {"heads": 2}),
     "attention-self-batched": (ad.attention, oracles.attention_composite, [(2, 5, 12)], {"heads": 2}),
@@ -434,6 +446,9 @@ FUSED_FD_CASES = [
     ("linear", 0), ("linear", 1), ("linear", 2),
     ("linear-batched", 0), ("linear-batched", 1), ("linear-batched", 2),
     ("linear-frozen-weight", 0), ("linear-frozen-weight", 2),
+    ("gelu_linear", 0), ("gelu_linear", 1), ("gelu_linear", 2),
+    ("gelu_linear-batched", 0), ("gelu_linear-batched", 1), ("gelu_linear-batched", 2),
+    ("gelu_linear-swapped-to-1", 0), ("gelu_linear-swapped-to-1", 1), ("gelu_linear-swapped-to-1", 2),
     ("attention-self", 0), ("attention-self-batched", 0), ("attention-self-7-tokens", 0),
     ("attention-cross", 0), ("attention-cross", 1), ("attention-cross-batched", 0), ("attention-cross-batched", 1),
     ("attention-cross-frozen-q", 1), ("attention-cross-frozen-kv", 0),
@@ -544,6 +559,32 @@ def test_linear_returns_the_input_gradient_in_the_inputs_layout():
     assert gx.tobytes() == (g @ weight.T).tobytes()
 
 
+@pytest.mark.parametrize("frozen", [None, 0, 1, 2], ids=["none-frozen", "x-frozen", "weight-frozen", "bias-frozen"])
+@pytest.mark.parametrize(
+    "shapes,swapped",
+    # an MLP's hidden tokens (batch of two frames), and the DPT head's
+    # (2, 128, 64, 64) map into head_out, projected through the swapped view
+    # (2, 4096, 128): four blocks of the forward's 1024 rows
+    [([(2, 16, 256), (256, 64), (64,)], False), ([(2, 128, 4096), (128, 1), (1,)], True)],
+    ids=["tokens", "dpt-head-out"],
+)
+def test_gelu_linear_is_bit_identical_to_gelu_then_linear(shapes, swapped, frozen):
+    rng = np.random.default_rng(shapes[0][-1] + (frozen or 0))
+    x, weight, bias = (rng.normal(size=shape) for shape in shapes)
+    if swapped:
+        x = np.swapaxes(x, -1, -2)
+    c = rng.normal(size=(*x.shape[:-1], weight.shape[1]))
+
+    def run(op):
+        leaves = [Tensor(a, requires_grad=i != frozen) for i, a in enumerate((x, weight, bias))]
+        out = op(*leaves)
+        return [out.data] + ad.grads((out * Tensor(c)).sum(), [t for t in leaves if t.requires_grad])
+
+    new, old = run(ad.gelu_linear), run(oracles.gelu_linear_composite)
+    assert [a.shape for a in new] == [a.shape for a in old]
+    assert _bits(new) == _bits(old)
+
+
 @pytest.mark.parametrize("op", [ad.conv3x3, ad.conv3x3_up2], ids=["conv3x3", "conv3x3_up2"])
 @pytest.mark.parametrize("c_out", [48, 128])
 def test_conv_forward_is_bit_identical_to_the_two_copy_im2col(op, c_out, monkeypatch):
@@ -562,6 +603,8 @@ def test_fused_layers_check_their_operands():
         ad.linear(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 5))), Tensor(np.ones(5)))
     with pytest.raises(ValueError, match="linear expects"):
         ad.linear(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 5))), Tensor(np.ones(4)))
+    with pytest.raises(ValueError, match=r"gelu_linear expects \(\.\.\., D\), \(D, D'\) and \(D',\)"):
+        ad.gelu_linear(Tensor(np.ones(3)), Tensor(np.ones((3, 5))), Tensor(np.ones(5)))
     for packed in ([(5, 10)], [(5, 4), (6, 4)], [(2, 5, 4), (3, 6, 8)], [(5, 6), (6, 12)]):
         with pytest.raises(ValueError, match="attention expects"):
             ad.attention(*(Tensor(np.ones(shape)) for shape in packed), heads=4)
@@ -741,7 +784,7 @@ def test_no_grad_keeps_trapping_non_finite_values():
     with ad.no_grad():
         with np.errstate(invalid="ignore"):
             with pytest.raises(ad.NonFiniteError, match="'sqrt'"):
-                ad.parameter([-1.0]).sqrt()
+                oracles.sqrt(ad.parameter([-1.0]))
         bad = np.ones((1, 2, 2))
         bad[0, 0, 0] = np.nan
         with pytest.raises(ad.NonFiniteError, match="'conv3x3_up2'"):

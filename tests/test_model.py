@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -329,12 +330,15 @@ def test_forward_dvo_matches_the_per_frame_reference(head_kind, static_pair_32):
 
 @pytest.mark.parametrize(
     "pair_fixture,head_kind,bound",
-    [("static_pair_32", "linear", 423), ("static_pair_64", "dpt", 515)],
+    [("static_pair_32", "linear", 414), ("static_pair_64", "dpt", 504)],
 )
 def test_finetune_loss_graph_node_count(pair_fixture, head_kind, bound, request):
-    # one finetune loss is 423 (32 px, linear head) and 515 (64 px, DPT
+    # one finetune loss is 414 (32 px, linear head) and 504 (64 px, DPT
     # head) nodes with both frames batched through encoder, decoder and
-    # depth head; the one-node Rodrigues rotation took 19 off 442 and 534
+    # depth head; one-node GELU projections took 9 off 423 and 11 off 515
+    # (8 MLPs and the depth head; the DPT head's head_out also drops the
+    # output transpose and getitem of its Conv1x1 route), the one-node
+    # Rodrigues rotation took 19 off 442 and 534
     # (the twist is zero at init, where the composite took its 20-node
     # series branch), one-node linear layers and attention took 203 off 645
     # and 206 off 740, one-node SSIM and bilinear sampling 58 off 703 and
@@ -349,11 +353,28 @@ def test_finetune_loss_graph_node_count(pair_fixture, head_kind, bound, request)
 
 
 def test_pretrain_loss_graph_node_count(static_pair_32):
-    # one masked completion loss is 411 nodes; one-node linear layers and
-    # attention took 270 off 681
+    # one masked completion loss is 398 nodes; one-node GELU projections
+    # took 13 off 411 (12 MLPs and the pixel head), one-node linear layers
+    # and attention 270 off 681
     model = DvoModel(toy_config(), np.random.default_rng(0))
     loss = pretrain_step(model, static_pair_32.image_a, static_pair_32.image_b, np.random.default_rng(0))
-    assert len(ad.Tape.trace(loss).nodes) <= 411
+    assert len(ad.Tape.trace(loss).nodes) <= 398
+
+
+def test_dpt_forward_graph_holds_at_most_45_mb(static_pair_64):
+    # a 64 px DPT forward_dvo graph holds 43.0 MB: the full-resolution map
+    # into head_out and GELU's cdf, not the activation (57.4 MB when GELU
+    # and head_out were two nodes and each conv node kept its padded input)
+    model = DvoModel(toy_config(head_kind="dpt"), np.random.default_rng(0))
+    forward_dvo(model, static_pair_64.image_a, static_pair_64.image_b)  # cached embeddings
+    tracemalloc.start()
+    try:
+        outs = forward_dvo(model, static_pair_64.image_a, static_pair_64.image_b)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert all(t.requires_grad for t in outs)
+    assert held <= 45e6
 
 
 @pytest.mark.parametrize("pair_fixture,phase", [("static_pair_32", "finetune"), ("static_pair_64", "pretrain")])

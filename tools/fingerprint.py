@@ -44,8 +44,10 @@ What it runs, all seeded and on the `dynamic-room` scene:
     `autodiff.upsample_nearest` by 2 and by 4 (`op/upsample_nearest-k2`,
     `-k4`); and the transformer's, on seeded tokens: `autodiff.layernorm`
     (its input, scale and shift) and `autodiff.softmax` along the last and
-    the first axis (`op/softmax-axis-1`, `-axis0`). Sources without an op,
-    or whose op takes no leading axes, leave its item out
+    the first axis (`op/softmax-axis-1`, `-axis0`); `autodiff.gelu_linear`
+    on tokens (`op/gelu_linear-tokens`) and, to one channel, on the swapped
+    view of (2, 24, 35) maps that `head_out` projects (`-maps`). Sources
+    without an op, or whose op takes no leading axes, leave its item out
   - `optim.AdamW`: 5 steps on three seeded parameters with seeded
     gradients (`optim/adamw`), digesting the parameters and the state
     (step count and moments). Sources whose step takes no gradients leave
@@ -72,7 +74,7 @@ What it runs, all seeded and on the `dynamic-room` scene:
     pair has one NaN pixel in its second image (the `TrainingDivergence`
     text, epoch and pair)
 
-On the current sources it prints 151 items: 90 digests and the 61
+On the current sources it prints 155 items: 92 digests and the 63
 `values/` entries beside them. It writes only to a temporary directory and
 takes about 6 s on a 2-core host.
 """
@@ -265,10 +267,11 @@ def fingerprint(tmp: Path) -> dict:
         rotvec = axis / np.linalg.norm(axis) * norm
         record(item, *_op_parts(autodiff, geometry.rotation_from_axis_angle, [rotvec], op_rng))
 
-    # the DPT head's kernels, on maps with a leading axis of 2, and the
-    # transformer's layernorm and softmax
+    # the DPT head's kernels, on maps with a leading axis of 2, the
+    # transformer's layernorm and softmax, and GELU into a projection
     conv_shapes = [(2, 6, 5, 7), (3, 3, 6, 4), (4,)]
     softmax = getattr(autodiff, "softmax", None)
+    gelu_linear = getattr(autodiff, "gelu_linear", None)
     kernels = {
         "conv3x3": (getattr(autodiff, "conv3x3", None), conv_shapes),
         "conv3x3_up2": (getattr(autodiff, "conv3x3_up2", None), conv_shapes),
@@ -277,6 +280,11 @@ def fingerprint(tmp: Path) -> dict:
         "layernorm": (getattr(autodiff, "layernorm", None), [(2, 7, 24), (24,), (24,)]),
         "softmax-axis-1": (softmax and (lambda t: softmax(t, axis=-1)), [(2, 4, 7, 7)]),
         "softmax-axis0": (softmax and (lambda t: softmax(t, axis=0)), [(2, 4, 7, 7)]),
+        "gelu_linear-tokens": (gelu_linear, [(2, 7, 24), (24, 12), (12,)]),
+        "gelu_linear-maps": (
+            gelu_linear and (lambda x, w, b: gelu_linear(x.transpose(0, 2, 1), w, b)),
+            [(2, 24, 35), (24, 1), (1,)],
+        ),
     }
     for name, (op, shapes) in kernels.items():
         item = f"op/{name}"
