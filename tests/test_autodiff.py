@@ -1,4 +1,9 @@
+import math
+import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -583,6 +588,46 @@ def test_gelu_linear_is_bit_identical_to_gelu_then_linear(shapes, swapped, froze
     new, old = run(ad.gelu_linear), run(oracles.gelu_linear_composite)
     assert [a.shape for a in new] == [a.shape for a in old]
     assert _bits(new) == _bits(old)
+
+
+def _gelu_cdf_points() -> np.ndarray:
+    """40,960 inputs, shuffled over three of the kernel's blocks: a grid over
+    [-40, 40]; |u| = |x / sqrt 2| = 1 and 6, where the formulas change, and
+    one ulp either side; 0, -0, +-1e-300, +-inf and NaN."""
+    edges = [
+        np.nextafter(e, to) for e in (math.sqrt(2.0), 6.0 * math.sqrt(2.0)) for to in (0.0, e, np.inf)
+    ]
+    special = [0.0, -0.0, 1e-300, -1e-300, np.inf, -np.inf, np.nan, *edges, *(-e for e in edges)]
+    points = np.concatenate([special, np.linspace(-40.0, 40.0, 2 * 256 * 80 - len(special))])
+    return np.random.default_rng(0).permutation(points)
+
+
+@pytest.mark.parametrize("layout", ["c-order", "swapped", "c-order-in-place", "swapped-in-place"])
+def test_gelu_cdf_matches_math_erf(layout):
+    points = _gelu_cdf_points()
+    if layout.startswith("swapped"):
+        x = _swapped_draw((2, 256, 80))(np.random.default_rng(1))
+        x[...] = points.reshape(x.shape)
+    else:
+        x = points.reshape(2, 80, 256)
+    want = np.vectorize(lambda v: 0.5 * (1.0 + math.erf(v / math.sqrt(2.0))))(x)
+    with np.errstate(all="raise"):  # NaN and the tails raise nothing
+        got = ad._gelu_cdf(x, x) if layout.endswith("in-place") else ad._gelu_cdf(x)
+    assert got.strides == x.strides and (got is x) == layout.endswith("in-place")
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=3.3e-16)
+    assert set(got[np.abs(want - 0.5) == 0.5].tolist()) <= {0.0, 1.0}  # exactly, where math.erf says so
+
+
+def test_importing_dvokit_loads_no_scipy():
+    code = (
+        "import importlib, pkgutil, sys, dvokit\n"
+        "for module in pkgutil.iter_modules(dvokit.__path__):\n"
+        "    importlib.import_module('dvokit.' + module.name)\n"
+        "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(ad.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("op", [ad.conv3x3, ad.conv3x3_up2], ids=["conv3x3", "conv3x3_up2"])

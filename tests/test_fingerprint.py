@@ -19,11 +19,11 @@ def fingerprint():
     return module
 
 
-def _compare(fingerprint, tmp_path, change):
+def _compare(fingerprint, tmp_path, change, parent=_PARENT, flags=()):
     paths = [tmp_path / "parent.json", tmp_path / "change.json"]
-    for path, digests in zip(paths, (_PARENT, change)):
+    for path, digests in zip(paths, (parent, change)):
         path.write_text(json.dumps(digests))
-    return fingerprint.main(["fingerprint.py", "--compare", *map(str, paths)])
+    return fingerprint.main(["fingerprint.py", "--compare", *flags, *map(str, paths)])
 
 
 def test_identical_files_exit_0(fingerprint, tmp_path, capsys):
@@ -49,3 +49,35 @@ def test_a_changed_number_prints_its_relative_difference(fingerprint, tmp_path, 
     assert _compare(fingerprint, tmp_path, change) == 1
     # |0.75 - 0.8| / 0.8
     assert capsys.readouterr().out == "values/direct/pose-0: largest relative difference 0.0625\n"
+
+
+# --rtol: a digest item is judged by its values/ twin
+_TWINNED = {"direct/pose-0": "00aa", "values/direct/pose-0": {"final_loss": 0.5, "curve": [1.0, 0.75]}}
+
+
+def _compare_rtol(fingerprint, tmp_path, parent, change):
+    return _compare(fingerprint, tmp_path, change, parent, ("--rtol", "1e-12"))
+
+
+def test_rtol_passes_identical_files(fingerprint, tmp_path, capsys):
+    assert _compare_rtol(fingerprint, tmp_path, _TWINNED, _TWINNED) == 0
+    assert capsys.readouterr().out == "all 2 items identical or within rtol 1e-12\n"
+
+
+def test_rtol_passes_an_item_whose_twin_moved_within_it(fingerprint, tmp_path, capsys):
+    # 0.75 * (1 + 1e-13): relative difference ~1e-13
+    change = {"direct/pose-0": "00ab", "values/direct/pose-0": {"final_loss": 0.5, "curve": [1.0, 0.75 + 7.5e-14]}}
+    assert _compare_rtol(fingerprint, tmp_path, _TWINNED, change) == 0
+    assert capsys.readouterr().out == "all 2 items identical or within rtol 1e-12\n"
+
+
+def test_rtol_lists_a_twin_beyond_it(fingerprint, tmp_path, capsys):
+    change = {"direct/pose-0": "00ab", "values/direct/pose-0": {"final_loss": 0.5, "curve": [1.0, 0.8]}}
+    assert _compare_rtol(fingerprint, tmp_path, _TWINNED, change) == 1
+    assert capsys.readouterr().out == "values/direct/pose-0: largest relative difference 0.0625, beyond 1e-12\n"
+
+
+def test_rtol_lists_a_differing_item_with_no_twin(fingerprint, tmp_path, capsys):
+    parent, change = {**_TWINNED, "eval/json": "0123abcd"}, {**_TWINNED, "eval/json": "0123abce"}
+    assert _compare_rtol(fingerprint, tmp_path, parent, change) == 1
+    assert capsys.readouterr().out == "eval/json: differs, with no values/ twin\n"

@@ -5,20 +5,24 @@ Usage:
 
     python3 tools/fingerprint.py <src-dir> > digests.json
     python3 tools/fingerprint.py --compare parent.json change.json
+    python3 tools/fingerprint.py --compare --rtol 1e-12 parent.json change.json
 
 `<src-dir>` is the directory that holds the `dvokit` package (a checkout's
 `src/`). The script prints one JSON object mapping item names to sha256
 digests (first 16 hex digits). Every item is digested on its own, so a
 difference names what changed (say, a checkpoint's config header while its
 arrays stay the same). The numbers behind every item but the frames, the
-dataset files, the checkpoints, `eval.json` (its numbers are those of
-`eval.metrics`) and the `valid` map are also printed as they are, under
-`values/<item>`; checkpoint arrays stay digest-only, because they are too
-large for JSON. `--compare` lists the items that differ between two
-such outputs and, for each `values/` item, the largest relative difference
-of its numbers, so a change that moves outputs by round-off shows by how
-much. It exits 1 when any item differs or exists on one side only and 0
-when all are identical, so a script can gate a refactor on it.
+dataset files and the `valid` map are also printed as they are, under
+`values/<item>`; for a checkpoint's arrays, which are too large for JSON,
+three numbers per array stand for them (`_array_summaries`).
+`--compare` lists the items that differ between two such outputs and, for
+each `values/` item, the largest relative difference of its numbers, so a
+change that moves outputs by round-off shows by how much. It exits 1 when
+any item differs or exists on one side only and 0 when all are identical,
+so a script can gate a refactor on it. `--rtol R` gates a round-off
+change instead: an item passes when it is identical or its `values/` twin
+differs by at most R, relative; the items that do not are listed, and the
+exit status is 1 if there are any.
 
 What it runs, all seeded and on the `dynamic-room` scene:
   - random-walk trajectories of 4 frames at 32 and 64 px (images, depths,
@@ -27,11 +31,11 @@ What it runs, all seeded and on the `dynamic-room` scene:
   - 2-epoch finetune and pretrain runs on the 3 pairs of each trajectory,
     with the linear head at 32 px and the DPT head at 64 px: the last
     checkpoint's arrays and config, the loss curves, and `evaluate_depth`
-    on the same pairs (its JSON and, apart, its metric values), and each
-    pair's predicted depth map, computed one pair at a time with
-    `model.encode` and `model.depth` under `autodiff.no_grad` (where the
-    sources have it), so these items cross-check the chunked forward of
-    `evaluate_depth`, whose metrics the items above digest
+    on the same pairs (its JSON), and each pair's predicted depth map,
+    computed one pair at a time with `model.encode` and `model.depth`
+    under `autodiff.no_grad` (where the sources have it), so these items
+    cross-check the chunked forward of `evaluate_depth`, whose metrics the
+    items above digest
   - one `total_loss` on the first 32 px pair, at perturbed depths and
     pose: its scalars, its `d_diff`, `m_s` and `valid` maps, and its
     gradients w.r.t. both depths and the twist
@@ -74,7 +78,7 @@ What it runs, all seeded and on the `dynamic-room` scene:
     pair has one NaN pixel in its second image (the `TrainingDivergence`
     text, epoch and pair)
 
-On the current sources it prints 155 items: 92 digests and the 63
+On the current sources it prints 155 items: 88 digests and the 67
 `values/` entries beside them. It writes only to a temporary directory and
 takes about 6 s on a 2-core host.
 """
@@ -93,9 +97,6 @@ from pathlib import Path
 import numpy as np
 from scipy.spatial.transform import Rotation
 
-_METRICS = ("abs_rel", "rmse", "delta1", "delta2", "delta3", "n_pixels", "scale_s")
-
-
 def _digest(*parts) -> str:
     h = hashlib.sha256()
     for part in parts:
@@ -107,6 +108,18 @@ def _digest(*parts) -> str:
         else:
             h.update(json.dumps(part, sort_keys=True).encode())
     return h.hexdigest()[:16]
+
+
+def _array_summaries(arrays: dict) -> dict:
+    """Per array: the sums of its magnitudes and of its squares, and its
+    largest magnitude. Not the plain sum: layer norm makes the gradient of
+    a bias that only feeds it sum to zero, so Adam's first moment of such
+    a bias sums to ~1e-20 with entries up to ~3e-6, and a round-off change
+    moved that sum by a factor of 2."""
+    return {
+        key: [float(np.abs(a).sum()), float((a * a).sum()), float(np.abs(a).max(initial=0.0))]
+        for key, a in sorted(arrays.items())
+    }
 
 
 def _frames(synth, size: int):
@@ -203,11 +216,10 @@ def fingerprint(tmp: Path) -> dict:
             model, report = run(cfg, dataset)
             config, arrays = load_checkpoint(run_dir / f"checkpoint-epoch{cfg.epochs - 1:03d}.dvoc")
             out[f"{name}/checkpoint.arrays"] = _digest(*(part for key in sorted(arrays) for part in (key, arrays[key])))
+            out[f"values/{name}/checkpoint.arrays"] = _array_summaries(arrays)
             out[f"{name}/checkpoint.config"] = _digest(config)
             record(f"{name}/curves", report.curves)
-            scores = train.evaluate_depth(model, dataset)
-            out[f"{name}/eval.json"] = _digest(scores.to_json())
-            record(f"{name}/eval.metrics", {key: getattr(scores, key) for key in _METRICS})
+            record(f"{name}/eval.json", json.loads(train.evaluate_depth(model, dataset).to_json()))
             with no_grad():
                 for i, pair in enumerate(dataset.pairs):
                     record(f"{name}/eval.depth-{i}", _pair_depth(model, pair).data)
@@ -368,31 +380,43 @@ def _largest_relative_difference(a, b) -> float:
     return worst
 
 
-def compare(parent: dict, change: dict) -> list[str]:
-    """One line per item that differs or exists on one side only."""
+def compare(parent: dict, change: dict, rtol: float | None = None) -> list[str]:
+    """One line per item that differs or exists on one side only. With
+    `rtol`, only the items that fail it: an item passes when it is identical
+    or its `values/` twin is (the twin judges it), and a `values/` item when
+    its largest relative difference is at most `rtol`."""
     lines = []
     for item in sorted(parent.keys() | change.keys()):
+        twin = f"values/{item}"
         if item not in parent or item not in change:
             lines.append(f"{item}: only in {'change' if item in change else 'parent'}")
-        elif parent[item] != change[item]:
-            if item.startswith("values/"):
-                rel = _largest_relative_difference(parent[item], change[item])
-                lines.append(f"{item}: largest relative difference {rel:.3g}")
-            else:
-                lines.append(f"{item}: differs")
+        elif parent[item] == change[item]:
+            continue
+        elif item.startswith("values/"):
+            rel = _largest_relative_difference(parent[item], change[item])
+            if rtol is None or not rel <= rtol:
+                beyond = "" if rtol is None else f", beyond {rtol:g}"
+                lines.append(f"{item}: largest relative difference {rel:.3g}{beyond}")
+        elif rtol is None:
+            lines.append(f"{item}: differs")
+        elif twin not in parent or twin not in change:
+            lines.append(f"{item}: differs, with no values/ twin")
     return lines
 
 
 def main(argv: list[str]) -> int:
-    if len(argv) == 4 and argv[1] == "--compare":
-        parent, change = (json.loads(Path(p).read_text()) for p in argv[2:])
-        lines = compare(parent, change)
-        print("\n".join(lines) if lines else f"all {len(parent)} items identical")
+    args = argv[1:]
+    if args[:1] == ["--compare"] and len(args) in (3, 5) and (len(args) == 3 or args[1] == "--rtol"):
+        rtol = float(args[2]) if len(args) == 5 else None
+        parent, change = (json.loads(Path(p).read_text()) for p in args[-2:])
+        lines = compare(parent, change, rtol)
+        within = "" if rtol is None else f" or within rtol {rtol:g}"
+        print("\n".join(lines) if lines else f"all {len(parent)} items identical{within}")
         return 1 if lines else 0
     if len(argv) != 2 or not (Path(argv[1]) / "dvokit" / "__init__.py").is_file():
         print(
             "usage: python3 tools/fingerprint.py <directory holding the dvokit package>\n"
-            "       python3 tools/fingerprint.py --compare <parent.json> <change.json>",
+            "       python3 tools/fingerprint.py --compare [--rtol R] <parent.json> <change.json>",
             file=sys.stderr,
         )
         return 2
