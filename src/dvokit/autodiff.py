@@ -142,53 +142,53 @@ def _verify_finite(data: np.ndarray, op: str) -> None:
 
 
 # GELU's cdf Phi(x) = 0.5 (1 + erf(u)), u = x / sqrt 2, by Cephes ndtr.c (S. L. Moshier; Cody-style rational
-# approximations); rows: numerator, denominator, leading coefficient first. |u| < 1: erf(u) = u T(u^2) / U(u^2),
-# so Phi = 0.5 + x T'(x^2) / U'(x^2), x^2 = 2 u^2, 0.5 / sqrt 2 folded in. 1 <= |u| < 6: Phi = 0.5 +- (0.5 -
-# exp(-u^2) 0.5 P(|u|) / Q(|u|)), which rounds as 0.5 (1 + erf); then 0 or 1. Tested: within 3.3e-16 of math.erf's Phi.
-_GELU_SMALL = np.array([
-    [0.0, 9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
-     7.00332514112805075473e3, 5.55923013010394962768e4],
-    [1.0, 3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
-     2.26290000613890934246e4, 4.92673942608635921086e4],
-]) * 2.0 ** np.arange(6) * [[0.5 * _INV_SQRT2], [1.0]]
-_GELU_TAIL = np.array([
-    [2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0, 4.86371970985681366614e1,
-     1.96520832956077098242e2, 5.26445194995477358631e2, 9.34528527171957607540e2, 1.02755188689515710272e3,
-     5.57535335369399327526e2],
-    [1.0, 1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2, 9.75708501743205489753e2,
-     1.82390916687909736289e3, 2.24633760818710981792e3, 1.65666309194161350182e3, 5.57535340817727675546e2],
-]) * [[0.5], [1.0]]
+# approximations), leading coefficient first, U and Q monic with that 1 left out. |u| < 1: erf(u) = u T(u^2) / U(u^2),
+# so Phi = 0.5 + x T'(x^2) / U'(x^2), x^2 = 2 u^2, 0.5 / sqrt 2 folded into T'. 1 <= |u| < 6: Phi = 0.5 +- (0.5 -
+# exp(-u^2) 0.5 P(|u|) / Q(|u|)), which rounds as 0.5 (1 + erf) for the same erf; then 0 or 1. Tested: within 3.3e-16
+# (1.5 ulp of 0.5) of 0.5 (1 + math.erf(u)).
+_GELU_T = np.array([9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+                    7.00332514112805075473e3, 5.55923013010394962768e4]) * 2.0 ** np.arange(1, 6) * (0.5 * _INV_SQRT2)
+_GELU_U = np.array([3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+                    2.26290000613890934246e4, 4.92673942608635921086e4]) * 2.0 ** np.arange(1, 6)
+_GELU_P = 0.5 * np.array([2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+                          4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+                          9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2])
+_GELU_Q = np.array([1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+                    9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+                    1.65666309194161350182e3, 5.57535340817727675546e2])
 _GELU_BLOCK = 16384
 
 
-def _rational(coeffs: np.ndarray, powers: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """num(z) / den(z) into out[0], for z and 1 in the last two rows of `powers`, which gets the other
-    powers (all terms are positive for z >= 0, so nothing cancels) for one GEMM of both polynomials."""
-    for j in range(len(powers) - 3, -1, -1):
-        np.multiply(powers[j + 1], powers[-2], out=powers[j])
-    np.matmul(coeffs, powers, out=out)
-    return np.divide(out[0], out[1], out=out[0])
+def _rational(z: np.ndarray, num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """num(z) / den(z) by Horner, in place after the first step."""
+    p = z * num[0] + num[1]
+    for c in num[2:]:
+        p *= z
+        p += c
+    q = z + den[0]
+    for c in den[1:]:
+        q *= z
+        q += c
+    p /= q
+    return p
 
 
-def _gelu_cdf(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Phi(x) in x's layout, into `out` (x, or None: a new one), by cache-sized blocks of x's memory."""
-    out = np.empty_like(x) if out is None else out
-    src, dst = x.ravel(order="K"), out.ravel(order="K")  # memory-order views; out=x must be dense in some axis order
-    buf = np.empty((8, min(src.size, _GELU_BLOCK)))  # 6 rows of powers of x^2, 2 for the GEMM
-    buf[5] = 1.0
+def _gelu_cdf(x: np.ndarray) -> np.ndarray:
+    """Phi(x) in x's layout, by blocks of its memory order that stay in cache."""
+    x = x if np.may_share_memory(x.ravel(order="K"), x) else x.copy(order="K")  # dense, so ravel orders match
+    cdf = np.empty_like(x)
+    src, dst = x.ravel(order="K"), cdf.ravel(order="K")
     with np.errstate(all="ignore"):  # |u| < 1's formula overflows where the tail's replaces it
         for i in range(0, src.size, _GELU_BLOCK):
-            xb, ob = src[i : i + _GELU_BLOCK], dst[i : i + _GELU_BLOCK]
-            z = np.multiply(xb, xb, out=buf[4, : xb.size])
-            xt = None if z.max() < 2.0 else xb[z >= 2.0]  # |u| >= 1, or NaN; read before ob (maybe xb) is written
-            small = _rational(_GELU_SMALL, buf[:6, : xb.size], buf[6:, : xb.size])
-            np.add(np.multiply(small, xb, out=small), 0.5, out=ob)
-            if xt is not None:
-                tail = np.ones((9, xt.size))
-                u = np.minimum(np.abs(xt) * _INV_SQRT2, 6.0, out=tail[-2])
-                half_erfc = np.exp(-(u * u)) * _rational(_GELU_TAIL, tail, np.empty((2, xt.size)))
-                ob[z >= 2.0] = np.copysign(0.5 - half_erfc, xt) + 0.5
-    return out
+            xb, out = src[i : i + _GELU_BLOCK], dst[i : i + _GELU_BLOCK]
+            z = xb * xb
+            np.add(_rational(z, _GELU_T, _GELU_U) * xb, 0.5, out=out)
+            if not z.max() < 2.0:  # some |u| >= 1, or a NaN
+                tail = z >= 2.0
+                xt = xb[tail]
+                u = np.minimum(np.abs(xt) * _INV_SQRT2, 6.0)
+                out[tail] = np.copysign(0.5 - np.exp(-(u * u)) * _rational(u, _GELU_P, _GELU_Q), xt) + 0.5
+    return cdf
 
 
 def _gelu_grad(x: np.ndarray, cdf: np.ndarray, g: np.ndarray) -> np.ndarray:

@@ -1,10 +1,11 @@
-"""`tools/fingerprint.py --compare`: its report and its exit status, on small
-hand-written digest files (no dvokit run)."""
+"""`tools/fingerprint.py`: the report and exit status of `--compare`, on small
+hand-written digest files, and `_array_summaries` (no dvokit run)."""
 
 import importlib.util
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 _TOOL = Path(__file__).resolve().parents[1] / "tools" / "fingerprint.py"
@@ -81,3 +82,17 @@ def test_rtol_lists_a_differing_item_with_no_twin(fingerprint, tmp_path, capsys)
     parent, change = {**_TWINNED, "eval/json": "0123abcd"}, {**_TWINNED, "eval/json": "0123abce"}
     assert _compare_rtol(fingerprint, tmp_path, parent, change) == 1
     assert capsys.readouterr().out == "eval/json: differs, with no values/ twin\n"
+
+
+def test_rtol_lists_a_differing_item_whose_twin_does_not_differ(fingerprint, tmp_path, capsys):
+    # a checkpoint written negated or reordered can leave summaries that miss it unchanged
+    change = {**_TWINNED, "direct/pose-0": "00ab"}
+    assert _compare_rtol(fingerprint, tmp_path, _TWINNED, change) == 1
+    assert capsys.readouterr().out == "direct/pose-0: differs, but its values/ twin does not\n"
+
+
+@pytest.mark.parametrize("move", [np.negative, np.flip], ids=["negated", "reordered"])
+def test_array_summaries_see_a_negated_or_reordered_array(fingerprint, move):
+    a = np.array([0.5, -0.25, 2.0, 1e-20])
+    before, after = (fingerprint._array_summaries({"w": v})["w"] for v in (a, move(a)))
+    assert before != after

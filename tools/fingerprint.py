@@ -14,15 +14,16 @@ difference names what changed (say, a checkpoint's config header while its
 arrays stay the same). The numbers behind every item but the frames, the
 dataset files and the `valid` map are also printed as they are, under
 `values/<item>`; for a checkpoint's arrays, which are too large for JSON,
-three numbers per array stand for them (`_array_summaries`).
+five numbers per array stand for them (`_array_summaries`).
 `--compare` lists the items that differ between two such outputs and, for
 each `values/` item, the largest relative difference of its numbers, so a
 change that moves outputs by round-off shows by how much. It exits 1 when
 any item differs or exists on one side only and 0 when all are identical,
 so a script can gate a refactor on it. `--rtol R` gates a round-off
 change instead: an item passes when it is identical or its `values/` twin
-differs by at most R, relative; the items that do not are listed, and the
-exit status is 1 if there are any.
+differs by at most R, relative. A digest that differs while its twin does
+not fails, as what moved is then something the numbers do not show. The
+items that fail are listed, and the exit status is 1 if there are any.
 
 What it runs, all seeded and on the `dynamic-room` scene:
   - random-walk trajectories of 4 frames at 32 and 64 px (images, depths,
@@ -111,15 +112,22 @@ def _digest(*parts) -> str:
 
 
 def _array_summaries(arrays: dict) -> dict:
-    """Per array: the sums of its magnitudes and of its squares, and its
-    largest magnitude. Not the plain sum: layer norm makes the gradient of
-    a bias that only feeds it sum to zero, so Adam's first moment of such
-    a bias sums to ~1e-20 with entries up to ~3e-6, and a round-off change
-    moved that sum by a factor of 2."""
-    return {
-        key: [float(np.abs(a).sum()), float((a * a).sum()), float(np.abs(a).max(initial=0.0))]
-        for key, a in sorted(arrays.items())
-    }
+    """Per array: the sums of its magnitudes, of its squares and of its
+    positive entries, its largest magnitude, and the sum of its magnitudes
+    weighted by position (1 to n, over n), so that a sign flip or a
+    reordering moves a number too. No sum here can cancel: layer norm makes
+    the gradient of a bias that only feeds it sum to zero, so Adam's first
+    moment of such a bias sums to ~1e-20 with entries up to ~3e-6, and a
+    round-off change moved that plain sum by a factor of 2."""
+    summaries = {}
+    for key, a in sorted(arrays.items()):
+        flat = np.abs(a).ravel()
+        weights = np.arange(1, flat.size + 1) / max(flat.size, 1)
+        summaries[key] = [
+            float(flat.sum()), float((flat * flat).sum()), float(np.maximum(a, 0.0).sum()),
+            float(flat.max(initial=0.0)), float(weights @ flat),
+        ]
+    return summaries
 
 
 def _frames(synth, size: int):
@@ -382,9 +390,10 @@ def _largest_relative_difference(a, b) -> float:
 
 def compare(parent: dict, change: dict, rtol: float | None = None) -> list[str]:
     """One line per item that differs or exists on one side only. With
-    `rtol`, only the items that fail it: an item passes when it is identical
-    or its `values/` twin is (the twin judges it), and a `values/` item when
-    its largest relative difference is at most `rtol`."""
+    `rtol`, only the items that fail it: an item passes when it is identical,
+    or when its `values/` twin differs too and passes (the twin judges it),
+    and a `values/` item when its largest relative difference is at most
+    `rtol`."""
     lines = []
     for item in sorted(parent.keys() | change.keys()):
         twin = f"values/{item}"
@@ -401,6 +410,8 @@ def compare(parent: dict, change: dict, rtol: float | None = None) -> list[str]:
             lines.append(f"{item}: differs")
         elif twin not in parent or twin not in change:
             lines.append(f"{item}: differs, with no values/ twin")
+        elif parent[twin] == change[twin]:  # what moved, its numbers do not show
+            lines.append(f"{item}: differs, but its values/ twin does not")
     return lines
 
 
