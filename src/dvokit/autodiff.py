@@ -39,7 +39,7 @@ __all__ = [
     "row_scatter",
     "upsample_nearest",
     "conv3x3",
-    "conv3x3_up2",
+    "conv3x3_up2_gelu_linear",
     "ssim_moments",
     "ssim",
     "bilinear_sample",
@@ -674,50 +674,62 @@ _UP2_PHASES = [
 ]
 
 
-def conv3x3_up2(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
-    """``conv3x3(upsample_nearest(x, 2), weight, bias)``, computed on the
-    coarse map: a (..., C, H, W) input gives (..., C_out, 2H, 2W).
+def conv3x3_up2_gelu_linear(x: Tensor, weight: Tensor, bias: Tensor, proj_weight: Tensor, proj_bias: Tensor) -> Tensor:
+    """``conv3x3(upsample_nearest(x, 2), weight, bias)``, GELU, then the
+    (C_out, 1) projection of each pixel, as one node: (..., C, H, W) maps
+    give the (..., 2H, 2W) one-channel map.
 
-    Each of the four output phases (row and column parity) is a 2x2
-    convolution of the zero-padded coarse map, whose kernel is the 3x3
-    kernel folded onto the coarse pixels its taps read (sub-pixel
-    convolution, arXiv 1609.05158). One im2col GEMM per phase and map
-    writes that phase's strided slots of the output: 4 instead of 9
-    multiply-adds per output pixel and channel pair, and neither the
-    upsampled map nor its im2col matrix is built. The node keeps only its
-    operands, as `conv3x3` does: the backward pass rebuilds the padded
-    coarse input and the phase kernels, and folds the phase-kernel
-    gradients back onto the 3x3 weight.
+    Each output phase (row and column parity) is a 2x2 convolution of the
+    zero-padded coarse map by the 3x3 kernel folded onto the coarse pixels
+    its taps read (sub-pixel convolution, arXiv 1609.05158): 4 instead of 9
+    multiply-adds per output pixel and channel pair. The node takes one
+    phase at a time from its im2col GEMM through GELU to a GEMV per map
+    that writes the phase's strided pixels, so the C_out-channel map is
+    never formed at full resolution. With a graph it keeps each phase's
+    pre-activations and cdf, (C_out, n, H*W); the backward pass runs phase
+    by phase too, and folds the phase-kernel gradients onto the 3x3 weight.
     """
-    x, weight, bias, lead, c, h, w, c_out = _conv_operands("conv3x3_up2", x, weight, bias)
+    op = "conv3x3_up2_gelu_linear"
+    x, weight, bias, lead, c, h, w, c_out = _conv_operands(op, x, weight, bias)
+    proj_weight, proj_bias = _as_tensor(proj_weight), _as_tensor(proj_bias)
+    if proj_weight.shape != (c_out, 1) or proj_bias.shape != (1,):
+        raise ValueError(f"{op} projection must be ({c_out}, 1) and (1,), got {proj_weight.shape}, {proj_bias.shape}")
     n = math.prod(lead)
+    parents = (x, weight, bias, proj_weight, proj_bias)
 
     def operands():  # the padded coarse maps and the four phase kernels
         kernels = _UP2_FOLD @ weight.data.reshape(9, c * c_out)
         return _pad_channel_major(x.data, n, c, h, w), kernels.reshape(4, 4 * c, c_out)
 
     xp, kernels = operands()
-    out = np.empty((n, c_out, 2 * h, 2 * w))
+    out = np.empty((n, 2 * h, 2 * w))
+    kept = [] if _state.grad and any(p.requires_grad for p in parents) else None  # per phase: pre and cdf
     for ((py, px), taps), k2 in zip(_UP2_PHASES, kernels):
-        phase = _taps_forward(xp, k2, taps, h, w)
-        phase += bias.data[:, None]
-        out[:, :, py::2, px::2] = phase.reshape(n, c_out, h, w)
+        pre = np.add(_taps_forward(xp, k2, taps, h, w).transpose(1, 0, 2), bias.data[:, None, None],
+                     out=np.empty((c_out, n, h * w)))
+        cdf = _gelu_cdf(pre)
+        raw = np.matmul((pre * cdf).transpose(1, 2, 0), proj_weight.data) + proj_bias.data  # a GEMV per map
+        out[:, py::2, px::2] = raw.reshape(n, h, w)
+        if kept is not None:
+            kept.append((pre, cdf))
 
     def grad_fn(g):
-        g = g.reshape(n, c_out, 2 * h, 2 * w)
-        # one copy into (phase row, phase column, C_out, n, H, W), so each
-        # phase's (C_out, n*H*W) gradient is a contiguous block
-        phases = g.reshape(n, c_out, h, 2, w, 2).transpose(3, 5, 1, 0, 2, 4).copy()
+        g = g.reshape(n, 2 * h, 2 * w)
         xp, kernels = operands()
         gxp = np.zeros_like(xp)
         gk = np.empty((4, 4, c, c_out))
-        for i, (((py, px), taps), k2) in enumerate(zip(_UP2_PHASES, kernels)):
-            g2 = phases[py, px].reshape(c_out, n * h * w)
+        gb, gpw = np.zeros(c_out), np.zeros((c_out, 1))
+        for i, (((py, px), taps), k2, (pre, cdf)) in enumerate(zip(_UP2_PHASES, kernels, kept)):
+            gp = g[:, py::2, px::2].reshape(n, h * w)  # a copy of the phase's pixels
+            gpw[:, 0] += (pre * cdf).reshape(c_out, n * h * w) @ gp.reshape(n * h * w)
+            g2 = _gelu_grad(pre, cdf, np.multiply.outer(proj_weight.data[:, 0], gp)).reshape(c_out, n * h * w)
+            gb += g2.sum(axis=1)
             gk[i] = _taps_backward(xp, k2, taps, g2, gxp, h, w)
         gw = _UP2_FOLD.T @ gk.reshape(16, c * c_out)
-        return _unpad_channel_major(gxp, lead, c, h, w), gw.reshape(weight.shape), g.sum(axis=(0, 2, 3))
+        gpb = g.reshape(n, 4 * h * w, 1).sum(axis=(0, 1))  # summed in `gelu_linear`'s order
+        return _unpad_channel_major(gxp, lead, c, h, w), gw.reshape(weight.shape), gb, gpw, gpb
 
-    return Tensor._make(out.reshape(*lead, c_out, 2 * h, 2 * w), (x, weight, bias), grad_fn, "conv3x3_up2")
+    return Tensor._make(out.reshape(*lead, 2 * h, 2 * w), parents, grad_fn, op)
 
 
 def _box3(x: np.ndarray) -> np.ndarray:
@@ -848,11 +860,8 @@ def _linear_input_grad(x: np.ndarray, weight: np.ndarray, g: np.ndarray) -> np.n
     """``g @ weight.T`` in the layout of ``x``, so that the gradient handed
     on to the op before a transposed view (last two axes swapped, as
     `nn.Conv1x1` projects channel-major maps) is a contiguous map, not one
-    strided by D: one broadcast product at D' = 1, else ``W @ g^T`` swapped.
-    Each element is the sum of the same D' products as ``g @ W.T``, bit for
-    bit."""
-    if weight.shape[1] == 1:
-        return np.multiply(g, weight[:, 0], out=np.empty_like(x))
+    strided by D: ``W @ g^T`` swapped. Each element is the sum of the same
+    D' products as ``g @ W.T``, bit for bit."""
     if not x.flags.c_contiguous and np.swapaxes(x, -1, -2).flags.c_contiguous:
         return np.swapaxes(weight @ np.swapaxes(g, -1, -2), -1, -2)
     return g @ weight.T
@@ -876,27 +885,21 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     return Tensor._make(out, (x, weight, bias), grad_fn, "linear")
 
 
-_GELU_LINEAR_ROWS = 1024
-
-
 def gelu_linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     """``linear(x.gelu(), weight, bias)`` as one node that keeps GELU's cdf
-    but not the activation: the forward pass forms it 1024 rows (axis -2)
-    at a time for the GEMM, the backward pass again, in ``x``'s layout, for
-    the weight gradient, and takes the input gradient through GELU's
-    derivative in that layout too. Output and gradients are the composite's,
-    bit for bit. Every GELU of the model that feeds a projection runs it."""
+    but not the activation: the backward pass forms it again, in ``x``'s
+    layout, for the weight gradient, and takes the input gradient through
+    GELU's derivative in that layout too. Output and gradients are the
+    composite's, bit for bit. Every GELU on tokens that feeds a projection
+    runs it."""
     x, weight, bias = _linear_operands("gelu_linear", x, weight, bias)
     cdf = _gelu_cdf(x.data)
-    out = np.empty((*x.shape[:-1], weight.shape[1]))
-    for r in range(0, x.shape[-2], _GELU_LINEAR_ROWS):
-        rows = slice(r, r + _GELU_LINEAR_ROWS)
-        np.matmul(x.data[..., rows, :] * cdf[..., rows, :], weight.data, out=out[..., rows, :])
+    out = (x.data * cdf) @ weight.data
     out += bias.data
 
     def grad_fn(g):
         gw = None
-        if weight.requires_grad:  # first, so the activation and its token-major copy are gone before gx
+        if weight.requires_grad:  # first, so the activation is gone before gx
             gw = (x.data * cdf).reshape(-1, x.shape[-1]).T @ g.reshape(-1, g.shape[-1])
         gx = _gelu_grad(x.data, cdf, _linear_input_grad(x.data, weight.data, g)) if x.requires_grad else None
         return gx, gw, _unbroadcast(g, bias.shape) if bias.requires_grad else None

@@ -132,12 +132,11 @@ class DptDepthHead(nn.Module):
     resized to {4, 2, 1, 1/2} x the token grid (shallow taps get the higher
     resolutions), fused coarse-to-fine with residual 3x3 conv units and 2x
     nearest upsampling, then upsampled x2 to full image resolution by
-    `head_conv`, a 3x3 conv to 128 channels. That conv runs polyphase
-    (`ad.conv3x3_up2`): the same function as upsampling and then convolving,
-    at a quarter of the pixels. GELU and `head_out`, the 1x1 projection to
-    one channel, are one ``ad.gelu_linear`` node on the swapped channel view
-    `nn.Conv1x1` projects, which keeps the full-resolution map and GELU's
-    cdf but not the activation.
+    `head_conv`, a 3x3 conv to 128 channels, GELU and `head_out`, the 1x1
+    projection to one channel: one ``ad.conv3x3_up2_gelu_linear`` node,
+    which convolves the coarse map polyphase and takes one output phase at
+    a time through GELU and the projection, so the 128-channel map is
+    never formed at full resolution.
     """
 
     def __init__(self, cfg: ModelConfig, rng):
@@ -172,10 +171,8 @@ class DptDepthHead(nn.Module):
         x = self.fuse[1](ad.upsample_nearest(x, 2) + feats[1])
         x = self.fuse[0](ad.upsample_nearest(x, 2) + feats[0])
         # the fused map has 4 px per token, half of PATCH = 8: one x2 step left
-        x = ad.conv3x3_up2(x, self.head_conv.weight, self.head_conv.bias)
-        *lead, c, h, w = x.shape
-        raw = ad.gelu_linear(nn._swap_last(x.reshape(*lead, c, h * w)), self.head_out.weight, self.head_out.bias)
-        return depth_from_raw(raw.reshape(*lead, h, w), self._cfg.min_depth, self._cfg.max_depth)
+        head = (self.head_conv.weight, self.head_conv.bias, self.head_out.weight, self.head_out.bias)
+        return depth_from_raw(ad.conv3x3_up2_gelu_linear(x, *head), self._cfg.min_depth, self._cfg.max_depth)
 
 
 class PoseHead(nn.Module):

@@ -12,6 +12,7 @@ serve the tests alone, so they live here too.
 """
 
 import json
+import math
 import struct
 from typing import Callable
 
@@ -172,6 +173,55 @@ def taps_forward_two_copies(xp, w2, taps, h, w):
 def conv3x3_up2_composite(x, weight, bias):
     """x2 nearest upsampling, then the 3x3 convolution at full resolution."""
     return ad.conv3x3(ad.upsample_nearest(x, 2), weight, bias)
+
+
+def conv3x3_up2(x, weight, bias):
+    """``conv3x3_up2_composite`` on the coarse map, the polyphase way, as one
+    node: one im2col GEMM per output phase (row and column parity) and map,
+    with the 3x3 kernel folded onto that phase's 2x2 kernel, writes the
+    phase's strided slots of the (..., C_out, 2H, 2W) output. The DPT head
+    ran it, then GELU and its 1x1 projection as a `gelu_linear` node, until
+    `ad.conv3x3_up2_gelu_linear` took all three phase by phase."""
+    x, weight, bias, lead, c, h, w, c_out = ad._conv_operands("conv3x3_up2", x, weight, bias)
+    n = math.prod(lead)
+
+    def operands():  # the padded coarse maps and the four phase kernels
+        kernels = ad._UP2_FOLD @ weight.data.reshape(9, c * c_out)
+        return ad._pad_channel_major(x.data, n, c, h, w), kernels.reshape(4, 4 * c, c_out)
+
+    xp, kernels = operands()
+    out = np.empty((n, c_out, 2 * h, 2 * w))
+    for ((py, px), taps), k2 in zip(ad._UP2_PHASES, kernels):
+        phase = ad._taps_forward(xp, k2, taps, h, w)
+        phase += bias.data[:, None]
+        out[:, :, py::2, px::2] = phase.reshape(n, c_out, h, w)
+
+    def grad_fn(g):
+        g = g.reshape(n, c_out, 2 * h, 2 * w)
+        # one copy into (phase row, phase column, C_out, n, H, W), so each
+        # phase's (C_out, n*H*W) gradient is a contiguous block
+        phases = g.reshape(n, c_out, h, 2, w, 2).transpose(3, 5, 1, 0, 2, 4).copy()
+        xp, kernels = operands()
+        gxp = np.zeros_like(xp)
+        gk = np.empty((4, 4, c, c_out))
+        for i, (((py, px), taps), k2) in enumerate(zip(ad._UP2_PHASES, kernels)):
+            g2 = phases[py, px].reshape(c_out, n * h * w)
+            gk[i] = ad._taps_backward(xp, k2, taps, g2, gxp, h, w)
+        gw = ad._UP2_FOLD.T @ gk.reshape(16, c * c_out)
+        return ad._unpad_channel_major(gxp, lead, c, h, w), gw.reshape(weight.shape), g.sum(axis=(0, 2, 3))
+
+    return Tensor._make(out.reshape(*lead, c_out, 2 * h, 2 * w), (x, weight, bias), grad_fn, "conv3x3_up2")
+
+
+def conv3x3_up2_gelu_linear_composite(x, weight, bias, proj_weight, proj_bias, up2=conv3x3_up2):
+    """The x2 conv `up2`, then GELU and the 1x1 projection to one channel as
+    a `gelu_linear` node on the swapped channel view, as `nn.Conv1x1`
+    projects: the DPT head's last three steps as it ran them before
+    `ad.conv3x3_up2_gelu_linear`, giving the (..., 2H, 2W) map."""
+    y = up2(x, weight, bias)
+    *lead, c, h, w = y.shape
+    raw = ad.gelu_linear(swap_last(y.reshape(*lead, c, h * w)), proj_weight, proj_bias)
+    return raw.reshape(*lead, h, w)
 
 
 def softmax_composite(t, axis=-1):

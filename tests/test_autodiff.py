@@ -427,9 +427,21 @@ FUSED_OPS = {
     ),
     "conv3x3": (ad.conv3x3, oracles.conv3x3_composite, [(3, 5, 6), (3, 3, 3, 4), (4,)], {}),
     "conv3x3-batched": (ad.conv3x3, oracles.conv3x3_composite, [(2, 3, 5, 6), (3, 3, 3, 4), (4,)], {}),
-    "conv3x3_up2": (ad.conv3x3_up2, oracles.conv3x3_up2_composite, [(3, 3, 5), (3, 3, 3, 4), (4,)], {}),
+    "conv3x3_up2": (oracles.conv3x3_up2, oracles.conv3x3_up2_composite, [(3, 3, 5), (3, 3, 3, 4), (4,)], {}),
     "conv3x3_up2-batched": (
-        ad.conv3x3_up2, oracles.conv3x3_up2_composite, [(2, 2, 3, 3, 5), (3, 3, 3, 2), (2,)], {}
+        oracles.conv3x3_up2, oracles.conv3x3_up2_composite, [(2, 2, 3, 3, 5), (3, 3, 3, 2), (2,)], {}
+    ),
+    "conv3x3_up2_gelu_linear": (
+        ad.conv3x3_up2_gelu_linear,
+        oracles.conv3x3_up2_gelu_linear_composite,
+        [(3, 3, 5), (3, 3, 3, 4), (4,), (4, 1), (1,)],
+        {},
+    ),
+    "conv3x3_up2_gelu_linear-batched": (
+        ad.conv3x3_up2_gelu_linear,
+        oracles.conv3x3_up2_gelu_linear_composite,
+        [(2, 2, 3, 3, 5), (3, 3, 3, 2), (2,), (2, 1), (1,)],
+        {},
     ),
     "layernorm": (ad.layernorm, oracles.layernorm_composite, [(5, 8), (8,), (8,)], {}),
     "softmax-axis-1": (ad.softmax, oracles.softmax_composite, [(3, 4, 5)], {"axis": -1}),
@@ -461,6 +473,8 @@ FUSED_FD_CASES = [
     ("conv3x3-batched", 0), ("conv3x3-batched", 1), ("conv3x3-batched", 2),
     ("conv3x3_up2", 0), ("conv3x3_up2", 1), ("conv3x3_up2", 2),
     ("conv3x3_up2-batched", 0), ("conv3x3_up2-batched", 1), ("conv3x3_up2-batched", 2),
+    *(("conv3x3_up2_gelu_linear", i) for i in range(5)),
+    *(("conv3x3_up2_gelu_linear-batched", i) for i in range(5)),
     ("layernorm", 0), ("layernorm", 1), ("layernorm", 2),
     ("softmax-axis-1", 0), ("softmax-axis0", 0),
     ("ssim", 0), ("ssim", 1), ("bilinear_sample", 0), ("bilinear_sample", 1),
@@ -569,7 +583,7 @@ def test_linear_returns_the_input_gradient_in_the_inputs_layout():
     "shapes,swapped",
     # an MLP's hidden tokens (batch of two frames), and the DPT head's
     # (2, 128, 64, 64) map into head_out, projected through the swapped view
-    # (2, 4096, 128): four blocks of the forward's 1024 rows
+    # (2, 4096, 128), as the head ran it before `conv3x3_up2_gelu_linear`
     [([(2, 16, 256), (256, 64), (64,)], False), ([(2, 128, 4096), (128, 1), (1,)], True)],
     ids=["tokens", "dpt-head-out"],
 )
@@ -588,6 +602,30 @@ def test_gelu_linear_is_bit_identical_to_gelu_then_linear(shapes, swapped, froze
     new, old = run(ad.gelu_linear), run(oracles.gelu_linear_composite)
     assert [a.shape for a in new] == [a.shape for a in old]
     assert _bits(new) == _bits(old)
+
+
+def test_conv3x3_up2_gelu_linear_matches_the_two_nodes_at_the_heads_shape():
+    # the 64 px DPT head: (2, 48, 32, 32) maps, 128 channels, one out. The
+    # output and the input and conv-weight gradients are the two nodes'
+    # (`conv3x3_up2` and `gelu_linear`), bit for bit; the conv-bias and
+    # projection gradients are sums the node takes phase by phase, in
+    # another order
+    rng = np.random.default_rng(48)
+    shapes = [(2, 48, 32, 32), (3, 3, 48, 128), (128,), (128, 1), (1,)]
+    inputs = [rng.normal(size=shape) for shape in shapes]
+    inputs[1] *= 0.05  # pre-activations of about unit scale, on both sides of GELU's bend
+    c = rng.normal(size=(2, 64, 64))
+
+    def run(op):
+        leaves = [Tensor(a, requires_grad=True) for a in inputs]
+        out = op(*leaves)
+        return [out.data] + ad.grads((out * Tensor(c)).sum(), leaves)
+
+    new, old = run(ad.conv3x3_up2_gelu_linear), run(oracles.conv3x3_up2_gelu_linear_composite)
+    assert [a.shape for a in new] == [a.shape for a in old]
+    assert _bits(new[:3]) == _bits(old[:3])
+    for a, b in zip(new[3:], old[3:]):
+        assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
 
 
 def _gelu_cdf_points() -> np.ndarray:
@@ -632,11 +670,28 @@ def test_importing_dvokit_loads_no_scipy():
     assert done.stdout.strip() == "[]"
 
 
-@pytest.mark.parametrize("op", [ad.conv3x3, ad.conv3x3_up2], ids=["conv3x3", "conv3x3_up2"])
+def _head_projection(c_out):
+    """A fixed projection of `c_out` channels to one, and its bias."""
+    return Tensor(np.linspace(-1.0, 1.0, c_out)[:, None]), Tensor([0.1])
+
+
+# the conv ops by name, each on (x, weight, bias); the DPT head's node with a
+# fixed projection to one channel
+CONV_OPS = {
+    "conv3x3": ad.conv3x3,
+    "conv3x3_up2": oracles.conv3x3_up2,
+    "conv3x3_up2_gelu_linear": lambda x, weight, bias: ad.conv3x3_up2_gelu_linear(
+        x, weight, bias, *_head_projection(weight.shape[-1])
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(CONV_OPS))
 @pytest.mark.parametrize("c_out", [48, 128])
-def test_conv_forward_is_bit_identical_to_the_two_copy_im2col(op, c_out, monkeypatch):
+def test_conv_forward_is_bit_identical_to_the_two_copy_im2col(name, c_out, monkeypatch):
     # the DPT head's (2, 48, 32, 32) maps, into a fusion unit (48) and the
     # head conv (128)
+    op = CONV_OPS[name]
     rng = np.random.default_rng(c_out)
     x, weight, bias = rng.normal(size=(2, 48, 32, 32)), rng.normal(size=(3, 3, 48, c_out)), rng.normal(size=c_out)
     got = op(Tensor(x), Tensor(weight), Tensor(bias)).data
@@ -678,9 +733,9 @@ def test_fused_op_traps_nan_input_in_checked_mode(name):
     assert np.isnan(out.data).any()
 
 
-@pytest.mark.parametrize("op", [ad.conv3x3, ad.conv3x3_up2], ids=["conv3x3", "conv3x3_up2"])
-def test_conv_ops_check_their_operands(op):
-    name = op.__name__
+@pytest.mark.parametrize("name", list(CONV_OPS))
+def test_conv_ops_check_their_operands(name):
+    op = CONV_OPS[name]
     with pytest.raises(ValueError, match=f"{name} expects"):
         op(Tensor(np.ones((4, 4))), Tensor(np.ones((3, 3, 4, 2))), Tensor(np.ones(2)))
     with pytest.raises(ValueError, match=rf"{name} weight must be \(3, 3, 2, C_out\)"):
@@ -689,8 +744,16 @@ def test_conv_ops_check_their_operands(op):
         op(Tensor(np.ones((2, 4, 4))), Tensor(np.ones((3, 3, 2, 2))), Tensor(np.ones(3)))
 
 
-@pytest.mark.parametrize("op", [ad.conv3x3, ad.conv3x3_up2], ids=["conv3x3", "conv3x3_up2"])
-def test_conv_ops_give_each_map_of_a_batch_what_it_gets_alone(op):
+def test_conv3x3_up2_gelu_linear_checks_its_projection():
+    x, weight, bias = Tensor(np.ones((2, 4, 4))), Tensor(np.ones((3, 3, 2, 3))), Tensor(np.ones(3))
+    for proj_weight, proj_bias in (((3, 2), (2,)), ((2, 1), (1,)), ((3,), (1,)), ((3, 1), ())):
+        with pytest.raises(ValueError, match=r"conv3x3_up2_gelu_linear projection must be \(3, 1\) and \(1,\)"):
+            ad.conv3x3_up2_gelu_linear(x, weight, bias, Tensor(np.ones(proj_weight)), Tensor(np.ones(proj_bias)))
+
+
+@pytest.mark.parametrize("name", list(CONV_OPS))
+def test_conv_ops_give_each_map_of_a_batch_what_it_gets_alone(name):
+    op = CONV_OPS[name]
     # 12 maps of 48 channels at 4x4 px: a GEMM over the whole batch would take
     # OpenBLAS's large-matrix kernel (> 1e6 multiply-adds), one map's alone
     # its small-matrix kernel, which rounds differently
@@ -834,5 +897,7 @@ def test_no_grad_keeps_trapping_non_finite_values():
                 oracles.sqrt(ad.parameter([-1.0]))
         bad = np.ones((1, 2, 2))
         bad[0, 0, 0] = np.nan
-        with pytest.raises(ad.NonFiniteError, match="'conv3x3_up2'"):
-            ad.conv3x3_up2(Tensor(bad), ad.parameter(np.ones((3, 3, 1, 1))), ad.parameter(np.zeros(1)))
+        with pytest.raises(ad.NonFiniteError, match="'conv3x3_up2_gelu_linear'"):
+            ad.conv3x3_up2_gelu_linear(
+                Tensor(bad), *map(ad.parameter, (np.ones((3, 3, 1, 1)), np.zeros(1), np.ones((1, 1)), np.zeros(1)))
+            )

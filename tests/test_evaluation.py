@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from dataclasses import astuple, replace
 
 import numpy as np
@@ -55,6 +56,23 @@ def test_evaluate_depth_gives_each_pair_what_its_own_forward_gives(head, monkeyp
         assert np.array_equal(depth, alone)
         assert metrics == depth_metrics(alone, pair.gt_depth_a.values, cfg)
     assert report == mean_reports([metrics for _, metrics in seen])
+
+
+def test_evaluate_depth_of_dpt_pairs_peaks_at_most_27_mb():
+    # a chunk of four 64 px pairs and one more pair peak at 24.2 MB: with no
+    # graph the head's last node keeps no phase's arrays (41.0 MB when the
+    # head's conv wrote its 128-channel map at full resolution for a
+    # gelu_linear node)
+    pairs = train.PairDataset(_trajectory_pairs(64, train.EVAL_CHUNK_PIXELS // 64**2 + 1))
+    model = DvoModel(toy_config(head_kind="dpt"), np.random.default_rng(0))
+    train.evaluate_depth(model, pairs)  # cached embeddings
+    tracemalloc.start()
+    try:
+        train.evaluate_depth(model, pairs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 27e6
 
 
 def test_evaluate_depth_encodes_each_frame_of_a_chunk_once(monkeypatch):

@@ -1,4 +1,5 @@
 import tracemalloc
+from functools import partial
 from dataclasses import replace
 
 import numpy as np
@@ -227,7 +228,9 @@ def test_posemb_2d_is_one_read_only_array_per_grid():
 
 
 def test_dpt_head_matches_upsampling_then_convolving(static_pair_32, monkeypatch):
-    # the polyphase head conv against the path it replaced, on the same weights
+    # the head's polyphase conv, GELU and projection node against the path
+    # it replaced (upsample, convolve, then GELU into the projection), on
+    # the same weights
     model = DvoModel(toy_config(head_kind="dpt"), np.random.default_rng(6))
     pair = static_pair_32
     params = [p for _, p in model.depth_head.named_parameters()]
@@ -239,7 +242,8 @@ def test_dpt_head_matches_upsampling_then_convolving(static_pair_32, monkeypatch
         return [depth.data] + ad.grads((depth * Tensor(c)).sum(), params)
 
     new = run()
-    monkeypatch.setattr(ad, "conv3x3_up2", oracles.conv3x3_up2_composite)
+    composite = partial(oracles.conv3x3_up2_gelu_linear_composite, up2=oracles.conv3x3_up2_composite)
+    monkeypatch.setattr(ad, "conv3x3_up2_gelu_linear", composite)
     for a, b in zip(new, run()):
         assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
 
@@ -330,12 +334,14 @@ def test_forward_dvo_matches_the_per_frame_reference(head_kind, static_pair_32):
 
 @pytest.mark.parametrize(
     "pair_fixture,head_kind,bound",
-    [("static_pair_32", "linear", 414), ("static_pair_64", "dpt", 504)],
+    [("static_pair_32", "linear", 414), ("static_pair_64", "dpt", 500)],
 )
 def test_finetune_loss_graph_node_count(pair_fixture, head_kind, bound, request):
-    # one finetune loss is 414 (32 px, linear head) and 504 (64 px, DPT
+    # one finetune loss is 414 (32 px, linear head) and 500 (64 px, DPT
     # head) nodes with both frames batched through encoder, decoder and
-    # depth head; one-node GELU projections took 9 off 423 and 11 off 515
+    # depth head; the DPT head's conv, GELU and projection as one node took
+    # 4 off 504 (the reshape and transpose nodes of the swapped channel view
+    # went with them); one-node GELU projections took 9 off 423 and 11 off 515
     # (8 MLPs and the depth head; the DPT head's head_out also drops the
     # output transpose and getitem of its Conv1x1 route), the one-node
     # Rodrigues rotation took 19 off 442 and 534
@@ -362,9 +368,10 @@ def test_pretrain_loss_graph_node_count(static_pair_32):
 
 
 def test_dpt_forward_graph_holds_at_most_45_mb(static_pair_64):
-    # a 64 px DPT forward_dvo graph holds 43.0 MB: the full-resolution map
-    # into head_out and GELU's cdf, not the activation (57.4 MB when GELU
-    # and head_out were two nodes and each conv node kept its padded input)
+    # a 64 px DPT forward_dvo graph holds 43.0 MB: of the head's last node,
+    # each output phase's pre-activations and GELU's cdf, not the
+    # activation (57.4 MB when GELU and head_out were two nodes and each
+    # conv node kept its padded input)
     model = DvoModel(toy_config(head_kind="dpt"), np.random.default_rng(0))
     forward_dvo(model, static_pair_64.image_a, static_pair_64.image_b)  # cached embeddings
     tracemalloc.start()
@@ -375,6 +382,28 @@ def test_dpt_forward_graph_holds_at_most_45_mb(static_pair_64):
         tracemalloc.stop()
     assert all(t.requires_grad for t in outs)
     assert held <= 45e6
+
+
+def test_dpt_training_job_peaks_at_most_60_mb(static_pair_64):
+    # forward, loss and backward of one 64 px DPT pair peak at 56.8 MB; 68.4
+    # MB when the head's conv and its GELU projection were two nodes, whose
+    # backward built three 8 MB full-resolution arrays: a token-major copy of
+    # the activation, a phase-major copy of the gradient and GELU's gradient
+    model = DvoModel(toy_config(head_kind="dpt"), np.random.default_rng(0))
+    params = [p for _, p in model.named_parameters()]
+
+    def job():
+        outs = forward_dvo(model, static_pair_64.image_a, static_pair_64.image_b)
+        return ad.grads(total_loss(static_pair_64, *outs).l_total, params)
+
+    job()  # cached embeddings
+    tracemalloc.start()
+    try:
+        job()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 60e6
 
 
 @pytest.mark.parametrize("pair_fixture,phase", [("static_pair_32", "finetune"), ("static_pair_64", "pretrain")])

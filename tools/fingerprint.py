@@ -45,9 +45,10 @@ What it runs, all seeded and on the `dynamic-room` scene:
     on both borders and outside): one item per op, digesting its output and
     the gradient of a weighted sum of it w.r.t. each input
   - the DPT head's kernels, the same way, on seeded maps with a leading
-    axis of 2: `autodiff.conv3x3`, `autodiff.conv3x3_up2` and
-    `autodiff.upsample_nearest` by 2 and by 4 (`op/upsample_nearest-k2`,
-    `-k4`); and the transformer's, on seeded tokens: `autodiff.layernorm`
+    axis of 2: `autodiff.conv3x3`, `autodiff.conv3x3_up2` (older sources),
+    `autodiff.conv3x3_up2_gelu_linear` (its conv, then GELU and a
+    projection to one channel) and `autodiff.upsample_nearest` by 2 and by
+    4 (`op/upsample_nearest-k2`, `-k4`); and the transformer's, on seeded tokens: `autodiff.layernorm`
     (its input, scale and shift) and `autodiff.softmax` along the last and
     the first axis (`op/softmax-axis-1`, `-axis0`); `autodiff.gelu_linear`
     on tokens (`op/gelu_linear-tokens`) and, to one channel, on the swapped
@@ -295,6 +296,7 @@ def fingerprint(tmp: Path) -> dict:
     kernels = {
         "conv3x3": (getattr(autodiff, "conv3x3", None), conv_shapes),
         "conv3x3_up2": (getattr(autodiff, "conv3x3_up2", None), conv_shapes),
+        "conv3x3_up2_gelu_linear": (getattr(autodiff, "conv3x3_up2_gelu_linear", None), [*conv_shapes, (4, 1), (1,)]),
         "upsample_nearest-k2": (lambda t: autodiff.upsample_nearest(t, 2), [(2, 3, 5, 6)]),
         "upsample_nearest-k4": (lambda t: autodiff.upsample_nearest(t, 4), [(2, 3, 5, 6)]),
         "layernorm": (getattr(autodiff, "layernorm", None), [(2, 7, 24), (24,), (24,)]),
