@@ -43,7 +43,6 @@ __all__ = [
     "ssim_moments",
     "ssim",
     "bilinear_sample",
-    "softmax",
     "linear",
     "gelu_linear",
     "attention",
@@ -840,13 +839,6 @@ def _softmax_grad(out: np.ndarray, g: np.ndarray, axis: int) -> np.ndarray:
     return np.multiply(t, out, out=t)
 
 
-def softmax(t: Tensor, axis: int = -1) -> Tensor:
-    """Numerically-stable softmax; the max shift is treated as a constant."""
-    t = _as_tensor(t)
-    out = _softmax(t.data, axis)
-    return Tensor._make(out, (t,), lambda g: (_softmax_grad(out, g, axis),), "softmax")
-
-
 def _linear_operands(op: str, x, weight, bias):
     x, weight, bias = _as_tensor(x), _as_tensor(weight), _as_tensor(bias)
     if x.ndim < 2 or weight.ndim != 2 or x.shape[-1] != weight.shape[0] or bias.shape != weight.shape[1:]:
@@ -856,29 +848,18 @@ def _linear_operands(op: str, x, weight, bias):
     return x, weight, bias
 
 
-def _linear_input_grad(x: np.ndarray, weight: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """``g @ weight.T`` in the layout of ``x``, so that the gradient handed
-    on to the op before a transposed view (last two axes swapped, as
-    `nn.Conv1x1` projects channel-major maps) is a contiguous map, not one
-    strided by D: ``W @ g^T`` swapped. Each element is the sum of the same
-    D' products as ``g @ W.T``, bit for bit."""
-    if not x.flags.c_contiguous and np.swapaxes(x, -1, -2).flags.c_contiguous:
-        return np.swapaxes(weight @ np.swapaxes(g, -1, -2), -1, -2)
-    return g @ weight.T
-
-
 def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     """``x @ weight + bias`` for (..., D) rows, a (D, D') weight and a (D',)
-    bias, as one node. The backward pass runs the GEMMs of the matmul and
-    add nodes it replaced: the weight gradient is one GEMM over every
-    leading row of ``x``, the input gradient comes back in ``x``'s layout
-    (`_linear_input_grad`)."""
+    bias, as one node: every `nn.Linear` runs it. The backward pass runs
+    the GEMMs of the matmul and add nodes it replaced: the weight gradient
+    is one GEMM over every leading row of ``x``, the input gradient
+    ``g @ weight.T``."""
     x, weight, bias = _linear_operands("linear", x, weight, bias)
     out = x.data @ weight.data
     out += bias.data
 
     def grad_fn(g):
-        gx = _linear_input_grad(x.data, weight.data, g) if x.requires_grad else None
+        gx = g @ weight.data.T if x.requires_grad else None
         gw = x.data.reshape(-1, x.shape[-1]).T @ g.reshape(-1, g.shape[-1]) if weight.requires_grad else None
         return gx, gw, _unbroadcast(g, bias.shape) if bias.requires_grad else None
 
@@ -886,12 +867,11 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
 
 
 def gelu_linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
-    """``linear(x.gelu(), weight, bias)`` as one node that keeps GELU's cdf
-    but not the activation: the backward pass forms it again, in ``x``'s
-    layout, for the weight gradient, and takes the input gradient through
-    GELU's derivative in that layout too. Output and gradients are the
-    composite's, bit for bit. Every GELU on tokens that feeds a projection
-    runs it."""
+    """``linear(gelu(x), weight, bias)`` as one node that keeps GELU's cdf
+    but not the activation: the backward pass forms it again for the weight
+    gradient and takes the input gradient ``g @ weight.T`` through GELU's
+    derivative. Output and gradients are the composite's, bit for bit.
+    Every GELU on tokens that feeds a projection runs it."""
     x, weight, bias = _linear_operands("gelu_linear", x, weight, bias)
     cdf = _gelu_cdf(x.data)
     out = (x.data * cdf) @ weight.data
@@ -901,7 +881,7 @@ def gelu_linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
         gw = None
         if weight.requires_grad:  # first, so the activation is gone before gx
             gw = (x.data * cdf).reshape(-1, x.shape[-1]).T @ g.reshape(-1, g.shape[-1])
-        gx = _gelu_grad(x.data, cdf, _linear_input_grad(x.data, weight.data, g)) if x.requires_grad else None
+        gx = _gelu_grad(x.data, cdf, g @ weight.data.T) if x.requires_grad else None
         return gx, gw, _unbroadcast(g, bias.shape) if bias.requires_grad else None
 
     return Tensor._make(out, (x, weight, bias), grad_fn, "gelu_linear")

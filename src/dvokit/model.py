@@ -97,6 +97,12 @@ def unpatchify_map(tokens: Tensor, rows: int, cols: int) -> Tensor:
     return x.reshape(*lead, rows * PATCH, cols * PATCH)
 
 
+def _swap_last(x: Tensor) -> Tensor:
+    """Swap the last two axes of a tensor of any rank."""
+    lead = tuple(range(x.ndim - 2))
+    return x.transpose(*lead, x.ndim - 1, x.ndim - 2)
+
+
 def depth_from_raw(x: Tensor, min_depth: float, max_depth: float) -> Tensor:
     """Sigmoid-bounded inverse depth: outputs always in [min_depth, max_depth]."""
     inv_lo, inv_hi = 1.0 / max_depth, 1.0 / min_depth
@@ -128,7 +134,8 @@ class DptDepthHead(nn.Module):
     by which DPT (arXiv 2103.13413) taps blocks 3, 6, 9 and 12 of ViT-B's
     12: (1, 2, 3, 4) at D = 4, (1, 1, 2, 2) at D = 2.
 
-    Tapped token grids are reshaped to 2D maps, projected to a common width,
+    Each tapped block's tokens are projected to a common width (DPT's
+    reassemble, a 1x1 projection of each token) and reshaped to a 2D map,
     resized to {4, 2, 1, 1/2} x the token grid (shallow taps get the higher
     resolutions), fused coarse-to-fine with residual 3x3 conv units and 2x
     nearest upsampling, then upsampled x2 to full image resolution by
@@ -142,18 +149,16 @@ class DptDepthHead(nn.Module):
     def __init__(self, cfg: ModelConfig, rng):
         width = cfg.dec_dim
         self.norms = nn.ModuleList([nn.LayerNorm(cfg.dec_dim) for _ in range(4)])
-        self.projs = nn.ModuleList([nn.Conv1x1(cfg.dec_dim, width, rng) for _ in range(4)])
+        self.projs = nn.ModuleList([nn.Linear(cfg.dec_dim, width, rng) for _ in range(4)])
         self.fuse = nn.ModuleList([nn.ResidualConvUnit(width, rng) for _ in range(4)])
         self.head_conv = nn.Conv3x3(width, 128, rng)
-        self.head_out = nn.Conv1x1(128, 1, rng)
+        self.head_out = nn.Linear(128, 1, rng)
         self._cfg = cfg
         self._taps = [math.ceil(k * cfg.dec_depth / 4) for k in range(1, 5)]
 
     def _reassemble(self, tokens: Tensor, rows: int, cols: int, tap_pos: int) -> Tensor:
-        lead = tokens.shape[:-2]
-        fmap = self.projs[tap_pos](
-            nn._swap_last(self.norms[tap_pos](tokens)).reshape(*lead, self._cfg.dec_dim, rows, cols)
-        )
+        projected = self.projs[tap_pos](self.norms[tap_pos](tokens))
+        fmap = _swap_last(projected).reshape(*tokens.shape[:-2], self._cfg.dec_dim, rows, cols)
         scale = (4, 2, 1, 0)[tap_pos]  # 0 marks the 1/2 downsample
         if scale == 0:
             return fmap[..., ::2, ::2]

@@ -99,12 +99,6 @@ class AdaptMlp(Module):
         return self.mlp(x) + self.SCALE * self.adapter_up(self.adapter_down(x).relu())
 
 
-def _swap_last(x: Tensor) -> Tensor:
-    """Swap the last two axes of a tensor of any rank."""
-    lead = tuple(range(x.ndim - 2))
-    return x.transpose(*lead, x.ndim - 1, x.ndim - 2)
-
-
 class SelfAttention(Module):
     """Multi-head self-attention over (..., N, D) tokens: the packed qkv
     projection, one ``ad.attention`` node and the output projection, three
@@ -185,20 +179,6 @@ class Conv3x3(Module):
 
     def __call__(self, x: Tensor) -> Tensor:
         return ad.conv3x3(x, self.weight, self.bias)
-
-
-class Conv1x1(Module):
-    """Per-pixel projection of (..., C, H, W) maps."""
-
-    def __init__(self, c_in, c_out, rng):
-        self.weight = ad.parameter(_init(rng, (c_in, c_out)))
-        self.bias = ad.parameter(np.zeros(c_out))
-        self._c_out = c_out
-
-    def __call__(self, x: Tensor) -> Tensor:
-        *lead, c, h, w = x.shape
-        out = ad.linear(_swap_last(x.reshape(*lead, c, h * w)), self.weight, self.bias)
-        return _swap_last(out).reshape(*lead, self._c_out, h, w)
 
 
 class ResidualConvUnit(Module):

@@ -1,7 +1,7 @@
 """Independent reference implementations used to freeze expected test values.
 
 Everything here is deliberately loop-based and separate from the library's
-vectorized code paths, except the pointwise sqrt, sin and cos nodes that
+vectorized code paths, except the sqrt, sin, cos and softmax nodes that
 no library code calls, the composites, the per-frame forward and the
 previous kernels at the end: the fused autodiff ops are checked against
 composites built from primitive Tensor ops, the batched two-frame forward
@@ -122,7 +122,7 @@ def depth_metrics_reference(pred: np.ndarray, gt: np.ndarray):
     return abs_rel, rmse, tuple(deltas)
 
 
-# ---- pointwise nodes with no caller in the library --------------------------------------
+# ---- nodes with no caller in the library ------------------------------------------------
 
 
 def sqrt(t):
@@ -136,6 +136,13 @@ def sin(t):
 
 def cos(t):
     return Tensor._make(np.cos(t.data), (t,), lambda g: (-g * np.sin(t.data),), "cos")
+
+
+def softmax(t, axis=-1):
+    """Numerically-stable softmax on `autodiff.attention`'s kernels; the max
+    shift is treated as a constant."""
+    out = ad._softmax(t.data, axis)
+    return Tensor._make(out, (t,), lambda g: (ad._softmax_grad(out, g, axis),), "softmax")
 
 
 # ---- composites the fused autodiff ops replaced ---------------------------------------
@@ -215,9 +222,9 @@ def conv3x3_up2(x, weight, bias):
 
 def conv3x3_up2_gelu_linear_composite(x, weight, bias, proj_weight, proj_bias, up2=conv3x3_up2):
     """The x2 conv `up2`, then GELU and the 1x1 projection to one channel as
-    a `gelu_linear` node on the swapped channel view, as `nn.Conv1x1`
-    projects: the DPT head's last three steps as it ran them before
-    `ad.conv3x3_up2_gelu_linear`, giving the (..., 2H, 2W) map."""
+    a `gelu_linear` node on the swapped channel view: the DPT head's last
+    three steps as it ran them before `ad.conv3x3_up2_gelu_linear`, giving
+    the (..., 2H, 2W) map."""
     y = up2(x, weight, bias)
     *lead, c, h, w = y.shape
     raw = ad.gelu_linear(swap_last(y.reshape(*lead, c, h * w)), proj_weight, proj_bias)
@@ -336,7 +343,7 @@ def _merge_heads(x):
 
 
 def _attend(q, k, v, scale):
-    attn = ad.softmax((q @ swap_last(k)) * scale, axis=-1)
+    attn = softmax((q @ swap_last(k)) * scale, axis=-1)
     return _merge_heads(attn @ v)
 
 

@@ -33,16 +33,25 @@ def test_identical_files_exit_0(fingerprint, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "change,line",
+    "change,out",
     [
-        ({**_PARENT, "eval/json": "0123abce"}, "eval/json: differs"),
-        ({**_PARENT, "op/ssim": "ff"}, "op/ssim: only in change"),
+        ({**_PARENT, "eval/json": "0123abce"}, "eval/json: differs\n"),
+        ({**_PARENT, "eval/json": "0123abce", "op/ssim": "ff"}, "eval/json: differs\nop/ssim: only in change\n"),
     ],
-    ids=["changed-digest", "one-side-only"],
+    ids=["changed-digest", "changed-digest-and-one-side-only"],
 )
-def test_a_differing_item_exits_1_and_is_named(fingerprint, tmp_path, capsys, change, line):
+def test_a_differing_item_exits_1_and_is_named(fingerprint, tmp_path, capsys, change, out):
     assert _compare(fingerprint, tmp_path, change) == 1
-    assert capsys.readouterr().out == f"{line}\n"
+    assert capsys.readouterr().out == out
+
+
+@pytest.mark.parametrize("flags", [(), ("--rtol", "1e-12")], ids=["exact", "rtol"])
+def test_items_on_one_side_only_exit_3_and_are_listed_apart(fingerprint, tmp_path, capsys, flags):
+    parent, change = {**_PARENT, "nn/Conv1x1": "aa"}, {**_PARENT, "op/ssim": "ff"}
+    assert _compare(fingerprint, tmp_path, change, parent, flags) == 3
+    within = " or within rtol 1e-12" if flags else ""
+    want = f"all 2 shared items identical{within}\nnn/Conv1x1: only in parent\nop/ssim: only in change\n"
+    assert capsys.readouterr().out == want
 
 
 def test_a_changed_number_prints_its_relative_difference(fingerprint, tmp_path, capsys):

@@ -334,16 +334,18 @@ def test_forward_dvo_matches_the_per_frame_reference(head_kind, static_pair_32):
 
 @pytest.mark.parametrize(
     "pair_fixture,head_kind,bound",
-    [("static_pair_32", "linear", 414), ("static_pair_64", "dpt", 500)],
+    [("static_pair_32", "linear", 414), ("static_pair_64", "dpt", 484)],
 )
 def test_finetune_loss_graph_node_count(pair_fixture, head_kind, bound, request):
-    # one finetune loss is 414 (32 px, linear head) and 500 (64 px, DPT
+    # one finetune loss is 414 (32 px, linear head) and 484 (64 px, DPT
     # head) nodes with both frames batched through encoder, decoder and
-    # depth head; the DPT head's conv, GELU and projection as one node took
-    # 4 off 504 (the reshape and transpose nodes of the swapped channel view
-    # went with them); one-node GELU projections took 9 off 423 and 11 off 515
-    # (8 MLPs and the depth head; the DPT head's head_out also drops the
-    # output transpose and getitem of its Conv1x1 route), the one-node
+    # depth head; projecting each DPT tap's tokens before the swap to a map
+    # took 16 off 500 (4 reshape and transpose nodes a tap); the DPT head's
+    # conv, GELU and projection as one node took 4 off 504 (the reshape and
+    # transpose nodes of the swapped channel view went with them); one-node
+    # GELU projections took 9 off 423 and 11 off 515 (8 MLPs and the depth
+    # head; the DPT head's last projection also dropped the output transpose
+    # and getitem of its channel-map route), the one-node
     # Rodrigues rotation took 19 off 442 and 534
     # (the twist is zero at init, where the composite took its 20-node
     # series branch), one-node linear layers and attention took 203 off 645

@@ -15,15 +15,17 @@ arrays stay the same). The numbers behind every item but the frames, the
 dataset files and the `valid` map are also printed as they are, under
 `values/<item>`; for a checkpoint's arrays, which are too large for JSON,
 five numbers per array stand for them (`_array_summaries`).
-`--compare` lists the items that differ between two such outputs and, for
-each `values/` item, the largest relative difference of its numbers, so a
-change that moves outputs by round-off shows by how much. It exits 1 when
-any item differs or exists on one side only and 0 when all are identical,
-so a script can gate a refactor on it. `--rtol R` gates a round-off
-change instead: an item passes when it is identical or its `values/` twin
-differs by at most R, relative. A digest that differs while its twin does
-not fails, as what moved is then something the numbers do not show. The
-items that fail are listed, and the exit status is 1 if there are any.
+`--compare` lists the items of both outputs that differ and, for each
+`values/` item, the largest relative difference of its numbers, so a
+change that moves outputs by round-off shows by how much. `--rtol R` gates
+a round-off change instead: an item passes when it is identical or its
+`values/` twin differs by at most R, relative. A digest that differs while
+its twin does not fails, as what moved is then something the numbers do
+not show. Items that exist on one side only (an op or layer that one of
+the two sources lacks) are listed after the failing ones, as "only in
+parent" or "only in change". The exit status is 1 when any item of both
+outputs fails, 3 when items on one side only are the only finding and 0
+when all items are identical, so a script can gate a refactor on it.
 
 What it runs, all seeded and on the `dynamic-room` scene:
   - random-walk trajectories of 4 frames at 32 and 64 px (images, depths,
@@ -52,8 +54,10 @@ What it runs, all seeded and on the `dynamic-room` scene:
     (its input, scale and shift) and `autodiff.softmax` along the last and
     the first axis (`op/softmax-axis-1`, `-axis0`); `autodiff.gelu_linear`
     on tokens (`op/gelu_linear-tokens`) and, to one channel, on the swapped
-    view of (2, 24, 35) maps that `head_out` projects (`-maps`). Sources
-    without an op, or whose op takes no leading axes, leave its item out
+    view of (2, 24, 35) maps (`-maps`), the layout in which the DPT head
+    projected its full-resolution map before `conv3x3_up2_gelu_linear`.
+    Sources without an op, or whose op takes no leading axes, leave its
+    item out
   - `optim.AdamW`: 5 steps on three seeded parameters with seeded
     gradients (`optim/adamw`), digesting the parameters and the state
     (step count and moments). Sources whose step takes no gradients leave
@@ -68,12 +72,12 @@ What it runs, all seeded and on the `dynamic-room` scene:
   - the `nn` layers that run on the fused `autodiff.linear` and
     `autodiff.attention`: `SelfAttention`, `CrossAttention`, `Linear` (its
     weight trained and frozen), `Conv1x1` (to 12 channels, and to 1 as
-    the DPT head's `head_out`) and `AdaptMlp`, on seeded
-    parameters and inputs of 7 tokens (or 7 x 3 maps) without and with a
-    leading axis of 2: one item each, digesting the output and the gradient
-    of a weighted sum of it w.r.t. each input and trained parameter. Sources
-    whose layer cannot run an item (an older constructor, or no leading
-    axes) leave that item out
+    the DPT head's `head_out` was; older sources only) and `AdaptMlp`, on
+    seeded parameters and inputs of 7 tokens (or 7 x 3 maps) without and
+    with a leading axis of 2: one item each, digesting the output and the
+    gradient of a weighted sum of it w.r.t. each input and trained
+    parameter. Sources that lack a layer's class, or whose layer cannot run
+    an item (an older constructor, or no leading axes), leave that item out
   - 20-iteration `optimize_direct` pose and depth runs on a 32 px pair from
     `perturbed_twist` starts (curves and results)
   - the failure path: 32 px linear finetune and pretrain runs whose last
@@ -336,16 +340,19 @@ def fingerprint(tmp: Path) -> dict:
 
     # width 24 and 4 heads: the attention scale 6^-0.5 is not a power of two,
     # so applying it elsewhere would round differently
+    conv1x1 = getattr(nn, "Conv1x1", None)
     layers = {
         "SelfAttention": (lambda rng: nn.SelfAttention(24, 4, rng), [(7, 24)]),
         "CrossAttention": (lambda rng: nn.CrossAttention(24, 4, rng), [(7, 24), (9, 24)]),
         "Linear": (lambda rng: nn.Linear(24, 12, rng), [(7, 24)]),
         "Linear-frozen-weight": (frozen_linear, [(7, 24)]),
-        "Conv1x1": (lambda rng: nn.Conv1x1(24, 12, rng), [(24, 7, 3)]),
-        "Conv1x1-to-1": (lambda rng: nn.Conv1x1(24, 1, rng), [(24, 7, 3)]),
+        "Conv1x1": (conv1x1 and (lambda rng: conv1x1(24, 12, rng)), [(24, 7, 3)]),
+        "Conv1x1-to-1": (conv1x1 and (lambda rng: conv1x1(24, 1, rng)), [(24, 7, 3)]),
         "AdaptMlp": (lambda rng: nn.AdaptMlp(24, 96, 4, rng), [(7, 24)]),
     }
     for name, (build, shapes) in layers.items():
+        if build is None:
+            continue
         for lead, suffix in (((), ""), ((2,), "-batched")):
             item = f"nn/{name}{suffix}"
             parts = _layer_parts(autodiff, build, shapes, lead, np.random.default_rng(sum(map(ord, item))))
@@ -390,31 +397,33 @@ def _largest_relative_difference(a, b) -> float:
     return worst
 
 
-def compare(parent: dict, change: dict, rtol: float | None = None) -> list[str]:
-    """One line per item that differs or exists on one side only. With
-    `rtol`, only the items that fail it: an item passes when it is identical,
-    or when its `values/` twin differs too and passes (the twin judges it),
-    and a `values/` item when its largest relative difference is at most
-    `rtol`."""
-    lines = []
-    for item in sorted(parent.keys() | change.keys()):
+def compare(parent: dict, change: dict, rtol: float | None = None) -> tuple[list[str], list[str]]:
+    """One line per item of both that differs and one per item on one side
+    only, as two lists. With `rtol`, the first lists only the items that
+    fail it: an item passes when it is identical, or when its `values/` twin
+    differs too and passes (the twin judges it), and a `values/` item when
+    its largest relative difference is at most `rtol`."""
+    failing = []
+    one_sided = [
+        f"{item}: only in {'change' if item in change else 'parent'}"
+        for item in sorted(parent.keys() ^ change.keys())
+    ]
+    for item in sorted(parent.keys() & change.keys()):
         twin = f"values/{item}"
-        if item not in parent or item not in change:
-            lines.append(f"{item}: only in {'change' if item in change else 'parent'}")
-        elif parent[item] == change[item]:
+        if parent[item] == change[item]:
             continue
         elif item.startswith("values/"):
             rel = _largest_relative_difference(parent[item], change[item])
             if rtol is None or not rel <= rtol:
                 beyond = "" if rtol is None else f", beyond {rtol:g}"
-                lines.append(f"{item}: largest relative difference {rel:.3g}{beyond}")
+                failing.append(f"{item}: largest relative difference {rel:.3g}{beyond}")
         elif rtol is None:
-            lines.append(f"{item}: differs")
+            failing.append(f"{item}: differs")
         elif twin not in parent or twin not in change:
-            lines.append(f"{item}: differs, with no values/ twin")
+            failing.append(f"{item}: differs, with no values/ twin")
         elif parent[twin] == change[twin]:  # what moved, its numbers do not show
-            lines.append(f"{item}: differs, but its values/ twin does not")
-    return lines
+            failing.append(f"{item}: differs, but its values/ twin does not")
+    return failing, one_sided
 
 
 def main(argv: list[str]) -> int:
@@ -422,10 +431,14 @@ def main(argv: list[str]) -> int:
     if args[:1] == ["--compare"] and len(args) in (3, 5) and (len(args) == 3 or args[1] == "--rtol"):
         rtol = float(args[2]) if len(args) == 5 else None
         parent, change = (json.loads(Path(p).read_text()) for p in args[-2:])
-        lines = compare(parent, change, rtol)
+        failing, one_sided = compare(parent, change, rtol)
+        if failing:
+            print("\n".join(failing + one_sided))
+            return 1
+        shared = f"{len(parent.keys() & change.keys())} {'shared ' if one_sided else ''}items"
         within = "" if rtol is None else f" or within rtol {rtol:g}"
-        print("\n".join(lines) if lines else f"all {len(parent)} items identical{within}")
-        return 1 if lines else 0
+        print("\n".join([f"all {shared} identical{within}", *one_sided]))
+        return 3 if one_sided else 0
     if len(argv) != 2 or not (Path(argv[1]) / "dvokit" / "__init__.py").is_file():
         print(
             "usage: python3 tools/fingerprint.py <directory holding the dvokit package>\n"
