@@ -382,12 +382,6 @@ class Tensor:
         a = self
         return Tensor._make(np.maximum(a.data, 0.0), (a,), lambda g: (g * (a.data > 0.0),), "relu")
 
-    def gelu(self):
-        """Exact (erf-based) GELU."""
-        a = self
-        cdf = _gelu_cdf(a.data)
-        return Tensor._make(a.data * cdf, (a,), lambda g: (_gelu_grad(a.data, cdf, g),), "gelu")
-
     # ---- reductions ---------------------------------------------------------------
 
     def _reduce_count(self, axis) -> int:
@@ -871,7 +865,7 @@ def gelu_linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     but not the activation: the backward pass forms it again for the weight
     gradient and takes the input gradient ``g @ weight.T`` through GELU's
     derivative. Output and gradients are the composite's, bit for bit.
-    Every GELU on tokens that feeds a projection runs it."""
+    Every GELU on tokens runs it, fused with the projection it feeds."""
     x, weight, bias = _linear_operands("gelu_linear", x, weight, bias)
     cdf = _gelu_cdf(x.data)
     out = (x.data * cdf) @ weight.data

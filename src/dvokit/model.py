@@ -4,9 +4,10 @@ cross-view completion pretraining objective.
 A shared encoder embeds both frames; a cross-attention decoder processes the
 target frame against the reference frame. Depth comes from either a per-token
 linear head or a multi-scale fusion (DPT-style) head tapping four decoder
-blocks; the relative pose comes from a 2-layer MLP over pooled, concatenated
-encoder tokens. Adapter bottlenecks can be enabled in every block's MLP for
-frozen-backbone finetuning.
+blocks; the relative pose comes from a 2-layer MLP on the two frames'
+concatenated encoder tokens, per patch, then mean-pooled. Adapter
+bottlenecks can be enabled in every block's MLP for frozen-backbone
+finetuning.
 """
 
 from __future__ import annotations
@@ -181,12 +182,14 @@ class DptDepthHead(nn.Module):
 
 
 class PoseHead(nn.Module):
-    """2-layer MLP applied to patch-wise concatenated encoder tokens.
+    """2-layer MLP on the two frames' concatenated encoder tokens, per
+    patch, then mean-pooled.
 
-    The first layer acts per patch pair (so local correspondence information
-    survives), the result is mean-pooled over patches, and the final layer
-    starts at zero with a 0.01 output scale so training begins at the
-    identity pose. Tokens (..., N, D) of both frames give twists (..., 6).
+    Both layers act per patch pair (so local correspondence information
+    survives), and the twist is their mean over patches: the final layer
+    on the pooled hidden layer, as that layer is affine. It starts at zero
+    with a 0.01 output scale so training begins at the identity pose.
+    Tokens (..., N, D) of both frames give twists (..., 6).
     """
 
     def __init__(self, cfg: ModelConfig, rng):
@@ -196,10 +199,8 @@ class PoseHead(nn.Module):
     def __call__(self, tokens_a: Tensor, tokens_b: Tensor) -> Tensor:
         if tokens_a.shape != tokens_b.shape:
             raise ValueError("token grids of both frames must match")
-        lead = tokens_a.shape[:-2]
-        per_patch = self.fc1(ad.concat([tokens_a, tokens_b], axis=-1)).gelu()
-        pooled = per_patch.mean(axis=-2).reshape(*lead, 1, -1)
-        return (self.fc2(pooled) * 0.01).reshape(*lead, 6)
+        hidden = self.fc1(ad.concat([tokens_a, tokens_b], axis=-1))
+        return ad.gelu_linear(hidden, self.fc2.weight, self.fc2.bias).mean(axis=-2) * 0.01
 
 
 class PixelHead(nn.Module):

@@ -1,8 +1,8 @@
 """Independent reference implementations used to freeze expected test values.
 
 Everything here is deliberately loop-based and separate from the library's
-vectorized code paths, except the sqrt, sin, cos and softmax nodes that
-no library code calls, the composites, the per-frame forward and the
+vectorized code paths, except the sqrt, sin, cos, softmax and gelu nodes
+that no library code calls, the composites, the per-frame forward and the
 previous kernels at the end: the fused autodiff ops are checked against
 composites built from primitive Tensor ops, the batched two-frame forward
 against one built from unbatched calls, and the kernels of the training hot
@@ -136,6 +136,12 @@ def sin(t):
 
 def cos(t):
     return Tensor._make(np.cos(t.data), (t,), lambda g: (-g * np.sin(t.data),), "cos")
+
+
+def gelu(t):
+    """Exact (erf-based) GELU on `autodiff.gelu_linear`'s kernels."""
+    cdf = ad._gelu_cdf(t.data)
+    return Tensor._make(t.data * cdf, (t,), lambda g: (ad._gelu_grad(t.data, cdf, g),), "gelu")
 
 
 def softmax(t, axis=-1):
@@ -319,7 +325,7 @@ def linear_composite(x, weight, bias):
 
 def gelu_linear_composite(x, weight, bias):
     """GELU, then the affine map: a gelu and a linear node."""
-    return ad.linear(x.gelu(), weight, bias)
+    return ad.linear(gelu(x), weight, bias)
 
 
 def swap_last(x):

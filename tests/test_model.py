@@ -334,30 +334,33 @@ def test_forward_dvo_matches_the_per_frame_reference(head_kind, static_pair_32):
 
 @pytest.mark.parametrize(
     "pair_fixture,head_kind,bound",
-    [("static_pair_32", "linear", 414), ("static_pair_64", "dpt", 484)],
+    [("static_pair_32", "linear", 411), ("static_pair_64", "dpt", 481)],
 )
 def test_finetune_loss_graph_node_count(pair_fixture, head_kind, bound, request):
-    # one finetune loss is 414 (32 px, linear head) and 484 (64 px, DPT
-    # head) nodes with both frames batched through encoder, decoder and
-    # depth head; projecting each DPT tap's tokens before the swap to a map
-    # took 16 off 500 (4 reshape and transpose nodes a tap); the DPT head's
-    # conv, GELU and projection as one node took 4 off 504 (the reshape and
+    # one finetune loss is 411 (32 px, linear head) and 481 (64 px, DPT head)
+    # nodes with both frames batched through encoder, decoder and depth head,
+    # and holds no gelu node; the pose head's GELU fused with its projection,
+    # pooled after it, took 3 off 414 and 484 (its gelu and two reshape
+    # nodes); projecting each DPT tap's tokens before the swap to a map took
+    # 16 off 500 (4 reshape and transpose nodes a tap); the DPT head's conv,
+    # GELU and projection as one node took 4 off 504 (the reshape and
     # transpose nodes of the swapped channel view went with them); one-node
     # GELU projections took 9 off 423 and 11 off 515 (8 MLPs and the depth
     # head; the DPT head's last projection also dropped the output transpose
-    # and getitem of its channel-map route), the one-node
-    # Rodrigues rotation took 19 off 442 and 534
-    # (the twist is zero at init, where the composite took its 20-node
-    # series branch), one-node linear layers and attention took 203 off 645
-    # and 206 off 740, one-node SSIM and bilinear sampling 58 off 703 and
-    # 798, picking the valid pixels by index in the loss 1 off 704 and 799,
-    # the warp as matrix algebra 33 off 737 and 832, and per-frame graphs
-    # took 1,099 and 1,261
+    # and getitem of its channel-map route), the one-node Rodrigues rotation
+    # took 19 off 442 and 534 (the twist is zero at init, where the composite
+    # took its 20-node series branch), one-node linear layers and attention
+    # took 203 off 645 and 206 off 740, one-node SSIM and bilinear sampling 58
+    # off 703 and 798, picking the valid pixels by index in the loss 1 off 704
+    # and 799, the warp as matrix algebra 33 off 737 and 832, and per-frame
+    # graphs took 1,099 and 1,261
     pair = request.getfixturevalue(pair_fixture)
     model = DvoModel(toy_config(head_kind=head_kind), np.random.default_rng(0))
     d_a, d_b, twist = forward_dvo(model, pair.image_a, pair.image_b)
     loss = total_loss(pair, d_a, d_b, twist).l_total
-    assert len(ad.Tape.trace(loss).nodes) <= bound
+    nodes = ad.Tape.trace(loss).nodes
+    assert len(nodes) <= bound
+    assert "gelu" not in {node.op for node in nodes}
 
 
 def test_pretrain_loss_graph_node_count(static_pair_32):
