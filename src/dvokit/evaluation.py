@@ -45,27 +45,11 @@ class EvalReport:
         return json.dumps(self.__dict__, indent=2, sort_keys=True)
 
 
-def _median_ratio(gt_median: float, pred_valid: np.ndarray) -> float:
-    med_pred = float(np.median(pred_valid))
-    if med_pred == 0.0:
-        raise ValueError("zero median in prediction")
-    return gt_median / med_pred
-
-
-def median_scale(pred, gt, valid: np.ndarray):
-    """Rescale predicted depth by s = median(gt) / median(pred) over `valid`."""
-    pred = np.asarray(pred, dtype=np.float64)
-    gt = np.asarray(gt, dtype=np.float64)
-    valid = np.asarray(valid, dtype=bool)
-    if not valid.any():
-        raise ValueError("empty valid set")
-    s = _median_ratio(float(np.median(gt[valid])), pred[valid])
-    return pred * s, s
-
-
 def depth_metrics(pred, gt, cfg: DepthEvalConfig = DepthEvalConfig()) -> EvalReport:
     """AbsRel, RMSE and threshold accuracies over gt pixels in [MIN_VALID_DEPTH,
-    cap], and the AbsRel of the constant map at their median."""
+    cap], and the AbsRel of the constant map at their median. With
+    `cfg.median_scaling` the prediction is scaled by s = median(gt) /
+    median(pred) over those pixels first."""
     pred = np.asarray(pred, dtype=np.float64)
     gt = np.asarray(gt, dtype=np.float64)
     if pred.shape != gt.shape:
@@ -75,8 +59,13 @@ def depth_metrics(pred, gt, cfg: DepthEvalConfig = DepthEvalConfig()) -> EvalRep
         raise ValueError("empty valid set")
     p, g = pred[valid], gt[valid]
     g_median = float(np.median(g))
-    s = _median_ratio(g_median, p) if cfg.median_scaling else 1.0
-    p = p * s  # median_scale's map, at the valid pixels alone (exact at s = 1)
+    s = 1.0
+    if cfg.median_scaling:
+        p_median = float(np.median(p))
+        if p_median == 0.0:
+            raise ValueError("zero median in prediction")
+        s = g_median / p_median
+    p = p * s  # median scaling, at the valid pixels alone (exact at s = 1)
     abs_rel = float(np.mean(np.abs(p - g) / g))
     abs_rel_constant = float(np.mean(np.abs(g_median - g) / g))
     rmse = float(np.sqrt(np.mean((p - g) ** 2)))

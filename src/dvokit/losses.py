@@ -83,19 +83,15 @@ def edge_weights(image: np.ndarray) -> tuple[Tensor, Tensor]:
     return tuple(Tensor(np.exp(-np.abs(np.diff(image, axis=axis)).mean(axis=0))) for axis in (2, 1))
 
 
-def smoothness_loss(depth: Tensor, image: Tensor) -> Tensor:
-    """Edge-aware squared smoothness of mean-normalized depth.
+def smoothness(depth: Tensor, edges: tuple[Tensor, Tensor]) -> Tensor:
+    """Edge-aware squared smoothness of mean-normalized depth, given the
+    image's ``edge_weights``.
 
     Forward differences along x and y; each term is
     (exp(-|channel-mean image gradient|) * depth gradient)^2 and the result is
     the mean over all interior terms of both directions. Normalizing by the
     mean depth keeps the penalty scale-free.
     """
-    return smoothness(depth, edge_weights(image.data))
-
-
-def smoothness(depth: Tensor, edges: tuple[Tensor, Tensor]) -> Tensor:
-    """``smoothness_loss`` given the image's ``edge_weights``."""
     d = depth / depth.mean()
     term_x = (edges[0] * (d[:, 1:] - d[:, :-1])) ** 2.0
     term_y = (edges[1] * (d[1:, :] - d[:-1, :])) ** 2.0

@@ -14,7 +14,6 @@ from dvokit.evaluation import (
     accumulate_trajectory,
     depth_metrics,
     mean_reports,
-    median_scale,
     trajectory_errors,
 )
 from dvokit.geometry import Pose, pose_from_twist
@@ -123,20 +122,17 @@ def test_depth_metrics_equal_the_previous_implementation_bit_for_bit(median_scal
 
 def test_median_scale_cases():
     gt = np.array([[2.0, 4.0, 6.0]])
-    valid = np.ones_like(gt, dtype=bool)
-    scaled, s = median_scale(2.0 * gt, gt, valid)
-    assert s == 0.5 and np.array_equal(scaled, gt)
+    rep = depth_metrics(2.0 * gt, gt)
+    assert rep.scale_s == 0.5 and rep.abs_rel == 0.0 and rep.rmse == 0.0  # the scaled map is gt
 
-    _, s = median_scale(np.array([[1.0, 2.0, 3.0]]), np.array([[2.0, 4.0, 6.0]]), valid)
-    assert s == 2.0
+    assert depth_metrics(np.array([[1.0, 2.0, 3.0]]), np.array([[2.0, 4.0, 6.0]])).scale_s == 2.0
 
-    _, s = median_scale(gt, gt, valid)
-    assert s == 1.0
+    assert depth_metrics(gt, gt).scale_s == 1.0
 
-    with pytest.raises(ValueError):
-        median_scale(gt, gt, np.zeros_like(gt, dtype=bool))
-    with pytest.raises(ValueError):
-        median_scale(np.zeros_like(gt), gt, valid)
+    with pytest.raises(ValueError, match="empty valid set"):
+        depth_metrics(gt, np.zeros_like(gt))
+    with pytest.raises(ValueError, match="zero median"):
+        depth_metrics(np.zeros_like(gt), gt)
 
 
 def test_depth_metrics_perfect_prediction():

@@ -12,8 +12,9 @@ from dvokit.losses import (
     LossWeights,
     PairObjective,
     depth_diff,
+    edge_weights,
     photometric_loss,
-    smoothness_loss,
+    smoothness,
     ssim,
     total_loss,
 )
@@ -166,7 +167,7 @@ def test_masked_photometric_limits_and_linearity(static_pair_16):
 
 def test_smoothness_constant_depth_is_zero():
     img = np.random.default_rng(6).random((3, 5, 5))
-    assert smoothness_loss(Tensor(np.full((5, 5), 2.0)), Tensor(img)).item() == 0.0
+    assert smoothness(Tensor(np.full((5, 5), 2.0)), edge_weights(img)).item() == 0.0
 
 
 def test_smoothness_ramp_hand_case():
@@ -174,7 +175,7 @@ def test_smoothness_ramp_hand_case():
     # 1/2.5, so every x-term is 0.16 and every y-term 0; pooled mean = 0.08
     depth = np.tile(np.arange(1.0, 5.0), (4, 1))
     image = np.full((3, 4, 4), 0.5)
-    val = smoothness_loss(Tensor(depth), Tensor(image)).item()
+    val = smoothness(Tensor(depth), edge_weights(image)).item()
     assert val == pytest.approx(0.08, abs=1e-15)
     assert val == pytest.approx(smoothness_reference(depth, image), abs=1e-15)
 
@@ -183,8 +184,8 @@ def test_smoothness_aligned_edges_reduce_loss():
     depth = np.tile(np.arange(1.0, 5.0), (4, 1))
     flat = np.full((3, 4, 4), 0.5)
     edgy = np.tile(np.linspace(0.0, 1.0, 4), (3, 4, 1))  # strong x-gradient
-    low = smoothness_loss(Tensor(depth), Tensor(edgy)).item()
-    high = smoothness_loss(Tensor(depth), Tensor(flat)).item()
+    low = smoothness(Tensor(depth), edge_weights(edgy)).item()
+    high = smoothness(Tensor(depth), edge_weights(flat)).item()
     assert low < high
     assert low == pytest.approx(smoothness_reference(depth, edgy), rel=1e-12)
 
