@@ -186,10 +186,11 @@ class PoseHead(nn.Module):
     patch, then mean-pooled.
 
     Both layers act per patch pair (so local correspondence information
-    survives), and the twist is their mean over patches: the final layer
-    on the pooled hidden layer, as that layer is affine. It starts at zero
-    with a 0.01 output scale so training begins at the identity pose.
-    Tokens (..., N, D) of both frames give twists (..., 6).
+    survives), and the twist is their mean over patches, which is the
+    final layer applied to the mean-pooled hidden layer, as that layer is
+    affine. It starts at zero with a 0.01 output scale so training begins
+    at the identity pose. Tokens (..., N, D) of both frames give twists
+    (..., 6).
     """
 
     def __init__(self, cfg: ModelConfig, rng):

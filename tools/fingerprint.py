@@ -46,18 +46,18 @@ What it runs, all seeded and on the `dynamic-room` scene:
     (sample coordinates off the grid, at integers, 1e-12 px below integers,
     on both borders and outside): one item per op, digesting its output and
     the gradient of a weighted sum of it w.r.t. each input
-  - the DPT head's kernels, the same way, on seeded maps with a leading
-    axis of 2: `autodiff.conv3x3`, `autodiff.conv3x3_up2` (older sources),
-    `autodiff.conv3x3_up2_gelu_linear` (its conv, then GELU and a
-    projection to one channel) and `autodiff.upsample_nearest` by 2 and by
-    4 (`op/upsample_nearest-k2`, `-k4`); and the transformer's, on seeded tokens: `autodiff.layernorm`
-    (its input, scale and shift) and `autodiff.softmax` along the last and
-    the first axis (`op/softmax-axis-1`, `-axis0`); `autodiff.gelu_linear`
-    on tokens (`op/gelu_linear-tokens`) and, to one channel, on the swapped
-    view of (2, 24, 35) maps (`-maps`), the layout in which the DPT head
-    projected its full-resolution map before `conv3x3_up2_gelu_linear`.
-    Sources without an op, or whose op takes no leading axes, leave its
-    item out
+  - the DPT head's kernels, the same way, on seeded maps with a leading axis
+    of 2: `autodiff.conv3x3`, `autodiff.conv3x3_up2` (older sources),
+    `autodiff.conv3x3_up2_gelu_linear` (its conv, then GELU and a projection
+    to one channel) and `autodiff.upsample_nearest` by 2 and by 4
+    (`op/upsample_nearest-k2`, `-k4`); and the transformer's, on seeded
+    tokens: `autodiff.layernorm` (its input, scale and shift) and
+    `autodiff.softmax` (older sources) along the last and the first axis
+    (`op/softmax-axis-1`, `-axis0`); `autodiff.gelu_linear` on tokens
+    (`op/gelu_linear-tokens`) and, to one channel, on the swapped view of
+    (2, 24, 35) maps (`-maps`), the layout in which the DPT head projected
+    its full-resolution map before `conv3x3_up2_gelu_linear`. Sources
+    without an op, or whose op takes no leading axes, leave its item out
   - `optim.AdamW`: 5 steps on three seeded parameters with seeded
     gradients (`optim/adamw`), digesting the parameters and the state
     (step count and moments). Sources whose step takes no gradients leave
@@ -84,7 +84,7 @@ What it runs, all seeded and on the `dynamic-room` scene:
     pair has one NaN pixel in its second image (the `TrainingDivergence`
     text, epoch and pair)
 
-On the current sources it prints 155 items: 88 digests and the 67
+On the current sources it prints 143 items: 82 digests and the 61
 `values/` entries beside them. It writes only to a temporary directory and
 takes about 6 s on a 2-core host.
 """
