@@ -35,7 +35,6 @@ __all__ = [
     "EmptyValidSetError",
     "parameter",
     "concat",
-    "where",
     "row_scatter",
     "upsample_nearest",
     "conv3x3",
@@ -340,26 +339,6 @@ class Tensor:
 
         return Tensor._make(out, (a,), grad_fn, "pow")
 
-    def __matmul__(self, other):
-        a, b = self, _as_tensor(other)
-        if a.ndim < 2 or b.ndim < 2:
-            raise ValueError("matmul operands must have rank >= 2")
-        if a.shape[-1] != b.shape[-2]:
-            raise ValueError(f"matmul inner dims disagree: {a.shape} @ {b.shape}")
-        out = a.data @ b.data
-
-        def grad_fn(g):
-            ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape) if a.requires_grad else None
-            if not b.requires_grad:
-                return ga, None
-            # a weight: one GEMM over every leading row of `a`, as `linear`
-            # does, so `linear`'s composite reference reproduces it bit for bit
-            if b.ndim == 2:
-                return ga, a.data.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1])
-            return ga, _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape)
-
-        return Tensor._make(out, (a, b), grad_fn, "matmul")
-
     # ---- pointwise functions ----------------------------------------------------
 
     def exp(self):
@@ -492,19 +471,6 @@ def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
         return tuple(gs)
 
     return Tensor._make(out, tuple(parts), grad_fn, "concat")
-
-
-def where(cond: np.ndarray, a, b) -> Tensor:
-    """Select elementwise by a constant boolean mask; gradients follow the branch."""
-    cond = np.asarray(cond, dtype=bool)
-    ta, tb = _as_tensor(a), _as_tensor(b)
-    out = np.where(cond, ta.data, tb.data)
-
-    def grad_fn(g):
-        ga = _unbroadcast(g * cond, ta.shape) if ta.requires_grad else None
-        return ga, _unbroadcast(g * ~cond, tb.shape) if tb.requires_grad else None
-
-    return Tensor._make(out, (ta, tb), grad_fn, "where")
 
 
 def row_scatter(base: Tensor, idx: np.ndarray, rows: Tensor) -> Tensor:
@@ -798,7 +764,7 @@ def bilinear_sample(img: Tensor, coords: Tensor, tol: float) -> Tensor:
     wx, wy = np.moveaxis(xy - cell, -1, 0)
     idx = cell[..., 1] * w + cell[..., 0]
     flat = img.data.reshape(c, h * w)
-    v00, v01, v10, v11 = flat[:, idx], flat[:, idx + 1], flat[:, idx + w], flat[:, idx + w + 1]
+    v00, v01, v10, v11 = (np.take(flat, i, axis=1) for i in (idx, idx + 1, idx + w, idx + w + 1))  # C-order (C, ...)
     wx1 = 1.0 - wx
     top = v00 * wx1 + v01 * wx
     bot = v10 * wx1 + v11 * wx

@@ -73,7 +73,7 @@ def optimize_direct(
 
     Built once per call, as no iteration changes them: the pair's
     ``losses.PairObjective``, in pose mode the depth Tensors with frame a's
-    point matrix and smoothness term, in depth mode the ground-truth Pose.
+    smoothness term, in depth mode the ground-truth Pose.
 
     Each iteration's loss and gradients run unchecked; one that raises or
     leaves either non-finite is replayed checked (``autodiff.replayed``),

@@ -32,9 +32,9 @@ def write_ppm(path, image: np.ndarray) -> None:
         f.write(np.moveaxis(quantized, 0, -1).tobytes())
 
 
-# magic, width, height and maxval separated by whitespace, then exactly one
-# whitespace byte: the payload may itself start with whitespace byte values
-_PPM_HEADER = re.compile(rb"P6\s+(\d+)\s+(\d+)\s+(\d+)\s")
+# magic, width, height and maxval (at most 9 digits, below int()'s digit limit) separated by
+# whitespace, then exactly one whitespace byte: the payload may itself start with whitespace byte values
+_PPM_HEADER = re.compile(rb"P6\s+(\d{1,9})\s+(\d{1,9})\s+(\d{1,9})\s")
 
 
 def read_ppm(path) -> np.ndarray:
@@ -80,17 +80,21 @@ def read_pfm(path) -> np.ndarray:
     if w <= 0 or h <= 0:
         raise DataError(f"PFM size {w}x{h} is not positive in {path}")
     if scale >= 0:
-        raise DataError("only little-endian PFM (negative scale) is supported")
-    data = np.frombuffer(parts[3][: w * h * 4], dtype="<f4")
-    if data.size != w * h:
+        raise DataError(f"only little-endian PFM (negative scale) is supported ({path})")
+    if len(parts[3]) < w * h * 4:  # before decoding, which refuses a length that is not a multiple of 4
         raise DataError(f"PFM payload size mismatch in {path}")
-    return data.reshape(h, w)[::-1].astype(np.float64)
+    return np.frombuffer(parts[3][: w * h * 4], dtype="<f4").reshape(h, w)[::-1].astype(np.float64)
 
 
 # ---- TUM trajectories --------------------------------------------------------------
 # line format: "t tx ty tz qx qy qz qw" with a unit, w-last quaternion
 
 _UNIT_NORM_TOL = 1e-6  # how far from 1 a stored quaternion's norm may be, here and in manifests
+
+
+def _norm(q) -> float:
+    with np.errstate(over="ignore"):  # a huge field gives inf, which no unit check passes
+        return float(np.linalg.norm(q))
 
 
 def write_tum(path, poses: list[Pose]) -> None:
@@ -107,8 +111,12 @@ def write_tum(path, poses: list[Pose]) -> None:
 
 
 def read_tum(path) -> tuple[list[Pose], list[float]]:
+    try:
+        text = Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise DataError(f"{path}: not UTF-8 text ({e})") from e
     poses, stamps = [], []
-    for ln, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for ln, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -122,8 +130,8 @@ def read_tum(path) -> tuple[list[Pose], list[float]]:
         if not np.isfinite(vals).all():
             raise DataError(f"{path}:{ln}: non-finite field")
         q = np.array(vals[4:8])
-        if abs(np.linalg.norm(q) - 1.0) > _UNIT_NORM_TOL:
-            raise DataError(f"{path}:{ln}: quaternion is not unit (norm {np.linalg.norm(q):.6f})")
+        if abs(_norm(q) - 1.0) > _UNIT_NORM_TOL:
+            raise DataError(f"{path}:{ln}: quaternion is not unit (norm {_norm(q):.6f})")
         poses.append(Pose(rotation_from_quaternion(q), vals[1:4]))
         stamps.append(vals[0])
     return poses, stamps
@@ -269,8 +277,8 @@ def load_pairs(dataset_dir):
                 raise DataError(f"manifest {path}: pair {j} index {index!r} is not a frame number")
         try:
             q, t = (_numbers(p["rel_pose"][key]) for key in ("quaternion_xyzw", "translation"))
-            if abs(np.linalg.norm(q) - 1.0) > _UNIT_NORM_TOL:
-                raise ValueError(f"quaternion is not unit (norm {np.linalg.norm(q):.6f})")
+            if abs(_norm(q) - 1.0) > _UNIT_NORM_TOL:
+                raise ValueError(f"quaternion is not unit (norm {_norm(q):.6f})")
             rel = Pose(rotation_from_quaternion(np.array(q)), t)
         except (KeyError, TypeError, ValueError, OverflowError) as e:
             raise DataError(f"manifest {path}: pair {j} has no valid rel_pose ({e!r})") from e

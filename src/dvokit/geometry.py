@@ -1,4 +1,5 @@
-"""Pinhole camera model, rigid transforms, and differentiable warping.
+"""Pinhole camera model, rigid transforms, and differentiable warping: the
+warp (``reproject``) and the Rodrigues rotation are one graph node each.
 
 Conventions used throughout the package:
 
@@ -201,14 +202,13 @@ def pose_distance(a: Pose, b: Pose) -> tuple[float, float]:
 _SKEW = np.cross(np.eye(3)[:, None], np.eye(3)).transpose(0, 2, 1).reshape(3, 9)
 
 
-def rotation_from_axis_angle(r: Tensor) -> Tensor:
-    """Rodrigues rotation I + a K + b K^2, K = [r]x, of an axis-angle Tensor
-    of shape (3,), as one graph node: with t = |r|, a = sin t / t and
-    b = (1 - cos t) / t^2, or below t^2 = 1e-12 their series in t^2, which
-    keeps the gradient finite through the origin. Forward and backward run
-    the arithmetic of the primitive-node composite it replaced
-    (``tests/oracles.py``) in its order, so they give its values bit for bit."""
-    x = r.data
+def _rodrigues(x: np.ndarray):
+    """(R, backward) of an axis-angle array x of shape (3,): the Rodrigues
+    rotation R = I + a K + b K^2, K = [x]x, with t = |x|, a = sin t / t and
+    b = (1 - cos t) / t^2, or below t^2 = 1e-12 their series in t^2 (a finite
+    gradient through the origin), and the map from R's gradient to x's. Both
+    run the primitive-node composite's arithmetic (``tests/oracles.py``) in
+    its order, so they give its values bit for bit."""
     t2 = (x * x).sum()
     if t2 < 1e-12:
         a = 1.0 - t2 * (1.0 / 6.0) + t2 * t2 * (1.0 / 120.0)
@@ -220,7 +220,7 @@ def rotation_from_axis_angle(r: Tensor) -> Tensor:
     k = (x.reshape(1, 3) @ _SKEW).reshape(3, 3)
     kk = k @ k
 
-    def grad_fn(g):
+    def backward(g):
         g_a, g_b, g_kk = (g * k).sum(axis=(0, 1)), (g * kk).sum(axis=(0, 1)), g * b
         g_k = g * a + g_kk @ np.swapaxes(k, -1, -2) + k.reshape(-1, 3).T @ g_kk.reshape(-1, 3)
         # each sum in the order backpropagation through the composite adds it
@@ -230,17 +230,15 @@ def rotation_from_axis_angle(r: Tensor) -> Tensor:
         else:  # t: as sin t / t's divisor, through sin, through cos; t2: as b's divisor, through t
             g_t = -g_a * sin / (t * t) + g_a / t * cos + g_b / t2 * sin
             g_t2 = -g_b * (1.0 - cos) / (t2 * t2) + g_t / (2.0 * t)
-        return (g_t2 * x + g_t2 * x + (g_k.reshape(1, 9) @ np.swapaxes(_SKEW, -1, -2)).reshape(3),)  # r*r, then K
+        return g_t2 * x + g_t2 * x + (g_k.reshape(1, 9) @ np.swapaxes(_SKEW, -1, -2)).reshape(3)  # x*x, then K
 
-    return Tensor._make(np.eye(3) + a * k + b * kk, (r,), grad_fn, "rotation_from_axis_angle")
+    return np.eye(3) + a * k + b * kk, backward
 
 
-def pose_tensors(pose: Pose | Tensor) -> tuple[Tensor, Tensor]:
-    """(rotation, translation) Tensors: constants from a Pose, or the
-    differentiable Rodrigues rotation of a twist Tensor of shape (6,)."""
-    if isinstance(pose, Pose):
-        return Tensor(pose.rotation), Tensor(pose.translation)
-    return rotation_from_axis_angle(pose[3:6]), pose[0:3]
+def rotation_from_axis_angle(r: Tensor) -> Tensor:
+    """``_rodrigues``'s rotation of an axis-angle Tensor of shape (3,), as one graph node."""
+    rotation, backward = _rodrigues(r.data)
+    return Tensor._make(rotation, (r,), lambda g: (backward(g),), "rotation_from_axis_angle")
 
 
 # ---- projection ----------------------------------------------------------------------
@@ -278,34 +276,56 @@ def ray_matrix(k: CameraIntrinsics) -> np.ndarray:
     return np.stack([(u - k.cx) / k.fx, (v - k.cy) / k.fy, np.ones((k.height, k.width))]).reshape(3, -1)
 
 
-def warp_depth(depth: Tensor | np.ndarray, pose: Pose | Tensor, k: CameraIntrinsics, points=None) -> WarpResult:
-    """Backproject each pixel, apply the relative pose, reproject into the target.
-
-    The pixels form one (3, H*W) point matrix: the ray matrix times the
-    depth row, or `points`, that matrix as the caller built it. The pose
-    maps it with one matmul, ``R @ P + t``, and the projection is one
-    broadcast multiply, divide and add over its x, y rows.
-
-    `depth` is a Tensor (differentiable path) or an ndarray. `pose` is a Pose
-    or a twist Tensor of shape (6,) (differentiable). Invalid pixels are
-    masked, never raised.
-    """
-    r_t, t_t = pose_tensors(pose)
+def reproject(depth: Tensor | np.ndarray, pose: Pose | Tensor, k: CameraIntrinsics, rays=None) -> Tensor:
+    """Where each pixel lands in the target camera, (u', v', z) as one
+    (H, W, 3) graph node: P = rays * depth row, (3, H*W), mapped by one
+    matmul, ``R @ P + t``, and projected by one broadcast multiply, divide
+    and add over its x, y rows (z <= 1e-9 divides by 1). `depth` is an
+    (H, W) Tensor or array, `pose` a Pose or a twist Tensor (6,), `rays`
+    ``ray_matrix(k)`` if the caller keeps it. Forward and backward run the
+    composite's arithmetic (``tests/oracles.py``) in its order, bit for bit."""
     h, w = k.height, k.width
-    if points is None:
-        d = depth if isinstance(depth, Tensor) else Tensor(depth)
-        points = Tensor(ray_matrix(k)) * d.reshape(1, h * w)
-    points = r_t @ points + t_t.reshape(3, 1)
+    depth = depth if isinstance(depth, Tensor) else Tensor(depth)
+    rays = ray_matrix(k) if rays is None else rays
+    if isinstance(pose, Pose):
+        parents, rotation, translation = (depth,), pose.rotation, pose.translation
+    else:
+        parents, translation = (depth, pose), pose.data[0:3]
+        rotation, rotation_backward = _rodrigues(pose.data[3:6])
+    points = rays * depth.data.reshape(1, h * w)
+    cam = rotation @ points + translation.reshape(3, 1)
+    front = cam[2] > _VALID_EPS
+    z_safe = np.where(front, cam[2], 1.0)
+    focal = np.array([[k.fx], [k.fy]])
+    scaled = cam[:2] * focal
+    rows = np.concatenate([scaled / z_safe + np.array([[k.cx], [k.cy]]), cam[2:]])  # u', v', z: the map transposed
 
-    z = points[2]
-    front = z.data > _VALID_EPS
-    z_safe = ad.where(front, z, 1.0)
-    uv = points[:2] * np.array([[k.fx], [k.fy]]) / z_safe + np.array([[k.cx], [k.cy]])
+    def grad_fn(g):
+        g_rows = g.reshape(h * w, 3).T  # a view when g has the layout of the node's map
+        g_cam = np.zeros((3, h * w))  # the x, y rows' and the z row's gradients, each added to zeros
+        g_cam[:2] += g_rows[:2] / z_safe * focal
+        g_cam[2] += (-g_rows[:2] * scaled / (z_safe * z_safe)).sum(axis=(0,)) * front + g_rows[2]
+        g_depth = g_twist = None
+        if depth.requires_grad:  # through R @ P, then rays * depth row
+            g_points = rotation.reshape(-1, 3).T @ g_cam.reshape(-1, h * w)
+            g_depth = (g_points * rays).sum(axis=(0,), keepdims=True).reshape(h, w)
+        if len(parents) == 2 and pose.requires_grad:  # the translation's and the rotation's slices, added to zeros
+            g_r = rotation_backward(g_cam @ np.swapaxes(points, -1, -2))
+            g_twist = 0.0 + np.concatenate([g_cam.sum(axis=(1,), keepdims=True).reshape(3), g_r])
+        return (g_depth, g_twist)[: len(parents)]
 
-    upper = np.array([[w - 1.0], [h - 1.0]]) + _VALID_EPS
-    valid = front & ((uv.data >= -_VALID_EPS) & (uv.data <= upper)).all(axis=0)
-    flow = uv.transpose().reshape(h, w, 2)
-    return WarpResult(depth=z.reshape(h, w), flow=flow, valid=valid.reshape(h, w))
+    return Tensor._make(rows.T.reshape(h, w, 3), parents, grad_fn, "reproject")
+
+
+def warp_depth(depth: Tensor | np.ndarray, pose: Pose | Tensor, k: CameraIntrinsics, rays=None) -> WarpResult:
+    """Backproject each pixel, apply the relative pose, reproject into the
+    target: flow and depth are views of ``reproject``'s node (same
+    arguments). Invalid pixels are masked, never raised."""
+    uvz = reproject(depth, pose, k, rays)
+    rows = uvz.data.reshape(-1, 3).T  # (3, H*W), the node's rows
+    upper = np.array([[k.width - 1.0], [k.height - 1.0]]) + _VALID_EPS
+    valid = (rows[2] > _VALID_EPS) & ((rows[:2] >= -_VALID_EPS) & (rows[:2] <= upper)).all(axis=0)
+    return WarpResult(depth=uvz[..., 2], flow=uvz[..., :2], valid=valid.reshape(k.height, k.width))
 
 
 def bilinear_sample(img: Tensor, coords: Tensor) -> Tensor:

@@ -77,32 +77,45 @@ def photometric_loss(image: Tensor, synthesized: Tensor, weights: LossWeights = 
     return (1.0 - lam) * l1 + lam * dssim
 
 
-def edge_weights(image: np.ndarray) -> tuple[Tensor, Tensor]:
-    """exp(-|channel-mean image gradient|) along x and y, as constants: no
+def edge_weights(image: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """exp(-|channel-mean image gradient|) along x and y, as arrays: no
     caller differentiates the image."""
-    return tuple(Tensor(np.exp(-np.abs(np.diff(image, axis=axis)).mean(axis=0))) for axis in (2, 1))
+    return tuple(np.exp(-np.abs(np.diff(image, axis=axis)).mean(axis=0)) for axis in (2, 1))
 
 
-def smoothness(depth: Tensor, edges: tuple[Tensor, Tensor]) -> Tensor:
+def smoothness(depth: Tensor, edges: tuple[np.ndarray, np.ndarray]) -> Tensor:
     """Edge-aware squared smoothness of mean-normalized depth, given the
-    image's ``edge_weights``.
+    image's ``edge_weights``, as one graph node (Monodepth2, arXiv
+    1806.01260): the mean over the interior forward differences along x and
+    y of (exp(-|channel-mean image gradient|) * depth difference)^2. The
+    mean depth's normalization keeps it scale-free. Forward and backward run
+    the primitive-node composite's arithmetic (``tests/oracles.py``) in its
+    order, bit for bit: `depth` is the node's parent twice, as numerator and
+    through the mean, so its two gradients reach it as two terms, after the
+    warp's, as in the composite's graph."""
+    mean = depth.data.mean()
+    d = depth.data / mean
+    tx, ty = edges[0] * (d[:, 1:] - d[:, :-1]), edges[1] * (d[1:, :] - d[:-1, :])
+    n = float(tx.size + ty.size)
 
-    Forward differences along x and y; each term is
-    (exp(-|channel-mean image gradient|) * depth gradient)^2 and the result is
-    the mean over all interior terms of both directions. Normalizing by the
-    mean depth keeps the penalty scale-free.
-    """
-    d = depth / depth.mean()
-    term_x = (edges[0] * (d[:, 1:] - d[:, :-1])) ** 2.0
-    term_y = (edges[1] * (d[1:, :] - d[:-1, :])) ** 2.0
-    return (term_x.sum() + term_y.sum()) / float(term_x.size + term_y.size)
+    def grad_fn(g):
+        gx, gy = g / n * 2.0 * tx * edges[0], g / n * 2.0 * ty * edges[1]
+        gd = np.zeros_like(d)  # the four slices' gradients, added in the composite's order
+        gd[:, 1:] += gx
+        gd[:, :-1] -= gx
+        gd[1:, :] += gy
+        gd[:-1, :] -= gy
+        g_mean = (-gd * depth.data / (mean * mean)).sum(axis=(0, 1))
+        return gd / mean, np.full_like(d, g_mean / d.size)
+
+    return Tensor._make(((tx**2.0).sum() + (ty**2.0).sum()) / n, (depth, depth), grad_fn, "smoothness")
 
 
 class PairObjective:
     """What ``total_loss`` needs of one pair that no depth or pose changes:
     the image Tensors, ray matrix, edge weights and image a's SSIM moments;
-    for `fixed_depth_a`, a constant depth Tensor of frame a, also its point
-    matrix and smoothness term, used when ``total_loss`` gets that Tensor."""
+    for `fixed_depth_a`, a constant depth Tensor of frame a, also its
+    smoothness term, used when ``total_loss`` gets that Tensor."""
 
     def __init__(self, pair, fixed_depth_a: Tensor | None = None):
         k = self.intrinsics = pair.intrinsics
@@ -111,13 +124,11 @@ class PairObjective:
             if np.shape(getattr(pair, name)) != want:
                 raise ValueError(f"{name} has shape {np.shape(getattr(pair, name))}, the intrinsics need {want}")
         self.image_a, self.image_b = Tensor(pair.image_a), Tensor(pair.image_b)
-        self.rays = Tensor(ray_matrix(k))
+        self.rays = ray_matrix(k)
         self.edges = edge_weights(self.image_a.data)
         self.moments_a = ssim_moments(self.image_a.data)
         self.fixed_depth_a = fixed_depth_a
-        if fixed_depth_a is not None:
-            self.fixed_points = self.rays * fixed_depth_a.reshape(1, -1)
-            self.fixed_l_s = smoothness(fixed_depth_a, self.edges)
+        self.fixed_l_s = None if fixed_depth_a is None else smoothness(fixed_depth_a, self.edges)
 
 
 def total_loss(
@@ -151,10 +162,8 @@ def total_loss(
     for name, shape in (("depth_a", d_a.shape), ("depth_b", d_b.shape)):
         if shape != hw:
             raise ValueError(f"{name} has shape {shape}, the intrinsics need {hw}")
-    fixed = d_a is objective.fixed_depth_a
 
-    points = objective.fixed_points if fixed else objective.rays * d_a.reshape(1, -1)
-    warp = warp_depth(d_a, pose, k, points)
+    warp = warp_depth(d_a, pose, k, objective.rays)
     valid = warp.valid
     if not valid.any():
         raise EmptyValidSetError("empty-valid-set")
@@ -173,7 +182,7 @@ def total_loss(
 
     lp_map = photometric_loss(objective.image_a, synthesized, weights, objective.moments_a)
     l_pm = (m_s * lp_map[valid]).mean()
-    l_s = objective.fixed_l_s if fixed else smoothness(d_a, objective.edges)
+    l_s = objective.fixed_l_s if d_a is objective.fixed_depth_a else smoothness(d_a, objective.edges)
     l_total = l_pm + weights.beta * l_g + weights.gamma * l_s
 
     d_map, m_map = np.zeros(hw), np.zeros(hw)

@@ -456,7 +456,10 @@ def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
                 name = f.read(take(u32()[0])).decode("utf-8")
                 shape = u32(u32()[0])
                 take(8 * math.prod(shape))  # before allocating: a malformed shape can be huge
-                arrays[name] = np.empty(shape, dtype="<f8")
+                try:  # a zero extent passes `take` beside extents whose product overflows
+                    arrays[name] = np.empty(shape, dtype="<f8")
+                except ValueError as e:
+                    raise DataError(f"malformed checkpoint {path}: array '{name}' of shape {shape}: {e}") from e
                 f.readinto(arrays[name])
         except (UnicodeDecodeError, json.JSONDecodeError) as e:
             raise DataError(f"malformed checkpoint {path}: {e}") from e

@@ -208,12 +208,6 @@ def render(scene: Scene, frame: int, cam_to_world: Pose, k: CameraIntrinsics):
     return img, t, dyn
 
 
-def render_at(scene: Scene, frame: int, cam_to_world: Pose, k: CameraIntrinsics, uv: np.ndarray):
-    """Continuous-coordinate render oracle: colors/depths at arbitrary (u, v)."""
-    colors, t, _ = _cast(scene, frame, cam_to_world, k, np.asarray(uv, dtype=np.float64))
-    return colors, t
-
-
 # ---- frame pairs and trajectories --------------------------------------------------
 
 

@@ -1,14 +1,15 @@
 """Independent reference implementations used to freeze expected test values.
 
 Everything here is deliberately loop-based and separate from the library's
-vectorized code paths, except the sqrt, sin, cos, softmax and gelu nodes
-that no library code calls, the composites, the per-frame forward and the
-previous kernels at the end: the fused autodiff ops are checked against
-composites built from primitive Tensor ops, the batched two-frame forward
-against one built from unbatched calls, and the kernels of the training hot
-path that now work in place against their previous code, bit for bit. The
-finite-difference gradient audit and the pair renderer at explicit poses
-serve the tests alone, so they live here too.
+vectorized code paths, except the sqrt, sin, cos, softmax, gelu, matmul
+and where nodes that no library code calls, the composites, the per-frame
+forward and the previous kernels at the end: the fused autodiff ops are
+checked against composites built from primitive Tensor ops, the batched
+two-frame forward against one built from unbatched calls, and the kernels
+of the training hot path that now work in place against their previous
+code, bit for bit. The finite-difference gradient audit, the pair renderer
+at explicit poses and the render oracle at arbitrary coordinates serve the
+tests alone, so they live here too.
 """
 
 import json
@@ -20,8 +21,9 @@ import numpy as np
 
 from dvokit import autodiff as ad
 from dvokit import model as model_module
+from dvokit import synth as synth_module
 from dvokit.autodiff import Tensor, grads
-from dvokit.geometry import _SKEW, CameraIntrinsics, Pose
+from dvokit.geometry import _SKEW, CameraIntrinsics, Pose, WarpResult, ray_matrix, rotation_from_axis_angle
 from dvokit.synth import Frame, FramePair, Scene, make_pair, render
 
 SSIM_C1 = 0.01**2
@@ -59,6 +61,12 @@ def finite_diff_check(
         if rel > worst:
             worst = rel
     return worst
+
+
+def render_at(scene: Scene, frame: int, cam_to_world: Pose, k: CameraIntrinsics, uv: np.ndarray):
+    """Continuous-coordinate render oracle: colors/depths at arbitrary (u, v)."""
+    colors, t, _ = synth_module._cast(scene, frame, cam_to_world, k, np.asarray(uv, dtype=np.float64))
+    return colors, t
 
 
 def render_pair(scene: Scene, k: CameraIntrinsics, pose_a: Pose, pose_b: Pose) -> FramePair:
@@ -144,6 +152,38 @@ def gelu(t):
     return Tensor._make(t.data * cdf, (t,), lambda g: (ad._gelu_grad(t.data, cdf, g),), "gelu")
 
 
+def matmul(a, b):
+    """``a @ b`` for operands of rank >= 2; a 2-D `b` is a weight, whose
+    gradient is one GEMM over every leading row of `a`, as `linear`'s."""
+    a, b = ad._as_tensor(a), ad._as_tensor(b)
+    if a.ndim < 2 or b.ndim < 2:
+        raise ValueError("matmul operands must have rank >= 2")
+    if a.shape[-1] != b.shape[-2]:
+        raise ValueError(f"matmul inner dims disagree: {a.shape} @ {b.shape}")
+
+    def grad_fn(g):
+        ga = ad._unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape) if a.requires_grad else None
+        if not b.requires_grad:
+            return ga, None
+        if b.ndim == 2:
+            return ga, a.data.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+        return ga, ad._unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape)
+
+    return Tensor._make(a.data @ b.data, (a, b), grad_fn, "matmul")
+
+
+def where(cond, a, b):
+    """Select elementwise by a constant boolean mask; gradients follow the branch."""
+    cond = np.asarray(cond, dtype=bool)
+    ta, tb = ad._as_tensor(a), ad._as_tensor(b)
+
+    def grad_fn(g):
+        ga = ad._unbroadcast(g * cond, ta.shape) if ta.requires_grad else None
+        return ga, ad._unbroadcast(g * ~cond, tb.shape) if tb.requires_grad else None
+
+    return Tensor._make(np.where(cond, ta.data, tb.data), (ta, tb), grad_fn, "where")
+
+
 def softmax(t, axis=-1):
     """Numerically-stable softmax on `autodiff.attention`'s kernels; the max
     shift is treated as a constant."""
@@ -169,7 +209,7 @@ def conv3x3_composite(x, weight, bias):
     for dy in range(3):
         for dx in range(3):
             patch = xp[:, dy : dy + h, dx : dx + w]
-            term = patch.reshape(c, h * w).transpose(1, 0) @ weight[dy, dx]
+            term = matmul(patch.reshape(c, h * w).transpose(1, 0), weight[dy, dx])
             acc = term if acc is None else acc + term
     out = acc + bias  # (HW, c_out)
     return out.transpose(1, 0).reshape(c_out, h, w)
@@ -256,7 +296,7 @@ def layernorm_composite(t, gamma, beta, eps=1e-5):
 def clamp_composite(t, lo, hi):
     """Clamp from one `where` node: the values of ``np.clip``, the gradient
     passed inside [lo, hi] and zero outside."""
-    return ad.where((t.data >= lo) & (t.data <= hi), t, np.clip(t.data, lo, hi))
+    return where((t.data >= lo) & (t.data <= hi), t, np.clip(t.data, lo, hi))
 
 
 def box3_composite(img):
@@ -314,13 +354,53 @@ def rotation_from_axis_angle_composite(r):
         theta = sqrt(theta_sq)
         a = sin(theta) / theta
         b = (1.0 - cos(theta)) / theta_sq
-    k = (r.reshape(1, 3) @ Tensor(_SKEW)).reshape(3, 3)
-    return Tensor(np.eye(3)) + a * k + b * (k @ k)
+    k = matmul(r.reshape(1, 3), Tensor(_SKEW)).reshape(3, 3)
+    return Tensor(np.eye(3)) + a * k + b * matmul(k, k)
+
+
+def pose_tensors(pose):
+    """(rotation, translation) Tensors: constants from a Pose, or the
+    Rodrigues rotation node of a twist Tensor's slice and the other slice."""
+    if isinstance(pose, Pose):
+        return Tensor(pose.rotation), Tensor(pose.translation)
+    return rotation_from_axis_angle(pose[3:6]), pose[0:3]
+
+
+def warp_depth_composite(depth, pose, k, rays=None):
+    """`geometry.warp_depth` from reshape, mul, getitem, matmul, add, where,
+    div and transpose nodes, with the Rodrigues rotation node: the point
+    matrix rays * depth row, ``R @ P + t``, and the projection of its x, y
+    rows, dividing by 1 where z <= 1e-9."""
+    r_t, t_t = pose_tensors(pose)
+    h, w = k.height, k.width
+    d = depth if isinstance(depth, Tensor) else Tensor(depth)
+    points = Tensor(ray_matrix(k) if rays is None else rays) * d.reshape(1, h * w)
+    points = matmul(r_t, points) + t_t.reshape(3, 1)
+    z = points[2]
+    front = z.data > 1e-9
+    uv = points[:2] * np.array([[k.fx], [k.fy]]) / where(front, z, 1.0) + np.array([[k.cx], [k.cy]])
+    upper = np.array([[w - 1.0], [h - 1.0]]) + 1e-9
+    valid = front & ((uv.data >= -1e-9) & (uv.data <= upper)).all(axis=0)
+    return WarpResult(depth=z.reshape(h, w), flow=uv.transpose().reshape(h, w, 2), valid=valid.reshape(h, w))
+
+
+def reproject_composite(depth, pose, k, rays=None):
+    """`geometry.reproject`'s (H, W, 3) map from ``warp_depth_composite``'s flow and depth."""
+    warp = warp_depth_composite(depth, pose, k, rays)
+    return ad.concat([warp.flow, warp.depth.reshape(k.height, k.width, 1)], axis=2)
+
+
+def smoothness_composite(depth, edges):
+    """`losses.smoothness` from mean, div, getitem, sub, mul, pow, sum and add nodes."""
+    d = depth / depth.mean()
+    term_x = (Tensor(edges[0]) * (d[:, 1:] - d[:, :-1])) ** 2.0
+    term_y = (Tensor(edges[1]) * (d[1:, :] - d[:-1, :])) ** 2.0
+    return (term_x.sum() + term_y.sum()) / float(term_x.size + term_y.size)
 
 
 def linear_composite(x, weight, bias):
     """An affine map from a matmul and an add node."""
-    return x @ weight + bias
+    return matmul(x, weight) + bias
 
 
 def gelu_linear_composite(x, weight, bias):
@@ -349,8 +429,8 @@ def _merge_heads(x):
 
 
 def _attend(q, k, v, scale):
-    attn = softmax((q @ swap_last(k)) * scale, axis=-1)
-    return _merge_heads(attn @ v)
+    attn = softmax(matmul(q, swap_last(k)) * scale, axis=-1)
+    return _merge_heads(matmul(attn, v))
 
 
 def attention_composite(*packed, heads):

@@ -11,7 +11,8 @@ import pytest
 from dvokit import autodiff as ad
 from dvokit import nn
 from dvokit.autodiff import Tensor
-from dvokit.geometry import rotation_from_axis_angle
+from dvokit.geometry import CameraIntrinsics, pose_from_twist, reproject, rotation_from_axis_angle
+from dvokit.losses import edge_weights, smoothness
 
 import oracles
 from oracles import finite_diff_check
@@ -59,23 +60,23 @@ def test_nan_trap():
 def test_matmul_identity_and_hand_case():
     x = Tensor([[2.0], [5.0]])
     eye = Tensor(np.eye(2))
-    assert np.array_equal((eye @ x).data, x.data)
+    assert np.array_equal(oracles.matmul(eye, x).data, x.data)
     a = Tensor([[1.0, 2.0], [3.0, 4.0]])
     b = Tensor([[1.0], [1.0]])
-    assert np.array_equal((a @ b).data, [[3.0], [7.0]])
+    assert np.array_equal(oracles.matmul(a, b).data, [[3.0], [7.0]])
 
 
 def test_matmul_gradient_matches_finite_differences():
     rng = np.random.default_rng(0)
     b = rng.normal(size=(4, 3))
     a0 = rng.normal(size=(5, 4))
-    err = finite_diff_check(lambda a: (a @ Tensor(b)).sum(), a0, h=1e-6)
+    err = finite_diff_check(lambda a: oracles.matmul(a, Tensor(b)).sum(), a0, h=1e-6)
     assert err < 1e-6
 
 
 def test_matmul_dim_mismatch():
     with pytest.raises(ValueError):
-        _ = Tensor(np.zeros((2, 3))) @ Tensor(np.zeros((4, 2)))
+        _ = oracles.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 2))))
 
 
 def test_mean_and_empty_reduction():
@@ -135,8 +136,8 @@ def test_three_layer_mlp_gradient_vs_finite_differences():
     def run(inp, ws):
         h = inp
         for i, w in enumerate(ws[:-1]):
-            h = oracles.gelu(h @ w) if i else (h @ w).sigmoid()
-        return (h @ ws[-1]).sum()
+            h = oracles.gelu(oracles.matmul(h, w)) if i else oracles.matmul(h, w).sigmoid()
+        return oracles.matmul(h, ws[-1]).sum()
 
     # gradient w.r.t. the input
     err = finite_diff_check(lambda t: run(t, [Tensor(w) for w in weights]), x0, h=1e-5)
@@ -277,7 +278,7 @@ def test_upsample_nearest_and_where_gradients():
     mask = rng.random((3, 3)) > 0.5
 
     def w(t):
-        return ad.where(mask, t * 2.0, t * t).sum()
+        return oracles.where(mask, t * 2.0, t * t).sum()
 
     assert finite_diff_check(w, rng.normal(size=(3, 3)), h=1e-5) < 1e-4
 
@@ -315,7 +316,7 @@ def test_determinism_bit_identical():
 
     def run():
         x = Tensor(a, requires_grad=True)
-        y = oracles.softmax(oracles.gelu(x @ Tensor(b)), axis=-1).mean()
+        y = oracles.softmax(oracles.gelu(oracles.matmul(x, Tensor(b))), axis=-1).mean()
         (g,) = ad.grads(y, [x])
         return y.item(), g
 
@@ -335,8 +336,8 @@ def test_no_gradient_is_computed_for_a_constant_operand(op):
         "sub": lambda a, b: a - b,
         "mul": lambda a, b: a * b,
         "div": lambda a, b: a / b,
-        "matmul": lambda a, b: a @ b,
-        "where": lambda a, b: ad.where(np.eye(3, dtype=bool), a, b),
+        "matmul": oracles.matmul,
+        "where": lambda a, b: oracles.where(np.eye(3, dtype=bool), a, b),
         "linear": lambda a, b: ad.linear(a, b, Tensor(np.zeros(3))),
         "gelu_linear": lambda a, b: ad.gelu_linear(a, b, Tensor(np.zeros(3))),
     }[op]
@@ -402,6 +403,21 @@ def _swapped_draw(shape):
     return lambda rng: np.swapaxes(rng.normal(size=shape), -1, -2)
 
 
+# a 7x6 camera and depths of 2-4 m in front of it, moved by twists of a few
+# cm and degrees: every pixel stays in front, so the warp is smooth there
+_K_7X6 = CameraIntrinsics(fx=6.3, fy=6.3, cx=3.0, cy=2.5, width=7, height=6)
+_POSE_7X6 = pose_from_twist([0.03, -0.02, 0.05, 0.02, -0.03, 0.01])
+_EDGES_7X6 = edge_weights(np.random.default_rng(3).random((3, 6, 7)))
+
+
+def _depth_7x6(rng):
+    return rng.uniform(2.0, 4.0, size=(6, 7))
+
+
+def _twist_small(rng):
+    return rng.normal(scale=0.05, size=6)
+
+
 FUSED_OPS = {
     # name: (fused op, composite oracle, input shapes or draw(rng), keyword arguments)
     "linear": (ad.linear, oracles.linear_composite, [(5, 6), (6, 4), (4,)], {}),
@@ -457,6 +473,10 @@ FUSED_OPS = {
     "rotation_from_axis_angle-taylor": (
         rotation_from_axis_angle, oracles.rotation_from_axis_angle_composite, [_rotvec_in_the_series], {}
     ),
+    # the warp of a depth map by a twist (pose mode's), or by a constant Pose (depth mode's)
+    "reproject-twist": (reproject, oracles.reproject_composite, [_depth_7x6, _twist_small], {"k": _K_7X6}),
+    "reproject-pose": (reproject, oracles.reproject_composite, [_depth_7x6], {"pose": _POSE_7X6, "k": _K_7X6}),
+    "smoothness": (smoothness, oracles.smoothness_composite, [_depth_7x6], {"edges": _EDGES_7X6}),
 }
 
 FUSED_FD_CASES = [
@@ -479,6 +499,7 @@ FUSED_FD_CASES = [
     ("softmax-axis-1", 0), ("softmax-axis0", 0),
     ("ssim", 0), ("ssim", 1), ("bilinear_sample", 0), ("bilinear_sample", 1),
     ("rotation_from_axis_angle", 0), ("rotation_from_axis_angle-taylor", 0),
+    ("reproject-twist", 0), ("reproject-twist", 1), ("reproject-pose", 0), ("smoothness", 0),
 ]
 
 

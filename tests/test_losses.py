@@ -19,6 +19,7 @@ from dvokit.losses import (
     total_loss,
 )
 
+import oracles
 from oracles import finite_diff_check, render_pair, smoothness_reference, ssim_reference
 
 
@@ -340,7 +341,9 @@ def test_total_loss_gradient_wrt_depths_fd(static_pair_16):
 
 
 def test_total_loss_graph_node_count(static_pair_32):
-    # leaf log-depths of both frames and a twist leaf: 65 nodes; 80 before
+    # leaf log-depths of both frames and a twist leaf: 36 nodes; 65 before
+    # the warp became one node (and two views of it, the flow and the depth)
+    # and the smoothness term one node, 80 before
     # the Rodrigues rotation became one node, 138 before SSIM and bilinear
     # sampling became one node each and the smoothness edge weights
     # constants, 139 before the terms picked the valid pixels by index, 172
@@ -351,17 +354,53 @@ def test_total_loss_graph_node_count(static_pair_32):
     log_b = Tensor(np.log(pair.gt_depth_b.values), requires_grad=True)
     twist = Tensor(pair.gt_pose.twist() + 0.01, requires_grad=True)
     loss = total_loss(pair, log_a.exp(), log_b.exp(), twist).l_total
-    assert len(ad.Tape.trace(loss).nodes) <= 65
+    assert len(ad.Tape.trace(loss).nodes) <= 36
 
 
 def test_pose_mode_graph_node_count(static_pair_32):
     # direct pose descent's graph, a twist leaf with both depths constant:
-    # 41 nodes; 56 before the Rodrigues rotation became one node
+    # 29 nodes; 41 before the warp became one node and two views of it, 56
+    # before the Rodrigues rotation became one node
     pair = static_pair_32
     depth_a, depth_b = (Tensor(np.log(d.values)).exp() for d in (pair.gt_depth_a, pair.gt_depth_b))
     twist = Tensor(pair.gt_pose.twist() + 0.01, requires_grad=True)
     loss = total_loss(PairObjective(pair, fixed_depth_a=depth_a), depth_a, depth_b, twist).l_total
-    assert len(ad.Tape.trace(loss).nodes) <= 41
+    assert len(ad.Tape.trace(loss).nodes) <= 29
+
+
+@pytest.mark.parametrize("mode", ["pose", "depth"])
+@pytest.mark.parametrize("pair_fixture", ["static_pair_16", "static_pair_32", "static_pair_64"])
+def test_warp_and_smoothness_nodes_are_their_composites_bit_for_bit(pair_fixture, mode, request, monkeypatch):
+    # pose mode: a twist leaf and constant depths, as direct pose descent
+    # runs them; depth mode: leaf log-depths and a constant Pose. Each node
+    # against its primitive-node composite, then the loss with the
+    # composites in its place: its value, maps and gradients, so the nodes
+    # add the depth's gradients in the order the composite graph did
+    pair = request.getfixturevalue(pair_fixture)
+    k = pair.intrinsics
+    weights = Tensor(np.random.default_rng(k.width).normal(size=(k.height, k.width, 3)))
+    edges = edge_weights(pair.image_a)
+
+    def run(warp, reproject, smooth):
+        monkeypatch.setattr(losses, "warp_depth", warp)
+        monkeypatch.setattr(losses, "smoothness", smooth)
+        if mode == "pose":
+            wrt = [Tensor(pair.gt_pose.twist() + 0.01, requires_grad=True)]
+            d_a, d_b, pose, fixed = Tensor(pair.gt_depth_a.values), Tensor(pair.gt_depth_b.values), wrt[0], True
+        else:
+            starts = ((pair.gt_depth_a, 0.01), (pair.gt_depth_b, -0.01))
+            wrt = [Tensor(np.log(d.values) + s, requires_grad=True) for d, s in starts]
+            d_a, d_b, pose, fixed = wrt[0].exp(), wrt[1].exp(), pair.gt_pose, False
+        uvz, l_s = reproject(d_a, pose, k), smooth(d_a, edges)
+        bd = total_loss(PairObjective(pair, fixed_depth_a=d_a if fixed else None), d_a, d_b, pose)
+        out = [uvz.data, *grads((uvz * weights).sum(), wrt), l_s.data, *([] if fixed else grads(l_s, wrt))]
+        return out + [bd.l_total.data, bd.d_diff, bd.m_s, *grads(bd.l_total, wrt)]
+
+    fused = run(geometry.warp_depth, geometry.reproject, smoothness)
+    composite = run(oracles.warp_depth_composite, oracles.reproject_composite, oracles.smoothness_composite)
+    assert len(fused) == len(composite)
+    for new, old in zip(fused, composite):
+        assert new.shape == old.shape and new.tobytes() == old.tobytes()
 
 
 @pytest.mark.parametrize(

@@ -7,13 +7,18 @@ depth maps, dynamic masks and trajectories."""
 import json
 import re
 import shutil
+import struct
+import warnings
+import zlib
 
 import numpy as np
 import pytest
 
 from dvokit import formats
 from dvokit.formats import DataError
+from dvokit.geometry import Pose, pose_from_twist
 from dvokit.model import load_checkpoint, save_checkpoint
+from dvokit.synth import default_intrinsics
 
 
 @pytest.mark.parametrize("first_byte", [9, 10, 11, 12, 13, 32])
@@ -294,3 +299,100 @@ def test_non_finite_trajectory_field_raises_data_error_naming_the_line(tmp_path,
     path.write_text("0 0 0 0 0 0 0 1\n" + line + "\n")
     with pytest.raises(DataError, match=re.escape(f"{path}:2")):
         formats.read_tum(path)
+
+
+def test_ppm_header_number_of_5000_digits_raises_data_error(tmp_path):
+    # int() refuses more than 4,300 digits with a bare ValueError
+    path = tmp_path / "wide.ppm"
+    path.write_bytes(b"P6\n" + b"9" * 5000 + b" 2\n255\n" + bytes(12))
+    with pytest.raises(DataError, match=re.escape(str(path))):
+        formats.read_ppm(path)
+
+
+def test_pfm_payload_whose_length_is_not_a_multiple_of_4_raises_data_error(tmp_path):
+    # 41 bytes where a 5x4 map needs 80: decoding them first raised a bare ValueError
+    path = tmp_path / "short.pfm"
+    path.write_bytes(b"Pf\n5 4\n-1.0\n" + bytes(41))
+    with pytest.raises(DataError, match=re.escape(str(path))):
+        formats.read_pfm(path)
+
+
+def test_checkpoint_array_of_zero_size_whose_other_extents_overflow_raises_data_error(tmp_path):
+    # (0, 2^32 - 1, 2^32 - 1) holds no bytes, so the size check passes, but
+    # numpy cannot allocate it: the product of its other extents overflows
+    from dvokit import model
+
+    blob = b"{}"
+    raw = model._MAGIC + struct.pack("<II", model._VERSION, len(blob)) + blob
+    raw += struct.pack("<I", 1) + b"x" + struct.pack("<I3I", 3, 0, 2**32 - 1, 2**32 - 1)
+    path = tmp_path / "huge.dvoc"
+    path.write_bytes(raw + model._END_MAGIC + struct.pack("<I", 1))
+    with pytest.raises(DataError, match=re.escape(str(path))):
+        load_checkpoint(path)
+
+
+def test_trajectory_that_is_not_utf8_raises_data_error(tmp_path):
+    path = tmp_path / "latin1.tum"
+    path.write_bytes(b"0 0 0 0 0 0 0 1\n# caf\xe9\n")
+    with pytest.raises(DataError, match=re.escape(str(path))):
+        formats.read_tum(path)
+
+
+def test_trajectory_quaternion_that_overflows_its_norm_raises_data_error_and_no_warning(tmp_path):
+    # the suite turns warnings into errors, so an overflow warning of the norm would fail this first
+    path = tmp_path / "huge.tum"
+    path.write_text("0 0 0 0 1e200 0 0 1\n")
+    with pytest.raises(DataError, match=re.escape(f"{path}:1")):
+        formats.read_tum(path)
+
+
+def _write_tum(path):
+    formats.write_tum(path, [Pose.identity(), pose_from_twist([0.1, -0.2, 0.05, 0.02, -0.01, 0.03])])
+
+
+def _write_manifest(path):
+    rel = {"translation": [0.1, 0.0, 0.02], "quaternion_xyzw": [0.0, 0.0, 0.0, 1.0]}
+    frames = [{"image": f"frame_{i:05d}.ppm", "depth": f"depth_{i:05d}.pfm"} for i in range(2)]
+    pairs = [{"a": 0, "b": 1, "rel_pose": rel}]
+    formats.write_manifest(path, {"intrinsics": default_intrinsics(16).to_dict(), "frames": frames, "pairs": pairs})
+
+
+# reader: (write a small valid file, read one)
+_READERS = {
+    "read_ppm": (lambda path: formats.write_ppm(path, np.random.default_rng(0).random((3, 4, 5))), formats.read_ppm),
+    "read_pfm": (lambda path: formats.write_pfm(path, np.random.default_rng(0).random((4, 5)) + 1.0), formats.read_pfm),
+    "read_tum": (_write_tum, formats.read_tum),
+    "read_manifest": (_write_manifest, formats.read_manifest),
+    "load_checkpoint": (lambda path: save_checkpoint(path, _ARRAYS, _CONFIG), load_checkpoint),
+}
+
+
+@pytest.mark.parametrize("reader", list(_READERS))
+def test_mutated_file_loads_or_raises_data_error_naming_the_path(tmp_path, reader):
+    # 600 seeded mutations of a valid file, in turn a truncation, 1-4 bytes
+    # overwritten and 1-4 bytes inserted: each loads, or raises DataError
+    # naming the file, with no warning
+    write, read = _READERS[reader]
+    valid, path = tmp_path / "valid", tmp_path / "mutant"
+    write(valid)
+    raw = valid.read_bytes()
+    rng = np.random.default_rng(zlib.crc32(reader.encode()))
+    for i in range(600):
+        data = bytearray(raw)
+        at, noise = int(rng.integers(0, len(raw))), rng.integers(0, 256, size=int(rng.integers(1, 5)), dtype=np.uint8)
+        if i % 3 == 0:
+            del data[at:]
+        elif i % 3 == 1:
+            for byte in noise:
+                data[int(rng.integers(0, len(raw)))] = byte
+        else:
+            data[at:at] = noise.tobytes()
+        path.write_bytes(data)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                read(path)
+        except DataError as e:
+            assert str(path) in str(e), f"mutation {i} ({bytes(data)!r}): {e}"
+        except Exception as e:
+            pytest.fail(f"mutation {i} ({bytes(data)!r}) raised {e!r}")

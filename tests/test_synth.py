@@ -15,10 +15,9 @@ from dvokit.synth import (
     preset_scene,
     relative_pose,
     render,
-    render_at,
 )
 
-from oracles import render_pair
+from oracles import render_at, render_pair
 
 
 def _wall_scene(z=5.0, seed=3):

@@ -69,6 +69,12 @@ What it runs, all seeded and on the `dynamic-room` scene:
     (the Taylor branch), 0, 0.3 and 1.5 (`op/rotation_from_axis_angle-taylor`,
     `-zero`, `-0.3`, `-1.5`): the rotation and the gradient of a weighted
     sum of it
+  - `geometry.warp_depth` and `losses.smoothness` on a 9 x 11 camera: the
+    flow and depth of the warp of a seeded depth map by a twist leaf
+    (`op/warp_depth-pose`) and of a depth leaf by a constant Pose
+    (`-depth`), and the smoothness term of a depth leaf (`op/smoothness`,
+    sources with `losses.edge_weights`), each with the gradient of a
+    weighted sum of it
   - the `nn` layers that run on the fused `autodiff.linear` and
     `autodiff.attention`: `SelfAttention`, `CrossAttention`, `Linear` (its
     weight trained and frozen), `Conv1x1` (to 12 channels, and to 1 as
@@ -84,7 +90,7 @@ What it runs, all seeded and on the `dynamic-room` scene:
     pair has one NaN pixel in its second image (the `TrainingDivergence`
     text, epoch and pair)
 
-On the current sources it prints 143 items: 82 digests and the 61
+On the current sources it prints 149 items: 85 digests and the 64
 `values/` entries beside them. It writes only to a temporary directory and
 takes about 6 s on a 2-core host.
 """
@@ -291,6 +297,32 @@ def fingerprint(tmp: Path) -> dict:
         axis = op_rng.normal(size=3)
         rotvec = axis / np.linalg.norm(axis) * norm
         record(item, *_op_parts(autodiff, geometry.rotation_from_axis_angle, [rotvec], op_rng))
+
+    # the warp and the smoothness term (one node each since they were fused)
+    # on a 9x11 camera: the warp's flow and depth as one (H, W, 3) map in
+    # pose mode (a constant depth, a twist leaf) and in depth mode (a depth
+    # leaf, a constant Pose), and the smoothness term of a depth leaf
+    k_small = geometry.CameraIntrinsics(fx=9.9, fy=9.9, cx=5.0, cy=4.0, width=11, height=9)
+    shape_rng = np.random.default_rng(sum(map(ord, "op/warp_depth")))
+    depth0, twist0 = shape_rng.uniform(2.0, 4.0, size=(9, 11)), shape_rng.normal(scale=0.05, size=6)
+    image0 = shape_rng.random((3, 9, 11))
+
+    def warp_map(depth, pose):
+        warp = geometry.warp_depth(depth, pose, k_small)
+        return autodiff.concat([warp.flow, warp.depth.reshape(9, 11, 1)], axis=2)
+
+    edges = getattr(losses, "edge_weights", None)
+    surfaces = {
+        "warp_depth-pose": (lambda twist: warp_map(depth0, twist), twist0),
+        "warp_depth-depth": (lambda depth: warp_map(depth, geometry.pose_from_twist(twist0)), depth0),
+        "smoothness": (
+            edges and (lambda depth: losses.smoothness(depth, edges(image0))), depth0
+        ),
+    }
+    for name, (op, value) in surfaces.items():
+        item = f"op/{name}"
+        if op is not None:
+            record(item, *_op_parts(autodiff, op, [value], np.random.default_rng(sum(map(ord, item)))))
 
     # the DPT head's kernels, on maps with a leading axis of 2, the
     # transformer's layernorm and softmax, and GELU into a projection
