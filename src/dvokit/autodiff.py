@@ -41,7 +41,7 @@ __all__ = [
     "conv3x3_up2_gelu_linear",
     "ssim_moments",
     "ssim",
-    "bilinear_sample",
+    "bilinear",
     "linear",
     "gelu_linear",
     "attention",
@@ -255,10 +255,6 @@ class Tensor:
             raise ValueError(f"item() on tensor of size {self.data.size}")
         return float(self.data.reshape(()))
 
-    def detach(self) -> "Tensor":
-        """Constant view of the current values; gradients do not flow past it."""
-        return Tensor(self.data)
-
     # ---- graph plumbing --------------------------------------------------------
 
     @staticmethod
@@ -295,9 +291,6 @@ class Tensor:
             return ga, _unbroadcast(-g, b.shape) if b.requires_grad else None
 
         return Tensor._make(out, (a, b), grad_fn, "sub")
-
-    def __rsub__(self, other):
-        return _as_tensor(other).__sub__(self)
 
     def __mul__(self, other):
         a, b = self, _as_tensor(other)
@@ -346,11 +339,6 @@ class Tensor:
         out = np.exp(a.data)
         return Tensor._make(out, (a,), lambda g: (g * out,), "exp")
 
-    def abs(self):
-        a = self
-        # subgradient at 0 is 0 (np.sign(0) == 0)
-        return Tensor._make(np.abs(a.data), (a,), lambda g: (g * np.sign(a.data),), "abs")
-
     def sigmoid(self):
         a = self
         with np.errstate(over="ignore"):  # exp overflow saturates correctly
@@ -373,13 +361,14 @@ class Tensor:
         return n
 
     def _expand_reduced(self, g, axis, keepdims):
-        if axis is None or keepdims:
-            return np.broadcast_to(g, self.shape)
-        axes = (axis,) if isinstance(axis, int) else tuple(axis)
-        shape = list(self.shape)
-        for ax in axes:
-            shape[ax % self.ndim] = 1
-        return np.broadcast_to(g.reshape(shape), self.shape)
+        if not (axis is None or keepdims):
+            shape = list(self.shape)
+            for ax in (axis,) if isinstance(axis, int) else axis:
+                shape[ax % self.ndim] = 1
+            g = g.reshape(shape)
+        out = np.empty(self.shape, g.dtype)  # filled by one broadcast assignment, not a broadcast view's copy
+        out[...] = g
+        return out
 
     def sum(self, axis=None, keepdims: bool = False):
         a = self
@@ -388,7 +377,7 @@ class Tensor:
         out = a.data.sum(axis=axis, keepdims=keepdims)
 
         def grad_fn(g):
-            return (a._expand_reduced(np.asarray(g), axis, keepdims).copy(),)
+            return (a._expand_reduced(np.asarray(g), axis, keepdims),)
 
         return Tensor._make(out, (a,), grad_fn, "sum")
 
@@ -400,7 +389,7 @@ class Tensor:
         out = a.data.mean(axis=axis, keepdims=keepdims)
 
         def grad_fn(g):
-            return (a._expand_reduced(np.asarray(g) / n, axis, keepdims).copy(),)
+            return (a._expand_reduced(np.asarray(g) / n, axis, keepdims),)
 
         return Tensor._make(out, (a,), grad_fn, "mean")
 
@@ -698,8 +687,8 @@ def _box3(x: np.ndarray) -> np.ndarray:
     h, w = x.shape[-2:]
     p = np.concatenate([x[..., :1, :], x, x[..., -1:, :]], axis=-2)
     p = np.concatenate([p[..., :1], p, p[..., -1:]], axis=-1)
-    acc = p[..., 0:h, 0:w].copy()
-    for dy, dx in _TAPS_3X3[1:]:
+    acc = p[..., 0:h, 0:w] + p[..., 0:h, 1 : w + 1]
+    for dy, dx in _TAPS_3X3[2:]:
         acc += p[..., dy : dy + h, dx : dx + w]
     return acc * (1.0 / 9.0)
 
@@ -712,79 +701,80 @@ def ssim_moments(a: np.ndarray) -> np.ndarray:
     return _box3(np.stack([a, a * a]))
 
 
-def ssim(a: Tensor, b: Tensor, moments_a: np.ndarray | None = None) -> Tensor:
-    """Channel-mean SSIM map (H, W) of two (C, H, W) images, clamped to
-    [-1, 1]: 3x3 window (``_box3``), C1 = 0.01^2, C2 = 0.03^2. The forward
-    pass filters the moments b, b*b, a*b as one stack (a's, unless given as
-    `moments_a`, as another); the backward pass filters back, as one stack,
-    the moment gradients that an input requiring grad needs."""
-    a, b = _as_tensor(a), _as_tensor(b)
-    if a.shape != b.shape or a.ndim != 3:
-        raise ValueError(f"ssim expects two (C, H, W) tensors of one shape, got {a.shape} and {b.shape}")
-    x, y = a.data, b.data
-    mu_a, e_aa = ssim_moments(x) if moments_a is None else moments_a
+def ssim(x: np.ndarray, y: np.ndarray, moments_x: np.ndarray | None = None):
+    """(map, backward) of the channel-mean SSIM of two (C, H, W) arrays,
+    clamped to [-1, 1]: 3x3 window (``_box3``), C1 = 0.01^2, C2 = 0.03^2. It
+    filters y, y*y, x*y as one stack (x's moments too, unless `moments_x`);
+    ``backward(g, wrt_x, wrt_y)`` filters back, as one stack, the moment
+    gradients that x's and y's gradients (None if not wanted) need."""
+    if x.shape != y.shape or x.ndim != 3:
+        raise ValueError(f"ssim expects two (C, H, W) arrays of one shape, got {x.shape} and {y.shape}")
+    mu_a, e_aa = ssim_moments(x) if moments_x is None else moments_x
     mu_b, e_bb, e_ab = _box3(np.stack([y, y * y, x * y]))
     var_a = e_aa - mu_a * mu_a
     var_b = e_bb - mu_b * mu_b
     cov = e_ab - mu_a * mu_b
     n1, n2 = 2.0 * mu_a * mu_b + _SSIM_C1, 2.0 * cov + _SSIM_C2
     d1, d2 = mu_a * mu_a + mu_b * mu_b + _SSIM_C1, var_a + var_b + _SSIM_C2
-    s = (n1 * n2) / (d1 * d2)
+    den = d1 * d2
+    s = (n1 * n2) / den
     mean = s.mean(axis=0)
 
-    def grad_fn(g):
+    def backward(g, wrt_x, wrt_y):
         gs = g * ((mean >= -1.0) & (mean <= 1.0)) / s.shape[0]
-        q, r = gs / (d1 * d2), gs * s
+        q, r = gs / den, gs * s
         # with s = n1 n2 / (d1 d2), the gradients of the filtered moments:
         # e_aa and e_bb (one array), e_ab, then mu_a and mu_b, which enter
         # n1 and n2 through 2 mu_a mu_b and d1 and d2 through their squares
-        u, v = q * (n2 - n1), r / d2 - r / d1
-        moments = [-r / d2, 2.0 * q * n1]
-        moments += [2.0 * (mu_b * u + mu_a * v)] if a.requires_grad else []
-        moments += [2.0 * (mu_a * u + mu_b * v)] if b.requires_grad else []
+        r_d2 = r / d2
+        u, v = q * (n2 - n1), r_d2 - r / d1
+        moments = [-r_d2, 2.0 * q * n1]
+        moments += [2.0 * (mu_b * u + mu_a * v)] if wrt_x else []
+        moments += [2.0 * (mu_a * u + mu_b * v)] if wrt_y else []
         g_sq, g_ab, *g_mu = _box3(np.stack(moments))  # filtered back: _box3 is its own adjoint
-        ga = g_mu[0] + 2.0 * x * g_sq + y * g_ab if a.requires_grad else None
-        return ga, g_mu[-1] + 2.0 * y * g_sq + x * g_ab if b.requires_grad else None
+        gx = g_mu[0] + 2.0 * x * g_sq + y * g_ab if wrt_x else None
+        return gx, g_mu[-1] + 2.0 * y * g_sq + x * g_ab if wrt_y else None
 
-    return Tensor._make(np.clip(mean, -1.0, 1.0), (a, b), grad_fn, "ssim")
+    return np.clip(mean, -1.0, 1.0), backward
 
 
-def bilinear_sample(img: Tensor, coords: Tensor, tol: float) -> Tensor:
-    """Sample a (C, H, W) image at continuous (x, y) coords (..., 2), giving
-    (C, ...). Coordinates clamp to the image; their gradient stops more than
-    `tol` outside it. A coordinate within `tol` below an integer takes that
-    integer's cell, so round-off cannot pick the side of a one-sided
-    gradient. The backward pass sums the coordinate gradient over channels
-    and the image gradient of all four corners with one ``np.bincount``."""
-    img, coords = _as_tensor(img), _as_tensor(coords)
+def bilinear(img: np.ndarray, coords: np.ndarray, tol: float):
+    """(samples (C, ...), backward) of a (C, H, W) image at continuous (x, y)
+    coords (..., 2). Coordinates clamp to the image; their gradient stops
+    more than `tol` outside it. A coordinate within `tol` below an integer
+    takes that integer's cell, so round-off cannot pick the side of a
+    one-sided gradient. ``backward(g, wrt_img, wrt_coords)`` gives the image
+    gradient of all four corners with one ``np.bincount`` and the coordinate
+    gradient summed over channels (None if not wanted)."""
     c, h, w = img.shape
     upper = np.array([w - 1.0, h - 1.0])
-    xy = np.clip(coords.data, 0.0, upper)
-    cell = np.clip(np.floor(xy + tol), 0, upper - 1.0).astype(np.int64)
-    wx, wy = np.moveaxis(xy - cell, -1, 0)
+    xy = np.clip(coords, 0.0, upper)
+    cell = np.minimum(np.floor(xy + tol), upper - 1.0).astype(np.int64)  # no lower clip: xy >= 0
+    frac = xy - cell
+    wx, wy = frac[..., 0], frac[..., 1]
+    wx1, wy1 = 1.0 - wx, 1.0 - wy
     idx = cell[..., 1] * w + cell[..., 0]
-    flat = img.data.reshape(c, h * w)
-    v00, v01, v10, v11 = (np.take(flat, i, axis=1) for i in (idx, idx + 1, idx + w, idx + w + 1))  # C-order (C, ...)
-    wx1 = 1.0 - wx
+    corners = np.array([0, 1, w, w + 1]).reshape(4, *(1,) * idx.ndim) + idx  # (4, ...): the cell's corners
+    v00, v01, v10, v11 = img.reshape(c, h * w).take(corners, axis=1).swapaxes(0, 1)  # each (C, ...)
     top = v00 * wx1 + v01 * wx
     bot = v10 * wx1 + v11 * wx
 
-    def grad_fn(g):
+    def backward(g, wrt_img, wrt_coords):
         gi = gc = None
-        if img.requires_grad:
-            corners = np.concatenate([idx, idx + 1, idx + w, idx + w + 1], axis=None)
-            corners = (np.arange(c) * (h * w))[:, None] + corners  # flat index per channel
-            gt, gb = g * (1.0 - wy), g * wy
+        if wrt_img:
+            index = (np.arange(c) * (h * w))[:, None] + corners.reshape(1, -1)  # per channel, corner by corner
+            gt, gb = g * wy1, g * wy
             parts = (gt * wx1, gt * wx, gb * wx1, gb * wx)
             blend = np.concatenate([part.reshape(c, -1) for part in parts], axis=1)
-            gi = np.bincount(corners.ravel(), blend.ravel(), c * h * w).reshape(img.shape)
-        if coords.requires_grad:
-            gx = (g * ((v01 - v00) * (1.0 - wy) + (v11 - v10) * wy)).sum(axis=0)
-            inside = (coords.data >= -tol) & (coords.data <= upper + tol)
-            gc = np.stack([gx, (g * (bot - top)).sum(axis=0)], axis=-1) * inside
+            gi = np.bincount(index.ravel(), blend.ravel(), c * h * w).reshape(img.shape)
+        if wrt_coords:
+            gc = np.empty(coords.shape)
+            gc[..., 0] = (g * ((v01 - v00) * wy1 + (v11 - v10) * wy)).sum(axis=0)
+            gc[..., 1] = (g * (bot - top)).sum(axis=0)
+            gc *= (coords >= -tol) & (coords <= upper + tol)
         return gi, gc
 
-    return Tensor._make(top * (1.0 - wy) + bot * wy, (img, coords), grad_fn, "bilinear_sample")
+    return top * wy1 + bot * wy, backward
 
 
 def _softmax(x: np.ndarray, axis: int) -> np.ndarray:

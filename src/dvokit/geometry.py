@@ -1,5 +1,5 @@
 """Pinhole camera model, rigid transforms, and differentiable warping: the
-warp (``reproject``) and the Rodrigues rotation are one graph node each.
+warp, the Rodrigues rotation and bilinear sampling are one graph node each.
 
 Conventions used throughout the package:
 
@@ -255,8 +255,9 @@ def pixel_grid(k: CameraIntrinsics) -> tuple[np.ndarray, np.ndarray]:
 class WarpResult:
     """Output of warping a depth map into a second camera.
 
-    depth: transformed z per source pixel (H, W) Tensor
-    flow: target (u', v') coordinates per source pixel, (H, W, 2) Tensor
+    uvz: ``reproject``'s (H, W, 3) map of target (u', v') coordinates and
+        transformed z per source pixel, whose getitem views, made when read,
+        are ``flow`` (H, W, 2) and ``depth`` (H, W)
     valid: source pixels with positive transformed depth whose target lands
         in the image domain [0, W-1] x [0, H-1], widened by 1e-9 px so that
         round-off at the border (a pixel reprojected onto itself can land
@@ -265,9 +266,10 @@ class WarpResult:
         the valid set used by every loss.
     """
 
-    depth: Tensor
-    flow: Tensor
+    uvz: Tensor
     valid: np.ndarray
+    flow = property(lambda self: self.uvz[..., :2])
+    depth = property(lambda self: self.uvz[..., 2])
 
 
 def ray_matrix(k: CameraIntrinsics) -> np.ndarray:
@@ -319,18 +321,20 @@ def reproject(depth: Tensor | np.ndarray, pose: Pose | Tensor, k: CameraIntrinsi
 
 def warp_depth(depth: Tensor | np.ndarray, pose: Pose | Tensor, k: CameraIntrinsics, rays=None) -> WarpResult:
     """Backproject each pixel, apply the relative pose, reproject into the
-    target: flow and depth are views of ``reproject``'s node (same
-    arguments). Invalid pixels are masked, never raised."""
+    target: ``reproject``'s node (same arguments) and its valid set.
+    Invalid pixels are masked, never raised."""
     uvz = reproject(depth, pose, k, rays)
     rows = uvz.data.reshape(-1, 3).T  # (3, H*W), the node's rows
     upper = np.array([[k.width - 1.0], [k.height - 1.0]]) + _VALID_EPS
     valid = (rows[2] > _VALID_EPS) & ((rows[:2] >= -_VALID_EPS) & (rows[:2] <= upper)).all(axis=0)
-    return WarpResult(depth=uvz[..., 2], flow=uvz[..., :2], valid=valid.reshape(k.height, k.width))
+    return WarpResult(uvz=uvz, valid=valid.reshape(k.height, k.width))
 
 
 def bilinear_sample(img: Tensor, coords: Tensor) -> Tensor:
     """Sample a (C, H, W) image at continuous (x, y) coords (..., 2) with one
-    graph node, ``autodiff.bilinear_sample``, at the warp's 1e-9 px
+    graph node on ``autodiff.bilinear``'s kernels, at the warp's 1e-9 px
     tolerance. Out-of-bounds coordinates clamp to the border (callers mask
     them out via the warp's valid set)."""
-    return ad.bilinear_sample(img, coords, _VALID_EPS)
+    out, backward = ad.bilinear(img.data, coords.data, _VALID_EPS)
+    wrt = (img.requires_grad, coords.requires_grad)
+    return Tensor._make(out, (img, coords), lambda g: backward(g, *wrt), "bilinear_sample")

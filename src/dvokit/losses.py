@@ -2,12 +2,13 @@
 edge-aware smoothness terms combined into one differentiable total.
 
 The photometric and geometric terms are means over the valid set (pixels
-whose reprojection lands inside the target image with positive depth); they
-read those pixels by boolean index, and frame b's depth is sampled only
-there. The self-discovered mask ``1 - depth_difference`` down-weights
-dynamic and occluded regions in the photometric term; it is
-gradient-stopped there so inflating the depth inconsistency can never zero
-the photometric loss.
+whose reprojection lands inside the target image with positive depth), and
+frame b's depth is sampled only there. The self-discovered mask ``1 -
+depth_consistency`` down-weights dynamic and occluded regions in the
+photometric term; it is gradient-stopped there so inflating the depth
+inconsistency can never zero the photometric loss. Each term is one graph
+node whose forward and backward run the arithmetic of the primitive-node
+composite it replaced (``tests/oracles.py``) in its order, bit for bit.
 
 ``PairObjective`` holds what no depth or pose changes, built once per pair;
 ``total_loss`` builds one per call when handed a frame pair, so training
@@ -20,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import EmptyValidSetError, Tensor, ssim, ssim_moments
-from .geometry import Pose, bilinear_sample, ray_matrix, warp_depth
+from .autodiff import EmptyValidSetError, Tensor, bilinear, ssim, ssim_moments
+from .geometry import _VALID_EPS, Pose, bilinear_sample, ray_matrix, warp_depth
 
 
 @dataclass(frozen=True)
@@ -62,19 +63,59 @@ class LossBreakdown:
         }
 
 
-def depth_diff(d_hat: Tensor, d_sampled: Tensor) -> Tensor:
-    """Normalized depth inconsistency |a - b| / (a + b) of two positive depths."""
-    return (d_hat - d_sampled).abs() / (d_hat + d_sampled)
-
-
 def photometric_loss(image: Tensor, synthesized: Tensor, weights: LossWeights = LossWeights(), moments=None) -> Tensor:
-    """Per-pixel photometric map (H, W): the channel-mean L1 difference
-    blended with the SSIM dissimilarity (1 - SSIM)/2, weighted by lambda.
-    `moments` are ``ssim_moments`` of `image`, if the caller keeps them."""
-    l1 = (image - synthesized).abs().mean(axis=0)
-    lam = weights.lambda_ssim
-    dssim = (1.0 - ssim(image, synthesized, moments)) * 0.5
-    return (1.0 - lam) * l1 + lam * dssim
+    """Per-pixel photometric map (H, W) as one graph node: the channel-mean
+    L1 difference blended with the SSIM dissimilarity (1 - SSIM)/2, weighted
+    by lambda. `moments` are ``ssim_moments`` of `image`, if kept."""
+    x, y, lam = image.data, synthesized.data, weights.lambda_ssim
+    diff = x - y
+    s, ssim_backward = ssim(x, y, moments)
+
+    def grad_fn(g):
+        g_abs = g * (1.0 - lam) / diff.shape[0] * np.sign(diff)  # through the channel mean; 0 at 0
+        g_x, g_y = ssim_backward(-(g * lam * 0.5), image.requires_grad, synthesized.requires_grad)
+        return g_abs + g_x if image.requires_grad else None, g_y - g_abs if synthesized.requires_grad else None
+
+    out = np.abs(diff).mean(axis=0) * (1.0 - lam) + (1.0 - s) * 0.5 * lam
+    return Tensor._make(out, (image, synthesized), grad_fn, "photometric_loss")
+
+
+def depth_consistency(uvz: Tensor, depth_b: Tensor, valid: np.ndarray) -> Tensor:
+    """Normalized depth inconsistency |z - d| / (z + d) of the valid pixels
+    (n,) as one graph node: z of ``reproject``'s (H, W, 3) map `uvz`, d of
+    `depth_b` (H, W) sampled at its flow (at the warp's 1e-9 px tolerance)."""
+    h, w = valid.shape
+    picked = np.flatnonzero(valid)
+    rows = uvz.data.reshape(h * w, 3).take(picked, axis=0)  # (n, 3): u', v', z
+    sampled, sample_backward = bilinear(depth_b.data.reshape(1, h, w), rows[:, :2], _VALID_EPS)
+    z, d = rows[:, 2], sampled[0]
+    diff, den = z - d, z + d
+    num = np.abs(diff)
+
+    def grad_fn(g):
+        g_den, g_diff = -g * num / (den * den), g / den * np.sign(diff)
+        g_img, g_flow = sample_backward((g_den - g_diff)[None], depth_b.requires_grad, uvz.requires_grad)
+        g_uvz = None
+        if uvz.requires_grad:
+            g_uvz = np.zeros((h * w, 3))
+            g_uvz[picked, :2], g_uvz[picked, 2] = g_flow, g_den + g_diff
+            g_uvz += 0.0  # -0.0 to 0.0: the composite added the picks' gradients to zeros
+            g_uvz = g_uvz.reshape(h, w, 3)
+        return g_uvz, None if g_img is None else g_img.reshape(h, w)
+
+    return Tensor._make(num / den, (uvz, depth_b), grad_fn, "depth_consistency")
+
+
+def masked_mean(values: Tensor, mask: np.ndarray, valid: np.ndarray) -> Tensor:
+    """Mean of `mask` * `values` over the valid pixels as one graph node;
+    `mask` (n,), given on the valid set, is a constant."""
+
+    def grad_fn(g):
+        g_values = np.zeros_like(values.data)
+        g_values[valid] += g / mask.size * mask
+        return (g_values,)
+
+    return Tensor._make((mask * values.data[valid]).mean(), (values,), grad_fn, "masked_mean")
 
 
 def edge_weights(image: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -139,7 +180,9 @@ def total_loss(
     weights: LossWeights = LossWeights(),
     mask_override: np.ndarray | None = None,
 ) -> LossBreakdown:
-    """Full self-supervised objective for one frame pair.
+    """Full self-supervised objective for one frame pair, as the warp node,
+    the image sampler, the three loss nodes above and the scalar nodes that
+    combine them.
 
     `pair` is a frame pair or its ``PairObjective``, which a caller that
     evaluates one pair many times builds once. `depth_a`/`depth_b` are the
@@ -147,9 +190,9 @@ def total_loss(
     camera coordinates to frame b (Pose or twist Tensor). Differentiable
     w.r.t. both depths and the twist.
 
-    The photometric weighting mask is gradient-stopped; `mask_override`
-    substitutes a fixed mask array, which finite-difference audits use to
-    probe the same function the backward pass differentiates.
+    The photometric weighting mask is gradient-stopped, a constant of the
+    masked mean; `mask_override` substitutes a fixed mask array, which
+    finite-difference audits use to probe what the backward differentiates.
 
     Images must be (3, H, W) and depths (H, W) at the intrinsics' size;
     anything else raises ValueError (sampling would clamp to the wrong image).
@@ -169,24 +212,17 @@ def total_loss(
         raise EmptyValidSetError("empty-valid-set")
 
     synthesized = bilinear_sample(objective.image_b, warp.flow)
-    d_b_sampled = bilinear_sample(d_b.reshape(1, *hw), warp.flow[valid])[0]
-
-    dd = depth_diff(warp.depth[valid], d_b_sampled)
+    dd = depth_consistency(warp.uvz, d_b, valid)
     l_g = dd.mean()
-    if mask_override is not None:
-        m_s = Tensor(mask_override[valid])
-    else:
-        # gradient-stopped by design: a live mask could zero the photometric
-        # term by inflating the depth inconsistency
-        m_s = (1.0 - dd).detach()
+    m_s = 1.0 - dd.data if mask_override is None else np.asarray(mask_override, dtype=np.float64)[valid]
 
     lp_map = photometric_loss(objective.image_a, synthesized, weights, objective.moments_a)
-    l_pm = (m_s * lp_map[valid]).mean()
+    l_pm = masked_mean(lp_map, m_s, valid)
     l_s = objective.fixed_l_s if d_a is objective.fixed_depth_a else smoothness(d_a, objective.edges)
     l_total = l_pm + weights.beta * l_g + weights.gamma * l_s
 
     d_map, m_map = np.zeros(hw), np.zeros(hw)
-    d_map[valid], m_map[valid] = dd.data, m_s.data
+    d_map[valid], m_map[valid] = dd.data, m_s
     return LossBreakdown(
         l_p_masked=l_pm,
         l_g=l_g,

@@ -1,8 +1,8 @@
 """Independent reference implementations used to freeze expected test values.
 
 Everything here is deliberately loop-based and separate from the library's
-vectorized code paths, except the sqrt, sin, cos, softmax, gelu, matmul
-and where nodes that no library code calls, the composites, the per-frame
+vectorized code paths, except the abs, sqrt, sin, cos, ssim, softmax, gelu,
+matmul and where nodes that no library code calls, the composites, the per-frame
 forward and the previous kernels at the end: the fused autodiff ops are
 checked against composites built from primitive Tensor ops, the batched
 two-frame forward against one built from unbatched calls, and the kernels
@@ -23,7 +23,9 @@ from dvokit import autodiff as ad
 from dvokit import model as model_module
 from dvokit import synth as synth_module
 from dvokit.autodiff import Tensor, grads
-from dvokit.geometry import _SKEW, CameraIntrinsics, Pose, WarpResult, ray_matrix, rotation_from_axis_angle
+from dvokit.geometry import _SKEW, CameraIntrinsics, Pose, bilinear_sample, ray_matrix, rotation_from_axis_angle
+from dvokit.geometry import warp_depth
+from dvokit.losses import LossBreakdown, LossWeights, edge_weights, smoothness
 from dvokit.synth import Frame, FramePair, Scene, make_pair, render
 
 SSIM_C1 = 0.01**2
@@ -138,6 +140,11 @@ def sqrt(t):
     return Tensor._make(out, (t,), lambda g: (g / (2.0 * out),), "sqrt")
 
 
+def absolute(t):
+    """|t|, with the subgradient 0 at 0 (np.sign(0) == 0)."""
+    return Tensor._make(np.abs(t.data), (t,), lambda g: (g * np.sign(t.data),), "abs")
+
+
 def sin(t):
     return Tensor._make(np.sin(t.data), (t,), lambda g: (g * np.cos(t.data),), "sin")
 
@@ -182,6 +189,15 @@ def where(cond, a, b):
         return ga, ad._unbroadcast(g * ~cond, tb.shape) if tb.requires_grad else None
 
     return Tensor._make(np.where(cond, ta.data, tb.data), (ta, tb), grad_fn, "where")
+
+
+def ssim(a, b, moments_a=None):
+    """`autodiff.ssim`'s map of two (C, H, W) Tensors as one graph node, as
+    the photometric term ran it before it was one node itself."""
+    a, b = ad._as_tensor(a), ad._as_tensor(b)
+    out, backward = ad.ssim(a.data, b.data, moments_a)
+    wrt = (a.requires_grad, b.requires_grad)
+    return Tensor._make(out, (a, b), lambda g: backward(g, *wrt), "ssim")
 
 
 def softmax(t, axis=-1):
@@ -324,7 +340,7 @@ def ssim_composite(a, b):
     return clamp_composite((num / den).mean(axis=0), -1.0, 1.0)
 
 
-def bilinear_sample_composite(img, coords, tol):
+def bilinear_sample_composite(img, coords, tol=1e-9):
     """Bilinear sampling from clamp, advanced-getitem and elementwise nodes.
     `tol` moves the cell choice as in the fused op, but the clamp stops the
     coordinate gradient right outside the image: the two agree unless a
@@ -336,10 +352,10 @@ def bilinear_sample_composite(img, coords, tol):
     y0 = np.clip(np.floor(y.data + tol), 0, h - 2).astype(np.int64)
     wx = x - Tensor(x0.astype(np.float64))
     wy = y - Tensor(y0.astype(np.float64))
-    wx1 = 1.0 - wx
+    wx1 = Tensor(1.0) - wx
     top = img[:, y0, x0] * wx1 + img[:, y0, x0 + 1] * wx
     bot = img[:, y0 + 1, x0] * wx1 + img[:, y0 + 1, x0 + 1] * wx
-    return top * (1.0 - wy) + bot * wy
+    return top * (Tensor(1.0) - wy) + bot * wy
 
 
 def rotation_from_axis_angle_composite(r):
@@ -348,12 +364,12 @@ def rotation_from_axis_angle_composite(r):
     theta_sq = (r * r).sum()
     if theta_sq.item() < 1e-12:
         # series in theta^2 keeps the gradient finite through the origin
-        a = 1.0 - theta_sq * (1.0 / 6.0) + theta_sq * theta_sq * (1.0 / 120.0)
-        b = 0.5 - theta_sq * (1.0 / 24.0) + theta_sq * theta_sq * (1.0 / 720.0)
+        a = Tensor(1.0) - theta_sq * (1.0 / 6.0) + theta_sq * theta_sq * (1.0 / 120.0)
+        b = Tensor(0.5) - theta_sq * (1.0 / 24.0) + theta_sq * theta_sq * (1.0 / 720.0)
     else:
         theta = sqrt(theta_sq)
         a = sin(theta) / theta
-        b = (1.0 - cos(theta)) / theta_sq
+        b = (Tensor(1.0) - cos(theta)) / theta_sq
     k = matmul(r.reshape(1, 3), Tensor(_SKEW)).reshape(3, 3)
     return Tensor(np.eye(3)) + a * k + b * matmul(k, k)
 
@@ -381,13 +397,21 @@ def warp_depth_composite(depth, pose, k, rays=None):
     uv = points[:2] * np.array([[k.fx], [k.fy]]) / where(front, z, 1.0) + np.array([[k.cx], [k.cy]])
     upper = np.array([[w - 1.0], [h - 1.0]]) + 1e-9
     valid = front & ((uv.data >= -1e-9) & (uv.data <= upper)).all(axis=0)
-    return WarpResult(depth=z.reshape(h, w), flow=uv.transpose().reshape(h, w, 2), valid=valid.reshape(h, w))
+    return uv.transpose().reshape(h, w, 2), z.reshape(h, w), valid.reshape(h, w)
 
 
 def reproject_composite(depth, pose, k, rays=None):
     """`geometry.reproject`'s (H, W, 3) map from ``warp_depth_composite``'s flow and depth."""
-    warp = warp_depth_composite(depth, pose, k, rays)
-    return ad.concat([warp.flow, warp.depth.reshape(k.height, k.width, 1)], axis=2)
+    flow, z, _ = warp_depth_composite(depth, pose, k, rays)
+    return ad.concat([flow, z.reshape(k.height, k.width, 1)], axis=2)
+
+
+def warp_views(depth, pose, k, rays=None):
+    """(flow, depth, valid) of `geometry.warp_depth`: the flow and depth as
+    getitem views of its ``reproject`` node, as ``warp_depth_composite``
+    gives them."""
+    warp = warp_depth(depth, pose, k, rays)
+    return warp.flow, warp.depth, warp.valid
 
 
 def smoothness_composite(depth, edges):
@@ -396,6 +420,56 @@ def smoothness_composite(depth, edges):
     term_x = (Tensor(edges[0]) * (d[:, 1:] - d[:, :-1])) ** 2.0
     term_y = (Tensor(edges[1]) * (d[1:, :] - d[:-1, :])) ** 2.0
     return (term_x.sum() + term_y.sum()) / float(term_x.size + term_y.size)
+
+
+def depth_diff(d_hat, d_sampled):
+    """Normalized depth inconsistency |a - b| / (a + b) of two positive depths."""
+    return absolute(d_hat - d_sampled) / (d_hat + d_sampled)
+
+
+def photometric_loss_composite(image, synthesized, weights=LossWeights(), moments=None):
+    """`losses.photometric_loss` from sub, abs, mean, mul, add nodes and the SSIM node."""
+    l1 = absolute(image - synthesized).mean(axis=0)
+    lam = weights.lambda_ssim
+    dssim = (Tensor(1.0) - ssim(image, synthesized, moments)) * 0.5
+    return (1.0 - lam) * l1 + lam * dssim
+
+
+def depth_consistency_composite(flow, z, depth_b, valid):
+    """`losses.depth_consistency` from getitem, reshape, sub, abs, add and
+    div nodes and the sampler node, on the warp's flow (H, W, 2) and depth
+    (H, W) Tensors."""
+    h, w = valid.shape
+    return depth_diff(z[valid], bilinear_sample(depth_b.reshape(1, h, w), flow[valid])[0])
+
+
+def masked_mean_composite(values, mask, valid):
+    """`losses.masked_mean` from getitem, mul and mean nodes."""
+    return (Tensor(mask) * values[valid]).mean()
+
+
+def total_loss_composite(pair, depth_a, depth_b, pose, weights=LossWeights(), mask_override=None,
+                         warp=warp_views, smooth=smoothness):
+    """`losses.total_loss`'s breakdown with the photometric map, the depth
+    inconsistency and the masked mean from their composites, and the warp
+    (flow, depth and valid set) and the smoothness term from `warp` and
+    `smooth`: the fused nodes by default, or their composites."""
+    k = pair.intrinsics
+    d_a = depth_a if isinstance(depth_a, Tensor) else Tensor(depth_a)
+    d_b = depth_b if isinstance(depth_b, Tensor) else Tensor(depth_b)
+    flow, z, valid = warp(d_a, pose, k)
+    image_a = Tensor(pair.image_a)
+    synthesized = bilinear_sample(Tensor(pair.image_b), flow)
+    dd = depth_consistency_composite(flow, z, d_b, valid)
+    l_g = dd.mean()
+    m_s = Tensor((Tensor(1.0) - dd).data if mask_override is None else mask_override[valid])  # gradient-stopped
+    lp_map = photometric_loss_composite(image_a, synthesized, weights, ad.ssim_moments(image_a.data))
+    l_pm = masked_mean_composite(lp_map, m_s.data, valid)
+    l_s = smooth(d_a, edge_weights(pair.image_a))
+    l_total = l_pm + weights.beta * l_g + weights.gamma * l_s
+    d_map, m_map = np.zeros(valid.shape), np.zeros(valid.shape)
+    d_map[valid], m_map[valid] = dd.data, m_s.data
+    return LossBreakdown(l_pm, l_g, l_s, l_total, d_map, m_map, valid, int(valid.sum()))
 
 
 def linear_composite(x, weight, bias):
@@ -513,6 +587,18 @@ def tape_trace_previous(root):
             if parent.requires_grad and id(parent) not in seen:
                 stack.append((parent, False))
     return order
+
+
+def expand_reduced_previous(t, g, axis, keepdims):
+    """`Tensor._expand_reduced` as it was, with the copy its callers took:
+    the reduction's gradient `g` broadcast to `t`'s shape, then copied."""
+    if axis is None or keepdims:
+        return np.broadcast_to(g, t.shape).copy()
+    axes = (axis,) if isinstance(axis, int) else tuple(axis)
+    shape = list(t.shape)
+    for ax in axes:
+        shape[ax % t.ndim] = 1
+    return np.broadcast_to(g.reshape(shape), t.shape).copy()
 
 
 def adam_step_previous(opt, grads_by_name):

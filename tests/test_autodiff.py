@@ -11,8 +11,8 @@ import pytest
 from dvokit import autodiff as ad
 from dvokit import nn
 from dvokit.autodiff import Tensor
-from dvokit.geometry import CameraIntrinsics, pose_from_twist, reproject, rotation_from_axis_angle
-from dvokit.losses import edge_weights, smoothness
+from dvokit.geometry import CameraIntrinsics, bilinear_sample, pose_from_twist, reproject, rotation_from_axis_angle
+from dvokit.losses import depth_consistency, edge_weights, masked_mean, photometric_loss, smoothness
 
 import oracles
 from oracles import finite_diff_check
@@ -27,13 +27,13 @@ def test_exp_values_and_broadcast_add():
 
 def test_abs_value_and_subgradient():
     x = Tensor([-3.0], requires_grad=True)
-    y = x.abs().sum()
+    y = oracles.absolute(x).sum()
     (gx,) = ad.grads(y, [x])
     assert y.item() == 3.0
     assert gx[0] == -1.0
 
     z = Tensor([0.0], requires_grad=True)
-    (gz,) = ad.grads(z.abs().sum(), [z])
+    (gz,) = ad.grads(oracles.absolute(z).sum(), [z])
     assert gz[0] == 0.0  # subgradient 0 at 0
 
 
@@ -175,7 +175,7 @@ ELEMENTWISE_CASES = [
     ("div", lambda t, c: (t / (c * c + 0.5)).sum()),
     ("exp", lambda t, c: (t * 0.3).exp().sum()),
     ("sqrt", lambda t, c: oracles.sqrt(t * t + 0.7).sum()),
-    ("abs", lambda t, c: (t + 0.173).abs().sum()),
+    ("abs", lambda t, c: oracles.absolute(t + 0.173).sum()),
     ("pow", lambda t, c: ((t * t + 0.2) ** 1.5).sum()),
     ("sin", lambda t, c: oracles.sin(t).sum()),
     ("cos", lambda t, c: oracles.cos(t).mean()),
@@ -388,7 +388,7 @@ def _rotvec_in_the_series(rng):
 def _frozen(op, frozen):
     """`op` with its input number `frozen` a constant (a frozen weight, or a
     projection that needs no gradient)."""
-    return lambda *inputs, **kwargs: op(*(t.detach() if i == frozen else t for i, t in enumerate(inputs)), **kwargs)
+    return lambda *inputs, **kwargs: op(*(Tensor(t.data) if i == frozen else t for i, t in enumerate(inputs)), **kwargs)
 
 
 def _swapped_rows(op):
@@ -416,6 +416,31 @@ def _depth_7x6(rng):
 
 def _twist_small(rng):
     return rng.normal(scale=0.05, size=6)
+
+
+# a valid set of the 7x6 camera that holds pixel (0, 0), and a mask on it
+_VALID_7X6 = np.random.default_rng(4).random((6, 7)) > 0.3
+_VALID_7X6[0, 0] = True
+_MASK_7X6 = np.random.default_rng(5).uniform(0.2, 1.0, size=int(_VALID_7X6.sum()))
+
+
+def _uvz_7x6(rng):
+    """A (6, 7, 3) warp map: each pixel's flow 0.1-0.9 px right of and
+    below it, off the sampler's kinks (pixel (0, 0)'s in cell (0, 0)), and
+    z of 2-4 m."""
+    v, u = np.mgrid[0:6, 0:7].astype(np.float64)
+    flow = np.stack([u, v], axis=-1) + rng.uniform(0.1, 0.9, size=(6, 7, 2))
+    return np.concatenate([flow, rng.uniform(2.0, 4.0, size=(6, 7, 1))], axis=2)
+
+
+def _consistency(depth_b, uvz, valid):
+    """`depth_consistency` with depth b first, so that a NaN put in the
+    first input lands in depth b: a NaN flow is the warp's to trap."""
+    return depth_consistency(uvz, depth_b, valid)
+
+
+def _consistency_composite(depth_b, uvz, valid):
+    return oracles.depth_consistency_composite(uvz[..., :2], uvz[..., 2], depth_b, valid)
 
 
 FUSED_OPS = {
@@ -462,13 +487,10 @@ FUSED_OPS = {
     "layernorm": (ad.layernorm, oracles.layernorm_composite, [(5, 8), (8,), (8,)], {}),
     "softmax-axis-1": (oracles.softmax, oracles.softmax_composite, [(3, 4, 5)], {"axis": -1}),
     "softmax-axis0": (oracles.softmax, oracles.softmax_composite, [(3, 4, 5)], {"axis": 0}),
-    "ssim": (ad.ssim, oracles.ssim_composite, [(3, 6, 7), (3, 6, 7)], {}),
-    "bilinear_sample": (
-        ad.bilinear_sample, oracles.bilinear_sample_composite, [(2, 5, 6), _coords_off_grid], {"tol": 1e-9}
-    ),
-    "bilinear_sample-on-grid": (
-        ad.bilinear_sample, oracles.bilinear_sample_composite, [(2, 5, 6), _coords_on_grid], {"tol": 1e-9}
-    ),
+    "ssim": (oracles.ssim, oracles.ssim_composite, [(3, 6, 7), (3, 6, 7)], {}),
+    # at the warp's 1e-9 px tolerance
+    "bilinear_sample": (bilinear_sample, oracles.bilinear_sample_composite, [(2, 5, 6), _coords_off_grid], {}),
+    "bilinear_sample-on-grid": (bilinear_sample, oracles.bilinear_sample_composite, [(2, 5, 6), _coords_on_grid], {}),
     "rotation_from_axis_angle": (rotation_from_axis_angle, oracles.rotation_from_axis_angle_composite, [(3,)], {}),
     "rotation_from_axis_angle-taylor": (
         rotation_from_axis_angle, oracles.rotation_from_axis_angle_composite, [_rotvec_in_the_series], {}
@@ -477,6 +499,11 @@ FUSED_OPS = {
     "reproject-twist": (reproject, oracles.reproject_composite, [_depth_7x6, _twist_small], {"k": _K_7X6}),
     "reproject-pose": (reproject, oracles.reproject_composite, [_depth_7x6], {"pose": _POSE_7X6, "k": _K_7X6}),
     "smoothness": (smoothness, oracles.smoothness_composite, [_depth_7x6], {"edges": _EDGES_7X6}),
+    "photometric_loss": (photometric_loss, oracles.photometric_loss_composite, [(3, 6, 7), (3, 6, 7)], {}),
+    "depth_consistency": (_consistency, _consistency_composite, [_depth_7x6, _uvz_7x6], {"valid": _VALID_7X6}),
+    "masked_mean": (
+        masked_mean, oracles.masked_mean_composite, [(6, 7)], {"mask": _MASK_7X6, "valid": _VALID_7X6}
+    ),
 }
 
 FUSED_FD_CASES = [
@@ -500,6 +527,8 @@ FUSED_FD_CASES = [
     ("ssim", 0), ("ssim", 1), ("bilinear_sample", 0), ("bilinear_sample", 1),
     ("rotation_from_axis_angle", 0), ("rotation_from_axis_angle-taylor", 0),
     ("reproject-twist", 0), ("reproject-twist", 1), ("reproject-pose", 0), ("smoothness", 0),
+    ("photometric_loss", 0), ("photometric_loss", 1), ("depth_consistency", 0), ("depth_consistency", 1),
+    ("masked_mean", 0),
 ]
 
 
@@ -920,3 +949,18 @@ def test_no_grad_keeps_trapping_non_finite_values():
             ad.conv3x3_up2_gelu_linear(
                 Tensor(bad), *map(ad.parameter, (np.ones((3, 3, 1, 1)), np.zeros(1), np.ones((1, 1)), np.zeros(1)))
             )
+
+
+@pytest.mark.parametrize(
+    "axis,keepdims",
+    [(None, False), (None, True), (1, False), (-1, False), (-2, True), ((0, 2), False), ((0, -1), True)],
+)
+def test_reduction_gradient_fill_is_the_broadcast_copy_it_replaced(axis, keepdims):
+    # sum's and mean's backward spread the reduction's gradient over the
+    # operand's shape into an array of their own, as the copy of a
+    # broadcast view did
+    t = Tensor(np.random.default_rng(0).normal(size=(2, 3, 4)))
+    g = np.asarray(t.data.sum(axis=axis, keepdims=keepdims) * 0.37)
+    new, old = t._expand_reduced(g, axis, keepdims), oracles.expand_reduced_previous(t, g, axis, keepdims)
+    assert new.shape == old.shape and new.dtype == old.dtype and new.tobytes() == old.tobytes()
+    assert new.flags.owndata and new.flags.writeable

@@ -11,8 +11,9 @@ from dvokit.direct import optimize_direct
 from dvokit.losses import (
     LossWeights,
     PairObjective,
-    depth_diff,
+    depth_consistency,
     edge_weights,
+    masked_mean,
     photometric_loss,
     smoothness,
     ssim,
@@ -20,7 +21,7 @@ from dvokit.losses import (
 )
 
 import oracles
-from oracles import finite_diff_check, render_pair, smoothness_reference, ssim_reference
+from oracles import depth_diff, finite_diff_check, render_pair, smoothness_reference, ssim_reference
 
 
 def test_loss_weights_validation():
@@ -80,10 +81,10 @@ def test_geometric_loss_cases():
 def test_ssim_identity_and_shape_check():
     rng = np.random.default_rng(1)
     a = rng.random((3, 6, 6))
-    out = ssim(Tensor(a), Tensor(a.copy())).data
+    out, _ = ssim(a, a.copy())
     assert np.allclose(out, 1.0, atol=1e-12)
     with pytest.raises(ValueError):
-        ssim(Tensor(a), Tensor(a[:, :4]))
+        ssim(a, a[:, :4])
 
 
 def test_ssim_inverted_high_variance_patch_near_minus_one():
@@ -91,7 +92,7 @@ def test_ssim_inverted_high_variance_patch_near_minus_one():
     checker = ((yy + xx) % 2).astype(np.float64)
     b = np.stack([checker] * 3)
     a = 1.0 - b
-    center = ssim(Tensor(a), Tensor(b)).data[2:-2, 2:-2]
+    center = ssim(a, b)[0][2:-2, 2:-2]
     assert center.max() < -0.9
 
 
@@ -99,7 +100,7 @@ def test_ssim_matches_bruteforce_reference():
     rng = np.random.default_rng(2)
     a = rng.random((3, 7, 9))
     b = np.clip(a + rng.normal(scale=0.1, size=a.shape), 0, 1)
-    ours = ssim(Tensor(a), Tensor(b)).data
+    ours, _ = ssim(a, b)
     ref = ssim_reference(a, b)
     assert np.abs(ours - ref).max() < 1e-10
 
@@ -341,7 +342,9 @@ def test_total_loss_gradient_wrt_depths_fd(static_pair_16):
 
 
 def test_total_loss_graph_node_count(static_pair_32):
-    # leaf log-depths of both frames and a twist leaf: 36 nodes; 65 before
+    # leaf log-depths of both frames and a twist leaf: 17 nodes; 36 before
+    # the photometric map, the depth inconsistency and the masked mean
+    # became one node each (and the warp's depth view left the graph); 65 before
     # the warp became one node (and two views of it, the flow and the depth)
     # and the smoothness term one node, 80 before
     # the Rodrigues rotation became one node, 138 before SSIM and bilinear
@@ -354,53 +357,127 @@ def test_total_loss_graph_node_count(static_pair_32):
     log_b = Tensor(np.log(pair.gt_depth_b.values), requires_grad=True)
     twist = Tensor(pair.gt_pose.twist() + 0.01, requires_grad=True)
     loss = total_loss(pair, log_a.exp(), log_b.exp(), twist).l_total
-    assert len(ad.Tape.trace(loss).nodes) <= 36
+    assert len(ad.Tape.trace(loss).nodes) <= 17
 
 
 def test_pose_mode_graph_node_count(static_pair_32):
     # direct pose descent's graph, a twist leaf with both depths constant:
-    # 29 nodes; 41 before the warp became one node and two views of it, 56
-    # before the Rodrigues rotation became one node
+    # 11 nodes; 29 before the photometric map, the depth inconsistency and
+    # the masked mean became one node each, 41 before the warp became one
+    # node and two views of it, 56 before the Rodrigues rotation became one
+    # node
     pair = static_pair_32
     depth_a, depth_b = (Tensor(np.log(d.values)).exp() for d in (pair.gt_depth_a, pair.gt_depth_b))
     twist = Tensor(pair.gt_pose.twist() + 0.01, requires_grad=True)
     loss = total_loss(PairObjective(pair, fixed_depth_a=depth_a), depth_a, depth_b, twist).l_total
-    assert len(ad.Tape.trace(loss).nodes) <= 29
+    assert len(ad.Tape.trace(loss).nodes) <= 11
+
+
+def _loss_variables(pair, mode):
+    """(variables, depth_a, depth_b, pose): in pose mode a twist leaf and
+    constant depths, as direct pose descent runs them; in depth mode leaf
+    log-depths and a constant Pose."""
+    if mode == "pose":
+        twist = Tensor(pair.gt_pose.twist() + 0.01, requires_grad=True)
+        return [twist], Tensor(pair.gt_depth_a.values), Tensor(pair.gt_depth_b.values), twist
+    starts = ((pair.gt_depth_a, 0.01), (pair.gt_depth_b, -0.01))
+    wrt = [Tensor(np.log(d.values) + s, requires_grad=True) for d, s in starts]
+    return wrt, wrt[0].exp(), wrt[1].exp(), pair.gt_pose
+
+
+def _same_bits(new, old):
+    assert len(new) == len(old)
+    for a, b in zip(new, old):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 @pytest.mark.parametrize("mode", ["pose", "depth"])
 @pytest.mark.parametrize("pair_fixture", ["static_pair_16", "static_pair_32", "static_pair_64"])
-def test_warp_and_smoothness_nodes_are_their_composites_bit_for_bit(pair_fixture, mode, request, monkeypatch):
-    # pose mode: a twist leaf and constant depths, as direct pose descent
-    # runs them; depth mode: leaf log-depths and a constant Pose. Each node
-    # against its primitive-node composite, then the loss with the
-    # composites in its place: its value, maps and gradients, so the nodes
-    # add the depth's gradients in the order the composite graph did
+def test_warp_and_smoothness_nodes_are_their_composites_bit_for_bit(pair_fixture, mode, request):
+    # each node against its primitive-node composite, then the loss against
+    # the composite loss built on those composites: its value, maps and
+    # gradients, so the nodes add the depth's gradients in the order the
+    # composite graph did
     pair = request.getfixturevalue(pair_fixture)
     k = pair.intrinsics
     weights = Tensor(np.random.default_rng(k.width).normal(size=(k.height, k.width, 3)))
     edges = edge_weights(pair.image_a)
 
-    def run(warp, reproject, smooth):
-        monkeypatch.setattr(losses, "warp_depth", warp)
-        monkeypatch.setattr(losses, "smoothness", smooth)
-        if mode == "pose":
-            wrt = [Tensor(pair.gt_pose.twist() + 0.01, requires_grad=True)]
-            d_a, d_b, pose, fixed = Tensor(pair.gt_depth_a.values), Tensor(pair.gt_depth_b.values), wrt[0], True
-        else:
-            starts = ((pair.gt_depth_a, 0.01), (pair.gt_depth_b, -0.01))
-            wrt = [Tensor(np.log(d.values) + s, requires_grad=True) for d, s in starts]
-            d_a, d_b, pose, fixed = wrt[0].exp(), wrt[1].exp(), pair.gt_pose, False
+    def run(reproject, smooth, loss):
+        wrt, d_a, d_b, pose = _loss_variables(pair, mode)
         uvz, l_s = reproject(d_a, pose, k), smooth(d_a, edges)
-        bd = total_loss(PairObjective(pair, fixed_depth_a=d_a if fixed else None), d_a, d_b, pose)
-        out = [uvz.data, *grads((uvz * weights).sum(), wrt), l_s.data, *([] if fixed else grads(l_s, wrt))]
+        bd = loss(d_a, d_b, pose)
+        out = [uvz.data, *grads((uvz * weights).sum(), wrt), l_s.data, *(grads(l_s, wrt) if l_s.requires_grad else [])]
         return out + [bd.l_total.data, bd.d_diff, bd.m_s, *grads(bd.l_total, wrt)]
 
-    fused = run(geometry.warp_depth, geometry.reproject, smoothness)
-    composite = run(oracles.warp_depth_composite, oracles.reproject_composite, oracles.smoothness_composite)
-    assert len(fused) == len(composite)
-    for new, old in zip(fused, composite):
-        assert new.shape == old.shape and new.tobytes() == old.tobytes()
+    def fused_loss(d_a, d_b, pose):
+        return total_loss(PairObjective(pair, fixed_depth_a=d_a if mode == "pose" else None), d_a, d_b, pose)
+
+    def composite_loss(d_a, d_b, pose):
+        warp, smooth = oracles.warp_depth_composite, oracles.smoothness_composite
+        return oracles.total_loss_composite(pair, d_a, d_b, pose, warp=warp, smooth=smooth)
+
+    fused = run(geometry.reproject, smoothness, fused_loss)
+    _same_bits(fused, run(oracles.reproject_composite, oracles.smoothness_composite, composite_loss))
+
+
+@pytest.mark.parametrize("mode", ["pose", "depth"])
+@pytest.mark.parametrize("pair_fixture", ["static_pair_16", "static_pair_32", "static_pair_64"])
+def test_photometric_consistency_and_mean_nodes_are_their_composites_bit_for_bit(pair_fixture, mode, request):
+    # each node on the loss's own inputs against its primitive-node
+    # composite (its output and the gradients of a seeded weighted sum of
+    # it), then the loss against the one that runs the composites in their
+    # place: its value, maps and gradients
+    pair = request.getfixturevalue(pair_fixture)
+    k = pair.intrinsics
+    rng = np.random.default_rng(k.width + 1)
+    wrt, d_a, d_b, pose = _loss_variables(pair, mode)
+    warp = geometry.warp_depth(d_a, pose, k)
+    valid = warp.valid
+    synthesized = geometry.bilinear_sample(Tensor(pair.image_b), warp.flow)
+    moments = ad.ssim_moments(pair.image_a)
+    mask = rng.uniform(0.2, 1.0, size=int(valid.sum()))
+    image_a = Tensor(pair.image_a)
+
+    def consistency_composite(uvz, depth_b, valid):
+        return oracles.depth_consistency_composite(uvz[..., :2], uvz[..., 2], depth_b, valid)
+
+    nodes = [
+        (photometric_loss, oracles.photometric_loss_composite, (image_a, synthesized, LossWeights(), moments)),
+        (depth_consistency, consistency_composite, (warp.uvz, d_b, valid)),
+        (masked_mean, oracles.masked_mean_composite, (synthesized.mean(axis=0), mask, valid)),
+    ]
+    for node, composite, args in nodes:
+        weights = Tensor(rng.normal(size=node(*args).shape))
+        new, old = (fn(*args) for fn in (node, composite))
+        _same_bits([new.data, *grads((new * weights).sum(), wrt)], [old.data, *grads((old * weights).sum(), wrt)])
+
+    def breakdown(bd):
+        return [bd.l_total.data, bd.l_p_masked.data, bd.l_g.data, bd.d_diff, bd.m_s, *grads(bd.l_total, wrt)]
+
+    fused = total_loss(PairObjective(pair, fixed_depth_a=d_a if mode == "pose" else None), d_a, d_b, pose)
+    _same_bits(breakdown(fused), breakdown(oracles.total_loss_composite(pair, d_a, d_b, pose)))
+
+
+@pytest.mark.parametrize("mode", ["pose", "depth"])
+def test_mask_override_with_the_computed_mask_is_the_loss_bit_for_bit(static_pair_32, mode):
+    pair = static_pair_32
+    wrt, d_a, d_b, pose = _loss_variables(pair, mode)
+    computed = total_loss(pair, d_a, d_b, pose)
+    overridden = total_loss(pair, d_a, d_b, pose, mask_override=computed.m_s)
+    assert np.array_equal(overridden.m_s, computed.m_s)
+    _same_bits(*([bd.l_total.data, *grads(bd.l_total, wrt)] for bd in (overridden, computed)))
+
+
+def test_a_nan_in_depth_b_is_named_by_the_consistency_node(static_pair_16):
+    pair = static_pair_16
+    valid = geometry.warp_depth(pair.gt_depth_a.values, pair.gt_pose, pair.intrinsics).valid
+    depth_b = pair.gt_depth_b.values.copy()
+    depth_b[valid] = np.nan  # every pixel the valid set can sample, and more
+    with pytest.raises(ad.NonFiniteError, match="'depth_consistency'"):
+        total_loss(pair, pair.gt_depth_a.values, depth_b, pair.gt_pose)
+    with ad.checked(False), np.errstate(invalid="ignore"):
+        assert np.isnan(total_loss(pair, pair.gt_depth_a.values, depth_b, pair.gt_pose).l_g.item())
 
 
 @pytest.mark.parametrize(

@@ -42,10 +42,11 @@ What it runs, all seeded and on the `dynamic-room` scene:
   - one `total_loss` on the first 32 px pair, at perturbed depths and
     pose: its scalars, its `d_diff`, `m_s` and `valid` maps, and its
     gradients w.r.t. both depths and the twist
-  - `losses.ssim` and `geometry.bilinear_sample` on fixed seeded inputs
-    (sample coordinates off the grid, at integers, 1e-12 px below integers,
-    on both borders and outside): one item per op, digesting its output and
-    the gradient of a weighted sum of it w.r.t. each input
+  - `losses.ssim` (as a node, `_ssim_node`) and `geometry.bilinear_sample`
+    on fixed seeded inputs (sample coordinates off the grid, at integers,
+    1e-12 px below integers, on both borders and outside): one item per op,
+    digesting its output and the gradient of a weighted sum of it w.r.t.
+    each input
   - the DPT head's kernels, the same way, on seeded maps with a leading axis
     of 2: `autodiff.conv3x3`, `autodiff.conv3x3_up2` (older sources),
     `autodiff.conv3x3_up2_gelu_linear` (its conv, then GELU and a projection
@@ -75,6 +76,14 @@ What it runs, all seeded and on the `dynamic-room` scene:
     (`-depth`), and the smoothness term of a depth leaf (`op/smoothness`,
     sources with `losses.edge_weights`), each with the gradient of a
     weighted sum of it
+  - the loss's other nodes on the same camera, in sources that have
+    `losses.depth_consistency`: `losses.photometric_loss` of two seeded
+    images, and `losses.depth_consistency` (of the warp's map, with flows
+    on, 1e-12 px inside and outside the image border, and a seeded depth b)
+    and `losses.masked_mean` (of a seeded map, with a seeded mask) over
+    that map's valid set, each with the gradient of a weighted sum of it
+    w.r.t. each input (`op/photometric_loss`, `op/depth_consistency`,
+    `op/masked_mean`)
   - the `nn` layers that run on the fused `autodiff.linear` and
     `autodiff.attention`: `SelfAttention`, `CrossAttention`, `Linear` (its
     weight trained and frozen), `Conv1x1` (to 12 channels, and to 1 as
@@ -90,7 +99,7 @@ What it runs, all seeded and on the `dynamic-room` scene:
     pair has one NaN pixel in its second image (the `TrainingDivergence`
     text, epoch and pair)
 
-On the current sources it prints 149 items: 85 digests and the 64
+On the current sources it prints 155 items: 88 digests and the 67
 `values/` entries beside them. It writes only to a temporary directory and
 takes about 6 s on a 2-core host.
 """
@@ -174,6 +183,21 @@ def _op_parts(autodiff, op, inputs, rng):
         return None
     weighted = (result * autodiff.Tensor(rng.normal(size=result.shape))).sum()
     return [result.data, *autodiff.grads(weighted, leaves)]
+
+
+def _ssim_node(autodiff, ssim):
+    """`losses.ssim` as a node of two Tensors. Older sources' is one; newer
+    sources' maps two arrays to the SSIM map and its backward, a kernel of
+    the photometric node, so the node is built here."""
+
+    def node(a, b):
+        result = ssim(a.data, b.data)
+        if isinstance(result, autodiff.Tensor):  # the node, run on constants
+            return ssim(a, b)
+        out, backward = result
+        return autodiff.Tensor._make(out, (a, b), lambda g: backward(g, True, True), "ssim")
+
+    return node
 
 
 def _layer_parts(autodiff, build, shapes, lead, rng):
@@ -277,7 +301,7 @@ def fingerprint(tmp: Path) -> dict:
     grid = np.stack(np.meshgrid(np.arange(-1.0, 10.0), np.arange(-1.0, 9.0)), axis=-1)
     coords = np.concatenate([grid, grid - 1e-12, rng.uniform(-1.0, 10.0, size=grid.shape)]).reshape(-1, 2)
     for name, op, inputs in (
-        ("ssim", losses.ssim, [rng.random((3, 8, 9)), rng.random((3, 8, 9))]),
+        ("ssim", _ssim_node(autodiff, losses.ssim), [rng.random((3, 8, 9)), rng.random((3, 8, 9))]),
         ("bilinear_sample", geometry.bilinear_sample, [rng.random((2, 8, 9)), coords]),
     ):
         record(f"op/{name}", *_op_parts(autodiff, op, inputs, rng))
@@ -323,6 +347,32 @@ def fingerprint(tmp: Path) -> dict:
         item = f"op/{name}"
         if op is not None:
             record(item, *_op_parts(autodiff, op, [value], np.random.default_rng(sum(map(ord, item)))))
+
+    # the loss's other nodes (sources that have them) on the same camera: the
+    # photometric map of two seeded images, and the depth inconsistency and
+    # the masked mean over a valid set whose top row lands on the image
+    # border, 1e-12 px inside and outside it, and just beyond the 1e-9 px
+    # tolerance
+    if hasattr(losses, "depth_consistency"):
+        loss_rng = np.random.default_rng(sum(map(ord, "op/depth_consistency")))
+        uvz0 = warp_map(depth0, geometry.pose_from_twist(twist0)).data.copy()
+        edge = uvz0[0, :, :2]
+        edge[:, 1] = np.array([0.0, 1e-12, -1e-12, -2e-9, 3.0])[np.arange(11) % 5]
+        edge[::3, 0] = np.array([0.0, 10.0, 10.0 - 1e-12, 10.0 + 1e-12])
+        upper = np.array([10.0, 8.0]) + 1e-9
+        valid = (uvz0[..., 2] > 1e-9) & ((uvz0[..., :2] >= -1e-9) & (uvz0[..., :2] <= upper)).all(axis=-1)
+        mask = loss_rng.uniform(0.2, 1.0, size=int(valid.sum()))
+        nodes = {
+            "photometric_loss": (losses.photometric_loss, [image0, loss_rng.random((3, 9, 11))]),
+            "depth_consistency": (
+                lambda uvz, depth_b: losses.depth_consistency(uvz, depth_b, valid),
+                [uvz0, loss_rng.uniform(2.0, 4.0, size=(9, 11))],
+            ),
+            "masked_mean": (lambda values: losses.masked_mean(values, mask, valid), [loss_rng.random((9, 11))]),
+        }
+        for name, (op, inputs) in nodes.items():
+            item = f"op/{name}"
+            record(item, *_op_parts(autodiff, op, inputs, np.random.default_rng(sum(map(ord, item)))))
 
     # the DPT head's kernels, on maps with a leading axis of 2, the
     # transformer's layernorm and softmax, and GELU into a projection
