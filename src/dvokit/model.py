@@ -298,14 +298,20 @@ class DvoModel(nn.Module):
 def forward_dvo(model: DvoModel, image_a, image_b) -> tuple[Tensor, Tensor, Tensor]:
     """Depth maps for both frames plus the twist taking frame a to frame b.
 
-    The shared encoder runs once over both frames as a batch of two; the
-    decoder and depth head then run once, each frame decoding with the other
-    frame as reference; the pose head consumes encoder tokens.
+    Images (..., 3, H, W) give depths (..., H, W) and twists (..., 6): any
+    leading axes index pairs. The shared encoder runs once over all the
+    frames, each pair's two stacked on axis -4; the decoder and depth head
+    then run once, each frame decoding with its partner as reference; the
+    pose head reads both frames' encoder tokens. Every pair's values are
+    the same, bit for bit, as its own forward's: each op works per frame
+    (numpy runs one GEMM per matrix), so only gradients summed over pairs,
+    such as a weight's, round differently.
     """
-    grids = model.encode(np.stack([image_a, image_b]))
-    depth = model.depth(grids, replace(grids, tokens=grids.tokens[::-1]))
-    twist = model.pose_head(grids.tokens[0], grids.tokens[1])
-    return depth[0], depth[1], twist
+    grids = model.encode(np.stack([image_a, image_b], axis=-4))
+    tokens = grids.tokens
+    depth = model.depth(grids, replace(grids, tokens=tokens[..., ::-1, :, :]))
+    twist = model.pose_head(tokens[..., 0, :, :], tokens[..., 1, :, :])
+    return depth[..., 0, :, :], depth[..., 1, :, :], twist
 
 
 # ---- masked cross-view completion pretraining -------------------------------------------

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import __version__
 from . import autodiff as ad
-from .autodiff import NonFiniteError
+from .autodiff import EmptyValidSetError, NonFiniteError
 from .evaluation import DepthEvalConfig, EvalReport, depth_metrics, mean_reports
 from .formats import DataError, load_pairs
 from .losses import LossWeights, total_loss
@@ -34,7 +34,8 @@ from .synth import FramePair
 
 
 class TrainingDivergence(RuntimeError):
-    """A non-finite loss or gradient; carries the offending epoch and pair index."""
+    """A non-finite loss or gradient, or an empty valid set; carries the
+    offending epoch and pair index."""
 
     def __init__(self, epoch: int, pair_index: int, cause: Exception):
         super().__init__(f"training diverged at epoch {epoch}, pair {pair_index}: {cause}")
@@ -94,32 +95,37 @@ def version_string() -> str:
 # ---- batched gradient accumulation ---------------------------------------------------
 
 
-def batch_gradients(model: DvoModel, jobs: list, loss_fn):
-    """Evaluate `loss_fn(model, job)` per job in order, each on its own graph,
-    and average the gradients in job order. Returns (list of per-job scalar
-    dicts, mean gradient of every trainable parameter by name), the second
-    ready for `AdamW.step`; a parameter no loss reaches gets zeros. In
-    checked mode each job's gradients are tested as they are computed, so a
-    non-finite one raises NonFiniteError naming the parameter while its job
-    is the last one started.
-
-    loss_fn returns (scalar Tensor, dict of floats to log).
+def batch_gradients(model: DvoModel, graphs: list[list], loss_fn):
+    """Evaluate `loss_fn(model, jobs)` per graph of jobs in order, and
+    average the gradients over the jobs, not the graphs, in job order.
+    `loss_fn` returns each job's (scalar loss Tensor, dict of floats to
+    log); a graph's loss is the sum of its jobs', and one backward per graph
+    gives its gradients, so a one-job graph gives that job's gradients bit
+    for bit. Returns (the per-job scalar dicts, in job order; the mean
+    gradient of every trainable parameter by name), the second ready for
+    `AdamW.step`; a parameter no loss reaches gets zeros. In checked mode
+    each graph's gradients are tested as they are computed, so a
+    non-finite one raises NonFiniteError naming the parameter while its
+    graph's last job is the last one started.
     """
     named = [(n, p) for n, p in model.named_parameters() if p.requires_grad]
     params = [p for _, p in named]
     scalar_list, total = [], None
-    for job in jobs:
-        loss, scalars = loss_fn(model, job)
+    for jobs in graphs:
+        results = loss_fn(model, jobs)
+        loss = results[0][0]
+        for job_loss, _ in results[1:]:
+            loss = loss + job_loss
         gs = ad.grads(loss, params)
         if ad.checked_enabled():
             for (name, _), g in zip(named, gs):
                 if not np.isfinite(g).all():
                     raise NonFiniteError(f"non-finite gradient of '{name}', which checked mode does not trap")
-        del loss  # frees this job's graph before the next job builds its own
+        scalar_list.extend(scalars for _, scalars in results)
+        del loss, results  # frees this graph before the next one is built
         # summed and scaled in place: `ad.grads` hands out copies or fresh zeros
         total = gs if total is None else [np.add(t, g, out=t) for t, g in zip(total, gs)]
-        scalar_list.append(scalars)
-    scale = 1.0 / len(jobs)
+    scale = 1.0 / len(scalar_list)
     return scalar_list, {name: np.multiply(t, scale, out=t) for (name, _), t in zip(named, total)}
 
 
@@ -196,16 +202,32 @@ def evaluate_depth(model: DvoModel, dataset: PairDataset, eval_cfg: DepthEvalCon
 
 # ---- the two training phases ---------------------------------------------------------
 
+# Target pixels of one finetuning graph: a 32 px batch of up to 4 pairs
+# shares one, a 64 px pair gets its own. A training step of four pairs
+# (2-core host, 1 BLAS thread, median of 15 steps) took 48.7 ms at 32 px
+# (linear head) in one graph per pair, 35-37 ms in two graphs and 30-33 ms
+# in one; one graph per batch of 2 raised `finetune-linear-32`
+# train_pairs_per_s 19.5 % at 2.5 % more peak RSS. At 64 px (DPT head),
+# two pairs per graph took 462 against 463 ms (median of 5 steps) and
+# raised the tracemalloc peak from 67 to 188 MB.
+TRAIN_GRAPH_PIXELS = 4_096
+
 
 def _completion_loss(model, pair, rng):
     loss = pretrain_step(model, pair.image_a, pair.image_b, rng)
     return loss, {"reconstruction": loss.item()}
 
 
-def _finetune_loss(model, pair, weights: LossWeights):
-    depth_a, depth_b, twist = forward_dvo(model, pair.image_a, pair.image_b)
-    bd = total_loss(pair, depth_a, depth_b, twist, weights)
-    return bd.l_total, bd.scalars()
+def _finetune_losses(model, pairs: list[FramePair], weights: LossWeights):
+    """Each pair's (total loss, scalars), from one forward of all `pairs`."""
+    images_a = np.stack([pair.image_a for pair in pairs])
+    images_b = np.stack([pair.image_b for pair in pairs])
+    depths_a, depths_b, twists = forward_dvo(model, images_a, images_b)
+    out = []
+    for i, pair in enumerate(pairs):
+        bd = total_loss(pair, depths_a[i], depths_b[i], twists[i], weights)
+        out.append((bd.l_total, bd.scalars()))
+    return out
 
 
 def _step_values(step) -> dict[str, np.ndarray]:
@@ -294,7 +316,16 @@ def _run_phase(
     (``ad.replayed``) from the same inputs and epoch rng state, so
     ``TrainingDivergence`` names the op, the epoch and the pair. A
     non-finite gradient behind finite losses, which checked mode does not
-    trap, is named by parameter, with the pair whose gradient it is."""
+    trap, is named by parameter, with the pair whose gradient it is; an
+    empty valid set is named the same way.
+
+    An unchecked finetuning step runs its pairs in graphs of as many as fit
+    TRAIN_GRAPH_PIXELS target pixels (at least one); a checked step, the
+    replay among them, runs one pair per graph, so the error it raises
+    belongs to the last pair started. A forward failure of a shared graph
+    reproduces there, since each pair's forward values in it are its own
+    forward's, bit for bit (``forward_dvo``). Pretraining runs one pair per
+    graph."""
     started = time.monotonic()
     out_dir = Path(cfg.out_dir) if cfg.out_dir else None
     if out_dir:
@@ -313,19 +344,21 @@ def _run_phase(
     if resume is not None:
         start_epoch = _load_checkpoint_into(resume, model, opt) + 1
 
+    height, width = dataset[0].image_a.shape[-2:]
+    per_graph = max(1, TRAIN_GRAPH_PIXELS // (height * width)) if phase == "finetune" else 1
     curves: dict[str, list[float]] = {}
     snapshots: list[dict | None] = []
 
     for epoch in range(start_epoch, cfg.epochs):
         rng = np.random.default_rng([cfg.seed, epoch])
         order = rng.permutation(len(dataset))
-        started_pairs: list[int] = []  # the last one is the job batch_gradients is on
+        started_pairs: list[int] = []  # in a checked step, the last one is the job batch_gradients is on
 
-        def loss_fn(m, i):
-            started_pairs.append(i)
+        def loss_fn(m, graph):
+            started_pairs.extend(graph)
             if phase == "pretrain":  # each job draws its mask from `rng`, in batch order
-                return _completion_loss(m, dataset[i], rng)
-            return _finetune_loss(m, dataset[i], cfg.loss)
+                return [_completion_loss(m, dataset[i], rng) for i in graph]
+            return _finetune_losses(m, [dataset[i] for i in graph], cfg.loss)
 
         epoch_scalars: dict[str, list[float]] = {}
         for lo in range(0, len(order), cfg.batch_size):
@@ -335,11 +368,12 @@ def _run_phase(
             def step():
                 rng.bit_generator.state = rng_state  # a replay redraws the same masks
                 started_pairs.clear()
-                return batch_gradients(model, jobs, loss_fn)
+                size = 1 if ad.checked_enabled() else per_graph
+                return batch_gradients(model, [jobs[i : i + size] for i in range(0, len(jobs), size)], loss_fn)
 
             try:
                 scalar_list, grads_by_name = ad.replayed(step, _step_values)
-            except (NonFiniteError, FloatingPointError) as e:
+            except (NonFiniteError, FloatingPointError, EmptyValidSetError) as e:
                 raise TrainingDivergence(epoch, started_pairs[-1], e) from e
             opt.step(grads_by_name)
             for scalars in scalar_list:

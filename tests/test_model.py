@@ -332,6 +332,21 @@ def test_forward_dvo_matches_the_per_frame_reference(head_kind, static_pair_32):
         assert np.abs(new - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
+@pytest.mark.parametrize("head_kind", ["linear", "dpt"])
+def test_forward_dvo_on_leading_pair_axes_gives_each_pairs_own_forward_bit_for_bit(head_kind):
+    model = DvoModel(toy_config(head_kind=head_kind), np.random.default_rng(3))
+    model.pose_head.fc2.weight.data = np.random.default_rng(4).normal(0.0, 0.5, (128, 6))
+    images_a = np.stack([[_image(40 + 2 * i + j) for j in range(2)] for i in range(3)])  # (3, 2, 3, 32, 32)
+    images_b = np.stack([[_image(60 + 2 * i + j) for j in range(2)] for i in range(3)])
+    depths_a, depths_b, twists = forward_dvo(model, images_a, images_b)
+    assert depths_a.shape == depths_b.shape == (3, 2, 32, 32) and twists.shape == (3, 2, 6)
+    for i in range(3):
+        for j in range(2):
+            lone = forward_dvo(model, images_a[i, j], images_b[i, j])
+            for batched, own in zip((depths_a, depths_b, twists), lone):
+                assert batched.data[i, j].tobytes() == own.data.tobytes()
+
+
 @pytest.mark.parametrize(
     "pair_fixture,head_kind,bound",
     [("static_pair_32", "linear", 363), ("static_pair_64", "dpt", 433)],

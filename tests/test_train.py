@@ -15,9 +15,9 @@ import pytest
 from dvokit import autodiff as ad
 from dvokit import model as model_module
 from dvokit import train
-from dvokit.autodiff import NonFiniteError
+from dvokit.autodiff import EmptyValidSetError, NonFiniteError
 from dvokit.formats import DataError
-from dvokit.losses import total_loss
+from dvokit.losses import LossWeights, total_loss
 from dvokit.optim import AdamW
 from dvokit.model import (
     DvoModel,
@@ -76,13 +76,125 @@ def test_batch_gradients_is_the_ordered_mean_of_per_job_grads(dataset):
     named = [(n, p) for n, p in model.named_parameters() if p.requires_grad]
     per_job = [ad.grads(_loss(model, pair)[0], [p for _, p in named]) for pair in dataset.pairs]
 
-    scalars, grads_by_name = train.batch_gradients(model, dataset.pairs, _loss)
+    one_job_graphs = [[pair] for pair in dataset.pairs]
+    scalars, grads_by_name = train.batch_gradients(model, one_job_graphs, lambda m, jobs: [_loss(m, p) for p in jobs])
 
     assert scalars == [_loss(model, pair)[1] for pair in dataset.pairs]
     assert list(grads_by_name) == [n for n, _ in named]
     for i, (name, _) in enumerate(named):
         expected = (per_job[0][i] + per_job[1][i] + per_job[2][i]) * (1.0 / 3.0)
         assert np.array_equal(grads_by_name[name], expected), name
+
+
+# ---- one graph per finetuning step --------------------------------------------------
+
+
+def _finetune_losses(m, jobs):
+    return train._finetune_losses(m, jobs, LossWeights())
+
+
+def _live_model(head_kind="linear"):
+    model = DvoModel(toy_config(head_kind=head_kind), np.random.default_rng(3))
+    # a live pose head, so the pose and its gradients are not the identity's
+    model.pose_head.fc2.weight.data = np.random.default_rng(4).normal(0.0, 0.5, (128, 6))
+    return model
+
+
+def _lone_step(model, pair, params):
+    """A pair's scalars and gradients from its own unbatched forward."""
+    bd = total_loss(pair, *forward_dvo(model, pair.image_a, pair.image_b))
+    return bd.scalars(), ad.grads(bd.l_total, params)
+
+
+def _recording_forwards(monkeypatch):
+    """The leading axes of every forward the training loop runs, as it runs them."""
+    calls = []
+
+    def recording_forward(model, images_a, images_b):
+        calls.append(images_a.shape[:-3])
+        return forward_dvo(model, images_a, images_b)
+
+    monkeypatch.setattr(train, "forward_dvo", recording_forward)
+    return calls
+
+
+@pytest.mark.parametrize("pair_fixture,head_kind", [("static_pair_32", "linear"), ("static_pair_64", "dpt")])
+def test_a_one_pair_graph_gives_the_lone_pairs_gradients_bit_for_bit(pair_fixture, head_kind, request):
+    pair = request.getfixturevalue(pair_fixture)
+    model = _live_model(head_kind)
+    named = [(n, p) for n, p in model.named_parameters() if p.requires_grad]
+    scalars, grads = _lone_step(model, pair, [p for _, p in named])
+
+    batched_scalars, grads_by_name = train.batch_gradients(model, [[pair]], _finetune_losses)
+
+    assert batched_scalars == [scalars]
+    for (name, _), g in zip(named, grads):
+        assert grads_by_name[name].tobytes() == g.tobytes(), name
+
+
+def test_a_two_pair_graph_keeps_each_pairs_loss_and_averages_the_gradients(dataset):
+    model = _live_model()
+    named = [(n, p) for n, p in model.named_parameters() if p.requires_grad]
+    pairs = dataset.pairs[:2]
+    lone = [_lone_step(model, pair, [p for _, p in named]) for pair in pairs]
+
+    scalars, grads_by_name = train.batch_gradients(model, [pairs], _finetune_losses)
+
+    assert scalars == [s for s, _ in lone]  # each pair's loss terms, bit for bit
+    for i, (name, _) in enumerate(named):
+        mean = (lone[0][1][i] + lone[1][1][i]) * 0.5
+        assert np.abs(grads_by_name[name] - mean).max() <= 1e-12 * np.abs(mean).max(), name
+
+
+@pytest.mark.parametrize("size,n_pairs,forwards", [(32, 3, [(2,), (1,)]), (64, 2, [(1,), (1,)])])
+def test_the_pixel_budget_shares_a_graph_at_32_px_and_not_at_64_px(tmp_path, monkeypatch, size, n_pairs, forwards):
+    k = default_intrinsics(size)
+    frames = generate_trajectory(
+        preset_scene("room", seed=3), k, n_pairs + 1, MotionSpec(kind="line", step=(0.02, 0.0, 0.05)),
+        np.random.default_rng(0),
+    )
+    pairs = train.PairDataset([make_pair(frames, i, k) for i in range(n_pairs)])  # in batches of two
+    calls = _recording_forwards(monkeypatch)
+    train.finetune_run(_cfg(tmp_path, epochs=1), pairs)
+    assert calls == forwards
+
+
+def test_an_empty_valid_set_in_a_shared_graph_names_the_epoch_and_the_pair(tmp_path, dataset, monkeypatch):
+    cfg = _cfg(tmp_path, epochs=1)
+    order = np.random.default_rng([cfg.seed, 0]).permutation(len(dataset))
+    out_of_view = dataset.pairs[int(order[1])]  # the second pair of the first batch of two
+
+    def loss_moving_out_of_view(pair, depth_a, depth_b, twist, *args, **kwargs):
+        if pair is out_of_view:  # a 1 km step sideways takes every pixel out of frame b's view
+            twist = twist + ad.Tensor(np.array([1e3, 0.0, 0.0, 0.0, 0.0, 0.0]))
+        return total_loss(pair, depth_a, depth_b, twist, *args, **kwargs)
+
+    monkeypatch.setattr(train, "total_loss", loss_moving_out_of_view)
+    calls = _recording_forwards(monkeypatch)
+    with pytest.raises(train.TrainingDivergence) as info:
+        train.finetune_run(cfg, dataset)
+    assert info.value.epoch == 0
+    assert dataset.pairs[info.value.pair_index] is out_of_view
+    assert isinstance(info.value.__cause__, EmptyValidSetError)
+    assert calls == [(2,), (1,), (1,)]  # the shared graph, then its checked replay pair by pair
+
+
+def test_a_two_pair_32_px_training_step_peaks_at_most_14_mb(dataset):
+    # forward, losses and backward of two 32 px pairs in one graph peak at
+    # 13.1 MB, against 12.0 MB for the same pairs in two one-pair graphs
+    model = DvoModel(toy_config(), np.random.default_rng(0))
+
+    def step():
+        return train.batch_gradients(model, [dataset.pairs[:2]], _finetune_losses)
+
+    step()  # cached embeddings
+    tracemalloc.start()
+    try:
+        step()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 14e6
 
 
 def test_divergence_names_the_epoch_and_the_pair(tmp_path, dataset, monkeypatch):
@@ -423,12 +535,12 @@ def test_gradients_keep_the_callers_checked_mode(dataset, monkeypatch):
     model = DvoModel(toy_config(), np.random.default_rng(2))
     seen = []
 
-    def loss_fn(m, pair):
+    def loss_fn(m, jobs):
         seen.append(ad.checked_enabled())
-        return _loss(m, pair)
+        return [_loss(m, pair) for pair in jobs]
 
     with ad.checked(False):
-        train.batch_gradients(model, dataset.pairs[:2], loss_fn)
+        train.batch_gradients(model, [[pair] for pair in dataset.pairs[:2]], loss_fn)
     assert seen == [False, False]
 
 
