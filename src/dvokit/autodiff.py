@@ -35,6 +35,7 @@ __all__ = [
     "EmptyValidSetError",
     "parameter",
     "concat",
+    "row_index",
     "row_scatter",
     "upsample_nearest",
     "conv3x3",
@@ -462,18 +463,26 @@ def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
     return Tensor._make(out, tuple(parts), grad_fn, "concat")
 
 
-def row_scatter(base: Tensor, idx: np.ndarray, rows: Tensor) -> Tensor:
-    """Copy `base` (..., N, d) with rows at `idx` (on axis -2) replaced by
-    `rows` (..., K, d)."""
-    base, rows = _as_tensor(base), _as_tensor(rows)
+def row_index(idx) -> tuple:
+    """The index of rows `idx` on axis -2 of a (..., N, d) array: a (K,)
+    `idx` picks the same K rows of every entry, and a (..., K) one picks
+    each entry's own, its leading axes matching the array's last ones."""
     idx = np.asarray(idx, dtype=np.int64)
+    return (..., *np.indices((*idx.shape[:-1], 1), sparse=True)[:-1], idx, slice(None))
+
+
+def row_scatter(base: Tensor, idx: np.ndarray, rows: Tensor) -> Tensor:
+    """Copy `base` (..., N, d) with rows at `idx` (on axis -2, see
+    `row_index`) replaced by `rows` (..., K, d)."""
+    base, rows = _as_tensor(base), _as_tensor(rows)
+    at = row_index(idx)
     out = base.data.copy()
-    out[..., idx, :] = rows.data
+    out[at] = rows.data
 
     def grad_fn(g):
         gb = g.copy()
-        gb[..., idx, :] = 0.0
-        return gb, g[..., idx, :]
+        gb[at] = 0.0
+        return gb, g[at]
 
     return Tensor._make(out, (base, rows), grad_fn, "row_scatter")
 

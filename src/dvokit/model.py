@@ -66,8 +66,9 @@ def toy_config(**overrides) -> ModelConfig:
 class TokenGrid:
     """Per-patch features (..., N, D) plus the grid geometry they came from.
 
-    `keep` lists the retained token positions when the frame was partially
-    masked (pretraining); None means all rows*cols tokens are present.
+    `keep` (..., K) lists the retained token positions when the frame was
+    partially masked (pretraining), per pair (``ad.row_index``); None means
+    all rows*cols tokens are present.
     """
 
     tokens: Tensor
@@ -252,9 +253,9 @@ class DvoModel(nn.Module):
 
         `image` is (..., 3, H, W); the tokens are (..., N, enc_dim). `keep`
         restricts processing to the listed token positions (masked
-        pretraining; it indexes axis -2); position encodings are applied per
-        grid position before subsetting, so kept tokens are encoded
-        identically either way.
+        pretraining; a (..., K) index of axis -2, one row per pair, see
+        ``ad.row_index``); position encodings are applied per grid position
+        before subsetting, so kept tokens are encoded identically either way.
         """
         img = image if isinstance(image, Tensor) else Tensor(image)
         rows, cols = self.grid_shape(img.shape)
@@ -262,10 +263,10 @@ class DvoModel(nn.Module):
         x = x + Tensor(nn.posemb_2d(rows, cols, self.cfg.enc_dim))
         if keep is not None:
             keep = np.asarray(keep, dtype=np.int64)
-            if keep.size == rows * cols:
+            if keep.shape[-1] == rows * cols:
                 keep = None  # keeping everything is the unmasked path
             else:
-                x = x[..., keep, :]
+                x = x[ad.row_index(keep)]
         for block in self.enc_blocks:
             x = block(x)
         return TokenGrid(tokens=self.enc_norm(x), rows=rows, cols=cols, keep=keep)
@@ -318,17 +319,21 @@ def forward_dvo(model: DvoModel, image_a, image_b) -> tuple[Tensor, Tensor, Tens
 
 
 def normalized_patch_targets(image) -> np.ndarray:
-    """Per-patch pixel targets normalized to zero mean / unit variance."""
+    """Per-patch pixel targets (..., N, PATCH*PATCH*3) of images (..., 3, H, W),
+    normalized to zero mean / unit variance."""
     img = image if isinstance(image, Tensor) else Tensor(image)
     flat = patchify(img).data
-    mu = flat.mean(axis=1, keepdims=True)
-    var = flat.var(axis=1, keepdims=True)
+    mu = flat.mean(axis=-1, keepdims=True)
+    var = flat.var(axis=-1, keepdims=True)
     return (flat - mu) / np.sqrt(var + 1e-6)
 
 
 def masked_patch_mse(pred: Tensor, targets: np.ndarray, masked: np.ndarray) -> Tensor:
-    """Mean squared error over masked patches only."""
-    return ((pred[masked] - Tensor(targets[masked])) ** 2.0).mean()
+    """Mean squared error over masked patches only, per pair: `masked`
+    (..., M) picks rows of `pred` and `targets` (..., N, d) as
+    ``ad.row_index`` does, giving errors (...)."""
+    at = ad.row_index(masked)
+    return ((pred[at] - Tensor(targets[at])) ** 2.0).mean(axis=(-2, -1))
 
 
 def sample_mask(n_tokens: int, mask_ratio: float, rng: np.random.Generator):
@@ -342,7 +347,13 @@ def sample_mask(n_tokens: int, mask_ratio: float, rng: np.random.Generator):
 
 def completion_loss(model: DvoModel, image_a, image_b, masked: np.ndarray, keep: np.ndarray) -> Tensor:
     """Reconstruction loss: predict the pixels of the `masked` frame-a patches
-    from the `keep` patches plus the fully visible second frame."""
+    from the `keep` patches plus the fully visible second frame.
+
+    Images (..., 3, H, W) with per-pair indices `masked` (..., M) and `keep`
+    (..., K) give losses (...): any leading axes index pairs, which share
+    one encoder call per frame, one decoder and one pixel-head call. Each
+    pair's loss is the same, bit for bit, as its own forward's, as in
+    ``forward_dvo``."""
     grid_a = model.encode(image_a, keep=keep)
     grid_b = model.encode(image_b)
     blocks = model.decode(grid_a, grid_b)
@@ -352,9 +363,13 @@ def completion_loss(model: DvoModel, image_a, image_b, masked: np.ndarray, keep:
 
 
 def pretrain_step(model: DvoModel, image_a, image_b, rng: np.random.Generator) -> Tensor:
-    """Completion loss under a mask drawn from `rng` at MASK_RATIO."""
+    """Completion losses (...) of images (..., 3, H, W), each pair's under
+    its own mask drawn from `rng` at MASK_RATIO, in pair (C) order, so a
+    batch draws the masks its pairs draw one by one."""
     rows, cols = model.grid_shape(image_a.shape)
-    masked, keep = sample_mask(rows * cols, MASK_RATIO, rng)
+    lead = image_a.shape[:-3]
+    draws = [sample_mask(rows * cols, MASK_RATIO, rng) for _ in range(math.prod(lead))]
+    masked, keep = (np.stack(part).reshape(*lead, -1) for part in zip(*draws))
     return completion_loss(model, image_a, image_b, masked, keep)
 
 

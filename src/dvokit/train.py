@@ -113,9 +113,8 @@ def batch_gradients(model: DvoModel, graphs: list[list], loss_fn):
     scalar_list, total = [], None
     for jobs in graphs:
         results = loss_fn(model, jobs)
-        loss = results[0][0]
-        for job_loss, _ in results[1:]:
-            loss = loss + job_loss
+        # no loop variable left bound to a job's loss, which would hold this graph while the next is built
+        loss = sum((job_loss for job_loss, _ in results[1:]), results[0][0])
         gs = ad.grads(loss, params)
         if ad.checked_enabled():
             for (name, _), g in zip(named, gs):
@@ -202,20 +201,28 @@ def evaluate_depth(model: DvoModel, dataset: PairDataset, eval_cfg: DepthEvalCon
 
 # ---- the two training phases ---------------------------------------------------------
 
-# Target pixels of one finetuning graph: a 32 px batch of up to 4 pairs
-# shares one, a 64 px pair gets its own. A training step of four pairs
-# (2-core host, 1 BLAS thread, median of 15 steps) took 48.7 ms at 32 px
-# (linear head) in one graph per pair, 35-37 ms in two graphs and 30-33 ms
-# in one; one graph per batch of 2 raised `finetune-linear-32`
-# train_pairs_per_s 19.5 % at 2.5 % more peak RSS. At 64 px (DPT head),
-# two pairs per graph took 462 against 463 ms (median of 5 steps) and
-# raised the tracemalloc peak from 67 to 188 MB.
-TRAIN_GRAPH_PIXELS = 4_096
+# Target pixels of one training graph, per phase. Finetuning: a 32 px batch
+# of up to 4 pairs shares one, a 64 px pair gets its own. A training step of
+# four pairs (2-core host, 1 BLAS thread, median of 15 steps) took 48.7 ms at
+# 32 px (linear head) in one graph per pair, 35-37 ms in two graphs and
+# 30-33 ms in one; one graph per batch of 2 raised `finetune-linear-32`
+# train_pairs_per_s 19.5 % at 2.5 % more peak RSS. At 64 px (DPT head), two
+# pairs per graph took 462 against 463 ms (median of 5 steps) and raised the
+# tracemalloc peak from 67 to 188 MB. Pretraining: 2 pairs share one at
+# 64 px, 8 at 32 px. A 4-pair 64 px step (median of 30, 1 BLAS thread) took
+# 118-129 ms in one graph per pair and 95-107 ms in two; one graph was no
+# faster, and its 42.8 MB tracemalloc peak (26.6 MB in two graphs) put
+# `pretrain-64` peak_rss_mb 18 % over one graph per pair.
+TRAIN_GRAPH_PIXELS = {"finetune": 4_096, "pretrain": 8_192}
 
 
-def _completion_loss(model, pair, rng):
-    loss = pretrain_step(model, pair.image_a, pair.image_b, rng)
-    return loss, {"reconstruction": loss.item()}
+def _completion_losses(model, pairs: list[FramePair], rng):
+    """Each pair's (completion loss, scalars), from one forward of all
+    `pairs`, whose masks are drawn from `rng` in pair order."""
+    images_a = np.stack([pair.image_a for pair in pairs])
+    images_b = np.stack([pair.image_b for pair in pairs])
+    losses = pretrain_step(model, images_a, images_b, rng)
+    return [(loss, {"reconstruction": loss.item()}) for loss in (losses[i] for i in range(len(pairs)))]
 
 
 def _finetune_losses(model, pairs: list[FramePair], weights: LossWeights):
@@ -319,13 +326,13 @@ def _run_phase(
     trap, is named by parameter, with the pair whose gradient it is; an
     empty valid set is named the same way.
 
-    An unchecked finetuning step runs its pairs in graphs of as many as fit
+    An unchecked step runs its pairs in graphs of as many as fit the phase's
     TRAIN_GRAPH_PIXELS target pixels (at least one); a checked step, the
     replay among them, runs one pair per graph, so the error it raises
     belongs to the last pair started. A forward failure of a shared graph
     reproduces there, since each pair's forward values in it are its own
-    forward's, bit for bit (``forward_dvo``). Pretraining runs one pair per
-    graph."""
+    forward's, bit for bit (``forward_dvo``, ``completion_loss``), and a
+    pretraining pair draws the same mask in either."""
     started = time.monotonic()
     out_dir = Path(cfg.out_dir) if cfg.out_dir else None
     if out_dir:
@@ -345,7 +352,7 @@ def _run_phase(
         start_epoch = _load_checkpoint_into(resume, model, opt) + 1
 
     height, width = dataset[0].image_a.shape[-2:]
-    per_graph = max(1, TRAIN_GRAPH_PIXELS // (height * width)) if phase == "finetune" else 1
+    per_graph = max(1, TRAIN_GRAPH_PIXELS[phase] // (height * width))
     curves: dict[str, list[float]] = {}
     snapshots: list[dict | None] = []
 
@@ -356,9 +363,10 @@ def _run_phase(
 
         def loss_fn(m, graph):
             started_pairs.extend(graph)
+            pairs = [dataset[i] for i in graph]
             if phase == "pretrain":  # each job draws its mask from `rng`, in batch order
-                return [_completion_loss(m, dataset[i], rng) for i in graph]
-            return _finetune_losses(m, [dataset[i] for i in graph], cfg.loss)
+                return _completion_losses(m, pairs, rng)
+            return _finetune_losses(m, pairs, cfg.loss)
 
         epoch_scalars: dict[str, list[float]] = {}
         for lo in range(0, len(order), cfg.batch_size):

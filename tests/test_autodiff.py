@@ -264,6 +264,25 @@ def test_gather_and_scatter_gradients():
     assert finite_diff_check(s_rows_batched, rows_b, h=1e-5) < 1e-4
 
 
+def test_row_scatter_with_a_per_pair_index_is_the_per_pair_loop():
+    rng = np.random.default_rng(10)
+    base0, rows0 = rng.normal(size=(2, 6, 3)), rng.normal(size=(2, 2, 3))
+    idx = np.array([[1, 4], [0, 5]])  # each pair's own rows, as per-pair masks keep
+    c = rng.normal(size=base0.shape)
+
+    def run(base, i, rows, weight):
+        leaves = [Tensor(base, requires_grad=True), Tensor(rows, requires_grad=True)]
+        out = ad.row_scatter(leaves[0], i, leaves[1])
+        return [out.data] + ad.grads((out * Tensor(weight)).sum(), leaves)
+
+    shared = run(base0, idx, rows0, c)
+    for p in range(2):
+        lone = run(base0[p], idx[p], rows0[p], c[p])
+        assert all(s[p].tobytes() == v.tobytes() for s, v in zip(shared, lone))
+    assert finite_diff_check(lambda t: (ad.row_scatter(t, idx, Tensor(rows0)) ** 2.0).sum(), base0, h=1e-5) < 1e-4
+    assert finite_diff_check(lambda t: (ad.row_scatter(Tensor(base0), idx, t) ** 2.0).sum(), rows0, h=1e-5) < 1e-4
+
+
 def test_upsample_nearest_and_where_gradients():
     rng = np.random.default_rng(9)
     x0 = rng.normal(size=(2, 3, 3))
@@ -571,8 +590,9 @@ def test_fused_op_matches_the_composite_it_replaced(name):
 
 # The shapes the toy model runs (enc_dim 64, dec_dim 48, 4 heads; both frames
 # batched, 16 tokens a frame at 32 px and 64 at 64 px; the masked encoder of
-# 64 px pretraining keeps 7 tokens of one frame), on which the fused ops
-# must give what the composites gave, bit for bit.
+# 64 px pretraining keeps 6 of a frame's 64 tokens, ceil(0.9 * 64) = 58 being
+# masked, of one pair or of the two pairs a graph shares), on which the fused
+# ops must give what the composites gave, bit for bit.
 MODEL_SHAPE_CASES = {
     "linear-encoder-qkv": (ad.linear, oracles.linear_composite, [(2, 16, 64), (64, 192), (192,)], {}),
     "linear-frozen-decoder-mlp": (
@@ -589,7 +609,10 @@ MODEL_SHAPE_CASES = {
         _swapped_rows(ad.linear), _swapped_rows(oracles.linear_composite), [(2, 128, 4096), (128, 1), (1,)], {}
     ),
     "attention-encoder-32px": (ad.attention, oracles.attention_composite, [(2, 16, 192)], {"heads": 4}),
-    "attention-masked-encoder-64px": (ad.attention, oracles.attention_composite, [(7, 192)], {"heads": 4}),
+    "attention-masked-encoder-64px": (ad.attention, oracles.attention_composite, [(6, 192)], {"heads": 4}),
+    "attention-masked-encoder-64px-two-pairs": (
+        ad.attention, oracles.attention_composite, [(2, 6, 192)], {"heads": 4}
+    ),
     "attention-decoder-self-64px": (ad.attention, oracles.attention_composite, [(2, 64, 144)], {"heads": 4}),
     "attention-decoder-cross-64px": (
         ad.attention, oracles.attention_composite, [(2, 64, 48), (2, 64, 96)], {"heads": 4}

@@ -390,6 +390,22 @@ def test_pretrain_loss_graph_node_count(static_pair_32):
     assert len(ad.Tape.trace(loss).nodes) <= 398
 
 
+def test_pretrain_step_on_leading_pair_axes_gives_each_pairs_own_loss_bit_for_bit():
+    model = DvoModel(toy_config(), np.random.default_rng(3))
+    params = [p for name, p in model.named_parameters() if not name.startswith(("depth_head.", "pose_head."))]
+    images_a = np.stack([[_image(40 + 2 * i + j, 64) for j in range(2)] for i in range(2)])  # (2, 2, 3, 64, 64)
+    images_b = np.stack([[_image(60 + 2 * i + j, 64) for j in range(2)] for i in range(2)])
+    losses = pretrain_step(model, images_a, images_b, np.random.default_rng(5))
+    assert losses.shape == (2, 2)
+
+    rng = np.random.default_rng(5)  # lone pairs draw the masks in the batch's pair order
+    lone = [pretrain_step(model, images_a[i, j], images_b[i, j], rng) for i in range(2) for j in range(2)]
+    assert [loss.data.tobytes() for loss in lone] == [loss.tobytes() for loss in losses.data.reshape(4)]
+    summed = [sum(gs) for gs in zip(*(ad.grads(loss, params) for loss in lone))]
+    for new, ref in zip(ad.grads(losses.sum(), params), summed):
+        assert np.abs(new - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
 def test_dpt_forward_graph_holds_at_most_45_mb(static_pair_64):
     # a 64 px DPT forward_dvo graph holds 43.0 MB: of the head's last node,
     # each output phase's pre-activations and GELU's cdf, not the

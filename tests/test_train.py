@@ -118,6 +118,18 @@ def _recording_forwards(monkeypatch):
     return calls
 
 
+def _recording_pretrain_steps(monkeypatch):
+    """The leading axes of every pretraining forward the training loop runs."""
+    calls = []
+
+    def recording_step(model, images_a, images_b, rng):
+        calls.append(images_a.shape[:-3])
+        return pretrain_step(model, images_a, images_b, rng)
+
+    monkeypatch.setattr(train, "pretrain_step", recording_step)
+    return calls
+
+
 @pytest.mark.parametrize("pair_fixture,head_kind", [("static_pair_32", "linear"), ("static_pair_64", "dpt")])
 def test_a_one_pair_graph_gives_the_lone_pairs_gradients_bit_for_bit(pair_fixture, head_kind, request):
     pair = request.getfixturevalue(pair_fixture)
@@ -146,17 +158,115 @@ def test_a_two_pair_graph_keeps_each_pairs_loss_and_averages_the_gradients(datas
         assert np.abs(grads_by_name[name] - mean).max() <= 1e-12 * np.abs(mean).max(), name
 
 
-@pytest.mark.parametrize("size,n_pairs,forwards", [(32, 3, [(2,), (1,)]), (64, 2, [(1,), (1,)])])
-def test_the_pixel_budget_shares_a_graph_at_32_px_and_not_at_64_px(tmp_path, monkeypatch, size, n_pairs, forwards):
+def _line_pairs(size, n_pairs):
     k = default_intrinsics(size)
     frames = generate_trajectory(
         preset_scene("room", seed=3), k, n_pairs + 1, MotionSpec(kind="line", step=(0.02, 0.0, 0.05)),
         np.random.default_rng(0),
     )
-    pairs = train.PairDataset([make_pair(frames, i, k) for i in range(n_pairs)])  # in batches of two
+    return train.PairDataset([make_pair(frames, i, k) for i in range(n_pairs)])
+
+
+@pytest.mark.parametrize("size,n_pairs,forwards", [(32, 3, [(2,), (1,)]), (64, 2, [(1,), (1,)])])
+def test_the_pixel_budget_shares_a_graph_at_32_px_and_not_at_64_px(tmp_path, monkeypatch, size, n_pairs, forwards):
+    pairs = _line_pairs(size, n_pairs)  # in batches of two
     calls = _recording_forwards(monkeypatch)
     train.finetune_run(_cfg(tmp_path, epochs=1), pairs)
     assert calls == forwards
+
+
+@pytest.mark.parametrize("size,n_pairs,batch_size,forwards", [(32, 3, 2, [(2,), (1,)]), (64, 4, 4, [(2,), (2,)])])
+def test_the_pretraining_budget_shares_a_graph_at_32_and_64_px(tmp_path, monkeypatch, size, n_pairs, batch_size, forwards):
+    calls = _recording_pretrain_steps(monkeypatch)
+    train.pretrain_run(replace(_cfg(tmp_path, epochs=1), batch_size=batch_size), _line_pairs(size, n_pairs))
+    assert calls == forwards
+
+
+def _completion_losses(seed):
+    rng = np.random.default_rng(seed)
+    return lambda m, jobs: train._completion_losses(m, jobs, rng)
+
+
+def _pretrained_params(model):
+    return [(n, p) for n, p in model.named_parameters() if not n.startswith(train._UNREACHED["pretrain"])]
+
+
+def test_a_one_pair_pretraining_graph_gives_pretrain_steps_loss_and_gradients_bit_for_bit(static_pair_64):
+    model = DvoModel(toy_config(), np.random.default_rng(3))
+    named = _pretrained_params(model)
+    loss = pretrain_step(model, static_pair_64.image_a, static_pair_64.image_b, np.random.default_rng(6))
+    grads = ad.grads(loss, [p for _, p in named])
+
+    scalars, grads_by_name = train.batch_gradients(model, [[static_pair_64]], _completion_losses(6))
+
+    assert scalars == [{"reconstruction": loss.item()}]
+    for (name, _), g in zip(named, grads):
+        assert grads_by_name[name].tobytes() == g.tobytes(), name
+
+
+def test_a_two_pair_pretraining_graph_keeps_each_pairs_loss_and_averages_the_gradients():
+    model = DvoModel(toy_config(), np.random.default_rng(3))
+    named = _pretrained_params(model)
+    pairs = _line_pairs(64, 2).pairs
+    rng = np.random.default_rng(6)  # the lone pairs draw their masks in the graph's pair order
+    lone = [pretrain_step(model, pair.image_a, pair.image_b, rng) for pair in pairs]
+    lone_grads = [ad.grads(loss, [p for _, p in named]) for loss in lone]
+
+    scalars, grads_by_name = train.batch_gradients(model, [pairs], _completion_losses(6))
+
+    assert scalars == [{"reconstruction": loss.item()} for loss in lone]  # bit for bit
+    for i, (name, _) in enumerate(named):
+        mean = (lone_grads[0][i] + lone_grads[1][i]) * 0.5
+        assert np.abs(grads_by_name[name] - mean).max() <= 1e-12 * np.abs(mean).max(), name
+
+
+def test_a_four_pair_64_px_pretraining_step_peaks_at_most_30_mb():
+    # two graphs of two 64 px pairs peak at 26.6 MB, against 20.1 MB for four
+    # one-pair graphs and 42.8 MB for one graph of four
+    model = DvoModel(toy_config(), np.random.default_rng(0))
+    for name, param in model.named_parameters():
+        param.requires_grad = not name.startswith(train._UNREACHED["pretrain"])
+    pairs = _line_pairs(64, 4).pairs
+    size = train.TRAIN_GRAPH_PIXELS["pretrain"] // 64**2
+    graphs = [pairs[i : i + size] for i in range(0, len(pairs), size)]
+    assert [len(graph) for graph in graphs] == [2, 2]
+
+    def step():
+        return train.batch_gradients(model, graphs, _completion_losses(0))
+
+    step()  # cached embeddings
+    tracemalloc.start()
+    try:
+        step()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 30e6
+
+
+def test_batch_gradients_frees_each_graph_before_building_the_next():
+    # a 32 px finetuning batch of 8 in two graphs of 4: entering the second,
+    # only the first graph's gradients are held (3.36 MB against their 3.31;
+    # 19.6 MB while a job's loss from the first graph stayed bound)
+    model = DvoModel(toy_config(), np.random.default_rng(0))
+    for name, param in model.named_parameters():
+        param.requires_grad = not name.startswith(train._UNREACHED["finetune"])
+    grad_bytes = sum(param.data.nbytes for _, param in model.named_parameters() if param.requires_grad)
+    pairs = _line_pairs(32, 8).pairs
+    held = []
+
+    def loss_fn(m, jobs):
+        held.append(tracemalloc.get_traced_memory()[0])
+        return _finetune_losses(m, jobs)
+
+    train.batch_gradients(model, [pairs[:4], pairs[4:]], loss_fn)  # cached embeddings
+    held.clear()
+    tracemalloc.start()
+    try:
+        train.batch_gradients(model, [pairs[:4], pairs[4:]], loss_fn)
+    finally:
+        tracemalloc.stop()
+    assert held[1] <= grad_bytes + 0.5e6
 
 
 def test_an_empty_valid_set_in_a_shared_graph_names_the_epoch_and_the_pair(tmp_path, dataset, monkeypatch):
@@ -269,6 +379,16 @@ def test_the_pretraining_replay_redraws_the_first_pass_masks(tmp_path, dataset, 
     assert len(first) == len(replay) == 2  # the failing pair is the batch's second job
     for (masked, keep), (masked_again, keep_again) in zip(first, replay):
         assert np.array_equal(masked, masked_again) and np.array_equal(keep, keep_again)
+
+
+def test_a_nan_first_pair_of_a_shared_pretraining_graph_is_named(tmp_path, dataset, monkeypatch, with_nan_pixel):
+    cfg = _cfg(tmp_path, epochs=1)
+    first = int(np.random.default_rng([cfg.seed, 0]).permutation(len(dataset))[0])
+    calls = _recording_pretrain_steps(monkeypatch)
+    with pytest.raises(train.TrainingDivergence) as info:
+        train.pretrain_run(cfg, _nan_at(dataset, first, with_nan_pixel))
+    assert (info.value.epoch, info.value.pair_index) == (0, first)
+    assert calls == [(2,), (1,)]  # the shared graph, then its checked replay, which stops at the first pair
 
 
 def test_a_nan_gradient_behind_a_finite_loss_names_the_parameter(tmp_path, dataset, monkeypatch):
