@@ -6,10 +6,11 @@ matmul and where nodes that no library code calls, the composites, the per-frame
 forward and the previous kernels at the end: the fused autodiff ops are
 checked against composites built from primitive Tensor ops, the batched
 two-frame forward against one built from unbatched calls, and the kernels
-of the training hot path that now work in place against their previous
-code, bit for bit. The finite-difference gradient audit, the pair renderer
-at explicit poses and the render oracle at arbitrary coordinates serve the
-tests alone, so they live here too.
+of the training hot path that now work in place, and the texture that now
+hashes each lattice once, against their previous code, bit for bit. The
+finite-difference gradient audit, the pair renderer at explicit poses and
+the render oracle at arbitrary coordinates serve the tests alone, so they
+live here too.
 """
 
 import json
@@ -650,3 +651,44 @@ def depth_metrics_previous(pred, gt, cap=10.0, median_scaling=True):
     ratio = np.maximum(p / g, g / p)
     d1, d2, d3 = (float(np.mean(ratio < 1.25**i)) for i in (1, 2, 3))
     return abs_rel, rmse, d1, d2, d3, int(valid.sum()), s, abs_rel_constant
+
+
+# ---- the texture before its lattices were tabulated -----------------------------------
+
+
+def _value_noise_previous(points, freq, salt):
+    """Trilinearly interpolated lattice noise in [0, 1); C2-smooth fade.
+    Hashes each of a point's eight corners for that point."""
+    p = points * freq
+    p0 = np.floor(p)
+    f = synth_module._smootherstep(p - p0)
+    i0 = p0.astype(np.int64)
+    ix, iy, iz = i0[..., 0], i0[..., 1], i0[..., 2]
+
+    def corner(dx, dy, dz):
+        return synth_module._hash_to_unit(ix + dx, iy + dy, iz + dz, salt)
+
+    fx, fy, fz = f[..., 0], f[..., 1], f[..., 2]
+    c00 = corner(0, 0, 0) * (1 - fx) + corner(1, 0, 0) * fx
+    c10 = corner(0, 1, 0) * (1 - fx) + corner(1, 1, 0) * fx
+    c01 = corner(0, 0, 1) * (1 - fx) + corner(1, 0, 1) * fx
+    c11 = corner(0, 1, 1) * (1 - fx) + corner(1, 1, 1) * fx
+    c0 = c00 * (1 - fy) + c10 * fy
+    c1 = c01 * (1 - fy) + c11 * fy
+    return c0 * (1 - fz) + c1 * fz
+
+
+def albedo_previous(points, seed):
+    """`synth.albedo` as it was: value noise per channel and octave, each
+    point hashing its own corners (72 hash calls per call)."""
+    octaves, base_freq, gain = 3, 0.2, 0.5
+    out = np.zeros(points.shape[:-1] + (3,))
+    for ch in range(3):
+        total, amp, freq, norm = 0.0, 1.0, base_freq, 0.0
+        for oc in range(octaves):
+            total = total + amp * _value_noise_previous(points, freq, seed * 7919 + ch * 131 + oc * 17)
+            norm += amp
+            amp *= gain
+            freq *= 2.0
+        out[..., ch] = total / norm
+    return 0.03 + 0.94 * out

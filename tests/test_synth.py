@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from dvokit import synth
 from dvokit.autodiff import Tensor
-from dvokit.geometry import CameraIntrinsics, Pose, warp_depth, bilinear_sample
+from dvokit.geometry import CameraIntrinsics, Pose, pose_from_twist, warp_depth, bilinear_sample
 from dvokit.synth import (
     MIN_OVERLAP,
     Box,
@@ -17,7 +18,7 @@ from dvokit.synth import (
     render,
 )
 
-from oracles import render_at, render_pair
+from oracles import albedo_previous, render_at, render_pair
 
 
 def _wall_scene(z=5.0, seed=3):
@@ -153,3 +154,64 @@ def test_unknown_presets_raise():
             preset_scene("room", 0), default_intrinsics(16), 3,
             MotionSpec(kind="teleport"), np.random.default_rng(0),
         )
+
+
+def _albedo_calls(monkeypatch, call):
+    """The (points, seed) arguments `synth.albedo` receives while `call()` runs."""
+    seen, real = [], synth.albedo
+    monkeypatch.setattr(synth, "albedo", lambda points, seed: seen.append((points, seed)) or real(points, seed))
+    call()
+    monkeypatch.undo()
+    return seen
+
+
+def _assert_albedo_as_previous(points, seed):
+    got, want = synth.albedo(points, seed), albedo_previous(points, seed)
+    assert got.shape == want.shape == points.shape and got.flags.c_contiguous
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("size", [16, 32, 64])
+@pytest.mark.parametrize("name", ["room", "cluttered-room", "dynamic-room"])
+def test_albedo_bit_identical_to_previous_on_render_hits(monkeypatch, name, size):
+    k = default_intrinsics(size)
+    turned = Pose(np.eye(3), [0.4, -0.3, 0.5]).compose(pose_from_twist([0.1, -0.2, 0.3, 0.3, -0.4, 0.2]))
+    for seed in (0, 9, 21):
+        scene = preset_scene(name, seed)
+        views = ((0, Pose.identity()), (3, turned))
+        calls = _albedo_calls(monkeypatch, lambda: [render(scene, frame, pose, k) for frame, pose in views])
+        assert len(calls) == 2
+        for points, texture_seed in calls:
+            assert texture_seed == seed
+            _assert_albedo_as_previous(points, seed)
+
+
+def test_albedo_bit_identical_to_previous_off_grid_and_at_edges(monkeypatch):
+    k = default_intrinsics(32)
+    rng = np.random.default_rng(3)
+    uv = rng.uniform(-0.5, 31.5, size=(200, 2))  # render_at's (n, 2) continuous coordinates
+    pose = Pose(np.eye(3), [0.07, -0.03, 0.05])
+    calls = _albedo_calls(monkeypatch, lambda: render_at(preset_scene("cluttered-room", 9), 1, pose, k, uv))
+    assert [points.shape for points, _ in calls] == [(200, 3)]
+    _assert_albedo_as_previous(calls[0][0], 9)
+    negative = rng.uniform(-7.3, -0.01, size=(5, 4, 3))  # cells below zero on every axis and octave
+    _assert_albedo_as_previous(negative, 21)
+    _assert_albedo_as_previous(np.array([0.3, -1.2, 2.5]), 0)
+
+
+@pytest.mark.parametrize("size", [32, 64])
+def test_render_hashes_each_texture_lattice_once(monkeypatch, size):
+    # 3 octaves x 3 channels, each over a table bounded by the presets' room
+    # (36 + 125 + 392 cells per channel); hashing each pixel's 8 corners took
+    # 72 calls and 72 * size * size values
+    sizes, real = [], synth._hash_to_unit
+
+    def counted(*args):
+        table = real(*args)
+        sizes.append(table.size)
+        return table
+
+    monkeypatch.setattr(synth, "_hash_to_unit", counted)
+    render(preset_scene("dynamic-room", 0), 0, Pose.identity(), default_intrinsics(size))
+    assert 0 < len(sizes) <= 9
+    assert sum(sizes) <= 1_659
