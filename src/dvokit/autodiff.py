@@ -692,14 +692,27 @@ def conv3x3_up2_gelu_linear(x: Tensor, weight: Tensor, bias: Tensor, proj_weight
 def _box3(x: np.ndarray) -> np.ndarray:
     """3x3 box mean over the last two axes, edge replicated; the taps are
     summed row by row. It is its own adjoint (each axis's edge-replicated
-    3-sum is a symmetric matrix)."""
-    h, w = x.shape[-2:]
-    p = np.concatenate([x[..., :1, :], x, x[..., -1:, :]], axis=-2)
-    p = np.concatenate([p[..., :1], p, p[..., -1:]], axis=-1)
-    acc = p[..., 0:h, 0:w] + p[..., 0:h, 1 : w + 1]
-    for dy, dx in _TAPS_3X3[2:]:
-        acc += p[..., dy : dy + h, dx : dx + w]
-    return acc * (1.0 / 9.0)
+    3-sum is a symmetric matrix).
+
+    The replicated maps are laid out flat in rows of W + 2, so each tap is
+    one contiguous run of H (W + 2) entries; each run's last two columns
+    wrap into the next row and are dropped at the end, and the two entries
+    after the last row are there for the (2, 2) tap's run to end in."""
+    *lead, h, w = x.shape
+    row, run = w + 2, h * (w + 2)
+    flat = np.empty((*lead, (h + 2) * row + 2))
+    p = flat[..., : (h + 2) * row].reshape(*lead, h + 2, row)
+    p[..., 1:-1, 1:-1] = x
+    p[..., 0, 1:-1] = x[..., 0, :]
+    p[..., -1, 1:-1] = x[..., -1, :]
+    p[..., 0] = p[..., 1]
+    p[..., -1] = p[..., -2]
+    flat[..., -2:] = 0.0
+    starts = [dy * row + dx for dy, dx in _TAPS_3X3]
+    acc = flat[..., starts[0] : starts[0] + run] + flat[..., starts[1] : starts[1] + run]
+    for start in starts[2:]:
+        acc += flat[..., start : start + run]
+    return np.multiply(acc.reshape(*lead, h, row)[..., :w], 1.0 / 9.0)
 
 
 _SSIM_C1, _SSIM_C2 = 0.01**2, 0.03**2

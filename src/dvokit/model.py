@@ -413,27 +413,49 @@ _END_MAGIC = b"DVOE"
 _VERSION = 2
 
 
+# Per `os.writev` call: at most Linux's IOV_MAX buffers, ending with the
+# buffer that reaches 1 MiB. With fresh checkpoints' data still dirty in the
+# page cache, a 10.7 MB checkpoint took 3.0 ms in ~1 MiB calls and 10.4 ms
+# in one call, which the kernel throttles as a whole (median of 20).
+_IOV_MAX, _CALL_BYTES = 1024, 1 << 20
+
+
+def _write_buffers(fd: int, buffers: list) -> None:
+    """Write `buffers` to `fd` in order, in `os.writev` calls, which hold
+    the GIL only between calls; a short write resumes where it stopped."""
+    views = [memoryview(b).cast("B") for b in buffers]
+    i = 0
+    while i < len(views):
+        end, size = i, 0
+        while end < len(views) and end - i < _IOV_MAX and size < _CALL_BYTES:
+            size += views[end].nbytes
+            end += 1
+        n = os.writev(fd, views[i:end])
+        while i < len(views) and n >= views[i].nbytes:
+            n -= views[i].nbytes
+            i += 1
+        if n:
+            views[i] = views[i][n:]
+
+
 def save_checkpoint(path, arrays: dict[str, np.ndarray], config: dict) -> None:
     """Write to a sibling temporary file, then rename it over `path`, so a
-    crash mid-write never leaves a partial checkpoint under `path`."""
+    crash mid-write never leaves a partial checkpoint under `path`. The
+    file is written straight from the arrays' memory, without copying
+    them."""
     blob = json.dumps(config, sort_keys=True).encode("utf-8")
+    buffers = [_MAGIC + struct.pack("<II", _VERSION, len(blob)) + blob]
+    for name in sorted(arrays):
+        data = np.ascontiguousarray(arrays[name], dtype="<f8")
+        encoded = name.encode("utf-8")
+        shape = struct.pack(f"<{data.ndim + 1}I", data.ndim, *data.shape)
+        buffers.append(struct.pack("<I", len(encoded)) + encoded + shape)
+        buffers.append(data.reshape(-1))  # a view: numpy's export record dies with it, not with a live array
+    buffers.append(_END_MAGIC + struct.pack("<I", len(arrays)))
     tmp = f"{path}.tmp"
     try:
-        with open(tmp, "wb") as f:
-            f.write(_MAGIC)
-            f.write(struct.pack("<I", _VERSION))
-            f.write(struct.pack("<I", len(blob)))
-            f.write(blob)
-            for name in sorted(arrays):
-                data = np.ascontiguousarray(arrays[name], dtype="<f8")
-                encoded = name.encode("utf-8")
-                f.write(struct.pack("<I", len(encoded)))
-                f.write(encoded)
-                f.write(struct.pack("<I", data.ndim))
-                f.write(struct.pack(f"<{data.ndim}I", *data.shape))
-                f.write(data.view())  # no bytes copy; numpy's export record dies with the view, not a live array
-            f.write(_END_MAGIC)
-            f.write(struct.pack("<I", len(arrays)))
+        with open(tmp, "wb", buffering=0) as f:
+            _write_buffers(f.fileno(), buffers)
         os.replace(tmp, path)
     except BaseException:
         Path(tmp).unlink(missing_ok=True)

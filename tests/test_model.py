@@ -1,3 +1,4 @@
+import os
 import tracemalloc
 from functools import partial
 from dataclasses import replace
@@ -566,6 +567,43 @@ def test_save_checkpoint_writes_the_previous_writers_bytes(tmp_path):
     save_checkpoint(tmp_path / "new.dvoc", arrays, config)
     oracles.save_checkpoint_previous(tmp_path / "old.dvoc", arrays, config)
     assert (tmp_path / "new.dvoc").read_bytes() == (tmp_path / "old.dvoc").read_bytes()
+
+
+def test_save_checkpoint_splits_at_iov_max_and_resumes_short_writes(tmp_path, monkeypatch):
+    rng = np.random.default_rng(5)
+    arrays = {f"model.a{i:03d}": rng.normal(size=(i % 4, 3)) for i in range(600)}  # 1,202 buffers, some empty
+    config = {"extra": {"epoch": 0}}
+    oracles.save_checkpoint_previous(tmp_path / "old.dvoc", arrays, config)
+    save_checkpoint(tmp_path / "new.dvoc", arrays, config)
+    calls, writev = [], os.writev
+
+    def short_writev(fd, buffers):  # at most 1,000 bytes a call, so most calls stop inside a buffer
+        calls.append(len(buffers))
+        return os.write(fd, b"".join(buffers)[:1000])
+
+    monkeypatch.setattr(os, "writev", short_writev)
+    save_checkpoint(tmp_path / "short.dvoc", arrays, config)
+    monkeypatch.setattr(os, "writev", writev)
+    old = (tmp_path / "old.dvoc").read_bytes()
+    assert (tmp_path / "new.dvoc").read_bytes() == old
+    assert (tmp_path / "short.dvoc").read_bytes() == old
+    assert max(calls) == 1024 and len(calls) == -(-len(old) // 1000)
+
+
+def test_save_checkpoint_ends_a_write_call_at_the_buffer_that_reaches_1_mib(tmp_path, monkeypatch):
+    arrays = {name: np.full(75_000, 1.5) for name in "abc"}  # 600 kB each
+    calls, writev = [], os.writev
+
+    def recording_writev(fd, buffers):
+        calls.append(len(buffers))
+        return writev(fd, buffers)
+
+    monkeypatch.setattr(os, "writev", recording_writev)
+    save_checkpoint(tmp_path / "big.dvoc", arrays, {})
+    monkeypatch.setattr(os, "writev", writev)
+    # the header, then a name-and-shape record and the data per array, then the footer
+    assert calls == [5, 3]
+    assert all(np.array_equal(v, arrays[k]) for k, v in load_checkpoint(tmp_path / "big.dvoc")[1].items())
 
 
 def test_checkpoint_bytes_deterministic(tmp_path):

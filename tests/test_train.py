@@ -2,8 +2,13 @@
 reporting, adapter finetuning with a frozen backbone, checkpoint/config
 consistency, per-epoch evaluation and the version string."""
 
+import errno
+import functools
 import json
+import os
 import re
+import threading
+import time
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -339,6 +344,96 @@ def test_divergence_names_the_pair_whose_loss_raised(tmp_path, dataset, monkeypa
     assert info.value.epoch == 0
     assert seen[0] is not seen[1]
     assert dataset.pairs[info.value.pair_index] is seen[1]
+
+
+@pytest.mark.parametrize("target", ["save_checkpoint", "_write_buffers"])
+@pytest.mark.parametrize("failing_epoch", [0, 1])
+def test_a_failed_checkpoint_write_raises_from_the_run_and_leaves_no_file(
+    tmp_path, dataset, monkeypatch, target, failing_epoch
+):
+    """The failure surfaces on the training thread, as the write's own error,
+    and no unhandled-thread warning is raised (the suite turns warnings into
+    errors). A failure inside `_write_buffers` leaves part of the file in
+    the `.tmp`, which the writer removes."""
+    real, writes = getattr(model_module, target), []
+
+    def write(first, payload, *rest):
+        writes.append(first)
+        if len(writes) <= failing_epoch:
+            return real(first, payload, *rest)
+        if target == "_write_buffers":
+            os.write(first, payload[0])
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(model_module, target, write)
+    with pytest.raises(OSError, match="No space left on device"):
+        train.finetune_run(_cfg(tmp_path, epochs=2), dataset)
+    assert len(writes) == failing_epoch + 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["checkpoint-epoch000.dvoc"][:failing_epoch]
+
+
+def test_a_slow_checkpoint_write_still_holds_the_state_its_epoch_left(tmp_path, dataset, monkeypatch):
+    train.finetune_run(_cfg(tmp_path / "prompt", epochs=2), dataset)
+    real = model_module.save_checkpoint
+
+    def slow(*args):
+        time.sleep(0.2)  # outlasts epoch 1's first step, whose Adam update must wait for the write
+        real(*args)
+
+    monkeypatch.setattr(model_module, "save_checkpoint", slow)
+    train.finetune_run(_cfg(tmp_path / "slow", epochs=2), dataset)
+    for name in ("checkpoint-epoch000.dvoc", "checkpoint-epoch001.dvoc"):
+        assert (tmp_path / "slow" / name).read_bytes() == (tmp_path / "prompt" / name).read_bytes()
+
+
+def test_a_divergence_leaves_every_earlier_checkpoint_complete_and_resumable(tmp_path, dataset, monkeypatch):
+    seen = []
+
+    def failing_loss(pair, *args, **kwargs):  # as in test_divergence_names_the_epoch_and_the_pair
+        seen.append(pair)
+        if len(seen) == 4:  # first pair of epoch 1, while epoch 0's checkpoint is being written
+            raise NonFiniteError("non-finite value produced by op 'div'")
+        return total_loss(pair, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(train, "total_loss", failing_loss)
+        with pytest.raises(train.TrainingDivergence) as info:
+            train.finetune_run(_cfg(tmp_path / "diverged", epochs=2), dataset)
+    assert info.value.epoch == 1
+    assert sorted(p.name for p in (tmp_path / "diverged").iterdir()) == ["checkpoint-epoch000.dvoc"]
+    left = tmp_path / "diverged" / "checkpoint-epoch000.dvoc"
+    config, _ = load_checkpoint(left)
+    assert config["extra"]["epoch"] == 0
+    train.finetune_run(_cfg(tmp_path / "full", epochs=2), dataset)
+    train.finetune_run(_cfg(tmp_path / "resumed", epochs=2), dataset, resume=str(left))
+    full = (tmp_path / "full" / "checkpoint-epoch001.dvoc").read_bytes()
+    assert (tmp_path / "resumed" / "checkpoint-epoch001.dvoc").read_bytes() == full
+
+
+def test_a_two_epoch_run_calls_every_name_of_train_on_the_training_thread(tmp_path, dataset, monkeypatch):
+    """The background checkpoint write overlaps epoch 1's first step, so a
+    wrapper over a name of `train` (where the benchmark's tracer installs
+    its span wrappers, which keep one span stack) must never run on the
+    writer's thread."""
+    calls = []
+
+    def recording(name, fn):
+        @functools.wraps(fn)
+        def wrapper(*args, **kwargs):
+            calls.append((name, threading.get_ident()))
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name, value in list(vars(train).items()):
+        if callable(value) and not isinstance(value, type):
+            monkeypatch.setattr(train, name, recording(name, value))
+    train.finetune_run(_cfg(tmp_path, epochs=2), dataset)
+    assert {"batch_gradients", "forward_dvo", "total_loss", "_start_epoch_checkpoint"} <= {name for name, _ in calls}
+    assert {ident for _, ident in calls} == {threading.get_ident()}
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "checkpoint-epoch000.dvoc", "checkpoint-epoch001.dvoc", "report.json"
+    ]
 
 
 def _nan_at(dataset, index, with_nan_pixel):
