@@ -438,11 +438,30 @@ def _write_buffers(fd: int, buffers: list) -> None:
             views[i] = views[i][n:]
 
 
+def atomic_write(path, buffers: list) -> None:
+    """Write `buffers` (at least one byte: `posix_fallocate` refuses a zero
+    length) to a sibling `.tmp` file, then rename it over `path`, so a
+    process that dies mid-write leaves `path` whole and as it was; an error
+    removes the `.tmp`. Nothing is fsynced: a power loss may still lose
+    or cut the file. The blocks are allocated before any data is written, so
+    a failure such as ENOSPC raises first, and ext4 has no delayed allocation
+    to flush when the rename replaces an existing file."""
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "wb", buffering=0) as f:
+            if fallocate := getattr(os, "posix_fallocate", None):  # not on macOS or Windows
+                fallocate(f.fileno(), 0, sum(memoryview(b).nbytes for b in buffers))
+            _write_buffers(f.fileno(), buffers)
+        os.replace(tmp, path)
+    except BaseException:
+        Path(tmp).unlink(missing_ok=True)
+        raise
+
+
 def save_checkpoint(path, arrays: dict[str, np.ndarray], config: dict) -> None:
-    """Write to a sibling temporary file, then rename it over `path`, so a
-    crash mid-write never leaves a partial checkpoint under `path`. The
-    file is written straight from the arrays' memory, without copying
-    them."""
+    """Write the checkpoint through `atomic_write`, whose contract it keeps:
+    it survives a crash of the process, not a power loss. The file is
+    written straight from the arrays' memory, without copying them."""
     blob = json.dumps(config, sort_keys=True).encode("utf-8")
     buffers = [_MAGIC + struct.pack("<II", _VERSION, len(blob)) + blob]
     for name in sorted(arrays):
@@ -452,14 +471,7 @@ def save_checkpoint(path, arrays: dict[str, np.ndarray], config: dict) -> None:
         buffers.append(struct.pack("<I", len(encoded)) + encoded + shape)
         buffers.append(data.reshape(-1))  # a view: numpy's export record dies with it, not with a live array
     buffers.append(_END_MAGIC + struct.pack("<I", len(arrays)))
-    tmp = f"{path}.tmp"
-    try:
-        with open(tmp, "wb", buffering=0) as f:
-            _write_buffers(f.fileno(), buffers)
-        os.replace(tmp, path)
-    except BaseException:
-        Path(tmp).unlink(missing_ok=True)
-        raise
+    atomic_write(path, buffers)
 
 
 def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:

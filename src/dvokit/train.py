@@ -24,6 +24,7 @@ from .losses import LossWeights, total_loss
 from .model import (
     DvoModel,
     ModelConfig,
+    atomic_write,
     forward_dvo,
     freeze_for_adapters,
     pretrain_step,
@@ -460,7 +461,7 @@ def _run_phase(
         eval_snapshots=snapshots,
     )
     if out_dir:
-        (out_dir / "report.json").write_text(report.to_json() + "\n")
+        atomic_write(out_dir / "report.json", [(report.to_json() + "\n").encode()])
     return model, report
 
 

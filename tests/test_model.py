@@ -1,3 +1,4 @@
+import errno
 import os
 import tracemalloc
 from functools import partial
@@ -604,6 +605,56 @@ def test_save_checkpoint_ends_a_write_call_at_the_buffer_that_reaches_1_mib(tmp_
     # the header, then a name-and-shape record and the data per array, then the footer
     assert calls == [5, 3]
     assert all(np.array_equal(v, arrays[k]) for k, v in load_checkpoint(tmp_path / "big.dvoc")[1].items())
+
+
+def _checkpoint_arrays():
+    rng = np.random.default_rng(6)
+    return {"model.w": rng.normal(size=(40, 30)), "opt.step": np.array([2.0])}, {"extra": {"epoch": 1}}
+
+
+def test_save_checkpoint_preallocates_the_whole_file_once(tmp_path, monkeypatch):
+    arrays, config = _checkpoint_arrays()
+    oracles.save_checkpoint_previous(tmp_path / "old.dvoc", arrays, config)
+    calls, fallocate = [], os.posix_fallocate
+
+    def recording_fallocate(fd, offset, length):
+        calls.append((offset, length, os.fstat(fd).st_size))
+        fallocate(fd, offset, length)
+
+    monkeypatch.setattr(os, "posix_fallocate", recording_fallocate)
+    save_checkpoint(tmp_path / "new.dvoc", arrays, config)
+    old = (tmp_path / "old.dvoc").read_bytes()
+    assert calls == [(0, len(old), 0)]  # on the empty temporary file, before any data
+    assert (tmp_path / "new.dvoc").read_bytes() == old
+
+
+def test_a_failed_preallocation_writes_nothing_and_keeps_the_existing_checkpoint(tmp_path, monkeypatch):
+    arrays, config = _checkpoint_arrays()
+    path = tmp_path / "ckpt.dvoc"
+    save_checkpoint(path, {"opt.step": np.array([1.0])}, {})
+    before = path.read_bytes()
+    writes = []
+
+    def no_space(fd, offset, length):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(os, "posix_fallocate", no_space)
+    monkeypatch.setattr(os, "writev", lambda fd, buffers: writes.append(fd))
+    with pytest.raises(OSError, match="No space left on device"):
+        save_checkpoint(path, arrays, config)
+    assert writes == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt.dvoc"]
+    assert path.read_bytes() == before
+
+
+def test_rewriting_a_checkpoint_gives_the_bytes_of_a_write_to_a_new_name(tmp_path):
+    arrays, config = _checkpoint_arrays()
+    path = tmp_path / "ckpt.dvoc"
+    save_checkpoint(path, {**arrays, "opt.m.w": 2.0 * arrays["model.w"]}, config)  # longer than the rewrite
+    save_checkpoint(path, arrays, config)
+    save_checkpoint(tmp_path / "new.dvoc", arrays, config)
+    assert path.read_bytes() == (tmp_path / "new.dvoc").read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt.dvoc", "new.dvoc"]
 
 
 def test_checkpoint_bytes_deterministic(tmp_path):

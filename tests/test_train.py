@@ -372,6 +372,24 @@ def test_a_failed_checkpoint_write_raises_from_the_run_and_leaves_no_file(
     assert sorted(p.name for p in tmp_path.iterdir()) == ["checkpoint-epoch000.dvoc"][:failing_epoch]
 
 
+def test_a_failed_report_write_keeps_the_previous_report(tmp_path, dataset, monkeypatch):
+    train.finetune_run(_cfg(tmp_path, epochs=1), dataset)
+    before = (tmp_path / "report.json").read_bytes()
+    real = model_module._write_buffers
+
+    def write(fd, buffers):
+        if bytes(buffers[0][:1]) != b"{":  # a checkpoint
+            return real(fd, buffers)
+        os.write(fd, buffers[0][:10])
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(model_module, "_write_buffers", write)
+    with pytest.raises(OSError, match="No space left on device"):
+        train.finetune_run(_cfg(tmp_path, epochs=1), dataset)
+    assert (tmp_path / "report.json").read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["checkpoint-epoch000.dvoc", "report.json"]
+
+
 def test_a_slow_checkpoint_write_still_holds_the_state_its_epoch_left(tmp_path, dataset, monkeypatch):
     train.finetune_run(_cfg(tmp_path / "prompt", epochs=2), dataset)
     real = model_module.save_checkpoint
