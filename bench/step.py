@@ -18,8 +18,10 @@ seed 0. It times:
     per run shape, so each repetition replaces the files of the one
     before, as the benchmark's reruns do.
   - one `AdamW.step` of the full 32 px model, every parameter stepped, on
-    fixed gradients (`adam_step_ms`)
-  - `save_checkpoint` of the finetune run's last checkpoint arrays, onto a
+    fixed gradients in the parameters' dtype, as `batch_gradients` hands
+    them over (`adam_step_ms`)
+  - `save_checkpoint` of the finetune run's last checkpoint arrays, in the
+    parameters' dtype as a training run hands them to the writer, onto a
     fresh name each time and over an existing file (`checkpoint_write_ms`,
     keys "fresh" and "replace")
 Each figure is the median, in milliseconds, of N timed repetitions (default
@@ -108,10 +110,12 @@ def record(reps: int, workdir: Path) -> dict:
     model = DvoModel(toy_config(), np.random.default_rng(SEED))
     opt = AdamW(list(model.named_parameters()))
     rng = np.random.default_rng(SEED)
-    grads = {name: 1e-3 * rng.standard_normal(p.shape) for name, p in opt.params}
+    grads = {name: (1e-3 * rng.standard_normal(p.shape)).astype(p.data.dtype) for name, p in opt.params}
     adam_step_ms, adam_step_ms_scaled, _ = timed(lambda: opt.step(grads), reps, hostspeed)
 
     config, arrays = load_checkpoint(workdir / RUNS[0][0] / f"checkpoint-epoch{EPOCHS - 1:03d}.dvoc")
+    dtype = model.patch_embed.weight.data.dtype
+    arrays = {name: value if name == "opt.step" else value.astype(dtype) for name, value in arrays.items()}
     fresh = (workdir / f"fresh-{i}.dvoc" for i in itertools.count())
     paths = {"fresh": lambda: next(fresh), "replace": lambda: workdir / "replaced.dvoc"}
     write_ms, write_ms_scaled = {}, {}

@@ -1,9 +1,14 @@
-"""Reverse-mode automatic differentiation over dense float64 arrays.
+"""Reverse-mode automatic differentiation over dense float32 or float64 arrays.
 
 Every differentiable quantity in this package (losses, networks, warps) is a
 ``Tensor`` so gradients can be audited end to end against finite differences
 (the finite-difference audits live in ``tests/oracles.py``).
-Arrays are numpy float64 throughout; broadcasting follows numpy's
+The dtype follows the data: a Tensor keeps float32 or float64 data as
+given, every op allocates its arrays in its operands' dtype, and a Python
+scalar operand takes the Tensor's. The network's parameters are float32;
+the objective and the direct route hold float64 arrays, so an op mixing
+the two computes in float64 (numpy's promotion), and ``backward`` casts a
+gradient to the dtype of the tensor it reaches. Broadcasting follows numpy's
 trailing-dimension rules, and the conv and upsample ops take leading batch
 axes (``(..., C, H, W)``) the same way. An operand that does not require
 gradients gets none computed. A per-thread "checked" flag (on by default)
@@ -55,8 +60,9 @@ __all__ = [
     "replayed",
 ]
 
-_INV_SQRT2 = 1.0 / np.sqrt(2.0)
-_INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
+# Python floats, which take a float32 operand's dtype (NEP 50); an np.float64 would promote it
+_INV_SQRT2 = 1.0 / math.sqrt(2.0)
+_INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
 class NonFiniteError(ArithmeticError):
@@ -173,13 +179,16 @@ def _rational(z: np.ndarray, num: np.ndarray, den: np.ndarray) -> np.ndarray:
 
 
 def _gelu_cdf(x: np.ndarray) -> np.ndarray:
-    """Phi(x) in x's layout, by blocks of its memory order that stay in cache."""
+    """Phi(x) in x's layout and dtype, by blocks of its memory order that
+    stay in cache. Each block is computed in float64 and rounded once to
+    x's dtype: in float32 arithmetic the rational's rounding reached 2.1
+    float32 ulp of 0.5."""
     x = x if np.may_share_memory(x.ravel(order="K"), x) else x.copy(order="K")  # dense, so ravel orders match
     cdf = np.empty_like(x)
     src, dst = x.ravel(order="K"), cdf.ravel(order="K")
     with np.errstate(all="ignore"):  # |u| < 1's formula overflows where the tail's replaces it
         for i in range(0, src.size, _GELU_BLOCK):
-            xb, out = src[i : i + _GELU_BLOCK], dst[i : i + _GELU_BLOCK]
+            xb, out = np.asarray(src[i : i + _GELU_BLOCK], dtype=np.float64), dst[i : i + _GELU_BLOCK]
             z = xb * xb
             np.add(_rational(z, _GELU_T, _GELU_U) * xb, 0.5, out=out)
             if not z.max() < 2.0:  # some |u| >= 1, or a NaN
@@ -215,8 +224,12 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad
 
 
+_FLOATS = (np.dtype(np.float32), np.dtype(np.float64))
+
+
 class Tensor:
-    """Dense float64 array participating in reverse-mode differentiation.
+    """Dense float32 or float64 array participating in reverse-mode
+    differentiation; data of any other dtype becomes float64.
 
     Gradients with respect to leaves created with ``requires_grad=True`` are
     returned by :func:`backward` and :func:`grads`; no tensor stores one.
@@ -227,7 +240,8 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "_parents", "_grad_fn", "op")
 
     def __init__(self, data, requires_grad: bool = False, *, _parents=(), _grad_fn=None, op="leaf"):
-        self.data = np.asarray(data, dtype=np.float64)
+        data = np.asarray(data)
+        self.data = data if data.dtype in _FLOATS else data.astype(np.float64)
         self.requires_grad = bool(requires_grad)
         self._parents: tuple[Tensor, ...] = _parents
         self._grad_fn = _grad_fn
@@ -272,7 +286,7 @@ class Tensor:
     # ---- arithmetic -------------------------------------------------------------
 
     def __add__(self, other):
-        a, b = self, _as_tensor(other)
+        a, b = self, _as_tensor(other, self)
         out = a.data + b.data
 
         def grad_fn(g):
@@ -284,7 +298,7 @@ class Tensor:
     __radd__ = __add__
 
     def __sub__(self, other):
-        a, b = self, _as_tensor(other)
+        a, b = self, _as_tensor(other, self)
         out = a.data - b.data
 
         def grad_fn(g):
@@ -294,7 +308,7 @@ class Tensor:
         return Tensor._make(out, (a, b), grad_fn, "sub")
 
     def __mul__(self, other):
-        a, b = self, _as_tensor(other)
+        a, b = self, _as_tensor(other, self)
         out = a.data * b.data
 
         def grad_fn(g):
@@ -306,7 +320,7 @@ class Tensor:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        a, b = self, _as_tensor(other)
+        a, b = self, _as_tensor(other, self)
         if checked_enabled() and np.any(b.data == 0.0):
             raise ZeroDivisionError("division with zero denominator")
         out = a.data / b.data
@@ -320,7 +334,7 @@ class Tensor:
         return Tensor._make(out, (a, b), grad_fn, "div")
 
     def __rtruediv__(self, other):
-        return _as_tensor(other).__truediv__(self)
+        return _as_tensor(other, self).__truediv__(self)
 
     def __pow__(self, exponent):
         if not isinstance(exponent, (int, float)):
@@ -349,6 +363,12 @@ class Tensor:
     def relu(self):
         a = self
         return Tensor._make(np.maximum(a.data, 0.0), (a,), lambda g: (g * (a.data > 0.0),), "relu")
+
+    def clip(self, lo: float, hi: float):
+        """Values clipped to [lo, hi], with no gradient where clipped."""
+        a = self
+        inside = (a.data >= lo) & (a.data <= hi)
+        return Tensor._make(np.clip(a.data, lo, hi), (a,), lambda g: (g * inside,), "clip")
 
     # ---- reductions ---------------------------------------------------------------
 
@@ -433,14 +453,19 @@ class Tensor:
         return Tensor._make(out, (a,), grad_fn, "getitem")
 
 
-def _as_tensor(x) -> Tensor:
+def _as_tensor(x, like: Tensor | None = None) -> Tensor:
+    """`x` as a Tensor; a Python scalar beside `like` takes its dtype, as
+    numpy gives a Python scalar its array operand's dtype."""
     if isinstance(x, Tensor):
         return x
+    if like is not None and isinstance(x, (int, float)):
+        return Tensor(np.asarray(x, dtype=like.data.dtype))
     return Tensor(x)
 
 
 def parameter(data) -> Tensor:
-    return Tensor(np.array(data, dtype=np.float64), requires_grad=True)
+    """A trainable leaf holding a copy of `data`, in its dtype (Tensor's rule)."""
+    return Tensor(np.array(data), requires_grad=True)
 
 
 # ---- multi-input / structural ops -----------------------------------------------
@@ -542,7 +567,7 @@ def _pad_channel_major(x: np.ndarray, n: int, c: int, h: int, w: int) -> np.ndar
     """(..., C, h, w) maps zero padded by one pixel into the channel-major
     layout (C, n, h+2, w+2): each tap's rows are then one contiguous
     (C, n*h*w) block of the im2col matrix."""
-    xp = np.zeros((c, n, h + 2, w + 2))
+    xp = np.zeros((c, n, h + 2, w + 2), x.dtype)
     xp[:, :, 1 : h + 1, 1 : w + 1] = x.reshape(n, c, h, w).transpose(1, 0, 2, 3)
     return xp
 
@@ -567,8 +592,8 @@ def _taps_forward(xp: np.ndarray, w2: np.ndarray, taps, h: int, w: int) -> np.nd
     maps take in turn: a map's rows, not the batch's, stay in cache for its
     GEMM."""
     c, n = xp.shape[:2]
-    out = np.empty((n, w2.shape[1], h * w))
-    cols = np.empty((len(taps), c, h, w))
+    out = np.empty((n, w2.shape[1], h * w), np.result_type(xp, w2))
+    cols = np.empty((len(taps), c, h, w), xp.dtype)
     for i in range(n):
         for col, (dy, dx) in zip(cols, taps):
             col[...] = xp[:, i, dy : dy + h, dx : dx + w]
@@ -581,7 +606,7 @@ def _taps_backward(xp, w2, taps, g2: np.ndarray, gxp: np.ndarray, h: int, w: int
     returns the weight gradient (len(taps), C, C_out) and adds the input
     gradient into the padded `gxp` (col2im), one tap at a time."""
     c, n = xp.shape[:2]
-    gw = np.empty((len(taps), c, w2.shape[1]))
+    gw = np.empty((len(taps), c, w2.shape[1]), g2.dtype)
     for k, (dy, dx) in enumerate(taps):
         gw[k] = _tap_rows(xp, dy, dx, h, w) @ g2.T
         gxp[:, :, dy : dy + h, dx : dx + w] += (w2[k * c : (k + 1) * c] @ g2).reshape(c, n, h, w)
@@ -653,17 +678,19 @@ def conv3x3_up2_gelu_linear(x: Tensor, weight: Tensor, bias: Tensor, proj_weight
         raise ValueError(f"{op} projection must be ({c_out}, 1) and (1,), got {proj_weight.shape}, {proj_bias.shape}")
     n = math.prod(lead)
     parents = (x, weight, bias, proj_weight, proj_bias)
+    fold = _UP2_FOLD.astype(weight.data.dtype, copy=False)  # zeros and ones: exact in either dtype
+    dtype = np.result_type(x.data, weight.data)
 
     def operands():  # the padded coarse maps and the four phase kernels
-        kernels = _UP2_FOLD @ weight.data.reshape(9, c * c_out)
+        kernels = fold @ weight.data.reshape(9, c * c_out)
         return _pad_channel_major(x.data, n, c, h, w), kernels.reshape(4, 4 * c, c_out)
 
     xp, kernels = operands()
-    out = np.empty((n, 2 * h, 2 * w))
+    out = np.empty((n, 2 * h, 2 * w), dtype)
     kept = [] if _state.grad and any(p.requires_grad for p in parents) else None  # per phase: pre and cdf
     for ((py, px), taps), k2 in zip(_UP2_PHASES, kernels):
         pre = np.add(_taps_forward(xp, k2, taps, h, w).transpose(1, 0, 2), bias.data[:, None, None],
-                     out=np.empty((c_out, n, h * w)))
+                     out=np.empty((c_out, n, h * w), dtype))
         cdf = _gelu_cdf(pre)
         raw = np.matmul((pre * cdf).transpose(1, 2, 0), proj_weight.data) + proj_bias.data  # a GEMV per map
         out[:, py::2, px::2] = raw.reshape(n, h, w)
@@ -674,15 +701,15 @@ def conv3x3_up2_gelu_linear(x: Tensor, weight: Tensor, bias: Tensor, proj_weight
         g = g.reshape(n, 2 * h, 2 * w)
         xp, kernels = operands()
         gxp = np.zeros_like(xp)
-        gk = np.empty((4, 4, c, c_out))
-        gb, gpw = np.zeros(c_out), np.zeros((c_out, 1))
+        gk = np.empty((4, 4, c, c_out), dtype)
+        gb, gpw = np.zeros(c_out, dtype), np.zeros((c_out, 1), dtype)
         for i, (((py, px), taps), k2, (pre, cdf)) in enumerate(zip(_UP2_PHASES, kernels, kept)):
             gp = g[:, py::2, px::2].reshape(n, h * w)  # a copy of the phase's pixels
             gpw[:, 0] += (pre * cdf).reshape(c_out, n * h * w) @ gp.reshape(n * h * w)
             g2 = _gelu_grad(pre, cdf, np.multiply.outer(proj_weight.data[:, 0], gp)).reshape(c_out, n * h * w)
             gb += g2.sum(axis=1)
             gk[i] = _taps_backward(xp, k2, taps, g2, gxp, h, w)
-        gw = _UP2_FOLD.T @ gk.reshape(16, c * c_out)
+        gw = fold.T @ gk.reshape(16, c * c_out)
         gpb = g.reshape(n, 4 * h * w, 1).sum(axis=(0, 1))  # summed in `gelu_linear`'s order
         return _unpad_channel_major(gxp, lead, c, h, w), gw.reshape(weight.shape), gb, gpw, gpb
 
@@ -700,7 +727,7 @@ def _box3(x: np.ndarray) -> np.ndarray:
     after the last row are there for the (2, 2) tap's run to end in."""
     *lead, h, w = x.shape
     row, run = w + 2, h * (w + 2)
-    flat = np.empty((*lead, (h + 2) * row + 2))
+    flat = np.empty((*lead, (h + 2) * row + 2), x.dtype)
     p = flat[..., : (h + 2) * row].reshape(*lead, h + 2, row)
     p[..., 1:-1, 1:-1] = x
     p[..., 0, 1:-1] = x[..., 0, :]
@@ -790,7 +817,7 @@ def bilinear(img: np.ndarray, coords: np.ndarray, tol: float):
             blend = np.concatenate([part.reshape(c, -1) for part in parts], axis=1)
             gi = np.bincount(index.ravel(), blend.ravel(), c * h * w).reshape(img.shape)
         if wrt_coords:
-            gc = np.empty(coords.shape)
+            gc = np.empty(coords.shape, coords.dtype)
             gc[..., 0] = (g * ((v01 - v00) * wy1 + (v11 - v10) * wy)).sum(axis=0)
             gc[..., 1] = (g * (bot - top)).sum(axis=0)
             gc *= (coords >= -tol) & (coords <= upper + tol)
@@ -906,7 +933,7 @@ def attention(*packed: Tensor, heads: int) -> Tensor:
         for p, view in zip(packed, views):
             gp = None
             if p.requires_grad:
-                gp = np.zeros(p.shape)
+                gp = np.zeros(p.shape, p.data.dtype)
                 for slot, slot_grad in zip(_head_slots(gp, dim, heads), slot_grads[first:]):
                     slot += slot_grad()
             grads.append(gp)
@@ -978,7 +1005,9 @@ def backward(loss: Tensor) -> dict[int, np.ndarray]:
     """Backpropagate from a scalar loss.
 
     Returns the gradient of every requires-grad leaf the loss reaches, keyed
-    by ``id(leaf)``; leaves it does not reach are absent.
+    by ``id(leaf)``, in the leaf's dtype; leaves it does not reach are
+    absent. Each tensor's gradient is summed in the dtype its consumers
+    give it, then cast to the tensor's own.
     """
     if loss.data.size != 1:
         raise ValueError("backward requires a scalar loss")
@@ -992,8 +1021,10 @@ def backward(loss: Tensor) -> dict[int, np.ndarray]:
         if g is None:
             continue
         if node._grad_fn is None:
-            leaf_grads[id(node)] = np.array(g)
+            leaf_grads[id(node)] = np.array(g, dtype=node.data.dtype)
             continue
+        # in the node's dtype, which a float64 consumer of a float32 node does not give it
+        g = np.asarray(g, dtype=node.data.dtype)
         for parent, pg in zip(node._parents, node._grad_fn(g)):
             if pg is None or not parent.requires_grad:
                 continue

@@ -284,16 +284,19 @@ def reproject(depth: Tensor | np.ndarray, pose: Pose | Tensor, k: CameraIntrinsi
     matmul, ``R @ P + t``, and projected by one broadcast multiply, divide
     and add over its x, y rows (z <= 1e-9 divides by 1). `depth` is an
     (H, W) Tensor or array, `pose` a Pose or a twist Tensor (6,), `rays`
-    ``ray_matrix(k)`` if the caller keeps it. Forward and backward run the
-    composite's arithmetic (``tests/oracles.py``) in its order, bit for bit."""
+    ``ray_matrix(k)`` if the caller keeps it. It computes in float64 (a
+    float32 depth or twist from the network is widened), and forward and
+    backward run the composite's arithmetic (``tests/oracles.py``) in its
+    order, bit for bit."""
     h, w = k.height, k.width
     depth = depth if isinstance(depth, Tensor) else Tensor(depth)
     rays = ray_matrix(k) if rays is None else rays
     if isinstance(pose, Pose):
         parents, rotation, translation = (depth,), pose.rotation, pose.translation
     else:
-        parents, translation = (depth, pose), pose.data[0:3]
-        rotation, rotation_backward = _rodrigues(pose.data[3:6])
+        twist = np.asarray(pose.data, dtype=np.float64)
+        parents, translation = (depth, pose), twist[0:3]
+        rotation, rotation_backward = _rodrigues(twist[3:6])
     points = rays * depth.data.reshape(1, h * w)
     cam = rotation @ points + translation.reshape(3, 1)
     front = cam[2] > _VALID_EPS

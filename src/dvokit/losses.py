@@ -9,6 +9,8 @@ photometric term; it is gradient-stopped there so inflating the depth
 inconsistency can never zero the photometric loss. Each term is one graph
 node whose forward and backward run the arithmetic of the primitive-node
 composite it replaced (``tests/oracles.py``) in its order, bit for bit.
+The objective computes in float64: a term widens the network's float32
+depth maps and twist, whose gradients ``autodiff.backward`` casts back.
 
 ``PairObjective`` holds what no depth or pose changes, built once per pair;
 ``total_loss`` builds one per call when handed a frame pair, so training
@@ -87,7 +89,8 @@ def depth_consistency(uvz: Tensor, depth_b: Tensor, valid: np.ndarray) -> Tensor
     h, w = valid.shape
     picked = np.flatnonzero(valid)
     rows = uvz.data.reshape(h * w, 3).take(picked, axis=0)  # (n, 3): u', v', z
-    sampled, sample_backward = bilinear(depth_b.data.reshape(1, h, w), rows[:, :2], _VALID_EPS)
+    image_b = np.asarray(depth_b.data, dtype=np.float64).reshape(1, h, w)
+    sampled, sample_backward = bilinear(image_b, rows[:, :2], _VALID_EPS)
     z, d = rows[:, 2], sampled[0]
     diff, den = z - d, z + d
     num = np.abs(diff)
@@ -134,8 +137,9 @@ def smoothness(depth: Tensor, edges: tuple[np.ndarray, np.ndarray]) -> Tensor:
     order, bit for bit: `depth` is the node's parent twice, as numerator and
     through the mean, so its two gradients reach it as two terms, after the
     warp's, as in the composite's graph."""
-    mean = depth.data.mean()
-    d = depth.data / mean
+    values = np.asarray(depth.data, dtype=np.float64)
+    mean = values.mean()
+    d = values / mean
     tx, ty = edges[0] * (d[:, 1:] - d[:, :-1]), edges[1] * (d[1:, :] - d[:-1, :])
     n = float(tx.size + ty.size)
 
@@ -146,7 +150,7 @@ def smoothness(depth: Tensor, edges: tuple[np.ndarray, np.ndarray]) -> Tensor:
         gd[:, :-1] -= gx
         gd[1:, :] += gy
         gd[:-1, :] -= gy
-        g_mean = (-gd * depth.data / (mean * mean)).sum(axis=(0, 1))
+        g_mean = (-gd * values / (mean * mean)).sum(axis=(0, 1))
         return gd / mean, np.full_like(d, g_mean / d.size)
 
     return Tensor._make(((tx**2.0).sum() + (ty**2.0).sum()) / n, (depth, depth), grad_fn, "smoothness")

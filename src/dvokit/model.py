@@ -106,9 +106,16 @@ def _swap_last(x: Tensor) -> Tensor:
 
 
 def depth_from_raw(x: Tensor, min_depth: float, max_depth: float) -> Tensor:
-    """Sigmoid-bounded inverse depth: outputs always in [min_depth, max_depth]."""
+    """Sigmoid-bounded inverse depth: outputs always in [min_depth, max_depth].
+    A saturated sigmoid can round just past a bound (float32 0.29999998 at
+    min_depth 0.3), so the map is clipped to the values of x's dtype that
+    lie inside the bounds."""
     inv_lo, inv_hi = 1.0 / max_depth, 1.0 / min_depth
-    return 1.0 / (inv_lo + x.sigmoid() * (inv_hi - inv_lo))
+    dtype = x.data.dtype.type
+    lo, hi = float(dtype(min_depth)), float(dtype(max_depth))
+    lo = lo if lo >= min_depth else float(np.nextafter(dtype(lo), dtype(np.inf)))
+    hi = hi if hi <= max_depth else float(np.nextafter(dtype(hi), dtype(-np.inf)))
+    return (1.0 / (inv_lo + x.sigmoid() * (inv_hi - inv_lo))).clip(lo, hi)
 
 
 # ---- heads ----------------------------------------------------------------------------
@@ -251,16 +258,17 @@ class DvoModel(nn.Module):
     def encode(self, image, keep: np.ndarray | None = None) -> TokenGrid:
         """Patch-embed + positional encoding + encoder blocks.
 
-        `image` is (..., 3, H, W); the tokens are (..., N, enc_dim). `keep`
+        `image` is (..., 3, H, W), an array taken in the parameters' dtype
+        (float32) or a Tensor; the tokens are (..., N, enc_dim). `keep`
         restricts processing to the listed token positions (masked
         pretraining; a (..., K) index of axis -2, one row per pair, see
         ``ad.row_index``); position encodings are applied per grid position
         before subsetting, so kept tokens are encoded identically either way.
         """
-        img = image if isinstance(image, Tensor) else Tensor(image)
+        img = image if isinstance(image, Tensor) else Tensor(np.asarray(image, self.patch_embed.weight.data.dtype))
         rows, cols = self.grid_shape(img.shape)
         x = self.patch_embed(patchify(img))
-        x = x + Tensor(nn.posemb_2d(rows, cols, self.cfg.enc_dim))
+        x = x + Tensor(nn.posemb_2d(rows, cols, self.cfg.enc_dim, x.data.dtype))
         if keep is not None:
             keep = np.asarray(keep, dtype=np.int64)
             if keep.shape[-1] == rows * cols:
@@ -280,10 +288,10 @@ class DvoModel(nn.Module):
         n_full = tgt.rows * tgt.cols
         if tgt.keep is not None:
             lead = tgt.tokens.shape[:-2]
-            base = self.mask_token.reshape(1, -1) * Tensor(np.ones((*lead, n_full, 1)))
+            base = self.mask_token.reshape(1, -1) * Tensor(np.ones((*lead, n_full, 1), self.mask_token.data.dtype))
             x = ad.row_scatter(base, tgt.keep, x)
-        x = x + Tensor(nn.posemb_2d(tgt.rows, tgt.cols, self.cfg.dec_dim))
-        y = self.dec_proj(ref.tokens) + Tensor(nn.posemb_2d(ref.rows, ref.cols, self.cfg.dec_dim))
+        x = x + Tensor(nn.posemb_2d(tgt.rows, tgt.cols, self.cfg.dec_dim, x.data.dtype))
+        y = self.dec_proj(ref.tokens) + Tensor(nn.posemb_2d(ref.rows, ref.cols, self.cfg.dec_dim, x.data.dtype))
         outs = []
         for block in self.dec_blocks:
             x = block(x, y)
@@ -403,7 +411,8 @@ def model_state(model: DvoModel) -> dict[str, np.ndarray]:
 
 # ---- checkpoint file format ----------------------------------------------------------------
 # magic "DVOC", u32 version, u32 json length + UTF-8 JSON config, then blobs
-# (u32 name length, name, u32 rank, u32 extents…, little-endian f64 data)
+# (u32 name length, name, u32 rank, u32 extents…, little-endian f64 data:
+# float32 parameters and moments widen to it exactly)
 # ordered lexicographically by name, then a footer: end magic "DVOE" and the
 # u32 blob count, so a file cut between two blobs does not load. All integers
 # little-endian.
@@ -461,7 +470,8 @@ def atomic_write(path, buffers: list) -> None:
 def save_checkpoint(path, arrays: dict[str, np.ndarray], config: dict) -> None:
     """Write the checkpoint through `atomic_write`, whose contract it keeps:
     it survives a crash of the process, not a power loss. The file is
-    written straight from the arrays' memory, without copying them."""
+    written straight from the memory of little-endian float64 arrays;
+    others, such as the network's float32 ones, are widened first."""
     blob = json.dumps(config, sort_keys=True).encode("utf-8")
     buffers = [_MAGIC + struct.pack("<II", _VERSION, len(blob)) + blob]
     for name in sorted(arrays):

@@ -1,7 +1,10 @@
 """Transformer building blocks on the in-house autodiff engine.
 
 Constructors take a numpy Generator and draw their weights from it in
-construction order, so one seed gives one set of initial weights.
+construction order, so one seed gives one set of initial weights. Weights
+are drawn in float64 and stored in DTYPE, float32: the layers compute in
+their parameters' dtype, and a model whose parameters are cast to float64
+computes in float64.
 """
 
 from __future__ import annotations
@@ -13,10 +16,12 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 
+DTYPE = np.float32
+
 
 def _init(rng, shape):
-    """Weights drawn from N(0, 0.02^2)."""
-    return rng.normal(0.0, 0.02, size=shape)
+    """Weights drawn from N(0, 0.02^2), rounded to DTYPE."""
+    return rng.normal(0.0, 0.02, size=shape).astype(DTYPE)
 
 
 class Module:
@@ -54,8 +59,8 @@ class Linear(Module):
     node. With ``zero`` the weight starts at zero."""
 
     def __init__(self, in_dim, out_dim, rng, zero: bool = False):
-        self.weight = ad.parameter(np.zeros((in_dim, out_dim)) if zero else _init(rng, (in_dim, out_dim)))
-        self.bias = ad.parameter(np.zeros(out_dim))
+        self.weight = ad.parameter(np.zeros((in_dim, out_dim), DTYPE) if zero else _init(rng, (in_dim, out_dim)))
+        self.bias = ad.parameter(np.zeros(out_dim, DTYPE))
 
     def __call__(self, x: Tensor) -> Tensor:
         return ad.linear(x, self.weight, self.bias)
@@ -63,8 +68,8 @@ class Linear(Module):
 
 class LayerNorm(Module):
     def __init__(self, dim):
-        self.gamma = ad.parameter(np.ones(dim))
-        self.beta = ad.parameter(np.zeros(dim))
+        self.gamma = ad.parameter(np.ones(dim, DTYPE))
+        self.beta = ad.parameter(np.zeros(dim, DTYPE))
 
     def __call__(self, x: Tensor) -> Tensor:
         return ad.layernorm(x, self.gamma, self.beta)
@@ -175,7 +180,7 @@ class Conv3x3(Module):
 
     def __init__(self, c_in, c_out, rng):
         self.weight = ad.parameter(_init(rng, (3, 3, c_in, c_out)))
-        self.bias = ad.parameter(np.zeros(c_out))
+        self.bias = ad.parameter(np.zeros(c_out, DTYPE))
 
     def __call__(self, x: Tensor) -> Tensor:
         return ad.conv3x3(x, self.weight, self.bias)
@@ -191,9 +196,10 @@ class ResidualConvUnit(Module):
 
 
 @cache
-def posemb_2d(rows: int, cols: int, dim: int) -> np.ndarray:
-    """Fixed 2D sine-cosine positional embedding, (rows*cols, dim); one
-    read-only array per grid."""
+def posemb_2d(rows: int, cols: int, dim: int, dtype=np.float64) -> np.ndarray:
+    """Fixed 2D sine-cosine positional embedding, (rows*cols, dim), computed
+    in float64 and stored in `dtype`; one read-only array per grid and
+    dtype."""
     if dim % 4:
         raise ValueError("positional embedding needs dim divisible by 4")
 
@@ -207,6 +213,6 @@ def posemb_2d(rows: int, cols: int, dim: int) -> np.ndarray:
     grid = np.zeros((rows, cols, dim))
     grid[..., : dim // 2] = ey[:, None, :]
     grid[..., dim // 2 :] = ex[None, :, :]
-    grid = grid.reshape(rows * cols, dim)
+    grid = grid.reshape(rows * cols, dim).astype(dtype, copy=False)
     grid.flags.writeable = False
     return grid

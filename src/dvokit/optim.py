@@ -19,7 +19,8 @@ class AdamW:
 
     Only parameters with ``requires_grad`` at construction time are stepped,
     so frozen backbones stay bit-identical. Each step takes the gradients of
-    all of them by name and updates the moments in place. State serializes
+    all of them by name and updates the moments in place; the moments, like
+    the step's arithmetic, take each parameter's dtype. State serializes
     to named arrays for checkpoints: ``state_arrays()`` copies them,
     ``state_views()`` hands out the live moments."""
 
@@ -65,9 +66,10 @@ class AdamW:
         return {name: value.copy() for name, value in self.state_views().items()}
 
     def load_state_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        """Take the step count and adopt the moment arrays, without a copy:
-        the next step changes them in place."""
+        """Take the step count and adopt the moment arrays in their
+        parameters' dtype, without a copy where they have it already: the
+        next step changes them in place."""
         self.step_count = int(arrays["opt.step"][0])
-        for name, _ in self.params:
-            self._m[name] = arrays[f"opt.m.{name}"]
-            self._v[name] = arrays[f"opt.v.{name}"]
+        for name, p in self.params:
+            self._m[name] = arrays[f"opt.m.{name}"].astype(p.data.dtype, copy=False)
+            self._v[name] = arrays[f"opt.v.{name}"].astype(p.data.dtype, copy=False)

@@ -314,7 +314,9 @@ def _load_checkpoint_into(path, model: DvoModel, opt: AdamW | None = None) -> in
     lacking any needed array or holding one of another shape, or (on
     resume) an `opt.step` that is not a non-negative integer, raises
     DataError naming `path`; another model configuration raises ValueError
-    naming `path` and the keys that differ."""
+    naming `path` and the keys that differ. The file's float64 arrays take
+    their parameters' dtype, one at a time, so that each float64 array is
+    freed once cast."""
     config, arrays = load_checkpoint(path)
     saved = config.get("model") if isinstance(config, dict) else None
     if not isinstance(saved, dict):
@@ -328,14 +330,16 @@ def _load_checkpoint_into(path, model: DvoModel, opt: AdamW | None = None) -> in
         ]
         raise ValueError(f"checkpoint/config mismatch: {path} differs from the model in {', '.join(differ)}")
     epoch = None
-    needed = {f"model.{name}": param.shape for name, param in model.named_parameters()}
+    like = {f"model.{name}": param.data for name, param in model.named_parameters()}
     if opt is not None:
         extra = config.get("extra")
         epoch = extra.get("epoch") if isinstance(extra, dict) else None
         if isinstance(epoch, bool) or not isinstance(epoch, int) or epoch < 0:
             raise DataError(f"checkpoint {path} has no integer extra.epoch to resume after")
-        needed["opt.step"] = (1,)  # and each moment has its parameter's shape
-        needed.update((f"opt.{kind}.{name}", param.shape) for name, param in opt.params for kind in "mv")
+        like.update((f"opt.{kind}.{name}", param.data) for name, param in opt.params for kind in "mv")
+    needed = {name: data.shape for name, data in like.items()}  # each moment has its parameter's shape
+    if opt is not None:
+        needed["opt.step"] = (1,)
     missing = [name for name in needed if name not in arrays]
     if missing:
         raise DataError(f"checkpoint {path} lacks {len(missing)} arrays, first '{missing[0]}'")
@@ -346,6 +350,8 @@ def _load_checkpoint_into(path, model: DvoModel, opt: AdamW | None = None) -> in
         (step,) = arrays["opt.step"]
         if not (np.isfinite(step) and step >= 0 and step == np.floor(step)):
             raise DataError(f"checkpoint {path} holds 'opt.step' {step}, not a non-negative integer")
+    for name, data in like.items():
+        arrays[name] = arrays[name].astype(data.dtype, copy=False)
     for name, param in model.named_parameters():
         param.data = arrays[f"model.{name}"]
     if opt is not None:

@@ -33,6 +33,16 @@ SSIM_C1 = 0.01**2
 SSIM_C2 = 0.03**2
 
 
+def float64_model(model):
+    """`model` with every parameter cast to float64, in place. The dtype
+    follows the data, so the model then computes in float64 throughout, as
+    every network did before parameters became float32: comparisons at
+    1e-12 and finite differences run on it."""
+    for _, param in model.named_parameters():
+        param.data = param.data.astype(np.float64)
+    return model
+
+
 def finite_diff_check(
     f: Callable[[Tensor], Tensor],
     x: np.ndarray | Tensor,

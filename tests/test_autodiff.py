@@ -121,6 +121,32 @@ def test_backward_simple_square_and_disconnected_leaf():
     assert np.all(gy == 0.0)
 
 
+def test_data_keeps_float32_and_float64_and_python_scalars_take_the_tensors_dtype():
+    assert Tensor(np.ones(2, np.float32)).data.dtype == np.float32
+    assert Tensor(np.ones(2)).data.dtype == np.float64
+    assert Tensor(np.ones(2, np.int64)).data.dtype == np.float64
+    assert Tensor([True, False]).data.dtype == np.float64
+    x = Tensor(np.array([0.1, 3.0], np.float32), requires_grad=True)
+    for y in (x * 0.1, 0.1 * x, x + 1, x - 0.5, x / 3.0, 3.0 / x, x**2.0, x.sigmoid(), x.clip(0.2, 1.0)):
+        assert y.data.dtype == np.float32, y.op
+    assert (x * np.ones(2)).data.dtype == np.float64  # a float64 array promotes, as in numpy
+
+
+def test_float64_consumers_hand_a_float32_tensor_its_gradient_in_float32():
+    c1, c2 = Tensor(np.array([0.1, 0.3, -0.7])), Tensor(np.array([1.0 / 3.0, 1.0 / 7.0, 2.0]))
+
+    def gradients(x):
+        hidden = x.exp()  # a node in x's dtype, whose two consumers are float64
+        loss = ((hidden * c1) * (x * c1)).sum() + (hidden * c2).sum()
+        return ad.grads(loss, [x])[0], hidden
+
+    x32 = np.array([1.5, -2.0, 0.25], np.float32)
+    got, hidden = gradients(Tensor(x32, requires_grad=True))
+    assert hidden.data.dtype == np.float32 and got.dtype == np.float32
+    want, _ = gradients(Tensor(x32.astype(np.float64), requires_grad=True))
+    np.testing.assert_allclose(got, want, rtol=1e-6)
+
+
 def test_backward_requires_scalar():
     x = Tensor(np.ones(3), requires_grad=True)
     with pytest.raises(ValueError):
@@ -727,6 +753,18 @@ def test_gelu_cdf_matches_math_erf(layout):
     assert got.strides == x.strides or layout == "broadcast"
     np.testing.assert_allclose(got, want, rtol=0.0, atol=3.3e-16)
     assert set(got[np.abs(want - 0.5) == 0.5].tolist()) <= {0.0, 1.0}  # exactly, where math.erf says so
+
+
+def test_gelu_cdf_of_float32_stays_float32_within_2_ulp_of_the_float64_cdf():
+    # the special points, and a dense run over |u| < 1's upper end, where a
+    # float32 evaluation of the rational was 2.1 ulp of 0.5 out
+    x = np.concatenate([_gelu_cdf_points(), np.linspace(-2.0, 2.0, 400_001)]).astype(np.float32)
+    got, want = ad._gelu_cdf(x), ad._gelu_cdf(x.astype(np.float64))
+    assert got.dtype == np.float32
+    number = ~np.isnan(want)  # at NaN input alone
+    assert np.array_equal(np.isnan(got), ~number)
+    ulp = np.spacing(np.abs(want[number]).astype(np.float32)).astype(np.float64)  # at the cdf's own value
+    assert (np.abs(got[number] - want[number]) <= 2.0 * ulp).all()
 
 
 def test_importing_dvokit_loads_no_scipy():

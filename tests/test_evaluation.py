@@ -58,10 +58,10 @@ def test_evaluate_depth_gives_each_pair_what_its_own_forward_gives(head, monkeyp
 
 
 def test_evaluate_depth_of_dpt_pairs_peaks_at_most_27_mb():
-    # a chunk of four 64 px pairs and one more pair peak at 24.2 MB: with no
-    # graph the head's last node keeps no phase's arrays (41.0 MB when the
-    # head's conv wrote its 128-channel map at full resolution for a
-    # gelu_linear node)
+    # a chunk of four 64 px pairs and one more pair peak at 12.1 MB in
+    # float32 (24.2 MB in float64): with no graph the head's last node keeps
+    # no phase's arrays (41.0 MB in float64 when the head's conv wrote its
+    # 128-channel map at full resolution for a gelu_linear node)
     pairs = train.PairDataset(_trajectory_pairs(64, train.EVAL_CHUNK_PIXELS // 64**2 + 1))
     model = DvoModel(toy_config(head_kind="dpt"), np.random.default_rng(0))
     train.evaluate_depth(model, pairs)  # cached embeddings
@@ -71,7 +71,7 @@ def test_evaluate_depth_of_dpt_pairs_peaks_at_most_27_mb():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 27e6
+    assert peak <= 13.3e6
 
 
 def test_evaluate_depth_encodes_each_frame_of_a_chunk_once(monkeypatch):

@@ -98,7 +98,7 @@ def test_a_batch_of_frames_encodes_and_decodes_like_each_frame(keep):
 
 
 def test_encode_kept_token_permutation_equivariance():
-    model = _model()
+    model = oracles.float64_model(_model())
     img = _image(2)
     keep = np.array([1, 3, 7, 11, 14])
     out = model.encode(img, keep=keep).tokens.data
@@ -147,6 +147,26 @@ def test_depth_bounds_hold_for_any_parameters():
         p.data = p.data + np.random.default_rng(0).normal(scale=3.0, size=p.data.shape)
     d, _, _ = forward_dvo(wild, _image(10), _image(11))
     assert d.data.min() >= TINY.min_depth and d.data.max() <= TINY.max_depth
+
+
+@pytest.mark.parametrize("head_kind", ["linear", "dpt"])
+@pytest.mark.parametrize("bounds", [(0.1, 10.0), (0.3, 5.0)], ids=["default", "float32-rounds-past"])
+@pytest.mark.parametrize("raw", [-1e3, 1e3])
+def test_float32_depth_bounds_hold_at_saturation(head_kind, bounds, raw):
+    # float32 rounds a saturated sigmoid's depth to 0.29999998 at min_depth
+    # 0.3; the clip keeps it at the first float32 inside the bound
+    cfg = replace(TINY, head_kind=head_kind, min_depth=bounds[0], max_depth=bounds[1])
+    wild = DvoModel(cfg, np.random.default_rng(9))
+    for _, p in wild.named_parameters():
+        p.data = (p.data + np.random.default_rng(0).normal(scale=3.0, size=p.data.shape)).astype(np.float32)
+    last = wild.depth_head.head_out if head_kind == "dpt" else wild.depth_head.fc2
+    last.weight.data[...] = 0.0
+    last.bias.data[...] = raw  # every raw output is raw
+    d, _, _ = forward_dvo(wild, _image(10), _image(11))
+    assert d.data.dtype == np.float32
+    assert float(d.data.min()) >= cfg.min_depth and float(d.data.max()) <= cfg.max_depth
+    bound = cfg.min_depth if raw > 0 else cfg.max_depth
+    assert np.abs(d.data.astype(np.float64) - bound).max() <= np.spacing(np.float32(bound))
 
 
 def test_pose_head_zero_init_gives_identity_twist():
@@ -233,7 +253,7 @@ def test_dpt_head_matches_upsampling_then_convolving(static_pair_32, monkeypatch
     # the head's polyphase conv, GELU and projection node against the path
     # it replaced (upsample, convolve, then GELU into the projection), on
     # the same weights
-    model = DvoModel(toy_config(head_kind="dpt"), np.random.default_rng(6))
+    model = oracles.float64_model(DvoModel(toy_config(head_kind="dpt"), np.random.default_rng(6)))
     pair = static_pair_32
     params = [p for _, p in model.depth_head.named_parameters()]
 
@@ -319,7 +339,7 @@ def test_forward_dvo_loss_differentiable_to_all_trainable_params(static_pair_32)
 @pytest.mark.parametrize("head_kind", ["linear", "dpt"])
 def test_forward_dvo_matches_the_per_frame_reference(head_kind, static_pair_32):
     pair = static_pair_32
-    model = DvoModel(toy_config(head_kind=head_kind), np.random.default_rng(3))
+    model = oracles.float64_model(DvoModel(toy_config(head_kind=head_kind), np.random.default_rng(3)))
     # a live pose head, so the pose and its gradients are not the identity's
     model.pose_head.fc2.weight.data = np.random.default_rng(4).normal(0.0, 0.5, (128, 6))
     params = [p for _, p in model.named_parameters()]
@@ -337,7 +357,7 @@ def test_forward_dvo_matches_the_per_frame_reference(head_kind, static_pair_32):
 @pytest.mark.parametrize("head_kind", ["linear", "dpt"])
 def test_forward_dvo_on_leading_pair_axes_gives_each_pairs_own_forward_bit_for_bit(head_kind):
     model = DvoModel(toy_config(head_kind=head_kind), np.random.default_rng(3))
-    model.pose_head.fc2.weight.data = np.random.default_rng(4).normal(0.0, 0.5, (128, 6))
+    model.pose_head.fc2.weight.data = np.random.default_rng(4).normal(0.0, 0.5, (128, 6)).astype(np.float32)
     images_a = np.stack([[_image(40 + 2 * i + j) for j in range(2)] for i in range(3)])  # (3, 2, 3, 32, 32)
     images_b = np.stack([[_image(60 + 2 * i + j) for j in range(2)] for i in range(3)])
     depths_a, depths_b, twists = forward_dvo(model, images_a, images_b)
@@ -351,12 +371,13 @@ def test_forward_dvo_on_leading_pair_axes_gives_each_pairs_own_forward_bit_for_b
 
 @pytest.mark.parametrize(
     "pair_fixture,head_kind,bound",
-    [("static_pair_32", "linear", 363), ("static_pair_64", "dpt", 433)],
+    [("static_pair_32", "linear", 364), ("static_pair_64", "dpt", 434)],
 )
 def test_finetune_loss_graph_node_count(pair_fixture, head_kind, bound, request):
-    # one finetune loss is 363 (32 px, linear head) and 433 (64 px, DPT head)
+    # one finetune loss is 364 (32 px, linear head) and 434 (64 px, DPT head)
     # nodes with both frames batched through encoder, decoder and depth head,
-    # and holds no gelu node; the photometric map, the depth inconsistency
+    # and holds no gelu node; the clip that keeps float32 depths inside their
+    # bounds added 1 to 363 and 433; the photometric map, the depth inconsistency
     # and the masked mean as one node each took 19 off 382 and 452 (the
     # warp's depth view left the graph with them); the warp as one node and two views of it, and
     # the smoothness term as one node, took 29 off 411 and 481; the pose head's GELU fused with its projection,
@@ -393,7 +414,7 @@ def test_pretrain_loss_graph_node_count(static_pair_32):
 
 
 def test_pretrain_step_on_leading_pair_axes_gives_each_pairs_own_loss_bit_for_bit():
-    model = DvoModel(toy_config(), np.random.default_rng(3))
+    model = oracles.float64_model(DvoModel(toy_config(), np.random.default_rng(3)))
     params = [p for name, p in model.named_parameters() if not name.startswith(("depth_head.", "pose_head."))]
     images_a = np.stack([[_image(40 + 2 * i + j, 64) for j in range(2)] for i in range(2)])  # (2, 2, 3, 64, 64)
     images_b = np.stack([[_image(60 + 2 * i + j, 64) for j in range(2)] for i in range(2)])
@@ -409,10 +430,10 @@ def test_pretrain_step_on_leading_pair_axes_gives_each_pairs_own_loss_bit_for_bi
 
 
 def test_dpt_forward_graph_holds_at_most_45_mb(static_pair_64):
-    # a 64 px DPT forward_dvo graph holds 43.0 MB: of the head's last node,
-    # each output phase's pre-activations and GELU's cdf, not the
-    # activation (57.4 MB when GELU and head_out were two nodes and each
-    # conv node kept its padded input)
+    # a 64 px DPT forward_dvo graph holds 21.6 MB in float32 (43.0 MB in
+    # float64): of the head's last node, each output phase's pre-activations
+    # and GELU's cdf, not the activation (57.4 MB in float64 when GELU and
+    # head_out were two nodes and each conv node kept its padded input)
     model = DvoModel(toy_config(head_kind="dpt"), np.random.default_rng(0))
     forward_dvo(model, static_pair_64.image_a, static_pair_64.image_b)  # cached embeddings
     tracemalloc.start()
@@ -422,14 +443,15 @@ def test_dpt_forward_graph_holds_at_most_45_mb(static_pair_64):
     finally:
         tracemalloc.stop()
     assert all(t.requires_grad for t in outs)
-    assert held <= 45e6
+    assert held <= 24e6
 
 
 def test_dpt_training_job_peaks_at_most_60_mb(static_pair_64):
-    # forward, loss and backward of one 64 px DPT pair peak at 56.8 MB; 68.4
-    # MB when the head's conv and its GELU projection were two nodes, whose
-    # backward built three 8 MB full-resolution arrays: a token-major copy of
-    # the activation, a phase-major copy of the gradient and GELU's gradient
+    # forward, loss and backward of one 64 px DPT pair peak at 30.1 MB in
+    # float32 (56.8 MB in float64); 68.4 MB in float64 when the head's conv
+    # and its GELU projection were two nodes, whose backward built three 8 MB
+    # full-resolution arrays: a token-major copy of the activation, a
+    # phase-major copy of the gradient and GELU's gradient
     model = DvoModel(toy_config(head_kind="dpt"), np.random.default_rng(0))
     params = [p for _, p in model.named_parameters()]
 
@@ -444,7 +466,7 @@ def test_dpt_training_job_peaks_at_most_60_mb(static_pair_64):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 60e6
+    assert peak <= 33e6
 
 
 @pytest.mark.parametrize("pair_fixture,phase", [("static_pair_32", "finetune"), ("static_pair_64", "pretrain")])
@@ -522,7 +544,8 @@ def test_adamw_steps_as_the_previous_formula_and_hands_out_copies():
     models = [DvoModel(toy_config(), np.random.default_rng(0)) for _ in range(2)]
     new, old = (AdamW(list(m.named_parameters())) for m in models)
     for _ in range(5):
-        grads = {name: rng.normal(size=p.shape) for name, p in models[0].named_parameters()}
+        # in each parameter's dtype, float32, as batch_gradients hands them to AdamW
+        grads = {name: rng.normal(size=p.shape).astype(p.data.dtype) for name, p in models[0].named_parameters()}
         new.step(grads)
         oracles.adam_step_previous(old, grads)
     for (name, p), (_, q) in zip(*(m.named_parameters() for m in models)):

@@ -101,7 +101,7 @@ def _finetune_losses(m, jobs):
 def _live_model(head_kind="linear"):
     model = DvoModel(toy_config(head_kind=head_kind), np.random.default_rng(3))
     # a live pose head, so the pose and its gradients are not the identity's
-    model.pose_head.fc2.weight.data = np.random.default_rng(4).normal(0.0, 0.5, (128, 6))
+    model.pose_head.fc2.weight.data = np.random.default_rng(4).normal(0.0, 0.5, (128, 6)).astype(np.float32)
     return model
 
 
@@ -150,7 +150,7 @@ def test_a_one_pair_graph_gives_the_lone_pairs_gradients_bit_for_bit(pair_fixtur
 
 
 def test_a_two_pair_graph_keeps_each_pairs_loss_and_averages_the_gradients(dataset):
-    model = _live_model()
+    model = oracles.float64_model(_live_model())
     named = [(n, p) for n, p in model.named_parameters() if p.requires_grad]
     pairs = dataset.pairs[:2]
     lone = [_lone_step(model, pair, [p for _, p in named]) for pair in pairs]
@@ -210,7 +210,7 @@ def test_a_one_pair_pretraining_graph_gives_pretrain_steps_loss_and_gradients_bi
 
 
 def test_a_two_pair_pretraining_graph_keeps_each_pairs_loss_and_averages_the_gradients():
-    model = DvoModel(toy_config(), np.random.default_rng(3))
+    model = oracles.float64_model(DvoModel(toy_config(), np.random.default_rng(3)))
     named = _pretrained_params(model)
     pairs = _line_pairs(64, 2).pairs
     rng = np.random.default_rng(6)  # the lone pairs draw their masks in the graph's pair order
@@ -226,8 +226,9 @@ def test_a_two_pair_pretraining_graph_keeps_each_pairs_loss_and_averages_the_gra
 
 
 def test_a_four_pair_64_px_pretraining_step_peaks_at_most_30_mb():
-    # two graphs of two 64 px pairs peak at 26.6 MB, against 20.1 MB for four
-    # one-pair graphs and 42.8 MB for one graph of four
+    # two graphs of two 64 px pairs peak at 13.7 MB in float32 (26.6 MB in
+    # float64, against 20.1 MB for four one-pair graphs and 42.8 MB for one
+    # graph of four)
     model = DvoModel(toy_config(), np.random.default_rng(0))
     for name, param in model.named_parameters():
         param.requires_grad = not name.startswith(train._UNREACHED["pretrain"])
@@ -246,7 +247,7 @@ def test_a_four_pair_64_px_pretraining_step_peaks_at_most_30_mb():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 30e6
+    assert peak <= 15e6
 
 
 def test_batch_gradients_frees_each_graph_before_building_the_next():
@@ -296,7 +297,8 @@ def test_an_empty_valid_set_in_a_shared_graph_names_the_epoch_and_the_pair(tmp_p
 
 def test_a_two_pair_32_px_training_step_peaks_at_most_14_mb(dataset):
     # forward, losses and backward of two 32 px pairs in one graph peak at
-    # 13.1 MB, against 12.0 MB for the same pairs in two one-pair graphs
+    # 7.6 MB in float32 (13.1 MB in float64, against 12.0 MB for the same
+    # pairs in two one-pair graphs)
     model = DvoModel(toy_config(), np.random.default_rng(0))
 
     def step():
@@ -309,7 +311,7 @@ def test_a_two_pair_32_px_training_step_peaks_at_most_14_mb(dataset):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 14e6
+    assert peak <= 8.4e6
 
 
 def test_divergence_names_the_epoch_and_the_pair(tmp_path, dataset, monkeypatch):
@@ -690,8 +692,53 @@ def test_loading_a_checkpoint_holds_each_array_once(tmp_path, finetune_checkpoin
             tracemalloc.stop()
         assert peak <= 1.2 * path.stat().st_size
     assert opt.step_count == int(arrays["opt.step"][0])
+    for key, value in opt.state_views().items():  # the moments in their parameters' dtype, float32
+        assert value.tobytes() == arrays[key].astype(value.dtype).tobytes(), key
+
+
+def test_a_float32_models_checkpoint_round_trips_exactly(tmp_path, dataset):
+    # the float64 file holds each float32 parameter and moment exactly; a
+    # resume reloads them as they were, in float32
+    model, _ = train.finetune_run(_cfg(tmp_path, epochs=1), dataset)
+    path = tmp_path / "checkpoint-epoch000.dvoc"
+    _, arrays = load_checkpoint(path)
+    fresh = DvoModel(model.cfg, np.random.default_rng(0))
+    for name, param in fresh.named_parameters():
+        param.requires_grad = not name.startswith(train._UNREACHED["finetune"])
+    opt = AdamW(list(fresh.named_parameters()))
+    assert train._load_checkpoint_into(path, fresh, opt) == 0
+    for (name, p), (_, q) in zip(model.named_parameters(), fresh.named_parameters()):
+        assert p.data.dtype == q.data.dtype == np.float32 and p.data.tobytes() == q.data.tobytes(), name
     for key, value in opt.state_views().items():
-        assert value.tobytes() == arrays[key].tobytes(), key
+        if key != "opt.step":
+            assert value.dtype == np.float32 and np.array_equal(value.astype(np.float64), arrays[key]), key
+    # written again from the reloaded state, the file is the same, bit for bit
+    resaved = {f"model.{name}": p.data for name, p in fresh.named_parameters()} | opt.state_views()
+    save_checkpoint(tmp_path / "again.dvoc", resaved, load_checkpoint(path)[0])
+    assert (tmp_path / "again.dvoc").read_bytes() == path.read_bytes()
+
+
+def test_a_float64_checkpoint_loads_rounded_to_float32(tmp_path):
+    # a checkpoint of float64 parameters and moments, as the float64 network
+    # wrote them: each loads as its float32 rounding
+    cfg = _cfg(tmp_path, epochs=1)
+    wide = oracles.float64_model(DvoModel(cfg.model, np.random.default_rng(1)))
+    rng = np.random.default_rng(2)
+    for _, param in wide.named_parameters():
+        param.data = param.data + rng.normal(scale=1e-3, size=param.shape)  # not float32 values
+    opt = AdamW(list(wide.named_parameters()))
+    opt.step({name: rng.normal(size=p.shape) for name, p in wide.named_parameters()})
+    arrays = {f"model.{name}": p.data for name, p in wide.named_parameters()} | opt.state_arrays()
+    path = tmp_path / "wide.dvoc"
+    oracles.save_checkpoint_previous(path, arrays, train._checkpoint_config(cfg, "finetune", 0))
+    model = DvoModel(cfg.model, np.random.default_rng(0))
+    narrow = AdamW(list(model.named_parameters()))
+    assert train._load_checkpoint_into(path, model, narrow) == 0
+    loaded = {f"model.{name}": p.data for name, p in model.named_parameters()} | narrow.state_views()
+    assert loaded.keys() == arrays.keys()
+    for key, value in loaded.items():
+        want = arrays[key] if key == "opt.step" else arrays[key].astype(np.float32)
+        assert value.dtype == want.dtype and value.tobytes() == want.tobytes(), key
 
 
 def test_a_checkpoint_written_with_dpt_source_blocks_names_the_key(tmp_path, dataset, finetune_checkpoint):
