@@ -21,9 +21,9 @@ seed 0. It times:
     fixed gradients in the parameters' dtype, as `batch_gradients` hands
     them over (`adam_step_ms`)
   - `save_checkpoint` of the finetune run's last checkpoint arrays, in the
-    parameters' dtype as a training run hands them to the writer, onto a
-    fresh name each time and over an existing file (`checkpoint_write_ms`,
-    keys "fresh" and "replace")
+    parameters' dtype as a training run hands them to `save_checkpoint` at
+    the end of each epoch, onto a fresh name each time and over an existing
+    file (`checkpoint_write_ms`, keys "fresh" and "replace")
 Each figure is the median, in milliseconds, of N timed repetitions (default
 7) that follow one untimed run. `perfbench/hostspeed.py`'s reference kernel
 runs right before and right after each figure's repetitions, and the

@@ -411,15 +411,15 @@ def model_state(model: DvoModel) -> dict[str, np.ndarray]:
 
 # ---- checkpoint file format ----------------------------------------------------------------
 # magic "DVOC", u32 version, u32 json length + UTF-8 JSON config, then blobs
-# (u32 name length, name, u32 rank, u32 extents…, little-endian f64 data:
-# float32 parameters and moments widen to it exactly)
-# ordered lexicographically by name, then a footer: end magic "DVOE" and the
-# u32 blob count, so a file cut between two blobs does not load. All integers
-# little-endian.
+# (u32 name length, name, u32 item size, u32 rank, u32 extents…, then the
+# data: little-endian f4 for item size 4, f8 for 8) ordered lexicographically
+# by name, then a footer: end magic "DVOE" and the u32 blob count, so a file
+# cut between two blobs does not load. All integers little-endian. Version 2
+# records have no item size: every array is f8.
 
 _MAGIC = b"DVOC"
 _END_MAGIC = b"DVOE"
-_VERSION = 2
+_VERSION = 3
 
 
 # Per `os.writev` call: at most Linux's IOV_MAX buffers, ending with the
@@ -430,8 +430,8 @@ _IOV_MAX, _CALL_BYTES = 1024, 1 << 20
 
 
 def _write_buffers(fd: int, buffers: list) -> None:
-    """Write `buffers` to `fd` in order, in `os.writev` calls, which hold
-    the GIL only between calls; a short write resumes where it stopped."""
+    """Write `buffers` to `fd` in order, in `os.writev` calls; a short
+    write resumes where it stopped."""
     views = [memoryview(b).cast("B") for b in buffers]
     i = 0
     while i < len(views):
@@ -469,15 +469,17 @@ def atomic_write(path, buffers: list) -> None:
 
 def save_checkpoint(path, arrays: dict[str, np.ndarray], config: dict) -> None:
     """Write the checkpoint through `atomic_write`, whose contract it keeps:
-    it survives a crash of the process, not a power loss. The file is
-    written straight from the memory of little-endian float64 arrays;
-    others, such as the network's float32 ones, are widened first."""
+    it survives a crash of the process, not a power loss. Float32 arrays,
+    such as the network's, are stored as f4, written straight from their
+    memory where it is contiguous and little-endian; every other array is
+    stored as f8, widened first where it is not float64."""
     blob = json.dumps(config, sort_keys=True).encode("utf-8")
     buffers = [_MAGIC + struct.pack("<II", _VERSION, len(blob)) + blob]
     for name in sorted(arrays):
-        data = np.ascontiguousarray(arrays[name], dtype="<f8")
+        data = np.asarray(arrays[name])
+        data = np.ascontiguousarray(data, dtype="<f4" if data.dtype.kind == "f" and data.itemsize == 4 else "<f8")
         encoded = name.encode("utf-8")
-        shape = struct.pack(f"<{data.ndim + 1}I", data.ndim, *data.shape)
+        shape = struct.pack(f"<{data.ndim + 2}I", data.itemsize, data.ndim, *data.shape)
         buffers.append(struct.pack("<I", len(encoded)) + encoded + shape)
         buffers.append(data.reshape(-1))  # a view: numpy's export record dies with it, not with a live array
     buffers.append(_END_MAGIC + struct.pack("<I", len(arrays)))
@@ -485,9 +487,10 @@ def save_checkpoint(path, arrays: dict[str, np.ndarray], config: dict) -> None:
 
 
 def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
-    """(config, arrays by name); a malformed or truncated file raises
-    DataError naming `path`. Each array is read once, straight into its own
-    buffer."""
+    """(config, arrays by name), each array in its stored dtype: float32 or
+    float64 in version 3, float64 in version 2. A malformed or truncated
+    file raises DataError naming `path`. Each array is read once, straight
+    into its own buffer."""
     with open(path, "rb") as f:
         size = end = f.seek(0, os.SEEK_END)
         offset = f.seek(0)
@@ -505,7 +508,7 @@ def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
         if f.read(take(4)) != _MAGIC:
             raise DataError(f"{path} is not a checkpoint (bad magic)")
         (version,) = u32()
-        if version != _VERSION:
+        if version not in (2, _VERSION):
             raise DataError(f"unsupported checkpoint version {version} in {path}")
         end -= 8
         f.seek(max(end, offset))
@@ -519,10 +522,13 @@ def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
             arrays: dict[str, np.ndarray] = {}
             while offset < end:
                 name = f.read(take(u32()[0])).decode("utf-8")
+                (itemsize,) = u32() if version == _VERSION else (8,)
+                if itemsize not in (4, 8):
+                    raise DataError(f"malformed checkpoint {path}: array '{name}' has item size {itemsize}, not 4 or 8")
                 shape = u32(u32()[0])
-                take(8 * math.prod(shape))  # before allocating: a malformed shape can be huge
+                take(itemsize * math.prod(shape))  # before allocating: a malformed shape can be huge
                 try:  # a zero extent passes `take` beside extents whose product overflows
-                    arrays[name] = np.empty(shape, dtype="<f8")
+                    arrays[name] = np.empty(shape, dtype=f"<f{itemsize}")
                 except ValueError as e:
                     raise DataError(f"malformed checkpoint {path}: array '{name}' of shape {shape}: {e}") from e
                 f.readinto(arrays[name])

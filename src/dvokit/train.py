@@ -7,7 +7,6 @@ from __future__ import annotations
 import functools
 import json
 import subprocess
-import threading
 import time
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
@@ -16,7 +15,6 @@ import numpy as np
 
 from . import __version__
 from . import autodiff as ad
-from . import model as model_io
 from .autodiff import EmptyValidSetError, NonFiniteError
 from .evaluation import DepthEvalConfig, EvalReport, depth_metrics, mean_reports
 from .formats import DataError, load_pairs
@@ -28,8 +26,8 @@ from .model import (
     forward_dvo,
     freeze_for_adapters,
     pretrain_step,
-    save_checkpoint,  # unused here, but kept: the benchmark's tracer wraps `train.save_checkpoint`
     load_checkpoint,
+    save_checkpoint,
     toy_config,
 )
 from .optim import AdamW
@@ -257,55 +255,6 @@ def _checkpoint_config(cfg: RunConfig, phase: str, epoch: int) -> dict:
     return {"model": cfg.model.to_dict(), "extra": {"phase": phase, "epoch": epoch, "seed": cfg.seed}}
 
 
-class _CheckpointWriter:
-    """Writes one checkpoint at a time on a background thread, through
-    `model.save_checkpoint`, so that the write overlaps the training thread's
-    work until `wait`. As a context manager it waits on exit: a clean exit
-    raises the write's error, if any; an exit by an exception lets the
-    write finish (or remove its temporary file) and propagates that
-    exception."""
-
-    def __init__(self):
-        self._thread: threading.Thread | None = None
-        self._error: BaseException | None = None
-
-    def start(self, path: Path, arrays: dict[str, np.ndarray], config: dict) -> None:
-        """Write `arrays`, which must not change until `wait`, to `path`."""
-        self.wait()
-        self._thread = threading.Thread(target=self._write, args=(path, arrays, config), name="dvokit-checkpoint")
-        self._thread.start()
-
-    def _write(self, path, arrays, config) -> None:
-        try:  # not `train.save_checkpoint`: a wrapper over a name of `train` must run on the training thread
-            model_io.save_checkpoint(path, arrays, config)
-        except BaseException as e:  # raised again by `wait`, on the training thread
-            self._error = e
-
-    def wait(self) -> None:
-        """Return once the pending write, if any, is on disk; raise its error."""
-        if self._thread is not None:
-            self._thread.join()
-            self._thread = None
-        error, self._error = self._error, None
-        if error is not None:
-            raise error
-
-    def __enter__(self) -> "_CheckpointWriter":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        if exc_type is None:
-            self.wait()
-        elif self._thread is not None:
-            self._thread.join()
-
-
-def _start_epoch_checkpoint(writer: _CheckpointWriter, out_dir: Path, cfg: RunConfig, phase, epoch, model, opt) -> None:
-    arrays = {f"model.{name}": param.data for name, param in model.named_parameters()}
-    arrays.update(opt.state_views())  # live: the writer is waited for before the next step changes them
-    writer.start(out_dir / f"checkpoint-epoch{epoch:03d}.dvoc", arrays, _checkpoint_config(cfg, phase, epoch))
-
-
 def _load_checkpoint_into(path, model: DvoModel, opt: AdamW | None = None) -> int | None:
     """Fill `model` (and `opt`, on resume) from a checkpoint that must have
     been written for the model's configuration; on resume, return the epoch
@@ -314,9 +263,10 @@ def _load_checkpoint_into(path, model: DvoModel, opt: AdamW | None = None) -> in
     lacking any needed array or holding one of another shape, or (on
     resume) an `opt.step` that is not a non-negative integer, raises
     DataError naming `path`; another model configuration raises ValueError
-    naming `path` and the keys that differ. The file's float64 arrays take
-    their parameters' dtype, one at a time, so that each float64 array is
-    freed once cast."""
+    naming `path` and the keys that differ. Each array takes its
+    parameter's dtype: one stored in it, as a float32 model's are since
+    version 3, is adopted with no copy; another (a version 2 file's float64
+    one) is cast, one at a time, so that each is freed once cast."""
     config, arrays = load_checkpoint(path)
     saved = config.get("model") if isinstance(config, dict) else None
     if not isinstance(saved, dict):
@@ -385,14 +335,10 @@ def _run_phase(
     pretraining pair draws the same mask in either.
 
     With an `out_dir`, each epoch's checkpoint (the parameters and Adam
-    moments as the epoch left them) is written on a background thread while
-    the next epoch's first step computes its gradients; that step waits for
-    the write before Adam changes the moments. So epoch e's checkpoint is
-    on disk once epoch e + 1 has taken its first step, and the last
-    epoch's before `report.json` is written. A failed write raises from
-    that wait. When training raises instead, the pending write still
-    finishes (a failed one leaves no file) before the error propagates, so
-    a diverged run leaves every earlier epoch's checkpoint complete."""
+    moments as the epoch left them) is written at the end of the epoch, on
+    the training thread, so it is on disk before the next epoch starts. A
+    failed write raises from the run and leaves no file, and a diverged run
+    leaves every earlier epoch's checkpoint complete."""
     started = time.monotonic()
     out_dir = Path(cfg.out_dir) if cfg.out_dir else None
     if out_dir:
@@ -416,47 +362,47 @@ def _run_phase(
     curves: dict[str, list[float]] = {}
     snapshots: list[dict | None] = []
 
-    with _CheckpointWriter() as writer:  # waits for the last write on exit
-        for epoch in range(start_epoch, cfg.epochs):
-            rng = np.random.default_rng([cfg.seed, epoch])
-            order = rng.permutation(len(dataset))
-            started_pairs: list[int] = []  # in a checked step, the last one is the job batch_gradients is on
+    for epoch in range(start_epoch, cfg.epochs):
+        rng = np.random.default_rng([cfg.seed, epoch])
+        order = rng.permutation(len(dataset))
+        started_pairs: list[int] = []  # in a checked step, the last one is the job batch_gradients is on
 
-            def loss_fn(m, graph):
-                started_pairs.extend(graph)
-                pairs = [dataset[i] for i in graph]
-                if phase == "pretrain":  # each job draws its mask from `rng`, in batch order
-                    return _completion_losses(m, pairs, rng)
-                return _finetune_losses(m, pairs, cfg.loss)
+        def loss_fn(m, graph):
+            started_pairs.extend(graph)
+            pairs = [dataset[i] for i in graph]
+            if phase == "pretrain":  # each job draws its mask from `rng`, in batch order
+                return _completion_losses(m, pairs, rng)
+            return _finetune_losses(m, pairs, cfg.loss)
 
-            epoch_scalars: dict[str, list[float]] = {}
-            for lo in range(0, len(order), cfg.batch_size):
-                jobs = [int(i) for i in order[lo : lo + cfg.batch_size]]
-                rng_state = rng.bit_generator.state
+        epoch_scalars: dict[str, list[float]] = {}
+        for lo in range(0, len(order), cfg.batch_size):
+            jobs = [int(i) for i in order[lo : lo + cfg.batch_size]]
+            rng_state = rng.bit_generator.state
 
-                def step():
-                    rng.bit_generator.state = rng_state  # a replay redraws the same masks
-                    started_pairs.clear()
-                    size = 1 if ad.checked_enabled() else per_graph
-                    return batch_gradients(model, [jobs[i : i + size] for i in range(0, len(jobs), size)], loss_fn)
+            def step():
+                rng.bit_generator.state = rng_state  # a replay redraws the same masks
+                started_pairs.clear()
+                size = 1 if ad.checked_enabled() else per_graph
+                return batch_gradients(model, [jobs[i : i + size] for i in range(0, len(jobs), size)], loss_fn)
 
-                try:
-                    scalar_list, grads_by_name = ad.replayed(step, _step_values)
-                except (NonFiniteError, FloatingPointError, EmptyValidSetError) as e:
-                    raise TrainingDivergence(epoch, started_pairs[-1], e) from e
-                writer.wait()  # the step changes the moments the pending write reads
-                opt.step(grads_by_name)
-                for scalars in scalar_list:
-                    for key, value in scalars.items():
-                        epoch_scalars.setdefault(key, []).append(value)
-            for key, values in epoch_scalars.items():
-                curves.setdefault(key, []).append(float(np.mean(values)))
-            if eval_dataset is not None:
-                snapshots.append(json.loads(evaluate_depth(model, eval_dataset).to_json()))
-            else:
-                snapshots.append(None)
-            if out_dir:
-                _start_epoch_checkpoint(writer, out_dir, cfg, phase, epoch, model, opt)
+            try:
+                scalar_list, grads_by_name = ad.replayed(step, _step_values)
+            except (NonFiniteError, FloatingPointError, EmptyValidSetError) as e:
+                raise TrainingDivergence(epoch, started_pairs[-1], e) from e
+            opt.step(grads_by_name)
+            for scalars in scalar_list:
+                for key, value in scalars.items():
+                    epoch_scalars.setdefault(key, []).append(value)
+        for key, values in epoch_scalars.items():
+            curves.setdefault(key, []).append(float(np.mean(values)))
+        if eval_dataset is not None:
+            snapshots.append(json.loads(evaluate_depth(model, eval_dataset).to_json()))
+        else:
+            snapshots.append(None)
+        if out_dir:
+            arrays = {f"model.{name}": param.data for name, param in model.named_parameters()} | opt.state_views()
+            path = out_dir / f"checkpoint-epoch{epoch:03d}.dvoc"
+            save_checkpoint(path, arrays, _checkpoint_config(cfg, phase, epoch))
 
     report = RunReport(
         config=asdict(cfg),
@@ -472,8 +418,7 @@ def _run_phase(
 
 
 def pretrain_run(cfg: RunConfig, dataset: PairDataset, resume: str | None = None):
-    """Minimize the masked completion loss over the dataset pairs. Every
-    checkpoint is on disk when it returns or raises (``_run_phase``)."""
+    """Minimize the masked completion loss over the dataset pairs."""
     return _run_phase(cfg, dataset, "pretrain", resume=resume)
 
 
@@ -485,8 +430,7 @@ def finetune_run(
     eval_dataset: PairDataset | None = None,
     freeze_backbone: bool = False,
 ):
-    """Minimize the self-supervised warping objective over the dataset pairs.
-    Every checkpoint is on disk when it returns or raises (``_run_phase``)."""
+    """Minimize the self-supervised warping objective over the dataset pairs."""
     return _run_phase(
         cfg,
         dataset,

@@ -105,3 +105,11 @@ def test_array_summaries_see_a_negated_or_reordered_array(fingerprint, move):
     a = np.array([0.5, -0.25, 2.0, 1e-20])
     before, after = (fingerprint._array_summaries({"w": v})["w"] for v in (a, move(a)))
     assert before != after
+
+
+def test_array_summaries_of_a_float32_array_are_those_of_its_float64_widening(fingerprint):
+    # a format 3 checkpoint stores float32 arrays, a format 2 one their float64 widening
+    narrow = np.random.default_rng(0).normal(size=1000).astype(np.float32)
+    summaries = fingerprint._array_summaries({"w": narrow})["w"]
+    assert summaries == fingerprint._array_summaries({"w": narrow.astype(np.float64)})["w"]
+    assert summaries[1] != float((narrow * narrow).sum())  # what summing in float32 would give

@@ -570,34 +570,54 @@ def test_checkpoint_roundtrip_and_mismatch(tmp_path):
     cfg_back, arrays = load_checkpoint(path)
     assert cfg_back == config
     assert set(arrays) == set(state)
-    for k in state:
-        assert np.array_equal(arrays[k], state[k])
+    for k in state:  # in their own dtype: the float32 parameters, the float64 step count
+        assert arrays[k].dtype == state[k].dtype and np.array_equal(arrays[k], state[k]), k
     # binary layout starts with the magic and little-endian version
     raw = path.read_bytes()
     assert raw[:4] == b"DVOC"
-    assert int.from_bytes(raw[4:8], "little") == 2
+    assert int.from_bytes(raw[4:8], "little") == 3
 
 
-def test_save_checkpoint_writes_the_previous_writers_bytes(tmp_path):
+def test_save_checkpoint_writes_the_plain_writers_bytes(tmp_path):
     rng = np.random.default_rng(4)
     arrays = {
         "model.scalar": np.array(2.5),
         "model.transposed": rng.normal(size=(5, 3)).T,
         "model.float32": rng.normal(size=(2, 3)).astype(np.float32),
+        "model.float32-transposed": rng.normal(size=(3, 4)).astype(np.float32).T,
+        "model.float32-big-endian": rng.normal(size=(3,)).astype(">f4"),
+        "model.float16": rng.normal(size=(2,)).astype(np.float16),
         "model.big-endian": rng.normal(size=(4, 2)).astype(">f8"),
         "opt.step": np.array([3.0]),
     }
     config = {"model": TINY.to_dict(), "extra": {"epoch": 0}}
     save_checkpoint(tmp_path / "new.dvoc", arrays, config)
-    oracles.save_checkpoint_previous(tmp_path / "old.dvoc", arrays, config)
+    oracles.save_checkpoint_plain(tmp_path / "old.dvoc", arrays, config)
     assert (tmp_path / "new.dvoc").read_bytes() == (tmp_path / "old.dvoc").read_bytes()
+    loaded = load_checkpoint(tmp_path / "new.dvoc")[1]
+    single = {"model.float32", "model.float32-transposed", "model.float32-big-endian"}
+    for name, value in arrays.items():  # float32 stays float32, every other dtype widens to float64
+        assert loaded[name].dtype == (np.float32 if name in single else np.float64), name
+        assert np.array_equal(loaded[name], np.atleast_1d(value)), name  # a 0-d array is stored with one extent
+
+
+def test_save_checkpoint_stores_float32_arrays_in_half_the_bytes(tmp_path):
+    rng = np.random.default_rng(7)
+    wide = {f"model.a{i}": rng.normal(size=(64, 32)) for i in range(3)}
+    narrow = {name: value.astype(np.float32) for name, value in wide.items()}
+    for name, arrays in (("wide", wide), ("narrow", narrow)):
+        save_checkpoint(tmp_path / f"{name}.dvoc", arrays, {})
+    sizes = {name: (tmp_path / f"{name}.dvoc").stat().st_size for name in ("wide", "narrow")}
+    assert sizes["wide"] - sizes["narrow"] == 3 * 64 * 32 * 4
 
 
 def test_save_checkpoint_splits_at_iov_max_and_resumes_short_writes(tmp_path, monkeypatch):
     rng = np.random.default_rng(5)
-    arrays = {f"model.a{i:03d}": rng.normal(size=(i % 4, 3)) for i in range(600)}  # 1,202 buffers, some empty
+    arrays = {  # 1,202 buffers, some empty, in both stored dtypes
+        f"model.a{i:03d}": rng.normal(size=(i % 4, 3)).astype(np.float32 if i % 2 else np.float64) for i in range(600)
+    }
     config = {"extra": {"epoch": 0}}
-    oracles.save_checkpoint_previous(tmp_path / "old.dvoc", arrays, config)
+    oracles.save_checkpoint_plain(tmp_path / "old.dvoc", arrays, config)
     save_checkpoint(tmp_path / "new.dvoc", arrays, config)
     calls, writev = [], os.writev
 
@@ -632,12 +652,13 @@ def test_save_checkpoint_ends_a_write_call_at_the_buffer_that_reaches_1_mib(tmp_
 
 def _checkpoint_arrays():
     rng = np.random.default_rng(6)
-    return {"model.w": rng.normal(size=(40, 30)), "opt.step": np.array([2.0])}, {"extra": {"epoch": 1}}
+    arrays = {"model.w": rng.normal(size=(40, 30)).astype(np.float32), "opt.step": np.array([2.0])}
+    return arrays, {"extra": {"epoch": 1}}
 
 
 def test_save_checkpoint_preallocates_the_whole_file_once(tmp_path, monkeypatch):
     arrays, config = _checkpoint_arrays()
-    oracles.save_checkpoint_previous(tmp_path / "old.dvoc", arrays, config)
+    oracles.save_checkpoint_plain(tmp_path / "old.dvoc", arrays, config)
     calls, fallocate = [], os.posix_fallocate
 
     def recording_fallocate(fd, offset, length):

@@ -20,6 +20,8 @@ from dvokit.geometry import Pose, pose_from_twist
 from dvokit.model import load_checkpoint, save_checkpoint
 from dvokit.synth import default_intrinsics
 
+import oracles
+
 
 @pytest.mark.parametrize("first_byte", [9, 10, 11, 12, 13, 32])
 def test_ppm_payload_may_start_with_a_whitespace_byte(tmp_path, first_byte):
@@ -32,7 +34,7 @@ def test_ppm_payload_may_start_with_a_whitespace_byte(tmp_path, first_byte):
 
 
 _CONFIG = {"model": {"patch_size": 8}, "extra": {"epoch": 0}}
-_ARRAYS = {"a.weight": np.arange(6.0).reshape(2, 3), "b.bias": np.array([1.5, -2.0])}
+_ARRAYS = {"a.weight": np.arange(6.0).reshape(2, 3), "b.bias": np.array([1.5, -2.0], dtype=np.float32)}
 
 
 def _checkpoint(tmp_path):
@@ -42,27 +44,71 @@ def _checkpoint(tmp_path):
 
 
 def _cuts():
-    """Byte offsets inside the header, the JSON, the first name and the first array."""
+    """Byte offsets inside the header, the JSON, the first name, the first
+    (f8) array, between the two arrays, and inside the second (f4) array."""
     json_len = len(json.dumps(_CONFIG, sort_keys=True).encode("utf-8"))
     first_blob = 12 + json_len
     name = first_blob + 4
-    array = name + len("a.weight") + 4 + 2 * 4
+    array = name + len("a.weight") + 4 + 4 + 2 * 4  # item size, rank, 2 extents
+    second = array + 6 * 8 + 4 + len("b.bias") + 4 + 4 + 4
     return {
         "header": 6,
         "json": 12 + json_len // 2,
         "name": name + 3,
+        "item-size": name + len("a.weight"),
         "array": array + 20,
         "between-arrays": array + 6 * 8,
+        "f4-array": second + 4,
     }
 
 
-@pytest.mark.parametrize("where", ["header", "json", "name", "array", "between-arrays"])
+@pytest.mark.parametrize("where", ["header", "json", "name", "array", "between-arrays", "f4-array"])
 def test_truncated_checkpoint_raises_data_error_naming_the_path(tmp_path, where):
     _, raw = _checkpoint(tmp_path)
     cut = tmp_path / f"cut-{where}.dvoc"
     cut.write_bytes(raw[: _cuts()[where]])
     with pytest.raises(DataError, match=f"cut-{where}.dvoc"):
         load_checkpoint(cut)
+
+
+def test_checkpoint_layout_is_as_documented(tmp_path):
+    # what the cuts above assume: the end of the f4 array is the footer
+    _, raw = _checkpoint(tmp_path)
+    at = _cuts()
+    assert raw[at["item-size"] : at["item-size"] + 4] == struct.pack("<I", 8)
+    assert raw[at["between-arrays"] + 4 : at["between-arrays"] + 10] == b"b.bias"
+    assert raw[at["f4-array"] - 16 : at["f4-array"] - 4] == struct.pack("<3I", 4, 1, 2)  # item size, rank, extent
+    assert raw[at["f4-array"] - 4 : -8] == _ARRAYS["b.bias"].astype("<f4").tobytes()
+
+
+def test_truncated_f4_payload_with_its_footer_raises_data_error_naming_the_path(tmp_path):
+    # the footer is kept, so only the payload's own length check can catch the cut
+    _, raw = _checkpoint(tmp_path)
+    cut = tmp_path / "short-f4.dvoc"
+    cut.write_bytes(raw[: _cuts()["f4-array"]] + raw[-8:])
+    with pytest.raises(DataError, match=re.escape(f"checkpoint {cut} is truncated")):
+        load_checkpoint(cut)
+
+
+@pytest.mark.parametrize("itemsize", [0, 2, 16, 2**32 - 1])
+def test_checkpoint_record_whose_item_size_is_not_4_or_8_raises_data_error_naming_the_path(tmp_path, itemsize):
+    _, raw = _checkpoint(tmp_path)
+    at = _cuts()["item-size"]
+    bad = tmp_path / "itemsize.dvoc"
+    bad.write_bytes(raw[:at] + struct.pack("<I", itemsize) + raw[at + 4 :])
+    expected = f"malformed checkpoint {bad}: array 'a.weight' has item size {itemsize}, not 4 or 8"
+    with pytest.raises(DataError, match=re.escape(expected)):
+        load_checkpoint(bad)
+
+
+def test_a_version_2_checkpoint_loads_every_array_as_float64(tmp_path):
+    path = tmp_path / "v2.dvoc"
+    oracles.save_checkpoint_previous(path, _ARRAYS, _CONFIG)
+    config, arrays = load_checkpoint(path)
+    assert config == _CONFIG and arrays.keys() == _ARRAYS.keys()
+    for name, value in arrays.items():
+        assert value.dtype == np.float64 and np.array_equal(value, _ARRAYS[name]), name
+    assert load_checkpoint(_checkpoint(tmp_path)[0])[1]["b.bias"].dtype == np.float32
 
 
 def test_malformed_checkpoint_json_raises_data_error(tmp_path):
@@ -317,14 +363,15 @@ def test_pfm_payload_whose_length_is_not_a_multiple_of_4_raises_data_error(tmp_p
         formats.read_pfm(path)
 
 
-def test_checkpoint_array_of_zero_size_whose_other_extents_overflow_raises_data_error(tmp_path):
+@pytest.mark.parametrize("record", [b"", struct.pack("<I", 4), struct.pack("<I", 8)], ids=["v2", "v3-f4", "v3-f8"])
+def test_checkpoint_array_of_zero_size_whose_other_extents_overflow_raises_data_error(tmp_path, record):
     # (0, 2^32 - 1, 2^32 - 1) holds no bytes, so the size check passes, but
     # numpy cannot allocate it: the product of its other extents overflows
     from dvokit import model
 
     blob = b"{}"
-    raw = model._MAGIC + struct.pack("<II", model._VERSION, len(blob)) + blob
-    raw += struct.pack("<I", 1) + b"x" + struct.pack("<I3I", 3, 0, 2**32 - 1, 2**32 - 1)
+    raw = model._MAGIC + struct.pack("<II", 3 if record else 2, len(blob)) + blob
+    raw += struct.pack("<I", 1) + b"x" + record + struct.pack("<I3I", 3, 0, 2**32 - 1, 2**32 - 1)
     path = tmp_path / "huge.dvoc"
     path.write_bytes(raw + model._END_MAGIC + struct.pack("<I", 1))
     with pytest.raises(DataError, match=re.escape(str(path))):
@@ -364,6 +411,7 @@ _READERS = {
     "read_tum": (_write_tum, formats.read_tum),
     "read_manifest": (_write_manifest, formats.read_manifest),
     "load_checkpoint": (lambda path: save_checkpoint(path, _ARRAYS, _CONFIG), load_checkpoint),
+    "load_checkpoint-v2": (lambda path: oracles.save_checkpoint_previous(path, _ARRAYS, _CONFIG), load_checkpoint),
 }
 
 

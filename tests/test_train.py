@@ -3,12 +3,9 @@ reporting, adapter finetuning with a frozen backbone, checkpoint/config
 consistency, per-epoch evaluation and the version string."""
 
 import errno
-import functools
 import json
 import os
 import re
-import threading
-import time
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -353,11 +350,12 @@ def test_divergence_names_the_pair_whose_loss_raised(tmp_path, dataset, monkeypa
 def test_a_failed_checkpoint_write_raises_from_the_run_and_leaves_no_file(
     tmp_path, dataset, monkeypatch, target, failing_epoch
 ):
-    """The failure surfaces on the training thread, as the write's own error,
-    and no unhandled-thread warning is raised (the suite turns warnings into
-    errors). A failure inside `_write_buffers` leaves part of the file in
-    the `.tmp`, which the writer removes."""
-    real, writes = getattr(model_module, target), []
+    """The failure surfaces from the run as the write's own error. The
+    training loop calls `train.save_checkpoint`, the name the benchmark's
+    tracer wraps; a failure inside `_write_buffers` leaves part of the file
+    in the `.tmp`, which `atomic_write` removes."""
+    module = train if target == "save_checkpoint" else model_module
+    real, writes = getattr(module, target), []
 
     def write(first, payload, *rest):
         writes.append(first)
@@ -367,7 +365,7 @@ def test_a_failed_checkpoint_write_raises_from_the_run_and_leaves_no_file(
             os.write(first, payload[0])
         raise OSError(errno.ENOSPC, "No space left on device")
 
-    monkeypatch.setattr(model_module, target, write)
+    monkeypatch.setattr(module, target, write)
     with pytest.raises(OSError, match="No space left on device"):
         train.finetune_run(_cfg(tmp_path, epochs=2), dataset)
     assert len(writes) == failing_epoch + 1
@@ -392,26 +390,12 @@ def test_a_failed_report_write_keeps_the_previous_report(tmp_path, dataset, monk
     assert sorted(p.name for p in tmp_path.iterdir()) == ["checkpoint-epoch000.dvoc", "report.json"]
 
 
-def test_a_slow_checkpoint_write_still_holds_the_state_its_epoch_left(tmp_path, dataset, monkeypatch):
-    train.finetune_run(_cfg(tmp_path / "prompt", epochs=2), dataset)
-    real = model_module.save_checkpoint
-
-    def slow(*args):
-        time.sleep(0.2)  # outlasts epoch 1's first step, whose Adam update must wait for the write
-        real(*args)
-
-    monkeypatch.setattr(model_module, "save_checkpoint", slow)
-    train.finetune_run(_cfg(tmp_path / "slow", epochs=2), dataset)
-    for name in ("checkpoint-epoch000.dvoc", "checkpoint-epoch001.dvoc"):
-        assert (tmp_path / "slow" / name).read_bytes() == (tmp_path / "prompt" / name).read_bytes()
-
-
 def test_a_divergence_leaves_every_earlier_checkpoint_complete_and_resumable(tmp_path, dataset, monkeypatch):
     seen = []
 
     def failing_loss(pair, *args, **kwargs):  # as in test_divergence_names_the_epoch_and_the_pair
         seen.append(pair)
-        if len(seen) == 4:  # first pair of epoch 1, while epoch 0's checkpoint is being written
+        if len(seen) == 4:  # first pair of epoch 1, once epoch 0's checkpoint is written
             raise NonFiniteError("non-finite value produced by op 'div'")
         return total_loss(pair, *args, **kwargs)
 
@@ -430,30 +414,28 @@ def test_a_divergence_leaves_every_earlier_checkpoint_complete_and_resumable(tmp
     assert (tmp_path / "resumed" / "checkpoint-epoch001.dvoc").read_bytes() == full
 
 
-def test_a_two_epoch_run_calls_every_name_of_train_on_the_training_thread(tmp_path, dataset, monkeypatch):
-    """The background checkpoint write overlaps epoch 1's first step, so a
-    wrapper over a name of `train` (where the benchmark's tracer installs
-    its span wrappers, which keep one span stack) must never run on the
-    writer's thread."""
-    calls = []
+def test_each_epoch_writes_its_checkpoint_through_train_save_checkpoint_before_the_next(
+    tmp_path, dataset, monkeypatch
+):
+    """One call of `train.save_checkpoint` per epoch, the name the
+    benchmark's tracer wraps, and the file is on disk when it returns,
+    before the next epoch's first loss."""
+    events, real_save, real_loss = [], train.save_checkpoint, train.total_loss
 
-    def recording(name, fn):
-        @functools.wraps(fn)
-        def wrapper(*args, **kwargs):
-            calls.append((name, threading.get_ident()))
-            return fn(*args, **kwargs)
+    def save(path, arrays, config):
+        real_save(path, arrays, config)
+        events.append((Path(path).name, sorted(p.name for p in tmp_path.iterdir())))
 
-        return wrapper
+    def loss(*args, **kwargs):
+        events.append("loss")
+        return real_loss(*args, **kwargs)
 
-    for name, value in list(vars(train).items()):
-        if callable(value) and not isinstance(value, type):
-            monkeypatch.setattr(train, name, recording(name, value))
+    monkeypatch.setattr(train, "save_checkpoint", save)
+    monkeypatch.setattr(train, "total_loss", loss)
     train.finetune_run(_cfg(tmp_path, epochs=2), dataset)
-    assert {"batch_gradients", "forward_dvo", "total_loss", "_start_epoch_checkpoint"} <= {name for name, _ in calls}
-    assert {ident for _, ident in calls} == {threading.get_ident()}
-    assert sorted(p.name for p in tmp_path.iterdir()) == [
-        "checkpoint-epoch000.dvoc", "checkpoint-epoch001.dvoc", "report.json"
-    ]
+    first, second = "checkpoint-epoch000.dvoc", "checkpoint-epoch001.dvoc"
+    assert events == ["loss"] * 3 + [(first, [first])] + ["loss"] * 3 + [(second, [first, second])]
+    assert sorted(p.name for p in tmp_path.iterdir()) == [first, second, "report.json"]
 
 
 def _nan_at(dataset, index, with_nan_pixel):
@@ -696,12 +678,40 @@ def test_loading_a_checkpoint_holds_each_array_once(tmp_path, finetune_checkpoin
         assert value.tobytes() == arrays[key].astype(value.dtype).tobytes(), key
 
 
+def test_a_float32_models_checkpoint_is_adopted_without_a_copy(tmp_path, finetune_checkpoint, monkeypatch):
+    # the loader's arrays are already in the parameters' dtype, so the
+    # parameters and moments take them as they are
+    config, arrays = finetune_checkpoint
+    path = tmp_path / "ckpt.dvoc"
+    save_checkpoint(path, arrays, config)
+    loaded = {}
+
+    def load(p):
+        config, arrays = load_checkpoint(p)
+        loaded.update(arrays)
+        return config, arrays
+
+    monkeypatch.setattr(train, "load_checkpoint", load)
+    model = DvoModel(toy_config(), np.random.default_rng(0))
+    for name, param in model.named_parameters():
+        param.requires_grad = not name.startswith(train._UNREACHED["finetune"])
+    opt = AdamW(list(model.named_parameters()))
+    assert train._load_checkpoint_into(path, model, opt) == 0
+    for name, param in model.named_parameters():
+        assert param.data is loaded[f"model.{name}"], name
+    for key, value in opt.state_views().items():
+        if key != "opt.step":
+            assert value is loaded[key], key
+
+
 def test_a_float32_models_checkpoint_round_trips_exactly(tmp_path, dataset):
-    # the float64 file holds each float32 parameter and moment exactly; a
-    # resume reloads them as they were, in float32
+    # the file holds each float32 parameter and moment in float32; a resume
+    # reloads them as they were
     model, _ = train.finetune_run(_cfg(tmp_path, epochs=1), dataset)
     path = tmp_path / "checkpoint-epoch000.dvoc"
     _, arrays = load_checkpoint(path)
+    for key, value in arrays.items():
+        assert value.dtype == (np.float64 if key == "opt.step" else np.float32), key
     fresh = DvoModel(model.cfg, np.random.default_rng(0))
     for name, param in fresh.named_parameters():
         param.requires_grad = not name.startswith(train._UNREACHED["finetune"])
@@ -711,11 +721,29 @@ def test_a_float32_models_checkpoint_round_trips_exactly(tmp_path, dataset):
         assert p.data.dtype == q.data.dtype == np.float32 and p.data.tobytes() == q.data.tobytes(), name
     for key, value in opt.state_views().items():
         if key != "opt.step":
-            assert value.dtype == np.float32 and np.array_equal(value.astype(np.float64), arrays[key]), key
+            assert value.dtype == np.float32 and value.tobytes() == arrays[key].tobytes(), key
     # written again from the reloaded state, the file is the same, bit for bit
     resaved = {f"model.{name}": p.data for name, p in fresh.named_parameters()} | opt.state_views()
     save_checkpoint(tmp_path / "again.dvoc", resaved, load_checkpoint(path)[0])
     assert (tmp_path / "again.dvoc").read_bytes() == path.read_bytes()
+
+
+@pytest.mark.parametrize("phase", ["finetune", "pretrain"])
+def test_a_version_2_checkpoint_resumes_bit_identically(tmp_path, dataset, phase):
+    # a checkpoint as the format before version 3 wrote it, every array
+    # widened to float64, loads as float64 and resumes to the same values
+    _run(phase)(_cfg(tmp_path / "full", epochs=2), dataset)
+    config, arrays = load_checkpoint(tmp_path / "full" / "checkpoint-epoch000.dvoc")
+    old = tmp_path / "v2.dvoc"
+    oracles.save_checkpoint_previous(old, arrays, config)
+    config_v2, arrays_v2 = load_checkpoint(old)
+    assert config_v2 == config and arrays_v2.keys() == arrays.keys()
+    for key, value in arrays_v2.items():
+        assert value.dtype == np.float64 and np.array_equal(value, arrays[key]), key
+    assert old.stat().st_size > 1.9 * (tmp_path / "full" / "checkpoint-epoch000.dvoc").stat().st_size
+    _run(phase)(_cfg(tmp_path / "resumed", epochs=2), dataset, resume=str(old))
+    full = (tmp_path / "full" / "checkpoint-epoch001.dvoc").read_bytes()
+    assert (tmp_path / "resumed" / "checkpoint-epoch001.dvoc").read_bytes() == full
 
 
 def test_a_float64_checkpoint_loads_rounded_to_float32(tmp_path):

@@ -33,12 +33,14 @@ What it runs, all seeded and on the `dynamic-room` scene:
   - every file `save_dataset` writes for the 32 px trajectory
   - 2-epoch finetune and pretrain runs on the 3 pairs of each trajectory,
     with the linear head at 32 px and the DPT head at 64 px: the last
-    checkpoint's arrays and config, the loss curves, and `evaluate_depth`
-    on the same pairs (its JSON), and each pair's predicted depth map,
-    computed one pair at a time with `model.encode` and `model.depth`
-    under `autodiff.no_grad` (where the sources have it), so these items
-    cross-check the chunked forward of `evaluate_depth`, whose metrics the
-    items above digest
+    checkpoint's parameters (`checkpoint.params`, its `model.*` arrays),
+    optimizer state (`checkpoint.moments`, its `opt.*` arrays: the step
+    count and Adam's moments) and config, the loss curves, and
+    `evaluate_depth` on the same pairs (its JSON), and each pair's
+    predicted depth map, computed one pair at a time with `model.encode`
+    and `model.depth` under `autodiff.no_grad` (where the sources have
+    it), so these items cross-check the chunked forward of
+    `evaluate_depth`, whose metrics the items above digest
   - one `total_loss` on the first 32 px pair, at perturbed depths and
     pose: its scalars, its `d_diff`, `m_s` and `valid` maps, and its
     gradients w.r.t. both depths and the twist
@@ -88,18 +90,19 @@ What it runs, all seeded and on the `dynamic-room` scene:
     `autodiff.attention`: `SelfAttention`, `CrossAttention`, `Linear` (its
     weight trained and frozen), `Conv1x1` (to 12 channels, and to 1 as
     the DPT head's `head_out` was; older sources only) and `AdaptMlp`, on
-    seeded parameters and inputs of 7 tokens (or 7 x 3 maps) without and
-    with a leading axis of 2: one item each, digesting the output and the
-    gradient of a weighted sum of it w.r.t. each input and trained
-    parameter. Sources that lack a layer's class, or whose layer cannot run
-    an item (an older constructor, or no leading axes), leave that item out
+    seeded parameters and inputs, rounded to float32 as the network runs,
+    of 7 tokens (or 7 x 3 maps) without and with a leading axis of 2: one
+    item each, digesting the output and the gradient of a weighted sum of
+    it w.r.t. each input and trained parameter. Sources that lack a
+    layer's class, or whose layer cannot run an item (an older
+    constructor, or no leading axes), leave that item out
   - 20-iteration `optimize_direct` pose and depth runs on a 32 px pair from
     `perturbed_twist` starts (curves and results)
   - the failure path: 32 px linear finetune and pretrain runs whose last
     pair has one NaN pixel in its second image (the `TrainingDivergence`
     text, epoch and pair)
 
-On the current sources it prints 155 items: 88 digests and the 67
+On the current sources it prints 163 items: 92 digests and the 71
 `values/` entries beside them. It writes only to a temporary directory and
 takes about 6 s on a 2-core host.
 """
@@ -138,9 +141,12 @@ def _array_summaries(arrays: dict) -> dict:
     reordering moves a number too. No sum here can cancel: layer norm makes
     the gradient of a bias that only feeds it sum to zero, so Adam's first
     moment of such a bias sums to ~1e-20 with entries up to ~3e-6, and a
-    round-off change moved that plain sum by a factor of 2."""
+    round-off change moved that plain sum by a factor of 2. Every sum runs
+    in float64, so a float32 array summarises as its float64 widening does
+    (checkpoints of format 3 store float32, those of format 2 float64)."""
     summaries = {}
     for key, a in sorted(arrays.items()):
+        a = np.asarray(a, dtype=np.float64)
         flat = np.abs(a).ravel()
         weights = np.arange(1, flat.size + 1) / max(flat.size, 1)
         summaries[key] = [
@@ -204,14 +210,19 @@ def _layer_parts(autodiff, build, shapes, lead, rng):
     """Output of the layer `build(rng)` on inputs of `shapes` behind the
     `lead` axes, and the gradients of a weighted sum of it w.r.t. each input
     and each parameter that requires grad; every parameter is redrawn from
-    `rng` first (scale 0.3, so an adapter branch is live). None where the
-    sources' layer cannot run it."""
+    `rng` first (scale 0.3, so an adapter branch is live). Parameters and
+    inputs are rounded to float32, the dtype the network runs in, so a
+    fault of a layer's float32 arithmetic shows. None where the sources'
+    layer cannot run it."""
     try:
         layer = build(rng)
         params = [p for _, p in layer.named_parameters()]
         for p in params:
-            p.data = rng.normal(scale=0.3, size=p.data.shape)
-        inputs = [autodiff.Tensor(rng.normal(size=(*lead, *shape)), requires_grad=True) for shape in shapes]
+            p.data = rng.normal(scale=0.3, size=p.data.shape).astype(np.float32)
+        inputs = [
+            autodiff.Tensor(rng.normal(size=(*lead, *shape)).astype(np.float32), requires_grad=True)
+            for shape in shapes
+        ]
         out = layer(*inputs)
     except (TypeError, ValueError):
         return None
@@ -258,8 +269,10 @@ def fingerprint(tmp: Path) -> dict:
             )
             model, report = run(cfg, dataset)
             config, arrays = load_checkpoint(run_dir / f"checkpoint-epoch{cfg.epochs - 1:03d}.dvoc")
-            out[f"{name}/checkpoint.arrays"] = _digest(*(part for key in sorted(arrays) for part in (key, arrays[key])))
-            out[f"values/{name}/checkpoint.arrays"] = _array_summaries(arrays)
+            for item, prefix in (("params", "model."), ("moments", "opt.")):
+                part = {key: value for key, value in arrays.items() if key.startswith(prefix)}
+                out[f"{name}/checkpoint.{item}"] = _digest(*(x for key in sorted(part) for x in (key, part[key])))
+                out[f"values/{name}/checkpoint.{item}"] = _array_summaries(part)
             out[f"{name}/checkpoint.config"] = _digest(config)
             record(f"{name}/curves", report.curves)
             record(f"{name}/eval.json", json.loads(train.evaluate_depth(model, dataset).to_json()))
