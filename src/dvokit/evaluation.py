@@ -1,4 +1,4 @@
-"""Depth metrics (median-scaled, capped) and ground-plane trajectory errors."""
+"""Depth metrics (median-scaled, capped)."""
 
 from __future__ import annotations
 
@@ -6,8 +6,6 @@ import json
 from dataclasses import dataclass, fields
 
 import numpy as np
-
-from .geometry import Pose
 
 
 MIN_VALID_DEPTH = 1e-3
@@ -90,49 +88,3 @@ def mean_reports(reports: list[EvalReport]) -> EvalReport:
     n = len(reports)
     sums = {f.name: sum(getattr(r, f.name) for r in reports) for f in fields(EvalReport)}
     return EvalReport(**{name: total if name == "n_pixels" else total / n for name, total in sums.items()})
-
-
-def accumulate_trajectory(relatives: list[Pose]) -> list[Pose]:
-    """Absolute poses from per-step motion increments, starting at identity.
-
-    Each element is the pose increment of the camera between consecutive
-    frames (the inverse of the frame-to-frame warp transform): P_k = P_{k-1} o T_k.
-    """
-    poses = []
-    current = Pose.identity()
-    for rel in relatives:
-        current = current.compose(rel)
-        poses.append(current)
-    return poses
-
-
-def _yaw_deg(rotation: np.ndarray) -> float:
-    """Heading about the world's up axis, y."""
-    return float(np.degrees(np.arctan2(rotation[0, 2], rotation[2, 2])))
-
-
-def _wrap_deg(angle: float) -> float:
-    wrapped = abs(angle) % 360.0
-    return 360.0 - wrapped if wrapped > 180.0 else wrapped
-
-
-def trajectory_errors(pred: list[Pose], gt: list[Pose]) -> tuple[float, float]:
-    """Mean planar translation error (m) and mean absolute yaw error (deg).
-
-    Predictions are aligned to the ground truth by the first position
-    (translation only; rotating the prediction would cancel exactly the
-    heading offset this metric reports). The world is y-up, as in `synth`:
-    positions are projected to the ground (xz) plane, yaw is the heading
-    about y, and yaw differences are wrapped to [0, 180] degrees.
-    """
-    if len(pred) != len(gt):
-        raise ValueError(f"trajectory length mismatch: {len(pred)} vs {len(gt)}")
-    if len(pred) < 2:
-        raise ValueError("need at least 2 poses")
-    shift = gt[0].translation - pred[0].translation
-    trans_errs, rot_errs = [], []
-    for p, g in zip(pred, gt):
-        dxz = (p.translation + shift - g.translation)[[0, 2]]
-        trans_errs.append(float(np.linalg.norm(dxz)))
-        rot_errs.append(_wrap_deg(_yaw_deg(p.rotation) - _yaw_deg(g.rotation)))
-    return float(np.mean(trans_errs)), float(np.mean(rot_errs))

@@ -1,5 +1,5 @@
-"""File IO for synthetic datasets: PPM images, PFM depth, TUM trajectories,
-and a JSON pair manifest. All multi-byte binary data is little-endian."""
+"""File IO for synthetic datasets: PPM images, PFM depth, the TUM trajectory
+(written only) and a JSON pair manifest. All multi-byte binary data is little-endian."""
 
 from __future__ import annotations
 
@@ -89,13 +89,6 @@ def read_pfm(path) -> np.ndarray:
 # ---- TUM trajectories --------------------------------------------------------------
 # line format: "t tx ty tz qx qy qz qw" with a unit, w-last quaternion
 
-_UNIT_NORM_TOL = 1e-6  # how far from 1 a stored quaternion's norm may be, here and in manifests
-
-
-def _norm(q) -> float:
-    with np.errstate(over="ignore"):  # a huge field gives inf, which no unit check passes
-        return float(np.linalg.norm(q))
-
 
 def write_tum(path, poses: list[Pose]) -> None:
     """One line per pose; the timestamp is the frame index."""
@@ -108,33 +101,6 @@ def write_tum(path, poses: list[Pose]) -> None:
             f"{q[0]:.17g} {q[1]:.17g} {q[2]:.17g} {q[3]:.17g}"
         )
     Path(path).write_text("\n".join(lines) + "\n")
-
-
-def read_tum(path) -> tuple[list[Pose], list[float]]:
-    try:
-        text = Path(path).read_bytes().decode("utf-8")
-    except UnicodeDecodeError as e:
-        raise DataError(f"{path}: not UTF-8 text ({e})") from e
-    poses, stamps = [], []
-    for ln, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split()
-        if len(fields) != 8:
-            raise DataError(f"{path}:{ln}: expected 8 fields, got {len(fields)}")
-        try:
-            vals = [float(x) for x in fields]
-        except ValueError as e:
-            raise DataError(f"{path}:{ln}: non-numeric field") from e
-        if not np.isfinite(vals).all():
-            raise DataError(f"{path}:{ln}: non-finite field")
-        q = np.array(vals[4:8])
-        if abs(_norm(q) - 1.0) > _UNIT_NORM_TOL:
-            raise DataError(f"{path}:{ln}: quaternion is not unit (norm {_norm(q):.6f})")
-        poses.append(Pose(rotation_from_quaternion(q), vals[1:4]))
-        stamps.append(vals[0])
-    return poses, stamps
 
 
 # ---- dataset manifest ----------------------------------------------------------------
@@ -154,6 +120,14 @@ def _numbers(values) -> list[float]:
     if any(type(x) not in (int, float) for x in values):
         raise ValueError(f"{values!r} holds a value that is not a number")
     return [float(x) for x in values]
+
+
+_UNIT_NORM_TOL = 1e-6  # how far from 1 a manifest quaternion's norm may be
+
+
+def _norm(q) -> float:
+    with np.errstate(over="ignore"):  # a huge field gives inf, which no unit check passes
+        return float(np.linalg.norm(q))
 
 
 def read_manifest(path) -> dict:
@@ -231,7 +205,7 @@ def load_pairs(dataset_dir):
     frame number, or a missing or malformed relative pose raises DataError
     naming the manifest, and the file when one is at fault. Intrinsics and
     pose entries must be JSON numbers (not bools or strings), and a pose
-    quaternion unit within `read_tum`'s tolerance."""
+    quaternion unit within 1e-6."""
     root = Path(dataset_dir)
     path = root / "manifest.json"
     manifest = read_manifest(path)

@@ -477,7 +477,7 @@ def save_checkpoint(path, arrays: dict[str, np.ndarray], config: dict) -> None:
     buffers = [_MAGIC + struct.pack("<II", _VERSION, len(blob)) + blob]
     for name in sorted(arrays):
         data = np.asarray(arrays[name])
-        data = np.ascontiguousarray(data, dtype="<f4" if data.dtype.kind == "f" and data.itemsize == 4 else "<f8")
+        data = np.asarray(data, order="C", dtype="<f4" if data.dtype.kind == "f" and data.itemsize == 4 else "<f8")
         encoded = name.encode("utf-8")
         shape = struct.pack(f"<{data.ndim + 2}I", data.itemsize, data.ndim, *data.shape)
         buffers.append(struct.pack("<I", len(encoded)) + encoded + shape)

@@ -639,7 +639,7 @@ def save_checkpoint_plain(path, arrays, config, version=3):
         for name in sorted(arrays):
             data = np.asarray(arrays[name])
             single = version == 3 and data.dtype in (np.dtype("<f4"), np.dtype(">f4"))
-            data = np.ascontiguousarray(data, dtype="<f4" if single else "<f8")
+            data = np.asarray(data, order="C", dtype="<f4" if single else "<f8")  # a 0-d array keeps rank 0
             encoded = name.encode("utf-8")
             f.write(struct.pack("<I", len(encoded)))
             f.write(encoded)
@@ -654,7 +654,8 @@ def save_checkpoint_plain(path, arrays, config, version=3):
 
 def save_checkpoint_previous(path, arrays, config):
     """A checkpoint as the writer before format version 3 wrote it: every
-    array widened to f8, float32 ones exactly."""
+    array widened to f8, float32 ones exactly (but a 0-d array keeps rank 0,
+    where that writer stored it with one extent)."""
     save_checkpoint_plain(path, arrays, config, version=2)
 
 

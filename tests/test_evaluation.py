@@ -11,12 +11,9 @@ from dvokit.evaluation import (
     MIN_VALID_DEPTH,
     DepthEvalConfig,
     EvalReport,
-    accumulate_trajectory,
     depth_metrics,
     mean_reports,
-    trajectory_errors,
 )
-from dvokit.geometry import Pose, pose_from_twist
 from dvokit.model import DvoModel, toy_config
 from dvokit.synth import MotionSpec, default_intrinsics, generate_trajectory, make_pair, preset_scene
 
@@ -246,112 +243,3 @@ def test_a_perfect_prediction_beats_the_constant_baseline():
     g = gt[valid]
     assert rep.abs_rel_constant == pytest.approx(np.mean(np.abs(np.median(g) - g) / g), rel=1e-15)
 
-
-def test_accumulate_identity_and_forward_steps():
-    ident = [Pose.identity()] * 4
-    out = accumulate_trajectory(ident)
-    for p in out:
-        assert np.allclose(p.matrix(), np.eye(4))
-
-    step = Pose(np.eye(3), [0.0, 0.0, 0.1])
-    out = accumulate_trajectory([step] * 10)
-    assert np.allclose(out[-1].translation, [0.0, 0.0, 1.0])
-
-
-def test_accumulate_inverse_roundtrip():
-    rng = np.random.default_rng(4)
-    rels = [pose_from_twist(rng.normal(scale=0.2, size=6)) for _ in range(8)]
-    forward = accumulate_trajectory(rels)
-    back = accumulate_trajectory([p.invert() for p in reversed(rels)])
-    final = forward[-1].compose(back[-1])
-    assert np.abs(final.matrix() - np.eye(4)).max() < 1e-10
-
-
-def _walk(rng, n=12):
-    """Random walk in the y-up world: 3D steps, yaw about y."""
-    rels = [pose_from_twist(np.concatenate([rng.normal(scale=0.2, size=3),
-                                    [0.0, rng.normal(scale=0.1), 0.0]])) for _ in range(n - 1)]
-    return accumulate_trajectory([Pose.identity()] + rels)
-
-
-def test_trajectory_errors_identical_is_zero():
-    gt = _walk(np.random.default_rng(5))
-    trans, rot = trajectory_errors(gt, gt)
-    assert trans == 0.0 and rot == 0.0
-
-
-def test_trajectory_errors_alignment_removes_constant_shift():
-    gt = _walk(np.random.default_rng(6))
-    shifted = [Pose(p.rotation, p.translation + np.array([1.0, 0.0, 0.0])) for p in gt]
-    trans, rot = trajectory_errors(shifted, gt)
-    assert trans < 1e-12 and rot < 1e-12
-
-
-def test_trajectory_errors_pure_yaw_offset():
-    gt = _walk(np.random.default_rng(7))
-    ry = pose_from_twist([0, 0, 0, 0, np.radians(10.0), 0]).rotation
-    pred = [Pose(ry @ p.rotation, p.translation) for p in gt]
-    trans, rot = trajectory_errors(pred, gt)
-    assert trans < 1e-12
-    assert rot == pytest.approx(10.0, abs=1e-9)
-
-
-def test_trajectory_errors_invariant_to_planar_rigid_transform():
-    rng = np.random.default_rng(8)
-    gt = _walk(rng)
-    pred = [Pose(p.rotation, p.translation + rng.normal(scale=0.05, size=3)) for p in gt]
-    base = trajectory_errors(pred, gt)
-
-    g = Pose(pose_from_twist([0, 0, 0, 0, 0.7, 0]).rotation, np.array([3.0, -2.0, 5.0]))
-    pred_t = [g.compose(p) for p in pred]
-    gt_t = [g.compose(p) for p in gt]
-    moved = trajectory_errors(pred_t, gt_t)
-    assert moved[0] == pytest.approx(base[0], abs=1e-9)
-    assert moved[1] == pytest.approx(base[1], abs=1e-9)
-
-
-def _synth_line(n=5, step=0.1):
-    from dvokit.synth import MotionSpec, default_intrinsics, generate_trajectory, preset_scene
-
-    frames = generate_trajectory(preset_scene("room"), default_intrinsics(16), n,
-                                 MotionSpec(kind="line", step=(0.0, 0.0, step)),
-                                 np.random.default_rng(0))
-    return [f.cam_to_world for f in frames]
-
-
-def test_trajectory_errors_score_forward_motion_in_the_y_up_world():
-    gt = _synth_line()
-    still = [Pose.identity()] * len(gt)
-    trans, rot = trajectory_errors(still, gt)
-    assert trans == pytest.approx(0.2, abs=1e-12)  # mean of 0, 0.1, ..., 0.4 m
-    assert rot == 0.0
-
-
-def test_trajectory_svg_draws_forward_motion(tmp_path):
-    from dvokit.plots import trajectory_svg
-
-    gt = _synth_line()
-    out = tmp_path / "line.svg"
-    trajectory_svg([Pose.identity()] * len(gt), gt, out)
-    gt_points = out.read_text().split('<polyline points="')[1].split('"')[0].split()
-    assert len(set(gt_points)) == len(gt)
-
-
-def test_trajectory_errors_validation():
-    gt = _walk(np.random.default_rng(9))
-    with pytest.raises(ValueError):
-        trajectory_errors(gt[:-1], gt)
-    with pytest.raises(ValueError):
-        trajectory_errors(gt[:1], gt[:1])
-
-
-def test_trajectory_svg_two_polylines(tmp_path):
-    from dvokit.plots import trajectory_svg
-
-    gt = _walk(np.random.default_rng(10))
-    pred = _walk(np.random.default_rng(11))
-    out = tmp_path / "traj.svg"
-    trajectory_svg(pred, gt, out)
-    text = out.read_text()
-    assert text.count("<polyline") == 2
-    assert "<svg" in text

@@ -1,5 +1,6 @@
 import errno
 import os
+import struct
 import tracemalloc
 from functools import partial
 from dataclasses import replace
@@ -598,7 +599,18 @@ def test_save_checkpoint_writes_the_plain_writers_bytes(tmp_path):
     single = {"model.float32", "model.float32-transposed", "model.float32-big-endian"}
     for name, value in arrays.items():  # float32 stays float32, every other dtype widens to float64
         assert loaded[name].dtype == (np.float32 if name in single else np.float64), name
-        assert np.array_equal(loaded[name], np.atleast_1d(value)), name  # a 0-d array is stored with one extent
+        assert loaded[name].shape == value.shape and np.array_equal(loaded[name], value), name
+
+
+@pytest.mark.parametrize("dtype", ["f8", "f4"])
+def test_a_0_d_array_round_trips_with_rank_0(tmp_path, dtype):
+    path = tmp_path / "scalar.dvoc"
+    save_checkpoint(path, {"x": np.array(2.5, dtype=dtype)}, {})
+    back = load_checkpoint(path)[1]["x"]
+    assert back.shape == () and back.dtype == np.dtype(dtype) and back == 2.5
+    raw = path.read_bytes()  # the record: name length, name, item size, rank 0 and no extent, then the payload
+    record = struct.pack("<I", 1) + b"x" + struct.pack("<II", back.itemsize, 0) + back.tobytes()
+    assert raw[raw.index(b"}") + 1 : -8] == record
 
 
 def test_save_checkpoint_stores_float32_arrays_in_half_the_bytes(tmp_path):

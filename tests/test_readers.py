@@ -2,7 +2,7 @@
 whitespace byte values, truncated or malformed checkpoints (a cut exactly
 between two arrays included), checkpoint writes that fail midway, malformed
 dataset manifests and frame files, and NaN or infinite values in manifests,
-depth maps, dynamic masks and trajectories."""
+depth maps and dynamic masks."""
 
 import json
 import re
@@ -16,7 +16,6 @@ import pytest
 
 from dvokit import formats
 from dvokit.formats import DataError
-from dvokit.geometry import Pose, pose_from_twist
 from dvokit.model import load_checkpoint, save_checkpoint
 from dvokit.synth import default_intrinsics
 
@@ -226,7 +225,7 @@ def _boolean_quaternion(m):
 
 
 def _quaternion_of_norm_5(m):
-    m["pairs"][0]["rel_pose"]["quaternion_xyzw"] = [0.0, 0.0, 3.0, 4.0]  # read_tum refuses it too
+    m["pairs"][0]["rel_pose"]["quaternion_xyzw"] = [0.0, 0.0, 3.0, 4.0]  # load_pairs asks for a norm within 1e-6 of 1
 
 
 def _frames_not_a_list(m):
@@ -331,22 +330,6 @@ def test_bad_frame_file_raises_data_error_naming_the_manifest_and_the_file(tmp_p
     assert str(bad_file) in str(err.value)
 
 
-@pytest.mark.parametrize(
-    "line",
-    [
-        "0 nan 0 0 0 0 0 1",  # translation
-        "0 0 0 inf 0 0 0 1",
-        "0 0 0 0 nan 0 0 1",  # quaternion: the unit-norm check alone passes NaN
-        "nan 0 0 0 0 0 0 1",  # timestamp
-    ],
-)
-def test_non_finite_trajectory_field_raises_data_error_naming_the_line(tmp_path, line):
-    path = tmp_path / "traj.tum"
-    path.write_text("0 0 0 0 0 0 0 1\n" + line + "\n")
-    with pytest.raises(DataError, match=re.escape(f"{path}:2")):
-        formats.read_tum(path)
-
-
 def test_ppm_header_number_of_5000_digits_raises_data_error(tmp_path):
     # int() refuses more than 4,300 digits with a bare ValueError
     path = tmp_path / "wide.ppm"
@@ -378,25 +361,6 @@ def test_checkpoint_array_of_zero_size_whose_other_extents_overflow_raises_data_
         load_checkpoint(path)
 
 
-def test_trajectory_that_is_not_utf8_raises_data_error(tmp_path):
-    path = tmp_path / "latin1.tum"
-    path.write_bytes(b"0 0 0 0 0 0 0 1\n# caf\xe9\n")
-    with pytest.raises(DataError, match=re.escape(str(path))):
-        formats.read_tum(path)
-
-
-def test_trajectory_quaternion_that_overflows_its_norm_raises_data_error_and_no_warning(tmp_path):
-    # the suite turns warnings into errors, so an overflow warning of the norm would fail this first
-    path = tmp_path / "huge.tum"
-    path.write_text("0 0 0 0 1e200 0 0 1\n")
-    with pytest.raises(DataError, match=re.escape(f"{path}:1")):
-        formats.read_tum(path)
-
-
-def _write_tum(path):
-    formats.write_tum(path, [Pose.identity(), pose_from_twist([0.1, -0.2, 0.05, 0.02, -0.01, 0.03])])
-
-
 def _write_manifest(path):
     rel = {"translation": [0.1, 0.0, 0.02], "quaternion_xyzw": [0.0, 0.0, 0.0, 1.0]}
     frames = [{"image": f"frame_{i:05d}.ppm", "depth": f"depth_{i:05d}.pfm"} for i in range(2)]
@@ -408,7 +372,6 @@ def _write_manifest(path):
 _READERS = {
     "read_ppm": (lambda path: formats.write_ppm(path, np.random.default_rng(0).random((3, 4, 5))), formats.read_ppm),
     "read_pfm": (lambda path: formats.write_pfm(path, np.random.default_rng(0).random((4, 5)) + 1.0), formats.read_pfm),
-    "read_tum": (_write_tum, formats.read_tum),
     "read_manifest": (_write_manifest, formats.read_manifest),
     "load_checkpoint": (lambda path: save_checkpoint(path, _ARRAYS, _CONFIG), load_checkpoint),
     "load_checkpoint-v2": (lambda path: oracles.save_checkpoint_previous(path, _ARRAYS, _CONFIG), load_checkpoint),
