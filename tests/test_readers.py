@@ -228,6 +228,75 @@ def _quaternion_of_norm_5(m):
     m["pairs"][0]["rel_pose"]["quaternion_xyzw"] = [0.0, 0.0, 3.0, 4.0]  # load_pairs asks for a norm within 1e-6 of 1
 
 
+def _quaternion_whose_norm_overflows(m):
+    # the suite turns warnings into errors, so an overflow warning of the norm would fail this first
+    m["pairs"][0]["rel_pose"]["quaternion_xyzw"] = [1e200, 0.0, 0.0, 1.0]
+
+
+def _quaternion_of_3_entries(m):
+    m["pairs"][0]["rel_pose"]["quaternion_xyzw"] = [0.0, 0.0, 1.0]
+
+
+def _translation_of_2_entries(m):
+    m["pairs"][0]["rel_pose"]["translation"] = [0.1, 0.0]
+
+
+def _nested_translation(m):
+    m["pairs"][0]["rel_pose"]["translation"] = [[0.1], 0.0, 0.0]
+
+
+def _null_quaternion(m):
+    m["pairs"][0]["rel_pose"]["quaternion_xyzw"] = None
+
+
+def _rel_pose_not_an_object(m):
+    m["pairs"][0]["rel_pose"] = [0.1, 0.0, 0.0]
+
+
+def _null_intrinsics(m):
+    m["intrinsics"] = None
+
+
+def _zero_width(m):
+    m["intrinsics"]["width"] = 0
+
+
+def _negative_height(m):
+    m["intrinsics"]["height"] = -16
+
+
+def _huge_integer_focal_length(m):
+    m["intrinsics"]["fx"] = 10**400  # float() overflows
+
+
+def _frame_without_depth(m):
+    del m["frames"][0]["depth"]
+
+
+def _depth_file_name_not_a_string(m):
+    m["frames"][2]["depth"] = 3
+
+
+def _dynamic_mask_file_name_not_a_string(m):
+    m["frames"][0]["dynamic_mask"] = None
+
+
+def _boolean_index(m):
+    m["pairs"][0]["a"] = True  # an int subclass, so it would pair frame 1
+
+
+def _string_index(m):
+    m["pairs"][0]["b"] = "1"
+
+
+def _pair_without_b(m):
+    del m["pairs"][1]["b"]
+
+
+def _manifest_without_pairs(m):
+    del m["pairs"]
+
+
 def _frames_not_a_list(m):
     m["frames"] = 3
 
@@ -265,6 +334,23 @@ def _frame_not_an_object(m):
         _huge_integer_translation,
         _boolean_quaternion,
         _quaternion_of_norm_5,
+        _quaternion_whose_norm_overflows,
+        _quaternion_of_3_entries,
+        _translation_of_2_entries,
+        _nested_translation,
+        _null_quaternion,
+        _rel_pose_not_an_object,
+        _null_intrinsics,
+        _zero_width,
+        _negative_height,
+        _huge_integer_focal_length,
+        _frame_without_depth,
+        _depth_file_name_not_a_string,
+        _dynamic_mask_file_name_not_a_string,
+        _boolean_index,
+        _string_index,
+        _pair_without_b,
+        _manifest_without_pairs,
         _frames_not_a_list,
         _pairs_not_a_list,
         _pair_not_an_object,
@@ -280,6 +366,29 @@ def test_malformed_manifest_entry_raises_data_error_naming_the_manifest(tmp_path
     with pytest.raises(DataError, match=re.escape(str(root / "manifest.json"))):
         formats.load_pairs(root)
 
+
+
+@pytest.mark.parametrize(
+    "key, literal",
+    [
+        ("translation", "1e400"),  # JSON parses it as inf, without parse_constant
+        ("quaternion_xyzw", "-1e400"),
+        ("fx", "1e400"),
+        ("quaternion_xyzw", "NaN"),  # a NaN norm passes the unit check
+        ("scene", '"caf\xe9"'),  # written as Latin-1, not UTF-8
+        ("a", "0 1"),  # not JSON
+    ],
+)
+def test_manifest_text_that_is_not_a_valid_manifest_raises_data_error_naming_it(tmp_path, dataset_dir, key, literal):
+    # the first value of the first `key` (or of its list) becomes `literal`
+    root = tmp_path / "copy"
+    shutil.copytree(dataset_dir, root)
+    text = (root / "manifest.json").read_text()
+    text, n = re.subn(rf'("{key}": \[?\s*)[^,\s\]]+', lambda m: m[1] + literal, text, count=1)
+    assert n == 1
+    (root / "manifest.json").write_bytes(text.encode("latin-1"))
+    with pytest.raises(DataError, match=re.escape(str(root / "manifest.json"))):
+        formats.load_pairs(root)
 
 
 def _deleted_frame(root):
