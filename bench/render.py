@@ -81,7 +81,9 @@ def record(reps: int) -> dict:
     return {"reps": reps, "render_ms": render_ms, "trajectory_ms": trajectory_ms, "env": environment()}
 
 
-def main(argv: list[str]) -> int:
+def main(argv: list[str], record=record) -> int:
+    """Parse `<src-dir> [--reps N]` from `argv`, pin BLAS, put the sources
+    first on the import path and print `record(reps)` as JSON."""
     args = argv[1:]
     reps = 7
     if len(args) == 3 and args[1] == "--reps" and args[2].isdigit() and int(args[2]) > 0:
@@ -89,7 +91,7 @@ def main(argv: list[str]) -> int:
     elif len(args) != 1:
         args = []
     if not args or not (Path(args[0]) / "dvokit" / "__init__.py").is_file():
-        print("usage: python3 bench/render.py <directory holding the dvokit package> [--reps N]", file=sys.stderr)
+        print(f"usage: python3 {argv[0]} <directory holding the dvokit package> [--reps N]", file=sys.stderr)
         return 2
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[var] = BLAS_THREADS  # before numpy loads

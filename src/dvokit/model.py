@@ -414,8 +414,7 @@ def model_state(model: DvoModel) -> dict[str, np.ndarray]:
 # (u32 name length, name, u32 item size, u32 rank, u32 extents…, then the
 # data: little-endian f4 for item size 4, f8 for 8) ordered lexicographically
 # by name, then a footer: end magic "DVOE" and the u32 blob count, so a file
-# cut between two blobs does not load. All integers little-endian. Version 2
-# records have no item size: every array is f8.
+# cut between two blobs does not load. All integers little-endian.
 
 _MAGIC = b"DVOC"
 _END_MAGIC = b"DVOE"
@@ -487,10 +486,10 @@ def save_checkpoint(path, arrays: dict[str, np.ndarray], config: dict) -> None:
 
 
 def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
-    """(config, arrays by name), each array in its stored dtype: float32 or
-    float64 in version 3, float64 in version 2. A malformed or truncated
-    file raises DataError naming `path`. Each array is read once, straight
-    into its own buffer."""
+    """(config, arrays by name), each array in its stored dtype, float32 or
+    float64. A malformed or truncated file, or one of another version,
+    raises DataError naming `path`. Each array is read once, straight into
+    its own buffer."""
     with open(path, "rb") as f:
         size = end = f.seek(0, os.SEEK_END)
         offset = f.seek(0)
@@ -508,7 +507,7 @@ def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
         if f.read(take(4)) != _MAGIC:
             raise DataError(f"{path} is not a checkpoint (bad magic)")
         (version,) = u32()
-        if version not in (2, _VERSION):
+        if version != _VERSION:
             raise DataError(f"unsupported checkpoint version {version} in {path}")
         end -= 8
         f.seek(max(end, offset))
@@ -522,7 +521,7 @@ def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
             arrays: dict[str, np.ndarray] = {}
             while offset < end:
                 name = f.read(take(u32()[0])).decode("utf-8")
-                (itemsize,) = u32() if version == _VERSION else (8,)
+                (itemsize,) = u32()
                 if itemsize not in (4, 8):
                     raise DataError(f"malformed checkpoint {path}: array '{name}' has item size {itemsize}, not 4 or 8")
                 shape = u32(u32()[0])

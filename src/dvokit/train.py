@@ -264,9 +264,9 @@ def _load_checkpoint_into(path, model: DvoModel, opt: AdamW | None = None) -> in
     resume) an `opt.step` that is not a non-negative integer, raises
     DataError naming `path`; another model configuration raises ValueError
     naming `path` and the keys that differ. Each array takes its
-    parameter's dtype: one stored in it, as a float32 model's are since
-    version 3, is adopted with no copy; another (a version 2 file's float64
-    one) is cast, one at a time, so that each is freed once cast."""
+    parameter's dtype: one stored in it, as a float32 model's are, is
+    adopted with no copy; another (a float64 model's) is cast, one at a
+    time, so that each is freed once cast."""
     config, arrays = load_checkpoint(path)
     saved = config.get("model") if isinstance(config, dict) else None
     if not isinstance(saved, dict):

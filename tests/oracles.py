@@ -624,39 +624,30 @@ def adam_step_previous(opt, grads_by_name):
         p.data = p.data - opt.lr * ((m / bc1) / (np.sqrt(v / bc2) + eps))
 
 
-def save_checkpoint_plain(path, arrays, config, version=3):
-    """`model.save_checkpoint`'s bytes in format `version`, each field and
+def save_checkpoint_plain(path, arrays, config):
+    """`model.save_checkpoint`'s bytes in format version 3, each field and
     array written on its own through ``tobytes()`` (without the temporary
-    file and rename). Version 3 records each array's item size and keeps a
-    float32 array in f4; version 2 has no item size and widens every array
-    to f8."""
+    file and rename): each array's item size, then a float32 array in f4
+    and every other in f8."""
     blob = json.dumps(config, sort_keys=True).encode("utf-8")
     with open(path, "wb") as f:
         f.write(model_module._MAGIC)
-        f.write(struct.pack("<I", version))
+        f.write(struct.pack("<I", 3))
         f.write(struct.pack("<I", len(blob)))
         f.write(blob)
         for name in sorted(arrays):
             data = np.asarray(arrays[name])
-            single = version == 3 and data.dtype in (np.dtype("<f4"), np.dtype(">f4"))
+            single = data.dtype in (np.dtype("<f4"), np.dtype(">f4"))
             data = np.asarray(data, order="C", dtype="<f4" if single else "<f8")  # a 0-d array keeps rank 0
             encoded = name.encode("utf-8")
             f.write(struct.pack("<I", len(encoded)))
             f.write(encoded)
-            if version == 3:
-                f.write(struct.pack("<I", data.itemsize))
+            f.write(struct.pack("<I", data.itemsize))
             f.write(struct.pack("<I", data.ndim))
             f.write(struct.pack(f"<{data.ndim}I", *data.shape))
             f.write(data.tobytes())
         f.write(model_module._END_MAGIC)
         f.write(struct.pack("<I", len(arrays)))
-
-
-def save_checkpoint_previous(path, arrays, config):
-    """A checkpoint as the writer before format version 3 wrote it: every
-    array widened to f8, float32 ones exactly (but a 0-d array keeps rank 0,
-    where that writer stored it with one extent)."""
-    save_checkpoint_plain(path, arrays, config, version=2)
 
 
 def depth_metrics_previous(pred, gt, cap=10.0, median_scaling=True):

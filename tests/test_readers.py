@@ -19,8 +19,6 @@ from dvokit.formats import DataError
 from dvokit.model import load_checkpoint, save_checkpoint
 from dvokit.synth import default_intrinsics
 
-import oracles
-
 
 @pytest.mark.parametrize("first_byte", [9, 10, 11, 12, 13, 32])
 def test_ppm_payload_may_start_with_a_whitespace_byte(tmp_path, first_byte):
@@ -100,16 +98,6 @@ def test_checkpoint_record_whose_item_size_is_not_4_or_8_raises_data_error_namin
         load_checkpoint(bad)
 
 
-def test_a_version_2_checkpoint_loads_every_array_as_float64(tmp_path):
-    path = tmp_path / "v2.dvoc"
-    oracles.save_checkpoint_previous(path, _ARRAYS, _CONFIG)
-    config, arrays = load_checkpoint(path)
-    assert config == _CONFIG and arrays.keys() == _ARRAYS.keys()
-    for name, value in arrays.items():
-        assert value.dtype == np.float64 and np.array_equal(value, _ARRAYS[name]), name
-    assert load_checkpoint(_checkpoint(tmp_path)[0])[1]["b.bias"].dtype == np.float32
-
-
 def test_malformed_checkpoint_json_raises_data_error(tmp_path):
     _, raw = _checkpoint(tmp_path)
     bad = tmp_path / "bad.dvoc"
@@ -128,10 +116,11 @@ def test_failed_checkpoint_write_keeps_the_previous_file(tmp_path):
 
 def test_checkpoint_of_an_older_version_is_refused(tmp_path):
     _, raw = _checkpoint(tmp_path)
-    old = tmp_path / "v1.dvoc"
-    old.write_bytes(raw[:4] + (1).to_bytes(4, "little") + raw[8:-8])
-    with pytest.raises(DataError, match="unsupported checkpoint version 1 in .*v1.dvoc"):
-        load_checkpoint(old)
+    for version in (1, 2):
+        old = tmp_path / f"v{version}.dvoc"
+        old.write_bytes(raw[:4] + version.to_bytes(4, "little") + raw[8:-8])
+        with pytest.raises(DataError, match=f"unsupported checkpoint version {version} in .*v{version}.dvoc"):
+            load_checkpoint(old)
 
 
 def test_checkpoint_whose_footer_miscounts_its_arrays_raises(tmp_path):
@@ -455,15 +444,15 @@ def test_pfm_payload_whose_length_is_not_a_multiple_of_4_raises_data_error(tmp_p
         formats.read_pfm(path)
 
 
-@pytest.mark.parametrize("record", [b"", struct.pack("<I", 4), struct.pack("<I", 8)], ids=["v2", "v3-f4", "v3-f8"])
-def test_checkpoint_array_of_zero_size_whose_other_extents_overflow_raises_data_error(tmp_path, record):
+@pytest.mark.parametrize("itemsize", [4, 8], ids=["v3-f4", "v3-f8"])
+def test_checkpoint_array_of_zero_size_whose_other_extents_overflow_raises_data_error(tmp_path, itemsize):
     # (0, 2^32 - 1, 2^32 - 1) holds no bytes, so the size check passes, but
     # numpy cannot allocate it: the product of its other extents overflows
     from dvokit import model
 
     blob = b"{}"
-    raw = model._MAGIC + struct.pack("<II", 3 if record else 2, len(blob)) + blob
-    raw += struct.pack("<I", 1) + b"x" + record + struct.pack("<I3I", 3, 0, 2**32 - 1, 2**32 - 1)
+    raw = model._MAGIC + struct.pack("<II", 3, len(blob)) + blob
+    raw += struct.pack("<I", 1) + b"x" + struct.pack("<II3I", itemsize, 3, 0, 2**32 - 1, 2**32 - 1)
     path = tmp_path / "huge.dvoc"
     path.write_bytes(raw + model._END_MAGIC + struct.pack("<I", 1))
     with pytest.raises(DataError, match=re.escape(str(path))):
@@ -483,7 +472,6 @@ _READERS = {
     "read_pfm": (lambda path: formats.write_pfm(path, np.random.default_rng(0).random((4, 5)) + 1.0), formats.read_pfm),
     "read_manifest": (_write_manifest, formats.read_manifest),
     "load_checkpoint": (lambda path: save_checkpoint(path, _ARRAYS, _CONFIG), load_checkpoint),
-    "load_checkpoint-v2": (lambda path: oracles.save_checkpoint_previous(path, _ARRAYS, _CONFIG), load_checkpoint),
 }
 
 

@@ -728,27 +728,30 @@ def test_a_float32_models_checkpoint_round_trips_exactly(tmp_path, dataset):
     assert (tmp_path / "again.dvoc").read_bytes() == path.read_bytes()
 
 
-@pytest.mark.parametrize("phase", ["finetune", "pretrain"])
-def test_a_version_2_checkpoint_resumes_bit_identically(tmp_path, dataset, phase):
-    # a checkpoint as the format before version 3 wrote it, every array
-    # widened to float64, loads as float64 and resumes to the same values
-    _run(phase)(_cfg(tmp_path / "full", epochs=2), dataset)
-    config, arrays = load_checkpoint(tmp_path / "full" / "checkpoint-epoch000.dvoc")
-    old = tmp_path / "v2.dvoc"
-    oracles.save_checkpoint_previous(old, arrays, config)
-    config_v2, arrays_v2 = load_checkpoint(old)
-    assert config_v2 == config and arrays_v2.keys() == arrays.keys()
-    for key, value in arrays_v2.items():
-        assert value.dtype == np.float64 and np.array_equal(value, arrays[key]), key
-    assert old.stat().st_size > 1.9 * (tmp_path / "full" / "checkpoint-epoch000.dvoc").stat().st_size
-    _run(phase)(_cfg(tmp_path / "resumed", epochs=2), dataset, resume=str(old))
-    full = (tmp_path / "full" / "checkpoint-epoch001.dvoc").read_bytes()
-    assert (tmp_path / "resumed" / "checkpoint-epoch001.dvoc").read_bytes() == full
+def test_a_rerun_into_the_same_out_dir_rewrites_every_file_as_it_was(tmp_path, dataset):
+    # each file of the second run replaces the first's: the checkpoints keep
+    # their bytes, the report differs in its wall clock only, and no `.tmp`
+    # is left beside them
+    cfg = _cfg(tmp_path, epochs=2)
+    names = ["checkpoint-epoch000.dvoc", "checkpoint-epoch001.dvoc", "report.json"]
+    train.finetune_run(cfg, dataset)
+    assert sorted(p.name for p in tmp_path.iterdir()) == names
+    first = {name: (tmp_path / name).read_bytes() for name in names}
+    train.finetune_run(cfg, dataset)
+    assert sorted(p.name for p in tmp_path.iterdir()) == names
+    for name in names[:2]:
+        assert (tmp_path / name).read_bytes() == first[name], name
+        assert len(first[name]) <= 5_200_000, (name, len(first[name]))
+    assert [load_checkpoint(tmp_path / name)[0]["extra"]["epoch"] for name in names[:2]] == [0, 1]
+    reports = [json.loads(raw) for raw in (first["report.json"], (tmp_path / "report.json").read_bytes())]
+    for report in reports:
+        report.pop("wall_clock_sec")
+    assert reports[0] == reports[1]
 
 
 def test_a_float64_checkpoint_loads_rounded_to_float32(tmp_path):
-    # a checkpoint of float64 parameters and moments, as the float64 network
-    # wrote them: each loads as its float32 rounding
+    # a checkpoint of a float64 model's parameters and moments, which
+    # save_checkpoint stores as f8: each loads as its float32 rounding
     cfg = _cfg(tmp_path, epochs=1)
     wide = oracles.float64_model(DvoModel(cfg.model, np.random.default_rng(1)))
     rng = np.random.default_rng(2)
@@ -758,7 +761,8 @@ def test_a_float64_checkpoint_loads_rounded_to_float32(tmp_path):
     opt.step({name: rng.normal(size=p.shape) for name, p in wide.named_parameters()})
     arrays = {f"model.{name}": p.data for name, p in wide.named_parameters()} | opt.state_arrays()
     path = tmp_path / "wide.dvoc"
-    oracles.save_checkpoint_previous(path, arrays, train._checkpoint_config(cfg, "finetune", 0))
+    save_checkpoint(path, arrays, train._checkpoint_config(cfg, "finetune", 0))
+    assert all(value.dtype == np.float64 for value in load_checkpoint(path)[1].values())
     model = DvoModel(cfg.model, np.random.default_rng(0))
     narrow = AdamW(list(model.named_parameters()))
     assert train._load_checkpoint_into(path, model, narrow) == 0
