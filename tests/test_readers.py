@@ -123,6 +123,39 @@ def test_checkpoint_of_an_older_version_is_refused(tmp_path):
             load_checkpoint(old)
 
 
+def test_checkpoint_of_a_newer_version_is_refused(tmp_path):
+    _, raw = _checkpoint(tmp_path)
+    for version in (4, 2**32 - 1):
+        new = tmp_path / f"v{version}.dvoc"
+        new.write_bytes(raw[:4] + version.to_bytes(4, "little") + raw[8:])
+        with pytest.raises(DataError, match=f"unsupported checkpoint version {version} in .*v{version}.dvoc"):
+            load_checkpoint(new)
+
+
+def test_a_record_without_its_item_size_raises_data_error_naming_the_path(tmp_path):
+    # a record laid out as format version 2 wrote it (no item size) under a
+    # version 3 header: its rank, 2, is read as the item size
+    _, raw = _checkpoint(tmp_path)
+    at = _cuts()["item-size"]
+    bad = tmp_path / "no-itemsize.dvoc"
+    bad.write_bytes(raw[:at] + raw[at + 4 :])
+    expected = f"malformed checkpoint {bad}: array 'a.weight' has item size 2, not 4 or 8"
+    with pytest.raises(DataError, match=re.escape(expected)):
+        load_checkpoint(bad)
+
+
+@pytest.mark.parametrize("dtype", ["<f4", "<f8"], ids=["f4", "f8"])
+def test_checkpoint_array_of_zero_size_round_trips(tmp_path, dtype):
+    arrays = {"empty": np.zeros((0, 3), dtype=dtype), **_ARRAYS}
+    path = tmp_path / "empty.dvoc"
+    save_checkpoint(path, arrays, _CONFIG)
+    config, loaded = load_checkpoint(path)
+    assert config == _CONFIG and loaded.keys() == arrays.keys()
+    for name, value in loaded.items():
+        assert value.dtype == arrays[name].dtype and np.array_equal(value, arrays[name]), name
+    assert loaded["empty"].shape == (0, 3)
+
+
 def test_checkpoint_whose_footer_miscounts_its_arrays_raises(tmp_path):
     _, raw = _checkpoint(tmp_path)
     bad = tmp_path / "miscount.dvoc"

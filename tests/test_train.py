@@ -728,6 +728,26 @@ def test_a_float32_models_checkpoint_round_trips_exactly(tmp_path, dataset):
     assert (tmp_path / "again.dvoc").read_bytes() == path.read_bytes()
 
 
+@pytest.mark.parametrize("phase", ["finetune", "pretrain"])
+def test_a_checkpoint_widened_to_float64_resumes_bit_identically(tmp_path, dataset, phase):
+    # a run's checkpoint with every array widened to float64 is stored in f8,
+    # loads as float64, and resumes (each array cast back to float32) to the
+    # same values
+    _run(phase)(_cfg(tmp_path / "full", epochs=2), dataset)
+    first = tmp_path / "full" / "checkpoint-epoch000.dvoc"
+    config, arrays = load_checkpoint(first)
+    wide = tmp_path / "wide.dvoc"
+    save_checkpoint(wide, {key: value.astype(np.float64) for key, value in arrays.items()}, config)
+    config_wide, arrays_wide = load_checkpoint(wide)
+    assert config_wide == config and arrays_wide.keys() == arrays.keys()
+    for key, value in arrays_wide.items():
+        assert value.dtype == np.float64 and np.array_equal(value, arrays[key]), key
+    assert wide.stat().st_size > 1.9 * first.stat().st_size
+    _run(phase)(_cfg(tmp_path / "resumed", epochs=2), dataset, resume=str(wide))
+    full = (tmp_path / "full" / "checkpoint-epoch001.dvoc").read_bytes()
+    assert (tmp_path / "resumed" / "checkpoint-epoch001.dvoc").read_bytes() == full
+
+
 def test_a_rerun_into_the_same_out_dir_rewrites_every_file_as_it_was(tmp_path, dataset):
     # each file of the second run replaces the first's: the checkpoints keep
     # their bytes, the report differs in its wall clock only, and no `.tmp`
