@@ -18,8 +18,9 @@ seed 0. It times:
     per run shape, so each repetition replaces the files of the one
     before, as the benchmark's reruns do.
   - one `AdamW.step` of the full 32 px model, every parameter stepped, on
-    fixed gradients in the parameters' dtype, as `batch_gradients` hands
-    them over (`adam_step_ms`)
+    fixed gradients in the parameters' dtype (`adam_step_ms`). An `AdamW`
+    with a gradient buffer copies them into it first, a pass the training
+    route does without, since `batch_gradients` fills that buffer
   - `save_checkpoint` of the finetune run's last checkpoint arrays, in the
     parameters' dtype as a training run hands them to `save_checkpoint` at
     the end of each epoch, onto a fresh name each time and over an existing

@@ -1001,13 +1001,16 @@ class Tape:
         return cls(order)
 
 
-def backward(loss: Tensor) -> dict[int, np.ndarray]:
+def backward(loss: Tensor, into: Mapping[int, np.ndarray] | None = None) -> dict[int, np.ndarray]:
     """Backpropagate from a scalar loss.
 
     Returns the gradient of every requires-grad leaf the loss reaches, keyed
     by ``id(leaf)``, in the leaf's dtype; leaves it does not reach are
     absent. Each tensor's gradient is summed in the dtype its consumers
-    give it, then cast to the tensor's own.
+    give it, then cast to the tensor's own. A leaf that ``into`` maps by id
+    to an array of its shape and dtype has its gradient added into that
+    array in place, as soon as it is complete, and the result holds that
+    array for it: so no copy of it outlives the pass.
     """
     if loss.data.size != 1:
         raise ValueError("backward requires a scalar loss")
@@ -1021,7 +1024,11 @@ def backward(loss: Tensor) -> dict[int, np.ndarray]:
         if g is None:
             continue
         if node._grad_fn is None:
-            leaf_grads[id(node)] = np.array(g, dtype=node.data.dtype)
+            dest = into.get(id(node)) if into else None
+            if dest is None:
+                leaf_grads[id(node)] = np.array(g, dtype=node.data.dtype)
+            else:
+                leaf_grads[id(node)] = np.add(dest, np.asarray(g, dtype=node.data.dtype), out=dest)
             continue
         # in the node's dtype, which a float64 consumer of a float32 node does not give it
         g = np.asarray(g, dtype=node.data.dtype)

@@ -1,6 +1,11 @@
 """Adam on named parameter lists, with no weight decay: no route uses it.
 The optimizer keeps the name ``AdamW`` because benchmarks trace
-``optim.AdamW.step`` by that name."""
+``optim.AdamW.step`` by that name.
+
+Each moment, and the step's gradient, is one contiguous buffer over the
+stepped parameters, with a view per name, so each of Adam's elementwise
+passes is one numpy call per block of ``_BLOCK`` values, not one per
+parameter; only the final subtraction from each parameter runs per name."""
 
 from __future__ import annotations
 
@@ -11,6 +16,8 @@ from .autodiff import Tensor
 # Adam's moment decay rates and denominator guard (arXiv 1412.6980)
 _BETA1, _BETA2 = 0.9, 0.999
 _EPS = 1e-8
+# values per pass: a block of each of the four arrays a pass reads (512 KB in float32) stays in cache
+_BLOCK = 1 << 15
 
 
 class AdamW:
@@ -18,39 +25,66 @@ class AdamW:
     pairs.
 
     Only parameters with ``requires_grad`` at construction time are stepped,
-    so frozen backbones stay bit-identical. Each step takes the gradients of
-    all of them by name and updates the moments in place; the moments, like
-    the step's arithmetic, take each parameter's dtype. State serializes
-    to named arrays for checkpoints: ``state_arrays()`` copies them,
-    ``state_views()`` hands out the live moments."""
+    so frozen backbones stay bit-identical. They must share one dtype,
+    which the moments, the gradient buffer and the step's arithmetic take.
+    ``grad`` is the step's gradient as one flat array and ``grad_views``
+    the same memory by name, for ``train.batch_gradients`` to fill. State
+    serializes to named arrays for checkpoints: ``state_arrays()`` copies
+    them, ``state_views()`` hands out the live moments, each a view of one
+    buffer."""
 
     def __init__(self, named_params: list[tuple[str, Tensor]], lr: float = 1e-3):
         if lr <= 0:
             raise ValueError("lr must be positive")
         self.params = [(name, p) for name, p in named_params if p.requires_grad]
+        first_in = {}  # dtype -> the first stepped parameter in it
+        for name, p in self.params:
+            first_in.setdefault(p.data.dtype, name)
+        if len(first_in) > 1:
+            found = ", ".join(f"'{name}' is {dtype}" for dtype, name in first_in.items())
+            raise ValueError(f"AdamW steps parameters of one dtype: {found}")
+        dtype = next(iter(first_in), np.dtype(np.float64))
+        size = sum(p.data.size for _, p in self.params)
         self.lr = lr
         self.step_count = 0
-        self._m = {name: np.zeros_like(p.data) for name, p in self.params}
-        self._v = {name: np.zeros_like(p.data) for name, p in self.params}
+        # rows: the first moment, the second, the step's gradient (which the step turns into its update)
+        self._buffer = np.zeros((3, size), dtype)
+        self._scratch = np.empty(min(size, _BLOCK), dtype)
+        self.grad = self._buffer[2]
+        self._m, self._v, self.grad_views = (self._views(row) for row in self._buffer)
+
+    def _views(self, row: np.ndarray) -> dict[str, np.ndarray]:
+        views, lo = {}, 0
+        for name, p in self.params:
+            views[name] = row[lo : lo + p.data.size].reshape(p.data.shape)
+            lo += p.data.size
+        return views
 
     def step(self, grads: dict[str, np.ndarray]) -> None:
-        """Update every stepped parameter from ``grads[name]``; a missing
-        name raises KeyError before anything changes."""
+        """Update every stepped parameter, in place, from ``grads[name]``; a
+        missing name raises KeyError before anything changes. Gradients that
+        are not the optimizer's own ``grad_views`` are copied into them
+        first, in the parameters' dtype. The step leaves the update it
+        subtracted in ``grad``."""
         gs = [grads[name] for name, _ in self.params]
+        for (name, _), g in zip(self.params, gs):
+            if g is not self.grad_views[name]:
+                np.copyto(self.grad_views[name], g)
         self.step_count += 1
         b1, b2 = _BETA1, _BETA2
         bc1 = 1.0 - b1**self.step_count
         bc2 = 1.0 - b2**self.step_count
-        for (name, p), g in zip(self.params, gs):
-            # in place, in the order of m*b1 + (1-b1)*g, v*b2 + (1-b2)*(g*g), p - lr*((m/bc1) / (sqrt(v/bc2) + eps))
-            m, v, scratch = self._m[name], self._v[name], g * (1.0 - b1)
-            np.add(np.multiply(m, b1, out=m), scratch, out=m)
-            np.multiply(np.multiply(g, g, out=scratch), 1.0 - b2, out=scratch)
-            np.add(np.multiply(v, b2, out=v), scratch, out=v)
-            den = np.divide(v, bc2)
-            np.add(np.sqrt(den, out=den), _EPS, out=den)
-            np.multiply(np.divide(np.divide(m, bc1, out=scratch), den, out=scratch), self.lr, out=scratch)
-            p.data = np.subtract(p.data, scratch, out=den)
+        for lo in range(0, self.grad.size, _BLOCK):
+            m, v, g = self._buffer[:, lo : lo + _BLOCK]
+            den = self._scratch[: g.size]
+            # in place, in the order of m*b1 + (1-b1)*g, v*b2 + (1-b2)*(g*g), lr*((m/bc1) / (sqrt(v/bc2) + eps))
+            np.add(np.multiply(m, b1, out=m), np.multiply(g, 1.0 - b1, out=den), out=m)
+            np.multiply(np.multiply(g, g, out=g), 1.0 - b2, out=g)
+            np.add(np.multiply(v, b2, out=v), g, out=v)
+            np.add(np.sqrt(np.divide(v, bc2, out=den), out=den), _EPS, out=den)
+            np.multiply(np.divide(np.divide(m, bc1, out=g), den, out=g), self.lr, out=g)
+        for name, p in self.params:
+            np.subtract(p.data, self.grad_views[name], out=p.data)
 
     # ---- checkpoint support ----
 
@@ -66,10 +100,9 @@ class AdamW:
         return {name: value.copy() for name, value in self.state_views().items()}
 
     def load_state_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        """Take the step count and adopt the moment arrays in their
-        parameters' dtype, without a copy where they have it already: the
-        next step changes them in place."""
+        """Take the step count, and copy each moment into the optimizer's
+        buffer, cast to its dtype."""
         self.step_count = int(arrays["opt.step"][0])
-        for name, p in self.params:
-            self._m[name] = arrays[f"opt.m.{name}"].astype(p.data.dtype, copy=False)
-            self._v[name] = arrays[f"opt.v.{name}"].astype(p.data.dtype, copy=False)
+        for name, _ in self.params:
+            np.copyto(self._m[name], arrays[f"opt.m.{name}"])
+            np.copyto(self._v[name], arrays[f"opt.v.{name}"])

@@ -96,37 +96,41 @@ def version_string() -> str:
 # ---- batched gradient accumulation ---------------------------------------------------
 
 
-def batch_gradients(model: DvoModel, graphs: list[list], loss_fn):
+def batch_gradients(model: DvoModel, opt: AdamW, graphs: list[list], loss_fn):
     """Evaluate `loss_fn(model, jobs)` per graph of jobs in order, and
-    average the gradients over the jobs, not the graphs, in job order.
-    `loss_fn` returns each job's (scalar loss Tensor, dict of floats to
-    log); a graph's loss is the sum of its jobs', and one backward per graph
-    gives its gradients, so a one-job graph gives that job's gradients bit
-    for bit. Returns (the per-job scalar dicts, in job order; the mean
-    gradient of every trainable parameter by name), the second ready for
+    average the gradients of `opt`'s parameters over the jobs, not the
+    graphs, in job order. `loss_fn` returns each job's (scalar loss Tensor,
+    dict of floats to log); a graph's loss is the sum of its jobs', and one
+    backward per graph gives its gradients, so a one-job graph gives that
+    job's gradients bit for bit. Each graph's backward adds every leaf's
+    gradient straight into `opt.grad_views`, and the sum is scaled once.
+    Returns (the per-job scalar dicts, in job order; `opt.grad_views`, the
+    mean gradient of every stepped parameter by name), the second ready for
     `AdamW.step`; a parameter no loss reaches gets zeros. In checked mode
-    each graph's gradients are tested as they are computed, so a
-    non-finite one raises NonFiniteError naming the parameter while its
-    graph's last job is the last one started.
+    each running sum is tested as each graph adds to it, so a non-finite
+    one raises NonFiniteError naming the parameter while its graph's last
+    job is the last one started.
     """
-    named = [(n, p) for n, p in model.named_parameters() if p.requires_grad]
-    params = [p for _, p in named]
-    scalar_list, total = [], None
+    into = {id(p): opt.grad_views[name] for name, p in opt.params}
+    reached: set[int] = set()
+    opt.grad.fill(-0.0)  # -0.0 + x is x for every x, +0.0 included, so the first graph's gradients land bit for bit
+    scalar_list = []
     for jobs in graphs:
         results = loss_fn(model, jobs)
         # no loop variable left bound to a job's loss, which would hold this graph while the next is built
         loss = sum((job_loss for job_loss, _ in results[1:]), results[0][0])
-        gs = ad.grads(loss, params)
+        reached.update(ad.backward(loss, into))
         if ad.checked_enabled():
-            for (name, _), g in zip(named, gs):
+            for name, g in opt.grad_views.items():
                 if not np.isfinite(g).all():
                     raise NonFiniteError(f"non-finite gradient of '{name}', which checked mode does not trap")
         scalar_list.extend(scalars for _, scalars in results)
         del loss, results  # frees this graph before the next one is built
-        # summed and scaled in place: `ad.grads` hands out copies or fresh zeros
-        total = gs if total is None else [np.add(t, g, out=t) for t, g in zip(total, gs)]
-    scale = 1.0 / len(scalar_list)
-    return scalar_list, {name: np.multiply(t, scale, out=t) for (name, _), t in zip(named, total)}
+    for name, p in opt.params:
+        if id(p) not in reached:
+            opt.grad_views[name].fill(0.0)
+    np.multiply(opt.grad, 1.0 / len(scalar_list), out=opt.grad)
+    return scalar_list, opt.grad_views
 
 
 # ---- datasets -------------------------------------------------------------------------
@@ -238,14 +242,6 @@ def _finetune_losses(model, pairs: list[FramePair], weights: LossWeights):
     return out
 
 
-def _step_values(step) -> dict[str, np.ndarray]:
-    """What a training step must leave finite: its loss terms and gradients."""
-    scalar_list, grads_by_name = step
-    values = {"loss": np.array([v for scalars in scalar_list for v in scalars.values()])}
-    values.update((f"gradient of '{name}'", g) for name, g in grads_by_name.items())
-    return values
-
-
 # The tensors no loss of a phase reaches. The phase does not step them, so
 # AdamW gets no zero gradients for them and checkpoints hold no moments.
 _UNREACHED = {"finetune": ("pixel_head.", "mask_token"), "pretrain": ("depth_head.", "pose_head.")}
@@ -263,10 +259,11 @@ def _load_checkpoint_into(path, model: DvoModel, opt: AdamW | None = None) -> in
     lacking any needed array or holding one of another shape, or (on
     resume) an `opt.step` that is not a non-negative integer, raises
     DataError naming `path`; another model configuration raises ValueError
-    naming `path` and the keys that differ. Each array takes its
-    parameter's dtype: one stored in it, as a float32 model's are, is
+    naming `path` and the keys that differ. Each parameter takes its array
+    in its own dtype: one stored in it, as a float32 model's are, is
     adopted with no copy; another (a float64 model's) is cast, one at a
-    time, so that each is freed once cast."""
+    time, so that each is freed once cast. Each moment is copied into the
+    optimizer's buffer, cast on the way where its dtype differs."""
     config, arrays = load_checkpoint(path)
     saved = config.get("model") if isinstance(config, dict) else None
     if not isinstance(saved, dict):
@@ -280,15 +277,14 @@ def _load_checkpoint_into(path, model: DvoModel, opt: AdamW | None = None) -> in
         ]
         raise ValueError(f"checkpoint/config mismatch: {path} differs from the model in {', '.join(differ)}")
     epoch = None
-    like = {f"model.{name}": param.data for name, param in model.named_parameters()}
+    needed = {f"model.{name}": param.shape for name, param in model.named_parameters()}
     if opt is not None:
         extra = config.get("extra")
         epoch = extra.get("epoch") if isinstance(extra, dict) else None
         if isinstance(epoch, bool) or not isinstance(epoch, int) or epoch < 0:
             raise DataError(f"checkpoint {path} has no integer extra.epoch to resume after")
-        like.update((f"opt.{kind}.{name}", param.data) for name, param in opt.params for kind in "mv")
-    needed = {name: data.shape for name, data in like.items()}  # each moment has its parameter's shape
-    if opt is not None:
+        # each moment has its parameter's shape
+        needed.update((f"opt.{kind}.{name}", param.shape) for name, param in opt.params for kind in "mv")
         needed["opt.step"] = (1,)
     missing = [name for name in needed if name not in arrays]
     if missing:
@@ -300,10 +296,9 @@ def _load_checkpoint_into(path, model: DvoModel, opt: AdamW | None = None) -> in
         (step,) = arrays["opt.step"]
         if not (np.isfinite(step) and step >= 0 and step == np.floor(step)):
             raise DataError(f"checkpoint {path} holds 'opt.step' {step}, not a non-negative integer")
-    for name, data in like.items():
-        arrays[name] = arrays[name].astype(data.dtype, copy=False)
     for name, param in model.named_parameters():
-        param.data = arrays[f"model.{name}"]
+        param.data = arrays[f"model.{name}"].astype(param.data.dtype, copy=False)
+        del arrays[f"model.{name}"]  # a cast's source is freed before the next cast
     if opt is not None:
         opt.load_state_arrays(arrays)
     return epoch
@@ -357,6 +352,11 @@ def _run_phase(
     if resume is not None:
         start_epoch = _load_checkpoint_into(resume, model, opt) + 1
 
+    def step_values(step) -> dict[str, np.ndarray]:
+        """What a step must leave finite: its loss terms, and its mean
+        gradient as one buffer (a checked replay names the parameter)."""
+        return {"loss": np.array([v for scalars in step[0] for v in scalars.values()]), "gradient": opt.grad}
+
     height, width = dataset[0].image_a.shape[-2:]
     per_graph = max(1, TRAIN_GRAPH_PIXELS[phase] // (height * width))
     curves: dict[str, list[float]] = {}
@@ -383,10 +383,10 @@ def _run_phase(
                 rng.bit_generator.state = rng_state  # a replay redraws the same masks
                 started_pairs.clear()
                 size = 1 if ad.checked_enabled() else per_graph
-                return batch_gradients(model, [jobs[i : i + size] for i in range(0, len(jobs), size)], loss_fn)
+                return batch_gradients(model, opt, [jobs[i : i + size] for i in range(0, len(jobs), size)], loss_fn)
 
             try:
-                scalar_list, grads_by_name = ad.replayed(step, _step_values)
+                scalar_list, grads_by_name = ad.replayed(step, step_values)
             except (NonFiniteError, FloatingPointError, EmptyValidSetError) as e:
                 raise TrainingDivergence(epoch, started_pairs[-1], e) from e
             opt.step(grads_by_name)

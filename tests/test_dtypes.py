@@ -10,6 +10,7 @@ from dvokit import direct, model as model_module, train
 from dvokit.direct import optimize_direct, perturbed_twist
 from dvokit.losses import LossWeights, total_loss
 from dvokit.model import DvoModel, forward_dvo, pretrain_step, toy_config
+from dvokit.optim import AdamW
 
 
 def _nodes(*roots):
@@ -68,7 +69,8 @@ def test_batch_gradients_returns_float32_gradients(phase, static_pair_32):
         "finetune": lambda m, jobs: train._finetune_losses(m, jobs, LossWeights()),
         "pretrain": lambda m, jobs: train._completion_losses(m, jobs, rng),
     }
-    _, grads = train.batch_gradients(model, [[static_pair_32, static_pair_32]], loss_fns[phase])
+    opt = AdamW(list(model.named_parameters()))
+    _, grads = train.batch_gradients(model, opt, [[static_pair_32, static_pair_32]], loss_fns[phase])
     trainable = {name for name, param in model.named_parameters() if param.requires_grad}
     assert set(grads) == trainable
     assert {name: g.dtype for name, g in grads.items() if g.dtype != np.float32} == {}

@@ -540,24 +540,54 @@ def test_adamw_step_takes_every_stepped_gradient_by_name():
     assert np.array_equal(b.data, [3.0])  # zero gradient, no weight decay
 
 
-def test_adamw_steps_as_the_previous_formula_and_hands_out_copies():
+def _model_params():
+    return list(DvoModel(toy_config(), np.random.default_rng(0)).named_parameters())
+
+
+def _edge_case_params():
+    """A 0-d, a size-0 and a frozen parameter among ordinary ones."""
+    rng = np.random.default_rng(1)
+    params = [
+        (name, ad.parameter(rng.normal(size=shape).astype(np.float32)))
+        for name, shape in [("w", (4, 5)), ("scalar", ()), ("empty", (0, 3)), ("frozen", (3,)), ("b", (5,))]
+    ]
+    params[3][1].requires_grad = False
+    return params
+
+
+@pytest.mark.parametrize("named_params", [_model_params, _edge_case_params], ids=["model", "edge-cases"])
+def test_adamw_steps_as_the_previous_formula_and_hands_out_copies(named_params):
     rng = np.random.default_rng(3)
-    models = [DvoModel(toy_config(), np.random.default_rng(0)) for _ in range(2)]
-    new, old = (AdamW(list(m.named_parameters())) for m in models)
+    param_lists = [named_params() for _ in range(2)]
+    frozen = {name: p.data.copy() for name, p in param_lists[0] if not p.requires_grad}
+    new, old = (AdamW(params) for params in param_lists)
     for _ in range(5):
         # in each parameter's dtype, float32, as batch_gradients hands them to AdamW
-        grads = {name: rng.normal(size=p.shape).astype(p.data.dtype) for name, p in models[0].named_parameters()}
+        grads = {name: rng.normal(size=p.shape).astype(p.data.dtype) for name, p in param_lists[0]}
         new.step(grads)
         oracles.adam_step_previous(old, grads)
-    for (name, p), (_, q) in zip(*(m.named_parameters() for m in models)):
+    for (name, p), (_, q) in zip(*param_lists):
         assert p.data.tobytes() == q.data.tobytes(), name
+    assert all(dict(param_lists[0])[name].data.tobytes() == data.tobytes() for name, data in frozen.items())
     state = new.state_arrays()
     assert list(state) == list(old.state_arrays())
     assert all(state[k].tobytes() == v.tobytes() for k, v in old.state_arrays().items())
+    # the live moments are views of one buffer, each in its parameter's shape
+    views = {k: v for k, v in new.state_views().items() if k != "opt.step"}
+    assert len(views) == 2 * len(new.params) and {id(v.base) for v in views.values()} == {id(new._buffer)}
+    assert all(views[f"opt.{kind}.{name}"].shape == p.shape for name, p in new.params for kind in "mv")
     # copies: changing them changes neither the optimizer nor a later copy
     for value in state.values():
         value += 1.0
     assert all(np.array_equal(v, new.state_views()[k]) for k, v in old.state_arrays().items())
+
+
+def test_adamw_refuses_parameters_of_more_than_one_dtype():
+    single, double = ad.parameter(np.zeros(2, np.float32)), ad.parameter(np.zeros(3))
+    with pytest.raises(ValueError, match="one dtype: 'a' is float32, 'b' is float64"):
+        AdamW([("a", single), ("b", double)])
+    double.requires_grad = False  # a frozen parameter is not stepped, so its dtype does not count
+    assert [name for name, _ in AdamW([("a", single), ("b", double)]).params] == ["a"]
 
 
 def test_checkpoint_roundtrip_and_mismatch(tmp_path):
