@@ -18,9 +18,11 @@ seed 0. It times:
     per run shape, so each repetition replaces the files of the one
     before, as the benchmark's reruns do.
   - one `AdamW.step` of the full 32 px model, every parameter stepped, on
-    fixed gradients in the parameters' dtype (`adam_step_ms`). An `AdamW`
-    with a gradient buffer copies them into it first, a pass the training
-    route does without, since `batch_gradients` fills that buffer
+    fixed gradients in the parameters' dtype (`adam_step_ms`). Where `step`
+    takes no argument, each timed call copies them into the optimizer's
+    `grad` and then steps, since a step overwrites `grad` with its update;
+    the copy is a pass the training route does without, as its backward
+    fills `grad`. Older sources take them as a name -> array mapping
   - `save_checkpoint` of the finetune run's last checkpoint arrays, in the
     parameters' dtype as a training run hands them to `save_checkpoint` at
     the end of each epoch, onto a fresh name each time and over an existing
@@ -37,6 +39,7 @@ temporary directory, removed at the end.
 
 from __future__ import annotations
 
+import inspect
 import itertools
 import sys
 import tempfile
@@ -100,7 +103,16 @@ def record_in(reps: int, workdir: Path) -> dict:
     opt = AdamW(list(model.named_parameters()))
     rng = np.random.default_rng(SEED)
     grads = {name: (1e-3 * rng.standard_normal(p.shape)).astype(p.data.dtype) for name, p in opt.params}
-    adam_step_ms = median_ms(lambda: opt.step(grads), reps)
+    if inspect.signature(opt.step).parameters:
+        adam_step_ms = median_ms(lambda: opt.step(grads), reps)
+    else:
+        flat = np.concatenate([g.ravel() for g in grads.values()])
+
+        def copy_and_step():
+            np.copyto(opt.grad, flat)
+            opt.step()
+
+        adam_step_ms = median_ms(copy_and_step, reps)
 
     config, arrays = load_checkpoint(workdir / RUNS[0][0] / f"checkpoint-epoch{EPOCHS - 1:03d}.dvoc")
     dtype = model.patch_embed.weight.data.dtype

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import EmptyValidSetError, Tensor, grads, replayed
+from .autodiff import EmptyValidSetError, Tensor, replayed
 from .geometry import pose_distance, pose_from_twist, warp_depth
 from .losses import PairObjective, total_loss
 from .optim import AdamW
@@ -75,7 +75,8 @@ def optimize_direct(
     ``losses.PairObjective``, in pose mode the depth Tensors with frame a's
     smoothness term, in depth mode the ground-truth Pose.
 
-    Each iteration's loss and gradients run unchecked; one that raises or
+    Each iteration's loss and gradient (in the optimizer's buffer, through
+    ``AdamW.fill_grad`` as in training) run unchecked; one that raises or
     leaves either non-finite is replayed checked (``autodiff.replayed``),
     so the error names the op, or the variable whose gradient is not finite.
     """
@@ -97,14 +98,14 @@ def optimize_direct(
         objective = PairObjective(pair)
         variables = [("log_depth_a", log_a), ("log_depth_b", log_b)]
 
-    def loss_and_grads():
+    def loss_and_gradient():
         depths = (depth_a, depth_b) if mode == "pose" else (log_a.exp(), log_b.exp())
         bd = total_loss(objective, *depths, pose)
-        return bd, grads(bd.l_total, [var for _, var in variables])
+        opt.fill_grad([lambda: bd.l_total])
+        return bd
 
-    def tested(step):
-        bd, gs = step
-        return {"loss": bd.l_total.data, **{f"gradient of '{name}'": g for (name, _), g in zip(variables, gs)}}
+    def tested(bd):
+        return {"loss": bd.l_total.data, "gradient": opt.grad}
 
     opt = AdamW(variables, lr=_LR)
     curve: list[float] = []
@@ -114,7 +115,7 @@ def optimize_direct(
 
     for it in range(iters):
         try:
-            bd, gs = replayed(loss_and_grads, tested)
+            bd = replayed(loss_and_gradient, tested)
         except EmptyValidSetError:
             diverged = True
             break
@@ -124,7 +125,7 @@ def optimize_direct(
             best_loss = value
             best_state = {name: var.data.copy() for name, var in variables}
         opt.lr = _LR * 0.5 * (1.0 + math.cos(math.pi * it / iters))
-        opt.step({name: g for (name, _), g in zip(variables, gs)})
+        opt.step()
 
     for name, var in variables:
         var.data = best_state[name]

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import Tensor
+from . import autodiff as ad
 
 # Adam's moment decay rates and denominator guard (arXiv 1412.6980)
 _BETA1, _BETA2 = 0.9, 0.999
@@ -28,12 +28,12 @@ class AdamW:
     so frozen backbones stay bit-identical. They must share one dtype,
     which the moments, the gradient buffer and the step's arithmetic take.
     ``grad`` is the step's gradient as one flat array and ``grad_views``
-    the same memory by name, for ``train.batch_gradients`` to fill. State
+    the same memory by name; ``fill_grad`` fills it from losses. State
     serializes to named arrays for checkpoints: ``state_arrays()`` copies
     them, ``state_views()`` hands out the live moments, each a view of one
     buffer."""
 
-    def __init__(self, named_params: list[tuple[str, Tensor]], lr: float = 1e-3):
+    def __init__(self, named_params: list[tuple[str, ad.Tensor]], lr: float = 1e-3):
         if lr <= 0:
             raise ValueError("lr must be positive")
         self.params = [(name, p) for name, p in named_params if p.requires_grad]
@@ -52,6 +52,7 @@ class AdamW:
         self._scratch = np.empty(min(size, _BLOCK), dtype)
         self.grad = self._buffer[2]
         self._m, self._v, self.grad_views = (self._views(row) for row in self._buffer)
+        self._into = {id(p): self.grad_views[name] for name, p in self.params}  # backward's sink, by leaf id
 
     def _views(self, row: np.ndarray) -> dict[str, np.ndarray]:
         views, lo = {}, 0
@@ -60,16 +61,27 @@ class AdamW:
             lo += p.data.size
         return views
 
-    def step(self, grads: dict[str, np.ndarray]) -> None:
-        """Update every stepped parameter, in place, from ``grads[name]``; a
-        missing name raises KeyError before anything changes. Gradients that
-        are not the optimizer's own ``grad_views`` are copied into them
-        first, in the parameters' dtype. The step leaves the update it
-        subtracted in ``grad``."""
-        gs = [grads[name] for name, _ in self.params]
-        for (name, _), g in zip(self.params, gs):
-            if g is not self.grad_views[name]:
-                np.copyto(self.grad_views[name], g)
+    def fill_grad(self, losses) -> None:
+        """Set ``grad`` to the sum of the gradients of the scalar losses that
+        the callables ``losses`` build, in order: each backward adds into
+        ``grad`` before the next loss is built. A parameter no loss reaches
+        gets zeros. In checked mode each running sum is tested after its
+        backward, and a non-finite one raises NonFiniteError naming it."""
+        reached: set[int] = set()
+        self.grad.fill(-0.0)  # -0.0 + x is x for every x, +0.0 included, so the first loss's gradients land bit for bit
+        for build in losses:
+            reached.update(ad.backward(build(), self._into))
+            if ad.checked_enabled():
+                for name, g in self.grad_views.items():
+                    if not np.isfinite(g).all():
+                        raise ad.NonFiniteError(f"non-finite gradient of '{name}', which checked mode does not trap")
+        for name, p in self.params:
+            if id(p) not in reached:
+                self.grad_views[name].fill(0.0)
+
+    def step(self) -> None:
+        """Update every stepped parameter, in place, from ``grad``, and leave
+        the update it subtracted in ``grad``."""
         self.step_count += 1
         b1, b2 = _BETA1, _BETA2
         bc1 = 1.0 - b1**self.step_count

@@ -96,41 +96,26 @@ def version_string() -> str:
 # ---- batched gradient accumulation ---------------------------------------------------
 
 
-def batch_gradients(model: DvoModel, opt: AdamW, graphs: list[list], loss_fn):
-    """Evaluate `loss_fn(model, jobs)` per graph of jobs in order, and
-    average the gradients of `opt`'s parameters over the jobs, not the
-    graphs, in job order. `loss_fn` returns each job's (scalar loss Tensor,
-    dict of floats to log); a graph's loss is the sum of its jobs', and one
-    backward per graph gives its gradients, so a one-job graph gives that
-    job's gradients bit for bit. Each graph's backward adds every leaf's
-    gradient straight into `opt.grad_views`, and the sum is scaled once.
-    Returns (the per-job scalar dicts, in job order; `opt.grad_views`, the
-    mean gradient of every stepped parameter by name), the second ready for
-    `AdamW.step`; a parameter no loss reaches gets zeros. In checked mode
-    each running sum is tested as each graph adds to it, so a non-finite
-    one raises NonFiniteError naming the parameter while its graph's last
-    job is the last one started.
-    """
-    into = {id(p): opt.grad_views[name] for name, p in opt.params}
-    reached: set[int] = set()
-    opt.grad.fill(-0.0)  # -0.0 + x is x for every x, +0.0 included, so the first graph's gradients land bit for bit
+def batch_gradients(model: DvoModel, opt: AdamW, graphs: list[list], loss_fn) -> list[dict]:
+    """Evaluate `loss_fn(model, jobs)` per graph of jobs in order, and leave
+    in `opt.grad` the mean gradient over the jobs, not the graphs, in job
+    order. `loss_fn` returns each job's (scalar loss Tensor, dict of floats
+    to log); a graph's loss is the sum of its jobs', and `opt.fill_grad`
+    runs one backward per graph, so a one-job graph gives that job's
+    gradients bit for bit. Returns the per-job scalar dicts, in job order.
+    In checked mode a non-finite gradient raises while its graph's last job
+    is the last one started."""
     scalar_list = []
-    for jobs in graphs:
+
+    def graph_loss(jobs):
         results = loss_fn(model, jobs)
-        # no loop variable left bound to a job's loss, which would hold this graph while the next is built
-        loss = sum((job_loss for job_loss, _ in results[1:]), results[0][0])
-        reached.update(ad.backward(loss, into))
-        if ad.checked_enabled():
-            for name, g in opt.grad_views.items():
-                if not np.isfinite(g).all():
-                    raise NonFiniteError(f"non-finite gradient of '{name}', which checked mode does not trap")
         scalar_list.extend(scalars for _, scalars in results)
-        del loss, results  # frees this graph before the next one is built
-    for name, p in opt.params:
-        if id(p) not in reached:
-            opt.grad_views[name].fill(0.0)
+        # no loop variable left bound to a job's loss, which would hold this graph while the next is built
+        return sum((job_loss for job_loss, _ in results[1:]), results[0][0])
+
+    opt.fill_grad(functools.partial(graph_loss, jobs) for jobs in graphs)
     np.multiply(opt.grad, 1.0 / len(scalar_list), out=opt.grad)
-    return scalar_list, opt.grad_views
+    return scalar_list
 
 
 # ---- datasets -------------------------------------------------------------------------
@@ -355,7 +340,7 @@ def _run_phase(
     def step_values(step) -> dict[str, np.ndarray]:
         """What a step must leave finite: its loss terms, and its mean
         gradient as one buffer (a checked replay names the parameter)."""
-        return {"loss": np.array([v for scalars in step[0] for v in scalars.values()]), "gradient": opt.grad}
+        return {"loss": np.array([v for scalars in step for v in scalars.values()]), "gradient": opt.grad}
 
     height, width = dataset[0].image_a.shape[-2:]
     per_graph = max(1, TRAIN_GRAPH_PIXELS[phase] // (height * width))
@@ -386,10 +371,10 @@ def _run_phase(
                 return batch_gradients(model, opt, [jobs[i : i + size] for i in range(0, len(jobs), size)], loss_fn)
 
             try:
-                scalar_list, grads_by_name = ad.replayed(step, step_values)
+                scalar_list = ad.replayed(step, step_values)
             except (NonFiniteError, FloatingPointError, EmptyValidSetError) as e:
                 raise TrainingDivergence(epoch, started_pairs[-1], e) from e
-            opt.step(grads_by_name)
+            opt.step()
             for scalars in scalar_list:
                 for key, value in scalars.items():
                     epoch_scalars.setdefault(key, []).append(value)

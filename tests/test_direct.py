@@ -1,6 +1,9 @@
 """Direct optimisation of the self-supervised objective (no network)."""
 
+from dataclasses import replace
+
 import numpy as np
+import oracles
 import pytest
 
 from dvokit import autodiff as ad
@@ -34,6 +37,21 @@ def test_a_nan_input_raises_what_a_checked_iteration_raises(static_pair_32, with
     with pytest.raises(ad.NonFiniteError) as checked:
         optimize_direct(bad, "pose", iters=2)
     assert str(replayed.value) == str(checked.value)
+
+
+@pytest.mark.parametrize("mode, variable", [("pose", "twist"), ("depth", "log_depth_a")])
+def test_a_nan_gradient_behind_a_finite_loss_names_the_variable(static_pair_32, monkeypatch, mode, variable):
+    def loss_with_nan_gradient(objective, depth_a, depth_b, pose):
+        bd = direct_loss(objective, depth_a, depth_b, pose)
+        # finite forward (sqrt(0) = 0), but the backward of sqrt at 0 is 0/0
+        reached = pose if mode == "pose" else depth_a
+        return replace(bd, l_total=bd.l_total + 0 * oracles.sqrt(reached.mean() * 0))
+
+    direct_loss = direct.total_loss
+    monkeypatch.setattr(direct, "total_loss", loss_with_nan_gradient)
+    with np.errstate(divide="ignore", invalid="ignore"), pytest.raises(ad.NonFiniteError) as info:
+        optimize_direct(static_pair_32, mode, iters=2)
+    assert str(info.value) == f"non-finite gradient of '{variable}', which checked mode does not trap"
 
 
 def test_unchecked_iterations_make_no_finiteness_call(static_pair_32, monkeypatch):

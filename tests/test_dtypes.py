@@ -6,6 +6,7 @@ node of the graphs the routes build."""
 import numpy as np
 import pytest
 
+from dvokit import autodiff as ad
 from dvokit import direct, model as model_module, train
 from dvokit.direct import optimize_direct, perturbed_twist
 from dvokit.losses import LossWeights, total_loss
@@ -70,7 +71,8 @@ def test_batch_gradients_returns_float32_gradients(phase, static_pair_32):
         "pretrain": lambda m, jobs: train._completion_losses(m, jobs, rng),
     }
     opt = AdamW(list(model.named_parameters()))
-    _, grads = train.batch_gradients(model, opt, [[static_pair_32, static_pair_32]], loss_fns[phase])
+    train.batch_gradients(model, opt, [[static_pair_32, static_pair_32]], loss_fns[phase])
+    grads = opt.grad_views
     trainable = {name for name, param in model.named_parameters() if param.requires_grad}
     assert set(grads) == trainable
     assert {name: g.dtype for name, g in grads.items() if g.dtype != np.float32} == {}
@@ -79,19 +81,20 @@ def test_batch_gradients_returns_float32_gradients(phase, static_pair_32):
 @pytest.mark.parametrize("mode", ["pose", "depth"])
 def test_every_node_of_an_optimize_direct_iteration_is_float64(mode, static_pair_32, monkeypatch):
     losses, grads = [], []
-    recorded_loss, recorded_grads = direct.total_loss, direct.grads
+    recorded_loss, recorded_backward = direct.total_loss, ad.backward
 
     def recording_loss(*args, **kwargs):
         breakdown = recorded_loss(*args, **kwargs)
         losses.append(breakdown.l_total)
         return breakdown
 
-    def recording_grads(loss, wrt):
-        grads.extend(recorded_grads(loss, wrt))
-        return grads[-len(wrt) :]
+    def recording_backward(loss, into=None):
+        found = recorded_backward(loss, into)
+        grads.extend(found.values())
+        return found
 
     monkeypatch.setattr(direct, "total_loss", recording_loss)
-    monkeypatch.setattr(direct, "grads", recording_grads)
+    monkeypatch.setattr(ad, "backward", recording_backward)
     start = perturbed_twist(static_pair_32.gt_pose.twist(), np.random.default_rng(1))
     optimize_direct(static_pair_32, mode, iters=2, init_twist=start)
     nodes = _nodes(*losses)

@@ -520,21 +520,23 @@ def test_freeze_for_adapters_contract():
     for step in range(3):
         loss = pretrain_step(model, _image(26 + step), _image(40 + step), rng)
         gs = ad.grads(loss, [p for _, p in opt.params])
-        opt.step({name: g for (name, _), g in zip(opt.params, gs)})
+        for (name, _), g in zip(opt.params, gs):
+            opt.grad_views[name][...] = g
+        opt.step()
     for n, p in model.named_parameters():
         if not p.requires_grad:
             assert np.array_equal(p.data, before[n]), n
 
 
-def test_adamw_step_takes_every_stepped_gradient_by_name():
+def test_adamw_steps_from_the_gradients_in_grad_views():
     a, b = ad.parameter([1.0, 2.0]), ad.parameter([3.0])
     opt = AdamW([("a", a), ("b", b)], lr=0.1)
-    with pytest.raises(KeyError, match="b"):
-        opt.step({"a": np.ones(2)})
     assert opt.step_count == 0
-    assert np.array_equal(a.data, [1.0, 2.0])
+    opt.grad_views["a"][...] = np.ones(2)
+    opt.grad_views["b"][...] = np.zeros(1)
+    assert np.array_equal(opt.grad, [1.0, 1.0, 0.0])  # the views share the one buffer
 
-    opt.step({"a": np.ones(2), "b": np.zeros(1)})
+    opt.step()
     assert opt.step_count == 1
     assert np.allclose(a.data, [0.9, 1.9])  # a first Adam step moves lr along -sign(g)
     assert np.array_equal(b.data, [3.0])  # zero gradient, no weight decay
@@ -562,9 +564,11 @@ def test_adamw_steps_as_the_previous_formula_and_hands_out_copies(named_params):
     frozen = {name: p.data.copy() for name, p in param_lists[0] if not p.requires_grad}
     new, old = (AdamW(params) for params in param_lists)
     for _ in range(5):
-        # in each parameter's dtype, float32, as batch_gradients hands them to AdamW
+        # in each parameter's dtype, float32, as backward adds them into AdamW's buffer
         grads = {name: rng.normal(size=p.shape).astype(p.data.dtype) for name, p in param_lists[0]}
-        new.step(grads)
+        for name, view in new.grad_views.items():
+            view[...] = grads[name]
+        new.step()
         oracles.adam_step_previous(old, grads)
     for (name, p), (_, q) in zip(*param_lists):
         assert p.data.tobytes() == q.data.tobytes(), name

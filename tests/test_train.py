@@ -53,8 +53,10 @@ def _run(phase):
 
 
 def _gradients(model, graphs, loss_fn):
-    """`batch_gradients` into a fresh optimizer over the model's parameters."""
-    return train.batch_gradients(model, AdamW(list(model.named_parameters())), graphs, loss_fn)
+    """`batch_gradients` into a fresh optimizer over the model's parameters:
+    (the per-job scalars, the mean gradients by name in `opt.grad_views`)."""
+    opt = AdamW(list(model.named_parameters()))
+    return train.batch_gradients(model, opt, graphs, loss_fn), opt.grad_views
 
 
 def _loss(model, pair):
@@ -95,12 +97,15 @@ def test_batch_gradients_is_the_ordered_mean_of_per_job_grads(dataset):
 
 def test_batch_gradients_keeps_the_sign_of_a_zero_gradient():
     # the buffer starts at -0.0, and -0.0 + x is x for every x, so a
-    # one-job graph's gradient of -0.0 stays -0.0
+    # one-job graph's gradient of -0.0 stays -0.0; a parameter no loss
+    # reaches gets +0.0
     weights = ad.parameter(np.ones(3, np.float32))
+    unreached = ad.parameter(np.ones(2, np.float32))
     signs = ad.Tensor(np.array([-0.0, 0.0, 2.0], np.float32))
-    opt = AdamW([("w", weights)])
-    _, grads_by_name = train.batch_gradients(None, opt, [[0]], lambda m, jobs: [((weights * signs).sum(), {})])
-    assert grads_by_name["w"].tobytes() == signs.data.tobytes()
+    opt = AdamW([("w", weights), ("unreached", unreached)])
+    train.batch_gradients(None, opt, [[0]], lambda m, jobs: [((weights * signs).sum(), {})])
+    assert opt.grad_views["w"].tobytes() == signs.data.tobytes()
+    assert opt.grad_views["unreached"].tobytes() == np.zeros(2, np.float32).tobytes()
 
 
 # ---- one graph per finetuning step --------------------------------------------------
@@ -237,7 +242,7 @@ def test_a_two_pair_pretraining_graph_keeps_each_pairs_loss_and_averages_the_gra
         assert np.abs(grads_by_name[name] - mean).max() <= 1e-12 * np.abs(mean).max(), name
 
 
-def test_a_four_pair_64_px_pretraining_step_peaks_at_most_30_mb():
+def test_a_four_pair_64_px_pretraining_step_peaks_at_most_12600_kb():
     # two graphs of two 64 px pairs peak at 11.4 MB in float32, with the
     # gradients added into the optimizer's buffer (13.7 MB when backward
     # copied each leaf's gradient out; 26.6 MB in float64 then, against
@@ -311,7 +316,7 @@ def test_an_empty_valid_set_in_a_shared_graph_names_the_epoch_and_the_pair(tmp_p
     assert calls == [(2,), (1,), (1,)]  # the shared graph, then its checked replay pair by pair
 
 
-def test_a_two_pair_32_px_training_step_peaks_at_most_14_mb(dataset):
+def test_a_two_pair_32_px_training_step_peaks_at_most_7000_kb(dataset):
     # forward, losses and backward of two 32 px pairs in one graph peak at
     # 6.4 MB in float32, with the gradients added into the optimizer's buffer
     # (7.6 MB when backward copied each leaf's gradient out; 13.1 MB in
@@ -800,7 +805,9 @@ def test_a_float64_checkpoint_loads_rounded_to_float32(tmp_path):
     for _, param in wide.named_parameters():
         param.data = param.data + rng.normal(scale=1e-3, size=param.shape)  # not float32 values
     opt = AdamW(list(wide.named_parameters()))
-    opt.step({name: rng.normal(size=p.shape) for name, p in wide.named_parameters()})
+    for name, p in wide.named_parameters():
+        opt.grad_views[name][...] = rng.normal(size=p.shape)
+    opt.step()
     arrays = {f"model.{name}": p.data for name, p in wide.named_parameters()} | opt.state_arrays()
     path = tmp_path / "wide.dvoc"
     save_checkpoint(path, arrays, train._checkpoint_config(cfg, "finetune", 0))

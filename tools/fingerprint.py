@@ -63,8 +63,11 @@ What it runs, all seeded and on the `dynamic-room` scene:
     without an op, or whose op takes no leading axes, leave its item out
   - `optim.AdamW`: 5 steps on three seeded parameters with seeded
     gradients (`optim/adamw`), digesting the parameters and the state
-    (step count and moments). Sources whose step takes no gradients leave
-    it out
+    (step count and moments). Where `step` takes no argument, the
+    gradients are written into the optimizer's `grad_views` before each
+    step; older sources take them as a name -> array mapping. Sources whose
+    step takes no argument and that have no `grad_views` (it read the
+    tensors' own gradients) leave the item out
   - `geometry.quaternion_from_rotation` on seeded rotations: 5 by less
     than 90 degrees (positive trace) and 5 by about 170 degrees about each
     of x, y and z (negative trace, that axis's diagonal entry the largest)
@@ -111,6 +114,7 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
+import inspect
 import json
 import math
 import sys
@@ -419,12 +423,16 @@ def fingerprint(tmp: Path) -> dict:
     shapes = [(24, 12), (12,), (3, 3, 4, 5)]
     params = [(f"p{i}", autodiff.Tensor(opt_rng.normal(size=s), requires_grad=True)) for i, s in enumerate(shapes)]
     opt = optim.AdamW(params)
-    try:
+    takes_gradients = len(inspect.signature(opt.step).parameters) == 1
+    if takes_gradients or hasattr(opt, "grad_views"):
         for _ in range(5):
-            opt.step({name: opt_rng.normal(size=p.shape) for name, p in params})
-    except TypeError:  # a step that reads the gradients from the tensors
-        pass
-    else:
+            grads = {name: opt_rng.normal(size=p.shape) for name, p in params}
+            if takes_gradients:
+                opt.step(grads)
+            else:
+                for name, g in grads.items():
+                    np.copyto(opt.grad_views[name], g)
+                opt.step()
         state = opt.state_arrays()
         record("optim/adamw", *(p.data for _, p in params), *(state[key] for key in sorted(state)))
 
